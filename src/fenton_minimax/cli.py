@@ -3,10 +3,10 @@
 All commands read a single JSON config document (no environment variables)
 and write a JSON or CSV report to --output or stdout.  Exit codes are part
 of the contract: 0 on success / all checks passed, 1 when a solver failed to
-converge or a check found violations, 2 on invalid input.  Extended values
-serialize as the strings "-inf"/"inf" because JSON numbers cannot carry
-infinities; all finite numbers are written with shortest round-trip repr so
-a re-parsed report is bit-identical.
+converge or raised, or a check found violations, 2 on invalid input.
+Extended values serialize as the strings "-inf"/"inf" because JSON numbers
+cannot carry infinities; all finite numbers are written with shortest
+round-trip repr so a re-parsed report is bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from .solvers import (brute_maximin, brute_minimax, solve_equioscillation,
                       solve_maximin, solve_minimax)
 from .sumtrans import Problem, interval_maxima
 
-__all__ = ["main", "read_report"]
+__all__ = ["main", "read_report", "SolverFault"]
+
+
+class SolverFault(RuntimeError):
+    """A solver raised on a valid problem; a bug, not a config error."""
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -116,10 +120,12 @@ def _trace_rows(reports: dict[str, object]):
 def _run_solve(args) -> int:
     cfg = _require_config(args)
     p, o = cfg.problem, cfg.options
-    eq = solve_equioscillation(p, o)
-    mm = solve_minimax(p, o)
-    mx = solve_maximin(p, o)
-    reports = {"equioscillation": eq, "minimax": mm, "maximin": mx}
+    try:
+        reports = {"equioscillation": solve_equioscillation(p, o),
+                   "minimax": solve_minimax(p, o),
+                   "maximin": solve_maximin(p, o)}
+    except (ValueError, ArithmeticError) as exc:
+        raise SolverFault(f"{type(exc).__name__}: {exc}") from exc
     doc = {"schema": SCHEMA_VERSION, "command": "solve",
            "problem": problem_to_json(p), "options": options_to_json(o)}
     doc.update({k: solve_report_to_json(r) for k, r in reports.items()})
@@ -264,6 +270,9 @@ def main(argv=None) -> int:
         return 2
     except CheckInfeasible as exc:
         print(f"check infeasible: {exc}", file=sys.stderr)
+        return 1
+    except SolverFault as exc:
+        print(f"solver fault: {exc}", file=sys.stderr)
         return 1
 
 

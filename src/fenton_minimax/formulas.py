@@ -1,9 +1,10 @@
 """Concave closed-form scalar formulas.
 
 These are the building blocks for piecewise fields and custom kernel sides.
-Every formula is real-valued, continuous and concave on any interval where it
-is used, which is what lets the sup engine run certified golden-section
-searches.  Each class knows its own exact supremum over a closed interval.
+Every formula is real-valued, smooth and concave on any interval where it
+is used, and knows its derivative, which is what lets the sup engine bound
+each cell maximum by tangent lines.  Each class also knows its own exact
+supremum over a closed interval.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ class Formula:
     def values(self, ts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def deriv(self, t: float) -> float:
+        raise NotImplementedError
+
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         """Exact (max value, argmax) over the closed interval [a, b]."""
         raise NotImplementedError
@@ -53,6 +57,9 @@ class Constant(Formula):
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.full_like(ts, self.c, dtype=float)
 
+    def deriv(self, t: float) -> float:
+        return 0.0
+
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         return self.c, a
 
@@ -69,6 +76,9 @@ class Affine(Formula):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return self.alpha * ts + self.beta
+
+    def deriv(self, t: float) -> float:
+        return self.alpha
 
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         arg = b if self.alpha > 0 else a
@@ -92,6 +102,9 @@ class Quadratic(Formula):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return (self.a * ts + self.b) * ts + self.c
+
+    def deriv(self, t: float) -> float:
+        return 2.0 * self.a * t + self.b
 
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         if self.a == 0:
@@ -129,15 +142,14 @@ class LogWeight(Formula):
             raise ValueError("log weight is nonpositive inside its piece")
         return np.log(wv)
 
+    def deriv(self, t: float) -> float:
+        return self.w.deriv(t) / self.w.value(t)
+
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         wmax, arg = self.w.sup_on(a, b)
         if wmax <= 0:
             raise ValueError("log weight is nonpositive on the whole piece")
         return math.log(wmax), arg
-
-    def inf_on(self, a: float, b: float) -> tuple[float, float]:
-        va, vb = self.value(a), self.value(b)
-        return (va, a) if va <= vb else (vb, b)
 
 
 def formula_to_json(f: Formula) -> dict:

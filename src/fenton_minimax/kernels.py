@@ -19,14 +19,19 @@ makes a monotone kernel strictly concave and strictly monotone while keeping
 it above the original and converging back to it as eta drops to 0.
 ``singularize`` adds ``min(log(|t| / eta), 0)``, which forces a -inf value at
 0 while leaving the kernel untouched wherever ``|t| >= eta``.
+
+Every family and both transforms are defined once, in ``FAMILIES``: a scalar
+value, a vectorized value and a derivative per entry.  ``Kernel.eval``,
+``Kernel.eval_many``, ``Kernel.deriv`` and through them the sup engine all
+read that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable
+from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +40,8 @@ from .formulas import Formula, formula_from_json, formula_to_json
 
 __all__ = [
     "KernelFlags",
+    "Family",
+    "FAMILIES",
     "Kernel",
     "zero_kernel",
     "log_kernel",
@@ -60,7 +67,80 @@ class KernelFlags:
     cusp: bool
 
 
-_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
+class Family(NamedTuple):
+    """How one kernel family, or one transform layer, evaluates.
+
+    Each entry takes the family parameter first (``None``, the power
+    exponent, the two custom formulas, or a layer's eta).  ``deriv`` is the
+    derivative; at t = 0 it is NaN unless both sides agree, and at a layer
+    threshold |t| = eta, where the sum is concave but kinked, it is one of
+    the two one-sided derivatives.
+    """
+
+    value: Callable[[Any, float], float]
+    values: Callable[[Any, np.ndarray], np.ndarray]
+    deriv: Callable[[Any, float], float]
+
+
+def _power_values(s: float, ts: np.ndarray) -> np.ndarray:
+    a = np.abs(ts)
+    safe = np.where(a == 0.0, 1.0, a)
+    return np.where(a == 0.0, -np.inf, -(safe ** (-s)))
+
+
+def _custom_deriv(f: tuple[Formula, Formula], t: float) -> float:
+    if t < 0.0:
+        return f[0].deriv(t)
+    if t > 0.0:
+        return f[1].deriv(t)
+    left, right = f[0].deriv(0.0), f[1].deriv(0.0)
+    return left if left == right else math.nan
+
+
+def _singularize_value(eta: float, t: float) -> float:
+    a = abs(t)
+    if a == 0.0:
+        return -math.inf
+    return math.log(a / eta) if a < eta else 0.0
+
+
+# The one definition of every kernel family and transform layer.  A kernel
+# evaluates as scale * (family term + strictify term + singularize terms).
+FAMILIES: dict[str, Family] = {
+    "zero": Family(
+        value=lambda _, t: 0.0,
+        values=lambda _, ts: np.zeros_like(ts),
+        deriv=lambda _, t: 0.0),
+    "log": Family(
+        value=lambda _, t: math.log(abs(t)) if t != 0.0 else -math.inf,
+        values=lambda _, ts: np.log(np.abs(ts)),
+        deriv=lambda _, t: 1.0 / t if t != 0.0 else math.nan),
+    "sqrt": Family(
+        value=lambda _, t: math.sqrt(abs(t)),
+        values=lambda _, ts: np.sqrt(np.abs(ts)),
+        deriv=lambda _, t: (math.copysign(0.5 / math.sqrt(abs(t)), t)
+                            if t != 0.0 else math.nan)),
+    "power": Family(
+        value=lambda s, t: -(abs(t) ** (-s)) if t != 0.0 else -math.inf,
+        values=_power_values,
+        deriv=lambda s, t: s * abs(t) ** (-s) / t if t != 0.0 else math.nan),
+    "custom": Family(
+        value=lambda f, t: f[0].value(t) if t < 0.0 else f[1].value(t),
+        values=lambda f, ts: np.where(ts < 0, f[0].values(ts), f[1].values(ts)),
+        deriv=_custom_deriv),
+    "strictify": Family(
+        value=lambda eta, t: eta * math.sqrt(abs(t)),
+        values=lambda eta, ts: eta * np.sqrt(np.abs(ts)),
+        deriv=lambda eta, t: (math.copysign(0.5 * eta / math.sqrt(abs(t)), t)
+                              if t != 0.0 else math.nan)),
+    "singularize": Family(
+        value=_singularize_value,
+        values=lambda eta, ts: np.minimum(np.log(np.abs(ts) / eta), 0.0),
+        deriv=lambda eta, t: ((1.0 / t if abs(t) < eta else 0.0)
+                              if t != 0.0 else math.nan)),
+}
+
+_KERNEL_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
 
 
 @dataclass(frozen=True)
@@ -82,7 +162,7 @@ class Kernel:
     pos_formula: Formula | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.scale <= 0:
             raise ValueError("kernel scale must be positive")
@@ -91,79 +171,63 @@ class Kernel:
         if self.family == "custom" and (self.neg_formula is None or self.pos_formula is None):
             raise ValueError("custom kernels need one formula per side")
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[Family, Any], ...]:
+        """(table entry, parameter) per summand, family first, then layers."""
+        param = None
+        if self.family == "power":
+            param = self.params[0]
+        elif self.family == "custom":
+            param = (self.neg_formula, self.pos_formula)
+        terms = [(FAMILIES[self.family], param)]
+        if self.strictify_eta:
+            terms.append((FAMILIES["strictify"], self.strictify_eta))
+        terms.extend((FAMILIES["singularize"], eta) for eta in self.singularize_etas)
+        return tuple(terms)
+
+    def __getstate__(self) -> dict:
+        # the cached terms hold the table's lambdas, which do not pickle
+        return {k: v for k, v in vars(self).items() if k != "_terms"}
+
     def eval(self, t: float) -> float:
         """Raw float value at t in [-1, 1]; -inf allowed, never NaN or +inf."""
         if not -1.0 <= t <= 1.0:
             raise ValueError(f"kernel argument {t} outside [-1, 1]")
-        return _evaluator(self)(t)
+        v = 0.0
+        for fam, param in self._terms:
+            v += fam.value(param, t)
+        return self.scale * v
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same domain rules as ``eval``."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1.0 or ts.max() > 1.0):
             raise ValueError("kernel argument outside [-1, 1]")
-        a = np.abs(ts)
+        (fam, param), *layers = self._terms
         with np.errstate(divide="ignore"):
-            if self.family == "zero":
-                v = np.zeros_like(ts)
-            elif self.family == "log":
-                v = np.log(a)
-            elif self.family == "sqrt":
-                v = np.sqrt(a)
-            elif self.family == "power":
-                s = self.params[0]
-                safe = np.where(a == 0.0, 1.0, a)
-                v = np.where(a == 0.0, -np.inf, -(safe ** (-s)))
-            else:
-                v = np.where(ts < 0, self.neg_formula.values(ts), self.pos_formula.values(ts))
-            if self.strictify_eta:
-                v = v + self.strictify_eta * np.sqrt(a)
-            for eta in self.singularize_etas:
-                v = v + np.minimum(np.log(a / eta), 0.0)
+            v = fam.values(param, ts)
+            for fam, param in layers:
+                v = v + fam.values(param, ts)
         return self.scale * v
+
+    def deriv(self, t: float) -> float:
+        """Derivative at t in [-1, 1]; NaN at 0 unless both sides agree.
+
+        Each side of 0 is concave, so at a kink of a transform layer the
+        value is a one-sided derivative and still bounds the kernel by its
+        tangent line on that side.
+        """
+        if not -1.0 <= t <= 1.0:
+            raise ValueError(f"kernel argument {t} outside [-1, 1]")
+        d = 0.0
+        for fam, param in self._terms:
+            d += fam.deriv(param, t)
+        return self.scale * d
 
     def scaled(self, factor: float) -> "Kernel":
         if factor <= 0:
             raise ValueError("kernel weights must be positive")
         return replace(self, scale=self.scale * factor)
-
-
-def _base_evaluator(k: Kernel) -> Callable[[float], float]:
-    if k.family == "zero":
-        return lambda t: 0.0
-    if k.family == "log":
-        return lambda t: math.log(abs(t)) if t != 0.0 else -math.inf
-    if k.family == "sqrt":
-        return lambda t: math.sqrt(abs(t))
-    if k.family == "power":
-        s = k.params[0]
-        return lambda t: -(abs(t) ** (-s)) if t != 0.0 else -math.inf
-    neg, pos = k.neg_formula, k.pos_formula
-    return lambda t: neg.value(t) if t < 0.0 else pos.value(t)
-
-
-@lru_cache(maxsize=None)
-def _evaluator(k: Kernel) -> Callable[[float], float]:
-    base = _base_evaluator(k)
-    eta = k.strictify_eta
-    sing = k.singularize_etas
-    scale = k.scale
-    if not eta and not sing and scale == 1.0:
-        return base
-
-    def f(t: float) -> float:
-        v = base(t)
-        if eta:
-            v += eta * math.sqrt(abs(t))
-        for e in sing:
-            a = abs(t)
-            if a == 0.0:
-                v = -math.inf
-            elif a < e:
-                v += math.log(a / e)
-        return scale * v
-
-    return f
 
 
 def zero_kernel() -> Kernel:

@@ -379,19 +379,24 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
 
 
 def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray, o: SolveOptions):
+    """Finite-difference Jacobian of Phi; every step keeps x_j between its
+    neighbours (or the sentinels), so the stepped system stays ordered.  A
+    node pinned on both sides gets a zero column."""
     n = len(x)
     jac = np.zeros((n, n))
     s = (0.0, *x, 1.0)
     for j in range(n):
-        scale = max(s[j + 2] - s[j], 1e-3)
-        h = o.fd_step * scale
-        forward = x[j] + h <= s[j + 2]
+        room_fwd, room_back = s[j + 2] - x[j], x[j] - s[j]
+        h = min(o.fd_step * max(s[j + 2] - s[j], 1e-3), max(room_fwd, room_back))
         xp = x.copy()
-        xp[j] = x[j] + h if forward else x[j] - h
+        xp[j] = min(x[j] + h, s[j + 2]) if room_fwd >= h else max(x[j] - h, s[j])
+        step = xp[j] - x[j]
+        if step == 0.0:
+            continue
         php = _phi(p, xp)
         if php is None:
             continue
-        jac[:, j] = (php - phi) / (h if forward else -h)
+        jac[:, j] = (php - phi) / step
     return jac
 
 

@@ -7,10 +7,11 @@ For a node system x and kernels K_j the function under study is
 The sup engine decomposes a query interval into cells cut at node positions
 and field piece boundaries.  Inside a cell every translate is concave (its
 argument does not cross 0) and the field contributes one concave formula, so
-F is concave there and golden section is certified.  Cell endpoints and piece
-boundary points are evaluated exactly, both as one-sided limits (which count
-toward the supremum but are not attained) and as actual point values.  That
-is what lets half-open pieces produce exact unattained suprema.
+F is concave there, and its closed-form derivative lets ``concave_max`` bound
+the cell maximum by tangent lines.  Cell endpoints and piece boundary points
+are evaluated exactly, both as one-sided limits (which count toward the
+supremum but are not attained) and as actual point values.  That is what
+lets half-open pieces produce exact unattained suprema.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .core import ExtendedReal, Interval, NEG_INF, NodeSystem, UNIT
 from .fields import Field, RealSubset, UnsupportedFieldError, finiteness_domain, n_field_check
 from .kernels import Kernel
-from .maximize import GOLDEN_TOL, concave_max
+from .maximize import concave_max
 
 __all__ = [
     "SupMode",
@@ -46,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SupMode:
-    """"exact" uses the cell/golden engine; "grid" takes a sampled lower bound."""
+    """"exact" uses the cell engine; "grid" takes a sampled lower bound."""
 
     kind: str
     grid_n: int = 4096
@@ -179,15 +180,16 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
 
 
 def _pure_fun(p: Problem, x: NodeSystem):
+    """t -> (f(x, t), derivative in t); the derivative is NaN where a kernel
+    with a cusp or a pole at 0 sits on a node."""
     parts = [(w, k, xj) for (w, k), xj in zip(p.translates(), x.nodes)]
-    from .kernels import _evaluator
-    parts = [(w, _evaluator(k), xj) for w, k, xj in parts]
 
-    def f(t: float) -> float:
-        total = 0.0
-        for w, ev, xj in parts:
-            total += w * ev(t - xj)
-        return total
+    def f(t: float) -> tuple[float, float]:
+        total = slope = 0.0
+        for w, k, xj in parts:
+            total += w * k.eval(t - xj)
+            slope += w * k.deriv(t - xj)
+        return total, slope
 
     return f
 
@@ -214,8 +216,10 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
 
     The value honours q's end inclusion flags: over a half-open cell the
     supremum may be a one-sided limit, reported with attained=False and the
-    limit location as witness.  In exact mode err is 0 whenever an exactly
-    evaluated point wins and otherwise the final golden bracket variation.
+    limit location as witness.  In exact mode the supremum lies in
+    [value, value + err]: err is 0 when every cell maximum was certified at
+    an exactly evaluated point, and otherwise the largest tangent-gap bound
+    of a cell above the winning value.
     """
     _check_nodes(p, x)
     if q.a < 0.0 or q.b > 1.0:
@@ -234,7 +238,7 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
     for t in pts:
         if q.contains(t):
             base = field.eval_float(t)
-            v = -math.inf if base == -math.inf else base + f(t)
+            v = -math.inf if base == -math.inf else base + f(t)[0]
             cands.append((v, t, True, 0.0))
 
     for u, v in zip(pts, pts[1:]):
@@ -244,13 +248,13 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
         formula = piece.formula
 
         def g(t, _f=f, _phi=formula):
-            return _phi.value(t) + _f(t)
+            val, slope = _f(t)
+            return _phi.value(t) + val, _phi.deriv(t) + slope
 
-        cands.append((g(u), u, False, 0.0))
-        cands.append((g(v), v, False, 0.0))
-        res = concave_max(g, u, v, tol=GOLDEN_TOL)
-        if res.interior:
-            cands.append((res.value, res.argmax, True, res.err))
+        # an interior maximum is attained; one at a cell end is the one-sided
+        # limit there, and the other end's limit is no larger
+        res = concave_max(g, u, v)
+        cands.append((res.value, res.argmax, res.interior, res.err))
 
     if not cands:
         return SupResult(NEG_INF, None, False, 0.0)
@@ -260,6 +264,7 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
     ties = [c for c in cands if c[0] == best_v]
     ties.sort(key=lambda c: (not c[2], c[3], c[1]))
     _, where, attained, err = ties[0]
+    err = max([err] + [c[0] + c[3] - best_v for c in cands if c[3] > 0.0])
     return SupResult(ExtendedReal(best_v), where, attained, err)
 
 

@@ -1,11 +1,13 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fenton_minimax.formulas import Affine, Quadratic
-from fenton_minimax.kernels import (Kernel, KernelFlags, custom_kernel,
+from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
+from fenton_minimax.kernels import (FAMILIES, Kernel, KernelFlags, custom_kernel,
                                     kernel_eval, kernel_from_json,
                                     kernel_to_json, kernel_validate,
                                     log_kernel, power_kernel, singularize,
@@ -178,6 +180,12 @@ class TestJson:
         assert np.array_equal(back.eval_many(ts), k.eval_many(ts))
         assert back.flags == k.flags
 
+    def test_pickles_after_evaluation(self):
+        k = strictify(log_kernel(), 0.1)
+        k.eval(0.2)
+        back = pickle.loads(pickle.dumps(k))
+        assert back == k and back.eval(0.2) == k.eval(0.2)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             kernel_from_json({"family": "bessel"})
@@ -203,3 +211,77 @@ def test_monotone_orientation(s, t):
               strictify(zero_kernel(), 0.5)):
         assert k.eval(lo) <= k.eval(hi) + 1e-12
         assert k.eval(-hi) >= k.eval(-lo) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the family table: scalar value, vector values and derivative must agree
+
+HUMP = custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0), NO_FLAGS)
+LOG_SIDES = custom_kernel(LogWeight(Affine(-0.5, 1.0)), LogWeight(Affine(0.5, 1.0)),
+                          NO_FLAGS)
+BASES = {"zero": zero_kernel(), "log": log_kernel(), "sqrt": sqrt_kernel(),
+         "power0.5": power_kernel(0.5), "power1.5": power_kernel(1.5),
+         "custom-hump": HUMP, "custom-logweight": LOG_SIDES}
+SING_ETA = 0.3
+# the layers are applied with replace() so non-monotone bases get them too
+LAYERS = {"plain": lambda k: k,
+          "scaled": lambda k: k.scaled(2.5),
+          "strictified": lambda k: replace(k, strictify_eta=0.2),
+          "singularized": lambda k: replace(k, singularize_etas=(SING_ETA,))}
+TABLE_CASES = [pytest.param(LAYERS[lay](k), id=f"{name}-{lay}")
+               for name, k in BASES.items() for lay in LAYERS]
+TS = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, 1e-9, -1e-9, SING_ETA]])
+
+
+def test_table_covers_every_family():
+    assert {"zero", "log", "sqrt", "power", "custom"} <= set(FAMILIES)
+    assert {"strictify", "singularize"} <= set(FAMILIES)
+    for name in ("zero", "log", "sqrt", "power", "custom"):
+        assert any(k.family == name for k in BASES.values())
+
+
+@pytest.mark.parametrize("k", TABLE_CASES)
+def test_table_value_matches_values(k):
+    vs = k.eval_many(TS)
+    for t, v in zip(TS, vs):
+        s = k.eval(float(t))
+        assert s == v or abs(s - v) <= 1e-15 * abs(v), (t, s, v)
+
+
+@pytest.mark.parametrize("k", TABLE_CASES)
+def test_table_deriv_matches_central_difference(k):
+    h = 1e-6
+    for t in np.linspace(-0.95, 0.95, 77):
+        t = float(t)
+        if abs(t) < 0.05 or abs(abs(t) - SING_ETA) < 0.02:
+            continue
+        fd = (k.eval(t + h) - k.eval(t - h)) / (2 * h)
+        d = k.deriv(t)
+        assert d == pytest.approx(fd, rel=1e-6, abs=1e-6), t
+
+
+@pytest.mark.parametrize("k", TABLE_CASES)
+def test_table_deriv_at_zero_only_when_sides_agree(k):
+    smooth = k.family == "zero" and not (k.strictify_eta or k.singularize_etas)
+    if smooth:
+        assert k.deriv(0.0) == 0.0
+    else:
+        assert math.isnan(k.deriv(0.0))
+    with pytest.raises(ValueError):
+        k.deriv(1.5)
+
+
+@pytest.mark.parametrize("f", [Constant(0.7), Affine(-1.5, 0.2),
+                               Quadratic(-2.0, 1.0, 0.5), Quadratic(0.0, 0.3, 0.0),
+                               LogWeight(Quadratic(-1.0, 0.5, 1.0))],
+                         ids=repr)
+def test_formula_deriv_and_values(f):
+    ts = np.linspace(0.0, 1.0, 41)
+    for t, v in zip(ts, f.values(ts)):
+        s = f.value(float(t))
+        assert s == v or abs(s - v) <= 1e-15 * abs(v)
+    h = 1e-6
+    for t in ts[1:-1]:
+        t = float(t)
+        fd = (f.value(t + h) - f.value(t - h)) / (2 * h)
+        assert f.deriv(t) == pytest.approx(fd, rel=1e-6, abs=1e-6)

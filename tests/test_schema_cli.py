@@ -188,6 +188,31 @@ class TestCliSolve:
         assert {r[0] for r in rows[1:]} <= {"equioscillation", "minimax",
                                             "maximin"}
 
+    def test_fd_steps_keep_nodes_ordered(self, tmp_path, capsys):
+        # a finite-difference step once crossed the left neighbour of a
+        # pinned node, and the CLI exited 2 on "nodes must be nondecreasing"
+        problem = {"n": 3, "weights": [2.073, 2.050, 1.095],
+                   "kernel": {"family": "sqrt"},
+                   "field": {"pieces": [{"interval": {"a": 0.0, "b": 0.2918},
+                                         "formula": {"type": "constant",
+                                                     "c": -0.311}}]}}
+        cfg = write_cfg(tmp_path, "c.json", problem, options={"multistarts": 2})
+        rc = main(["solve", "--config", cfg])
+        assert rc in (0, 1)
+        doc = json.loads(capsys.readouterr().out)
+        for phase in ("equioscillation", "minimax", "maximin"):
+            assert doc[phase]["status"] in ("converged", "stalled", "infeasible")
+            assert isinstance(doc[phase]["note"], str)
+
+    def test_solver_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        def broken(p, o):
+            raise ValueError("nodes must be nondecreasing")
+
+        monkeypatch.setattr("fenton_minimax.cli.solve_equioscillation", broken)
+        cfg = write_cfg(tmp_path, "c.json", LOG_N2)
+        assert main(["solve", "--config", cfg]) == 1
+        assert "solver fault" in capsys.readouterr().err
+
     def test_missing_config(self, capsys):
         assert main(["solve"]) == 2
         assert "solve requires --config" in capsys.readouterr().err
