@@ -2,7 +2,13 @@
 
 The brute oracles enumerate ordered node tuples on a uniform grid (plus exact
 piece endpoints) and take grid maxima in t, which makes them an independent
-low-resolution route against the exact sup engine.  The equioscillation
+low-resolution route against the exact sup engine: they call nothing from it.
+One block enumerator serves both.  It sums J and the first n - 1 translates
+once per prefix of grid indices and takes every last node at once as the rows
+of a numpy block, so the cost is O(C(m+n-1, n) * |t-grid|) array work with
+no Python per tuple.  The sums run in the order a tuple-at-a-time loop would
+use and maxima are exact, so each value is that loop's float.  The winner is
+the lexicographically first tuple with the best value.  The equioscillation
 solver drives the difference map
 
     Phi(x) = (m_1 - m_0, ..., m_n - m_{n-1})
@@ -189,6 +195,9 @@ def sample_regular(p: Problem, rng: random.Random, attempts: int = 10) -> NodeSy
 
 
 _MAX_TUPLES = 3_000_000
+# Grid values per block of candidate tuples (1 MiB of floats); bounds the
+# oracles' working memory for any grid step.
+_BLOCK_VALUES = 1 << 17
 
 
 def _oracle_grids(p: Problem, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -229,51 +238,87 @@ def _check_budget(m: int, n: int) -> None:
                          "use a coarser step h")
 
 
-def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
-    """Grid minimizer of the overall maximum; independent of the sup engine."""
-    xgrid, tg = _oracle_grids(p, h)
-    _check_budget(len(xgrid), p.n)
-    jvals = p.field.eval_many(tg)
-    rows = _oracle_rows(p, xgrid, tg)
-    best = math.inf
-    best_idx: tuple[int, ...] | None = None
-    for idx in combinations_with_replacement(range(len(xgrid)), p.n):
-        f = jvals + rows[0][idx[0]]
-        for j in range(1, p.n):
-            f = f + rows[j][idx[j]]
-        v = float(np.max(f))
-        if v < best:
-            best, best_idx = v, idx
-    return _ns(xgrid[list(best_idx)]), ExtendedReal.of(best)
+def _oracle_search(p: Problem, h: float,
+                   score: Callable[..., np.ndarray]) -> tuple[NodeSystem | None, float]:
+    """The grid node system with the largest score, and that score.
 
-
-def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
-    """Grid maximizer of the smallest interval maximum."""
+    Index tuples come in ``combinations_with_replacement`` order.  For each
+    prefix (i_0, ..., i_{n-2}), ``base`` = J + w_0 K(t - x_{i_0}) + ... is
+    summed once, and every last index k >= i_{n-2} is one row of the block
+    F = base + w_{n-1} K(t - x_k), at most ``_BLOCK_VALUES`` grid values at a
+    time.  ``score(F, cuts, upto, onward)`` gives one score per row: ``cuts``
+    holds the t-grid positions of 0, x_{i_0}, ..., x_{i_{n-2}}, and row r of
+    ``upto``/``onward`` marks t <= x_k/t >= x_k for the row's k.  The first
+    best row of a block wins, and a later block only with a strictly larger
+    score, so ties go to the lexicographically first tuple.  A NaN score never
+    wins; when no score exceeds -inf the result is (None, -inf).
+    """
     xgrid, tg = _oracle_grids(p, h)
-    _check_budget(len(xgrid), p.n)
+    m, n = len(xgrid), p.n
+    _check_budget(m, n)
     jvals = p.field.eval_many(tg)
     rows = _oracle_rows(p, xgrid, tg)
     pos = np.searchsorted(tg, xgrid)
-    last = len(tg) - 1
-    best = -math.inf
-    best_idx: tuple[int, ...] | None = None
-    for idx in combinations_with_replacement(range(len(xgrid)), p.n):
-        f = jvals + rows[0][idx[0]]
-        for j in range(1, p.n):
-            f = f + rows[j][idx[j]]
-        cuts = [0, *[pos[i] for i in idx], last]
-        low = math.inf
-        for a, b in zip(cuts, cuts[1:]):
-            seg = float(np.max(f[a:b + 1]))
-            if seg < low:
-                low = seg
-            if low == -math.inf:
-                break
-        if low > best:
-            best, best_idx = low, idx
-    if best_idx is None:
+    cols = np.arange(len(tg))
+    upto, onward = cols <= pos[:, None], cols >= pos[:, None]
+    block = max(1, _BLOCK_VALUES // len(tg))
+    best, best_idx = -math.inf, None
+    for prefix in combinations_with_replacement(range(m), n - 1):
+        base = jvals
+        for j, i in enumerate(prefix):
+            base = base + rows[j][i]
+        cuts = [0, *pos[list(prefix)]]
+        for k0 in range(prefix[-1] if prefix else 0, m, block):
+            ks = slice(k0, k0 + block)
+            s = score(base + rows[-1][ks], cuts, upto[ks], onward[ks])
+            s[np.isnan(s)] = -math.inf
+            r = int(np.argmax(s))
+            if s[r] > best:
+                best, best_idx = float(s[r]), (*prefix, k0 + r)
+    return (None if best_idx is None else _ns(xgrid[list(best_idx)])), best
+
+
+def _neg_overall_max(F, cuts, upto, onward) -> np.ndarray:
+    return -F.max(axis=1)
+
+
+def _lowest_segment_max(F, cuts, upto, onward) -> np.ndarray:
+    """Smallest of the n + 1 segment maxima per row.  Each segment includes
+    its two cut points; fmin skips a NaN segment maximum."""
+    low = np.full(len(F), math.inf)
+    for a, b in zip(cuts, cuts[1:]):
+        low = np.fmin(low, F[:, a:b + 1].max(axis=1))
+    # the two segments that move with x_k: [x_{i_{n-2}}, x_k] and [x_k, 1]
+    a = cuts[-1]
+    tail = F[:, a:]
+    low = np.fmin(low, tail.max(axis=1, where=upto[:, a:], initial=-math.inf))
+    return np.fmin(low, tail.max(axis=1, where=onward[:, a:], initial=-math.inf))
+
+
+def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
+    """Grid minimizer of the overall maximum; independent of the sup engine.
+
+    Nodes and t range over one grid: step h, plus the field's piece ends and
+    probes 1e-9 either side of each.  Among equal values the
+    lexicographically first node tuple wins.
+    """
+    x, best = _oracle_search(p, h, _neg_overall_max)
+    return x, ExtendedReal.of(-best)
+
+
+def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
+    """Grid maximizer of the smallest interval maximum; independent of the
+    sup engine.
+
+    Same grids and tie-break as ``brute_minimax``.  An interval maximum is
+    the largest grid value of F on the closed segment between neighbouring
+    nodes (or 0 and 1).  When every tuple leaves some segment at -inf the
+    result is the midpoint system with value -inf.
+    """
+    x, best = _oracle_search(p, h, _lowest_segment_max)
+    if x is None:
         return _ns([0.5] * p.n), NEG_INF
-    return _ns(xgrid[list(best_idx)]), ExtendedReal.of(best)
+    return x, ExtendedReal.of(best)
 
 
 # ---------------------------------------------------------------------------

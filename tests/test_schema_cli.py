@@ -258,6 +258,11 @@ class TestCliOracle:
         cfg = write_cfg(tmp_path, "c.json", LOG_N2)
         assert main(["oracle", "--config", cfg, "--h", "1.5"]) == 2
 
+    def test_h_above_half_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", LOG_N2)
+        assert main(["oracle", "--config", cfg, "--h", "0.75"]) == 2
+        assert "(0, 0.5]" in capsys.readouterr().err
+
 
 class TestCliVerify:
     def test_single_check_passes(self, capsys):

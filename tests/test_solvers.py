@@ -1,19 +1,51 @@
 import math
+from itertools import combinations_with_replacement
+from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fenton_minimax.battery import battery_problem
+from fenton_minimax.battery import BATTERY, battery_problem
+from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.fields import usc_regularize
-from fenton_minimax.solvers import (SolveOptions, brute_maximin,
-                                    brute_minimax, sample_regular,
-                                    solve_equioscillation, solve_maximin,
-                                    solve_minimax)
+from fenton_minimax.formulas import Quadratic
+from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
+                                    power_kernel, sqrt_kernel, zero_kernel)
+from fenton_minimax.solvers import (SolveOptions, _check_budget,
+                                    _oracle_grids, _oracle_rows,
+                                    brute_maximin, brute_minimax,
+                                    sample_regular, solve_equioscillation,
+                                    solve_maximin, solve_minimax)
 from fenton_minimax.sumtrans import Problem, difference_map, interval_maxima
 
 X2_STAR = (0.5 - 0.5 / math.sqrt(2.0), 0.5 + 0.5 / math.sqrt(2.0))
 
 FAST = SolveOptions(multistarts=4)
+
+# One kernel per family, plus a second power exponent and a non-monotone
+# custom kernel (concave quadratic sides, peak at 0).
+KERNELS = (
+    zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
+    power_kernel(1.5),
+    custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0),
+                  KernelFlags(singular=False, monotone=False,
+                              strictly_monotone=False, strictly_concave=False,
+                              cusp=False)),
+)
+
+
+@st.composite
+def random_problems(draw):
+    """A valid problem on a random usc field (-inf gaps, half-open pieces)."""
+    field = _random_usc_field(Random(draw(st.integers(0, 2**32 - 1))))
+    kernel = draw(st.sampled_from(KERNELS))
+    n = draw(st.integers(1, 3))
+    try:
+        return Problem(n=n, field=field, kernel=kernel)
+    except ValueError:  # field finite at too few points for n nodes
+        assume(False)
 
 
 class TestSolveOptions:
@@ -171,6 +203,88 @@ class TestBruteOracles:
         # the grid maximum is a lower bound for the true maximum at that x
         assert v.as_float() <= exact + 1e-12
         assert v.as_float() == pytest.approx(exact, abs=1e-3)
+
+
+def loop_minimax(p, h):
+    """Reference grid minimax: one node tuple at a time, in
+    combinations_with_replacement order, first strict improvement wins."""
+    xgrid, tg = _oracle_grids(p, h)
+    _check_budget(len(xgrid), p.n)
+    jvals = p.field.eval_many(tg)
+    rows = _oracle_rows(p, xgrid, tg)
+    best = math.inf
+    best_idx = None
+    for idx in combinations_with_replacement(range(len(xgrid)), p.n):
+        f = jvals + rows[0][idx[0]]
+        for j in range(1, p.n):
+            f = f + rows[j][idx[j]]
+        v = float(np.max(f))
+        if v < best:
+            best, best_idx = v, idx
+    return tuple(float(v) for v in xgrid[list(best_idx)]), best
+
+
+def loop_maximin(p, h):
+    """Reference grid maximin, one node tuple at a time like loop_minimax."""
+    xgrid, tg = _oracle_grids(p, h)
+    _check_budget(len(xgrid), p.n)
+    jvals = p.field.eval_many(tg)
+    rows = _oracle_rows(p, xgrid, tg)
+    pos = np.searchsorted(tg, xgrid)
+    last = len(tg) - 1
+    best = -math.inf
+    best_idx = None
+    for idx in combinations_with_replacement(range(len(xgrid)), p.n):
+        f = jvals + rows[0][idx[0]]
+        for j in range(1, p.n):
+            f = f + rows[j][idx[j]]
+        cuts = [0, *[pos[i] for i in idx], last]
+        low = math.inf
+        for a, b in zip(cuts, cuts[1:]):
+            seg = float(np.max(f[a:b + 1]))
+            if seg < low:
+                low = seg
+            if low == -math.inf:
+                break
+        if low > best:
+            best, best_idx = low, idx
+    if best_idx is None:
+        return (0.5,) * p.n, -math.inf
+    return tuple(float(v) for v in xgrid[list(best_idx)]), best
+
+
+def assert_same_as_loop(p, h):
+    """Block oracles give the loop's node tuple and the loop's float, bit for
+    bit (the sign of a zero included)."""
+    for block, loop in ((brute_minimax, loop_minimax), (brute_maximin, loop_maximin)):
+        x, v = block(p, h)
+        ref_x, ref_v = loop(p, h)
+        assert x.nodes == ref_x
+        assert np.float64(v.as_float()).tobytes() == np.float64(ref_v).tobytes()
+
+
+class TestBlockOraclesMatchLoop:
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_battery(self, name):
+        # zero-n2-bands ties at 0.0 on many tuples: the tie-break decides
+        p = BATTERY[name]
+        assert_same_as_loop(p, 1.0 / 64 if p.n <= 2 else 1.0 / 24)
+
+    def test_log_flat_four_nodes(self):
+        p = battery_problem("log-n3-flat")
+        assert_same_as_loop(Problem(n=4, field=p.field, kernel=p.kernel), 1.0 / 12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(random_problems())
+    def test_random_usc_fields(self, p):
+        assert_same_as_loop(p, {1: 1.0 / 32, 2: 1.0 / 16, 3: 1.0 / 8}[p.n])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_problems())
+def test_equioscillation_never_raises_on_random_fields(p):
+    rep = solve_equioscillation(p, SolveOptions(multistarts=2))
+    assert rep.status in ("converged", "stalled", "infeasible")
 
 
 class TestSampleRegular:
