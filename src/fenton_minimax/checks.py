@@ -32,7 +32,8 @@ from .fields import Field, limsup_conditions, monotone_usc_approximation, usc_re
 from .formulas import Affine, Constant, Quadratic
 from .kernels import (Kernel, kernel_from_json, kernel_to_json, log_kernel,
                       singularize, sqrt_kernel, strictify)
-from .schema import field_from_json, field_to_json, problem_from_json, problem_to_json
+from .schema import (field_from_json, field_to_json, options_from_json,
+                     options_to_json, problem_from_json, problem_to_json)
 from .solvers import (SolveOptions, brute_maximin, brute_minimax,
                       solve_equioscillation, solve_maximin, solve_minimax)
 from .sumtrans import Problem, interval_maxima, regularity, sup_on_interval
@@ -340,8 +341,11 @@ def check_minimax_equals_maximin(p: Problem, tol: float = 1e-3,
     """
     o = options or SolveOptions()
     rec = _Recorder("thm1.3/minimax-equals-maximin")
-    mm = solve_minimax(p, o)
-    mx = solve_maximin(p, o)
+    # one equioscillation run warm-starts both; each search also has starts
+    # of its own, so the comparison does not rest on that run alone
+    eq = solve_equioscillation(p, o)
+    mm = solve_minimax(p, o, eq=eq)
+    mx = solve_maximin(p, o, eq=eq)
     if mm.x is None or mx.x is None:
         raise CheckInfeasible(f"{label or 'problem'}: sub-solver infeasible "
                               f"({mm.status}/{mx.status})")
@@ -352,7 +356,8 @@ def check_minimax_equals_maximin(p: Problem, tol: float = 1e-3,
     pj = problem_to_json(p)
     rec.add(tol - abs(big - low),
             {"kind": "minimax-maximin", "problem": pj, "config": label,
-             "tol": tol, "minimax": big, "maximin": low})
+             "tol": tol, "minimax": big, "maximin": low,
+             "options": options_to_json(o)})
     if h is not None and p.n <= 2:
         _, bval = brute_minimax(p, h)
         rec.add(_ORACLE_BRACKET * h - abs(big - bval.as_float()),
@@ -386,7 +391,8 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
         raise CheckInfeasible(f"{label or 'problem'}: equioscillation solver "
                               f"ended {eq.status} ({eq.note})")
     rec = _Recorder(check_id)
-    mm = solve_minimax(p, replace(base, multistarts=min(starts, 8)))
+    mo = replace(base, multistarts=min(starts, 8))
+    mm = solve_minimax(p, mo, eq=eq if mo == o else None)
     pj = problem_to_json(p)
     ref = eq.value.as_float()
     mval = mm.value.as_float()
@@ -471,7 +477,8 @@ def check_usc_invariances(p: Problem, trials: int = 1000, seed: int = 0,
         raise CheckInfeasible(f"{label or 'problem'}: maximin infeasible under "
                               "the original or regularized field")
     rec.add(1e-3 - abs(r0.value.as_float() - r1.value.as_float()),
-            {"kind": "usc-maximin", "problem": pj, "config": label, "tol": 1e-3})
+            {"kind": "usc-maximin", "problem": pj, "config": label, "tol": 1e-3,
+             "options": options_to_json(o)})
     return rec.report(note=label)
 
 
@@ -781,7 +788,8 @@ def replay_witness(witness: dict) -> dict:
         return {"margin": slack, "violation": slack < 0}
     if kind == "minimax-maximin":
         p = problem_from_json(witness["problem"])
-        rep = check_minimax_equals_maximin(p, tol=witness["tol"])
+        o = options_from_json(witness.get("options"))
+        rep = check_minimax_equals_maximin(p, tol=witness["tol"], options=o)
         return {"margin": rep.worst_margin, "violation": not rep.passed}
     if kind == "oracle-bracket":
         p = problem_from_json(witness["problem"])
@@ -820,7 +828,7 @@ def replay_witness(witness: dict) -> dict:
     if kind == "usc-maximin":
         p = problem_from_json(witness["problem"])
         preg = replace(p, field=usc_regularize(p.field))
-        o = SolveOptions()
+        o = options_from_json(witness.get("options"))
         d = abs(solve_maximin(p, o).value.as_float()
                 - solve_maximin(preg, o).value.as_float())
         slack = witness["tol"] - d

@@ -121,9 +121,10 @@ def _run_solve(args) -> int:
     cfg = _require_config(args)
     p, o = cfg.problem, cfg.options
     try:
-        reports = {"equioscillation": solve_equioscillation(p, o),
-                   "minimax": solve_minimax(p, o),
-                   "maximin": solve_maximin(p, o)}
+        eq = solve_equioscillation(p, o)
+        reports = {"equioscillation": eq,
+                   "minimax": solve_minimax(p, o, eq=eq),
+                   "maximin": solve_maximin(p, o, eq=eq)}
     except (ValueError, ArithmeticError) as exc:
         raise SolverFault(f"{type(exc).__name__}: {exc}") from exc
     doc = {"schema": SCHEMA_VERSION, "command": "solve",

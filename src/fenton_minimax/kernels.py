@@ -22,8 +22,9 @@ it above the original and converging back to it as eta drops to 0.
 
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
 value, a vectorized value and a derivative per entry.  ``Kernel.eval``,
-``Kernel.eval_many``, ``Kernel.deriv`` and through them the sup engine all
-read that table.
+``Kernel.eval_many``, ``Kernel.deriv`` and ``Kernel.eval_deriv`` (value and
+derivative from one walk over the terms, which the sup engine uses) all read
+that table.
 """
 
 from __future__ import annotations
@@ -223,6 +224,17 @@ class Kernel:
         for fam, param in self._terms:
             d += fam.deriv(param, t)
         return self.scale * d
+
+    def eval_deriv(self, t: float) -> tuple[float, float]:
+        """``(eval(t), deriv(t))`` from one walk over the terms, summed in
+        the same order, so both floats are bit-identical to the two calls."""
+        if not -1.0 <= t <= 1.0:
+            raise ValueError(f"kernel argument {t} outside [-1, 1]")
+        v = d = 0.0
+        for fam, param in self._terms:
+            v += fam.value(param, t)
+            d += fam.deriv(param, t)
+        return self.scale * v, self.scale * d
 
     def scaled(self, factor: float) -> "Kernel":
         if factor <= 0:

@@ -181,14 +181,20 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
 
 def _pure_fun(p: Problem, x: NodeSystem):
     """t -> (f(x, t), derivative in t); the derivative is NaN where a kernel
-    with a cusp or a pole at 0 sits on a node."""
+    with a cusp or a pole at 0 sits on a node.  Memoized, since a candidate
+    point of the sup engine is also the end of one or two cells."""
     parts = [(w, k, xj) for (w, k), xj in zip(p.translates(), x.nodes)]
+    memo: dict[float, tuple[float, float]] = {}
 
     def f(t: float) -> tuple[float, float]:
+        if t in memo:
+            return memo[t]
         total = slope = 0.0
         for w, k, xj in parts:
-            total += w * k.eval(t - xj)
-            slope += w * k.deriv(t - xj)
+            v, d = k.eval_deriv(t - xj)
+            total += w * v
+            slope += w * d
+        memo[t] = total, slope
         return total, slope
 
     return f

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fenton_minimax import checks
 from fenton_minimax.battery import battery_problem
 from fenton_minimax.checks import (CheckReport, UnknownCheckError,
                                    all_check_ids, check_continuity_suite,
@@ -10,9 +11,11 @@ from fenton_minimax.checks import (CheckReport, UnknownCheckError,
                                    check_kernel_limits,
                                    check_minimax_equals_maximin,
                                    check_no_strict_majorization,
-                                   check_perturbation_inequality, replay_witness,
+                                   check_perturbation_inequality,
+                                   check_usc_invariances, replay_witness,
                                    run_check)
 from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
+from fenton_minimax.solvers import SolveOptions
 
 EXPECTED_IDS = {
     "lem2.4/a", "lem2.4/b", "lem2.4/c", "lem2.4/d", "lem2.4/e",
@@ -159,3 +162,31 @@ class TestCheckReportJson:
         rep2 = CheckReport(check_id="x", trials=1, violations=1,
                            worst_margin=-math.inf, witnesses=(), passed=False)
         assert rep2.to_json()["worst_margin"] == "-inf"
+
+
+class TestSolverWitnessReplay:
+    """Witnesses of solver-based checks carry the solver options the check
+    ran with, so a replay, after a JSON round trip, reproduces the check's
+    margin exactly.  Both cases use options away from the defaults, under
+    which the replayed margins would differ in the last bits."""
+
+    @pytest.fixture(autouse=True)
+    def keep_every_witness(self, monkeypatch):
+        # a passing check keeps no witnesses; record one for every comparison
+        add = checks._Recorder.add
+        monkeypatch.setattr(checks._Recorder, "add",
+                            lambda rec, margin, witness=None, ok=None:
+                            add(rec, margin, witness, ok=False))
+
+    def _replay_matches(self, rep, kind):
+        (w,) = [w for w in rep.witnesses if w["kind"] == kind]
+        assert replay_witness(json.loads(json.dumps(w)))["margin"] == w["margin"]
+
+    def test_minimax_maximin(self):
+        rep = check_minimax_equals_maximin(battery_problem("log-n2-bump"),
+                                           options=SolveOptions(multistarts=2, seed=5))
+        self._replay_matches(rep, "minimax-maximin")
+
+    def test_usc_maximin(self):
+        rep = check_usc_invariances(battery_problem("zero-n1-ramp"), trials=1, seed=3)
+        self._replay_matches(rep, "usc-maximin")

@@ -271,6 +271,22 @@ def test_table_deriv_at_zero_only_when_sides_agree(k):
         k.deriv(1.5)
 
 
+@pytest.mark.parametrize("k", TABLE_CASES)
+def test_eval_deriv_is_eval_and_deriv_bitwise(k):
+    # compared as bytes, so the NaN at t = 0 and the sign of a zero count too
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    for t in TS:
+        t = float(t)
+        v, d = k.eval_deriv(t)
+        assert (bits(v), bits(d)) == (bits(k.eval(t)), bits(k.deriv(t))), t
+    with pytest.raises(ValueError):
+        k.eval_deriv(1.5)
+    with pytest.raises(ValueError):
+        k.eval_deriv(-1.0 - 1e-12)
+
+
 @pytest.mark.parametrize("f", [Constant(0.7), Affine(-1.5, 0.2),
                                Quadratic(-2.0, 1.0, 0.5), Quadratic(0.0, 0.3, 0.0),
                                LogWeight(Quadratic(-1.0, 0.5, 1.0))],

@@ -204,6 +204,23 @@ class TestCliSolve:
             assert doc[phase]["status"] in ("converged", "stalled", "infeasible")
             assert isinstance(doc[phase]["note"], str)
 
+    def test_one_equioscillation_run_per_solve(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(p, o):
+            calls.append(o)
+            return solve_equioscillation(p, o)
+
+        # both bindings: the CLI's, and the one minimax/maximin would fall
+        # back to without a shared result
+        monkeypatch.setattr("fenton_minimax.cli.solve_equioscillation", counted)
+        monkeypatch.setattr("fenton_minimax.solvers.solve_equioscillation", counted)
+        cfg = write_cfg(tmp_path, "c.json", LOG_N2, options={"multistarts": 2})
+        assert main(["solve", "--config", cfg]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["minimax"]["status"] == doc["maximin"]["status"] == "converged"
+
     def test_solver_fault_exits_1(self, tmp_path, capsys, monkeypatch):
         def broken(p, o):
             raise ValueError("nodes must be nondecreasing")

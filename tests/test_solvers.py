@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fenton_minimax.battery import BATTERY, battery_problem
 from fenton_minimax.checks import _random_usc_field
-from fenton_minimax.core import NodeSystem
+from fenton_minimax.core import ExtendedReal, NEG_INF, NodeSystem
 from fenton_minimax.fields import usc_regularize
 from fenton_minimax.formulas import Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, sqrt_kernel, zero_kernel)
-from fenton_minimax.solvers import (SolveOptions, _check_budget,
-                                    _oracle_grids, _oracle_rows,
+from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
+                                    _oracle_grids, _oracle_rows, _repair,
                                     brute_maximin, brute_minimax,
                                     sample_regular, solve_equioscillation,
                                     solve_maximin, solve_minimax)
@@ -129,6 +129,18 @@ class TestEquioscillationNd:
         m = interval_maxima(p, rep.x).floats()
         assert max(m) - min(m) <= 1e-6
         assert rep.solutions  # cluster representatives for uniqueness probes
+
+    @pytest.mark.parametrize("name", ["log-n1-gate", "log-n2-bump", "zero-n2-bands",
+                                      "sqrt-n3-bump"])
+    def test_trace_values_are_overall_maxima(self, name):
+        # the solver takes them from maxima it already has; they must be
+        # the floats a fresh evaluation at the recorded point gives
+        p = battery_problem(name)
+        rep = solve_equioscillation(p, FAST)
+        assert rep.trace
+        for rec in rep.trace:
+            m = interval_maxima(p, NodeSystem(rec.x)).max_value.as_float()
+            assert np.float64(rec.value).tobytes() == np.float64(m).tobytes()
 
     def test_determinism(self):
         a = solve_equioscillation(battery_problem("log-n2-bump"), FAST)
@@ -278,6 +290,109 @@ class TestBlockOraclesMatchLoop:
     @given(random_problems())
     def test_random_usc_fields(self, p):
         assert_same_as_loop(p, {1: 1.0 / 32, 2: 1.0 / 16, 3: 1.0 / 8}[p.n])
+
+
+def ref_mbar(p, a):
+    return interval_maxima(p, NodeSystem(a)).max_value.as_float()
+
+
+def ref_mlow(p, a):
+    return interval_maxima(p, NodeSystem(a)).min_value.as_float()
+
+
+def ref_pattern(obj, x0, o, sign):
+    """Reference coordinate pattern search: every candidate's objective is
+    computed in full, and a strict improvement is accepted."""
+    x = x0.copy()
+    fx = obj(x)
+    step = 0.125
+    iters = 0
+    budget = o.max_iters * 6
+    while step >= o.tol_step and iters < budget:
+        iters += 1
+        improved = False
+        for j in range(len(x)):
+            for delta in (step, -step):
+                c = x.copy()
+                c[j] += delta
+                if not 0.0 <= c[j] <= 1.0:
+                    continue
+                if j > 0 and c[j] < c[j - 1]:
+                    continue
+                if j < len(x) - 1 and c[j] > c[j + 1]:
+                    continue
+                fc = obj(c)
+                if sign * fc > sign * fx:
+                    x, fx = c, fc
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return x, fx, step, iters
+
+
+def ref_solve_minimax(p, o):
+    """Reference minimax: its own equioscillation run, full-evaluation search."""
+    eq = solve_equioscillation(p, o)
+    starts = []
+    if eq.x is not None:
+        starts.append(np.array(eq.x.nodes))
+    starts.append(_repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)])))
+    best = None
+    iters = eq.iterations
+    for x0 in starts:
+        x, fx, step, it = ref_pattern(lambda a: ref_mbar(p, a), x0, o, -1.0)
+        iters += it
+        if best is None or (fx, tuple(x)) < (best[0], best[1]):
+            best = (fx, tuple(x), step)
+    value, xt, step = best
+    status = "converged" if step < o.tol_step else "stalled"
+    return SolveReport(NodeSystem(xt), ExtendedReal.of(value), step, status, iters)
+
+
+def ref_solve_maximin(p, o):
+    """Reference maximin: its own equioscillation run, full-evaluation search."""
+    eq = solve_equioscillation(p, o)
+    rng = Random(o.seed + 1)
+    starts = []
+    if eq.x is not None:
+        starts.append(np.array(eq.x.nodes))
+    for _ in range(3):
+        starts.append(np.array(sample_regular(p, rng).nodes))
+    best = None
+    iters = eq.iterations
+    for x0 in starts:
+        x0 = _repair(p, x0)
+        if not math.isfinite(ref_mlow(p, x0)):
+            continue
+        x, fx, step, it = ref_pattern(lambda a: ref_mlow(p, a), x0, o, +1.0)
+        iters += it
+        if best is None or (-fx, tuple(x)) < (-best[0], best[1]):
+            best = (fx, tuple(x), step)
+    if best is None:
+        return SolveReport(None, NEG_INF, math.inf, "infeasible", iters)
+    value, xt, step = best
+    status = "converged" if step < o.tol_step else "stalled"
+    return SolveReport(NodeSystem(xt), ExtendedReal.of(value), step, status, iters)
+
+
+def assert_same_solve(rep, ref):
+    """Same node system, and the same bytes for value and residual."""
+    assert (rep.x is None) == (ref.x is None)
+    if rep.x is not None:
+        assert rep.x.nodes == ref.x.nodes
+    for a, b in ((rep.value.as_float(), ref.value.as_float()),
+                 (rep.residual, ref.residual)):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    assert (rep.iterations, rep.status) == (ref.iterations, ref.status)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(random_problems())
+def test_shared_eq_and_early_reject_match_reference(p):
+    o = SolveOptions(multistarts=2)
+    eq = solve_equioscillation(p, o)
+    assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
+    assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
