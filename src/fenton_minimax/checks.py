@@ -36,7 +36,7 @@ from .schema import (field_from_json, field_to_json, options_from_json,
                      options_to_json, problem_from_json, problem_to_json)
 from .solvers import (SolveOptions, brute_maximin, brute_minimax,
                       solve_equioscillation, solve_maximin, solve_minimax)
-from .sumtrans import Problem, interval_maxima, regularity, sup_on_interval
+from .sumtrans import Problem, interval_maxima, interval_maxima_batch, regularity
 
 __all__ = [
     "CheckReport",
@@ -143,11 +143,10 @@ def _merge(check_id: str, reports: Iterable[CheckReport], note: str = "") -> Che
                        note="; ".join(notes))
 
 
-def _ext_diff(x: float, y: float) -> float:
-    """x - y treating a shared -inf as equality (difference 0)."""
-    if x == -math.inf and y == -math.inf:
-        return 0.0
-    return x - y
+def _ext_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x - y elementwise, treating a shared -inf as equality (difference 0)."""
+    with np.errstate(invalid="ignore"):
+        return np.where((x == -np.inf) & (y == -np.inf), 0.0, x - y)
 
 
 def _ext_abs_diff(x: float, y: float) -> float:
@@ -292,11 +291,10 @@ def _sample_Y(p: Problem, rng: random.Random, count: int,
     return out
 
 
-def _majorization_slack(p: Problem, x: NodeSystem, y: NodeSystem,
-                        margin: float) -> float:
-    mx = np.array(_mvec(p, x))
-    my = np.array(_mvec(p, y))
-    return margin - float(np.min(mx - my))
+def _majorization_slacks(mx: np.ndarray, my: np.ndarray, margin: float) -> np.ndarray:
+    """margin - min_j (m_j(x) - m_j(y)) per row of the maxima arrays mx, my."""
+    with np.errstate(invalid="ignore"):
+        return margin - np.min(mx - my, axis=1)
 
 
 def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0,
@@ -310,16 +308,16 @@ def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0
     rng = random.Random(seed)
     samples = _sample_Y(p, rng, trials + 1)
     pj = problem_to_json(p)
-    vecs = [np.array(_mvec(p, ns)) for ns in samples]
-    for i in range(trials):
-        for u, v in ((i, i + 1), (i + 1, i)):
-            slack = margin - float(np.min(vecs[u] - vecs[v]))
-            wit = None
-            if slack < 0:
-                wit = {"kind": "majorization", "problem": pj, "config": label,
-                       "x": list(samples[u].nodes), "y": list(samples[v].nodes),
-                       "strict_margin": margin}
-            rec.add(slack, wit)
+    m = interval_maxima_batch(p, [ns.nodes for ns in samples]).values
+    # pairs (i, i + 1) and (i + 1, i), in that order
+    flip = np.tile([0, 1], trials)
+    u = np.repeat(np.arange(trials), 2) + flip
+    v = u + 1 - 2 * flip
+    slacks = _majorization_slacks(m[u], m[v], margin)
+    rec.add_array(slacks, slacks < 0, lambda i: {
+        "kind": "majorization", "problem": pj, "config": label,
+        "x": list(samples[u[i]].nodes), "y": list(samples[v[i]].nodes),
+        "strict_margin": margin})
     return rec.report(note=label)
 
 
@@ -587,26 +585,25 @@ def _transformed(p: Problem, direction: str, eta: float) -> Problem:
     return replace(p, kernel=op(p.kernel, eta))
 
 
-def _kernel_limit_slacks(p: Problem, ns: NodeSystem, j: int, direction: str,
-                         etas: tuple[float, ...]) -> list[float]:
-    iv = ns.interval(j)
-    base = sup_on_interval(p, ns, iv).value.as_float()
-    vals = [sup_on_interval(_transformed(p, direction, e), ns, iv).value.as_float()
-            for e in etas]
-    slacks = []
+def _maxima_at(p: Problem, X: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """m_{js[i]} of node system X[i], for every row i."""
+    return interval_maxima_batch(p, X).values[np.arange(len(js)), js]
+
+
+def _kernel_limit_slacks(p: Problem, X: np.ndarray, js: np.ndarray, direction: str,
+                         etas: tuple[float, ...]) -> np.ndarray:
+    """Slacks of m_{js[i]} at node system X[i], one row each: consecutive
+    etas first, then each eta against the untransformed problem."""
+    base = _maxima_at(p, X, js)[:, None]
+    vals = np.column_stack([_maxima_at(_transformed(p, direction, e), X, js)
+                            for e in etas])
     if direction == "strictify":
         # adding eta*sqrt raises the kernel: values decrease toward the base
-        for hi, lo in zip(vals, vals[1:]):
-            slacks.append(_ext_diff(hi, lo) + 1e-12)
-        for v in vals:
-            slacks.append(_ext_diff(v, base) + 1e-12)
+        steps, gaps = _ext_diff(vals[:, :-1], vals[:, 1:]), _ext_diff(vals, base)
     else:
         # the singular well only deepens with eta: values increase toward base
-        for lo, hi in zip(vals, vals[1:]):
-            slacks.append(_ext_diff(hi, lo) + 1e-12)
-        for v in vals:
-            slacks.append(_ext_diff(base, v) + 1e-12)
-    return slacks
+        steps, gaps = _ext_diff(vals[:, 1:], vals[:, :-1]), _ext_diff(base, vals)
+    return np.hstack([steps, gaps]) + 1e-12
 
 
 def check_kernel_limits(p: Problem, etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02),
@@ -628,20 +625,28 @@ def check_kernel_limits(p: Problem, etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0
     rng = random.Random(seed)
     pj = problem_to_json(p)
     monotone_all = all(p.kernel_at(j).flags.monotone for j in range(p.n))
-    directions = ("strictify", "singularize") if direction == "both" else (direction,)
+    directions = [d for d in (("strictify", "singularize") if direction == "both"
+                              else (direction,))
+                  if d != "strictify" or monotone_all]
+    rows, js = [], []
     for _ in range(trials):
-        ns = NodeSystem(tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))))
-        j = rng.randrange(p.n + 1)
-        for d in directions:
-            if d == "strictify" and not monotone_all:
-                continue
-            for slack in _kernel_limit_slacks(p, ns, j, d, etas):
-                wit = None
-                if slack < 0:
-                    wit = {"kind": "kernel-limit", "problem": pj, "config": label,
-                           "x": list(ns.nodes), "j": j, "direction": d,
-                           "etas": list(etas)}
-                rec.add(slack, wit)
+        rows.append(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n)))
+        js.append(rng.randrange(p.n + 1))
+    X, js = np.array(rows).reshape(trials, p.n), np.array(js, dtype=int)
+    if directions:
+        # per trial: every slack of the first direction, then of the next
+        slacks = np.hstack([_kernel_limit_slacks(p, X, js, d, etas) for d in directions])
+        width = slacks.shape[1] // len(directions)
+
+        def witness_of(i: int) -> dict:
+            row, col = divmod(i, slacks.shape[1])
+            return {"kind": "kernel-limit", "problem": pj, "config": label,
+                    "x": list(rows[row]), "j": int(js[row]),
+                    "direction": directions[col // width], "etas": list(etas),
+                    "slack": col % width}
+
+        flat = slacks.ravel()
+        rec.add_array(flat, flat < 0, witness_of)
     return rec.report(note=f"{label}: etas {etas}")
 
 
@@ -782,9 +787,8 @@ def replay_witness(witness: dict) -> dict:
         return {"margin": margin, "violation": bad}
     if kind == "majorization":
         p = problem_from_json(witness["problem"])
-        slack = _majorization_slack(p, NodeSystem(tuple(witness["x"])),
-                                    NodeSystem(tuple(witness["y"])),
-                                    witness["strict_margin"])
+        mx, my = (interval_maxima_batch(p, [witness[key]]).values for key in ("x", "y"))
+        slack = float(_majorization_slacks(mx, my, witness["strict_margin"])[0])
         return {"margin": slack, "violation": slack < 0}
     if kind == "minimax-maximin":
         p = problem_from_json(witness["problem"])
@@ -840,10 +844,10 @@ def replay_witness(witness: dict) -> dict:
         return {"margin": slack, "violation": slack < 0}
     if kind == "kernel-limit":
         p = problem_from_json(witness["problem"])
-        slacks = _kernel_limit_slacks(p, NodeSystem(tuple(witness["x"])),
-                                      witness["j"], witness["direction"],
-                                      tuple(witness["etas"]))
-        slack = min(slacks)
+        slacks = _kernel_limit_slacks(p, np.array([witness["x"]]), np.array([witness["j"]]),
+                                      witness["direction"], tuple(witness["etas"]))[0]
+        # witnesses name their slack; older ones are replayed at the worst
+        slack = float(slacks[witness["slack"]] if "slack" in witness else slacks.min())
         return {"margin": slack, "violation": slack < 0}
     if kind == "continuity-decay":
         p = problem_from_json(witness["problem"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,19 +116,32 @@ class Field:
         p = self.piece_at(t)
         return p.formula.value(t) if p is not None else -math.inf
 
+    def piece_index(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized ``piece_at``: the index into ``pieces`` of the piece
+        holding each t, or -1 where none does."""
+        out = np.full(ts.shape, -1)
+        for k, p in enumerate(self.pieces):
+            iv = p.interval
+            lo = (ts >= iv.a) if iv.closed_left else (ts > iv.a)
+            hi = (ts <= iv.b) if iv.closed_right else (ts < iv.b)
+            out[lo & hi] = k
+        return out
+
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if self.fn is not None:
             return np.array([self.eval_float(float(t)) for t in ts])
         out = np.full(ts.shape, -np.inf)
-        for p in self.pieces:
-            iv = p.interval
-            lo = (ts >= iv.a) if iv.closed_left else (ts > iv.a)
-            hi = (ts <= iv.b) if iv.closed_right else (ts < iv.b)
-            mask = lo & hi
+        idx = self.piece_index(ts)
+        for k, p in enumerate(self.pieces):
+            mask = idx == k
             if mask.any():
                 out[mask] = p.formula.values(ts[mask])
         return out
+
+    @cached_property
+    def _finite_set(self) -> "RealSubset":
+        return RealSubset.from_parts([p.interval for p in self.pieces])
 
     def breakpoints(self) -> tuple[float, ...]:
         """Piece endpoints plus the domain ends, sorted and unique."""
@@ -184,6 +198,10 @@ class RealSubset:
         return cls(tuple(ivs), tuple(pts))
 
     def parts(self) -> tuple[Interval, ...]:
+        return self._parts
+
+    @cached_property
+    def _parts(self) -> tuple[Interval, ...]:
         degen = tuple(Interval(p, p) for p in self.points)
         return tuple(sorted(self.intervals + degen, key=lambda i: (i.a, i.b)))
 
@@ -215,6 +233,10 @@ class RealSubset:
 
     def complement_in_unit(self) -> "RealSubset":
         """The complement within [0, 1]."""
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "RealSubset":
         out = []
         cursor, cursor_in = 0.0, True
         for p in self.parts():
@@ -343,9 +365,11 @@ def n_field_check(J: Field, n: int) -> FieldCount:
 
 
 def finiteness_domain(J: Field) -> RealSubset:
-    """The set where J is finite, as intervals plus isolated points."""
+    """The set where J is finite, as intervals plus isolated points.
+
+    Built once per field; the set and its complement are immutable."""
     _require_piecewise(J, "finiteness_domain")
-    return RealSubset.from_parts([p.interval for p in J.pieces])
+    return J._finite_set
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 These are the building blocks for piecewise fields and custom kernel sides.
 Every formula is real-valued, smooth and concave on any interval where it
-is used, and knows its derivative, which is what lets the sup engine bound
-each cell maximum by tangent lines.  Each class also knows its own exact
+is used, and knows its derivative (``deriv``, and ``derivs`` over an array),
+which is what lets the sup engines bound each cell maximum by tangent lines.  Each class also knows its own exact
 supremum over a closed interval.
 """
 
@@ -37,6 +37,9 @@ class Formula:
     def deriv(self, t: float) -> float:
         raise NotImplementedError
 
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         """Exact (max value, argmax) over the closed interval [a, b]."""
         raise NotImplementedError
@@ -60,6 +63,9 @@ class Constant(Formula):
     def deriv(self, t: float) -> float:
         return 0.0
 
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        return np.zeros_like(ts, dtype=float)
+
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         return self.c, a
 
@@ -79,6 +85,9 @@ class Affine(Formula):
 
     def deriv(self, t: float) -> float:
         return self.alpha
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        return np.full_like(ts, self.alpha, dtype=float)
 
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         arg = b if self.alpha > 0 else a
@@ -105,6 +114,9 @@ class Quadratic(Formula):
 
     def deriv(self, t: float) -> float:
         return 2.0 * self.a * t + self.b
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        return 2.0 * self.a * ts + self.b
 
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         if self.a == 0:
@@ -144,6 +156,9 @@ class LogWeight(Formula):
 
     def deriv(self, t: float) -> float:
         return self.w.deriv(t) / self.w.value(t)
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        return self.w.derivs(ts) / self.w.values(ts)
 
     def sup_on(self, a: float, b: float) -> tuple[float, float]:
         wmax, arg = self.w.sup_on(a, b)

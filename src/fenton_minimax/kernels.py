@@ -21,10 +21,10 @@ it above the original and converging back to it as eta drops to 0.
 0 while leaving the kernel untouched wherever ``|t| >= eta``.
 
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
-value, a vectorized value and a derivative per entry.  ``Kernel.eval``,
-``Kernel.eval_many``, ``Kernel.deriv`` and ``Kernel.eval_deriv`` (value and
-derivative from one walk over the terms, which the sup engine uses) all read
-that table.
+value, a vectorized value, a derivative and a vectorized derivative per
+entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
+``Kernel.derivs`` and ``Kernel.eval_deriv`` (value and derivative from one
+walk over the terms, which the scalar sup engine uses) all read that table.
 """
 
 from __future__ import annotations
@@ -75,18 +75,33 @@ class Family(NamedTuple):
     exponent, the two custom formulas, or a layer's eta).  ``deriv`` is the
     derivative; at t = 0 it is NaN unless both sides agree, and at a layer
     threshold |t| = eta, where the sum is concave but kinked, it is one of
-    the two one-sided derivatives.
+    the two one-sided derivatives.  ``values`` and ``derivs`` are the array
+    forms, with the same operations in the same order; they may divide by 0
+    or take log(0) before masking, so callers run them under ``np.errstate``.
     """
 
     value: Callable[[Any, float], float]
     values: Callable[[Any, np.ndarray], np.ndarray]
     deriv: Callable[[Any, float], float]
+    derivs: Callable[[Any, np.ndarray], np.ndarray]
+
+
+def _power_pow(s: float, t: float) -> float:
+    """|t| ** (-s) for t != 0, inf where that passes the largest float."""
+    try:
+        return abs(t) ** (-s)
+    except OverflowError:
+        return math.inf
 
 
 def _power_values(s: float, ts: np.ndarray) -> np.ndarray:
     a = np.abs(ts)
     safe = np.where(a == 0.0, 1.0, a)
     return np.where(a == 0.0, -np.inf, -(safe ** (-s)))
+
+
+def _nan_at_zero(ts: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    return np.where(ts == 0.0, np.nan, ds)
 
 
 def _custom_deriv(f: tuple[Formula, Formula], t: float) -> float:
@@ -96,6 +111,11 @@ def _custom_deriv(f: tuple[Formula, Formula], t: float) -> float:
         return f[1].deriv(t)
     left, right = f[0].deriv(0.0), f[1].deriv(0.0)
     return left if left == right else math.nan
+
+
+def _custom_derivs(f: tuple[Formula, Formula], ts: np.ndarray) -> np.ndarray:
+    at0 = _custom_deriv(f, 0.0)
+    return np.where(ts < 0.0, f[0].derivs(ts), np.where(ts > 0.0, f[1].derivs(ts), at0))
 
 
 def _singularize_value(eta: float, t: float) -> float:
@@ -111,34 +131,42 @@ FAMILIES: dict[str, Family] = {
     "zero": Family(
         value=lambda _, t: 0.0,
         values=lambda _, ts: np.zeros_like(ts),
-        deriv=lambda _, t: 0.0),
+        deriv=lambda _, t: 0.0,
+        derivs=lambda _, ts: np.zeros_like(ts)),
     "log": Family(
         value=lambda _, t: math.log(abs(t)) if t != 0.0 else -math.inf,
         values=lambda _, ts: np.log(np.abs(ts)),
-        deriv=lambda _, t: 1.0 / t if t != 0.0 else math.nan),
+        deriv=lambda _, t: 1.0 / t if t != 0.0 else math.nan,
+        derivs=lambda _, ts: _nan_at_zero(ts, 1.0 / ts)),
     "sqrt": Family(
         value=lambda _, t: math.sqrt(abs(t)),
         values=lambda _, ts: np.sqrt(np.abs(ts)),
         deriv=lambda _, t: (math.copysign(0.5 / math.sqrt(abs(t)), t)
-                            if t != 0.0 else math.nan)),
+                            if t != 0.0 else math.nan),
+        derivs=lambda _, ts: _nan_at_zero(ts, np.copysign(0.5 / np.sqrt(np.abs(ts)), ts))),
     "power": Family(
-        value=lambda s, t: -(abs(t) ** (-s)) if t != 0.0 else -math.inf,
+        value=lambda s, t: -_power_pow(s, t) if t != 0.0 else -math.inf,
         values=_power_values,
-        deriv=lambda s, t: s * abs(t) ** (-s) / t if t != 0.0 else math.nan),
+        deriv=lambda s, t: s * _power_pow(s, t) / t if t != 0.0 else math.nan,
+        derivs=lambda s, ts: _nan_at_zero(ts, s * np.abs(ts) ** (-s) / ts)),
     "custom": Family(
         value=lambda f, t: f[0].value(t) if t < 0.0 else f[1].value(t),
         values=lambda f, ts: np.where(ts < 0, f[0].values(ts), f[1].values(ts)),
-        deriv=_custom_deriv),
+        deriv=_custom_deriv,
+        derivs=_custom_derivs),
     "strictify": Family(
         value=lambda eta, t: eta * math.sqrt(abs(t)),
         values=lambda eta, ts: eta * np.sqrt(np.abs(ts)),
         deriv=lambda eta, t: (math.copysign(0.5 * eta / math.sqrt(abs(t)), t)
-                              if t != 0.0 else math.nan)),
+                              if t != 0.0 else math.nan),
+        derivs=lambda eta, ts: _nan_at_zero(
+            ts, np.copysign(0.5 * eta / np.sqrt(np.abs(ts)), ts))),
     "singularize": Family(
         value=_singularize_value,
         values=lambda eta, ts: np.minimum(np.log(np.abs(ts) / eta), 0.0),
         deriv=lambda eta, t: ((1.0 / t if abs(t) < eta else 0.0)
-                              if t != 0.0 else math.nan)),
+                              if t != 0.0 else math.nan),
+        derivs=lambda eta, ts: _nan_at_zero(ts, np.where(np.abs(ts) < eta, 1.0 / ts, 0.0))),
 }
 
 _KERNEL_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
@@ -199,17 +227,21 @@ class Kernel:
             v += fam.value(param, t)
         return self.scale * v
 
-    def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; same domain rules as ``eval``."""
+    def _sum_many(self, column: str, ts: np.ndarray) -> np.ndarray:
+        """scale * the sum over the terms of one array column of the table."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1.0 or ts.max() > 1.0):
             raise ValueError("kernel argument outside [-1, 1]")
         (fam, param), *layers = self._terms
-        with np.errstate(divide="ignore"):
-            v = fam.values(param, ts)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = getattr(fam, column)(param, ts)
             for fam, param in layers:
-                v = v + fam.values(param, ts)
+                v = v + getattr(fam, column)(param, ts)
         return self.scale * v
+
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation; same domain rules as ``eval``."""
+        return self._sum_many("values", ts)
 
     def deriv(self, t: float) -> float:
         """Derivative at t in [-1, 1]; NaN at 0 unless both sides agree.
@@ -224,6 +256,10 @@ class Kernel:
         for fam, param in self._terms:
             d += fam.deriv(param, t)
         return self.scale * d
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized ``deriv``; same domain rules."""
+        return self._sum_many("derivs", ts)
 
     def eval_deriv(self, t: float) -> tuple[float, float]:
         """``(eval(t), deriv(t))`` from one walk over the terms, summed in

@@ -12,12 +12,22 @@ the cell maximum by tangent lines.  Cell endpoints and piece boundary points
 are evaluated exactly, both as one-sided limits (which count toward the
 supremum but are not attained) and as actual point values.  That is what
 lets half-open pieces produce exact unattained suprema.
+
+There are two engines with these rules.  ``sup_on_interval`` and
+``interval_maxima`` take one node system: use them when each call depends on
+the last, as in the solvers, and as the reference in tests.
+``interval_maxima_batch`` takes B independent node systems at once and runs
+all their cells in lockstep with ``concave_max_many``: use it when the node
+systems are known up front, as in the sampling checks.  A batch of one costs
+7-12x a scalar call, which is why both engines remain.  ``err`` means the
+same in both: the supremum lies in [value, value + err].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -25,7 +35,7 @@ import numpy as np
 from .core import ExtendedReal, Interval, NEG_INF, NodeSystem, UNIT
 from .fields import Field, RealSubset, UnsupportedFieldError, finiteness_domain, n_field_check
 from .kernels import Kernel
-from .maximize import concave_max
+from .maximize import concave_max, concave_max_many
 
 __all__ = [
     "SupMode",
@@ -33,11 +43,13 @@ __all__ = [
     "grid_mode",
     "Problem",
     "MaximaVector",
+    "MaximaBatch",
     "SupResult",
     "pure_sum_eval",
     "sum_eval",
     "sup_on_interval",
     "interval_maxima",
+    "interval_maxima_batch",
     "singularity_set",
     "RegularityReport",
     "regularity",
@@ -150,6 +162,19 @@ class MaximaVector(NamedTuple):
 
     def floats(self) -> tuple[float, ...]:
         return tuple(v.as_float() for v in self.values)
+
+
+class MaximaBatch(NamedTuple):
+    """Interval maxima of B node systems, each field of shape (B, n + 1).
+
+    ``values`` holds -inf where m_j = -inf, and ``witnesses`` holds NaN where
+    the scalar engine reports no witness.
+    """
+
+    values: np.ndarray
+    witnesses: np.ndarray
+    attained: np.ndarray
+    err: np.ndarray
 
 
 def _check_nodes(p: Problem, x: NodeSystem) -> None:
@@ -314,6 +339,117 @@ def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
 
 
 # ---------------------------------------------------------------------------
+# the batch engine: many independent node systems at once
+
+
+def _pure_many(p: Problem, X: np.ndarray, rows: np.ndarray,
+               ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(X[rows], ts) and its t-derivative, summed node by node in the order
+    of ``_pure_fun``."""
+    total, slope = np.zeros(ts.shape), np.zeros(ts.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j, (w, k) in enumerate(p.translates()):
+            d = ts - X[rows, j]
+            total += w * k.eval_many(d)
+            slope += w * k.derivs(d)
+    return total, slope
+
+
+def _formula_many(field: Field, piece: np.ndarray,
+                  ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative at ts of the formula of piece index ``piece``."""
+    v, d = np.empty(ts.shape), np.empty(ts.shape)
+    for k, fp in enumerate(field.pieces):
+        sel = piece == k
+        if sel.any():
+            v[sel], d[sel] = fp.formula.values(ts[sel]), fp.formula.derivs(ts[sel])
+    return v, d
+
+
+def interval_maxima_batch(p: Problem, X) -> MaximaBatch:
+    """``interval_maxima`` for every row of X, an array of shape (B, n).
+
+    Row i agrees with ``interval_maxima(p, NodeSystem(X[i]))`` within the two
+    ``err``s, which mean the same here: the supremum lies in
+    [value, value + err].  Every (row, interval, cell) of the exact engine
+    goes into one flat array: the cells are cut at piece ends (no node lies
+    strictly inside an interval), interval ends and piece ends are evaluated
+    exactly as point candidates, and ``concave_max_many`` takes every cell in
+    lockstep.  The winner per interval follows ``sup_on_interval``: the
+    largest value, then attained, then smaller err, then smaller t.  Rows do
+    not interact, so row i is bit for bit the result of a batch of row i
+    alone.  Grid-mode problems go through the scalar engine row by row.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != p.n:
+        raise ValueError(f"expected an array of shape (B, {p.n}), got {X.shape}")
+    if not (np.all((X >= 0.0) & (X <= 1.0)) and np.all(np.diff(X, axis=1) >= 0.0)):
+        raise ValueError("every row must be a nondecreasing node system in [0, 1]")
+    B, m = X.shape[0], p.n + 1
+    if p.sup_mode.kind == "grid" or B == 0:
+        ms = [interval_maxima(p, NodeSystem(row)) for row in X]
+        return MaximaBatch(
+            np.array([mv.floats() for mv in ms], dtype=float).reshape(B, m),
+            np.array([[np.nan if w is None else w for w in mv.witnesses] for mv in ms],
+                     dtype=float).reshape(B, m),
+            np.array([mv.attained for mv in ms], dtype=bool).reshape(B, m),
+            np.array([mv.err for mv in ms], dtype=float).reshape(B, m))
+    field = p.field
+
+    # points: each interval's start, the piece ends strictly inside, its end
+    s = np.hstack([np.zeros((B, 1)), X, np.ones((B, 1))])
+    qa, qb = s[:, :-1].ravel(), s[:, 1:].ravel()
+    ends = np.array(sorted({e for fp in field.pieces for e in (fp.interval.a, fp.interval.b)}))
+    first = np.searchsorted(ends, qa, "right")
+    inner = np.maximum(np.searchsorted(ends, qb, "left") - first, 0)
+    npts = 1 + inner + (qb > qa)
+    iv = np.repeat(np.arange(B * m), npts)
+    k = np.arange(iv.size) - np.repeat(np.cumsum(npts) - npts, npts)
+    t = np.where(k == 0, qa[iv], qb[iv])
+    mid = (k > 0) & (k <= inner[iv])
+    t[mid] = ends[first[iv[mid]] + k[mid] - 1]
+    f, df = _pure_many(p, X, iv // m, t)
+    pv = field.eval_many(t) + f  # -inf where the field is
+
+    # cells: consecutive points of one interval, skipping -inf holes
+    c = np.nonzero(iv[:-1] == iv[1:])[0]
+    piece = field.piece_index(0.5 * (t[c] + t[c + 1]))
+    c, piece = c[piece >= 0], piece[piece >= 0]
+    civ, ca, cb = iv[c], t[c], t[c + 1]
+    rows = civ // m
+    pa, dpa = _formula_many(field, piece, ca)
+    pb, dpb = _formula_many(field, piece, cb)
+
+    def g(i: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi, dphi = _formula_many(field, piece[i], ts)
+        val, slope = _pure_many(p, X, rows[i], ts)
+        return phi + val, dphi + slope
+
+    res = concave_max_many(g, ca, cb, ends=((pa + f[c], dpa + df[c]),
+                                            (pb + f[c + 1], dpb + df[c + 1])))
+
+    # the winner per interval, and the largest cell bound above it
+    cand_iv = np.concatenate([iv, civ])
+    cand_v = np.concatenate([pv, res.value])
+    cand_t = np.concatenate([t, res.argmax])
+    cand_att = np.concatenate([np.ones(t.size, dtype=bool), res.interior])
+    cand_err = np.concatenate([np.zeros(t.size), res.err])
+    order = np.lexsort((cand_t, cand_err, ~cand_att, -cand_v, cand_iv))
+    starts = np.searchsorted(cand_iv[order], np.arange(B * m))
+    win = order[starts]
+    best = cand_v[win]
+    with np.errstate(invalid="ignore"):
+        above = np.where(cand_err > 0.0, cand_v + cand_err - best[cand_iv], -np.inf)
+    err = np.maximum(cand_err[win], np.maximum.reduceat(above[order], starts))
+    found = best > -np.inf
+    return MaximaBatch(
+        best.reshape(B, m),
+        np.where(found, cand_t[win], np.nan).reshape(B, m),
+        (found & cand_att[win]).reshape(B, m),
+        np.where(found, err, 0.0).reshape(B, m))
+
+
+# ---------------------------------------------------------------------------
 # exact singularity bookkeeping
 
 
@@ -336,9 +472,28 @@ def singularity_set(p: Problem, x: NodeSystem) -> RealSubset:
 
 @dataclass(frozen=True)
 class RegularityReport:
+    """Y and W membership of one node system.
+
+    ``in_W`` is decided on first read from the problem and node system kept
+    here, so callers that only need ``in_Y`` (Y sampling) never pay for it.
+    """
+
     in_Y: bool
-    in_W: bool
     singular_intervals: tuple[int, ...]
+    problem: Problem = dc_field(repr=False)
+    nodes: NodeSystem = dc_field(repr=False)
+
+    @cached_property
+    def in_W(self) -> bool:
+        x = self.nodes
+        if not (self.in_Y and x.classify() == "interior"):
+            return False
+        fin_dom = finiteness_domain(self.problem.field)
+        for j in range(x.n + 1):
+            ri = x.interval(j).rint01()
+            if ri is None or fin_dom.intersect(ri).is_empty:
+                return False
+        return True
 
 
 def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
@@ -350,26 +505,17 @@ def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
     meet the field's finiteness domain in their relative interior.
     """
     _check_nodes(p, x)
-    sing = singularity_set(p, x)
-    fin_dom = finiteness_domain(p.field)
-    allowed = tuple(sing.points)
-
+    allowed = singularity_set(p, x).points
+    parts = finiteness_domain(p.field).parts()
+    s = x.with_sentinels()
     singular = []
     for j in range(p.n + 1):
-        iv = x.interval(j)
-        fin_here = fin_dom.intersect(iv)
-        if fin_here.covered_by_points(allowed):
+        # the finite part of [x_j, x_{j+1}] consists of isolated singular points
+        iv = Interval(s[j], s[j + 1])
+        if all(c is None or (c.is_degenerate and c.a in allowed)
+               for c in (part.intersect(iv) for part in parts)):
             singular.append(j)
-    in_y = not singular
-
-    in_w = in_y and x.classify() == "interior"
-    if in_w:
-        for j in range(p.n + 1):
-            ri = x.interval(j).rint01()
-            if ri is None or fin_dom.intersect(ri).is_empty:
-                in_w = False
-                break
-    return RegularityReport(in_y, in_w, tuple(singular))
+    return RegularityReport(not singular, tuple(singular), p, x)
 
 
 def difference_map(p: Problem, x: NodeSystem) -> tuple[float, ...]:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fenton_minimax import checks
@@ -182,6 +183,22 @@ class TestSolverWitnessReplay:
         (w,) = [w for w in rep.witnesses if w["kind"] == kind]
         assert replay_witness(json.loads(json.dumps(w)))["margin"] == w["margin"]
 
+    @pytest.fixture(autouse=True)
+    def keep_every_array_witness(self, monkeypatch):
+        # the same for checks that record a whole array of margins at once
+        add_array = checks._Recorder.add_array
+        monkeypatch.setattr(checks._Recorder, "add_array",
+                            lambda rec, margins, bad, witness_of:
+                            add_array(rec, margins, np.ones(len(margins), dtype=bool),
+                                      witness_of))
+
+    def _all_replay_exactly(self, rep, kind):
+        ws = [w for w in rep.witnesses if w["kind"] == kind]
+        assert ws
+        for w in ws:
+            assert replay_witness(json.loads(json.dumps(w)))["margin"] == w["margin"]
+        return ws
+
     def test_minimax_maximin(self):
         rep = check_minimax_equals_maximin(battery_problem("log-n2-bump"),
                                            options=SolveOptions(multistarts=2, seed=5))
@@ -190,3 +207,18 @@ class TestSolverWitnessReplay:
     def test_usc_maximin(self):
         rep = check_usc_invariances(battery_problem("zero-n1-ramp"), trials=1, seed=3)
         self._replay_matches(rep, "usc-maximin")
+
+    def test_majorization(self):
+        # the check sees the pair inside a batch of 4 systems, the replay
+        # each system alone; both orientations of the first pairs
+        rep = check_no_strict_majorization(battery_problem("power05-n2-bump"),
+                                           trials=3, seed=2)
+        ws = self._all_replay_exactly(rep, "majorization")
+        assert len(ws) == 6 and ws[0]["x"] == ws[1]["y"]
+
+    @pytest.mark.parametrize("direction", ["strictify", "singularize"])
+    def test_kernel_limit(self, direction):
+        rep = check_kernel_limits(battery_problem("log-n2-flat"), trials=3, seed=4,
+                                  direction=direction)
+        ws = self._all_replay_exactly(rep, "kernel-limit")
+        assert [w["slack"] for w in ws] == [0, 1, 2, 3, 4, 5, 6, 0]

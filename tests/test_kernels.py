@@ -301,3 +301,26 @@ def test_formula_deriv_and_values(f):
         t = float(t)
         fd = (f.value(t + h) - f.value(t - h)) / (2 * h)
         assert f.deriv(t) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("k", TABLE_CASES)
+def test_table_derivs_matches_deriv(k):
+    for t, d in zip(TS, k.derivs(TS)):
+        s = k.deriv(float(t))
+        if math.isnan(s):
+            assert math.isnan(d), t
+        else:
+            assert s == d or abs(s - d) <= 1e-15 * abs(d), (t, s, d)
+    with pytest.raises(ValueError):
+        k.derivs(np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("f", [Constant(0.7), Affine(-1.5, 0.2),
+                               Quadratic(-2.0, 1.0, 0.5), Quadratic(0.0, 0.3, 0.0),
+                               LogWeight(Quadratic(-1.0, 0.5, 1.0))],
+                         ids=repr)
+def test_formula_derivs_matches_deriv(f):
+    ts = np.linspace(0.0, 1.0, 41)
+    for t, d in zip(ts, f.derivs(ts)):
+        s = f.deriv(float(t))
+        assert s == d or abs(s - d) <= 1e-15 * abs(d)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fenton_minimax.battery import BATTERY
 from fenton_minimax.core import NodeSystem
-from fenton_minimax.maximize import concave_max
+from fenton_minimax.kernels import log_kernel, power_kernel, sqrt_kernel
+from fenton_minimax.maximize import concave_max, concave_max_many
 from fenton_minimax.sumtrans import sum_eval, sup_on_interval
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -155,3 +156,63 @@ def test_interval_sup_witness_and_bound(case):
             f = sum_eval(p, x, float(t))
             if f.is_finite:
                 assert f.as_float() <= r.value.as_float() + r.err
+
+
+# ---------------------------------------------------------------------------
+# the lockstep twin: the same steps, so the same bits for the same g values
+
+def _lockstep_cells(seed: int, count: int):
+    """Cells [u, v] with F(t) = w0 K(t - u) + w1 K(t - v) + c (t - m)^2 for a
+    mix of kernels: singular or cusped ends with unknown derivatives, maxima
+    at either end and inside, and flat pieces."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 0.6, count)
+    v = u + rng.choice([1e-12, 1e-3, 0.05, 0.4], count)
+    w = rng.uniform(0.0, 2.0, (count, 2)) * rng.integers(0, 2, (count, 2))
+    c = -rng.uniform(0.0, 3.0, count) * rng.integers(0, 2, count)
+    mid = rng.uniform(-0.5, 1.5, count)
+    kernel = rng.integers(0, 3, count)
+    return u, v, w, c, mid, kernel
+
+
+_LOCKSTEP_KERNELS = (log_kernel(), sqrt_kernel(), power_kernel(0.5))
+
+
+def _lockstep_g(cells):
+    u, v, w, c, mid, kernel = cells
+
+    def g(i, t):
+        val = c[i] * (t - mid[i]) ** 2
+        der = 2.0 * c[i] * (t - mid[i])
+        for col, end in ((0, u[i]), (1, v[i])):
+            for kk, k in enumerate(_LOCKSTEP_KERNELS):
+                sel = (kernel[i] == kk) & (w[i, col] > 0.0)
+                if sel.any():
+                    val[sel] = val[sel] + w[i[sel], col] * k.eval_many(t[sel] - end[sel])
+                    der[sel] = der[sel] + w[i[sel], col] * k.derivs(t[sel] - end[sel])
+        return val, der
+    return g
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_concave_max_many_is_concave_max_bitwise(seed):
+    cells = _lockstep_cells(seed, 300)
+    g = _lockstep_g(cells)
+    u, v = cells[0], cells[1]
+    many = concave_max_many(g, u, v)
+    for i in range(len(u)):
+        def gi(t, i=i):
+            val, der = g(np.array([i]), np.array([t]))
+            return float(val[0]), float(der[0])
+
+        one = concave_max(gi, float(u[i]), float(v[i]))
+        got = tuple(np.float64(x[i]).tobytes() for x in many[:3])
+        assert got == tuple(np.float64(x).tobytes() for x in one[:3]), i
+        assert bool(many.interior[i]) == one.interior
+
+
+def test_concave_max_many_empty_and_guard():
+    res = concave_max_many(lambda i, t: (t, t), np.array([]), np.array([]))
+    assert all(len(x) == 0 for x in res)
+    with pytest.raises(ValueError):
+        concave_max_many(lambda i, t: (t, t), np.array([1.0]), np.array([0.0]))

@@ -1,17 +1,24 @@
 import math
+from dataclasses import replace
+from random import Random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fenton_minimax.battery import (bump_field, flat_field, gate_field,
+from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
+from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
 from fenton_minimax.fields import Field, UnsupportedFieldError
-from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
+from fenton_minimax.formulas import Quadratic
+from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
+                                    power_kernel, singularize, sqrt_kernel,
+                                    zero_kernel)
 from fenton_minimax.sumtrans import (Problem, difference_map, grid_mode,
-                                     interval_maxima, pure_sum_eval,
-                                     regularity, singularity_set, sum_eval,
-                                     sup_on_interval)
+                                     interval_maxima, interval_maxima_batch,
+                                     pure_sum_eval, regularity, singularity_set,
+                                     sum_eval, sup_on_interval)
 
 # closed-form optimum of the two-node flat problem with the log kernel:
 # nodes at 1/2 -/+ 1/(2*sqrt(2)), every interval max equal to log(1/8)
@@ -296,3 +303,133 @@ class TestDifferenceMap:
         p = Problem(n=1, field=gate_field(), kernel=zero_kernel())
         with pytest.raises(ValueError, match="m_j = -inf"):
             difference_map(p, NodeSystem((0.75,)))
+
+
+# ---------------------------------------------------------------------------
+# the batch engine against the scalar one
+
+# The batch engine evaluates kernels with numpy's log and power, the scalar
+# one with math.log and pow; those differ in the last bit on a small share of
+# inputs, so values the two engines call exact (err 0) may differ by a few
+# ulps of the terms summed into F.
+_LAST_BITS = 1e-14
+
+KERNELS = (
+    zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
+    power_kernel(1.5),
+    custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0),
+                  KernelFlags(singular=False, monotone=False,
+                              strictly_monotone=False, strictly_concave=False,
+                              cusp=False)),
+)
+
+
+def _special_points(p):
+    pts = {0.0, 1.0}
+    for piece in p.field.pieces:
+        pts.update((piece.interval.a, piece.interval.b))
+    return sorted(pts)
+
+
+def _node_rows(p, seed, count):
+    """Seeded node systems; some nodes snap to 0, 1 or a piece end, or onto
+    the node before them, so coincident nodes and nodes on breakpoints occur."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(count, p.n))
+    special = np.array(_special_points(p))
+    snap = rng.random(X.shape) < 0.15
+    X[snap] = rng.choice(special, int(snap.sum()))
+    X.sort(axis=1)
+    if p.n > 1:
+        dup = rng.random(count) < 0.1
+        X[dup, 1] = X[dup, 0]
+    return X
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def assert_batch_matches_scalar(p, X, single_rows):
+    mb = interval_maxima_batch(p, X)
+    assert all(a.shape == (len(X), p.n + 1) for a in mb)
+    for i, row in enumerate(X):
+        mv = interval_maxima(p, NodeSystem(row))
+        for j in range(p.n + 1):
+            s, b = mv.values[j].as_float(), mb.values[i, j]
+            assert (s == -math.inf) == (b == -math.inf), (row, j, s, b)
+            if s == -math.inf:
+                assert math.isnan(mb.witnesses[i, j]) and not mb.attained[i, j]
+                assert mb.err[i, j] == 0.0
+            else:
+                assert abs(b - s) <= (mb.err[i, j] + mv.err[j]
+                                      + _LAST_BITS * max(1.0, abs(s))), (row, j, s, b)
+    for i in single_rows:
+        one = interval_maxima_batch(p, X[i:i + 1])
+        for whole, alone in zip(mb, one):
+            assert _bits(whole[i]) == _bits(alone[0]), (X[i], whole[i], alone[0])
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_batch_matches_scalar_on_battery(name):
+    p = BATTERY[name]
+    X = _node_rows(p, sorted(BATTERY).index(name), 200)
+    assert_batch_matches_scalar(p, X, single_rows=range(0, 200, 20))
+
+
+@st.composite
+def batch_cases(draw):
+    """A random usc field, one of six kernels (plain, strictified or
+    singularized, with random weights) or a kernel per node, and a few
+    node systems."""
+    field = _random_usc_field(Random(draw(st.integers(0, 2**32 - 1))))
+    n = draw(st.integers(1, 3))
+    variant = draw(st.sampled_from(("plain", "strictified", "singularized", "per-node")))
+    weights = tuple(draw(st.floats(0.25, 4.0)) for _ in range(n))
+    try:
+        if variant == "per-node":
+            ks = tuple(draw(st.sampled_from(KERNELS)).scaled(w) for w in weights)
+            p = Problem(n=n, field=field, kernels=ks)
+        else:
+            k = draw(st.sampled_from(KERNELS))
+            if variant == "strictified":
+                k = replace(k, strictify_eta=0.2)  # custom is not monotone
+            elif variant == "singularized":
+                k = singularize(k, 0.3)
+            p = Problem(n=n, field=field, kernel=k, weights=weights)
+    except ValueError:  # field finite at too few points for n nodes
+        assume(False)
+    special = _special_points(p)
+    unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from(special))
+    rows = draw(st.lists(st.lists(unit, min_size=n, max_size=n).map(sorted),
+                         min_size=1, max_size=6))
+    return p, np.array(rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batch_matches_scalar_on_random_problems(case):
+    p, X = case
+    assert_batch_matches_scalar(p, X, single_rows=range(len(X)))
+
+
+class TestBatchInterface:
+    def test_rejects_bad_shapes_and_rows(self):
+        p = BATTERY["log-n2-flat"]
+        for bad in ([[0.2]], [[0.2, 0.3, 0.4]], [0.2, 0.3], [[0.6, 0.3]],
+                    [[-0.1, 0.3]], [[0.3, float("nan")]]):
+            with pytest.raises(ValueError):
+                interval_maxima_batch(p, bad)
+
+    def test_empty_batch(self):
+        mb = interval_maxima_batch(BATTERY["log-n2-flat"], np.empty((0, 2)))
+        assert all(a.shape == (0, 3) for a in mb)
+
+    def test_grid_mode_rows_use_the_scalar_engine(self):
+        p = Problem(n=2, field=bump_field(), kernel=log_kernel(), sup_mode=grid_mode(512))
+        X = np.array([[0.2, 0.7], [0.4, 0.4]])
+        mb = interval_maxima_batch(p, X)
+        for i, row in enumerate(X):
+            mv = interval_maxima(p, NodeSystem(row))
+            assert tuple(mb.values[i]) == mv.floats()
+            assert tuple(mb.err[i]) == mv.err
