@@ -216,6 +216,15 @@ class RealSubset:
     def contains(self, t: float) -> bool:
         return any(p.contains(t) for p in self.parts())
 
+    def covers(self, a: float, b: float) -> bool:
+        """True when the closed interval [a, b] is a subset.  In normal form
+        no two parts touch, so [a, b] is a subset exactly when one part holds
+        both ends; a point merged into the end of an interval counts,
+        although it is no longer among ``points``."""
+        if a == b and a in self.points:
+            return True
+        return any(iv.contains(a) and iv.contains(b) for iv in self.intervals)
+
     def intersect(self, q: Interval) -> "RealSubset":
         out = []
         for p in self.parts():

@@ -23,8 +23,11 @@ it above the original and converging back to it as eta drops to 0.
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
 value, a vectorized value, a derivative and a vectorized derivative per
 entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
-``Kernel.derivs`` and ``Kernel.eval_deriv`` (value and derivative from one
-walk over the terms, which the scalar sup engine uses) all read that table.
+``Kernel.derivs`` and ``Kernel.eval_deriv`` all read that table.
+``eval_deriv``, the (value, derivative) pair that the scalar sup engine takes
+at every F-evaluation, is a closure built once per kernel: a plain family
+calls its table entry directly, and a scaled or layered kernel walks its
+terms, with the same floats either way.
 """
 
 from __future__ import annotations
@@ -215,8 +218,9 @@ class Kernel:
         return tuple(terms)
 
     def __getstate__(self) -> dict:
-        # the cached terms hold the table's lambdas, which do not pickle
-        return {k: v for k, v in vars(self).items() if k != "_terms"}
+        # the cached terms and evaluator hold the table's lambdas, which do
+        # not pickle
+        return {k: v for k, v in vars(self).items() if k not in ("_terms", "eval_deriv")}
 
     def eval(self, t: float) -> float:
         """Raw float value at t in [-1, 1]; -inf allowed, never NaN or +inf."""
@@ -261,16 +265,38 @@ class Kernel:
         """Vectorized ``deriv``; same domain rules."""
         return self._sum_many("derivs", ts)
 
-    def eval_deriv(self, t: float) -> tuple[float, float]:
-        """``(eval(t), deriv(t))`` from one walk over the terms, summed in
-        the same order, so both floats are bit-identical to the two calls."""
-        if not -1.0 <= t <= 1.0:
-            raise ValueError(f"kernel argument {t} outside [-1, 1]")
-        v = d = 0.0
-        for fam, param in self._terms:
-            v += fam.value(param, t)
-            d += fam.deriv(param, t)
-        return self.scale * v, self.scale * d
+    @cached_property
+    def eval_deriv(self) -> Callable[[float], tuple[float, float]]:
+        """t -> ``(eval(t), deriv(t))`` from one walk over the terms, summed
+        in the same order, so both floats are bit-identical to the two calls.
+
+        Built once per kernel, since the scalar sup engine calls it for every
+        translate at every F-evaluation.  A single unscaled term calls the
+        table's entry directly: adding it to 0.0 is all the walk does (it
+        turns -0.0 into 0.0), and multiplying by a scale of 1.0 is exact.
+        """
+        terms, scale = self._terms, self.scale
+        if len(terms) == 1 and scale == 1.0:
+            ((fam, param),) = terms
+            value, deriv = fam.value, fam.deriv
+
+            def one_term(t: float) -> tuple[float, float]:
+                if not -1.0 <= t <= 1.0:
+                    raise ValueError(f"kernel argument {t} outside [-1, 1]")
+                return value(param, t) + 0.0, deriv(param, t) + 0.0
+
+            return one_term
+
+        def walk(t: float) -> tuple[float, float]:
+            if not -1.0 <= t <= 1.0:
+                raise ValueError(f"kernel argument {t} outside [-1, 1]")
+            v = d = 0.0
+            for fam, param in terms:
+                v += fam.value(param, t)
+                d += fam.deriv(param, t)
+            return scale * v, scale * d
+
+        return walk
 
     def scaled(self, factor: float) -> "Kernel":
         if factor <= 0:

@@ -13,17 +13,24 @@ solver drives the difference map
 
     Phi(x) = (m_1 - m_0, ..., m_n - m_{n-1})
 
-to zero: scalar bisection with breakpoint snapping for n = 1, a damped
-quasi-Newton iteration with finite-difference Jacobians, feasibility repair
-and optional strictification continuation for n >= 2.  Minimax and maximin
-are pattern searches on the max and min of the interval maxima, warm-started
-from the equioscillation result; a caller that runs all three solvers passes
-that result in as ``eq=`` so it is computed once.  Each search also starts
-from points of its own (the evenly spaced system for minimax, three random
-regular systems for maximin), so comparing their values is not circular.  A
-search candidate is compared with the incumbent one interval maximum at a
-time and dropped at the first that fails to beat it; this gives the same
-result as computing all n + 1, at a fraction of the cost.
+to zero: scalar bisection with breakpoint snapping for n = 1, and for
+n >= 2 a Levenberg-Marquardt iteration with feasibility repair and optional
+strictification continuation.  Its Jacobian comes from the witnesses of the
+interval maxima it already has (Danskin's theorem: dm_i/dx_k is
+-w_k K_k'(t_i - x_k) when m_i is attained at a point t_i off the nodes), so
+a step costs no extra sup-engine calls.  Where some maximum sits on a node,
+is not attained, or meets an infinite slope, as with kernels peaked at 0,
+the whole step falls back to finite differences with ``fd_step``.
+
+Minimax and maximin are pattern searches on the max and min of the interval
+maxima, warm-started from the equioscillation result; a caller that runs all
+three solvers passes that result in as ``eq=`` so it is computed once.  Each
+search also starts from points of its own (the evenly spaced system for
+minimax, three random regular systems for maximin), so comparing their
+values is not circular.  A search candidate is compared with the incumbent
+one interval maximum at a time and dropped at the first that fails to beat
+it; this gives the same result as computing all n + 1, at a fraction of the
+cost.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -42,7 +49,7 @@ import numpy as np
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import finiteness_domain
 from .kernels import strictify
-from .sumtrans import Problem, interval_maxima, sup_on_interval
+from .sumtrans import MaximaVector, Problem, interval_maxima, sup_on_interval
 
 __all__ = [
     "SolveOptions",
@@ -105,15 +112,15 @@ def _ns(arr) -> NodeSystem:
     return NodeSystem(tuple(float(v) for v in arr))
 
 
-def _maxima(p: Problem, arr) -> tuple[float, ...] | None:
-    """Interval maxima as floats, or None when some maximum is -inf."""
-    m = interval_maxima(p, _ns(arr)).floats()
-    return None if -math.inf in m else m
+def _maxima(p: Problem, arr) -> MaximaVector | None:
+    """The interval maxima, or None when some maximum is -inf."""
+    m = interval_maxima(p, _ns(arr))
+    return m if all(v.is_finite for v in m.values) else None
 
 
 def _phi(p: Problem, arr) -> np.ndarray | None:
     m = _maxima(p, arr)
-    return None if m is None else np.diff(m)
+    return None if m is None else np.diff(m.floats())
 
 
 def _mbar(p: Problem, arr) -> float:
@@ -362,8 +369,9 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
         m = _maxima(p, [v])
         if m is None:
             return None
-        top[v] = max(m)
-        return m[1] - m[0]
+        m0, m1 = m.floats()
+        top[v] = max(m0, m1)
+        return m1 - m0
 
     pts = [(v, phi1(v)) for v in scan]
     defined = [(v, f) for v, f in pts if f is not None]
@@ -454,6 +462,22 @@ def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray, o: SolveOptions):
     return jac
 
 
+def _danskin_jacobian(p: Problem, x: np.ndarray, m: MaximaVector) -> np.ndarray | None:
+    """Jacobian of Phi from the witnesses of the finite interval maxima m at x.
+
+    By Danskin's theorem, when m_i is attained at t_i and t_i is not a node
+    (the sentinels 0 and 1 are fixed, so a maximum there counts), then
+    dm_i/dx_k = -w_k K_k'(t_i - x_k).  None when some maximum is not
+    attained or its witness is on a node, or some K' there is not finite.
+    """
+    nodes = x.tolist()
+    if any(not att or t in nodes for t, att in zip(m.witnesses, m.attained)):
+        return None
+    grad = np.array([[-w * k.deriv(t - xk) for (w, k), xk in zip(p.translates(), nodes)]
+                     for t in m.witnesses])
+    return np.diff(grad, axis=0) if np.all(np.isfinite(grad)) else None
+
+
 def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     x = x0.copy()
     m = _maxima(p, x)
@@ -462,14 +486,16 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
         m = _maxima(p, x)
         if m is None:
             return x, math.inf, 0, []
-    phi = np.diff(m)
+    phi = np.diff(m.floats())
     res = float(np.max(np.abs(phi)))
     lam = 1e-10
-    trace = [TraceRecord(0, res, max(m), tuple(x))]
+    trace = [TraceRecord(0, res, max(m.floats()), tuple(x))]
     iters = 0
     while iters < o.max_iters and res > o.tol_residual:
         iters += 1
-        jac = _fd_jacobian(p, x, phi, o)
+        jac = _danskin_jacobian(p, x, m)
+        if jac is None:
+            jac = _fd_jacobian(p, x, phi, o)
         a = jac.T @ jac + lam * np.eye(len(x))
         try:
             d = np.linalg.solve(a, -jac.T @ phi)
@@ -482,14 +508,14 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
             mc = _maxima(p, xc)
             if mc is None:
                 continue
-            phc = np.diff(mc)
+            phc = np.diff(mc.floats())
             rc = float(np.max(np.abs(phc)))
             if rc < res:
                 step = float(np.max(np.abs(xc - x)))
-                x, phi, res = xc, phc, rc
+                x, m, phi, res = xc, mc, phc, rc
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                trace.append(TraceRecord(iters, res, max(mc), tuple(x)))
+                trace.append(TraceRecord(iters, res, max(mc.floats()), tuple(x)))
                 if step < o.tol_step:
                     iters = o.max_iters
                 break

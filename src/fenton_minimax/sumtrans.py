@@ -208,15 +208,15 @@ def _pure_fun(p: Problem, x: NodeSystem):
     """t -> (f(x, t), derivative in t); the derivative is NaN where a kernel
     with a cusp or a pole at 0 sits on a node.  Memoized, since a candidate
     point of the sup engine is also the end of one or two cells."""
-    parts = [(w, k, xj) for (w, k), xj in zip(p.translates(), x.nodes)]
+    parts = [(w, k.eval_deriv, xj) for (w, k), xj in zip(p.translates(), x.nodes)]
     memo: dict[float, tuple[float, float]] = {}
 
     def f(t: float) -> tuple[float, float]:
         if t in memo:
             return memo[t]
         total = slope = 0.0
-        for w, k, xj in parts:
-            v, d = k.eval_deriv(t - xj)
+        for w, eval_deriv, xj in parts:
+            v, d = eval_deriv(t - xj)
             total += w * v
             slope += w * d
         memo[t] = total, slope
@@ -505,17 +505,10 @@ def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
     meet the field's finiteness domain in their relative interior.
     """
     _check_nodes(p, x)
-    allowed = singularity_set(p, x).points
-    parts = finiteness_domain(p.field).parts()
+    sing = singularity_set(p, x)
     s = x.with_sentinels()
-    singular = []
-    for j in range(p.n + 1):
-        # the finite part of [x_j, x_{j+1}] consists of isolated singular points
-        iv = Interval(s[j], s[j + 1])
-        if all(c is None or (c.is_degenerate and c.a in allowed)
-               for c in (part.intersect(iv) for part in parts)):
-            singular.append(j)
-    return RegularityReport(not singular, tuple(singular), p, x)
+    singular = tuple(j for j in range(p.n + 1) if sing.covers(s[j], s[j + 1]))
+    return RegularityReport(not singular, singular, p, x)
 
 
 def difference_map(p: Problem, x: NodeSystem) -> tuple[float, ...]:

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end criteria with runtime caps.
+"""Acceptance gate: twelve end-to-end criteria with runtime caps.
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see one PASS/FAIL line
 per criterion.  Each test prints its line before asserting, so a failing
@@ -9,8 +9,9 @@ import math
 import random
 import time
 
-from fenton_minimax.battery import BATTERY, battery_problem, gate_field
+from fenton_minimax.battery import BATTERY, battery_problem, flat_field, gate_field
 from fenton_minimax.checks import run_check
+from fenton_minimax.kernels import log_kernel
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.fields import usc_regularize
 from fenton_minimax.schema import field_to_json
@@ -189,3 +190,26 @@ def test_criterion_11_continuity_decay():
     ok &= dt < 30.0
     _gate(11, "perturbation-decay-schedule", ok,
           f"trials={rep.trials} violations={rep.violations} {dt:.1f}s")
+
+
+def test_criterion_12_chebyshev_at_scale():
+    # log kernel, flat field: the monic Chebyshev problem on [0, 1], with
+    # value (1 - 2n) log 2 at the nodes (1 + cos((2k - 1) pi / 2n)) / 2;
+    # kept out of BATTERY, so the checks and benchmark mixes stay as they are
+    t0 = time.perf_counter()
+    o = SolveOptions(multistarts=1)
+    ok = True
+    details = []
+    for n in (8, 16, 32):
+        t1 = time.perf_counter()
+        eq = solve_equioscillation(Problem(n=n, field=flat_field(), kernel=log_kernel()), o)
+        want = sorted((1.0 + math.cos((2 * k - 1) * math.pi / (2 * n))) / 2.0
+                      for k in range(1, n + 1))
+        node_err = max(abs(a - b) for a, b in zip(eq.x.nodes, want))
+        value_err = abs(eq.value.as_float() - (1 - 2 * n) * math.log(2.0))
+        ok &= eq.status == "converged" and node_err <= 1e-10 and value_err <= o.tol_residual
+        details.append(f"n={n}: nodes {node_err:.1e} value {value_err:.1e} "
+                       f"{time.perf_counter() - t1:.2f}s")
+    dt = time.perf_counter() - t0
+    ok &= dt < 10.0
+    _gate(12, "chebyshev-nodes-at-scale", ok, f"{'; '.join(details)} {dt:.1f}s")

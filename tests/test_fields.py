@@ -294,3 +294,14 @@ class TestMonotoneApproximation:
         vs = [env.eval_float(float(t)) for t in ts]
         steps = np.abs(np.diff(vs))
         assert steps.max() <= k * (ts[1] - ts[0]) + 1e-9
+
+
+def test_covers_counts_points_merged_into_intervals():
+    # {0.4} merged into (0.4, 0.6) leaves no isolated point, but is covered
+    s = RealSubset.from_parts([Interval(0.4, 0.6, False, False), Interval(0.4, 0.4),
+                               Interval(0.8, 0.8)])
+    assert s.points == (0.8,) and s.intervals == (Interval(0.4, 0.6, True, False),)
+    assert s.covers(0.4, 0.4) and s.covers(0.4, 0.5) and s.covers(0.8, 0.8)
+    assert not s.covers(0.5, 0.6) and not s.covers(0.6, 0.6) and not s.covers(0.5, 0.8)
+    gap = RealSubset.from_parts([Interval(0.0, 0.3, True, False), Interval(0.3, 0.5, False, True)])
+    assert not gap.covers(0.2, 0.4) and not gap.covers(0.3, 0.3) and gap.covers(0.35, 0.5)

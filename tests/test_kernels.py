@@ -324,3 +324,68 @@ def test_formula_derivs_matches_deriv(f):
     for t, d in zip(ts, f.derivs(ts)):
         s = f.deriv(float(t))
         assert s == d or abs(s - d) <= 1e-15 * abs(d)
+
+
+# ---------------------------------------------------------------------------
+# the once-per-kernel (value, slope) evaluator behind the scalar sup engine
+
+
+def test_pickles_after_eval_deriv():
+    # eval_deriv caches a closure over the table's lambdas on the instance
+    for k in (log_kernel(), strictify(log_kernel(), 0.1)):
+        before = k.eval_deriv(0.2)
+        back = pickle.loads(pickle.dumps(k))
+        assert back == k and back.eval_deriv(0.2) == before
+
+
+def _ref_eval_deriv(k, t):
+    """The walk over the terms that ``eval_deriv`` did on every call before
+    it became a closure built once per kernel."""
+    v = d = 0.0
+    for fam, param in k._terms:
+        v += fam.value(param, t)
+        d += fam.deriv(param, t)
+    return k.scale * v, k.scale * d
+
+
+def _ref_pure_fun(p, x, t):
+    total = slope = 0.0
+    for (w, k), xj in zip(p.translates(), x.nodes):
+        v, d = _ref_eval_deriv(k, t - xj)
+        total += w * v
+        slope += w * d
+    return total, slope
+
+
+def _pure_fun_cases():
+    from fenton_minimax.battery import flat_field
+    from fenton_minimax.sumtrans import Problem
+
+    cases = [pytest.param(Problem(n=2, field=flat_field(), kernel=k, weights=(1.0, 2.5)),
+                          id=f"shared-{c.id}")
+             for c in TABLE_CASES for k in c.values]
+    kernels = [k for c in TABLE_CASES for k in c.values]
+    for i in range(0, len(kernels), 3):
+        ks = tuple(kernels[(i + j) % len(kernels)] for j in range(3))
+        cases.append(pytest.param(Problem(n=3, field=flat_field(), kernels=ks),
+                                  id=f"per-node-{i // 3}"))
+    return cases
+
+
+@pytest.mark.parametrize("p", _pure_fun_cases())
+def test_pure_fun_matches_summing_loop_bitwise(p):
+    from fenton_minimax.core import NodeSystem
+    from fenton_minimax.sumtrans import _pure_fun
+
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    x = NodeSystem((0.0, 0.6) if p.n == 2 else (0.25, 0.25, 1.0))
+    ts = {0.0, 1.0, *np.linspace(0.0, 1.0, 101).tolist()}
+    for xj in x.nodes:  # on a node, 1e-9 off it, and at a layer threshold
+        ts.update(t for t in (xj, xj - 1e-9, xj + 1e-9, xj - SING_ETA, xj + SING_ETA)
+                  if 0.0 <= t <= 1.0)
+    f = _pure_fun(p, x)
+    for t in sorted(ts):
+        got, want = f(t), _ref_pure_fun(p, x, t)
+        assert [bits(v) for v in got] == [bits(v) for v in want], t

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fenton_minimax.battery import BATTERY, battery_problem
+from fenton_minimax import solvers
+from fenton_minimax.battery import BATTERY, battery_problem, bump_field, flat_field
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import ExtendedReal, NEG_INF, NodeSystem
 from fenton_minimax.fields import usc_regularize
-from fenton_minimax.formulas import Quadratic
+from fenton_minimax.formulas import Affine, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, sqrt_kernel, zero_kernel)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
@@ -419,3 +420,67 @@ class TestSampleRegular:
         a = sample_regular(p, random.Random(3))
         b = sample_regular(p, random.Random(3))
         assert a.nodes == b.nodes
+
+
+# ---------------------------------------------------------------------------
+# the Newton solve's Jacobian: Danskin's theorem, finite differences as fallback
+
+
+def _central_jacobian(p, x, h=1e-6):
+    cols = []
+    for k in range(p.n):
+        e = np.zeros(p.n)
+        e[k] = h
+        cols.append((solvers._phi(p, x + e) - solvers._phi(p, x - e)) / (2 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, p in BATTERY.items() if p.n >= 2))
+def test_danskin_jacobian_matches_central_differences(name):
+    p = BATTERY[name]
+    rng = Random(sorted(BATTERY).index(name))
+    for _ in range(5):
+        x = np.array(sample_regular(p, rng).nodes)
+        jac = solvers._danskin_jacobian(p, x, solvers._maxima(p, x))
+        if p.kernel.family == "zero":
+            # F is flat on the bands, so some maximum ties back to its left
+            # node and the whole step falls back to finite differences
+            assert jac is None
+            continue
+        cd = _central_jacobian(p, x)
+        assert np.max(np.abs(jac - cd)) <= 1e-4 * np.max(np.abs(cd)), (x, jac, cd)
+
+
+def _count_fd_calls(monkeypatch):
+    calls = []
+    fd = solvers._fd_jacobian
+
+    def counted(*args):
+        calls.append(args[1])
+        return fd(*args)
+
+    monkeypatch.setattr(solvers, "_fd_jacobian", counted)
+    return calls
+
+
+def test_fd_jacobian_when_the_kernel_peaks_at_its_node(monkeypatch):
+    # K(t) = -|t| peaks at 0 and F is linear between nodes on a flat field,
+    # so interval maxima sit on nodes
+    tent = custom_kernel(Affine(1.0, 0.0), Affine(-1.0, 0.0),
+                         KernelFlags(singular=False, monotone=False,
+                                     strictly_monotone=False, strictly_concave=False,
+                                     cusp=False))
+    calls = _count_fd_calls(monkeypatch)
+    for field in (flat_field(), bump_field()):
+        rep = solve_equioscillation(Problem(n=2, field=field, kernel=tent), FAST)
+        assert rep.status in ("converged", "stalled", "infeasible")
+    assert calls
+
+
+@pytest.mark.parametrize("name", sorted(n for n, p in BATTERY.items()
+                                        if p.n >= 2 and p.kernel.family in ("log", "power")))
+def test_no_fd_jacobian_on_log_and_power_battery(name, monkeypatch):
+    calls = _count_fd_calls(monkeypatch)
+    rep = solve_equioscillation(BATTERY[name], SolveOptions(multistarts=8))
+    assert rep.status == "converged"
+    assert not calls

@@ -433,3 +433,38 @@ class TestBatchInterface:
             mv = interval_maxima(p, NodeSystem(row))
             assert tuple(mb.values[i]) == mv.floats()
             assert tuple(mb.err[i]) == mv.err
+
+
+# ---------------------------------------------------------------------------
+# regular-set membership against the sup engine
+
+
+def test_regularity_bands_coincident_nodes_at_hole_end():
+    # the singular node 0.4 closes the hole (0.4, 0.6), so the singularity
+    # set holds it as an interval end rather than as an isolated point
+    p = BATTERY["log-n2-bands"]
+    x = NodeSystem((0.4, 0.4))
+    assert interval_maxima(p, x).values[1].as_float() == -math.inf
+    rep = regularity(p, x)
+    assert not rep.in_Y and rep.singular_intervals == (1,)
+
+
+def test_in_Y_iff_every_interval_maximum_is_finite():
+    """Seeded: random usc fields x six kernels x n <= 3, with nodes snapped
+    to 0, 1 and piece ends and coincident nodes (``_node_rows``)."""
+    checked = regular = 0
+    for seed in range(30):
+        field = _random_usc_field(Random(seed))
+        for i, k in enumerate(KERNELS):
+            for n in (1, 2, 3):
+                try:
+                    p = Problem(n=n, field=field, kernel=k)
+                except ValueError:  # field finite at too few points for n nodes
+                    continue
+                for row in _node_rows(p, 100 * seed + 10 * i + n, 16):
+                    x = NodeSystem(tuple(row.tolist()))
+                    finite = all(v.is_finite for v in interval_maxima(p, x).values)
+                    assert regularity(p, x).in_Y == finite, (seed, k.family, x.nodes)
+                    checked += 1
+                    regular += finite
+    assert checked > 5_000 and 0 < regular < checked
