@@ -23,11 +23,14 @@ it above the original and converging back to it as eta drops to 0.
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
 value, a vectorized value, a derivative and a vectorized derivative per
 entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
-``Kernel.derivs`` and ``Kernel.eval_deriv`` all read that table.
-``eval_deriv``, the (value, derivative) pair that the scalar sup engine takes
-at every F-evaluation, is a closure built once per kernel: a plain family
-calls its table entry directly, and a scaled or layered kernel walks its
-terms, with the same floats either way.
+``Kernel.derivs``, ``Kernel.eval_deriv`` and ``TranslateSum`` all read that
+table.  ``TranslateSum`` is the term walk behind every F-evaluation of the
+scalar sup engine: built once per problem from its (weight, kernel) pairs,
+it gives per node system the evaluator t -> (sum_j w_j K_j(t - x_j), its
+t-derivative).  When every kernel is a plain family it makes two table calls
+per translate and nothing else; a scaled or layered kernel walks its terms.
+The floats are those of summing ``w_j * eval`` and ``w_j * deriv`` either
+way.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "Family",
     "FAMILIES",
     "Kernel",
+    "TranslateSum",
     "zero_kernel",
     "log_kernel",
     "sqrt_kernel",
@@ -267,41 +271,72 @@ class Kernel:
 
     @cached_property
     def eval_deriv(self) -> Callable[[float], tuple[float, float]]:
-        """t -> ``(eval(t), deriv(t))`` from one walk over the terms, summed
-        in the same order, so both floats are bit-identical to the two calls.
-
-        Built once per kernel, since the scalar sup engine calls it for every
-        translate at every F-evaluation.  A single unscaled term calls the
-        table's entry directly: adding it to 0.0 is all the walk does (it
-        turns -0.0 into 0.0), and multiplying by a scale of 1.0 is exact.
-        """
-        terms, scale = self._terms, self.scale
-        if len(terms) == 1 and scale == 1.0:
-            ((fam, param),) = terms
-            value, deriv = fam.value, fam.deriv
-
-            def one_term(t: float) -> tuple[float, float]:
-                if not -1.0 <= t <= 1.0:
-                    raise ValueError(f"kernel argument {t} outside [-1, 1]")
-                return value(param, t) + 0.0, deriv(param, t) + 0.0
-
-            return one_term
-
-        def walk(t: float) -> tuple[float, float]:
-            if not -1.0 <= t <= 1.0:
-                raise ValueError(f"kernel argument {t} outside [-1, 1]")
-            v = d = 0.0
-            for fam, param in terms:
-                v += fam.value(param, t)
-                d += fam.deriv(param, t)
-            return scale * v, scale * d
-
-        return walk
+        """t -> ``(eval(t), deriv(t))``, bit for bit: the term walk of
+        ``TranslateSum`` for this kernel alone, with weight 1 at node 0."""
+        return TranslateSum(((1.0, self),)).at((0.0,))
 
     def scaled(self, factor: float) -> "Kernel":
         if factor <= 0:
             raise ValueError("kernel weights must be positive")
         return replace(self, scale=self.scale * factor)
+
+
+class TranslateSum:
+    """f(t) = sum_j w_j K_j(t - x_j) and f'(t) for fixed (w_j, K_j).
+
+    Built once per problem; ``at(nodes)`` gives the evaluator
+    t -> (f(t), f'(t)) of one node system, which raises ValueError when some
+    t - x_j leaves [-1, 1].  Translates are summed in order, each kernel's
+    terms from 0.0 and then scaled, as ``Kernel.eval`` and ``Kernel.deriv``
+    do, so the floats are those of adding up ``w_j * eval(t - x_j)`` and
+    ``w_j * deriv(t - x_j)``.  When every kernel is one unscaled family the
+    evaluator calls its two table entries directly: adding a term to 0.0
+    and scaling it by 1.0 change no sum that starts at 0.0.
+    """
+
+    def __init__(self, translates: tuple[tuple[float, Kernel], ...]):
+        self._plain = all(len(k._terms) == 1 and k.scale == 1.0 for _, k in translates)
+        parts = []
+        for w, k in translates:
+            if self._plain:
+                ((fam, param),) = k._terms
+                parts.append((w, fam.value, fam.deriv, param))
+            else:
+                parts.append((w, k.scale, k._terms))
+        self._parts = tuple(parts)
+
+    def at(self, nodes) -> Callable[[float], tuple[float, float]]:
+        parts = [(*part, xj) for part, xj in zip(self._parts, nodes)]
+        # t - x_j is monotone in x_j, so the extreme nodes decide the domain
+        lo, hi = min(nodes), max(nodes)
+        if self._plain:
+            def plain(t: float) -> tuple[float, float]:
+                if not (-1.0 <= t - hi and t - lo <= 1.0):
+                    raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
+                total = slope = 0.0
+                for w, value, deriv, param, xj in parts:
+                    s = t - xj
+                    total += w * value(param, s)
+                    slope += w * deriv(param, s)
+                return total, slope
+
+            return plain
+
+        def walk(t: float) -> tuple[float, float]:
+            if not (-1.0 <= t - hi and t - lo <= 1.0):
+                raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
+            total = slope = 0.0
+            for w, scale, terms, xj in parts:
+                s = t - xj
+                v = d = 0.0
+                for fam, param in terms:
+                    v += fam.value(param, s)
+                    d += fam.deriv(param, s)
+                total += w * (scale * v)
+                slope += w * (scale * d)
+            return total, slope
+
+        return walk
 
 
 def zero_kernel() -> Kernel:

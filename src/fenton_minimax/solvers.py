@@ -49,7 +49,7 @@ import numpy as np
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import finiteness_domain
 from .kernels import strictify
-from .sumtrans import MaximaVector, Problem, interval_maxima, sup_on_interval
+from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima
 
 __all__ = [
     "SolveOptions",
@@ -109,7 +109,7 @@ class SolveReport:
 
 
 def _ns(arr) -> NodeSystem:
-    return NodeSystem(tuple(float(v) for v in arr))
+    return NodeSystem(arr.tolist() if isinstance(arr, np.ndarray) else arr)
 
 
 def _maxima(p: Problem, arr) -> MaximaVector | None:
@@ -624,7 +624,8 @@ def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
     last candidate, initially the interval the move shrinks.  A point seen
     before in this search is rejected unevaluated: fx only improves, so it
     cannot beat fx now.  Results equal a search that evaluates every
-    candidate in full.
+    candidate in full.  The intervals of one candidate share one F
+    evaluator, and their maxima come back as plain floats.
     """
     n = len(x0)
     x = x0.copy()
@@ -652,10 +653,10 @@ def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
                 seen.add(key)
                 move = (j, delta > 0)
                 first = lead.get(move, j + 1 if delta > 0 else j)
-                ns = _ns(c)
+                maximum = _maxima_fn(p, _ns(c))
                 m = [0.0] * (n + 1)
                 for i in (first, *range(first), *range(first + 1, n + 1)):
-                    m[i] = sup_on_interval(p, ns, ns.interval(i)).value.as_float()
+                    m[i] = maximum(i)[0]
                     if not sign * m[i] > sign * fx:
                         lead[move] = i
                         break

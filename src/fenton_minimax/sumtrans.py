@@ -13,28 +13,36 @@ are evaluated exactly, both as one-sided limits (which count toward the
 supremum but are not attained) and as actual point values.  That is what
 lets half-open pieces produce exact unattained suprema.
 
-There are two engines with these rules.  ``sup_on_interval`` and
-``interval_maxima`` take one node system: use them when each call depends on
-the last, as in the solvers, and as the reference in tests.
+There are two engines with these rules.  The scalar engine takes one node
+system: use it when each call depends on the last, as in the solvers, and as
+the reference in tests.  What it needs of a problem is built once, in a plan
+cached on the ``Problem``: the translates' weights and their term walk
+(``kernels.TranslateSum``), the sorted piece ends and a piece lookup that
+returns a formula's ``value`` and ``deriv``.  Per node system it builds one
+memoized F evaluator (``_pure_fun``) that every interval of the system
+shares, since a cell end of one interval is a point candidate of the next.
+``interval_maxima``, ``sup_on_interval`` and the solvers' pattern search
+enter it through ``_maxima_fn``/``_sup_cells`` with float interval ends.
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
 systems are known up front, as in the sampling checks.  A batch of one costs
-7-12x a scalar call, which is why both engines remain.  ``err`` means the
-same in both: the supremum lies in [value, value + err].
+many times a scalar call, which is why both engines remain.  ``err`` means
+the same in both: the supremum lies in [value, value + err].
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .core import ExtendedReal, Interval, NEG_INF, NodeSystem, UNIT
 from .fields import Field, RealSubset, UnsupportedFieldError, finiteness_domain, n_field_check
-from .kernels import Kernel
+from .kernels import Kernel, TranslateSum
 from .maximize import concave_max, concave_max_many
 
 __all__ = [
@@ -121,6 +129,16 @@ class Problem:
         elif self.sup_mode.kind != "grid":
             raise ValueError("callable fields require grid sup mode")
 
+    def __getstate__(self) -> dict:
+        # the cached plan holds the kernel table's lambdas, which do not pickle
+        return {k: v for k, v in vars(self).items() if k != "_plan"}
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """What the scalar engine needs of this problem, built on first use.
+        A problem made with ``dataclasses.replace`` builds its own."""
+        return _Plan(self)
+
     def translates(self) -> tuple[tuple[float, Kernel], ...]:
         """(weight, kernel) per node; generalized kernels carry weight 1."""
         if self.kernels is not None:
@@ -204,23 +222,42 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
     return ExtendedReal.of(base + pure_sum_eval(p, x, t).as_float())
 
 
+class _Plan:
+    """The per-problem part of the scalar engine: the translates' term walk,
+    the sorted piece ends, and the pieces for ``piece_at``."""
+
+    def __init__(self, p: Problem):
+        self.translate_sum = TranslateSum(p.translates())
+        # with 0 and 1, which no query interval holds strictly inside
+        self.ends = p.field.breakpoints()
+        self.pieces = tuple((piece.interval, (piece.formula.value, piece.formula.deriv))
+                            for piece in p.field.pieces)
+
+    def piece_at(self, t: float) -> tuple[Callable[[float], float],
+                                          Callable[[float], float]] | None:
+        """(value, deriv) of the formula of the piece holding t, as
+        ``Field.piece_at``; None where no piece does (J = -inf)."""
+        for interval, formula in self.pieces:
+            if interval.contains(t):
+                return formula
+            if interval.a > t:
+                break
+        return None
+
+
 def _pure_fun(p: Problem, x: NodeSystem):
     """t -> (f(x, t), derivative in t); the derivative is NaN where a kernel
-    with a cusp or a pole at 0 sits on a node.  Memoized, since a candidate
-    point of the sup engine is also the end of one or two cells."""
-    parts = [(w, k.eval_deriv, xj) for (w, k), xj in zip(p.translates(), x.nodes)]
+    with a cusp or a pole at 0 sits on a node.  Memoized and built once per
+    node system: a candidate point of the sup engine is also the end of one
+    or two cells, and an interval's end is the next interval's start."""
+    walk = p._plan.translate_sum.at(x.nodes)
     memo: dict[float, tuple[float, float]] = {}
 
     def f(t: float) -> tuple[float, float]:
-        if t in memo:
-            return memo[t]
-        total = slope = 0.0
-        for w, eval_deriv, xj in parts:
-            v, d = eval_deriv(t - xj)
-            total += w * v
-            slope += w * d
-        memo[t] = total, slope
-        return total, slope
+        r = memo.get(t)
+        if r is None:
+            r = memo[t] = walk(t)
+        return r
 
     return f
 
@@ -242,6 +279,67 @@ def _breakpoints_inside(p: Problem, x: NodeSystem, q: Interval) -> list[float]:
     return sorted(cuts)
 
 
+# (value, witness, attained, err), the value a float with -inf allowed
+_RawSup = tuple[float, float | None, bool, float]
+
+
+def _sup_cells(p: Problem, x: NodeSystem, f, a: float, b: float,
+               closed_left: bool = True, closed_right: bool = True) -> _RawSup:
+    """The exact engine on the interval from a to b with the given end
+    flags, for a piecewise field; f is ``_pure_fun(p, x)``.  The value is a
+    float, -inf when F is -inf on the whole interval."""
+    plan = p._plan
+    ends, nodes = plan.ends, x.nodes
+    cuts = ends[bisect_right(ends, a):bisect_left(ends, b)]
+    inner = nodes[bisect_right(nodes, a):bisect_left(nodes, b)]
+    if inner:
+        cuts = sorted({*cuts, *inner})
+    pts = [a, *cuts, b] if b > a else [a]
+    piece_at = plan.piece_at
+
+    # candidates: (value, location, attained, err)
+    cands: list[_RawSup] = []
+    for t in pts:
+        if (t == a and not closed_left) or (t == b and not closed_right):
+            continue
+        formula = piece_at(t)
+        base = -math.inf if formula is None else formula[0](t)
+        v = -math.inf if base == -math.inf else base + f(t)[0]
+        cands.append((v, t, True, 0.0))
+
+    for u, v in zip(pts, pts[1:]):
+        formula = piece_at(0.5 * (u + v))
+        if formula is None:
+            continue
+
+        def g(t, _value=formula[0], _deriv=formula[1]):
+            val, slope = f(t)
+            return _value(t) + val, _deriv(t) + slope
+
+        # an interior maximum is attained; one at a cell end is the one-sided
+        # limit there, and the other end's limit is no larger
+        cell_v, cell_t, cell_err, interior = concave_max(g, u, v)
+        cands.append((cell_v, cell_t, interior, cell_err))
+
+    # the largest value wins, then attained, then smaller err, then smaller t
+    best = None
+    for c in cands:
+        if (best is None or c[0] > best[0]
+                or (c[0] == best[0] and (not c[2], c[3], c[1]) < (not best[2], best[3], best[1]))):
+            best = c
+    if best is None or best[0] == -math.inf:
+        return -math.inf, None, False, 0.0
+    best_v, where, attained, err = best
+    for c in cands:
+        if c[3] > 0.0:
+            err = max(err, c[0] + c[3] - best_v)
+    return best_v, where, attained, err
+
+
+def _result(r: _RawSup) -> SupResult:
+    return SupResult(NEG_INF if r[0] == -math.inf else ExtendedReal(r[0]), *r[1:])
+
+
 def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
     """Supremum of F(x, .) over the sub-interval q of [0, 1].
 
@@ -259,44 +357,29 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
         return _sup_grid(p, x, q)
     if not p.field.is_piecewise:
         raise UnsupportedFieldError("exact suprema need a piecewise field")
+    return _result(_sup_cells(p, x, _pure_fun(p, x), q.a, q.b, q.closed_left, q.closed_right))
 
-    pts = [q.a] + _breakpoints_inside(p, x, q) + ([q.b] if q.b > q.a else [])
+
+def _maxima_fn(p: Problem, x: NodeSystem) -> Callable[[int], _RawSup]:
+    """j -> (m_j, witness, attained, err) of x as floats, the m_j of
+    ``interval_maxima``; in exact mode every interval shares one F
+    evaluator."""
+    _check_nodes(p, x)
+    if p.sup_mode.kind == "grid":
+        def grid(j: int) -> _RawSup:
+            r = _sup_grid(p, x, x.interval(j))
+            return r.value.as_float(), r.witness, r.attained, r.err
+
+        return grid
+    if not p.field.is_piecewise:
+        raise UnsupportedFieldError("exact suprema need a piecewise field")
     f = _pure_fun(p, x)
-    field = p.field
+    s = x.with_sentinels()
 
-    # candidates: (value, location, attained, err)
-    cands: list[tuple[float, float, bool, float]] = []
-    for t in pts:
-        if q.contains(t):
-            base = field.eval_float(t)
-            v = -math.inf if base == -math.inf else base + f(t)[0]
-            cands.append((v, t, True, 0.0))
+    def exact(j: int) -> _RawSup:
+        return _sup_cells(p, x, f, s[j], s[j + 1])
 
-    for u, v in zip(pts, pts[1:]):
-        piece = field.piece_at(0.5 * (u + v))
-        if piece is None:
-            continue
-        formula = piece.formula
-
-        def g(t, _f=f, _phi=formula):
-            val, slope = _f(t)
-            return _phi.value(t) + val, _phi.deriv(t) + slope
-
-        # an interior maximum is attained; one at a cell end is the one-sided
-        # limit there, and the other end's limit is no larger
-        res = concave_max(g, u, v)
-        cands.append((res.value, res.argmax, res.interior, res.err))
-
-    if not cands:
-        return SupResult(NEG_INF, None, False, 0.0)
-    best_v = max(c[0] for c in cands)
-    if best_v == -math.inf:
-        return SupResult(NEG_INF, None, False, 0.0)
-    ties = [c for c in cands if c[0] == best_v]
-    ties.sort(key=lambda c: (not c[2], c[3], c[1]))
-    _, where, attained, err = ties[0]
-    err = max([err] + [c[0] + c[3] - best_v for c in cands if c[3] > 0.0])
-    return SupResult(ExtendedReal(best_v), where, attained, err)
+    return exact
 
 
 def _sup_grid(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
@@ -328,8 +411,8 @@ def _sup_grid(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
 
 def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
     """m_j = sup of F over [x_j, x_{j+1}] for j = 0..n (sentinels 0 and 1)."""
-    _check_nodes(p, x)
-    results = [sup_on_interval(p, x, x.interval(j)) for j in range(p.n + 1)]
+    m = _maxima_fn(p, x)
+    results = [_result(m(j)) for j in range(p.n + 1)]
     return MaximaVector(
         values=tuple(r.value for r in results),
         witnesses=tuple(r.witness for r in results),

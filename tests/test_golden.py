@@ -1,0 +1,32 @@
+"""Golden CLI reports: ``fenton-minimax solve`` must reproduce them byte for byte.
+
+Each ``tests/data/golden/<name>.config.json`` is a battery problem with
+``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
+solve command wrote for it before the scalar sup engine was restructured
+around a per-problem plan.  Reports carry no timings, so any byte that moves
+means a solver or the sup engine changed a float, a status or an iteration
+count.  To re-record after an intended change of results, run for each name
+
+    PYTHONPATH=src python -m fenton_minimax.cli solve \\
+        --config tests/data/golden/<name>.config.json \\
+        --output tests/data/golden/<name>.report.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fenton_minimax.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+NAMES = ("log-n2-bump", "log-n3-flat", "sqrt-n3-bump", "power05-n2-bump",
+         "zero-n2-bands", "log-n1-ramp")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_solve_report_is_byte_identical(name, tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["solve", "--config", str(GOLDEN / f"{name}.config.json"),
+               "--output", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()

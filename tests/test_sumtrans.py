@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 from random import Random
 
@@ -14,7 +15,9 @@ from fenton_minimax.fields import Field, UnsupportedFieldError
 from fenton_minimax.formulas import Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
-                                    zero_kernel)
+                                    strictify, zero_kernel)
+from fenton_minimax.maximize import concave_max
+from fenton_minimax.solvers import SolveOptions, solve_maximin
 from fenton_minimax.sumtrans import (Problem, difference_map, grid_mode,
                                      interval_maxima, interval_maxima_batch,
                                      pure_sum_eval, regularity, singularity_set,
@@ -468,3 +471,107 @@ def test_in_Y_iff_every_interval_maximum_is_finite():
                     checked += 1
                     regular += finite
     assert checked > 5_000 and 0 < regular < checked
+
+
+# ---------------------------------------------------------------------------
+# the scalar engine against a reference that builds everything per call
+
+
+def _ref_sup_on_interval(p, x, q):
+    """The scalar engine written per call: F sums ``w_j * eval`` and
+    ``w_j * deriv`` translate by translate, points go through
+    ``Interval.contains`` and ``Field.eval_float``, cells through
+    ``Field.piece_at``, and ties are broken by sorting."""
+    def f(t):
+        total = slope = 0.0
+        for (w, k), xj in zip(p.translates(), x.nodes):
+            total += w * k.eval(t - xj)
+            slope += w * k.deriv(t - xj)
+        return total, slope
+
+    ends = {e for piece in p.field.pieces for e in (piece.interval.a, piece.interval.b)}
+    cuts = sorted(t for t in ends | set(x.nodes) if q.a < t < q.b)
+    pts = [q.a] + cuts + ([q.b] if q.b > q.a else [])
+    cands = []
+    for t in pts:
+        if q.contains(t):
+            base = p.field.eval_float(t)
+            v = -math.inf if base == -math.inf else base + f(t)[0]
+            cands.append((v, t, True, 0.0))
+    for u, v in zip(pts, pts[1:]):
+        piece = p.field.piece_at(0.5 * (u + v))
+        if piece is not None:
+            def g(t, phi=piece.formula):
+                val, slope = f(t)
+                return phi.value(t) + val, phi.deriv(t) + slope
+
+            res = concave_max(g, u, v)
+            cands.append((res.value, res.argmax, res.interior, res.err))
+    best_v = max((c[0] for c in cands), default=-math.inf)
+    if best_v == -math.inf:
+        return -math.inf, None, False, 0.0
+    _, where, attained, err = min((c for c in cands if c[0] == best_v),
+                                  key=lambda c: (not c[2], c[3], c[1]))
+    err = max([err] + [c[0] + c[3] - best_v for c in cands if c[3] > 0.0])
+    return best_v, where, attained, err
+
+
+def _engine_problems():
+    layered = (strictify(log_kernel(), 0.05), singularize(sqrt_kernel(), 0.1),
+               power_kernel(0.5).scaled(1.7))
+    for seed in range(6):
+        field = _random_usc_field(Random(seed))
+        for n in (1, 2, 3):
+            for k in KERNELS + layered:
+                yield field, n, dict(kernel=k, weights=tuple(0.5 + 0.25 * j for j in range(n)))
+            yield field, n, dict(kernels=tuple(layered[j % 3] for j in range(n)))
+
+
+def _key(value, witness, attained, err):
+    """A sup result with its floats as bytes, so -0.0 and NaN count too."""
+    return _bits(float(value)), witness, attained, _bits(err)
+
+
+def test_scalar_engine_matches_per_call_reference_bitwise():
+    rng = Random(7)
+    checked = 0
+    for field, n, kw in _engine_problems():
+        try:
+            p = Problem(n=n, field=field, **kw)
+        except ValueError:  # field finite at too few points for n nodes
+            continue
+        for row in _node_rows(p, checked, 4):
+            x = NodeSystem(tuple(row.tolist()))
+            m = interval_maxima(p, x)
+            for j, got in enumerate(zip(m.floats(), m.witnesses, m.attained, m.err)):
+                want = _ref_sup_on_interval(p, x, x.interval(j))
+                assert _key(*got) == _key(*want), (x.nodes, j)
+            a, b = sorted(rng.uniform(0.0, 1.0) for _ in range(2))
+            q = Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
+            r = sup_on_interval(p, x, q)
+            got = (r.value.as_float(), r.witness, r.attained, r.err)
+            assert _key(*got) == _key(*_ref_sup_on_interval(p, x, q)), (x.nodes, q)
+            checked += 1
+    assert checked > 300
+
+
+def test_problem_pickles_after_a_solve():
+    p = BATTERY["log-n2-bump"]
+    solve_maximin(p, SolveOptions(multistarts=1))  # builds and caches the plan
+    back = pickle.loads(pickle.dumps(p))
+    x = NodeSystem((0.3, 0.7))
+    assert back == p
+    assert interval_maxima(back, x) == interval_maxima(p, x)
+
+
+def test_replaced_problem_evaluates_its_own_kernel():
+    p = Problem(n=2, field=flat_field(), kernel=log_kernel())
+    x = NodeSystem((0.3, 0.7))
+    before = interval_maxima(p, x)  # caches p's plan
+    q = replace(p, kernel=strictify(p.kernel, 0.2))
+    after = interval_maxima(q, x)
+    # strictify adds 0.2 sqrt|t - x_j| > 0 away from the nodes
+    assert all(b > a for a, b in zip(before.floats(), after.floats()))
+    want = [_ref_sup_on_interval(q, x, x.interval(j))[0] for j in range(3)]
+    assert list(after.floats()) == want
+    assert interval_maxima(p, x) == before
