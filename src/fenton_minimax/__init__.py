@@ -9,8 +9,7 @@ with brute-force oracles (`solvers`), randomized verification checks
 ``fenton-minimax`` command line (`cli`).
 """
 
-from .core import (UNIT, ExtendedReal, Interval, NEG_INF, NodeSystem,
-                   classify_simplex, ext_sum, interval_of)
+from .core import UNIT, ExtendedReal, Interval, NEG_INF, NodeSystem, ext_sum
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
 from .kernels import (Kernel, KernelFlags, ValidationReport, custom_kernel,
                       kernel_eval, kernel_validate, log_kernel, power_kernel,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExtendedReal", "NEG_INF", "ext_sum", "Interval", "UNIT", "NodeSystem",
-    "classify_simplex", "interval_of",
     "Formula", "Constant", "Affine", "Quadratic", "LogWeight",
     "Kernel", "KernelFlags", "ValidationReport", "zero_kernel", "log_kernel",
     "sqrt_kernel", "power_kernel", "custom_kernel", "kernel_eval",

@@ -149,12 +149,12 @@ def _ext_diff(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.where((x == -np.inf) & (y == -np.inf), 0.0, x - y)
 
 
-def _ext_abs_diff(x: float, y: float) -> float:
+def _within(tol: float, x: float, y: float) -> float:
+    """Slack of |x - y| <= tol, with -inf equal to itself and infinitely far
+    from every real."""
     if x == -math.inf and y == -math.inf:
-        return 0.0
-    if x == -math.inf or y == -math.inf:
-        return math.inf
-    return abs(x - y)
+        return tol
+    return tol - abs(x - y)
 
 
 def _squash(v: float) -> float:
@@ -183,24 +183,22 @@ def _mbar_f(p: Problem, ns: NodeSystem) -> float:
 # interval perturbation inequalities
 
 
-def _perturb_margin(k: Kernel, case: str, alpha: float, a: float, b: float,
-                    beta: float, p: float, q: float, t: float) -> tuple[float, bool]:
-    """(margin, violation) for one sample of the widening inequality."""
-    lhs_terms = (p * k.eval(t - alpha), q * k.eval(t - beta))
-    rhs_terms = (p * k.eval(t - a), q * k.eval(t - b))
-    lhs = -math.inf if -math.inf in lhs_terms else math.fsum(lhs_terms)
-    rhs = -math.inf if -math.inf in rhs_terms else math.fsum(rhs_terms)
-    if case == "e":
-        lhs, rhs = rhs, lhs
-    if lhs == -math.inf:
-        margin = 0.0 if rhs == -math.inf else math.inf
-    elif rhs == -math.inf:
-        margin = -math.inf
-    else:
-        margin = rhs - lhs
+_PERTURB_KEYS = ("alpha", "a", "b", "beta", "p", "q", "t")
+
+
+def _perturbation_margins(k: Kernel, case: str, alpha: np.ndarray, a: np.ndarray,
+                          b: np.ndarray, beta: np.ndarray, p: np.ndarray,
+                          q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, violations) of the widening inequality, one per sample."""
+    with np.errstate(invalid="ignore"):
+        lhs = p * k.eval_many(t - alpha) + q * k.eval_many(t - beta)
+        rhs = p * k.eval_many(t - a) + q * k.eval_many(t - b)
+        if case == "e":
+            lhs, rhs = rhs, lhs
+        margins = rhs - lhs
+    margins = np.where(np.isnan(margins), 0.0, margins)  # -inf on both sides
     strict = (case == "d") or (case == "e" and k.flags.strictly_monotone)
-    bad = (margin <= 0) if strict else (margin < -_EQ_SLACK)
-    return margin, bad
+    return margins, (margins <= 0) if strict else (margins < -_EQ_SLACK)
 
 
 def check_perturbation_inequality(k: Kernel, trials: int = 100_000, seed: int = 0,
@@ -252,23 +250,11 @@ def check_perturbation_inequality(k: Kernel, trials: int = 100_000, seed: int = 
             q = rng.uniform(0.25, 4.0, m)
             t = a + (b - a) * u
 
-        with np.errstate(invalid="ignore"):
-            lhs = p * k.eval_many(t - alpha) + q * k.eval_many(t - beta)
-            rhs = p * k.eval_many(t - a) + q * k.eval_many(t - b)
-            if case == "e":
-                lhs, rhs = rhs, lhs
-            margins = rhs - lhs
-        margins = np.where(np.isnan(margins), 0.0, margins)  # -inf on both sides
-        strict = (case == "d") or (case == "e" and k.flags.strictly_monotone)
-        bad = (margins <= 0) if strict else (margins < -_EQ_SLACK)
-
-        def witness_of(i, case=case, alpha=alpha, a=a, b=b, beta=beta, p=p, q=q, t=t):
-            return {"kind": "lem2.4", "case": case, "kernel": kj,
-                    "alpha": float(alpha[i]), "a": float(a[i]), "b": float(b[i]),
-                    "beta": float(beta[i]), "p": float(p[i]), "q": float(q[i]),
-                    "t": float(t[i])}
-
-        rec.add_array(margins, bad, witness_of)
+        sample = (alpha, a, b, beta, p, q, t)
+        margins, bad = _perturbation_margins(k, case, *sample)
+        rec.add_array(margins, bad, lambda i: {
+            "kind": "lem2.4", "case": case, "kernel": kj,
+            **{key: float(v[i]) for key, v in zip(_PERTURB_KEYS, sample)}})
     return rec.report(note=f"kernel {k.family}, cases {cases}")
 
 
@@ -328,17 +314,8 @@ def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0
 _ORACLE_BRACKET = 8.0  # bracket half-width in units of the oracle grid step
 
 
-def check_minimax_equals_maximin(p: Problem, tol: float = 1e-3,
-                                 h: float | None = None,
-                                 options: SolveOptions | None = None,
-                                 label: str = "") -> CheckReport:
-    """The simplex minimax and maximin values agree within tol.
-
-    When a grid step h is given and n <= 2, both values must additionally lie
-    inside brackets of half-width 8h around the brute-force grid values.
-    """
-    o = options or SolveOptions()
-    rec = _Recorder("thm1.3/minimax-equals-maximin")
+def _minimax_maximin(p: Problem, o: SolveOptions, label: str = "") -> tuple[float, float]:
+    """The simplex minimax and maximin values under options o."""
     # one equioscillation run warm-starts both; each search also has starts
     # of its own, so the comparison does not rest on that run alone
     eq = solve_equioscillation(p, o)
@@ -351,23 +328,45 @@ def check_minimax_equals_maximin(p: Problem, tol: float = 1e-3,
     low = mx.value.as_float()
     if not (math.isfinite(big) and math.isfinite(low)):
         raise CheckInfeasible(f"{label or 'problem'}: non-finite solver values")
+    return big, low
+
+
+def _oracle_bracket(p: Problem, h: float, which: str, solver: float) -> tuple[float, float]:
+    """(slack, oracle value): the solver's value lies within 8h of the brute
+    oracle's on the grid of step h."""
+    oracle = (brute_minimax if which == "minimax" else brute_maximin)(p, h)[1].as_float()
+    return _within(_ORACLE_BRACKET * h, solver, oracle), oracle
+
+
+def check_minimax_equals_maximin(p: Problem, tol: float = 1e-3,
+                                 h: float | None = None,
+                                 options: SolveOptions | None = None,
+                                 label: str = "") -> CheckReport:
+    """The simplex minimax and maximin values agree within tol.
+
+    When a grid step h is given and n <= 2, both values must additionally lie
+    inside brackets of half-width 8h around the brute-force grid values.
+    """
+    o = options or SolveOptions()
+    rec = _Recorder("thm1.3/minimax-equals-maximin")
+    big, low = _minimax_maximin(p, o, label)
     pj = problem_to_json(p)
-    rec.add(tol - abs(big - low),
+    rec.add(_within(tol, big, low),
             {"kind": "minimax-maximin", "problem": pj, "config": label,
              "tol": tol, "minimax": big, "maximin": low,
              "options": options_to_json(o)})
     if h is not None and p.n <= 2:
-        _, bval = brute_minimax(p, h)
-        rec.add(_ORACLE_BRACKET * h - abs(big - bval.as_float()),
-                {"kind": "oracle-bracket", "problem": pj, "config": label,
-                 "h": h, "which": "minimax", "solver": big,
-                 "oracle": bval.as_float()})
-        _, gval = brute_maximin(p, h)
-        rec.add(_ORACLE_BRACKET * h - abs(low - gval.as_float()),
-                {"kind": "oracle-bracket", "problem": pj, "config": label,
-                 "h": h, "which": "maximin", "solver": low,
-                 "oracle": gval.as_float()})
+        for which, solver in (("minimax", big), ("maximin", low)):
+            slack, oracle = _oracle_bracket(p, h, which, solver)
+            rec.add(slack, {"kind": "oracle-bracket", "problem": pj, "config": label,
+                            "h": h, "which": which, "solver": solver,
+                            "oracle": oracle})
     return rec.report(note=f"{label}: minimax {big:.9g}, maximin {low:.9g}")
+
+
+def _spread_slack(tol: float, x: Iterable[float], y: Iterable[float]) -> float:
+    """Slack of max_i |x_i - y_i| <= tol."""
+    return tol - max(abs(a - b) for a, b in zip(x, y))
 
 
 def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
@@ -396,19 +395,16 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
     mval = mm.value.as_float()
     for s in eq.solutions:
         v = _mbar_f(p, s)
-        rec.add(tol - abs(v - ref),
-                {"kind": "eq-value", "problem": pj, "config": label,
-                 "x": list(s.nodes), "tol": tol, "reference": ref})
-        rec.add(tol - abs(v - mval),
-                {"kind": "eq-value", "problem": pj, "config": label,
-                 "x": list(s.nodes), "tol": tol, "reference": mval})
+        for r in (ref, mval):
+            rec.add(_within(tol, v, r),
+                    {"kind": "eq-value", "problem": pj, "config": label,
+                     "x": list(s.nodes), "tol": tol, "reference": r})
     if unique_nodes_tol is not None:
-        first = np.array(eq.solutions[0].nodes)
+        first = list(eq.solutions[0].nodes)
         for s in eq.solutions[1:]:
-            spread = float(np.max(np.abs(np.array(s.nodes) - first)))
-            rec.add(unique_nodes_tol - spread,
+            rec.add(_spread_slack(unique_nodes_tol, s.nodes, first),
                     {"kind": "eq-unique", "problem": pj, "config": label,
-                     "x": list(s.nodes), "reference_x": list(eq.solutions[0].nodes),
+                     "x": list(s.nodes), "reference_x": first,
                      "tol": unique_nodes_tol})
     return rec.report(note=f"{label}: {len(eq.solutions)} solution(s), "
                            f"value {ref:.9g}")
@@ -431,6 +427,37 @@ def _field_sup_open(J: Field, a: float, b: float) -> float:
     return best
 
 
+_USC_TOL = 1e-12  # tolerance of the exact invariances (all but maximin)
+
+
+def _regularized(p: Problem) -> Problem:
+    return replace(p, field=usc_regularize(p.field))
+
+
+def _usc_maxima_slacks(p: Problem, preg: Problem, x: NodeSystem) -> list[float]:
+    """Slacks of max_j m_j, then of each m_j, being the same at x for p and
+    for preg, p with its field usc-regularized."""
+    m0, m1 = _mvec(p, x), _mvec(preg, x)
+    return [_within(_USC_TOL, max(m0), max(m1)),
+            *(_within(_USC_TOL, u, v) for u, v in zip(m0, m1))]
+
+
+def _open_sup_slack(f: Field, reg: Field, a: float, b: float) -> float:
+    """Slack of sup f = sup reg over the open interval (a, b)."""
+    return _within(_USC_TOL, _field_sup_open(f, a, b), _field_sup_open(reg, a, b))
+
+
+def _usc_maximin_slack(p: Problem, preg: Problem, o: SolveOptions, tol: float,
+                       label: str = "") -> float:
+    """Slack of |maximin(p) - maximin(preg)| <= tol under options o."""
+    r0 = solve_maximin(p, o)
+    r1 = solve_maximin(preg, o)
+    if r0.x is None or r1.x is None:
+        raise CheckInfeasible(f"{label or 'problem'}: maximin infeasible under "
+                              "the original or regularized field")
+    return _within(tol, r0.value.as_float(), r1.value.as_float())
+
+
 def check_usc_invariances(p: Problem, trials: int = 1000, seed: int = 0,
                           label: str = "") -> CheckReport:
     """What survives replacing the field by its usc regularization.
@@ -443,38 +470,28 @@ def check_usc_invariances(p: Problem, trials: int = 1000, seed: int = 0,
     """
     rec = _Recorder("lem6.1/usc-invariances")
     rng = random.Random(seed)
-    reg = usc_regularize(p.field)
-    preg = replace(p, field=reg)
+    preg = _regularized(p)
     all_singular = all(p.node_is_singular(j) for j in range(p.n))
     pj = problem_to_json(p)
     fj = field_to_json(p.field)
     for _ in range(trials):
         ns = NodeSystem(tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))))
-        m0 = _mvec(p, ns)
-        m1 = _mvec(preg, ns)
-        rec.add(1e-12 - _ext_abs_diff(max(m0), max(m1)),
-                {"kind": "usc-mbar", "problem": pj, "config": label,
-                 "x": list(ns.nodes)})
+        mbar_slack, *mj_slacks = _usc_maxima_slacks(p, preg, ns)
+        rec.add(mbar_slack, {"kind": "usc-mbar", "problem": pj, "config": label,
+                             "x": list(ns.nodes)})
         if all_singular:
-            for j in range(p.n + 1):
-                rec.add(1e-12 - _ext_abs_diff(m0[j], m1[j]),
-                        {"kind": "usc-mj", "problem": pj, "config": label,
-                         "x": list(ns.nodes), "j": j})
+            for j, slack in enumerate(mj_slacks):
+                rec.add(slack, {"kind": "usc-mj", "problem": pj, "config": label,
+                                "x": list(ns.nodes), "j": j})
         a = rng.uniform(0.0, 1.0)
         b = rng.uniform(0.0, 1.0)
         a, b = min(a, b), max(a, b)
         if b - a > 1e-6:
-            rec.add(1e-12 - _ext_abs_diff(_field_sup_open(p.field, a, b),
-                                          _field_sup_open(reg, a, b)),
+            rec.add(_open_sup_slack(p.field, preg.field, a, b),
                     {"kind": "usc-open-sup", "field": fj, "config": label,
                      "a": a, "b": b})
     o = SolveOptions(seed=seed)
-    r0 = solve_maximin(p, o)
-    r1 = solve_maximin(preg, o)
-    if r0.x is None or r1.x is None:
-        raise CheckInfeasible(f"{label or 'problem'}: maximin infeasible under "
-                              "the original or regularized field")
-    rec.add(1e-3 - abs(r0.value.as_float() - r1.value.as_float()),
+    rec.add(_usc_maximin_slack(p, preg, o, 1e-3, label),
             {"kind": "usc-maximin", "problem": pj, "config": label, "tol": 1e-3,
              "options": options_to_json(o)})
     return rec.report(note=label)
@@ -531,7 +548,10 @@ def _random_usc_field(rng: random.Random) -> Field:
 
 
 def _dini_slacks(g: Field, ks=_DINI_SCHEDULE) -> list[tuple[str, float]]:
-    """(label, slack) items for one field: monotone, majorant, terminal gap."""
+    """(label, slack) items for one field: monotone, majorant, terminal gap.
+
+    Labels repeat (one pointwise item per k step), so a witness names its
+    item by index."""
     target = g.upper_bound
     grid = sorted({_field_argmax(g), *np.linspace(0.0, 1.0, 65).tolist(),
                    *g.breakpoints()})
@@ -565,12 +585,10 @@ def check_dini_max(trials: int = 100, seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     for _ in range(trials):
         g = _random_usc_field(rng)
-        fj = field_to_json(g)
-        for what, slack in _dini_slacks(g):
-            wit = None
-            if slack < 0:
-                wit = {"kind": "dini", "field": fj, "what": what}
-            rec.add(slack, wit)
+        items = _dini_slacks(g)
+        slacks = np.array([slack for _, slack in items])
+        rec.add_array(slacks, slacks < 0, lambda i: {
+            "kind": "dini", "field": field_to_json(g), "what": items[i][0], "item": i})
     return rec.report(note=f"schedule k in {tuple(int(k) for k in _DINI_SCHEDULE)}")
 
 
@@ -687,23 +705,12 @@ def _sequence_slack(p: Problem, x: NodeSystem, direction: tuple[int, ...],
     return allowance + 2.0 * slope * deltas[-1] - seq[-1]
 
 
-def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-                           trials: int = 40, seed: int = 0,
-                           label: str = "") -> CheckReport:
-    """Deviation of the maxima under node perturbations decays with delta.
-
-    (i) the recorded max deviation of the overall maximum is strictly
-    decreasing across the delta schedule; (ii) with all kernels singular the
-    same holds per interval maximum on a squashed extended scale; (iii) for
-    usc fields the excess of m_j along convergent node sequences decays
-    (upper semicontinuity); (iv) under the two-sided limsup condition, at
-    strictly interior systems, so does the deficit (lower semicontinuity).
-    """
-    rec = _Recorder("lem3.3/continuity")
-    rng = random.Random(seed)
-    pj = problem_to_json(p)
+def _decay_devs(p: Problem, deltas: tuple[float, ...], trials: int,
+                rng: random.Random, label: str = "") -> list[list[float]]:
+    """Worst deviation of the overall maximum per delta over trials random
+    moves by delta and, with all kernels singular, a second series for the
+    squashed interval maxima."""
     all_singular = all(p.node_is_singular(j) for j in range(p.n))
-
     devs: list[float] = []
     devs_j: list[float] = []
     for delta in deltas:
@@ -719,56 +726,66 @@ def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 
                 continue
             signs = [rng.choice((-1.0, 1.0)) for _ in range(p.n)]
             ys = [xi + delta * s for xi, s in zip(xs, signs)]
-            nx, ny = NodeSystem(tuple(xs)), NodeSystem(tuple(ys))
+            m0, m1 = _mvec(p, NodeSystem(tuple(xs))), _mvec(p, NodeSystem(tuple(ys)))
+            worst = max(worst, abs(max(m0) - max(m1)))
             if all_singular:
-                m0, m1 = _mvec(p, nx), _mvec(p, ny)
-                worst = max(worst, abs(max(m0) - max(m1)))
                 for j in range(p.n + 1):
                     worst_j = max(worst_j, abs(_squash(m0[j]) - _squash(m1[j])))
-            else:
-                worst = max(worst, abs(_mbar_f(p, nx) - _mbar_f(p, ny)))
             done += 1
         if done == 0:
             raise CheckInfeasible(f"{label or 'problem'}: could not sample "
                                   f"separated node systems at delta={delta}")
         devs.append(worst)
         devs_j.append(worst_j)
+    return [devs, devs_j] if all_singular else [devs]
 
+
+def _decay_step(devs: list[float], i: int) -> tuple[float, bool]:
+    """(margin, violation) of the strict decrease devs[i + 1] < devs[i]."""
+    return devs[i] - devs[i + 1], not devs[i + 1] < devs[i]
+
+
+def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
+                           trials: int = 40, seed: int = 0,
+                           label: str = "") -> CheckReport:
+    """Deviation of the maxima under node perturbations decays with delta.
+
+    (i) the recorded max deviation of the overall maximum is strictly
+    decreasing across the delta schedule; (ii) with all kernels singular the
+    same holds per interval maximum on a squashed extended scale; (iii) for
+    usc fields the excess of m_j along convergent node sequences decays
+    (upper semicontinuity); (iv) under the two-sided limsup condition, at
+    strictly interior systems, so does the deficit (lower semicontinuity).
+    """
+    rec = _Recorder("lem3.3/continuity")
+    rng = random.Random(seed)
+    pj = problem_to_json(p)
     decay_wit = {"kind": "continuity-decay", "problem": pj, "config": label,
                  "deltas": list(deltas), "trials": trials, "seed": seed}
-    for d_coarse, d_fine in zip(devs, devs[1:]):
-        rec.add(d_coarse - d_fine, dict(decay_wit, devs=devs),
-                ok=d_fine < d_coarse)
-    if all_singular:
-        for d_coarse, d_fine in zip(devs_j, devs_j[1:]):
-            rec.add(d_coarse - d_fine, dict(decay_wit, devs=devs_j, per_interval=True),
-                    ok=d_fine < d_coarse)
+    series = _decay_devs(p, deltas, trials, rng, label)
+    for k, devs in enumerate(series):
+        extra = {"per_interval": True} if k else {}
+        for i in range(len(devs) - 1):
+            margin, bad = _decay_step(devs, i)
+            rec.add(margin, {**decay_wit, "devs": devs, **extra, "pair": i}, ok=not bad)
 
     lims = limsup_conditions(p.field)
-    seq_trials = min(10, trials)
     if lims.usc or lims.two_sided:
-        base_points = _sample_Y(p, rng, seq_trials)
-        for x in base_points:
+        for x in _sample_Y(p, rng, min(10, trials)):
             direction = tuple(rng.choice((-1, 1)) for _ in range(p.n))
+            s = x.with_sentinels()
+            interior = x.classify() == "interior"
             for j in range(p.n + 1):
-                if lims.usc:
-                    slack = _sequence_slack(p, x, direction, j, "usc")
+                for mode, applies in (("usc", lims.usc),
+                                      ("lsc", lims.two_sided and interior
+                                       and s[j] < s[j + 1])):
+                    slack = _sequence_slack(p, x, direction, j, mode) if applies else None
                     if slack is not None:
                         rec.add(slack, {"kind": "continuity-seq", "problem": pj,
                                         "config": label, "x": list(x.nodes),
                                         "direction": list(direction), "j": j,
-                                        "mode": "usc"})
-                s = x.with_sentinels()
-                strict_interior = (x.classify() == "interior"
-                                   and s[j] < s[j + 1])
-                if lims.two_sided and strict_interior:
-                    slack = _sequence_slack(p, x, direction, j, "lsc")
-                    if slack is not None:
-                        rec.add(slack, {"kind": "continuity-seq", "problem": pj,
-                                        "config": label, "x": list(x.nodes),
-                                        "direction": list(direction), "j": j,
-                                        "mode": "lsc"})
-    dev_text = ", ".join(f"{d:.3g}" for d in devs)
+                                        "mode": mode})
+    dev_text = ", ".join(f"{d:.3g}" for d in series[0])
     return rec.report(note=f"{label}: max |d mbar| per delta = [{dev_text}]")
 
 
@@ -776,93 +793,91 @@ def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 
 # witness replay
 
 
+def _problem(w: dict) -> Problem:
+    return problem_from_json(w["problem"])
+
+
+def _nodes(w: dict) -> NodeSystem:
+    return NodeSystem(tuple(w["x"]))
+
+
+def _with_regularized(w: dict) -> tuple[Problem, Problem]:
+    p = _problem(w)
+    return p, _regularized(p)
+
+
+def _negative(slack: float) -> tuple[float, bool]:
+    return slack, slack < 0
+
+
+def _replay_perturbation(w: dict) -> tuple[float, bool]:
+    margins, bad = _perturbation_margins(kernel_from_json(w["kernel"]), w["case"],
+                                         *(np.array([w[key]]) for key in _PERTURB_KEYS))
+    return float(margins[0]), bool(bad[0])
+
+
+def _replay_majorization(w: dict) -> tuple[float, bool]:
+    mx, my = (interval_maxima_batch(_problem(w), [w[key]]).values for key in ("x", "y"))
+    return _negative(float(_majorization_slacks(mx, my, w["strict_margin"])[0]))
+
+
+def _replay_kernel_limit(w: dict) -> tuple[float, bool]:
+    slacks = _kernel_limit_slacks(_problem(w), np.array([w["x"]]), np.array([w["j"]]),
+                                  w["direction"], tuple(w["etas"]))
+    return _negative(float(slacks[0, w["slack"]]))
+
+
+def _replay_open_sup(w: dict) -> tuple[float, bool]:
+    f = field_from_json(w["field"])
+    return _negative(_open_sup_slack(f, usc_regularize(f), w["a"], w["b"]))
+
+
+def _replay_decay(w: dict) -> tuple[float, bool]:
+    series = _decay_devs(_problem(w), tuple(w["deltas"]), w["trials"],
+                         random.Random(w["seed"]))
+    return _decay_step(series[1 if w.get("per_interval") else 0], w["pair"])
+
+
+def _replay_sequence(w: dict) -> tuple[float, bool]:
+    slack = _sequence_slack(_problem(w), _nodes(w), tuple(w["direction"]), w["j"],
+                            w["mode"])
+    return _negative(math.inf if slack is None else slack)
+
+
+# witness kind -> (margin, violation) of the stored input, computed by the
+# same slack function the check recorded it with
+_REPLAY: dict[str, Callable[[dict], tuple[float, bool]]] = {
+    "lem2.4": _replay_perturbation,
+    "majorization": _replay_majorization,
+    "minimax-maximin": lambda w: _negative(_within(
+        w["tol"], *_minimax_maximin(_problem(w), options_from_json(w.get("options"))))),
+    "oracle-bracket": lambda w: _negative(_oracle_bracket(
+        _problem(w), w["h"], w["which"], w["solver"])[0]),
+    "eq-value": lambda w: _negative(_within(
+        w["tol"], _mbar_f(_problem(w), _nodes(w)), w["reference"])),
+    "eq-unique": lambda w: _negative(_spread_slack(w["tol"], w["x"], w["reference_x"])),
+    "usc-mbar": lambda w: _negative(_usc_maxima_slacks(*_with_regularized(w),
+                                                       _nodes(w))[0]),
+    "usc-mj": lambda w: _negative(_usc_maxima_slacks(*_with_regularized(w),
+                                                     _nodes(w))[w["j"] + 1]),
+    "usc-open-sup": _replay_open_sup,
+    "usc-maximin": lambda w: _negative(_usc_maximin_slack(
+        *_with_regularized(w), options_from_json(w.get("options")), w["tol"])),
+    "dini": lambda w: _negative(_dini_slacks(field_from_json(w["field"]))[w["item"]][1]),
+    "kernel-limit": _replay_kernel_limit,
+    "continuity-decay": _replay_decay,
+    "continuity-seq": _replay_sequence,
+}
+
+
 def replay_witness(witness: dict) -> dict:
-    """Re-run the single stored violating input; returns margin and verdict."""
-    kind = witness.get("kind")
-    if kind == "lem2.4":
-        k = kernel_from_json(witness["kernel"])
-        margin, bad = _perturb_margin(k, witness["case"], witness["alpha"],
-                                      witness["a"], witness["b"], witness["beta"],
-                                      witness["p"], witness["q"], witness["t"])
-        return {"margin": margin, "violation": bad}
-    if kind == "majorization":
-        p = problem_from_json(witness["problem"])
-        mx, my = (interval_maxima_batch(p, [witness[key]]).values for key in ("x", "y"))
-        slack = float(_majorization_slacks(mx, my, witness["strict_margin"])[0])
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "minimax-maximin":
-        p = problem_from_json(witness["problem"])
-        o = options_from_json(witness.get("options"))
-        rep = check_minimax_equals_maximin(p, tol=witness["tol"], options=o)
-        return {"margin": rep.worst_margin, "violation": not rep.passed}
-    if kind == "oracle-bracket":
-        p = problem_from_json(witness["problem"])
-        oracle = brute_minimax if witness["which"] == "minimax" else brute_maximin
-        _, val = oracle(p, witness["h"])
-        slack = _ORACLE_BRACKET * witness["h"] - abs(witness["solver"]
-                                                     - val.as_float())
-        return {"margin": slack, "violation": slack < 0}
-    if kind in ("eq-value", "eq-unique"):
-        p = problem_from_json(witness["problem"])
-        v = _mbar_f(p, NodeSystem(tuple(witness["x"])))
-        if kind == "eq-value":
-            slack = witness["tol"] - abs(v - witness["reference"])
-        else:
-            spread = max(abs(a - b) for a, b in zip(witness["x"],
-                                                    witness["reference_x"]))
-            slack = witness["tol"] - spread
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "usc-mbar" or kind == "usc-mj":
-        p = problem_from_json(witness["problem"])
-        preg = replace(p, field=usc_regularize(p.field))
-        ns = NodeSystem(tuple(witness["x"]))
-        m0, m1 = _mvec(p, ns), _mvec(preg, ns)
-        if kind == "usc-mbar":
-            slack = 1e-12 - _ext_abs_diff(max(m0), max(m1))
-        else:
-            j = witness["j"]
-            slack = 1e-12 - _ext_abs_diff(m0[j], m1[j])
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "usc-open-sup":
-        f = field_from_json(witness["field"])
-        slack = 1e-12 - _ext_abs_diff(_field_sup_open(f, witness["a"], witness["b"]),
-                                      _field_sup_open(usc_regularize(f),
-                                                      witness["a"], witness["b"]))
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "usc-maximin":
-        p = problem_from_json(witness["problem"])
-        preg = replace(p, field=usc_regularize(p.field))
-        o = options_from_json(witness.get("options"))
-        d = abs(solve_maximin(p, o).value.as_float()
-                - solve_maximin(preg, o).value.as_float())
-        slack = witness["tol"] - d
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "dini":
-        g = field_from_json(witness["field"])
-        slacks = dict(_dini_slacks(g))
-        slack = slacks.get(witness["what"], min(slacks.values()))
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "kernel-limit":
-        p = problem_from_json(witness["problem"])
-        slacks = _kernel_limit_slacks(p, np.array([witness["x"]]), np.array([witness["j"]]),
-                                      witness["direction"], tuple(witness["etas"]))[0]
-        # witnesses name their slack; older ones are replayed at the worst
-        slack = float(slacks[witness["slack"]] if "slack" in witness else slacks.min())
-        return {"margin": slack, "violation": slack < 0}
-    if kind == "continuity-decay":
-        p = problem_from_json(witness["problem"])
-        rep = check_continuity_suite(p, deltas=tuple(witness["deltas"]),
-                                     trials=witness["trials"], seed=witness["seed"])
-        return {"margin": rep.worst_margin, "violation": not rep.passed}
-    if kind == "continuity-seq":
-        p = problem_from_json(witness["problem"])
-        slack = _sequence_slack(p, NodeSystem(tuple(witness["x"])),
-                                tuple(witness["direction"]), witness["j"],
-                                witness["mode"])
-        if slack is None:
-            return {"margin": math.inf, "violation": False}
-        return {"margin": slack, "violation": slack < 0}
-    raise ValueError(f"cannot replay witness of kind {kind!r}")
+    """Re-run the single stored input; returns its margin and verdict."""
+    try:
+        replay = _REPLAY[witness.get("kind")]
+    except KeyError:
+        raise ValueError(f"cannot replay witness of kind {witness.get('kind')!r}") from None
+    margin, bad = replay(witness)
+    return {"margin": margin, "violation": bad}
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ __all__ = [
     "Interval",
     "UNIT",
     "NodeSystem",
-    "classify_simplex",
-    "interval_of",
 ]
 
 
@@ -235,13 +233,3 @@ class NodeSystem:
                 return "boundary"
             prev = v
         return "interior" if prev < 1.0 else "boundary"
-
-
-def classify_simplex(x: NodeSystem) -> str:
-    """"interior" iff 0 < x_1 < ... < x_n < 1 strictly, else "boundary"."""
-    return x.classify()
-
-
-def interval_of(x: NodeSystem, j: int) -> Interval:
-    """The j-th closed inter-node interval, j = 0..n, with sentinels 0 and 1."""
-    return x.interval(j)

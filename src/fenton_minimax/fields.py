@@ -260,12 +260,6 @@ class RealSubset:
             out.append(Interval(cursor, 1.0, cursor_in, True))
         return RealSubset.from_parts(out)
 
-    def covered_by_points(self, allowed: tuple[float, ...]) -> bool:
-        """True when this set is contained in the given finite point set."""
-        if self.intervals:
-            return False
-        return all(p in allowed for p in self.points)
-
 
 # ---------------------------------------------------------------------------
 # structural operations

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from fenton_minimax import checks
-from fenton_minimax.battery import battery_problem
+from fenton_minimax.battery import battery_problem, flat_field
 from fenton_minimax.checks import (CheckReport, UnknownCheckError,
                                    all_check_ids, check_continuity_suite,
+                                   check_dini_max,
                                    check_equioscillation_value,
                                    check_kernel_limits,
                                    check_minimax_equals_maximin,
@@ -15,8 +16,11 @@ from fenton_minimax.checks import (CheckReport, UnknownCheckError,
                                    check_perturbation_inequality,
                                    check_usc_invariances, replay_witness,
                                    run_check)
-from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
+from fenton_minimax.formulas import Constant
+from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
+                                    sqrt_kernel, zero_kernel)
 from fenton_minimax.solvers import SolveOptions
+from fenton_minimax.sumtrans import Problem
 
 EXPECTED_IDS = {
     "lem2.4/a", "lem2.4/b", "lem2.4/c", "lem2.4/d", "lem2.4/e",
@@ -165,32 +169,68 @@ class TestCheckReportJson:
         assert rep2.to_json()["worst_margin"] == "-inf"
 
 
+def _every_system_equioscillates() -> Problem:
+    # a constant kernel declared non-monotone (so no continuation) on a flat
+    # field: every start is an equioscillation point, so the solutions differ
+    flags = KernelFlags(singular=False, monotone=False, strictly_monotone=False,
+                        strictly_concave=False, cusp=False)
+    return Problem(n=2, field=flat_field(),
+                   kernel=custom_kernel(Constant(0.0), Constant(0.0), flags))
+
+
+# per emitting check: the witness kinds it records, with a call that records
+# every kind at least once (two kernels and five cases for lem2.4; both decay
+# series, overall and per interval, for continuity)
+REPLAY_CASES = {
+    "perturbation": ({"lem2.4"}, lambda: [
+        check_perturbation_inequality(k, trials=2000, seed=1)
+        for k in (log_kernel(), sqrt_kernel())]),
+    "majorization": ({"majorization"}, lambda: [
+        check_no_strict_majorization(battery_problem("log-n2-bump"), trials=4, seed=1)]),
+    "minimax": ({"minimax-maximin", "oracle-bracket"}, lambda: [
+        check_minimax_equals_maximin(battery_problem("log-n1-flat"), h=1.0 / 100,
+                                     options=SolveOptions(multistarts=2, seed=1))]),
+    "equioscillation": ({"eq-value", "eq-unique"}, lambda: [
+        check_equioscillation_value(_every_system_equioscillates(), starts=4,
+                                    unique_nodes_tol=1e-4)]),
+    "usc": ({"usc-mbar", "usc-mj", "usc-open-sup", "usc-maximin"}, lambda: [
+        check_usc_invariances(battery_problem("log-n2-bands"), trials=4, seed=0)]),
+    "dini": ({"dini"}, lambda: [check_dini_max(trials=3, seed=0)]),
+    "kernel-limits": ({"kernel-limit"}, lambda: [
+        check_kernel_limits(battery_problem("log-n2-flat"), trials=2, seed=1)]),
+    "continuity": ({"continuity-decay", "continuity-seq"}, lambda: [
+        check_continuity_suite(battery_problem("log-n1-flat"), trials=3, seed=0)]),
+}
+
+
 class TestSolverWitnessReplay:
-    """Witnesses of solver-based checks carry the solver options the check
-    ran with, so a replay, after a JSON round trip, reproduces the check's
-    margin exactly.  Both cases use options away from the defaults, under
-    which the replayed margins would differ in the last bits."""
+    """Every witness, after a JSON round trip, replays to exactly the margin
+    and the verdict the check recorded: both go through the same slack
+    function.  Solver-based witnesses carry the solver options the check
+    ran with; with options away from the defaults the replayed margins
+    would otherwise differ in the last bits."""
 
     @pytest.fixture(autouse=True)
     def keep_every_witness(self, monkeypatch):
-        # a passing check keeps no witnesses; record one for every comparison
-        add = checks._Recorder.add
-        monkeypatch.setattr(checks._Recorder, "add",
-                            lambda rec, margin, witness=None, ok=None:
-                            add(rec, margin, witness, ok=False))
+        # a passing check keeps no witnesses; record one for every margin,
+        # with the check's own verdict on it
+        add, add_array = checks._Recorder.add, checks._Recorder.add_array
+
+        def add_all(rec, margin, witness=None, ok=None):
+            if witness is not None:
+                witness = dict(witness, violation=bool(margin < 0 if ok is None else not ok))
+            add(rec, margin, witness, ok=False)
+
+        def add_array_all(rec, margins, bad, witness_of):
+            add_array(rec, margins, np.ones(len(margins), dtype=bool),
+                      lambda i: dict(witness_of(i), violation=bool(bad[i])))
+
+        monkeypatch.setattr(checks._Recorder, "add", add_all)
+        monkeypatch.setattr(checks._Recorder, "add_array", add_array_all)
 
     def _replay_matches(self, rep, kind):
         (w,) = [w for w in rep.witnesses if w["kind"] == kind]
         assert replay_witness(json.loads(json.dumps(w)))["margin"] == w["margin"]
-
-    @pytest.fixture(autouse=True)
-    def keep_every_array_witness(self, monkeypatch):
-        # the same for checks that record a whole array of margins at once
-        add_array = checks._Recorder.add_array
-        monkeypatch.setattr(checks._Recorder, "add_array",
-                            lambda rec, margins, bad, witness_of:
-                            add_array(rec, margins, np.ones(len(margins), dtype=bool),
-                                      witness_of))
 
     def _all_replay_exactly(self, rep, kind):
         ws = [w for w in rep.witnesses if w["kind"] == kind]
@@ -198,6 +238,25 @@ class TestSolverWitnessReplay:
         for w in ws:
             assert replay_witness(json.loads(json.dumps(w)))["margin"] == w["margin"]
         return ws
+
+    @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+    def test_every_witness_replays_to_its_margin(self, name, monkeypatch):
+        monkeypatch.setattr(checks, "_WITNESS_CAP", 100_000)
+        kinds, emit = REPLAY_CASES[name]
+        ws = [json.loads(json.dumps(w)) for rep in emit() for w in rep.witnesses]
+        assert {w["kind"] for w in ws} == kinds
+        for w in ws:
+            assert replay_witness(w) == {"margin": w["margin"], "violation": w["violation"]}
+        if name == "perturbation":
+            assert {(w["kernel"]["family"], w["case"]) for w in ws} == \
+                {(f, c) for f in ("log", "sqrt") for c in "abcde"}
+        if name == "continuity":
+            assert {w.get("per_interval", False) for w in ws
+                    if w["kind"] == "continuity-decay"} == {False, True}
+
+    def test_cases_cover_every_replayable_kind(self):
+        emitted = set().union(*(kinds for kinds, _ in REPLAY_CASES.values()))
+        assert emitted == set(checks._REPLAY)
 
     def test_minimax_maximin(self):
         rep = check_minimax_equals_maximin(battery_problem("log-n2-bump"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fenton_minimax.core import (NEG_INF, ExtendedReal, Interval, NodeSystem,
-                                 UNIT, classify_simplex, ext_sum, interval_of)
+                                 UNIT, ext_sum)
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 extended = st.one_of(finite, st.just(-math.inf))
@@ -150,15 +150,10 @@ class TestNodeSystem:
             x.interval(-1)
 
     def test_classify(self):
-        assert classify_simplex(NodeSystem((0.2, 0.8))) == "interior"
-        assert classify_simplex(NodeSystem((0.0, 0.8))) == "boundary"
-        assert classify_simplex(NodeSystem((0.2, 0.2))) == "boundary"
-        assert classify_simplex(NodeSystem((0.2, 1.0))) == "boundary"
-
-    def test_interval_of_matches_method(self):
-        x = NodeSystem((0.25, 0.75))
-        for j in range(3):
-            assert interval_of(x, j) == x.interval(j)
+        assert NodeSystem((0.2, 0.8)).classify() == "interior"
+        assert NodeSystem((0.0, 0.8)).classify() == "boundary"
+        assert NodeSystem((0.2, 0.2)).classify() == "boundary"
+        assert NodeSystem((0.2, 1.0)).classify() == "boundary"
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=5))
     def test_sorted_tuples_accepted(self, vals):

@@ -158,13 +158,6 @@ class TestRealSubset:
         comp = s.complement_in_unit()
         assert comp.intervals == (Interval(0.5, 1.0),)
 
-    def test_covered_by_points(self):
-        s = RealSubset(points=(0.25, 0.5))
-        assert s.covered_by_points((0.25, 0.5, 0.75))
-        assert not s.covered_by_points((0.25,))
-        assert not RealSubset(intervals=(Interval(0.0, 0.1),)).covered_by_points(
-            (0.0, 0.1))
-
     @given(st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=5),
            unit_floats)
     def test_complement_partitions_unit(self, raw, t):
