@@ -18,11 +18,10 @@ from .fields import (Field, FieldCount, FieldPiece, LimsupConditions,
                      RealSubset, UnsupportedFieldError, field_eval,
                      finiteness_domain, limsup_conditions,
                      monotone_usc_approximation, n_field_check, usc_regularize)
-from .sumtrans import (EXACT, MaximaBatch, MaximaVector, Problem,
-                       RegularityReport, SupMode, SupResult, difference_map,
-                       grid_mode, interval_maxima, interval_maxima_batch,
-                       pure_sum_eval, regularity, singularity_set, sum_eval,
-                       sup_on_interval)
+from .sumtrans import (MaximaBatch, MaximaVector, Problem, RegularityReport,
+                       SupResult, difference_map, interval_maxima,
+                       interval_maxima_batch, pure_sum_eval, regularity,
+                       singularity_set, sum_eval, sup_on_interval)
 from .solvers import (SolveOptions, SolveReport, TraceRecord, brute_maximin,
                       brute_minimax, sample_regular, solve_equioscillation,
                       solve_maximin, solve_minimax)
@@ -43,9 +42,8 @@ __all__ = [
     "Field", "FieldPiece", "FieldCount", "RealSubset", "UnsupportedFieldError",
     "field_eval", "usc_regularize", "n_field_check", "finiteness_domain",
     "LimsupConditions", "limsup_conditions", "monotone_usc_approximation",
-    "SupMode", "EXACT", "grid_mode", "Problem", "MaximaVector", "MaximaBatch",
-    "SupResult", "pure_sum_eval", "sum_eval", "sup_on_interval",
-    "interval_maxima", "interval_maxima_batch",
+    "Problem", "MaximaVector", "MaximaBatch", "SupResult", "pure_sum_eval",
+    "sum_eval", "sup_on_interval", "interval_maxima", "interval_maxima_batch",
     "singularity_set", "RegularityReport", "regularity", "difference_map",
     "SolveOptions", "SolveReport", "TraceRecord", "brute_minimax",
     "brute_maximin", "solve_equioscillation", "solve_minimax", "solve_maximin",

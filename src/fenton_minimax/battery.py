@@ -25,12 +25,10 @@ __all__ = [
     "two_band_field",
     "gate_field",
     "battery_problem",
-    "oracle_battery",
     "majorization_battery",
     "continuity_battery",
     "usc_battery",
     "kernel_limit_battery",
-    "single_node_battery",
 ]
 
 
@@ -96,11 +94,6 @@ def battery_problem(name: str) -> Problem:
                        f"known: {', '.join(sorted(BATTERY))}") from None
 
 
-def oracle_battery() -> dict[str, Problem]:
-    """Small problems (n <= 2) cheap enough for grid enumeration."""
-    return {k: v for k, v in BATTERY.items() if v.n <= 2}
-
-
 def majorization_battery() -> dict[str, Problem]:
     """Problems used for the no-strict-majorization check."""
     names = ("log-n1-flat", "log-n2-flat", "log-n2-bump",
@@ -126,7 +119,3 @@ def kernel_limit_battery() -> dict[str, Problem]:
     """Monotone singular kernels, for strictify/singularize limit checks."""
     names = ("log-n1-flat", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat")
     return {k: BATTERY[k] for k in names}
-
-
-def single_node_battery() -> dict[str, Problem]:
-    return {k: v for k, v in BATTERY.items() if v.n == 1}

@@ -23,10 +23,10 @@ it above the original and converging back to it as eta drops to 0.
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
 value, a vectorized value, a derivative and a vectorized derivative per
 entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
-``Kernel.derivs``, ``Kernel.eval_deriv`` and ``TranslateSum`` all read that
-table.  ``TranslateSum`` is the term walk behind every F-evaluation of the
-scalar sup engine: built once per problem from its (weight, kernel) pairs,
-it gives per node system the evaluator t -> (sum_j w_j K_j(t - x_j), its
+``Kernel.derivs`` and ``TranslateSum`` all read that table.
+``TranslateSum`` is the term walk behind every F-evaluation of the scalar
+sup engine: built once per problem from its (weight, kernel) pairs, it gives
+per node system the evaluator t -> (sum_j w_j K_j(t - x_j), its
 t-derivative).  When every kernel is a plain family it makes two table calls
 per translate and nothing else; a scaled or layered kernel walks its terms.
 The floats are those of summing ``w_j * eval`` and ``w_j * deriv`` either
@@ -222,9 +222,8 @@ class Kernel:
         return tuple(terms)
 
     def __getstate__(self) -> dict:
-        # the cached terms and evaluator hold the table's lambdas, which do
-        # not pickle
-        return {k: v for k, v in vars(self).items() if k not in ("_terms", "eval_deriv")}
+        # the cached terms hold the table's lambdas, which do not pickle
+        return {k: v for k, v in vars(self).items() if k != "_terms"}
 
     def eval(self, t: float) -> float:
         """Raw float value at t in [-1, 1]; -inf allowed, never NaN or +inf."""
@@ -268,12 +267,6 @@ class Kernel:
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized ``deriv``; same domain rules."""
         return self._sum_many("derivs", ts)
-
-    @cached_property
-    def eval_deriv(self) -> Callable[[float], tuple[float, float]]:
-        """t -> ``(eval(t), deriv(t))``, bit for bit: the term walk of
-        ``TranslateSum`` for this kernel alone, with weight 1 at node 0."""
-        return TranslateSum(((1.0, self),)).at((0.0,))
 
     def scaled(self, factor: float) -> "Kernel":
         if factor <= 0:

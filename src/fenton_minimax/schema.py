@@ -16,9 +16,9 @@ from typing import Any
 from .core import Interval, NodeSystem
 from .fields import Field, FieldPiece
 from .formulas import formula_from_json, formula_to_json
-from .kernels import kernel_from_json, kernel_to_json
+from .kernels import Kernel, kernel_from_json, kernel_to_json
 from .solvers import SolveOptions, SolveReport
-from .sumtrans import EXACT, Problem, SupMode, grid_mode
+from .sumtrans import Problem
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -42,6 +42,13 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """Malformed configuration or report document."""
+
+
+def _reject_unknown(d: dict, known: tuple[str, ...], what: str) -> None:
+    """A ConfigError naming the keys of the descriptor d outside known."""
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def encode_value(v: float) -> Any:
@@ -73,6 +80,7 @@ def _interval_to_json(iv: Interval) -> dict:
 def _interval_from_json(d: Any) -> Interval:
     if not isinstance(d, dict) or "a" not in d or "b" not in d:
         raise ConfigError(f"interval descriptor needs a and b, got {d!r}")
+    _reject_unknown(d, ("a", "b", "closed_left", "closed_right"), "interval")
     return Interval(float(d["a"]), float(d["b"]),
                     closed_left=bool(d.get("closed_left", True)),
                     closed_right=bool(d.get("closed_right", True)))
@@ -92,6 +100,7 @@ def field_from_json(d: Any) -> Field:
     pieces = []
     for pd in d["pieces"]:
         try:
+            _reject_unknown(pd, ("interval", "formula"), "field piece")
             pieces.append(FieldPiece(_interval_from_json(pd["interval"]),
                                      formula_from_json(pd["formula"])))
         except (KeyError, TypeError) as exc:
@@ -99,21 +108,13 @@ def field_from_json(d: Any) -> Field:
     return Field(pieces=tuple(pieces))
 
 
-def _sup_mode_to_json(m: SupMode) -> dict:
-    d: dict = {"kind": m.kind}
-    if m.kind == "grid":
-        d["grid_n"] = m.grid_n
-    return d
+_KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
 
 
-def _sup_mode_from_json(d: Any) -> SupMode:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"sup_mode descriptor needs a kind, got {d!r}")
-    if d["kind"] == "exact":
-        return EXACT
-    if d["kind"] == "grid":
-        return grid_mode(int(d.get("grid_n", 4096)))
-    raise ConfigError(f"unknown sup mode {d['kind']!r}")
+def _kernel_from_json(d: Any) -> Kernel:
+    if isinstance(d, dict):
+        _reject_unknown(d, _KERNEL_KEYS, "kernel")
+    return kernel_from_json(d)
 
 
 def problem_to_json(p: Problem) -> dict:
@@ -124,14 +125,13 @@ def problem_to_json(p: Problem) -> dict:
         d["kernel"] = kernel_to_json(p.kernel)
         if p.weights != (1.0,) * p.n:
             d["weights"] = list(p.weights)
-    if p.sup_mode != EXACT:
-        d["sup_mode"] = _sup_mode_to_json(p.sup_mode)
     return d
 
 
 def problem_from_json(d: Any) -> Problem:
     if not isinstance(d, dict):
         raise ConfigError(f"problem descriptor must be an object, got {d!r}")
+    _reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
     try:
         n = int(d["n"])
         field = field_from_json(d["field"])
@@ -139,15 +139,13 @@ def problem_from_json(d: Any) -> Problem:
         raise ConfigError(f"problem descriptor missing {exc}") from exc
     kwargs: dict = {}
     if "kernels" in d:
-        kwargs["kernels"] = tuple(kernel_from_json(k) for k in d["kernels"])
+        kwargs["kernels"] = tuple(_kernel_from_json(k) for k in d["kernels"])
     elif "kernel" in d:
-        kwargs["kernel"] = kernel_from_json(d["kernel"])
+        kwargs["kernel"] = _kernel_from_json(d["kernel"])
         if "weights" in d:
             kwargs["weights"] = tuple(float(w) for w in d["weights"])
     else:
         raise ConfigError("problem descriptor needs a kernel or a kernels list")
-    if "sup_mode" in d:
-        kwargs["sup_mode"] = _sup_mode_from_json(d["sup_mode"])
     try:
         return Problem(n=n, field=field, **kwargs)
     except ValueError as exc:
@@ -170,9 +168,7 @@ def options_from_json(d: Any) -> SolveOptions:
         return SolveOptions()
     if not isinstance(d, dict):
         raise ConfigError(f"options must be an object, got {d!r}")
-    unknown = set(d) - set(_OPTION_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown option keys: {', '.join(sorted(unknown))}")
+    _reject_unknown(d, _OPTION_KEYS, "option")
     kwargs: dict = dict(d)
     if "continuation_etas" in kwargs:
         kwargs["continuation_etas"] = tuple(float(e) for e in kwargs["continuation_etas"])
@@ -210,10 +206,8 @@ def config_from_json(d: Any) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     if d.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare \"schema\": {SCHEMA_VERSION}")
-    known = {"schema", "problem", "options", "nodes", "checks", "sweep", "output"}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    _reject_unknown(d, ("schema", "problem", "options", "nodes", "checks", "sweep",
+                        "output"), "config")
     if "problem" not in d:
         raise ConfigError("config needs a problem section")
     problem = problem_from_json(d["problem"])

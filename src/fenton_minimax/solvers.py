@@ -5,7 +5,7 @@ piece endpoints) and take grid maxima in t, which makes them an independent
 low-resolution route against the exact sup engine: they call nothing from it.
 One block enumerator serves both.  It sums J and the first n - 1 translates
 once per prefix of grid indices and takes every last node at once as the rows
-of a numpy block, so the cost is O(C(m+n-1, n) * |t-grid|) array work with
+of a numpy block, so the cost is O(C(m+n-1, n) * m) array work with
 no Python per tuple.  The sums run in the order a tuple-at-a-time loop would
 use and maxima are exact, so each value is that loop's float.  The winner is
 the lexicographically first tuple with the best value.  The equioscillation
@@ -164,8 +164,6 @@ def _repair(p: Problem, arr) -> np.ndarray:
             x[i] = min(x[i], x[i + 1] - sep)
         x = np.minimum(np.maximum(x, 0.0), 1.0)
 
-    if not p.field.is_piecewise:
-        return x
     from .sumtrans import regularity
 
     for _ in range(6):
@@ -212,26 +210,18 @@ _MAX_TUPLES = 3_000_000
 _BLOCK_VALUES = 1 << 17
 
 
-def _oracle_grids(p: Problem, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_grid(p: Problem, h: float) -> np.ndarray:
+    """The one grid of the oracles, for nodes and t alike: step h, the
+    field's piece ends, and probes 1e-9 either side of each.  Nodes hugging a
+    piece end matter when the sup lives in a one-sided limit there
+    (half-open pieces)."""
     if not (0 < h <= 0.5):
         raise ValueError("grid step h must lie in (0, 0.5]")
     m = max(2, round(1.0 / h))
-    xg = [np.linspace(0.0, 1.0, m + 1)]
-    probes = []
-    if p.field.is_piecewise:
-        ends = sorted({e for piece in p.field.pieces
-                       for e in (piece.interval.a, piece.interval.b)})
-        xg.append(np.array(ends))
-        for e in ends:
-            probes.extend([e - 1e-9, e + 1e-9])
-    if probes:
-        # nodes hugging a piece boundary matter when the sup lives in a
-        # one-sided limit there (half-open pieces)
-        xg.append(np.clip(np.array(probes), 0.0, 1.0))
-    xgrid = np.unique(np.concatenate(xg))
-    tg = np.unique(np.clip(np.concatenate([xgrid, np.array(probes)] if probes else [xgrid]),
-                           0.0, 1.0))
-    return xgrid, tg
+    ends = np.array(sorted({e for piece in p.field.pieces
+                            for e in (piece.interval.a, piece.interval.b)}))
+    probes = np.clip(np.concatenate([ends - 1e-9, ends + 1e-9]), 0.0, 1.0)
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, m + 1), ends, probes]))
 
 
 def _oracle_rows(p: Problem, xgrid: np.ndarray, tg: np.ndarray) -> list[np.ndarray]:
@@ -259,27 +249,27 @@ def _oracle_search(p: Problem, h: float,
     summed once, and every last index k >= i_{n-2} is one row of the block
     F = base + w_{n-1} K(t - x_k), at most ``_BLOCK_VALUES`` grid values at a
     time.  ``score(F, cuts, upto, onward)`` gives one score per row: ``cuts``
-    holds the t-grid positions of 0, x_{i_0}, ..., x_{i_{n-2}}, and row r of
+    holds the t-grid positions of 0, x_{i_0}, ..., x_{i_{n-2}} (nodes and t
+    share one grid, so x_i sits at position i), and row r of
     ``upto``/``onward`` marks t <= x_k/t >= x_k for the row's k.  The first
     best row of a block wins, and a later block only with a strictly larger
     score, so ties go to the lexicographically first tuple.  A NaN score never
     wins; when no score exceeds -inf the result is (None, -inf).
     """
-    xgrid, tg = _oracle_grids(p, h)
-    m, n = len(xgrid), p.n
+    grid = _oracle_grid(p, h)
+    m, n = len(grid), p.n
     _check_budget(m, n)
-    jvals = p.field.eval_many(tg)
-    rows = _oracle_rows(p, xgrid, tg)
-    pos = np.searchsorted(tg, xgrid)
-    cols = np.arange(len(tg))
-    upto, onward = cols <= pos[:, None], cols >= pos[:, None]
-    block = max(1, _BLOCK_VALUES // len(tg))
+    jvals = p.field.eval_many(grid)
+    rows = _oracle_rows(p, grid, grid)
+    pos = np.arange(m)
+    upto, onward = pos <= pos[:, None], pos >= pos[:, None]
+    block = max(1, _BLOCK_VALUES // m)
     best, best_idx = -math.inf, None
     for prefix in combinations_with_replacement(range(m), n - 1):
         base = jvals
         for j, i in enumerate(prefix):
             base = base + rows[j][i]
-        cuts = [0, *pos[list(prefix)]]
+        cuts = [0, *prefix]
         for k0 in range(prefix[-1] if prefix else 0, m, block):
             ks = slice(k0, k0 + block)
             s = score(base + rows[-1][ks], cuts, upto[ks], onward[ks])
@@ -287,7 +277,7 @@ def _oracle_search(p: Problem, h: float,
             r = int(np.argmax(s))
             if s[r] > best:
                 best, best_idx = float(s[r]), (*prefix, k0 + r)
-    return (None if best_idx is None else _ns(xgrid[list(best_idx)])), best
+    return (None if best_idx is None else _ns(grid[list(best_idx)])), best
 
 
 def _neg_overall_max(F, cuts, upto, onward) -> np.ndarray:
@@ -349,8 +339,6 @@ def _with_eta(p: Problem, eta: float) -> Problem:
 
 
 def _interior_breakpoints(p: Problem) -> list[float]:
-    if not p.field.is_piecewise:
-        return []
     return [t for t in p.field.breakpoints() if 0.0 < t < 1.0]
 
 

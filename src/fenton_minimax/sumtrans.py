@@ -36,19 +36,16 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ExtendedReal, Interval, NEG_INF, NodeSystem, UNIT
-from .fields import Field, RealSubset, UnsupportedFieldError, finiteness_domain, n_field_check
+from .core import ExtendedReal, Interval, NEG_INF, NodeSystem
+from .fields import Field, RealSubset, finiteness_domain, n_field_check
 from .kernels import Kernel, TranslateSum
 from .maximize import concave_max, concave_max_many
 
 __all__ = [
-    "SupMode",
-    "EXACT",
-    "grid_mode",
     "Problem",
     "MaximaVector",
     "MaximaBatch",
@@ -66,33 +63,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SupMode:
-    """"exact" uses the cell engine; "grid" takes a sampled lower bound."""
-
-    kind: str
-    grid_n: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "grid"):
-            raise ValueError(f"unknown sup mode {self.kind!r}")
-        if self.kind == "grid" and self.grid_n < 2:
-            raise ValueError("grid mode needs at least 2 samples")
-
-
-EXACT = SupMode("exact")
-
-
-def grid_mode(n: int = 4096) -> SupMode:
-    return SupMode("grid", n)
-
-
-@dataclass(frozen=True)
 class Problem:
     """A field plus n weighted kernel translates.
 
     Either a shared kernel with a positive weight per node, or one kernel per
-    node (generalized form).  The field must be finite at enough points for n
-    nodes; callable fields are allowed only in grid mode.
+    node (generalized form).  The field must be piecewise and finite at
+    enough points for n nodes.
     """
 
     n: int
@@ -100,7 +76,6 @@ class Problem:
     kernel: Kernel | None = None
     weights: tuple[float, ...] | None = None
     kernels: tuple[Kernel, ...] | None = None
-    sup_mode: SupMode = EXACT
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -120,14 +95,13 @@ class Problem:
             if any(v <= 0 or not math.isfinite(v) for v in w):
                 raise ValueError("weights must be positive and finite")
             object.__setattr__(self, "weights", w)
-        if self.field.is_piecewise:
-            chk = n_field_check(self.field, self.n)
-            if not chk.valid:
-                raise ValueError(
-                    f"field is finite at too few points for n={self.n} "
-                    f"(weighted count {chk.weighted_count})")
-        elif self.sup_mode.kind != "grid":
-            raise ValueError("callable fields require grid sup mode")
+        if not self.field.is_piecewise:
+            raise ValueError("a problem needs a piecewise field")
+        chk = n_field_check(self.field, self.n)
+        if not chk.valid:
+            raise ValueError(
+                f"field is finite at too few points for n={self.n} "
+                f"(weighted count {chk.weighted_count})")
 
     def __getstate__(self) -> dict:
         # the cached plan holds the kernel table's lambdas, which do not pickle
@@ -266,19 +240,6 @@ def _pure_fun(p: Problem, x: NodeSystem):
 # the sup engine
 
 
-def _breakpoints_inside(p: Problem, x: NodeSystem, q: Interval) -> list[float]:
-    cuts = set()
-    for xj in x.nodes:
-        if q.a < xj < q.b:
-            cuts.add(xj)
-    if p.field.is_piecewise:
-        for piece in p.field.pieces:
-            for e in (piece.interval.a, piece.interval.b):
-                if q.a < e < q.b:
-                    cuts.add(e)
-    return sorted(cuts)
-
-
 # (value, witness, attained, err), the value a float with -inf allowed
 _RawSup = tuple[float, float | None, bool, float]
 
@@ -345,68 +306,24 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
 
     The value honours q's end inclusion flags: over a half-open cell the
     supremum may be a one-sided limit, reported with attained=False and the
-    limit location as witness.  In exact mode the supremum lies in
-    [value, value + err]: err is 0 when every cell maximum was certified at
-    an exactly evaluated point, and otherwise the largest tangent-gap bound
-    of a cell above the winning value.
+    limit location as witness.  The supremum lies in [value, value + err]:
+    err is 0 when every cell maximum was certified at an exactly evaluated
+    point, and otherwise the largest tangent-gap bound of a cell above the
+    winning value.
     """
     _check_nodes(p, x)
     if q.a < 0.0 or q.b > 1.0:
         raise ValueError("query interval must sit inside [0, 1]")
-    if p.sup_mode.kind == "grid":
-        return _sup_grid(p, x, q)
-    if not p.field.is_piecewise:
-        raise UnsupportedFieldError("exact suprema need a piecewise field")
     return _result(_sup_cells(p, x, _pure_fun(p, x), q.a, q.b, q.closed_left, q.closed_right))
 
 
 def _maxima_fn(p: Problem, x: NodeSystem) -> Callable[[int], _RawSup]:
     """j -> (m_j, witness, attained, err) of x as floats, the m_j of
-    ``interval_maxima``; in exact mode every interval shares one F
-    evaluator."""
+    ``interval_maxima``; every interval shares one F evaluator."""
     _check_nodes(p, x)
-    if p.sup_mode.kind == "grid":
-        def grid(j: int) -> _RawSup:
-            r = _sup_grid(p, x, x.interval(j))
-            return r.value.as_float(), r.witness, r.attained, r.err
-
-        return grid
-    if not p.field.is_piecewise:
-        raise UnsupportedFieldError("exact suprema need a piecewise field")
     f = _pure_fun(p, x)
     s = x.with_sentinels()
-
-    def exact(j: int) -> _RawSup:
-        return _sup_cells(p, x, f, s[j], s[j + 1])
-
-    return exact
-
-
-def _sup_grid(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
-    n = p.sup_mode.grid_n
-    samples = {q.a, q.b}
-    samples.update(np.linspace(q.a, q.b, n + 1).tolist())
-    for t in _breakpoints_inside(p, x, q):
-        samples.add(t)
-        for probe in (t - 1e-9, t + 1e-9):
-            if q.a < probe < q.b:
-                samples.add(probe)
-    ts = sorted(s for s in samples if q.contains(s))
-    if not ts:
-        return SupResult(NEG_INF, None, False, 0.0)
-    arr = np.array(ts)
-    vals = p.field.eval_many(arr)
-    for (w, k), xj in zip(p.translates(), x.nodes):
-        vals = vals + w * k.eval_many(arr - xj)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    if best == -math.inf:
-        return SupResult(NEG_INF, None, False, 0.0)
-    spacing = (q.b - q.a) / n if n else 0.0
-    neigh = [abs(best - float(vals[j])) for j in (i - 1, i + 1)
-             if 0 <= j < len(ts) and math.isfinite(vals[j])]
-    err = max(neigh) if neigh else spacing
-    return SupResult(ExtendedReal(best), float(arr[i]), True, err)
+    return lambda j: _sup_cells(p, x, f, s[j], s[j + 1])
 
 
 def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
@@ -461,7 +378,7 @@ def interval_maxima_batch(p: Problem, X) -> MaximaBatch:
     lockstep.  The winner per interval follows ``sup_on_interval``: the
     largest value, then attained, then smaller err, then smaller t.  Rows do
     not interact, so row i is bit for bit the result of a batch of row i
-    alone.  Grid-mode problems go through the scalar engine row by row.
+    alone.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != p.n:
@@ -469,14 +386,9 @@ def interval_maxima_batch(p: Problem, X) -> MaximaBatch:
     if not (np.all((X >= 0.0) & (X <= 1.0)) and np.all(np.diff(X, axis=1) >= 0.0)):
         raise ValueError("every row must be a nondecreasing node system in [0, 1]")
     B, m = X.shape[0], p.n + 1
-    if p.sup_mode.kind == "grid" or B == 0:
-        ms = [interval_maxima(p, NodeSystem(row)) for row in X]
-        return MaximaBatch(
-            np.array([mv.floats() for mv in ms], dtype=float).reshape(B, m),
-            np.array([[np.nan if w is None else w for w in mv.witnesses] for mv in ms],
-                     dtype=float).reshape(B, m),
-            np.array([mv.attained for mv in ms], dtype=bool).reshape(B, m),
-            np.array([mv.err for mv in ms], dtype=float).reshape(B, m))
+    if B == 0:
+        empty = np.empty((0, m))
+        return MaximaBatch(empty, empty, empty.astype(bool), empty)
     field = p.field
 
     # points: each interval's start, the piece ends strictly inside, its end
@@ -540,8 +452,6 @@ def singularity_set(p: Problem, x: NodeSystem) -> RealSubset:
     """Where F(x, .) = -inf: the field's -inf set, singular-kernel nodes, and
     the domain ends when a translate there evaluates a -inf kernel endpoint."""
     _check_nodes(p, x)
-    if not p.field.is_piecewise:
-        raise UnsupportedFieldError("singularity sets need a piecewise field")
     base = finiteness_domain(p.field).complement_in_unit()
     pts = [xj for j, xj in enumerate(x.nodes) if p.node_is_singular(j)]
     for j, xj in enumerate(x.nodes):

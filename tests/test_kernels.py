@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
-from fenton_minimax.kernels import (FAMILIES, Kernel, KernelFlags, custom_kernel,
-                                    kernel_eval, kernel_from_json,
-                                    kernel_to_json, kernel_validate,
-                                    log_kernel, power_kernel, singularize,
-                                    sqrt_kernel, strictify, zero_kernel)
+from fenton_minimax.kernels import (FAMILIES, Kernel, KernelFlags, TranslateSum,
+                                    custom_kernel, kernel_eval,
+                                    kernel_from_json, kernel_to_json,
+                                    kernel_validate, log_kernel, power_kernel,
+                                    singularize, sqrt_kernel, strictify,
+                                    zero_kernel)
 
 STOCK = [zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
          power_kernel(1.5)]
@@ -273,18 +274,20 @@ def test_table_deriv_at_zero_only_when_sides_agree(k):
 
 @pytest.mark.parametrize("k", TABLE_CASES)
 def test_eval_deriv_is_eval_and_deriv_bitwise(k):
+    # the term walk of TranslateSum for this kernel alone, weight 1 at node 0;
     # compared as bytes, so the NaN at t = 0 and the sign of a zero count too
     def bits(v):
         return np.float64(v).tobytes()
 
+    walk = TranslateSum(((1.0, k),)).at((0.0,))
     for t in TS:
         t = float(t)
-        v, d = k.eval_deriv(t)
+        v, d = walk(t)
         assert (bits(v), bits(d)) == (bits(k.eval(t)), bits(k.deriv(t))), t
     with pytest.raises(ValueError):
-        k.eval_deriv(1.5)
+        walk(1.5)
     with pytest.raises(ValueError):
-        k.eval_deriv(-1.0 - 1e-12)
+        walk(-1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("f", [Constant(0.7), Affine(-1.5, 0.2),
@@ -331,16 +334,16 @@ def test_formula_derivs_matches_deriv(f):
 
 
 def test_pickles_after_eval_deriv():
-    # eval_deriv caches a closure over the table's lambdas on the instance
+    # evaluating caches the term list, which holds the table's lambdas
     for k in (log_kernel(), strictify(log_kernel(), 0.1)):
-        before = k.eval_deriv(0.2)
+        before = (k.eval(0.2), k.deriv(0.2))
         back = pickle.loads(pickle.dumps(k))
-        assert back == k and back.eval_deriv(0.2) == before
+        assert back == k and (back.eval(0.2), back.deriv(0.2)) == before
 
 
 def _ref_eval_deriv(k, t):
-    """The walk over the terms that ``eval_deriv`` did on every call before
-    it became a closure built once per kernel."""
+    """One kernel's (value, derivative), walking its terms as ``Kernel.eval``
+    and ``Kernel.deriv`` do."""
     v = d = 0.0
     for fam, param in k._terms:
         v += fam.value(param, t)

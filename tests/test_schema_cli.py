@@ -239,6 +239,26 @@ class TestCliSolve:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 2
 
+    # a misspelled or stale key would otherwise be dropped without a word
+    @pytest.mark.parametrize("problem, key", [
+        ({**LOG_N2, "weight": [2.0, 3.0]}, "unknown problem keys: weight"),
+        ({**LOG_N2, "sup_mode": {"kind": "exact"}}, "unknown problem keys: sup_mode"),
+        ({**LOG_N2, "kernel": {"family": "log", "strictfy_eta": 0.1}},
+         "unknown kernel keys: strictfy_eta"),
+        ({**RAMP_ZERO, "field": {"pieces": [{
+            "interval": {"a": 0.0, "b": 0.5, "closed_rigth": False},
+            "formula": {"type": "affine", "alpha": 1.0, "beta": 0.0}}]}},
+         "unknown interval keys: closed_rigth"),
+        ({**RAMP_ZERO, "field": {"pieces": [{
+            "interval": {"a": 0.0, "b": 0.5}, "closed_right": False,
+            "formula": {"type": "affine", "alpha": 1.0, "beta": 0.0}}]}},
+         "unknown field piece keys: closed_right"),
+    ], ids=["weight", "sup_mode", "strictfy_eta", "closed_rigth", "piece-closed_right"])
+    def test_unknown_descriptor_key_exits_2(self, tmp_path, capsys, problem, key):
+        cfg = write_cfg(tmp_path, "c.json", problem)
+        assert main(["solve", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestCliOracle:
     def test_single_node_landscape_csv(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from fenton_minimax.formulas import Affine, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, sqrt_kernel, zero_kernel)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
-                                    _oracle_grids, _oracle_rows, _repair,
+                                    _oracle_grid, _oracle_rows, _repair,
                                     brute_maximin, brute_minimax,
                                     sample_regular, solve_equioscillation,
                                     solve_maximin, solve_minimax)
@@ -221,7 +221,7 @@ class TestBruteOracles:
 def loop_minimax(p, h):
     """Reference grid minimax: one node tuple at a time, in
     combinations_with_replacement order, first strict improvement wins."""
-    xgrid, tg = _oracle_grids(p, h)
+    xgrid = tg = _oracle_grid(p, h)
     _check_budget(len(xgrid), p.n)
     jvals = p.field.eval_many(tg)
     rows = _oracle_rows(p, xgrid, tg)
@@ -239,7 +239,7 @@ def loop_minimax(p, h):
 
 def loop_maximin(p, h):
     """Reference grid maximin, one node tuple at a time like loop_minimax."""
-    xgrid, tg = _oracle_grids(p, h)
+    xgrid = tg = _oracle_grid(p, h)
     _check_budget(len(xgrid), p.n)
     jvals = p.field.eval_many(tg)
     rows = _oracle_rows(p, xgrid, tg)

@@ -11,17 +11,17 @@ from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
-from fenton_minimax.fields import Field, UnsupportedFieldError
+from fenton_minimax.fields import Field
 from fenton_minimax.formulas import Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
                                     strictify, zero_kernel)
 from fenton_minimax.maximize import concave_max
 from fenton_minimax.solvers import SolveOptions, solve_maximin
-from fenton_minimax.sumtrans import (Problem, difference_map, grid_mode,
-                                     interval_maxima, interval_maxima_batch,
-                                     pure_sum_eval, regularity, singularity_set,
-                                     sum_eval, sup_on_interval)
+from fenton_minimax.sumtrans import (Problem, difference_map, interval_maxima,
+                                     interval_maxima_batch, pure_sum_eval,
+                                     regularity, singularity_set, sum_eval,
+                                     sup_on_interval)
 
 # closed-form optimum of the two-node flat problem with the log kernel:
 # nodes at 1/2 -/+ 1/(2*sqrt(2)), every interval max equal to log(1/8)
@@ -65,11 +65,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             Problem(n=2, field=dots, kernel=log_kernel())
 
-    def test_callable_needs_grid_mode(self):
+    def test_callable_field_rejected(self):
         holder = Field(fn=lambda t: 0.0, declared_upper_bound=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="piecewise field"):
             Problem(n=1, field=holder, kernel=log_kernel())
-        Problem(n=1, field=holder, kernel=log_kernel(), sup_mode=grid_mode())
 
     def test_translates_and_flags(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel(),
@@ -215,22 +214,18 @@ class TestIntervalMaxima:
         assert m.witnesses[1] == 0.5
 
     def test_grid_mode_close_to_exact(self):
-        exact = Problem(n=2, field=bump_field(), kernel=log_kernel())
-        grid = Problem(n=2, field=bump_field(), kernel=log_kernel(),
-                       sup_mode=grid_mode(8192))
+        # F sampled densely on each interval is a lower bound close to m_j
+        p = Problem(n=2, field=bump_field(), kernel=log_kernel())
         x = NodeSystem((0.3, 0.7))
-        me = interval_maxima(exact, x).floats()
-        mg = interval_maxima(grid, x).floats()
-        for a, b in zip(me, mg):
-            assert b <= a + 1e-12  # grid is a lower bound
-            assert b == pytest.approx(a, abs=1e-6)
-
-    def test_callable_field_grid(self):
-        J = Field(fn=lambda t: -((t - 0.3) ** 2), declared_upper_bound=0.0)
-        p = Problem(n=1, field=J, kernel=zero_kernel(), sup_mode=grid_mode(4096))
-        m = interval_maxima(p, NodeSystem((0.5,)))
-        assert m.values[0].as_float() == pytest.approx(0.0, abs=1e-7)
-        assert m.witnesses[0] == pytest.approx(0.3, abs=1e-3)
+        s = x.with_sentinels()
+        for j, m in enumerate(interval_maxima(p, x).floats()):
+            ts = np.linspace(s[j], s[j + 1], 8193)
+            f = p.field.eval_many(ts)
+            for (w, k), xj in zip(p.translates(), x.nodes):
+                f = f + w * k.eval_many(ts - xj)
+            best = float(f.max())
+            assert best <= m + 1e-12
+            assert best == pytest.approx(m, abs=1e-6)
 
 
 class TestSingularitySet:
@@ -251,12 +246,6 @@ class TestSingularitySet:
         spans = [(i.a, i.b) for i in s.intervals]
         assert (0.4, 0.6) in [(round(a, 12), round(b, 12)) for a, b in spans]
         assert 0.2 in s.points
-
-    def test_callable_rejected(self):
-        J = Field(fn=lambda t: 0.0, declared_upper_bound=0.0)
-        p = Problem(n=1, field=J, kernel=zero_kernel(), sup_mode=grid_mode())
-        with pytest.raises(UnsupportedFieldError):
-            singularity_set(p, NodeSystem((0.5,)))
 
 
 class TestRegularity:
@@ -427,15 +416,6 @@ class TestBatchInterface:
     def test_empty_batch(self):
         mb = interval_maxima_batch(BATTERY["log-n2-flat"], np.empty((0, 2)))
         assert all(a.shape == (0, 3) for a in mb)
-
-    def test_grid_mode_rows_use_the_scalar_engine(self):
-        p = Problem(n=2, field=bump_field(), kernel=log_kernel(), sup_mode=grid_mode(512))
-        X = np.array([[0.2, 0.7], [0.4, 0.4]])
-        mb = interval_maxima_batch(p, X)
-        for i, row in enumerate(X):
-            mv = interval_maxima(p, NodeSystem(row))
-            assert tuple(mb.values[i]) == mv.floats()
-            assert tuple(mb.err[i]) == mv.err
 
 
 # ---------------------------------------------------------------------------
