@@ -603,18 +603,13 @@ def _transformed(p: Problem, direction: str, eta: float) -> Problem:
     return replace(p, kernel=op(p.kernel, eta))
 
 
-def _maxima_at(p: Problem, X: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """m_{js[i]} of node system X[i], for every row i."""
-    return interval_maxima_batch(p, X).values[np.arange(len(js)), js]
-
-
 def _kernel_limit_slacks(p: Problem, X: np.ndarray, js: np.ndarray, direction: str,
                          etas: tuple[float, ...]) -> np.ndarray:
     """Slacks of m_{js[i]} at node system X[i], one row each: consecutive
     etas first, then each eta against the untransformed problem."""
-    base = _maxima_at(p, X, js)[:, None]
-    vals = np.column_stack([_maxima_at(_transformed(p, direction, e), X, js)
-                            for e in etas])
+    stack = [p, *(_transformed(p, direction, e) for e in etas)]
+    m = interval_maxima_batch(stack, X, js).values
+    base, vals = m[0][:, None], m[1:].T
     if direction == "strictify":
         # adding eta*sqrt raises the kernel: values decrease toward the base
         steps, gaps = _ext_diff(vals[:, :-1], vals[:, 1:]), _ext_diff(vals, base)

@@ -2,7 +2,9 @@
 
 The scalar type models R ∪ {-inf}: +inf is never representable, addition
 absorbs -inf, and the order is total.  Everything in this module is an
-immutable value object, safe to hash and to share.
+immutable value object, safe to hash and to share.  ``ConfigError`` and
+``reject_unknown`` sit here too, so that every module that reads a JSON
+descriptor (formulas, kernels, schema) rejects unknown keys the same way.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 __all__ = [
+    "ConfigError",
+    "reject_unknown",
     "ExtendedReal",
     "NEG_INF",
     "ext_sum",
@@ -20,6 +24,20 @@ __all__ = [
     "UNIT",
     "NodeSystem",
 ]
+
+
+class ConfigError(ValueError):
+    """Malformed configuration or report document."""
+
+
+def reject_unknown(d: Any, known: tuple[str, ...], what: str) -> None:
+    """A ConfigError unless d is a descriptor object whose keys all lie in
+    known; the message names the unknown keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} descriptor must be an object, got {d!r}")
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 @total_ordering

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import reject_unknown
+
 __all__ = [
     "Formula",
     "Constant",
@@ -179,10 +181,18 @@ def formula_to_json(f: Formula) -> dict:
     raise TypeError(f"unknown formula {f!r}")
 
 
+# the keys of a formula descriptor besides "type", per type
+_FORMULA_KEYS = {"constant": ("c",), "affine": ("alpha", "beta"),
+                 "quadratic": ("a", "b", "c"), "log_weight": ("w",)}
+
+
 def formula_from_json(d: dict) -> Formula:
     if not isinstance(d, dict) or "type" not in d:
         raise ValueError(f"formula descriptor must be an object with a type, got {d!r}")
     kind = d["type"]
+    if kind not in _FORMULA_KEYS:
+        raise ValueError(f"unknown formula type {kind!r}")
+    reject_unknown(d, ("type", *_FORMULA_KEYS[kind]), f"{kind} formula")
     try:
         if kind == "constant":
             return Constant(float(d["c"]))
@@ -190,8 +200,6 @@ def formula_from_json(d: dict) -> Formula:
             return Affine(float(d["alpha"]), float(d["beta"]))
         if kind == "quadratic":
             return Quadratic(float(d["a"]), float(d["b"]), float(d["c"]))
-        if kind == "log_weight":
-            return LogWeight(formula_from_json(d["w"]))
+        return LogWeight(formula_from_json(d["w"]))
     except KeyError as exc:
         raise ValueError(f"formula descriptor missing field {exc}") from exc
-    raise ValueError(f"unknown formula type {kind!r}")

@@ -42,7 +42,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import ExtendedReal
+from .core import ExtendedReal, reject_unknown
 from .formulas import Formula, formula_from_json, formula_to_json
 
 __all__ = [
@@ -547,11 +547,20 @@ def kernel_to_json(k: Kernel) -> dict:
     return d
 
 
+_KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
+# the keys of a kernel's "params" object, per family
+_PARAM_KEYS = {"zero": (), "log": (), "sqrt": (), "power": ("s",),
+               "custom": ("neg", "pos", "flags")}
+
+
 def kernel_from_json(d: dict) -> Kernel:
     if not isinstance(d, dict) or "family" not in d:
         raise ValueError(f"kernel descriptor must be an object with a family, got {d!r}")
+    reject_unknown(d, _KERNEL_KEYS, "kernel")
     family = d["family"]
     params = d.get("params") or {}
+    if family in _PARAM_KEYS:
+        reject_unknown(params, _PARAM_KEYS[family], f"{family} kernel params")
     if family == "zero":
         k = zero_kernel()
     elif family == "log":
@@ -565,6 +574,7 @@ def kernel_from_json(d: dict) -> Kernel:
     elif family == "custom":
         try:
             fd = params["flags"]
+            reject_unknown(fd, tuple(KernelFlags.__dataclass_fields__), "kernel flag")
             flags = KernelFlags(bool(fd["singular"]), bool(fd["monotone"]),
                                 bool(fd["strictly_monotone"]), bool(fd["strictly_concave"]),
                                 bool(fd["cusp"]))

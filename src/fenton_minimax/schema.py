@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .core import Interval, NodeSystem
+from .core import ConfigError, Interval, NodeSystem, reject_unknown
 from .fields import Field, FieldPiece
 from .formulas import formula_from_json, formula_to_json
-from .kernels import Kernel, kernel_from_json, kernel_to_json
+from .kernels import kernel_from_json, kernel_to_json
 from .solvers import SolveOptions, SolveReport
 from .sumtrans import Problem
 
@@ -38,17 +38,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Malformed configuration or report document."""
-
-
-def _reject_unknown(d: dict, known: tuple[str, ...], what: str) -> None:
-    """A ConfigError naming the keys of the descriptor d outside known."""
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def encode_value(v: float) -> Any:
@@ -80,7 +69,7 @@ def _interval_to_json(iv: Interval) -> dict:
 def _interval_from_json(d: Any) -> Interval:
     if not isinstance(d, dict) or "a" not in d or "b" not in d:
         raise ConfigError(f"interval descriptor needs a and b, got {d!r}")
-    _reject_unknown(d, ("a", "b", "closed_left", "closed_right"), "interval")
+    reject_unknown(d, ("a", "b", "closed_left", "closed_right"), "interval")
     return Interval(float(d["a"]), float(d["b"]),
                     closed_left=bool(d.get("closed_left", True)),
                     closed_right=bool(d.get("closed_right", True)))
@@ -100,21 +89,12 @@ def field_from_json(d: Any) -> Field:
     pieces = []
     for pd in d["pieces"]:
         try:
-            _reject_unknown(pd, ("interval", "formula"), "field piece")
+            reject_unknown(pd, ("interval", "formula"), "field piece")
             pieces.append(FieldPiece(_interval_from_json(pd["interval"]),
                                      formula_from_json(pd["formula"])))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad field piece {pd!r}: {exc}") from exc
     return Field(pieces=tuple(pieces))
-
-
-_KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
-
-
-def _kernel_from_json(d: Any) -> Kernel:
-    if isinstance(d, dict):
-        _reject_unknown(d, _KERNEL_KEYS, "kernel")
-    return kernel_from_json(d)
 
 
 def problem_to_json(p: Problem) -> dict:
@@ -131,7 +111,7 @@ def problem_to_json(p: Problem) -> dict:
 def problem_from_json(d: Any) -> Problem:
     if not isinstance(d, dict):
         raise ConfigError(f"problem descriptor must be an object, got {d!r}")
-    _reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
+    reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
     try:
         n = int(d["n"])
         field = field_from_json(d["field"])
@@ -139,9 +119,9 @@ def problem_from_json(d: Any) -> Problem:
         raise ConfigError(f"problem descriptor missing {exc}") from exc
     kwargs: dict = {}
     if "kernels" in d:
-        kwargs["kernels"] = tuple(_kernel_from_json(k) for k in d["kernels"])
+        kwargs["kernels"] = tuple(kernel_from_json(k) for k in d["kernels"])
     elif "kernel" in d:
-        kwargs["kernel"] = _kernel_from_json(d["kernel"])
+        kwargs["kernel"] = kernel_from_json(d["kernel"])
         if "weights" in d:
             kwargs["weights"] = tuple(float(w) for w in d["weights"])
     else:
@@ -168,7 +148,7 @@ def options_from_json(d: Any) -> SolveOptions:
         return SolveOptions()
     if not isinstance(d, dict):
         raise ConfigError(f"options must be an object, got {d!r}")
-    _reject_unknown(d, _OPTION_KEYS, "option")
+    reject_unknown(d, _OPTION_KEYS, "option")
     kwargs: dict = dict(d)
     if "continuation_etas" in kwargs:
         kwargs["continuation_etas"] = tuple(float(e) for e in kwargs["continuation_etas"])
@@ -206,8 +186,8 @@ def config_from_json(d: Any) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     if d.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare \"schema\": {SCHEMA_VERSION}")
-    _reject_unknown(d, ("schema", "problem", "options", "nodes", "checks", "sweep",
-                        "output"), "config")
+    reject_unknown(d, ("schema", "problem", "options", "nodes", "checks", "sweep",
+                       "output"), "config")
     if "problem" not in d:
         raise ConfigError("config needs a problem section")
     problem = problem_from_json(d["problem"])

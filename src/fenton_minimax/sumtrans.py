@@ -25,9 +25,15 @@ shares, since a cell end of one interval is a point candidate of the next.
 enter it through ``_maxima_fn``/``_sup_cells`` with float interval ends.
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
-systems are known up front, as in the sampling checks.  A batch of one costs
-many times a scalar call, which is why both engines remain.  ``err`` means
-the same in both: the supremum lies in [value, value + err].
+systems are known up front, as in the sampling checks.  Two options shrink
+and share that work.  An interval selector ``js`` asks for one interval per
+row, and only that interval's points and cells are built.  A stack of
+problems that share one field and one n (a problem and its kernel
+transforms) share the points and cells and go through one lockstep call,
+their kernels applied per problem.  The plain call is the one-problem case
+without a selector.  A batch of one costs many times a scalar call, which is
+why both engines remain.  ``err`` means the same in both: the supremum lies
+in [value, value + err].
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,7 +163,9 @@ class MaximaVector(NamedTuple):
 
 
 class MaximaBatch(NamedTuple):
-    """Interval maxima of B node systems, each field of shape (B, n + 1).
+    """Interval maxima of B node systems, each field of shape (B, n + 1), or
+    (B,) with an interval selector, behind one leading axis per problem
+    stack (see ``interval_maxima_batch``).
 
     ``values`` holds -inf where m_j = -inf, and ``witnesses`` holds NaN where
     the scalar engine reports no witness.
@@ -342,16 +350,21 @@ def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
 # the batch engine: many independent node systems at once
 
 
-def _pure_many(p: Problem, X: np.ndarray, rows: np.ndarray,
-               ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(X[rows], ts) and its t-derivative, summed node by node in the order
-    of ``_pure_fun``."""
+def _pure_many(stack: tuple[Problem, ...], X: np.ndarray, rows: np.ndarray,
+               ts: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(X[rows], ts) and its t-derivative, entries bounds[k]:bounds[k + 1]
+    with the translates of problem stack[k], each summed node by node in the
+    order of ``_pure_fun``."""
     total, slope = np.zeros(ts.shape), np.zeros(ts.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        for j, (w, k) in enumerate(p.translates()):
-            d = ts - X[rows, j]
-            total += w * k.eval_many(d)
-            slope += w * k.derivs(d)
+        for q, lo, hi in zip(stack, bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            t, r, tot, slp = ts[lo:hi], rows[lo:hi], total[lo:hi], slope[lo:hi]
+            for j, (w, k) in enumerate(q.translates()):
+                d = t - X[r, j]
+                tot += w * k.eval_many(d)
+                slp += w * k.derivs(d)
     return total, slope
 
 
@@ -366,82 +379,132 @@ def _formula_many(field: Field, piece: np.ndarray,
     return v, d
 
 
-def interval_maxima_batch(p: Problem, X) -> MaximaBatch:
+def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaBatch:
     """``interval_maxima`` for every row of X, an array of shape (B, n).
 
-    Row i agrees with ``interval_maxima(p, NodeSystem(X[i]))`` within the two
+    Without ``js`` every field of the result has shape (B, n + 1), and row i
+    agrees with ``interval_maxima(p, NodeSystem(X[i]))`` within the two
     ``err``s, which mean the same here: the supremum lies in
-    [value, value + err].  Every (row, interval, cell) of the exact engine
-    goes into one flat array: the cells are cut at piece ends (no node lies
-    strictly inside an interval), interval ends and piece ends are evaluated
-    exactly as point candidates, and ``concave_max_many`` takes every cell in
-    lockstep.  The winner per interval follows ``sup_on_interval``: the
-    largest value, then attained, then smaller err, then smaller t.  Rows do
-    not interact, so row i is bit for bit the result of a batch of row i
-    alone.
+    [value, value + err].  ``js``, an integer array of shape (B,) with
+    0 <= js[i] <= n, selects one interval per row: the result has shape (B,)
+    and holds m_{js[i]} of row i, and only the points and cells of that
+    interval are built.  ``p`` may also be a stack of problems that share
+    one field and one n (a problem and its kernel transforms, say): the
+    result then gains a leading axis, one entry per problem, and every
+    (problem, row, cell) is maximized in the same lockstep call.
+
+    The points are each interval's ends and the piece ends strictly inside
+    it (no node lies strictly inside an interval of a sorted system); they
+    depend on the field and X only, so the stack shares them, and they are
+    evaluated exactly as candidates.  The cells between them go, once per
+    problem, to ``concave_max_many``; the kernels of a problem enter only
+    through ``_pure_many``.  The winner per interval follows
+    ``sup_on_interval``: the largest value, then attained, then smaller err,
+    then smaller t.  Rows, intervals and problems do not interact, so every
+    entry is bit for bit the entry of the one-problem, all-intervals call on
+    its row alone.  A stack whose problems differ in field or n, rows that
+    are not sorted node systems in [0, 1], and js outside [0, n] raise
+    ``ValueError``.
     """
+    stack = (p,) if isinstance(p, Problem) else tuple(p)
+    if not stack or any(q.n != stack[0].n or q.field != stack[0].field for q in stack):
+        raise ValueError("a problem stack needs one or more problems with one field and one n")
+    field, n = stack[0].field, stack[0].n
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != p.n:
-        raise ValueError(f"expected an array of shape (B, {p.n}), got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"expected an array of shape (B, {n}), got {X.shape}")
     if not (np.all((X >= 0.0) & (X <= 1.0)) and np.all(np.diff(X, axis=1) >= 0.0)):
         raise ValueError("every row must be a nondecreasing node system in [0, 1]")
-    B, m = X.shape[0], p.n + 1
-    if B == 0:
-        empty = np.empty((0, m))
+    B, P = X.shape[0], len(stack)
+    # the queried intervals: (row, j) in row order, each row's j ascending
+    if js is None:
+        shape = (B, n + 1)
+        rows, jq = np.divmod(np.arange(B * (n + 1)), n + 1)
+    else:
+        shape = (B,)
+        jq = np.asarray(js)
+        if (jq.shape != shape or (jq.size and jq.dtype.kind not in "iu")
+                or np.any((jq < 0) | (jq > n))):
+            raise ValueError(f"js must hold {B} integers in [0, {n}]")
+        rows, jq = np.arange(B), jq.astype(int)
+    out = shape if isinstance(p, Problem) else (P, *shape)
+    Q = rows.size
+    if Q == 0:
+        empty = np.empty(out)
         return MaximaBatch(empty, empty, empty.astype(bool), empty)
-    field = p.field
+
+    def each(a: np.ndarray) -> np.ndarray:
+        """a once per problem, one copy after the other."""
+        return np.concatenate([a] * P)
 
     # points: each interval's start, the piece ends strictly inside, its end
     s = np.hstack([np.zeros((B, 1)), X, np.ones((B, 1))])
-    qa, qb = s[:, :-1].ravel(), s[:, 1:].ravel()
+    qa, qb = s[rows, jq], s[rows, jq + 1]
     ends = np.array(sorted({e for fp in field.pieces for e in (fp.interval.a, fp.interval.b)}))
     first = np.searchsorted(ends, qa, "right")
     inner = np.maximum(np.searchsorted(ends, qb, "left") - first, 0)
     npts = 1 + inner + (qb > qa)
-    iv = np.repeat(np.arange(B * m), npts)
+    iv = np.repeat(np.arange(Q), npts)
     k = np.arange(iv.size) - np.repeat(np.cumsum(npts) - npts, npts)
     t = np.where(k == 0, qa[iv], qb[iv])
     mid = (k > 0) & (k <= inner[iv])
     t[mid] = ends[first[iv[mid]] + k[mid] - 1]
-    f, df = _pure_many(p, X, iv // m, t)
+    T = t.size
+    f, df = (a.reshape(P, T) for a in _pure_many(stack, X, each(rows[iv]), each(t),
+                                                 np.arange(P + 1) * T))
     pv = field.eval_many(t) + f  # -inf where the field is
 
-    # cells: consecutive points of one interval, skipping -inf holes
+    # cells: consecutive points of one interval, skipping -inf holes; problem
+    # k's copy of cell i has flat index k * C + i
     c = np.nonzero(iv[:-1] == iv[1:])[0]
     piece = field.piece_index(0.5 * (t[c] + t[c + 1]))
     c, piece = c[piece >= 0], piece[piece >= 0]
     civ, ca, cb = iv[c], t[c], t[c + 1]
-    rows = civ // m
+    C = c.size
     pa, dpa = _formula_many(field, piece, ca)
     pb, dpb = _formula_many(field, piece, cb)
+    cpiece, crows = each(piece), each(rows[civ])
 
     def g(i: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi, dphi = _formula_many(field, piece[i], ts)
-        val, slope = _pure_many(p, X, rows[i], ts)
+        phi, dphi = _formula_many(field, cpiece[i], ts)
+        val, slope = _pure_many(stack, X, crows[i], ts,
+                                np.searchsorted(i, np.arange(P + 1) * C))
         return phi + val, dphi + slope
 
-    res = concave_max_many(g, ca, cb, ends=((pa + f[c], dpa + df[c]),
-                                            (pb + f[c + 1], dpb + df[c + 1])))
+    res = concave_max_many(g, each(ca), each(cb),
+                           ends=(((pa + f[:, c]).ravel(), (dpa + df[:, c]).ravel()),
+                                 ((pb + f[:, c + 1]).ravel(), (dpb + df[:, c + 1]).ravel())))
 
-    # the winner per interval, and the largest cell bound above it
-    cand_iv = np.concatenate([iv, civ])
-    cand_v = np.concatenate([pv, res.value])
-    cand_t = np.concatenate([t, res.argmax])
-    cand_att = np.concatenate([np.ones(t.size, dtype=bool), res.interior])
-    cand_err = np.concatenate([np.zeros(t.size), res.err])
-    order = np.lexsort((cand_t, cand_err, ~cand_att, -cand_v, cand_iv))
-    starts = np.searchsorted(cand_iv[order], np.arange(B * m))
-    win = order[starts]
+    # the winner per (problem, interval), and the largest cell bound above it
+    first_iv = np.arange(P)[:, None] * Q
+    cand_iv = np.concatenate([(first_iv + iv).ravel(), (first_iv + civ).ravel()])
+    cand_v = np.concatenate([pv.ravel(), res.value])
+    cand_t = np.concatenate([each(t), res.argmax])
+    cand_att = np.concatenate([np.ones(P * T, dtype=bool), res.interior])
+    cand_err = np.concatenate([np.zeros(P * T), res.err])
+    order = np.argsort(cand_iv, kind="stable")
+    grp = cand_iv[order]
+    starts = np.searchsorted(grp, np.arange(P * Q))
+    # narrow each group to its largest value, then attained, then smaller
+    # err, then smaller t; the first candidate left wins
+    v, att, e, tt = cand_v[order], cand_att[order], cand_err[order], cand_t[order]
+    keep = v == np.maximum.reduceat(v, starts)[grp]
+    keep &= att | ~np.logical_or.reduceat(keep & att, starts)[grp]
+    for key in (e, tt):
+        key = np.where(keep, key, np.inf)
+        keep &= key == np.minimum.reduceat(key, starts)[grp]
+    kept = np.flatnonzero(keep)
+    win = order[kept[np.searchsorted(grp[kept], np.arange(P * Q))]]
     best = cand_v[win]
     with np.errstate(invalid="ignore"):
         above = np.where(cand_err > 0.0, cand_v + cand_err - best[cand_iv], -np.inf)
     err = np.maximum(cand_err[win], np.maximum.reduceat(above[order], starts))
     found = best > -np.inf
     return MaximaBatch(
-        best.reshape(B, m),
-        np.where(found, cand_t[win], np.nan).reshape(B, m),
-        (found & cand_att[win]).reshape(B, m),
-        np.where(found, err, 0.0).reshape(B, m))
+        best.reshape(out),
+        np.where(found, cand_t[win], np.nan).reshape(out),
+        (found & cand_att[win]).reshape(out),
+        np.where(found, err, 0.0).reshape(out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
-"""Golden CLI reports: ``fenton-minimax solve`` must reproduce them byte for byte.
+"""Golden CLI reports: ``fenton-minimax solve`` and ``verify`` must reproduce
+them byte for byte.
 
 Each ``tests/data/golden/<name>.config.json`` is a battery problem with
 ``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
 solve command wrote for it before the scalar sup engine was restructured
-around a per-problem plan.  Reports carry no timings, so any byte that moves
-means a solver or the sup engine changed a float, a status or an iteration
-count.  To re-record after an intended change of results, run for each name
+around a per-problem plan.  Each ``verify-<check>.report.json`` is the report
+of ``verify --check <id> --trials 8 --seed 3`` for one check of the
+check-sampling benchmark, written before the batch engine learned interval
+selectors and problem stacks.  Reports carry no timings, so any byte that
+moves means a solver, a check or the sup engine changed a float, a status, an
+iteration or a trial count.  To re-record after an intended change of
+results, run for each name
 
     PYTHONPATH=src python -m fenton_minimax.cli solve \\
         --config tests/data/golden/<name>.config.json \\
         --output tests/data/golden/<name>.report.json
+    PYTHONPATH=src python -m fenton_minimax.cli verify --check <id> \\
+        --trials 8 --seed 3 --output tests/data/golden/verify-<check>.report.json
 """
 
 from pathlib import Path
@@ -21,6 +28,8 @@ from fenton_minimax.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 NAMES = ("log-n2-bump", "log-n3-flat", "sqrt-n3-bump", "power05-n2-bump",
          "zero-n2-bands", "log-n1-ramp")
+CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
+          "lem4.1/singularize-limit")
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -30,3 +39,13 @@ def test_solve_report_is_byte_identical(name, tmp_path):
                "--output", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("check_id", CHECKS)
+def test_verify_report_is_byte_identical(check_id, tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--check", check_id, "--trials", "8", "--seed", "3",
+               "--output", str(out)])
+    assert rc == 0
+    golden = GOLDEN / f"verify-{check_id.split('/')[1]}.report.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -253,7 +253,34 @@ class TestCliSolve:
             "interval": {"a": 0.0, "b": 0.5}, "closed_right": False,
             "formula": {"type": "affine", "alpha": 1.0, "beta": 0.0}}]}},
          "unknown field piece keys: closed_right"),
-    ], ids=["weight", "sup_mode", "strictfy_eta", "closed_rigth", "piece-closed_right"])
+        ({**LOG_N2, "kernel": {"family": "power", "params": {"s": 0.5, "scale": 2.0}}},
+         "unknown power kernel params keys: scale"),
+        ({**LOG_N2, "kernel": {"family": "log", "params": {"s": 0.5}}},
+         "unknown log kernel params keys: s"),
+        ({**LOG_N2, "kernel": {"family": "custom", "params": {
+            "neg": {"type": "quadratic", "a": -1.0, "b": -1.0, "c": 0.0},
+            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0, "vertex": 0.5},
+            "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
+                      "strictly_concave": False, "cusp": False}}}},
+         "unknown quadratic formula keys: vertex"),
+        ({**LOG_N2, "kernel": {"family": "custom", "params": {
+            "neg": {"type": "quadratic", "a": -1.0, "b": -1.0, "c": 0.0},
+            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0},
+            "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
+                      "strictly_concave": False, "cusp": False, "even": True}}}},
+         "unknown kernel flag keys: even"),
+        ({**LOG_N2, "field": {"pieces": [{
+            "interval": {"a": 0.0, "b": 1.0},
+            "formula": {"type": "constant", "c": 0.0, "vertex": 0.5}}]}},
+         "unknown constant formula keys: vertex"),
+        ({**LOG_N2, "field": {"pieces": [{
+            "interval": {"a": 0.0, "b": 1.0},
+            "formula": {"type": "log_weight", "w": {"type": "affine", "alpha": 0.0,
+                                                    "beta": 1.0, "gamma": 2.0}}}]}},
+         "unknown affine formula keys: gamma"),
+    ], ids=["weight", "sup_mode", "strictfy_eta", "closed_rigth", "piece-closed_right",
+            "power-params-scale", "log-params-s", "custom-formula-vertex",
+            "custom-flag-even", "constant-vertex", "log_weight-nested-gamma"])
     def test_unknown_descriptor_key_exits_2(self, tmp_path, capsys, problem, key):
         cfg = write_cfg(tmp_path, "c.json", problem)
         assert main(["solve", "--config", cfg]) == 2

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
-from fenton_minimax.checks import _random_usc_field
+from fenton_minimax.checks import _random_usc_field, _transformed
 from fenton_minimax.core import Interval, NodeSystem
 from fenton_minimax.fields import Field
 from fenton_minimax.formulas import Quadratic
@@ -403,6 +403,51 @@ def batch_cases(draw):
 def test_batch_matches_scalar_on_random_problems(case):
     p, X = case
     assert_batch_matches_scalar(p, X, single_rows=range(len(X)))
+    js = np.random.default_rng(len(X)).integers(0, p.n + 1, size=len(X))
+    assert_selector_and_stack_are_bitwise((p, _transformed(p, "singularize", 0.05)), X, js)
+
+
+# ---------------------------------------------------------------------------
+# interval selectors and problem stacks against the plain batch call
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and _bits(a) == _bits(b)
+
+
+def assert_selector_and_stack_are_bitwise(stack, X, js):
+    """With the selector js each problem's result is column js of its plain
+    (B, n + 1) call, and the stacked calls are the per-problem calls, bit
+    for bit in all four fields."""
+    rows = np.arange(len(X))
+    full = [interval_maxima_batch(q, X) for q in stack]
+    stacked, stacked_sel = interval_maxima_batch(stack, X), interval_maxima_batch(stack, X, js)
+    for k, q in enumerate(stack):
+        sel = interval_maxima_batch(q, X, js)
+        for f, name in enumerate(full[k]._fields):
+            col = full[k][f][rows, js]
+            assert _same_bits(sel[f], col), (q, name)
+            assert _same_bits(stacked_sel[f][k], col), (q, name)
+            assert _same_bits(stacked[f][k], full[k][f]), (q, name)
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_selector_and_stack_match_plain_batch_on_battery(name):
+    # bands and gate fields give -inf holes, log kernels singular nodes,
+    # sqrt and power cusps; _node_rows snaps nodes onto 0, 1, piece ends and
+    # onto each other, and the first rows ask for intervals 0 and n
+    p = BATTERY[name]
+    X = _node_rows(p, 100 + sorted(BATTERY).index(name), 120)
+    js = np.random.default_rng(sorted(BATTERY).index(name)).integers(0, p.n + 1, size=120)
+    js[:2] = (0, p.n)
+    stack = (p, _transformed(p, "singularize", 0.2), _transformed(p, "singularize", 0.02),
+             *(Problem(n=p.n, field=p.field, kernel=k) for k in KERNELS))
+    if p.kernel.flags.monotone:
+        stack += (_transformed(p, "strictify", 0.1),)
+    assert_selector_and_stack_are_bitwise(stack, X, js)
+    values = interval_maxima_batch(stack, X, js).values
+    if name.endswith(("bands", "gate")):
+        assert np.isneginf(values).any() and np.isfinite(values).any()
 
 
 class TestBatchInterface:
@@ -414,8 +459,33 @@ class TestBatchInterface:
                 interval_maxima_batch(p, bad)
 
     def test_empty_batch(self):
-        mb = interval_maxima_batch(BATTERY["log-n2-flat"], np.empty((0, 2)))
+        p = BATTERY["log-n2-flat"]
+        mb = interval_maxima_batch(p, np.empty((0, 2)))
         assert all(a.shape == (0, 3) for a in mb)
+        assert all(a.shape == (0,) for a in interval_maxima_batch(p, np.empty((0, 2)), []))
+        assert all(a.shape == (2, 0) for a in
+                   interval_maxima_batch((p, p), np.empty((0, 2)), np.empty(0, dtype=int)))
+
+    def test_result_shapes(self):
+        p = BATTERY["log-n2-flat"]
+        X = [[0.2, 0.7], [0.1, 0.4], [0.5, 0.5]]
+        assert all(a.shape == (3,) for a in interval_maxima_batch(p, X, [0, 1, 2]))
+        assert all(a.shape == (1, 3, 3) for a in interval_maxima_batch([p], X))
+        assert all(a.shape == (2, 3) for a in interval_maxima_batch([p, p], X, [2, 2, 0]))
+
+    @pytest.mark.parametrize("js", [[0, 3], [-1, 0], [0], [0, 1, 2], [0.0, 1.0],
+                                    [True, False], [[0, 1]]])
+    def test_rejects_bad_selectors(self, js):
+        X = [[0.2, 0.7], [0.1, 0.4]]
+        with pytest.raises(ValueError):
+            interval_maxima_batch(BATTERY["log-n2-flat"], X, js)
+
+    @pytest.mark.parametrize("stack", [(), ("log-n2-flat", "log-n2-bump"),
+                                       ("log-n2-flat", "log-n3-flat")],
+                             ids=["empty", "two-fields", "two-n"])
+    def test_rejects_bad_stacks(self, stack):
+        with pytest.raises(ValueError):
+            interval_maxima_batch([BATTERY[name] for name in stack], [[0.2, 0.7]])
 
 
 # ---------------------------------------------------------------------------
