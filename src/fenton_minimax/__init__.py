@@ -21,7 +21,8 @@ from .fields import (Field, FieldCount, FieldPiece, LimsupConditions,
 from .sumtrans import (MaximaBatch, MaximaVector, Problem, RegularityReport,
                        SupResult, difference_map, interval_maxima,
                        interval_maxima_batch, pure_sum_eval, regularity,
-                       singularity_set, sum_eval, sup_on_interval)
+                       regularity_many, singularity_set, sum_eval,
+                       sup_on_interval)
 from .solvers import (SolveOptions, SolveReport, TraceRecord, brute_maximin,
                       brute_minimax, sample_regular, solve_equioscillation,
                       solve_maximin, solve_minimax)
@@ -44,7 +45,8 @@ __all__ = [
     "LimsupConditions", "limsup_conditions", "monotone_usc_approximation",
     "Problem", "MaximaVector", "MaximaBatch", "SupResult", "pure_sum_eval",
     "sum_eval", "sup_on_interval", "interval_maxima", "interval_maxima_batch",
-    "singularity_set", "RegularityReport", "regularity", "difference_map",
+    "singularity_set", "RegularityReport", "regularity", "regularity_many",
+    "difference_map",
     "SolveOptions", "SolveReport", "TraceRecord", "brute_minimax",
     "brute_maximin", "solve_equioscillation", "solve_minimax", "solve_maximin",
     "sample_regular",

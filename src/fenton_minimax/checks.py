@@ -36,7 +36,7 @@ from .schema import (field_from_json, field_to_json, options_from_json,
                      options_to_json, problem_from_json, problem_to_json)
 from .solvers import (SolveOptions, brute_maximin, brute_minimax,
                       solve_equioscillation, solve_maximin, solve_minimax)
-from .sumtrans import Problem, interval_maxima, interval_maxima_batch, regularity
+from .sumtrans import Problem, interval_maxima, interval_maxima_batch, regularity_many
 
 __all__ = [
     "CheckReport",
@@ -263,18 +263,34 @@ def check_perturbation_inequality(k: Kernel, trials: int = 100_000, seed: int = 
 
 
 def _sample_Y(p: Problem, rng: random.Random, count: int,
-              min_rate: float = 1e-3) -> list[NodeSystem]:
-    out: list[NodeSystem] = []
+              min_rate: float = 1e-3) -> np.ndarray:
+    """count node systems in Y, shape (count, n), drawn by rejection.
+
+    Each round draws as many rows as are still missing, one sorted
+    ``rng.uniform`` tuple per row, and tests them with one
+    ``regularity_many`` call.  No round draws past the row that completes
+    the sample, so the rows and the state ``rng`` is left in are those of
+    drawing and testing one row at a time.  Once 1000 rows are drawn, an
+    acceptance below ``min_rate`` raises ``CheckInfeasible`` at the row
+    where it first happens.
+    """
+    X = np.empty((0, p.n))
     attempts = 0
-    while len(out) < count:
-        attempts += 1
-        ns = NodeSystem(tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))))
-        if regularity(p, ns).in_Y:
-            out.append(ns)
-        if attempts >= 1000 and len(out) < attempts * min_rate:
-            raise CheckInfeasible(
-                f"Y-sampling acceptance {len(out)}/{attempts} is below 0.1%")
-    return out
+    while len(X) < count:
+        rows = np.array([sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
+                         for _ in range(count - len(X))])
+        ok = ~regularity_many(p, rows).any(axis=1)
+        # the acceptance after each row, from the running counts
+        tried = attempts + np.arange(1, len(rows) + 1)
+        accepted = len(X) + np.cumsum(ok)
+        low = np.flatnonzero((tried >= 1000) & (accepted < tried * min_rate))
+        if low.size:
+            i = low[0]
+            raise CheckInfeasible(f"Y-sampling acceptance {int(accepted[i])}/{int(tried[i])} "
+                                  "is below 0.1%")
+        attempts += len(rows)
+        X = np.vstack([X, rows[ok]])
+    return X
 
 
 def _majorization_slacks(mx: np.ndarray, my: np.ndarray, margin: float) -> np.ndarray:
@@ -292,9 +308,9 @@ def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0
     """
     rec = _Recorder("thm1.3/no-strict-majorization")
     rng = random.Random(seed)
-    samples = _sample_Y(p, rng, trials + 1)
+    X = _sample_Y(p, rng, trials + 1)
     pj = problem_to_json(p)
-    m = interval_maxima_batch(p, [ns.nodes for ns in samples]).values
+    m = interval_maxima_batch(p, X).values
     # pairs (i, i + 1) and (i + 1, i), in that order
     flip = np.tile([0, 1], trials)
     u = np.repeat(np.arange(trials), 2) + flip
@@ -302,7 +318,7 @@ def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0
     slacks = _majorization_slacks(m[u], m[v], margin)
     rec.add_array(slacks, slacks < 0, lambda i: {
         "kind": "majorization", "problem": pj, "config": label,
-        "x": list(samples[u[i]].nodes), "y": list(samples[v[i]].nodes),
+        "x": X[u[i]].tolist(), "y": X[v[i]].tolist(),
         "strict_margin": margin})
     return rec.report(note=label)
 
@@ -766,7 +782,8 @@ def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 
 
     lims = limsup_conditions(p.field)
     if lims.usc or lims.two_sided:
-        for x in _sample_Y(p, rng, min(10, trials)):
+        for row in _sample_Y(p, rng, min(10, trials)):
+            x = NodeSystem(tuple(row.tolist()))
             direction = tuple(rng.choice((-1, 1)) for _ in range(p.n))
             s = x.with_sentinels()
             interior = x.classify() == "interior"

@@ -23,7 +23,8 @@ it above the original and converging back to it as eta drops to 0.
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
 value, a vectorized value, a derivative and a vectorized derivative per
 entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
-``Kernel.derivs`` and ``TranslateSum`` all read that table.
+``Kernel.derivs``, ``Kernel.eval_and_derivs`` and ``TranslateSum`` all read
+that table; the three array methods share one loop over a kernel's terms.
 ``TranslateSum`` is the term walk behind every F-evaluation of the scalar
 sup engine: built once per problem from its (weight, kernel) pairs, it gives
 per node system the evaluator t -> (sum_j w_j K_j(t - x_j), its
@@ -234,21 +235,26 @@ class Kernel:
             v += fam.value(param, t)
         return self.scale * v
 
-    def _sum_many(self, column: str, ts: np.ndarray) -> np.ndarray:
-        """scale * the sum over the terms of one array column of the table."""
+    def _sum_many(self, ts: np.ndarray, columns: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+        """scale * the sum over the terms, for each named array column of the
+        table, from one pass over the terms and one range check."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1.0 or ts.max() > 1.0):
             raise ValueError("kernel argument outside [-1, 1]")
         (fam, param), *layers = self._terms
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = getattr(fam, column)(param, ts)
+            sums = [getattr(fam, c)(param, ts) for c in columns]
             for fam, param in layers:
-                v = v + getattr(fam, column)(param, ts)
-        return self.scale * v
+                sums = [v + getattr(fam, c)(param, ts) for v, c in zip(sums, columns)]
+        return tuple(self.scale * v for v in sums)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same domain rules as ``eval``."""
-        return self._sum_many("values", ts)
+        return self._sum_many(ts, ("values",))[0]
+
+    def eval_and_derivs(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(``eval_many(ts)``, ``derivs(ts)``), bit for bit, from one pass."""
+        return self._sum_many(ts, ("values", "derivs"))
 
     def deriv(self, t: float) -> float:
         """Derivative at t in [-1, 1]; NaN at 0 unless both sides agree.
@@ -266,7 +272,7 @@ class Kernel:
 
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized ``deriv``; same domain rules."""
-        return self._sum_many("derivs", ts)
+        return self._sum_many(ts, ("derivs",))[0]
 
     def scaled(self, factor: float) -> "Kernel":
         if factor <= 0:

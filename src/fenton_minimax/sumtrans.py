@@ -34,6 +34,10 @@ their kernels applied per problem.  The plain call is the one-problem case
 without a selector.  A batch of one costs many times a scalar call, which is
 why both engines remain.  ``err`` means the same in both: the supremum lies
 in [value, value + err].
+
+Which maxima are -inf is decided without either engine, from the exact
+singularity set: ``regularity_many`` for many node systems at once, with
+``regularity`` its one-row case.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "singularity_set",
     "RegularityReport",
     "regularity",
+    "regularity_many",
     "difference_map",
 ]
 
@@ -205,15 +210,45 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
 
 
 class _Plan:
-    """The per-problem part of the scalar engine: the translates' term walk,
-    the sorted piece ends, and the pieces for ``piece_at``."""
+    """What the engines need of one problem, built once: the translates'
+    term walk, the sorted piece ends and the pieces for ``piece_at`` (scalar
+    engine); the weights and each distinct kernel with its node columns
+    (``_pure_many``); and the field's -inf set as arrays with the per-node
+    kernel facts (``regularity_many``)."""
 
     def __init__(self, p: Problem):
-        self.translate_sum = TranslateSum(p.translates())
+        translates = p.translates()
+        self.translate_sum = TranslateSum(translates)
         # with 0 and 1, which no query interval holds strictly inside
         self.ends = p.field.breakpoints()
         self.pieces = tuple((piece.interval, (piece.formula.value, piece.formula.deriv))
                             for piece in p.field.pieces)
+        self.weights = tuple(w for w, _ in translates)
+        groups: dict[Kernel, list[int]] = {}
+        for j, (_, k) in enumerate(translates):
+            groups.setdefault(k, []).append(j)
+        self.kernel_cols = tuple((k, np.array(cols)) for k, cols in groups.items())
+        # the field's -inf set H as a lookup over its sorted part ends e
+        # (with 0 and 1): index 2k + 1 says whether e[k] is in H, index 2k
+        # whether the open gap just before e[k] is (none is before 0 or after 1)
+        holes = finiteness_domain(p.field).complement_in_unit()
+        e = sorted({0.0, 1.0, *(t for part in holes.parts() for t in (part.a, part.b))})
+        gaps = [holes.contains(0.5 * (u + v)) for u, v in zip(e, e[1:])] + [False]
+        self.hole_ends = np.array(e)
+        self.hole_table = np.array([False] + [f for t, gap in zip(e, gaps)
+                                              for f in (holes.contains(t), gap)])
+        kernels = [k for _, k in translates]
+        singular = [j for j, k in enumerate(kernels) if k.flags.singular]
+        # the columns of the singular-kernel nodes, None for none
+        self.singular_cols = (slice(None) if len(singular) == p.n
+                              else np.array(singular) if singular else None)
+        # (kills, end, at): a node at `end` whose kernel is -inf at `at - end`
+        # puts `at` in the singularity set; only rules that some kernel meets
+        self.end_rules = tuple(
+            (kills, end, at) for kills, end, at in (
+                (np.array([k.eval(-1.0) == -math.inf for k in kernels]), 1.0, 0.0),
+                (np.array([k.eval(1.0) == -math.inf for k in kernels]), 0.0, 1.0))
+            if kills.any())
 
     def piece_at(self, t: float) -> tuple[Callable[[float], float],
                                           Callable[[float], float]] | None:
@@ -350,21 +385,45 @@ def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
 # the batch engine: many independent node systems at once
 
 
+def _sentinel_rows(X, n: int) -> np.ndarray:
+    """X, an array of node systems of shape (B, n), as the (B, n + 2) array
+    of its rows with the sentinels 0 and 1 around them.  Rows that are not
+    nondecreasing node systems in [0, 1] raise ``ValueError``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"expected an array of shape (B, {n}), got {X.shape}")
+    s = np.empty((X.shape[0], n + 2))
+    s[:, 0], s[:, 1:-1], s[:, -1] = 0.0, X, 1.0
+    if s.size and not (s[:, 1:] - s[:, :-1]).min() >= 0.0:  # NaN fails too
+        raise ValueError("every row must be a nondecreasing node system in [0, 1]")
+    return s
+
+
 def _pure_many(stack: tuple[Problem, ...], X: np.ndarray, rows: np.ndarray,
                ts: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(X[rows], ts) and its t-derivative, entries bounds[k]:bounds[k + 1]
-    with the translates of problem stack[k], each summed node by node in the
-    order of ``_pure_fun``."""
+    with the translates of problem stack[k].  The differences t - x_j are
+    built once; each distinct kernel of a problem makes one array call on
+    its columns of them, and the weighted columns are then summed node by
+    node in the order of ``_pure_fun``."""
     total, slope = np.zeros(ts.shape), np.zeros(ts.shape)
+    diffs = ts[:, None] - X[rows]
     with np.errstate(invalid="ignore", over="ignore"):
         for q, lo, hi in zip(stack, bounds, bounds[1:]):
             if lo == hi:
                 continue
-            t, r, tot, slp = ts[lo:hi], rows[lo:hi], total[lo:hi], slope[lo:hi]
-            for j, (w, k) in enumerate(q.translates()):
-                d = t - X[r, j]
-                tot += w * k.eval_many(d)
-                slp += w * k.derivs(d)
+            plan = q._plan
+            D = diffs[lo:hi]
+            if len(plan.kernel_cols) == 1:
+                V, S = plan.kernel_cols[0][0].eval_and_derivs(D)
+            else:
+                V, S = np.empty(D.shape), np.empty(D.shape)
+                for k, cols in plan.kernel_cols:
+                    V[:, cols], S[:, cols] = k.eval_and_derivs(D[:, cols])
+            tot, slp = total[lo:hi], slope[lo:hi]
+            for j, w in enumerate(plan.weights):
+                tot += w * V[:, j]
+                slp += w * S[:, j]
     return total, slope
 
 
@@ -410,11 +469,8 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
     if not stack or any(q.n != stack[0].n or q.field != stack[0].field for q in stack):
         raise ValueError("a problem stack needs one or more problems with one field and one n")
     field, n = stack[0].field, stack[0].n
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != n:
-        raise ValueError(f"expected an array of shape (B, {n}), got {X.shape}")
-    if not (np.all((X >= 0.0) & (X <= 1.0)) and np.all(np.diff(X, axis=1) >= 0.0)):
-        raise ValueError("every row must be a nondecreasing node system in [0, 1]")
+    s = _sentinel_rows(X, n)
+    X = s[:, 1:-1]
     B, P = X.shape[0], len(stack)
     # the queried intervals: (row, j) in row order, each row's j ascending
     if js is None:
@@ -438,7 +494,6 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
         return np.concatenate([a] * P)
 
     # points: each interval's start, the piece ends strictly inside, its end
-    s = np.hstack([np.zeros((B, 1)), X, np.ones((B, 1))])
     qa, qb = s[rows, jq], s[rows, jq + 1]
     ends = np.array(sorted({e for fp in field.pieces for e in (fp.interval.a, fp.interval.b)}))
     first = np.searchsorted(ends, qa, "right")
@@ -552,18 +607,52 @@ class RegularityReport:
         return True
 
 
+def regularity_many(p: Problem, X) -> np.ndarray:
+    """Which interval maxima are -inf, for every row of X, an array of shape
+    (B, n) of node systems.
+
+    Entry (i, j) of the (B, n + 1) bool result is True when the interval
+    [s_j, s_{j+1}] of row i (sentinels 0 and 1) lies inside
+    ``singularity_set(p, X[i])``, that is when m_j = -inf.  That set is the
+    field's fixed -inf set plus three per-row point rules: singular-kernel
+    nodes, 0 when a node at 1 has K(-1) = -inf, and 1 when a node at 0 has
+    K(1) = -inf.  No node, and neither 0 nor 1, lies strictly inside an
+    interval of a sorted system, so for a < b the interval is covered
+    exactly when (a, b) lies inside one hole interval of the field and each
+    end is in the -inf set or one of those points (a singular node may
+    close an open end of a hole); for a = b the point itself must be.  Rows
+    that are not sorted node systems in [0, 1] raise ``ValueError``.
+    """
+    plan = p._plan
+    s = _sentinel_rows(X, p.n)
+    X = s[:, 1:-1]
+    # per s value: its place among the hole part ends, then whether it is in
+    # the singularity set of its row
+    kl, kr = plan.hole_ends.searchsorted(s, "left"), plan.hole_ends.searchsorted(s, "right")
+    singular = plan.hole_table[kl + kr]
+    if plan.singular_cols is not None:
+        singular |= (s[:, :, None] == X[:, None, plan.singular_cols]).any(axis=2)
+    for kills, end, at in plan.end_rules:
+        singular |= (s == at) & ((X == end) & kills).any(axis=1)[:, None]
+    # (a, b) lies inside one hole when no part end is strictly between a and
+    # b and the gap holding them is in H
+    a, b, kr_a = s[:, :-1], s[:, 1:], kr[:, :-1]
+    inside = (kl[:, 1:] == kr_a) & plan.hole_table[2 * kr_a]
+    return singular[:, :-1] & singular[:, 1:] & (inside | (a == b))
+
+
 def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
     """Which interval maxima are finite, decided from the set structure.
 
     m_j = -inf exactly when the whole interval [x_j, x_{j+1}] sits inside the
-    singularity set; no numeric maximization is involved.  The stronger W
-    predicate additionally needs an interior node system whose intervals all
-    meet the field's finiteness domain in their relative interior.
+    singularity set; no numeric maximization is involved.  This is the
+    one-row case of ``regularity_many``.  The stronger W predicate
+    additionally needs an interior node system whose intervals all meet the
+    field's finiteness domain in their relative interior.
     """
     _check_nodes(p, x)
-    sing = singularity_set(p, x)
-    s = x.with_sentinels()
-    singular = tuple(j for j in range(p.n + 1) if sing.covers(s[j], s[j + 1]))
+    row = regularity_many(p, [x.nodes])[0].tolist()
+    singular = tuple(j for j, covered in enumerate(row) if covered)
     return RegularityReport(not singular, singular, p, x)
 
 

@@ -1,12 +1,13 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from fenton_minimax import checks
-from fenton_minimax.battery import battery_problem, flat_field
-from fenton_minimax.checks import (CheckReport, UnknownCheckError,
+from fenton_minimax.battery import BATTERY, battery_problem, flat_field
+from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckError,
                                    all_check_ids, check_continuity_suite,
                                    check_dini_max,
                                    check_equioscillation_value,
@@ -16,11 +17,12 @@ from fenton_minimax.checks import (CheckReport, UnknownCheckError,
                                    check_perturbation_inequality,
                                    check_usc_invariances, replay_witness,
                                    run_check)
+from fenton_minimax.core import NodeSystem
 from fenton_minimax.formulas import Constant
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     sqrt_kernel, zero_kernel)
 from fenton_minimax.solvers import SolveOptions
-from fenton_minimax.sumtrans import Problem
+from fenton_minimax.sumtrans import Problem, regularity
 
 EXPECTED_IDS = {
     "lem2.4/a", "lem2.4/b", "lem2.4/c", "lem2.4/d", "lem2.4/e",
@@ -148,6 +150,59 @@ class TestIndividualChecks:
         rep = check_continuity_suite(battery_problem("log-n1-flat"), trials=3,
                                      seed=0)
         assert rep.passed
+
+
+def _sample_Y_one_at_a_time(p, rng, count, min_rate=1e-3):
+    """The Y sampler drawn and tested row by row with the scalar
+    ``regularity``: the reference for ``checks._sample_Y``."""
+    out, attempts = [], 0
+    while len(out) < count:
+        attempts += 1
+        ns = NodeSystem(tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))))
+        if regularity(p, ns).in_Y:
+            out.append(list(ns.nodes))
+        if attempts >= 1000 and len(out) < attempts * min_rate:
+            raise CheckInfeasible(f"Y-sampling acceptance {len(out)}/{attempts} is below 0.1%")
+    return out
+
+
+def _sampling_outcome(sample, p, seed, count, min_rate):
+    """("raised", message) or ("rows", rows, the next rng.random())."""
+    rng = random.Random(seed)
+    try:
+        rows = sample(p, rng, count, min_rate)
+    except CheckInfeasible as exc:
+        return "raised", str(exc)
+    return "rows", [list(r) for r in rows], rng.random()
+
+
+class TestSampleY:
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_same_rows_and_rng_state_as_one_at_a_time(self, name):
+        # gate, ramp and bands problems reject about half of the rows
+        p = BATTERY[name]
+        for seed in range(4):
+            for count in (0, 1, 9, 61):
+                want = _sampling_outcome(_sample_Y_one_at_a_time, p, seed, count, 1e-3)
+                got = _sampling_outcome(checks._sample_Y, p, seed, count, 1e-3)
+                assert got == want, (seed, count)
+                assert checks._sample_Y(p, random.Random(seed), count).shape == (count, p.n)
+
+    @pytest.mark.parametrize("name, count, min_rate, kinds", [
+        # raises at row 1000, in the first round and in the second
+        ("log-n1-gate", 2000, 0.6, ["raised"] * 3),
+        ("log-n1-gate", 900, 0.6, ["raised"] * 3),
+        # seed 0 raises at row 1075, the others complete the sample
+        ("zero-n1-bands", 1500, 0.78, ["raised", "rows", "rows"]),
+        ("log-n1-gate", 1200, 0.3, ["rows"] * 3)])
+    def test_same_infeasibility_at_the_same_row(self, name, count, min_rate, kinds):
+        p = BATTERY[name]
+        want = [_sampling_outcome(_sample_Y_one_at_a_time, p, seed, count, min_rate)
+                for seed in range(3)]
+        got = [_sampling_outcome(checks._sample_Y, p, seed, count, min_rate)
+               for seed in range(3)]
+        assert got == want
+        assert [w[0] for w in want] == kinds
 
 
 class TestCheckReportJson:

@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from random import Random
 
 import numpy as np
@@ -12,16 +12,16 @@ from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
 from fenton_minimax.checks import _random_usc_field, _transformed
 from fenton_minimax.core import Interval, NodeSystem
 from fenton_minimax.fields import Field
-from fenton_minimax.formulas import Quadratic
+from fenton_minimax.formulas import Formula, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
                                     strictify, zero_kernel)
 from fenton_minimax.maximize import concave_max
 from fenton_minimax.solvers import SolveOptions, solve_maximin
-from fenton_minimax.sumtrans import (Problem, difference_map, interval_maxima,
-                                     interval_maxima_batch, pure_sum_eval,
-                                     regularity, singularity_set, sum_eval,
-                                     sup_on_interval)
+from fenton_minimax.sumtrans import (Problem, _pure_many, difference_map,
+                                     interval_maxima, interval_maxima_batch,
+                                     pure_sum_eval, regularity, regularity_many,
+                                     singularity_set, sum_eval, sup_on_interval)
 
 # closed-form optimum of the two-node flat problem with the log kernel:
 # nodes at 1/2 -/+ 1/(2*sqrt(2)), every interval max equal to log(1/8)
@@ -514,13 +514,165 @@ def test_in_Y_iff_every_interval_maximum_is_finite():
                     p = Problem(n=n, field=field, kernel=k)
                 except ValueError:  # field finite at too few points for n nodes
                     continue
-                for row in _node_rows(p, 100 * seed + 10 * i + n, 16):
+                X = _node_rows(p, 100 * seed + 10 * i + n, 16)
+                singular = regularity_many(p, X)
+                for row, covered in zip(X, singular):
                     x = NodeSystem(tuple(row.tolist()))
-                    finite = all(v.is_finite for v in interval_maxima(p, x).values)
+                    values = interval_maxima(p, x).values
+                    finite = all(v.is_finite for v in values)
                     assert regularity(p, x).in_Y == finite, (seed, k.family, x.nodes)
+                    # the array function says which m_j are -inf
+                    assert covered.tolist() == [not v.is_finite for v in values], x.nodes
                     checked += 1
                     regular += finite
     assert checked > 5_000 and 0 < regular < checked
+
+
+@dataclass(frozen=True)
+class _LogToEdge(Formula):
+    """log(1 + sign * t): 0 at t = 0 and -inf at t = -sign.  Only ``value``
+    is given: regularity reads a kernel at -1 and 1 and nowhere else."""
+
+    sign: float
+
+    def value(self, t):
+        u = 1.0 + self.sign * t
+        return math.log(u) if u > 0.0 else -math.inf
+
+
+# -inf at -1 and at 1, finite at 0: a node at 1 makes the point 0 singular,
+# a node at 0 the point 1
+EDGE_SINK = custom_kernel(_LogToEdge(1.0), _LogToEdge(-1.0),
+                          KernelFlags(singular=False, monotone=False, strictly_monotone=False,
+                                      strictly_concave=True, cusp=False))
+
+
+def _regularity_problems():
+    """Random usc fields x the six kernels and the edge sink, per-node
+    kernels that mix singular and non-singular nodes, and the battery."""
+    mixes = ((log_kernel(), sqrt_kernel()), (EDGE_SINK, power_kernel(0.5)),
+             (sqrt_kernel(), log_kernel(), zero_kernel()),
+             (EDGE_SINK, log_kernel(), sqrt_kernel()))
+    for seed in range(12):
+        field = _random_usc_field(Random(seed))
+        for n in (1, 2, 3):
+            for kw in ([dict(kernel=k) for k in (*KERNELS, EDGE_SINK)]
+                       + [dict(kernels=m) for m in mixes if len(m) == n]):
+                try:
+                    yield Problem(n=n, field=field, **kw)
+                except ValueError:  # field finite at too few points for n nodes
+                    continue
+    yield from BATTERY.values()
+
+
+def test_regularity_many_matches_the_exact_singularity_set():
+    """Entry (i, j) is ``singularity_set(p, X[i]).covers(s_j, s_{j+1})`` on
+    the edge-heavy ``_node_rows``, with rows of nodes all at 0, all at 1 and
+    split between them, and ``regularity`` is its one-row case."""
+    checked = covered = 0
+    for i, p in enumerate(_regularity_problems()):
+        X = _node_rows(p, 7 * i, 24)
+        X[:3] = [[0.0] * p.n, [1.0] * p.n, [0.0] * (p.n - 1) + [1.0]]
+        got = regularity_many(p, X)
+        assert got.shape == (len(X), p.n + 1) and got.dtype == bool
+        for row, singular in zip(X, got):
+            x = NodeSystem(tuple(row.tolist()))
+            sing, s = singularity_set(p, x), x.with_sentinels()
+            want = [sing.covers(s[j], s[j + 1]) for j in range(p.n + 1)]
+            assert singular.tolist() == want, (p, x.nodes)
+            assert regularity(p, x).singular_intervals == tuple(np.flatnonzero(want))
+            checked += 1
+            covered += any(want)
+    assert checked > 3_000 and 0 < covered < checked
+
+
+def test_regularity_many_end_rules():
+    # a node at 0 puts 1 in the singularity set and a node at 1 puts 0 there
+    # when the kernel is -inf at the far end, so with nodes at 0 and 1 the
+    # intervals {0} and {1} are singular although the kernel is not
+    p = Problem(n=2, field=flat_field(), kernel=EDGE_SINK)
+    X = [[0.0, 1.0], [0.0, 0.5], [0.5, 1.0], [0.3, 0.6]]
+    assert regularity_many(p, X).tolist() == [[True, False, True]] + [[False] * 3] * 3
+    # singular kernels make their nodes singular instead
+    for k in (log_kernel(), power_kernel(0.5)):
+        q = Problem(n=2, field=flat_field(), kernel=k)
+        assert regularity_many(q, X).tolist() == [[True, False, True], [True, False, False],
+                                                  [False, False, True], [False] * 3]
+    for k in (sqrt_kernel(), zero_kernel()):
+        assert not regularity_many(Problem(n=2, field=flat_field(), kernel=k), X).any()
+
+
+class TestRegularityManyInterface:
+    @pytest.mark.parametrize("bad", [[[0.2]], [[0.2, 0.3, 0.4]], [0.2, 0.3], [[0.6, 0.3]],
+                                     [[-0.1, 0.3]], [[0.3, 1.5]], [[0.3, float("nan")]]])
+    def test_rejects_bad_shapes_and_rows(self, bad):
+        with pytest.raises(ValueError):
+            regularity_many(BATTERY["log-n2-flat"], bad)
+
+    def test_empty_batch(self):
+        got = regularity_many(BATTERY["log-n2-bands"], np.empty((0, 2)))
+        assert got.shape == (0, 3) and got.dtype == bool
+
+
+# ---------------------------------------------------------------------------
+# the batch engine's translate sum against a node-by-node reference
+
+
+def _ref_pure_many(stack, X, rows, ts, bounds):
+    """``_pure_many`` written node by node: two kernel calls per translate."""
+    total, slope = np.zeros(ts.shape), np.zeros(ts.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for q, lo, hi in zip(stack, bounds, bounds[1:]):
+            t, r, tot, slp = ts[lo:hi], rows[lo:hi], total[lo:hi], slope[lo:hi]
+            for j, (w, k) in enumerate(q.translates()):
+                d = t - X[r, j]
+                tot += w * k.eval_many(d)
+                slp += w * k.derivs(d)
+    return total, slope
+
+
+def _pure_many_stacks():
+    """Shared kernels with weights, per-node kernels with a repeated one, and
+    the strictify and singularize stacks of the kernel-limit checks."""
+    etas = (0.2, 0.1, 0.05, 0.02)
+    shared = Problem(n=3, field=bump_field(), kernel=sqrt_kernel(), weights=(0.5, 1.25, 3.0))
+    mixed = Problem(n=3, field=bump_field(),
+                    kernels=(log_kernel(), sqrt_kernel().scaled(2.0), log_kernel()))
+    cusp = Problem(n=2, field=two_band_field(), kernels=(power_kernel(1.5), KERNELS[5]))
+    yield "shared", (shared,)
+    yield "battery", (BATTERY["log-n3-bump"],)
+    yield "generalized", (mixed,)
+    yield "generalized-cusp", (cusp,)
+    for p in (shared, mixed, BATTERY["log-n2-bands"], BATTERY["power05-n2-bump"]):
+        for direction in ("strictify", "singularize"):
+            yield direction, (p, *(_transformed(p, direction, e) for e in etas))
+    yield "singularize", (cusp, *(_transformed(cusp, "singularize", e) for e in etas))
+
+
+@pytest.mark.parametrize("case", list(enumerate(_pure_many_stacks())),
+                         ids=lambda c: f"{c[0]}-{c[1][0]}")
+def test_pure_many_matches_node_by_node_reference_bitwise(case):
+    """Seeded rows and points, with points on nodes (kernel poles and
+    cusps), on 0, 1 and piece ends, and empty problem segments."""
+    seed, (_, stack) = case
+    p = stack[0]
+    rng = np.random.default_rng(seed)
+    X = _node_rows(p, seed, 30)
+    size = 400 * len(stack)
+    rows = rng.integers(0, len(X), size)
+    ts = rng.uniform(size=size)
+    on_node = rng.random(size) < 0.2
+    ts[on_node] = X[rows[on_node], rng.integers(0, p.n, int(on_node.sum()))]
+    special = rng.random(size) < 0.1
+    ts[special] = rng.choice(_special_points(p), int(special.sum()))
+    cuts = np.sort(rng.integers(0, size + 1, len(stack) - 1))
+    if len(stack) > 2:
+        cuts[1] = cuts[0]  # an empty segment
+    bounds = np.concatenate([[0], cuts, [size]])
+    got, want = _pure_many(stack, X, rows, ts, bounds), _ref_pure_many(stack, X, rows, ts, bounds)
+    for a, b in zip(got, want):
+        assert _bits(a) == _bits(b)
+    assert np.isnan(got[1]).any()  # points on nodes were hit
 
 
 # ---------------------------------------------------------------------------
