@@ -287,7 +287,7 @@ def _sample_Y(p: Problem, rng: random.Random, count: int,
         if low.size:
             i = low[0]
             raise CheckInfeasible(f"Y-sampling acceptance {int(accepted[i])}/{int(tried[i])} "
-                                  "is below 0.1%")
+                                  f"is below {min_rate:.1%}")
         attempts += len(rows)
         X = np.vstack([X, rows[ok]])
     return X

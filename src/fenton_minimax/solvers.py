@@ -4,12 +4,21 @@ The brute oracles enumerate ordered node tuples on a uniform grid (plus exact
 piece endpoints) and take grid maxima in t, which makes them an independent
 low-resolution route against the exact sup engine: they call nothing from it.
 One block enumerator serves both.  It sums J and the first n - 1 translates
-once per prefix of grid indices and takes every last node at once as the rows
-of a numpy block, so the cost is O(C(m+n-1, n) * m) array work with
-no Python per tuple.  The sums run in the order a tuple-at-a-time loop would
-use and maxima are exact, so each value is that loop's float.  The winner is
-the lexicographically first tuple with the best value.  The equioscillation
-solver drives the difference map
+once per prefix of grid indices and takes the last node as the rows of a
+numpy block, with no Python per tuple.  The sums run in the order a
+tuple-at-a-time loop would use and maxima are exact, so each value is that
+loop's float.  The winner is the lexicographically first tuple with the best
+value.  Before a block is formed, each score function's companion bound
+gives an upper bound per row, and only rows that could still beat the
+incumbent are scored: for minimax, minus the largest value of F at every
+16th t; for maximin, the smallest over three segments of (largest value of
+the prefix sum on the segment) + (largest value of the last translate over a
+range of t holding the segment).  Pruning cannot change a result: rounded
+addition is monotone, so no bound is below its row's score; a NaN bound keeps
+its row; and the kept rows are scored in ascending order, so the tie-break
+holds.  The worst case, nothing pruned, is O(C(m+n-1, n) * m) array work.
+
+The equioscillation solver drives the difference map
 
     Phi(x) = (m_1 - m_0, ..., m_n - m_{n-1})
 
@@ -208,6 +217,8 @@ _MAX_TUPLES = 3_000_000
 # Grid values per block of candidate tuples (1 MiB of floats); bounds the
 # oracles' working memory for any grid step.
 _BLOCK_VALUES = 1 << 17
+# The minimax bound reads F at every _BOUND_STRIDE-th grid point.
+_BOUND_STRIDE = 16
 
 
 def _oracle_grid(p: Problem, h: float) -> np.ndarray:
@@ -240,8 +251,9 @@ def _check_budget(m: int, n: int) -> None:
                          "use a coarser step h")
 
 
-def _oracle_search(p: Problem, h: float,
-                   score: Callable[..., np.ndarray]) -> tuple[NodeSystem | None, float]:
+def _oracle_search(p: Problem, h: float, score: Callable[..., np.ndarray],
+                   bound: Callable[..., Callable[..., np.ndarray]]
+                   ) -> tuple[NodeSystem | None, float]:
     """The grid node system with the largest score, and that score.
 
     Index tuples come in ``combinations_with_replacement`` order.  For each
@@ -255,6 +267,17 @@ def _oracle_search(p: Problem, h: float,
     best row of a block wins, and a later block only with a strictly larger
     score, so ties go to the lexicographically first tuple.  A NaN score never
     wins; when no score exceeds -inf the result is (None, -inf).
+
+    Rows are pruned before F is formed.  ``bound(last, upto, onward)`` runs
+    once per call on the last translate's rows and returns a function of
+    ``(base, cuts)`` that gives, for every k >= cuts[-1], an upper bound on
+    row k's score, or NaN.  Only rows whose bound is not <= the incumbent are
+    scored, in ascending k.  This cannot change the result:
+    round-to-nearest addition is monotone (b <= B and r <= R give
+    fl(b + r) <= fl(B + R), -inf included), so no bound is below its row's
+    score; a NaN bound compares false and keeps its row; and a pruned row
+    could at best tie an incumbent that comes before it, so the kept rows,
+    in their order, give the same first best row.
     """
     grid = _oracle_grid(p, h)
     m, n = len(grid), p.n
@@ -263,6 +286,7 @@ def _oracle_search(p: Problem, h: float,
     rows = _oracle_rows(p, grid, grid)
     pos = np.arange(m)
     upto, onward = pos <= pos[:, None], pos >= pos[:, None]
+    row_bounds = bound(rows[-1], upto, onward)
     block = max(1, _BLOCK_VALUES // m)
     best, best_idx = -math.inf, None
     for prefix in combinations_with_replacement(range(m), n - 1):
@@ -270,18 +294,31 @@ def _oracle_search(p: Problem, h: float,
         for j, i in enumerate(prefix):
             base = base + rows[j][i]
         cuts = [0, *prefix]
-        for k0 in range(prefix[-1] if prefix else 0, m, block):
-            ks = slice(k0, k0 + block)
+        live = cuts[-1] + (~(row_bounds(base, cuts) <= best)).nonzero()[0]
+        for c in range(0, len(live), block):
+            ks = live[c:c + block]
             s = score(base + rows[-1][ks], cuts, upto[ks], onward[ks])
             s[np.isnan(s)] = -math.inf
             r = int(np.argmax(s))
             if s[r] > best:
-                best, best_idx = float(s[r]), (*prefix, k0 + r)
+                best, best_idx = float(s[r]), (*prefix, int(ks[r]))
     return (None if best_idx is None else _ns(grid[list(best_idx)])), best
 
 
 def _neg_overall_max(F, cuts, upto, onward) -> np.ndarray:
     return -F.max(axis=1)
+
+
+def _neg_overall_max_bound(last, upto, onward):
+    """Bound for ``_neg_overall_max``: minus the largest value of F at every
+    ``_BOUND_STRIDE``-th t.  Those are floats of F itself, and the maximum
+    over all t is at least their maximum."""
+    # a contiguous copy: a strided view would read all of ``last`` per prefix
+    sub = np.ascontiguousarray(last[:, ::_BOUND_STRIDE])
+
+    def row_bounds(base, cuts):
+        return -(base[::_BOUND_STRIDE] + sub[cuts[-1]:]).max(axis=1)
+    return row_bounds
 
 
 def _lowest_segment_max(F, cuts, upto, onward) -> np.ndarray:
@@ -297,14 +334,38 @@ def _lowest_segment_max(F, cuts, upto, onward) -> np.ndarray:
     return np.fmin(low, tail.max(axis=1, where=onward[:, a:], initial=-math.inf))
 
 
+def _lowest_segment_max_bound(last, upto, onward):
+    """Bound for ``_lowest_segment_max``: the fmin over three segments,
+    [x_{i_{n-2}}, x_k], [x_k, 1] and (for n >= 2) [0, x_{i_0}], of the
+    largest base value on the segment plus the largest w K(t - x_k) over
+    t <= x_k, t >= x_k and all t, each a range that holds its segment.  A
+    segment maximum is at most that sum; where it is NaN, its bound is NaN
+    or +inf, so the fmin stays at or above the row's score."""
+    last_upto = last.max(axis=1, where=upto, initial=-math.inf)
+    last_onward = last.max(axis=1, where=onward, initial=-math.inf)
+    last_all = last.max(axis=1)
+
+    def row_bounds(base, cuts):
+        a = cuts[-1]
+        rising = np.maximum.accumulate(base[a:])
+        falling = np.maximum.accumulate(base[::-1])[::-1][a:]
+        b = np.fmin(rising + last_upto[a:], falling + last_onward[a:])
+        if len(cuts) > 1:
+            b = np.fmin(b, base[:cuts[1] + 1].max() + last_all[a:])
+        return b
+    return row_bounds
+
+
 def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
     """Grid minimizer of the overall maximum; independent of the sup engine.
 
     Nodes and t range over one grid: step h, plus the field's piece ends and
     probes 1e-9 either side of each.  Among equal values the
-    lexicographically first node tuple wins.
+    lexicographically first node tuple wins.  A tuple is scored only when
+    minus the largest value of F at every 16th t, a bound on its score,
+    still beats the incumbent; the result is that of scoring all.
     """
-    x, best = _oracle_search(p, h, _neg_overall_max)
+    x, best = _oracle_search(p, h, _neg_overall_max, _neg_overall_max_bound)
     return x, ExtendedReal.of(-best)
 
 
@@ -315,9 +376,13 @@ def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
     Same grids and tie-break as ``brute_minimax``.  An interval maximum is
     the largest grid value of F on the closed segment between neighbouring
     nodes (or 0 and 1).  When every tuple leaves some segment at -inf the
-    result is the midpoint system with value -inf.
+    result is the midpoint system with value -inf.  A tuple is scored only
+    when a bound on its score, built from the maxima of the prefix sum and
+    of the last translate on three of its segments, still beats the
+    incumbent; the result is that of scoring all.
     """
-    x, best = _oracle_search(p, h, _lowest_segment_max)
+    x, best = _oracle_search(p, h, _lowest_segment_max,
+                             _lowest_segment_max_bound)
     if x is None:
         return _ns([0.5] * p.n), NEG_INF
     return x, ExtendedReal.of(best)

@@ -162,7 +162,8 @@ def _sample_Y_one_at_a_time(p, rng, count, min_rate=1e-3):
         if regularity(p, ns).in_Y:
             out.append(list(ns.nodes))
         if attempts >= 1000 and len(out) < attempts * min_rate:
-            raise CheckInfeasible(f"Y-sampling acceptance {len(out)}/{attempts} is below 0.1%")
+            raise CheckInfeasible(f"Y-sampling acceptance {len(out)}/{attempts} "
+                                  f"is below {min_rate:.1%}")
     return out
 
 
@@ -203,6 +204,11 @@ class TestSampleY:
                for seed in range(3)]
         assert got == want
         assert [w[0] for w in want] == kinds
+
+    def test_message_names_the_rate(self):
+        kind, message = _sampling_outcome(checks._sample_Y, BATTERY["log-n1-gate"], 0, 2000, 0.6)
+        assert kind == "raised"
+        assert message.endswith("is below 60.0%")
 
 
 class TestCheckReportJson:

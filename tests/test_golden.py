@@ -1,5 +1,5 @@
-"""Golden CLI reports: ``fenton-minimax solve`` and ``verify`` must reproduce
-them byte for byte.
+"""Golden CLI reports: ``fenton-minimax solve``, ``oracle`` and ``verify`` must
+reproduce them byte for byte.
 
 Each ``tests/data/golden/<name>.config.json`` is a battery problem with
 ``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
@@ -7,18 +7,25 @@ solve command wrote for it before the scalar sup engine was restructured
 around a per-problem plan.  Each ``verify-<check>.report.json`` is the report
 of ``verify --check <id> --trials 8 --seed 3`` for one check of the
 check-sampling benchmark, written before the batch engine learned interval
-selectors and problem stacks.  Reports carry no timings, so any byte that
-moves means a solver, a check or the sup engine changed a float, a status, an
+selectors and problem stacks.  Each ``oracle-<name>.report.json`` is the
+report of ``oracle --config <name>.config.json --h H`` (H = 1/128 for
+n <= 2, 1/32 for n = 3), written before the brute oracles learned to prune
+rows by a bound.  Reports carry no timings, so any byte that moves means a
+solver, an oracle, a check or the sup engine changed a float, a status, an
 iteration or a trial count.  To re-record after an intended change of
 results, run for each name
 
     PYTHONPATH=src python -m fenton_minimax.cli solve \\
         --config tests/data/golden/<name>.config.json \\
         --output tests/data/golden/<name>.report.json
+    PYTHONPATH=src python -m fenton_minimax.cli oracle \\
+        --config tests/data/golden/<name>.config.json --h H \\
+        --output tests/data/golden/oracle-<name>.report.json
     PYTHONPATH=src python -m fenton_minimax.cli verify --check <id> \\
         --trials 8 --seed 3 --output tests/data/golden/verify-<check>.report.json
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -39,6 +46,16 @@ def test_solve_report_is_byte_identical(name, tmp_path):
                "--output", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_oracle_report_is_byte_identical(name, tmp_path):
+    config = GOLDEN / f"{name}.config.json"
+    h = 1.0 / 32 if json.loads(config.read_text())["problem"]["n"] == 3 else 1.0 / 128
+    out = tmp_path / "report.json"
+    rc = main(["oracle", "--config", str(config), "--h", str(h), "--output", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"oracle-{name}.report.json").read_bytes()
 
 
 @pytest.mark.parametrize("check_id", CHECKS)

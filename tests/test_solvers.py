@@ -293,6 +293,62 @@ class TestBlockOraclesMatchLoop:
         assert_same_as_loop(p, {1: 1.0 / 32, 2: 1.0 / 16, 3: 1.0 / 8}[p.n])
 
 
+def assert_bounds_hold(p, h):
+    """For every prefix, every row's exact score is at most its pruning
+    bound, or one of the two is NaN.  All rows are scored, not only those
+    the search keeps: winners alone can hide a bound that is too tight."""
+    grid = _oracle_grid(p, h)
+    m = len(grid)
+    jvals = p.field.eval_many(grid)
+    rows = _oracle_rows(p, grid, grid)
+    pos = np.arange(m)
+    upto, onward = pos <= pos[:, None], pos >= pos[:, None]
+    for score, bound in ((solvers._neg_overall_max, solvers._neg_overall_max_bound),
+                         (solvers._lowest_segment_max, solvers._lowest_segment_max_bound)):
+        row_bounds = bound(rows[-1], upto, onward)
+        for prefix in combinations_with_replacement(range(m), p.n - 1):
+            base = jvals
+            for j, i in enumerate(prefix):
+                base = base + rows[j][i]
+            cuts = [0, *prefix]
+            a = cuts[-1]
+            s = score(base + rows[-1][a:], cuts, upto[a:], onward[a:])
+            b = row_bounds(base, cuts)
+            assert b.shape == s.shape
+            below = b < s  # False where either side is NaN
+            assert not below.any(), (score.__name__, prefix, a + np.flatnonzero(below))
+
+
+class TestOraclePruning:
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_bounds_hold_on_battery(self, name):
+        p = BATTERY[name]
+        assert_bounds_hold(p, 1.0 / 64 if p.n <= 2 else 1.0 / 24)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(random_problems())
+    def test_bounds_hold_on_random_usc_fields(self, p):
+        assert_bounds_hold(p, {1: 1.0 / 32, 2: 1.0 / 16, 3: 1.0 / 8}[p.n])
+
+    @pytest.mark.parametrize("oracle, score", [(brute_minimax, "_neg_overall_max"),
+                                               (brute_maximin, "_lowest_segment_max")])
+    def test_pruning_is_live(self, oracle, score, monkeypatch):
+        # a search that silently scored every row would still give the same
+        # results; only the count of scored rows shows the pruning
+        scored = []
+        inner = getattr(solvers, score)
+
+        def counting(F, *args):
+            scored.append(len(F))
+            return inner(F, *args)
+
+        monkeypatch.setattr(solvers, score, counting)
+        p, h = battery_problem("log-n2-flat"), 1.0 / 128
+        oracle(p, h)
+        m = len(_oracle_grid(p, h))
+        assert 0 < sum(scored) < math.comb(m + p.n - 1, p.n) / 2
+
+
 def ref_mbar(p, a):
     return interval_maxima(p, NodeSystem(a)).max_value.as_float()
 
