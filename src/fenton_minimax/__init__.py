@@ -12,17 +12,15 @@ with brute-force oracles (`solvers`), randomized verification checks
 from .core import UNIT, ExtendedReal, Interval, NEG_INF, NodeSystem, ext_sum
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
 from .kernels import (Kernel, KernelFlags, ValidationReport, custom_kernel,
-                      kernel_eval, kernel_validate, log_kernel, power_kernel,
-                      singularize, sqrt_kernel, strictify, zero_kernel)
+                      kernel_validate, log_kernel, power_kernel, singularize,
+                      sqrt_kernel, strictify, zero_kernel)
 from .fields import (Field, FieldCount, FieldPiece, LimsupConditions,
-                     RealSubset, UnsupportedFieldError, field_eval,
-                     finiteness_domain, limsup_conditions,
+                     RealSubset, finiteness_domain, limsup_conditions,
                      monotone_usc_approximation, n_field_check, usc_regularize)
 from .sumtrans import (MaximaBatch, MaximaVector, Problem, RegularityReport,
-                       SupResult, difference_map, interval_maxima,
-                       interval_maxima_batch, pure_sum_eval, regularity,
-                       regularity_many, singularity_set, sum_eval,
-                       sup_on_interval)
+                       SupResult, interval_maxima, interval_maxima_batch,
+                       pure_sum_eval, regularity, regularity_many,
+                       singularity_set, sum_eval, sup_on_interval)
 from .solvers import (SolveOptions, SolveReport, TraceRecord, brute_maximin,
                       brute_minimax, sample_regular, solve_equioscillation,
                       solve_maximin, solve_minimax)
@@ -38,15 +36,14 @@ __all__ = [
     "ExtendedReal", "NEG_INF", "ext_sum", "Interval", "UNIT", "NodeSystem",
     "Formula", "Constant", "Affine", "Quadratic", "LogWeight",
     "Kernel", "KernelFlags", "ValidationReport", "zero_kernel", "log_kernel",
-    "sqrt_kernel", "power_kernel", "custom_kernel", "kernel_eval",
-    "kernel_validate", "strictify", "singularize",
-    "Field", "FieldPiece", "FieldCount", "RealSubset", "UnsupportedFieldError",
-    "field_eval", "usc_regularize", "n_field_check", "finiteness_domain",
-    "LimsupConditions", "limsup_conditions", "monotone_usc_approximation",
+    "sqrt_kernel", "power_kernel", "custom_kernel", "kernel_validate",
+    "strictify", "singularize",
+    "Field", "FieldPiece", "FieldCount", "RealSubset", "usc_regularize",
+    "n_field_check", "finiteness_domain", "LimsupConditions",
+    "limsup_conditions", "monotone_usc_approximation",
     "Problem", "MaximaVector", "MaximaBatch", "SupResult", "pure_sum_eval",
     "sum_eval", "sup_on_interval", "interval_maxima", "interval_maxima_batch",
     "singularity_set", "RegularityReport", "regularity", "regularity_many",
-    "difference_map",
     "SolveOptions", "SolveReport", "TraceRecord", "brute_minimax",
     "brute_maximin", "solve_equioscillation", "solve_minimax", "solve_maximin",
     "sample_regular",

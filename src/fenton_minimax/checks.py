@@ -572,14 +572,14 @@ def _dini_slacks(g: Field, ks=_DINI_SCHEDULE) -> list[tuple[str, float]]:
     grid = sorted({_field_argmax(g), *np.linspace(0.0, 1.0, 65).tolist(),
                    *g.breakpoints()})
     envs = [monotone_usc_approximation(g, k) for k in ks]
-    maxima = [max(env.eval_float(t) for t in grid) for env in envs]
+    maxima = [max(env(t) for t in grid) for env in envs]
     out = []
     for i in range(len(ks) - 1):
         out.append((f"max nonincreasing k={ks[i]}->{ks[i + 1]}",
                     maxima[i] - maxima[i + 1] + _EQ_SLACK))
     out.append(("terminal gap", 1e-2 - abs(maxima[-1] - target)))
     for t in grid[:: max(1, len(grid) // 8)]:
-        vals = [env.eval_float(t) for env in envs]
+        vals = [env(t) for env in envs]
         gt = g.eval_float(t)
         for i in range(len(vals) - 1):
             out.append((f"pointwise nonincreasing at t={t:.4g}",

@@ -1,15 +1,14 @@
 """Fields: upper-bounded functions J : [0,1] -> R ∪ {-inf}.
 
-The canonical representation is piecewise: a list of (interval, formula)
-pieces with pairwise disjoint point sets; everywhere not covered by a piece
-the field is -inf.  This keeps suprema, one-sided limits, regularization and
-counting exact.  A callable representation is also accepted for function
-values only; the structural operations refuse it.
+A field is piecewise: a list of (interval, formula) pieces with pairwise
+disjoint point sets; everywhere not covered by a piece the field is -inf.
+This keeps suprema, one-sided limits, regularization and counting exact.
 
 ``usc_regularize`` returns the least upper semicontinuous majorant J*, which
 differs from J at most at piece boundary points.  ``monotone_usc_approximation``
 builds the k-Lipschitz upper envelope sup_s (J*(s) - k|t-s|), a continuous
-function that decreases pointwise to J* as k grows.
+function (returned as a plain evaluator, not a field) that decreases
+pointwise to J* as k grows.
 """
 
 from __future__ import annotations
@@ -21,15 +20,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import ExtendedReal, Interval, NEG_INF
+from .core import Interval
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
 
 __all__ = [
-    "UnsupportedFieldError",
     "FieldPiece",
     "Field",
     "RealSubset",
-    "field_eval",
     "usc_regularize",
     "FieldCount",
     "n_field_check",
@@ -38,10 +35,6 @@ __all__ = [
     "limsup_conditions",
     "monotone_usc_approximation",
 ]
-
-
-class UnsupportedFieldError(ValueError):
-    """Raised when a structural operation meets a callable-backed field."""
 
 
 @dataclass(frozen=True)
@@ -58,21 +51,12 @@ class FieldPiece:
 
 @dataclass(frozen=True)
 class Field:
-    """Piecewise (or callable) field on [0, 1]."""
+    """Piecewise field on [0, 1]: -inf off its pieces."""
 
     pieces: tuple[FieldPiece, ...] = ()
-    fn: Callable[[float], float] | None = None
-    declared_upper_bound: float | None = None
     upper_bound: float = dc_field(init=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
-        if self.fn is not None:
-            if self.pieces:
-                raise ValueError("a field is either piecewise or callable, not both")
-            if self.declared_upper_bound is None or not math.isfinite(self.declared_upper_bound):
-                raise ValueError("callable fields must declare a finite upper bound")
-            object.__setattr__(self, "upper_bound", float(self.declared_upper_bound))
-            return
         if not self.pieces:
             raise ValueError("a field needs at least one piece (J = -inf everywhere is not a field)")
         for p in self.pieces:
@@ -89,14 +73,6 @@ class Field:
         ub = max(p.formula.sup_on(p.interval.a, p.interval.b)[0] for p in ordered)
         object.__setattr__(self, "upper_bound", ub)
 
-    @property
-    def representation(self) -> str:
-        return "callable" if self.fn is not None else "piecewise"
-
-    @property
-    def is_piecewise(self) -> bool:
-        return self.fn is None
-
     def piece_at(self, t: float) -> FieldPiece | None:
         for p in self.pieces:
             if p.interval.contains(t):
@@ -108,11 +84,6 @@ class Field:
     def eval_float(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"field argument {t} outside [0, 1]")
-        if self.fn is not None:
-            v = float(self.fn(t))
-            if math.isnan(v) or v == math.inf:
-                raise ValueError(f"callable field produced {v} at t={t}")
-            return v
         p = self.piece_at(t)
         return p.formula.value(t) if p is not None else -math.inf
 
@@ -129,8 +100,6 @@ class Field:
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if self.fn is not None:
-            return np.array([self.eval_float(float(t)) for t in ts])
         out = np.full(ts.shape, -np.inf)
         idx = self.piece_index(ts)
         for k, p in enumerate(self.pieces):
@@ -150,11 +119,6 @@ class Field:
             pts.add(p.interval.a)
             pts.add(p.interval.b)
         return tuple(sorted(pts))
-
-
-def field_eval(J: Field, t: float) -> ExtendedReal:
-    """J(t) as an extended real; errors outside [0, 1]."""
-    return ExtendedReal.of(J.eval_float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +229,6 @@ class RealSubset:
 # structural operations
 
 
-def _require_piecewise(J: Field, op: str) -> None:
-    if not J.is_piecewise:
-        raise UnsupportedFieldError(f"{op} needs a piecewise field")
-
-
 def _covers_left(J: Field, t: float) -> FieldPiece | None:
     """The piece covering (t - delta, t) for small delta, if any."""
     for p in J.pieces:
@@ -294,7 +253,6 @@ def usc_regularize(J: Field) -> Field:
     value becomes the max of J and the one-sided limits of the neighbouring
     pieces.  Applying this twice gives the same field back.
     """
-    _require_piecewise(J, "usc_regularize")
     bps = J.breakpoints()
 
     open_pieces: dict[int, list] = {}
@@ -357,7 +315,6 @@ def n_field_check(J: Field, n: int) -> FieldCount:
     Any nondegenerate interval of finite values makes the count infinite.
     The field qualifies for n nodes iff the count exceeds n.
     """
-    _require_piecewise(J, "n_field_check")
     if n < 1:
         raise ValueError("n must be at least 1")
     dom = finiteness_domain(J)
@@ -371,7 +328,6 @@ def finiteness_domain(J: Field) -> RealSubset:
     """The set where J is finite, as intervals plus isolated points.
 
     Built once per field; the set and its complement are immutable."""
-    _require_piecewise(J, "finiteness_domain")
     return J._finite_set
 
 
@@ -390,7 +346,6 @@ def limsup_conditions(J: Field) -> LimsupConditions:
     side at 0 and 1).  weak: the larger of the two reaches J(t).  full: weak
     together with upper semicontinuity.
     """
-    _require_piecewise(J, "limsup_conditions")
     two_sided = weak = usc = True
     for t in J.breakpoints():
         val = J.eval_float(t)
@@ -458,20 +413,20 @@ def _sup_affine_shift(f: Formula, a: float, b: float, slope: float) -> float:
     raise TypeError(f"unknown formula {f!r}")
 
 
-def monotone_usc_approximation(J: Field, k: float) -> Field:
+def monotone_usc_approximation(J: Field, k: float) -> Callable[[float], float]:
     """The k-Lipschitz envelope t -> sup_s (J*(s) - k|t - s|).
 
-    Returned as a callable-backed field evaluated in closed form from the
-    piece structure.  It majorizes J*, decreases pointwise as k grows, and
-    converges to J* at continuity points.
+    Returned as an evaluator on [0, 1] (a ValueError outside it), computed
+    in closed form from the piece structure.  It majorizes J*, decreases
+    pointwise as k grows, and converges to J* at continuity points.
     """
-    _require_piecewise(J, "monotone_usc_approximation")
     if k <= 0:
         raise ValueError("the Lipschitz constant k must be positive")
     spans = [(p.interval.a, p.interval.b, p.formula) for p in J.pieces]
-    ub = J.upper_bound
 
     def envelope(t: float) -> float:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"envelope argument {t} outside [0, 1]")
         best = -math.inf
         for a, b, f in spans:
             if t <= a:
@@ -485,4 +440,4 @@ def monotone_usc_approximation(J: Field, k: float) -> Field:
                 best = v
         return best
 
-    return Field(fn=envelope, declared_upper_bound=ub)
+    return envelope

@@ -43,7 +43,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import ExtendedReal, reject_unknown
+from .core import reject_unknown
 from .formulas import Formula, formula_from_json, formula_to_json
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "sqrt_kernel",
     "power_kernel",
     "custom_kernel",
-    "kernel_eval",
     "kernel_validate",
     "strictify",
     "singularize",
@@ -387,11 +386,6 @@ def custom_kernel(neg: Formula, pos: Formula, flags: KernelFlags) -> Kernel:
     if abs(v0_neg - v0_pos) > 1e-9:
         raise ValueError("custom kernel sides disagree at 0")
     return k
-
-
-def kernel_eval(k: Kernel, t: float) -> ExtendedReal:
-    """Evaluate with the extended-real wrapper; errors outside [-1, 1]."""
-    return ExtendedReal.of(k.eval(t))
 
 
 def strictify(k: Kernel, eta: float) -> Kernel:

@@ -57,6 +57,14 @@ def decode_value(v: Any) -> float:
     raise ConfigError(f"expected a finite number or \"-inf\", got {v!r}")
 
 
+def _list_at(d: dict, key: str) -> list:
+    """d[key], which must be a list; a ConfigError names the key otherwise."""
+    v = d[key]
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {v!r}")
+    return v
+
+
 def _interval_to_json(iv: Interval) -> dict:
     d: dict = {"a": iv.a, "b": iv.b}
     if not iv.closed_left:
@@ -76,8 +84,6 @@ def _interval_from_json(d: Any) -> Interval:
 
 
 def field_to_json(f: Field) -> dict:
-    if not f.is_piecewise:
-        raise ValueError("callable fields have no JSON form")
     return {"pieces": [{"interval": _interval_to_json(p.interval),
                         "formula": formula_to_json(p.formula)}
                        for p in f.pieces]}
@@ -87,7 +93,7 @@ def field_from_json(d: Any) -> Field:
     if not isinstance(d, dict) or "pieces" not in d:
         raise ConfigError(f"field descriptor needs a pieces list, got {d!r}")
     pieces = []
-    for pd in d["pieces"]:
+    for pd in _list_at(d, "pieces"):
         try:
             reject_unknown(pd, ("interval", "formula"), "field piece")
             pieces.append(FieldPiece(_interval_from_json(pd["interval"]),
@@ -113,17 +119,21 @@ def problem_from_json(d: Any) -> Problem:
         raise ConfigError(f"problem descriptor must be an object, got {d!r}")
     reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
     try:
-        n = int(d["n"])
+        n = d["n"]
+        if isinstance(n, bool) or not isinstance(n, (int, float)) or (
+                isinstance(n, float) and not n.is_integer()):
+            raise ConfigError(f"n must be an integer, got {n!r}")
+        n = int(n)
         field = field_from_json(d["field"])
     except KeyError as exc:
         raise ConfigError(f"problem descriptor missing {exc}") from exc
     kwargs: dict = {}
     if "kernels" in d:
-        kwargs["kernels"] = tuple(kernel_from_json(k) for k in d["kernels"])
+        kwargs["kernels"] = tuple(kernel_from_json(k) for k in _list_at(d, "kernels"))
     elif "kernel" in d:
         kwargs["kernel"] = kernel_from_json(d["kernel"])
         if "weights" in d:
-            kwargs["weights"] = tuple(float(w) for w in d["weights"])
+            kwargs["weights"] = tuple(float(w) for w in _list_at(d, "weights"))
     else:
         raise ConfigError("problem descriptor needs a kernel or a kernels list")
     try:
@@ -151,7 +161,8 @@ def options_from_json(d: Any) -> SolveOptions:
     reject_unknown(d, _OPTION_KEYS, "option")
     kwargs: dict = dict(d)
     if "continuation_etas" in kwargs:
-        kwargs["continuation_etas"] = tuple(float(e) for e in kwargs["continuation_etas"])
+        etas = _list_at(kwargs, "continuation_etas")
+        kwargs["continuation_etas"] = tuple(float(e) for e in etas)
     try:
         return SolveOptions(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -231,7 +242,7 @@ def config_from_json(d: Any) -> RunConfig:
         output = output.get("path")
     if fmt is not None and fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    checks = tuple(d.get("checks", ()))
+    checks = tuple(_list_at(d, "checks")) if "checks" in d else ()
     return RunConfig(problem=problem, options=options, nodes=nodes, checks=checks,
                      sweep=tuple(sweep), output=output, fmt=fmt)
 

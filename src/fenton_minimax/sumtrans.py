@@ -69,7 +69,6 @@ __all__ = [
     "RegularityReport",
     "regularity",
     "regularity_many",
-    "difference_map",
 ]
 
 
@@ -106,8 +105,6 @@ class Problem:
             if any(v <= 0 or not math.isfinite(v) for v in w):
                 raise ValueError("weights must be positive and finite")
             object.__setattr__(self, "weights", w)
-        if not self.field.is_piecewise:
-            raise ValueError("a problem needs a piecewise field")
         chk = n_field_check(self.field, self.n)
         if not chk.valid:
             raise ValueError(
@@ -655,12 +652,3 @@ def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
     singular = tuple(j for j, covered in enumerate(row) if covered)
     return RegularityReport(not singular, singular, p, x)
 
-
-def difference_map(p: Problem, x: NodeSystem) -> tuple[float, ...]:
-    """(m_1 - m_0, ..., m_n - m_{n-1}); errors when any operand is -inf."""
-    m = interval_maxima(p, x)
-    if any(not v.is_finite for v in m.values):
-        bad = [j for j, v in enumerate(m.values) if not v.is_finite]
-        raise ValueError(f"difference map undefined: m_j = -inf for j in {bad}")
-    vals = m.floats()
-    return tuple(vals[j + 1] - vals[j] for j in range(p.n))

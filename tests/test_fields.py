@@ -8,10 +8,8 @@ from fenton_minimax.battery import (bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
 from fenton_minimax.core import Interval
 from fenton_minimax.fields import (Field, FieldPiece, RealSubset,
-                                   UnsupportedFieldError, field_eval,
-                                   finiteness_domain, limsup_conditions,
-                                   monotone_usc_approximation, n_field_check,
-                                   usc_regularize)
+                                   limsup_conditions, monotone_usc_approximation,
+                                   n_field_check, usc_regularize)
 from fenton_minimax.formulas import (Affine, Constant, LogWeight, Quadratic,
                                      formula_from_json, formula_to_json)
 
@@ -86,8 +84,6 @@ class TestField:
         assert J.eval_float(0.25) == 0.25
         assert J.eval_float(0.5) == -math.inf
         assert J.eval_float(0.75) == -math.inf
-        assert field_eval(J, 0.2).value == 0.2
-        assert not field_eval(J, 0.9).is_finite
 
     def test_eval_many(self):
         J = two_band_field()
@@ -115,20 +111,6 @@ class TestField:
     def test_breakpoints(self):
         assert ramp_field().breakpoints() == (0.0, 0.5, 1.0)
         assert two_band_field().breakpoints() == (0.0, 0.1, 0.4, 0.6, 0.9, 1.0)
-
-    def test_callable_field_needs_bound(self):
-        with pytest.raises(ValueError):
-            Field(fn=lambda t: 0.0)
-        f = Field(fn=lambda t: math.sin(t), declared_upper_bound=1.0)
-        assert not f.is_piecewise
-        assert f.eval_float(0.5) == math.sin(0.5)
-
-    def test_structural_ops_reject_callable(self):
-        f = Field(fn=lambda t: 0.0, declared_upper_bound=0.0)
-        with pytest.raises(UnsupportedFieldError):
-            finiteness_domain(f)
-        with pytest.raises(UnsupportedFieldError):
-            usc_regularize(f)
 
 
 class TestRealSubset:
@@ -254,39 +236,44 @@ class TestMonotoneApproximation:
         for t in np.linspace(0, 1, 101):
             gt = g.eval_float(float(t))
             if gt > -math.inf:
-                assert env.eval_float(float(t)) >= gt - 1e-12
+                assert env(float(t)) >= gt - 1e-12
 
     def test_decreases_in_k(self):
         g = usc_regularize(two_band_field())
         e1 = monotone_usc_approximation(g, 4.0)
         e2 = monotone_usc_approximation(g, 64.0)
         for t in np.linspace(0, 1, 101):
-            assert e2.eval_float(float(t)) <= e1.eval_float(float(t)) + 1e-12
+            assert e2(float(t)) <= e1(float(t)) + 1e-12
 
     def test_max_is_exact(self):
         for J in (bump_field(), usc_regularize(ramp_field()), two_band_field()):
             for k in (4.0, 64.0, 1024.0):
                 env = monotone_usc_approximation(J, k)
                 grid = np.linspace(0, 1, 513)
-                m = max(env.eval_float(float(t)) for t in grid)
+                m = max(env(float(t)) for t in grid)
                 assert m == pytest.approx(J.upper_bound, abs=1e-12)
 
     def test_closed_form_outside_gap(self):
         # to the right of the band [0.1, 0.4], the envelope decays linearly
         g = Field(pieces=(FieldPiece(Interval(0.1, 0.4), Constant(2.0)),))
         env = monotone_usc_approximation(g, 8.0)
-        assert env.eval_float(0.4) == pytest.approx(2.0)
-        assert env.eval_float(0.65) == pytest.approx(2.0 - 8.0 * 0.25)
-        assert env.eval_float(0.0) == pytest.approx(2.0 - 8.0 * 0.1)
+        assert env(0.4) == pytest.approx(2.0)
+        assert env(0.65) == pytest.approx(2.0 - 8.0 * 0.25)
+        assert env(0.0) == pytest.approx(2.0 - 8.0 * 0.1)
 
     def test_lipschitz_bound_holds(self):
         g = usc_regularize(gate_field())
         k = 32.0
         env = monotone_usc_approximation(g, k)
         ts = np.linspace(0, 1, 201)
-        vs = [env.eval_float(float(t)) for t in ts]
+        vs = [env(float(t)) for t in ts]
         steps = np.abs(np.diff(vs))
         assert steps.max() <= k * (ts[1] - ts[0]) + 1e-9
+
+    def test_rejects_argument_outside_unit_interval(self):
+        env = monotone_usc_approximation(bump_field(), 8.0)
+        with pytest.raises(ValueError, match="outside"):
+            env(1.5)
 
 
 def test_covers_counts_points_merged_into_intervals():

@@ -5,15 +5,17 @@ Each ``tests/data/golden/<name>.config.json`` is a battery problem with
 ``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
 solve command wrote for it before the scalar sup engine was restructured
 around a per-problem plan.  Each ``verify-<check>.report.json`` is the report
-of ``verify --check <id> --trials 8 --seed 3`` for one check of the
-check-sampling benchmark, written before the batch engine learned interval
-selectors and problem stacks.  Each ``oracle-<name>.report.json`` is the
-report of ``oracle --config <name>.config.json --h H`` (H = 1/128 for
-n <= 2, 1/32 for n = 3), written before the brute oracles learned to prune
-rows by a bound.  Reports carry no timings, so any byte that moves means a
-solver, an oracle, a check or the sup engine changed a float, a status, an
-iteration or a trial count.  To re-record after an intended change of
-results, run for each name
+of ``verify --check <id> --trials 8 --seed 3``: the three checks of the
+check-sampling benchmark were written before the batch engine learned
+interval selectors and problem stacks, and ``dini-max`` and
+``usc-invariances``, which exercise the fields' structural operations and
+Lipschitz envelopes, before ``Field`` became piecewise-only.  Each
+``oracle-<name>.report.json`` is the report of ``oracle --config
+<name>.config.json --h H`` (H = 1/128 for n <= 2, 1/32 for n = 3), written
+before the brute oracles learned to prune rows by a bound.  Reports carry
+no timings, so any byte that moves means a solver, an oracle, a check or the
+sup engine changed a float, a status, an iteration or a trial count.  To
+re-record after an intended change of results, run for each name
 
     PYTHONPATH=src python -m fenton_minimax.cli solve \\
         --config tests/data/golden/<name>.config.json \\
@@ -36,7 +38,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 NAMES = ("log-n2-bump", "log-n3-flat", "sqrt-n3-bump", "power05-n2-bump",
          "zero-n2-bands", "log-n1-ramp")
 CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
-          "lem4.1/singularize-limit")
+          "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances")
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -8,11 +8,10 @@ from hypothesis import given, strategies as st
 
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
 from fenton_minimax.kernels import (FAMILIES, Kernel, KernelFlags, TranslateSum,
-                                    custom_kernel, kernel_eval,
-                                    kernel_from_json, kernel_to_json,
-                                    kernel_validate, log_kernel, power_kernel,
-                                    singularize, sqrt_kernel, strictify,
-                                    zero_kernel)
+                                    custom_kernel, kernel_from_json,
+                                    kernel_to_json, kernel_validate, log_kernel,
+                                    power_kernel, singularize, sqrt_kernel,
+                                    strictify, zero_kernel)
 
 STOCK = [zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
          power_kernel(1.5)]
@@ -35,14 +34,14 @@ nonzero = inner.filter(lambda t: abs(t) > 1e-12)
 
 class TestFamilies:
     def test_values(self):
-        assert kernel_eval(zero_kernel(), 0.37) == 0.0
-        assert kernel_eval(log_kernel(), 0.5) == math.log(0.5)
-        assert kernel_eval(log_kernel(), -0.5) == math.log(0.5)
-        assert kernel_eval(log_kernel(), 0.0) == -math.inf
-        assert kernel_eval(sqrt_kernel(), 0.25) == 0.5
-        assert kernel_eval(sqrt_kernel(), 0.0) == 0.0
-        assert kernel_eval(power_kernel(0.5), 0.25) == -2.0
-        assert kernel_eval(power_kernel(0.5), 0.0) == -math.inf
+        assert zero_kernel().eval(0.37) == 0.0
+        assert log_kernel().eval(0.5) == math.log(0.5)
+        assert log_kernel().eval(-0.5) == math.log(0.5)
+        assert log_kernel().eval(0.0) == -math.inf
+        assert sqrt_kernel().eval(0.25) == 0.5
+        assert sqrt_kernel().eval(0.0) == 0.0
+        assert power_kernel(0.5).eval(0.25) == -2.0
+        assert power_kernel(0.5).eval(0.0) == -math.inf
 
     def test_flags(self):
         assert log_kernel().flags == KernelFlags(

@@ -286,6 +286,26 @@ class TestCliSolve:
         assert main(["solve", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, extra, key", [
+        ({**LOG_N2, "field": {"pieces": 5}}, {}, "pieces must be a list"),
+        ({**LOG_N2, "weights": 5}, {}, "weights must be a list"),
+        ({"n": 2, "field": FLAT, "kernels": 5}, {}, "kernels must be a list"),
+        (LOG_N2, {"options": {"continuation_etas": 5}},
+         "continuation_etas must be a list"),
+        (LOG_N2, {"checks": 5}, "checks must be a list"),
+        ({**LOG_N2, "n": 2.5}, {}, "n must be an integer"),
+        ({**LOG_N2, "n": "2"}, {}, "n must be an integer"),
+        ({**LOG_N2, "n": True}, {}, "n must be an integer"),
+    ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
+            "n-fraction", "n-string", "n-bool"])
+    def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, problem, extra, key):
+        cfg = write_cfg(tmp_path, "c.json", problem, **extra)
+        assert main(["solve", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_integral_float_n_is_accepted(self):
+        assert problem_from_json({**LOG_N2, "n": 2.0}).n == 2
+
 
 class TestCliOracle:
     def test_single_node_landscape_csv(self, tmp_path, capsys):

@@ -18,9 +18,9 @@ from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     strictify, zero_kernel)
 from fenton_minimax.maximize import concave_max
 from fenton_minimax.solvers import SolveOptions, solve_maximin
-from fenton_minimax.sumtrans import (Problem, _pure_many, difference_map,
-                                     interval_maxima, interval_maxima_batch,
-                                     pure_sum_eval, regularity, regularity_many,
+from fenton_minimax.sumtrans import (Problem, _pure_many, interval_maxima,
+                                     interval_maxima_batch, pure_sum_eval,
+                                     regularity, regularity_many,
                                      singularity_set, sum_eval, sup_on_interval)
 
 # closed-form optimum of the two-node flat problem with the log kernel:
@@ -64,11 +64,6 @@ class TestProblemValidation:
         Problem(n=1, field=dots, kernel=log_kernel())
         with pytest.raises(ValueError):
             Problem(n=2, field=dots, kernel=log_kernel())
-
-    def test_callable_field_rejected(self):
-        holder = Field(fn=lambda t: 0.0, declared_upper_bound=0.0)
-        with pytest.raises(ValueError, match="piecewise field"):
-            Problem(n=1, field=holder, kernel=log_kernel())
 
     def test_translates_and_flags(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel(),
@@ -278,9 +273,15 @@ class TestRegularity:
 
 
 class TestDifferenceMap:
+    """The differences m_{j+1} - m_j of the interval maxima."""
+
+    @staticmethod
+    def diffs(p, nodes):
+        return np.diff(interval_maxima(p, NodeSystem(nodes)).floats())
+
     def test_zero_at_closed_form_optimum(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
-        d = difference_map(p, NodeSystem(X2_STAR))
+        d = self.diffs(p, X2_STAR)
         assert len(d) == 2
         for v in d:
             assert v == pytest.approx(0.0, abs=1e-9)
@@ -288,13 +289,8 @@ class TestDifferenceMap:
     def test_sign_tracks_node_motion(self):
         p = Problem(n=1, field=flat_field(), kernel=log_kernel())
         # node left of center: right interval is longer, so m_1 > m_0
-        assert difference_map(p, NodeSystem((0.3,)))[0] > 0
-        assert difference_map(p, NodeSystem((0.7,)))[0] < 0
-
-    def test_raises_on_neg_inf(self):
-        p = Problem(n=1, field=gate_field(), kernel=zero_kernel())
-        with pytest.raises(ValueError, match="m_j = -inf"):
-            difference_map(p, NodeSystem((0.75,)))
+        assert self.diffs(p, (0.3,))[0] > 0
+        assert self.diffs(p, (0.7,))[0] < 0
 
 
 # ---------------------------------------------------------------------------
