@@ -9,7 +9,7 @@ with brute-force oracles (`solvers`), randomized verification checks
 ``fenton-minimax`` command line (`cli`).
 """
 
-from .core import UNIT, ExtendedReal, Interval, NEG_INF, NodeSystem, ext_sum
+from .core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
 from .kernels import (Kernel, KernelFlags, ValidationReport, custom_kernel,
                       kernel_validate, log_kernel, power_kernel, singularize,
@@ -33,7 +33,7 @@ from .schema import (SCHEMA_VERSION, ConfigError, RunConfig, config_from_json,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedReal", "NEG_INF", "ext_sum", "Interval", "UNIT", "NodeSystem",
+    "ExtendedReal", "NEG_INF", "Interval", "NodeSystem",
     "Formula", "Constant", "Affine", "Quadratic", "LogWeight",
     "Kernel", "KernelFlags", "ValidationReport", "zero_kernel", "log_kernel",
     "sqrt_kernel", "power_kernel", "custom_kernel", "kernel_validate",

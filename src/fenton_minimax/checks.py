@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -612,18 +613,12 @@ def check_dini_max(trials: int = 100, seed: int = 0) -> CheckReport:
 # kernel transform limits
 
 
-def _transformed(p: Problem, direction: str, eta: float) -> Problem:
-    op = strictify if direction == "strictify" else singularize
-    if p.kernels is not None:
-        return replace(p, kernels=tuple(op(k, eta) for k in p.kernels))
-    return replace(p, kernel=op(p.kernel, eta))
-
-
 def _kernel_limit_slacks(p: Problem, X: np.ndarray, js: np.ndarray, direction: str,
                          etas: tuple[float, ...]) -> np.ndarray:
     """Slacks of m_{js[i]} at node system X[i], one row each: consecutive
     etas first, then each eta against the untransformed problem."""
-    stack = [p, *(_transformed(p, direction, e) for e in etas)]
+    op = strictify if direction == "strictify" else singularize
+    stack = [p, *(p.map_kernels(partial(op, eta=e)) for e in etas)]
     m = interval_maxima_batch(stack, X, js).values
     base, vals = m[0][:, None], m[1:].T
     if direction == "strictify":
@@ -653,7 +648,7 @@ def check_kernel_limits(p: Problem, etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0
     rec = _Recorder(check_id)
     rng = random.Random(seed)
     pj = problem_to_json(p)
-    monotone_all = all(p.kernel_at(j).flags.monotone for j in range(p.n))
+    monotone_all = all(k.flags.monotone for _, k in p.translates())
     directions = [d for d in (("strictify", "singularize") if direction == "both"
                               else (direction,))
                   if d != "strictify" or monotone_all]

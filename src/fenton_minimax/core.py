@@ -1,10 +1,10 @@
 """Extended-real scalars, intervals, and node systems.
 
-The scalar type models R ∪ {-inf}: +inf is never representable, addition
-absorbs -inf, and the order is total.  Everything in this module is an
-immutable value object, safe to hash and to share.  ``ConfigError`` and
-``reject_unknown`` sit here too, so that every module that reads a JSON
-descriptor (formulas, kernels, schema) rejects unknown keys the same way.
+The scalar type models R ∪ {-inf}: +inf is never representable, and the
+order is total.  Everything in this module is an immutable value object,
+safe to hash and to share.  ``ConfigError`` and ``reject_unknown`` sit here
+too, so that every module that reads a JSON descriptor (formulas, kernels,
+schema) rejects unknown keys the same way.
 """
 
 from __future__ import annotations
@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "ConfigError",
     "reject_unknown",
     "ExtendedReal",
     "NEG_INF",
-    "ext_sum",
     "Interval",
-    "UNIT",
     "NodeSystem",
 ]
 
@@ -63,36 +61,12 @@ class ExtendedReal:
         return cls(float(value))
 
     @property
-    def tag(self) -> str:
-        return "finite" if self.raw != -math.inf else "neg-infinity"
-
-    @property
     def is_finite(self) -> bool:
         return self.raw != -math.inf
-
-    @property
-    def value(self) -> float:
-        """The finite value.  Raises on -inf: there is nothing to return."""
-        if self.raw == -math.inf:
-            raise ValueError("-inf has no finite value")
-        return self.raw
 
     def as_float(self) -> float:
         """The underlying float, mapping the -inf tag to IEEE -inf."""
         return self.raw
-
-    def __add__(self, other) -> "ExtendedReal":
-        o = ExtendedReal.of(other)
-        # -inf absorbs; +inf can never appear, so the sum is never NaN.
-        return ExtendedReal(self.raw + o.raw)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ExtendedReal":
-        o = ExtendedReal.of(other)
-        if not o.is_finite:
-            raise ValueError("subtracting -inf is undefined")
-        return ExtendedReal(self.raw - o.raw)
 
     def __lt__(self, other) -> bool:
         return self.raw < ExtendedReal.of(other).raw
@@ -110,20 +84,6 @@ class ExtendedReal:
 
 
 NEG_INF = ExtendedReal(-math.inf)
-
-
-def ext_sum(terms: Iterable) -> ExtendedReal:
-    """Sum a non-empty collection of extended reals.
-
-    Any -inf term absorbs the whole sum.  The finite branch uses
-    ``math.fsum`` so the result does not depend on association order.
-    """
-    vals = [ExtendedReal.of(t).raw for t in terms]
-    if not vals:
-        raise ValueError("ext_sum needs at least one term")
-    if -math.inf in vals:
-        return NEG_INF
-    return ExtendedReal(math.fsum(vals))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,18 +110,6 @@ class Interval:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.a == self.b
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
     def contains(self, t: float) -> bool:
         if t < self.a or t > self.b:
             return False
@@ -170,9 +118,6 @@ class Interval:
         if t == self.b and not self.closed_right:
             return False
         return True
-
-    def closure(self) -> "Interval":
-        return Interval(self.a, self.b, True, True)
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """Set intersection; None when empty."""
@@ -193,15 +138,6 @@ class Interval:
         if lo == hi and not (lo_closed and hi_closed):
             return None
         return Interval(lo, hi, lo_closed, hi_closed)
-
-    def rint01(self) -> "Interval | None":
-        """Relative interior within [0,1]: ends at 0 or 1 stay included."""
-        if self.is_degenerate:
-            return None
-        return Interval(self.a, self.b, self.a == 0.0, self.b == 1.0)
-
-
-UNIT = Interval(0.0, 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,9 +176,6 @@ class NodeSystem:
         if not 0 <= j <= self.n:
             raise IndexError(f"interval index {j} outside 0..{self.n}")
         return Interval(s[j], s[j + 1])
-
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(self.interval(j) for j in range(self.n + 1))
 
     def classify(self) -> str:
         prev = 0.0

@@ -189,17 +189,6 @@ class RealSubset:
             return True
         return any(iv.contains(a) and iv.contains(b) for iv in self.intervals)
 
-    def intersect(self, q: Interval) -> "RealSubset":
-        out = []
-        for p in self.parts():
-            s = p.intersect(q)
-            if s is not None:
-                out.append(s)
-        return RealSubset.from_parts(out)
-
-    def union(self, other: "RealSubset") -> "RealSubset":
-        return RealSubset.from_parts(self.parts() + other.parts())
-
     def with_points(self, pts) -> "RealSubset":
         extra = tuple(Interval(p, p) for p in pts)
         return RealSubset.from_parts(self.parts() + extra)
@@ -229,21 +218,14 @@ class RealSubset:
 # structural operations
 
 
-def _covers_left(J: Field, t: float) -> FieldPiece | None:
-    """The piece covering (t - delta, t) for small delta, if any."""
-    for p in J.pieces:
-        iv = p.interval
-        if iv.a < t <= iv.b:
-            return p
-    return None
-
-
-def _covers_right(J: Field, t: float) -> FieldPiece | None:
-    for p in J.pieces:
-        iv = p.interval
-        if iv.a <= t < iv.b:
-            return p
-    return None
+def _side_pieces(J: Field) -> list[tuple[float, FieldPiece | None, FieldPiece | None]]:
+    """(t, left, right) per breakpoint t of J: the pieces covering (t - d, t)
+    and (t, t + d) for small d, None where J is -inf there.  A piece that
+    covers the midpoint of the open cell between two neighbouring
+    breakpoints covers the whole cell."""
+    bps = J.breakpoints()
+    cells = [J.piece_at(0.5 * (u + v)) for u, v in zip(bps, bps[1:])]
+    return list(zip(bps, [None, *cells], [*cells, None]))
 
 
 def usc_regularize(J: Field) -> Field:
@@ -253,20 +235,13 @@ def usc_regularize(J: Field) -> Field:
     value becomes the max of J and the one-sided limits of the neighbouring
     pieces.  Applying this twice gives the same field back.
     """
-    bps = J.breakpoints()
-
-    open_pieces: dict[int, list] = {}
-    cells = []
-    for i, (u, v) in enumerate(zip(bps, bps[1:])):
-        cover = J.piece_at(0.5 * (u + v)) if v > u else None
-        cells.append(cover)
-        if cover is not None:
-            open_pieces[i] = [u, v, False, False, cover.formula]
+    sides = _side_pieces(J)
+    # the open cell i runs from breakpoint i to breakpoint i + 1
+    open_pieces = {i: [t, sides[i + 1][0], False, False, right.formula]
+                   for i, (t, _, right) in enumerate(sides) if right is not None}
 
     points: list[tuple[float, float]] = []
-    for i, t in enumerate(bps):
-        left = cells[i - 1] if i > 0 else None
-        right = cells[i] if i < len(cells) else None
+    for i, (t, left, right) in enumerate(sides):
         vals = [J.eval_float(t)]
         if left is not None:
             vals.append(left.formula.value(t))
@@ -347,9 +322,8 @@ def limsup_conditions(J: Field) -> LimsupConditions:
     together with upper semicontinuity.
     """
     two_sided = weak = usc = True
-    for t in J.breakpoints():
+    for t, lp, rp in _side_pieces(J):
         val = J.eval_float(t)
-        lp, rp = _covers_left(J, t), _covers_right(J, t)
         left = lp.formula.value(t) if lp is not None else -math.inf
         right = rp.formula.value(t) if rp is not None else -math.inf
         avail = []

@@ -60,12 +60,16 @@ def concave_max(g: Callable[[float], tuple[float, float]], a: float, b: float) -
     lo, flo, dlo = a, fa, da
     hi, fhi, dhi = b, fb, db
     best_v, best_t = -math.inf, a  # best interior probe
-    known = [(t, d) for t, d in ((a, da), (b, db)) if math.isfinite(d)]
+    # the secant's points (t0, d0), (t1, d1): the last two of the ends with a
+    # finite slope, then every probe; ``known`` counts them all
+    b_ok = math.isfinite(db)
+    known = math.isfinite(da) + b_ok
+    t0, d0 = a, da
+    t1, d1 = (b, db) if b_ok else (a, da)
     gap = prev_gap = math.inf
     for _ in range(_MAX_PROBES):
         t = 0.5 * (lo + hi)
-        if len(known) >= 2 and gap <= 0.5 * prev_gap:
-            (t0, d0), (t1, d1) = known[-2:]
+        if known >= 2 and gap <= 0.5 * prev_gap:
             if d0 != d1:
                 ts = t1 - d1 * (t1 - t0) / (d1 - d0)
                 if lo < ts < hi:
@@ -74,7 +78,8 @@ def concave_max(g: Callable[[float], tuple[float, float]], a: float, b: float) -
             gap = 0.0
             break
         ft, dt = g(t)
-        known.append((t, dt))
+        known += 1
+        t0, d0, t1, d1 = t1, d1, t, dt
         if ft > best_v or (ft == best_v and t < best_t):
             best_v, best_t = ft, t
         prev_gap = gap
@@ -152,7 +157,7 @@ def concave_max_many(g: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.
         lo, flo, dlo, hi, fhi, dhi = a[i], fa[i], da[i], b[i], fb[i], db[i]
         end_v, end_t = end_v[i], end_t[i]
         best_v, best_t = np.full(i.size, -np.inf), lo.copy()
-        # the last two entries of concave_max's `known` list: (t0, d0), (t1, d1)
+        # concave_max's secant points and count
         b_ok = np.isfinite(dhi)
         known = np.isfinite(dlo).astype(int) + b_ok
         t0, d0 = lo, dlo

@@ -65,6 +65,26 @@ def _list_at(d: dict, key: str) -> list:
     return v
 
 
+def _floats_at(d: dict, key: str) -> tuple[float, ...]:
+    """d[key] as a tuple of floats; a ConfigError names the key when it is
+    not a list or an item is not a number."""
+    items = _list_at(d, key)
+    try:
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} items must be numbers: {exc}") from exc
+
+
+def _int_at(d: dict, key: str) -> int:
+    """d[key], an integer or an integral float, as an int; a ConfigError
+    names the key for anything else, booleans included."""
+    v = d[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+            isinstance(v, float) and not v.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _interval_to_json(iv: Interval) -> dict:
     d: dict = {"a": iv.a, "b": iv.b}
     if not iv.closed_left:
@@ -119,11 +139,7 @@ def problem_from_json(d: Any) -> Problem:
         raise ConfigError(f"problem descriptor must be an object, got {d!r}")
     reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
     try:
-        n = d["n"]
-        if isinstance(n, bool) or not isinstance(n, (int, float)) or (
-                isinstance(n, float) and not n.is_integer()):
-            raise ConfigError(f"n must be an integer, got {n!r}")
-        n = int(n)
+        n = _int_at(d, "n")
         field = field_from_json(d["field"])
     except KeyError as exc:
         raise ConfigError(f"problem descriptor missing {exc}") from exc
@@ -133,7 +149,7 @@ def problem_from_json(d: Any) -> Problem:
     elif "kernel" in d:
         kwargs["kernel"] = kernel_from_json(d["kernel"])
         if "weights" in d:
-            kwargs["weights"] = tuple(float(w) for w in _list_at(d, "weights"))
+            kwargs["weights"] = _floats_at(d, "weights")
     else:
         raise ConfigError("problem descriptor needs a kernel or a kernels list")
     try:
@@ -161,8 +177,10 @@ def options_from_json(d: Any) -> SolveOptions:
     reject_unknown(d, _OPTION_KEYS, "option")
     kwargs: dict = dict(d)
     if "continuation_etas" in kwargs:
-        etas = _list_at(kwargs, "continuation_etas")
-        kwargs["continuation_etas"] = tuple(float(e) for e in etas)
+        kwargs["continuation_etas"] = _floats_at(kwargs, "continuation_etas")
+    for key in ("max_iters", "multistarts", "seed"):
+        if key in kwargs:
+            kwargs[key] = _int_at(kwargs, key)
     try:
         return SolveOptions(**kwargs)
     except (TypeError, ValueError) as exc:

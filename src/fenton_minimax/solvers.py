@@ -36,10 +36,12 @@ maxima, warm-started from the equioscillation result; a caller that runs all
 three solvers passes that result in as ``eq=`` so it is computed once.  Each
 search also starts from points of its own (the evenly spaced system for
 minimax, three random regular systems for maximin), so comparing their
-values is not circular.  A search candidate is compared with the incumbent
-one interval maximum at a time and dropped at the first that fails to beat
-it; this gives the same result as computing all n + 1, at a fraction of the
-cost.
+values is not circular.  Both run one driver, ``_search``, which differs
+between them only in the sign of the objective: it searches from every
+start, keeps the best value and reports it.  A search candidate is compared
+with the incumbent one interval maximum at a time and dropped at the first
+that fails to beat it; this gives the same result as computing all n + 1, at
+a fraction of the cost.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -50,6 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
@@ -58,7 +61,7 @@ import numpy as np
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import finiteness_domain
 from .kernels import strictify
-from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima
+from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima, regularity
 
 __all__ = [
     "SolveOptions",
@@ -132,14 +135,11 @@ def _phi(p: Problem, arr) -> np.ndarray | None:
     return None if m is None else np.diff(m.floats())
 
 
-def _mbar(p: Problem, arr) -> float:
+def _objective(p: Problem, arr, sign: float) -> float:
+    """The largest interval maximum at arr for sign < 0, the smallest for
+    sign > 0, as a float."""
     m = interval_maxima(p, _ns(arr))
-    return m.max_value.as_float()
-
-
-def _mlow(p: Problem, arr) -> float:
-    m = interval_maxima(p, _ns(arr))
-    return m.min_value.as_float()
+    return (m.max_value if sign < 0 else m.min_value).as_float()
 
 
 def _nearest_finite(p: Problem, t: float) -> float:
@@ -173,8 +173,6 @@ def _repair(p: Problem, arr) -> np.ndarray:
             x[i] = min(x[i], x[i + 1] - sep)
         x = np.minimum(np.maximum(x, 0.0), 1.0)
 
-    from .sumtrans import regularity
-
     for _ in range(6):
         reg = regularity(p, _ns(np.maximum.accumulate(x)))
         if reg.in_Y:
@@ -199,8 +197,6 @@ def _repair(p: Problem, arr) -> np.ndarray:
 
 def sample_regular(p: Problem, rng: random.Random, attempts: int = 10) -> NodeSystem:
     """A random node system in Y: rejection first, nudging repair afterwards."""
-    from .sumtrans import regularity
-
     for _ in range(attempts):
         cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
         ns = _ns(cand)
@@ -392,17 +388,6 @@ def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
 # equioscillation
 
 
-def _with_eta(p: Problem, eta: float) -> Problem:
-    if eta <= 0:
-        return p
-    if p.kernels is not None:
-        ks = tuple(strictify(k, eta) if k.flags.monotone else k for k in p.kernels)
-        return replace(p, kernels=ks)
-    if not p.kernel.flags.monotone:
-        return p
-    return replace(p, kernel=strictify(p.kernel, eta))
-
-
 def _interior_breakpoints(p: Problem) -> list[float]:
     return [t for t in p.field.breakpoints() if 0.0 < t < 1.0]
 
@@ -579,13 +564,16 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     return x, res, iters, trace
 
 
+def _even_start(p: Problem) -> np.ndarray:
+    """The evenly spaced system x_j = j / (n + 1), repaired toward Y."""
+    return _repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))
+
+
 def _starts(p: Problem, o: SolveOptions) -> list[np.ndarray]:
-    n = p.n
-    base = np.array([(j + 1.0) / (n + 1.0) for j in range(n)])
-    starts = [_repair(p, base)]
+    starts = [_even_start(p)]
     rng = random.Random(o.seed)
     for _ in range(o.multistarts - 1):
-        cand = sorted(rng.uniform(0.0, 1.0) for _ in range(n))
+        cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
         starts.append(_repair(p, cand))
     return starts
 
@@ -622,19 +610,19 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     if p.n == 1:
         return _solve_eq_1d(p, o)
 
-    shared_strict = (p.kernel.flags.strictly_concave if p.kernels is None
-                     else all(k.flags.strictly_concave for k in p.kernels))
-    shared_monotone = (p.kernel.flags.monotone if p.kernels is None
-                       else all(k.flags.monotone for k in p.kernels))
+    flags = [k.flags for _, k in p.translates()]
+    shared_strict = all(f.strictly_concave for f in flags)
+    shared_monotone = all(f.monotone for f in flags)
     etas = o.continuation_etas if (shared_monotone and not shared_strict) else (0.0,)
+    # the continuation stages: every kernel strictified by eta, then p itself
+    stages = [p.map_kernels(partial(strictify, eta=eta)) if eta > 0 else p for eta in etas]
 
     results = []
     total_iters = 0
     for x0 in _starts(p, o):
         x = x0
         res, trace = math.inf, []
-        for eta in etas:
-            pe = _with_eta(p, eta)
+        for pe in stages:
             x, res, iters, trace = _newton(pe, x, o)
             total_iters += iters
         x, res = _snap_to_breakpoints(p, x, res, o)
@@ -654,7 +642,7 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     sols.sort()
 
     x = _ns(best_x)
-    value = ExtendedReal.of(_mbar(p, best_x))
+    value = ExtendedReal.of(_objective(p, best_x, -1.0))
     status = "converged" if best_res <= o.tol_residual else "stalled"
     return SolveReport(x, value, best_res, status, total_iters, tuple(best_trace),
                        tuple(_ns(s) for s in sols))
@@ -721,6 +709,32 @@ def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
     return x, fx, step, iters
 
 
+def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
+            starts: list[np.ndarray]) -> SolveReport:
+    """The pattern search of ``_pattern`` (sign as there) from every start
+    whose objective is finite.  The best value wins, ties going to the
+    lexicographically first node system; its final step is the residual,
+    and the iterations add up over eq and every search."""
+    best = None
+    iters = eq.iterations
+    for x0 in starts:
+        f0 = _objective(p, x0, sign)
+        if not math.isfinite(f0):
+            continue
+        x, fx, step, it = _pattern(p, x0, o, sign, f0)
+        iters += it
+        if best is None or (-sign * fx, tuple(x)) < (-sign * best[0], best[1]):
+            best = (fx, tuple(x), step)
+    if best is None:
+        return SolveReport(None, NEG_INF, math.inf, "infeasible", iters,
+                           note="no feasible start: every start leaves some "
+                                "interval at -inf")
+    value, xt, step = best
+    status = "converged" if step < o.tol_step else "stalled"
+    return SolveReport(_ns(xt), ExtendedReal.of(value), step, status, iters,
+                       eq.trace, eq.solutions)
+
+
 def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
                   eq: SolveReport | None = None) -> SolveReport:
     """Minimize the overall maximum over node systems.
@@ -732,27 +746,12 @@ def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
-    starts = []
-    if eq.x is not None:
-        starts.append(np.array(eq.x.nodes))
-    starts.append(_repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)])))
-
-    best = None
-    iters = eq.iterations
-    for x0 in starts:
-        x, fx, step, it = _pattern(p, x0, o, -1.0, _mbar(p, x0))
-        iters += it
-        cand = (fx, tuple(x), step)
-        if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-            best = cand
-    value, xt, step = best
-    status = "converged" if step < o.tol_step else "stalled"
-    note = ""
-    if eq.status == "converged" and abs(eq.value.as_float() - value) <= max(
+    starts = [] if eq.x is None else [np.array(eq.x.nodes)]
+    r = _search(p, o, eq, -1.0, [*starts, _even_start(p)])
+    if eq.status == "converged" and abs(eq.value.as_float() - r.value.as_float()) <= max(
             10 * o.tol_residual, 1e-9) + 1e-12:
-        note = "matches the equioscillation value"
-    return SolveReport(_ns(xt), ExtendedReal.of(value), step, status, iters,
-                       eq.trace, eq.solutions, note)
+        r = replace(r, note="matches the equioscillation value")
+    return r
 
 
 def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
@@ -765,29 +764,6 @@ def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
     if eq is None:
         eq = solve_equioscillation(p, o)
     rng = random.Random(o.seed + 1)
-    starts = []
-    if eq.x is not None:
-        starts.append(np.array(eq.x.nodes))
-    for _ in range(3):
-        starts.append(np.array(sample_regular(p, rng).nodes))
-
-    best = None
-    iters = eq.iterations
-    for x0 in starts:
-        x0 = _repair(p, x0)
-        f0 = _mlow(p, x0)
-        if not math.isfinite(f0):
-            continue
-        x, fx, step, it = _pattern(p, x0, o, +1.0, f0)
-        iters += it
-        cand = (fx, tuple(x), step)
-        if best is None or (-cand[0], cand[1]) < (-best[0], best[1]):
-            best = cand
-    if best is None:
-        return SolveReport(None, NEG_INF, math.inf, "infeasible", iters,
-                           note="no feasible start: every sampled system leaves "
-                                "some interval at -inf")
-    value, xt, step = best
-    status = "converged" if step < o.tol_step else "stalled"
-    return SolveReport(_ns(xt), ExtendedReal.of(value), step, status, iters,
-                       eq.trace, eq.solutions)
+    starts = [] if eq.x is None else [np.array(eq.x.nodes)]
+    starts += [np.array(sample_regular(p, rng).nodes) for _ in range(3)]
+    return _search(p, o, eq, +1.0, [_repair(p, x0) for x0 in starts])

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -120,6 +120,12 @@ class Problem:
         """What the scalar engine needs of this problem, built on first use.
         A problem made with ``dataclasses.replace`` builds its own."""
         return _Plan(self)
+
+    def map_kernels(self, op: Callable[[Kernel], Kernel]) -> "Problem":
+        """This problem with op applied to every kernel, weights kept."""
+        if self.kernels is not None:
+            return replace(self, kernels=tuple(op(k) for k in self.kernels))
+        return replace(self, kernel=op(self.kernel))
 
     def translates(self) -> tuple[tuple[float, Kernel], ...]:
         """(weight, kernel) per node; generalized kernels carry weight 1."""
@@ -578,30 +584,12 @@ def singularity_set(p: Problem, x: NodeSystem) -> RealSubset:
     return base.with_points(pts)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Y and W membership of one node system.
-
-    ``in_W`` is decided on first read from the problem and node system kept
-    here, so callers that only need ``in_Y`` (Y sampling) never pay for it.
-    """
+class RegularityReport(NamedTuple):
+    """Y membership of one node system: in Y exactly when no interval
+    maximum is -inf, and the intervals whose maximum is."""
 
     in_Y: bool
     singular_intervals: tuple[int, ...]
-    problem: Problem = dc_field(repr=False)
-    nodes: NodeSystem = dc_field(repr=False)
-
-    @cached_property
-    def in_W(self) -> bool:
-        x = self.nodes
-        if not (self.in_Y and x.classify() == "interior"):
-            return False
-        fin_dom = finiteness_domain(self.problem.field)
-        for j in range(x.n + 1):
-            ri = x.interval(j).rint01()
-            if ri is None or fin_dom.intersect(ri).is_empty:
-                return False
-        return True
 
 
 def regularity_many(p: Problem, X) -> np.ndarray:
@@ -643,12 +631,10 @@ def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
 
     m_j = -inf exactly when the whole interval [x_j, x_{j+1}] sits inside the
     singularity set; no numeric maximization is involved.  This is the
-    one-row case of ``regularity_many``.  The stronger W predicate
-    additionally needs an interior node system whose intervals all meet the
-    field's finiteness domain in their relative interior.
+    one-row case of ``regularity_many``.
     """
     _check_nodes(p, x)
     row = regularity_many(p, [x.nodes])[0].tolist()
     singular = tuple(j for j, covered in enumerate(row) if covered)
-    return RegularityReport(not singular, singular, p, x)
+    return RegularityReport(not singular, singular)
 

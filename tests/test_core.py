@@ -3,27 +3,18 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fenton_minimax.core import (NEG_INF, ExtendedReal, Interval, NodeSystem,
-                                 UNIT, ext_sum)
-
-finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
-extended = st.one_of(finite, st.just(-math.inf))
+from fenton_minimax.core import NEG_INF, ExtendedReal, Interval, NodeSystem
 
 
 class TestExtendedReal:
     def test_finite_roundtrip(self):
         x = ExtendedReal(1.5)
         assert x.is_finite
-        assert x.tag == "finite"
-        assert x.value == 1.5
         assert x.as_float() == 1.5
 
     def test_neg_inf_tag(self):
         assert not NEG_INF.is_finite
-        assert NEG_INF.tag == "neg-infinity"
         assert NEG_INF.as_float() == -math.inf
-        with pytest.raises(ValueError):
-            NEG_INF.value
 
     def test_rejects_nan_and_pos_inf(self):
         with pytest.raises(ValueError):
@@ -31,53 +22,15 @@ class TestExtendedReal:
         with pytest.raises(ValueError):
             ExtendedReal(math.inf)
 
-    def test_addition_absorbs(self):
-        assert ExtendedReal(2.0) + 3.0 == 5.0
-        assert NEG_INF + 1e308 == NEG_INF
-        assert ExtendedReal(0.0) + NEG_INF == NEG_INF
-
-    def test_subtracting_neg_inf_is_an_error(self):
-        with pytest.raises(ValueError):
-            ExtendedReal(1.0) - NEG_INF
-        assert NEG_INF - 1.0 == NEG_INF
-
     def test_ordering(self):
         assert NEG_INF < ExtendedReal(-1e300)
         assert ExtendedReal(1.0) <= ExtendedReal(1.0)
         assert max(NEG_INF, ExtendedReal(0.0)) == 0.0
 
-    @given(finite, finite)
-    def test_add_commutes(self, a, b):
-        assert ExtendedReal(a) + ExtendedReal(b) == ExtendedReal(b) + ExtendedReal(a)
-
-
-class TestExtSum:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ext_sum([])
-
-    def test_absorbing(self):
-        assert ext_sum([1.0, NEG_INF, 2.0]) == NEG_INF
-
-    @given(st.lists(finite, min_size=1, max_size=8), st.randoms())
-    def test_association_invariant(self, vals, rng):
-        shuffled = vals[:]
-        rng.shuffle(shuffled)
-        assert ext_sum(vals) == ext_sum(shuffled)
-
-    def test_fsum_exactness(self):
-        # naive left-to-right accumulation loses the small term
-        vals = [1e16, 1.0, -1e16]
-        assert ext_sum(vals) == 1.0
-
 
 class TestInterval:
-    def test_unit(self):
-        assert UNIT.a == 0.0 and UNIT.b == 1.0
-        assert UNIT.contains(0.0) and UNIT.contains(1.0)
-
     def test_degenerate_must_be_closed(self):
-        assert Interval(0.3, 0.3).is_degenerate
+        assert Interval(0.3, 0.3).contains(0.3)
         with pytest.raises(ValueError):
             Interval(0.3, 0.3, closed_right=False)
 
@@ -103,15 +56,7 @@ class TestInterval:
         assert Interval(0.0, 0.5, closed_right=False).intersect(
             Interval(0.5, 1.0)) is None
         touch = Interval(0.0, 0.5).intersect(Interval(0.5, 1.0))
-        assert touch is not None and touch.is_degenerate
-
-    def test_closure_and_rint(self):
-        h = Interval(0.2, 0.6, closed_left=False, closed_right=False)
-        assert h.closure() == Interval(0.2, 0.6)
-        r = h.rint01()
-        assert (r.a, r.b) == (0.2, 0.6)
-        assert not r.closed_left and not r.closed_right
-        assert Interval(0.3, 0.3).rint01() is None
+        assert touch is not None and touch.a == touch.b
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_intersect_membership(self, a1, b1, a2, b2):
@@ -131,7 +76,6 @@ class TestNodeSystem:
         assert x.with_sentinels() == (0.0, 0.2, 0.5, 0.9, 1.0)
         assert x.interval(0) == Interval(0.0, 0.2)
         assert x.interval(3) == Interval(0.9, 1.0)
-        assert len(x.intervals()) == 4
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -159,7 +103,7 @@ class TestNodeSystem:
     def test_sorted_tuples_accepted(self, vals):
         xs = tuple(sorted(vals))
         x = NodeSystem(xs)
-        ivs = x.intervals()
+        ivs = [x.interval(j) for j in range(x.n + 1)]
         assert ivs[0].a == 0.0 and ivs[-1].b == 1.0
         for left, right in zip(ivs, ivs[1:]):
             assert left.b == right.a

@@ -9,7 +9,9 @@ of ``verify --check <id> --trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
 interval selectors and problem stacks, and ``dini-max`` and
 ``usc-invariances``, which exercise the fields' structural operations and
-Lipschitz envelopes, before ``Field`` became piecewise-only.  Each
+Lipschitz envelopes, before ``Field`` became piecewise-only, and
+``minimax-equals-maximin``, whose note holds every battery problem's minimax
+and maximin value to 9 digits, before the two searches shared one driver.  Each
 ``oracle-<name>.report.json`` is the report of ``oracle --config
 <name>.config.json --h H`` (H = 1/128 for n <= 2, 1/32 for n = 3), written
 before the brute oracles learned to prune rows by a bound.  Reports carry
@@ -38,7 +40,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 NAMES = ("log-n2-bump", "log-n3-flat", "sqrt-n3-bump", "power05-n2-bump",
          "zero-n2-bands", "log-n1-ramp")
 CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
-          "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances")
+          "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances",
+          "thm1.3/minimax-equals-maximin")
 
 
 @pytest.mark.parametrize("name", NAMES)

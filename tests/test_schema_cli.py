@@ -296,8 +296,17 @@ class TestCliSolve:
         ({**LOG_N2, "n": 2.5}, {}, "n must be an integer"),
         ({**LOG_N2, "n": "2"}, {}, "n must be an integer"),
         ({**LOG_N2, "n": True}, {}, "n must be an integer"),
+        (LOG_N2, {"options": {"multistarts": 1.5}}, "multistarts must be an integer"),
+        (LOG_N2, {"options": {"max_iters": 2.5}}, "max_iters must be an integer"),
+        (LOG_N2, {"options": {"seed": 0.5}}, "seed must be an integer"),
+        (LOG_N2, {"options": {"multistarts": True}}, "multistarts must be an integer"),
+        ({**LOG_N2, "weights": ["a", 1.0]}, {}, "weights items must be numbers"),
+        (LOG_N2, {"options": {"continuation_etas": ["x", 0.0]}},
+         "continuation_etas items must be numbers"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
-            "n-fraction", "n-string", "n-bool"])
+            "n-fraction", "n-string", "n-bool", "multistarts-fraction",
+            "max_iters-fraction", "seed-fraction", "multistarts-bool",
+            "weights-item", "continuation_etas-item"])
     def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, problem, extra, key):
         cfg = write_cfg(tmp_path, "c.json", problem, **extra)
         assert main(["solve", "--config", cfg]) == 2
@@ -305,6 +314,10 @@ class TestCliSolve:
 
     def test_integral_float_n_is_accepted(self):
         assert problem_from_json({**LOG_N2, "n": 2.0}).n == 2
+
+    def test_integral_float_options_are_accepted(self):
+        o = options_from_json({"max_iters": 50.0, "multistarts": 3.0, "seed": 7.0})
+        assert (o.max_iters, o.multistarts, o.seed) == (50, 3, 7)
 
 
 class TestCliOracle:

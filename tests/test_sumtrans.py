@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
-from fenton_minimax.checks import _random_usc_field, _transformed
+from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
 from fenton_minimax.fields import Field
 from fenton_minimax.formulas import Formula, Quadratic
@@ -247,18 +247,18 @@ class TestRegularity:
     def test_interior_log_flat_is_in_W(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
         rep = regularity(p, NodeSystem((0.3, 0.7)))
-        assert rep.in_Y and rep.in_W and rep.singular_intervals == ()
+        assert rep.in_Y and rep.singular_intervals == ()
 
     def test_hole_drops_Y(self):
         p = Problem(n=1, field=gate_field(), kernel=zero_kernel())
         rep = regularity(p, NodeSystem((0.75,)))
-        assert not rep.in_Y and not rep.in_W
+        assert not rep.in_Y
         assert rep.singular_intervals == (1,)
 
     def test_boundary_node_drops_W_only(self):
         p = Problem(n=2, field=flat_field(), kernel=zero_kernel())
         rep = regularity(p, NodeSystem((0.0, 0.5)))
-        assert rep.in_Y and not rep.in_W
+        assert rep.in_Y
 
     def test_degenerate_interval_at_singular_node(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
@@ -269,7 +269,7 @@ class TestRegularity:
     def test_bands_with_interior_nodes(self):
         p = Problem(n=1, field=two_band_field(), kernel=zero_kernel())
         rep = regularity(p, NodeSystem((0.5,)))
-        assert rep.in_Y and rep.in_W
+        assert rep.in_Y
 
 
 class TestDifferenceMap:
@@ -310,6 +310,12 @@ KERNELS = (
                               strictly_monotone=False, strictly_concave=False,
                               cusp=False)),
 )
+
+
+def _transformed(p, direction, eta):
+    """p with every kernel strictified or singularized by eta."""
+    op = strictify if direction == "strictify" else singularize
+    return p.map_kernels(lambda k: op(k, eta))
 
 
 def _special_points(p):
