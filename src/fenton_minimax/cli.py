@@ -22,7 +22,7 @@ from dataclasses import replace
 from .checks import CheckInfeasible, UnknownCheckError, all_check_ids, run_check
 from .core import NodeSystem
 from .fields import usc_regularize
-from .kernels import singularize, strictify
+from .kernels import kernel_from_json, kernel_to_json
 from .schema import (SCHEMA_VERSION, ConfigError, RunConfig, encode_value,
                      load_config, options_to_json, problem_to_json,
                      solve_report_to_json)
@@ -203,13 +203,11 @@ def _apply_path(p: Problem, nodes: NodeSystem, path: str, value: float):
             raise ConfigError(f"sweep value {value} leaves nodes unordered") from exc
     if parts[:2] == ["problem", "kernel"] and len(parts) == 3 and p.kernel is not None:
         attr = parts[2]
-        if attr == "strictify_eta":
-            return replace(p, kernel=strictify(p.kernel, value)), nodes
-        if attr == "singularize_eta":
-            return replace(p, kernel=singularize(p.kernel, value)), nodes
-        if attr == "scale":
-            return replace(p, kernel=replace(p.kernel, scale=value)), nodes
-        raise ConfigError(f"unknown kernel parameter in sweep path {path!r}")
+        if attr not in ("strictify_eta", "singularize_eta", "scale"):
+            raise ConfigError(f"unknown kernel parameter in sweep path {path!r}")
+        # the swept value replaces the kernel's own, as in a config
+        kernel = kernel_from_json({**kernel_to_json(p.kernel), attr: value})
+        return replace(p, kernel=kernel), nodes
     if parts[:2] == ["problem", "weights"] and len(parts) == 3 and p.weights is not None:
         try:
             i = int(parts[2])

@@ -3,19 +3,22 @@
 The brute oracles enumerate ordered node tuples on a uniform grid (plus exact
 piece endpoints) and take grid maxima in t, which makes them an independent
 low-resolution route against the exact sup engine: they call nothing from it.
-One block enumerator serves both.  It sums J and the first n - 1 translates
-once per prefix of grid indices and takes the last node as the rows of a
-numpy block, with no Python per tuple.  The sums run in the order a
-tuple-at-a-time loop would use and maxima are exact, so each value is that
-loop's float.  The winner is the lexicographically first tuple with the best
-value.  Before a block is formed, each score function's companion bound
-gives an upper bound per row, and only rows that could still beat the
-incumbent are scored: for minimax, minus the largest value of F at every
-16th t; for maximin, the smallest over three segments of (largest value of
-the prefix sum on the segment) + (largest value of the last translate over a
-range of t holding the segment).  Pruning cannot change a result: rounded
-addition is monotone, so no bound is below its row's score; a NaN bound keeps
-its row; and the kept rows are scored in ascending order, so the tie-break
+One block search serves both.  Each (n - 2)-prefix of grid indices is one
+block holding every choice of the last two nodes: J and the prefix
+translates are summed once per block, then the next translate once per
+row, and the last node ranges over a row's columns, with no Python per
+tuple.  The sums run in the order a tuple-at-a-time loop would use and
+maxima are exact, so each value is that loop's float.  The winner is the
+lexicographically first tuple with the best value.  Each score function has
+a companion bound, computed for a chunk of block rows in one array pass,
+and only tuples whose bound could still beat the incumbent are scored: for
+minimax, minus the largest value of F at every 16th t; for maximin, the
+smallest over three segments of (largest value of the shared sum on the
+segment) + (largest value of the last translate on it).  The incumbent is
+seeded from the tuples with the largest bounds.  Pruning cannot change a
+result: rounded addition is monotone, so no bound is below its tuple's
+score; a NaN bound keeps its tuple; the seed sits just below a real score;
+and the kept tuples are scored in lexicographic order, so the tie-break
 holds.  The worst case, nothing pruned, is O(C(m+n-1, n) * m) array work.
 
 The equioscillation solver drives the difference map
@@ -210,11 +213,14 @@ def sample_regular(p: Problem, rng: random.Random, attempts: int = 10) -> NodeSy
 
 
 _MAX_TUPLES = 3_000_000
-# Grid values per block of candidate tuples (1 MiB of floats); bounds the
-# oracles' working memory for any grid step.
+# Grid values a search holds in one array: a chunk of block rows, its bounds
+# or the tuples scored together each fit in _BLOCK_VALUES // 4 floats, and
+# about four such arrays are alive at once (1 MiB of floats in all).
 _BLOCK_VALUES = 1 << 17
 # The minimax bound reads F at every _BOUND_STRIDE-th grid point.
 _BOUND_STRIDE = 16
+# Tuples scored to seed the incumbent: those with the largest bounds.
+_SEED_TUPLES = 16
 
 
 def _oracle_grid(p: Problem, h: float) -> np.ndarray:
@@ -232,10 +238,14 @@ def _oracle_grid(p: Problem, h: float) -> np.ndarray:
 
 
 def _oracle_rows(p: Problem, xgrid: np.ndarray, tg: np.ndarray) -> list[np.ndarray]:
-    rows = []
-    for w, k in p.translates():
-        rows.append(w * k.eval_many(tg[None, :] - xgrid[:, None]))
-    return rows
+    """w_j K_j(t - x) per node j, one row per x and one column per t; nodes
+    with the same weight and kernel share one array."""
+    made: dict = {}
+    for wk in p.translates():
+        if wk not in made:
+            w, k = wk
+            made[wk] = w * k.eval_many(tg[None, :] - xgrid[:, None])
+    return [made[wk] for wk in p.translates()]
 
 
 def _check_budget(m: int, n: int) -> None:
@@ -252,104 +262,163 @@ def _oracle_search(p: Problem, h: float, score: Callable[..., np.ndarray],
                    ) -> tuple[NodeSystem | None, float]:
     """The grid node system with the largest score, and that score.
 
-    Index tuples come in ``combinations_with_replacement`` order.  For each
-    prefix (i_0, ..., i_{n-2}), ``base`` = J + w_0 K(t - x_{i_0}) + ... is
-    summed once, and every last index k >= i_{n-2} is one row of the block
-    F = base + w_{n-1} K(t - x_k), at most ``_BLOCK_VALUES`` grid values at a
-    time.  ``score(F, cuts, upto, onward)`` gives one score per row: ``cuts``
-    holds the t-grid positions of 0, x_{i_0}, ..., x_{i_{n-2}} (nodes and t
-    share one grid, so x_i sits at position i), and row r of
-    ``upto``/``onward`` marks t <= x_k/t >= x_k for the row's k.  The first
-    best row of a block wins, and a later block only with a strictly larger
-    score, so ties go to the lexicographically first tuple.  A NaN score never
-    wins; when no score exceeds -inf the result is (None, -inf).
+    Index tuples come in ``combinations_with_replacement`` order.  Each
+    (n - 2)-prefix (i_0, ..., i_{n-3}) is one block: ``base`` = J +
+    w_0 K(t - x_{i_0}) + ... is summed once, and the block holds every pair
+    (i, k), i = i_{n-2} >= i_{n-3} and last index k >= i, with F = (base +
+    w_{n-2} K(t - x_i)) + w_{n-1} K(t - x_k), the sums in the order a
+    tuple-at-a-time loop uses.  For n = 1 the block is the single row
+    B = J and only k varies.  Nodes and t share one grid, so x_i sits at
+    t-position i.
 
-    Rows are pruned before F is formed.  ``bound(last, upto, onward)`` runs
-    once per call on the last translate's rows and returns a function of
-    ``(base, cuts)`` that gives, for every k >= cuts[-1], an upper bound on
-    row k's score, or NaN.  Only rows whose bound is not <= the incumbent are
-    scored, in ascending k.  This cannot change the result:
-    round-to-nearest addition is monotone (b <= B and r <= R give
-    fl(b + r) <= fl(B + R), -inf included), so no bound is below its row's
-    score; a NaN bound compares false and keeps its row; and a pruned row
-    could at best tie an incumbent that comes before it, so the kept rows,
-    in their order, give the same first best row.
+    A block is taken in chunks of rows i, each ``B = base + w K(t - x_i)``
+    of at most ``_BLOCK_VALUES // 4`` values (or one row).  ``bound(last, n)`` runs once
+    on the last translate's rows and returns ``chunk_bounds(B, cuts, i0)``:
+    for the chunk's rows i0, i0 + 1, ... and every k >= i0, an upper bound
+    on the score of (prefix, i, k), or NaN.  ``cuts`` holds the t-positions
+    of 0, x_{i_0}, ..., x_{i_{n-3}}.  ``score(F, cuts, nodes)`` gives one
+    score per row of F, where ``nodes`` holds the per-row positions of the
+    block's nodes (i and k, or k alone for n = 1).
+
+    While there is no incumbent, the ``_SEED_TUPLES`` tuples of a chunk with
+    the largest bounds (NaN as +inf) are scored first, and the incumbent
+    becomes the float just below their best score s0, with no tuple.  Then
+    the tuples whose bound is not <= the incumbent are scored in
+    lexicographic order, in groups that are filtered again against the
+    running incumbent; a tuple replaces the incumbent only with a strictly
+    larger score, and a NaN score never does.  None of this changes the
+    result, the first tuple of largest score: round-to-nearest addition is
+    monotone (b <= B and r <= R give fl(b + r) <= fl(B + R), -inf
+    included), so no bound is below its tuple's score; a NaN bound compares
+    false and keeps its tuple; a tuple pruned against the seed scores below
+    s0, and s0 is at most the final best; a tuple pruned later could at best
+    tie an incumbent that comes before it.  When no score exceeds -inf the
+    result is (None, -inf).
     """
     grid = _oracle_grid(p, h)
     m, n = len(grid), p.n
     _check_budget(m, n)
     jvals = p.field.eval_many(grid)
     rows = _oracle_rows(p, grid, grid)
-    pos = np.arange(m)
-    upto, onward = pos <= pos[:, None], pos >= pos[:, None]
-    row_bounds = bound(rows[-1], upto, onward)
-    block = max(1, _BLOCK_VALUES // m)
+    last = rows[-1]
+    chunk_bounds = bound(last, n)
+    step = max(1, _BLOCK_VALUES // 4 // m)
+    upper = np.arange(m) >= np.arange(step)[:, None]  # k >= i within a chunk
     best, best_idx = -math.inf, None
-    for prefix in combinations_with_replacement(range(m), n - 1):
+
+    def score_at(B, cuts, i0, flat):
+        """The best score among the chunk's tuples at ``flat`` (row-major
+        positions in the chunk's bounds), and the block indices of the first
+        tuple with it."""
+        r, c = np.divmod(flat, m - i0)
+        nodes = [i0 + r, i0 + c] if n > 1 else [c]
+        s = score(B[r] + last[i0 + c], cuts, nodes)
+        s[np.isnan(s)] = -math.inf
+        j = int(np.argmax(s))
+        return float(s[j]), tuple(int(v[j]) for v in nodes)
+
+    for prefix in combinations_with_replacement(range(m), max(n - 2, 0)):
         base = jvals
         for j, i in enumerate(prefix):
             base = base + rows[j][i]
         cuts = [0, *prefix]
-        live = cuts[-1] + (~(row_bounds(base, cuts) <= best)).nonzero()[0]
-        for c in range(0, len(live), block):
-            ks = live[c:c + block]
-            s = score(base + rows[-1][ks], cuts, upto[ks], onward[ks])
-            s[np.isnan(s)] = -math.inf
-            r = int(np.argmax(s))
-            if s[r] > best:
-                best, best_idx = float(s[r]), (*prefix, int(ks[r]))
+        for i0 in range(cuts[-1], m if n > 1 else 1, step):
+            B = base + rows[n - 2][i0:i0 + step] if n > 1 else base[None, :]
+            bnd = chunk_bounds(B, cuts, i0)
+            valid = upper[:len(B), :m - i0]
+            if best == -math.inf:
+                key = np.where(valid, np.where(np.isnan(bnd), math.inf, bnd),
+                               -math.inf).ravel()
+                top = np.argpartition(key, -_SEED_TUPLES)[-_SEED_TUPLES:] \
+                    if key.size > _SEED_TUPLES else np.arange(key.size)
+                top = top[key[top] > -math.inf]
+                if len(top):
+                    s0 = score_at(B, cuts, i0, top)[0]
+                    best = float(np.nextafter(s0, -math.inf))
+            flat_bnd = bnd.ravel()
+            keep = np.flatnonzero(~(bnd <= best) & valid)
+            for c in range(0, len(keep), step):
+                flat = keep[c:c + step]
+                flat = flat[~(flat_bnd[flat] <= best)]
+                if len(flat):
+                    s, idx = score_at(B, cuts, i0, flat)
+                    if s > best:
+                        best, best_idx = s, (*prefix, *idx)
     return (None if best_idx is None else _ns(grid[list(best_idx)])), best
 
 
-def _neg_overall_max(F, cuts, upto, onward) -> np.ndarray:
+def _neg_overall_max(F, cuts, nodes) -> np.ndarray:
     return -F.max(axis=1)
 
 
-def _neg_overall_max_bound(last, upto, onward):
+def _neg_overall_max_bound(last, n):
     """Bound for ``_neg_overall_max``: minus the largest value of F at every
     ``_BOUND_STRIDE``-th t.  Those are floats of F itself, and the maximum
     over all t is at least their maximum."""
-    # a contiguous copy: a strided view would read all of ``last`` per prefix
-    sub = np.ascontiguousarray(last[:, ::_BOUND_STRIDE])
+    # cols[j, k] = last[k, j * _BOUND_STRIDE], contiguous along k
+    cols = np.ascontiguousarray(last[:, ::_BOUND_STRIDE].T)
 
-    def row_bounds(base, cuts):
-        return -(base[::_BOUND_STRIDE] + sub[cuts[-1]:]).max(axis=1)
-    return row_bounds
-
-
-def _lowest_segment_max(F, cuts, upto, onward) -> np.ndarray:
-    """Smallest of the n + 1 segment maxima per row.  Each segment includes
-    its two cut points; fmin skips a NaN segment maximum."""
-    low = np.full(len(F), math.inf)
-    for a, b in zip(cuts, cuts[1:]):
-        low = np.fmin(low, F[:, a:b + 1].max(axis=1))
-    # the two segments that move with x_k: [x_{i_{n-2}}, x_k] and [x_k, 1]
-    a = cuts[-1]
-    tail = F[:, a:]
-    low = np.fmin(low, tail.max(axis=1, where=upto[:, a:], initial=-math.inf))
-    return np.fmin(low, tail.max(axis=1, where=onward[:, a:], initial=-math.inf))
+    def chunk_bounds(B, cuts, i0):
+        top = B[:, :1] + cols[0, i0:]
+        tmp = np.empty_like(top)
+        for j in range(1, len(cols)):
+            np.add(B[:, j * _BOUND_STRIDE, None], cols[j, i0:], out=tmp)
+            np.maximum(top, tmp, out=top)
+        return np.negative(top, out=top)
+    return chunk_bounds
 
 
-def _lowest_segment_max_bound(last, upto, onward):
+def _lowest_segment_max(F, cuts, nodes) -> np.ndarray:
+    """Smallest of the n + 1 segment maxima per row, the segments cut at
+    ``cuts``, then at the block's nodes, and ending at 1.  Each segment
+    includes its two cut points; fmin skips a NaN segment maximum."""
+    s, m = F.shape
+    flat = F.ravel()
+    ends = np.column_stack([*(np.full(s, a) for a in cuts), *nodes])
+    starts = (np.arange(s) * m)[:, None] + ends
+    # half[:, j]: the largest F on [ends[j], ends[j + 1]), or at ends[j]
+    # alone when the two are equal; the last runs to the end of the row
+    half = np.maximum.reduceat(flat, starts.ravel()).reshape(s, -1)
+    low = np.full(s, math.inf)
+    for j in range(ends.shape[1] - 1):
+        low = np.fmin(low, np.maximum(half[:, j], flat[starts[:, j + 1]]))
+    return np.fmin(low, half[:, -1])
+
+
+def _lowest_segment_max_bound(last, n):
     """Bound for ``_lowest_segment_max``: the fmin over three segments,
-    [x_{i_{n-2}}, x_k], [x_k, 1] and (for n >= 2) [0, x_{i_0}], of the
-    largest base value on the segment plus the largest w K(t - x_k) over
-    t <= x_k, t >= x_k and all t, each a range that holds its segment.  A
-    segment maximum is at most that sum; where it is NaN, its bound is NaN
-    or +inf, so the fmin stays at or above the row's score."""
-    last_upto = last.max(axis=1, where=upto, initial=-math.inf)
-    last_onward = last.max(axis=1, where=onward, initial=-math.inf)
-    last_all = last.max(axis=1)
+    [x_i, x_k], [x_k, 1] and (for n >= 2) [0, x_{i_0}], of the largest
+    value of B on the segment plus the largest w K(t - x_k) on it.  For
+    n = 1, x_i is 0.  A segment maximum is at most that sum; where it is
+    NaN, its bound is NaN or +inf, so the fmin stays at or above the
+    tuple's score."""
+    m = len(last)
+    pos = np.arange(m)
+    lt = last.T  # lt[t, k] = w K(t - x_k)
+    # span[i, k]: the largest lt[t, k] over i <= t <= k (-inf for i > k)
+    span = np.where(pos[:, None] <= pos, lt, -math.inf)
+    np.maximum.accumulate(span[::-1], axis=0, out=span[::-1])
+    # head[i, k]: the largest lt[t, k] over t <= i
+    head = np.maximum.accumulate(lt, axis=0)
+    onward = last.max(axis=1, where=pos >= pos[:, None], initial=-math.inf)
 
-    def row_bounds(base, cuts):
-        a = cuts[-1]
-        rising = np.maximum.accumulate(base[a:])
-        falling = np.maximum.accumulate(base[::-1])[::-1][a:]
-        b = np.fmin(rising + last_upto[a:], falling + last_onward[a:])
-        if len(cuts) > 1:
-            b = np.fmin(b, base[:cuts[1] + 1].max() + last_all[a:])
+    def chunk_bounds(B, cuts, i0):
+        r = len(B)
+        i = i0 + np.arange(r)
+        tail = B[:, i0:]
+        rising = np.maximum.accumulate(
+            np.where(pos[i0:] >= i[:, None], tail, -math.inf), axis=1)
+        falling = np.maximum.accumulate(tail[:, ::-1], axis=1)[:, ::-1]
+        b = np.fmin(rising + span[i0:i0 + r, i0:], falling + onward[i0:])
+        if len(cuts) > 1:  # x_{i_0} in the prefix
+            a = cuts[1]
+            b = np.fmin(b, B[:, :a + 1].max(axis=1)[:, None] + head[a, i0:])
+        elif n > 1:  # x_{i_0} is x_i
+            lead = B[:, :i[-1] + 1].max(axis=1, where=pos[:i[-1] + 1] <= i[:, None],
+                                        initial=-math.inf)
+            b = np.fmin(b, lead[:, None] + head[i0:i0 + r, i0:])
         return b
-    return row_bounds
+    return chunk_bounds
 
 
 def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
@@ -357,9 +426,13 @@ def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
 
     Nodes and t range over one grid: step h, plus the field's piece ends and
     probes 1e-9 either side of each.  Among equal values the
-    lexicographically first node tuple wins.  A tuple is scored only when
-    minus the largest value of F at every 16th t, a bound on its score,
-    still beats the incumbent; the result is that of scoring all.
+    lexicographically first node tuple wins.  Tuples are searched in blocks,
+    one per (n - 2)-prefix, with an incumbent seeded from the tuples with
+    the largest bounds (see ``_oracle_search``).  A tuple is scored only
+    when minus the largest value of F at every 16th t, a bound on its score,
+    still beats the incumbent; the result is that of scoring all.  On the
+    benchmark problems (n = 2 at h = 1/400, n = 3 at h = 1/64) it scores
+    0.02-1% of the tuples.
     """
     x, best = _oracle_search(p, h, _neg_overall_max, _neg_overall_max_bound)
     return x, ExtendedReal.of(-best)
@@ -372,10 +445,12 @@ def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
     Same grids and tie-break as ``brute_minimax``.  An interval maximum is
     the largest grid value of F on the closed segment between neighbouring
     nodes (or 0 and 1).  When every tuple leaves some segment at -inf the
-    result is the midpoint system with value -inf.  A tuple is scored only
-    when a bound on its score, built from the maxima of the prefix sum and
-    of the last translate on three of its segments, still beats the
-    incumbent; the result is that of scoring all.
+    result is the midpoint system with value -inf.  The search is that of
+    ``brute_minimax``; a tuple is scored only when a bound on its score,
+    built from the maxima of the shared sum and of the last translate on
+    three of its segments, still beats the incumbent, and the result is
+    that of scoring all.  On the benchmark problems it scores 0.1-16% of
+    the tuples.
     """
     x, best = _oracle_search(p, h, _lowest_segment_max,
                              _lowest_segment_max_bound)

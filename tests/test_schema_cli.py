@@ -427,6 +427,20 @@ class TestCliSweep:
         # a smaller cusp term only lowers the maxima
         assert all(a >= b - 1e-12 for a, b in zip(mbar, mbar[1:]))
 
+    @pytest.mark.parametrize("key", ["strictify_eta", "singularize_eta"])
+    def test_kernel_sweep_sets_the_key(self, tmp_path, capsys, key):
+        # the swept value replaces a declared one; it neither adds to it nor
+        # stacks one more layer on it
+        def rows(kernel):
+            cfg = write_cfg(
+                tmp_path, "c.json", {"n": 2, "field": FLAT, "kernel": kernel},
+                nodes=[0.45, 0.55],
+                sweep={"path": f"problem.kernel.{key}", "values": [0.2, 0.3]})
+            assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+            return json.loads(capsys.readouterr().out)["rows"]
+
+        assert rows({"family": "log", key: 0.1}) == rows({"family": "log"})
+
     def test_two_axis_cross_product(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "c.json", LOG_N2, nodes=[0.3, 0.7],

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from fenton_minimax import solvers
 from fenton_minimax.battery import BATTERY, battery_problem, bump_field, flat_field
 from fenton_minimax.checks import _random_usc_field
-from fenton_minimax.core import ExtendedReal, NEG_INF, NodeSystem
-from fenton_minimax.fields import usc_regularize
-from fenton_minimax.formulas import Affine, Quadratic
+from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
+from fenton_minimax.fields import Field, FieldPiece, usc_regularize
+from fenton_minimax.formulas import Affine, Constant, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, sqrt_kernel, zero_kernel)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
@@ -294,29 +294,32 @@ class TestBlockOraclesMatchLoop:
 
 
 def assert_bounds_hold(p, h):
-    """For every prefix, every row's exact score is at most its pruning
-    bound, or one of the two is NaN.  All rows are scored, not only those
-    the search keeps: winners alone can hide a bound that is too tight."""
+    """For every block, every tuple's exact score is at most its pruning
+    bound, or one of the two is NaN.  Every tuple of every block is scored,
+    not only those the search keeps: winners alone can hide a bound that is
+    too tight."""
     grid = _oracle_grid(p, h)
-    m = len(grid)
+    m, n = len(grid), p.n
     jvals = p.field.eval_many(grid)
     rows = _oracle_rows(p, grid, grid)
-    pos = np.arange(m)
-    upto, onward = pos <= pos[:, None], pos >= pos[:, None]
     for score, bound in ((solvers._neg_overall_max, solvers._neg_overall_max_bound),
                          (solvers._lowest_segment_max, solvers._lowest_segment_max_bound)):
-        row_bounds = bound(rows[-1], upto, onward)
-        for prefix in combinations_with_replacement(range(m), p.n - 1):
+        chunk_bounds = bound(rows[-1], n)
+        for prefix in combinations_with_replacement(range(m), max(n - 2, 0)):
             base = jvals
             for j, i in enumerate(prefix):
                 base = base + rows[j][i]
             cuts = [0, *prefix]
-            a = cuts[-1]
-            s = score(base + rows[-1][a:], cuts, upto[a:], onward[a:])
-            b = row_bounds(base, cuts)
-            assert b.shape == s.shape
-            below = b < s  # False where either side is NaN
-            assert not below.any(), (score.__name__, prefix, a + np.flatnonzero(below))
+            i0 = cuts[-1]
+            B = base + rows[n - 2][i0:] if n > 1 else base[None, :]
+            b = chunk_bounds(B, cuts, i0)
+            assert b.shape == (len(B), m - i0)
+            # row r holds node i0 + r (none for n = 1); column c, k = i0 + c
+            r, c = np.nonzero(np.arange(m - i0) >= np.arange(len(B))[:, None])
+            nodes = [i0 + r, i0 + c] if n > 1 else [c]
+            s = score(B[r] + rows[-1][i0 + c], cuts, nodes)
+            below = b[r, c] < s  # False where either side is NaN
+            assert not below.any(), (score.__name__, prefix, r[below], c[below])
 
 
 class TestOraclePruning:
@@ -333,20 +336,53 @@ class TestOraclePruning:
     @pytest.mark.parametrize("oracle, score", [(brute_minimax, "_neg_overall_max"),
                                                (brute_maximin, "_lowest_segment_max")])
     def test_pruning_is_live(self, oracle, score, monkeypatch):
-        # a search that silently scored every row would still give the same
-        # results; only the count of scored rows shows the pruning
+        # a search that silently scored every tuple would still give the
+        # same results; only the count of scored tuples shows the pruning
+        p, h = battery_problem("log-n2-flat"), 1.0 / 128
+        m = len(_oracle_grid(p, h))
         scored = []
         inner = getattr(solvers, score)
 
-        def counting(F, *args):
+        def counting(F, cuts, nodes):
+            i, k = nodes
+            assert len(F) == len(i) == len(k)
+            assert (0 <= i).all() and (i <= k).all() and (k < m).all()
             scored.append(len(F))
-            return inner(F, *args)
+            return inner(F, cuts, nodes)
 
         monkeypatch.setattr(solvers, score, counting)
-        p, h = battery_problem("log-n2-flat"), 1.0 / 128
         oracle(p, h)
-        m = len(_oracle_grid(p, h))
         assert 0 < sum(scored) < math.comb(m + p.n - 1, p.n) / 2
+
+
+ALL_NEG_INF = Field((FieldPiece(Interval(0.3, 0.3 + 1e-10, False, False), Constant(0.0)),))
+
+
+class TestChunkedOracles:
+    """Blocks cut into chunks of a row or a few, and scoring groups of a few
+    tuples that split a row, give the loop's results."""
+
+    @pytest.mark.parametrize("values", [200, 1000])
+    @pytest.mark.parametrize("name, n, h", [
+        ("log-n1-gate", 1, 1.0 / 64),
+        ("log-n2-bump", 2, 1.0 / 32),
+        ("zero-n2-bands", 2, 1.0 / 32),  # many ties at 0.0
+        ("sqrt-n3-bump", 3, 1.0 / 16),
+        ("log-n3-flat", 4, 1.0 / 10),
+    ])
+    def test_small_chunks(self, monkeypatch, values, name, n, h):
+        monkeypatch.setattr(solvers, "_BLOCK_VALUES", values)
+        q = battery_problem(name)
+        assert_same_as_loop(Problem(n=n, field=q.field, kernel=q.kernel), h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_maximin_tuple_neg_inf(self, monkeypatch, n):
+        # the field is finite only strictly inside a gap of the grid, so
+        # every grid value of F is -inf: maximin falls back to the midpoint
+        monkeypatch.setattr(solvers, "_BLOCK_VALUES", 200)
+        p = Problem(n=n, field=ALL_NEG_INF, kernel=log_kernel())
+        assert brute_maximin(p, 1.0 / 16) == (NodeSystem((0.5,) * n), NEG_INF)
+        assert_same_as_loop(p, 1.0 / 16)
 
 
 def ref_mbar(p, a):
