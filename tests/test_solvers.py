@@ -11,9 +11,10 @@ from fenton_minimax.battery import BATTERY, battery_problem, bump_field, flat_fi
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, usc_regularize
-from fenton_minimax.formulas import Affine, Constant, Quadratic
+from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
-                                    power_kernel, sqrt_kernel, zero_kernel)
+                                    power_kernel, singularize, sqrt_kernel,
+                                    strictify, zero_kernel)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
                                     _oracle_grid, _oracle_rows, _repair,
                                     brute_maximin, brute_minimax,
@@ -38,10 +39,10 @@ KERNELS = (
 
 
 @st.composite
-def random_problems(draw):
+def random_problems(draw, kernels=KERNELS):
     """A valid problem on a random usc field (-inf gaps, half-open pieces)."""
     field = _random_usc_field(Random(draw(st.integers(0, 2**32 - 1))))
-    kernel = draw(st.sampled_from(KERNELS))
+    kernel = draw(st.sampled_from(kernels))
     n = draw(st.integers(1, 3))
     try:
         return Problem(n=n, field=field, kernel=kernel)
@@ -130,6 +131,15 @@ class TestEquioscillationNd:
         m = interval_maxima(p, rep.x).floats()
         assert max(m) - min(m) <= 1e-6
         assert rep.solutions  # cluster representatives for uniqueness probes
+
+    def test_converged_starts_are_the_unmerged_solutions(self):
+        rep = solve_equioscillation(battery_problem("log-n2-bump"),
+                                    SolveOptions(multistarts=8))
+        assert len(rep.converged_starts) >= len(rep.solutions) >= 1
+        assert rep.x in rep.converged_starts
+        for s in rep.converged_starts:
+            assert any(max(abs(a - b) for a, b in zip(s.nodes, u.nodes)) <= 1e-5
+                       for u in rep.solutions)
 
     @pytest.mark.parametrize("name", ["log-n1-gate", "log-n2-bump", "zero-n2-bands",
                                       "sqrt-n3-bump"])
@@ -486,6 +496,127 @@ def test_shared_eq_and_early_reject_match_reference(p):
     eq = solve_equioscillation(p, o)
     assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
     assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+
+
+def test_shared_eq_and_early_reject_match_reference_at_n4():
+    # random_problems() stops at n = 3
+    p = Problem(n=4, field=flat_field(), kernel=log_kernel())
+    o = SolveOptions(multistarts=2)
+    eq = solve_equioscillation(p, o)
+    assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
+    assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+
+
+# ---------------------------------------------------------------------------
+# monotone-kernel poll pruning
+
+MONOTONE_FLAGS = KernelFlags(singular=False, monotone=True, strictly_monotone=False,
+                             strictly_concave=False, cusp=False)
+# declared monotone, but the negative side rises on [-1, -0.25)
+RISING_AT_MINUS_ONE = custom_kernel(Quadratic(-1.0, -0.5, 0.0), Affine(1.0, 0.0),
+                                    MONOTONE_FLAGS)
+
+
+def _with_layers(k):
+    return (k, strictify(k, 0.1), singularize(k, 0.05),
+            singularize(strictify(k, 0.1), 0.05), k.scaled(2.0))
+
+
+class TestMonotoneQualification:
+    @pytest.mark.parametrize("k", [v for k in KERNELS[:5] for v in _with_layers(k)],
+                             ids=lambda k: f"{k.family}{k.params}-{k.strictify_eta}"
+                                           f"-{k.singularize_etas}-{k.scale}")
+    def test_builtin_families_qualify(self, k):
+        assert solvers._monotone_kernel(k)
+
+    def test_custom_quadratic_of_random_problems_does_not(self):
+        assert KERNELS[5].family == "custom"
+        assert not solvers._monotone_kernel(KERNELS[5])
+
+    def test_declared_flag_is_not_trusted(self):
+        assert RISING_AT_MINUS_ONE.flags.monotone
+        assert RISING_AT_MINUS_ONE.neg_formula.deriv(-1.0) > 0
+        assert not solvers._monotone_kernel(RISING_AT_MINUS_ONE)
+        # layers cannot repair the custom side
+        assert not solvers._monotone_kernel(strictify(RISING_AT_MINUS_ONE, 0.1))
+
+    def test_log_weight_side_must_be_positive_at_its_far_end(self):
+        # log(2t + 1) rises on (-1/2, 0), yet w'/w = 2 / -1 < 0 at t = -1
+        k = custom_kernel(LogWeight(Affine(2.0, 1.0)), Affine(1.0, 0.0), MONOTONE_FLAGS)
+        assert not solvers._monotone_kernel(k)
+        ok = custom_kernel(LogWeight(Affine(-1.0, 1.0)), Affine(1.0, 0.0), MONOTONE_FLAGS)
+        assert solvers._monotone_kernel(ok)
+
+    def test_monotone_custom_kernel_qualifies(self):
+        k = custom_kernel(Quadratic(-1.0, -3.0, 0.0), Affine(1.0, 0.0), MONOTONE_FLAGS)
+        assert solvers._monotone_kernel(k)
+        assert solvers._monotone_kernel(singularize(k, 0.05))
+
+    def test_value_at_zero_above_the_left_limit(self):
+        # within the 1e-9 the constructor forgives, yet K(0) > K(0-)
+        k = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 5e-10), MONOTONE_FLAGS)
+        assert 0.0 < k.eval(0.0) - k.neg_formula.value(0.0) <= 1e-9
+        assert not solvers._monotone_kernel(k)
+        equal = custom_kernel(Affine(-1.0, 5e-10), Affine(1.0, 0.0), MONOTONE_FLAGS)
+        assert solvers._monotone_kernel(equal)
+
+    def test_one_kernel_of_a_kernel_list_decides(self):
+        good = Problem(n=2, field=flat_field(), kernels=(log_kernel(), sqrt_kernel()))
+        bad = Problem(n=2, field=flat_field(), kernels=(log_kernel(), RISING_AT_MINUS_ONE))
+        assert solvers._monotone_problem(good)
+        assert not solvers._monotone_problem(bad)
+        assert not solvers._monotone_problem(
+            Problem(n=2, field=flat_field(), kernel=RISING_AT_MINUS_ONE))
+
+    def test_declared_but_not_monotone_solves_as_reference(self, monkeypatch):
+        p = Problem(n=3, field=bump_field(), kernel=RISING_AT_MINUS_ONE)
+        o = SolveOptions(multistarts=2)
+        eq = solve_equioscillation(p, o)
+        ref = ref_solve_minimax(p, o)
+        assert_same_solve(solve_minimax(p, o, eq=eq), ref)
+        assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+        # trusting the declared flag here would prune polls that succeed
+        monkeypatch.setattr(solvers, "_monotone_problem", lambda p: True)
+        assert solve_minimax(p, o, eq=eq).value != ref.value
+
+
+def assert_skipped_polls_fail(p, seed):
+    """At a few regular systems and for both searches, every poll that
+    ``_futile_moves`` rejects unevaluated, at steps 2^-3 ... 2^-30 either
+    way, fails to beat fx under full evaluation.  Returns the number of such
+    polls checked."""
+    assert solvers._monotone_problem(p)
+    rng = Random(seed)
+    checked = 0
+    for _ in range(3):
+        x = np.array(sample_regular(p, rng).nodes)
+        m = interval_maxima(p, NodeSystem(x.tolist())).floats()
+        for sign in (-1.0, 1.0):
+            fx = solvers._objective(m, sign)
+            if not math.isfinite(fx):
+                continue
+            for j, right in solvers._futile_moves(m, fx, sign):
+                for e in range(3, 31):
+                    c = x.copy()
+                    c[j] += 2.0 ** -e if right else -2.0 ** -e
+                    s = (0.0, *x, 1.0)
+                    if not s[j] <= c[j] <= s[j + 2]:
+                        continue
+                    mc = interval_maxima(p, NodeSystem(c.tolist())).floats()
+                    assert not all(sign * v > sign * fx for v in mc), (x, j, right, e)
+                    checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(n for n, p in BATTERY.items() if p.n >= 2))
+def test_skipped_polls_fail_on_battery(name):
+    assert assert_skipped_polls_fail(BATTERY[name], seed=0) > 0
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(random_problems(KERNELS[:5]), st.integers(0, 2**16))
+def test_skipped_polls_fail_on_random_problems(p, seed):
+    assert_skipped_polls_fail(p, seed)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
