@@ -31,10 +31,10 @@ from .battery import (BATTERY, continuity_battery, kernel_limit_battery,
 from .core import Interval, NodeSystem
 from .fields import Field, limsup_conditions, monotone_usc_approximation, usc_regularize
 from .formulas import Affine, Constant, Quadratic
-from .kernels import (Kernel, kernel_from_json, kernel_to_json, log_kernel,
-                      singularize, sqrt_kernel, strictify)
-from .schema import (field_from_json, field_to_json, options_from_json,
-                     options_to_json, problem_from_json, problem_to_json)
+from .kernels import Kernel, log_kernel, singularize, sqrt_kernel, strictify
+from .schema import (encode_float, field_from_json, field_to_json, kernel_from_json,
+                     kernel_to_json, options_from_json, options_to_json,
+                     problem_from_json, problem_to_json)
 from .solvers import (SolveOptions, brute_maximin, brute_minimax,
                       solve_equioscillation, solve_maximin, solve_minimax)
 from .sumtrans import Problem, interval_maxima, interval_maxima_batch, regularity_many
@@ -80,13 +80,9 @@ class CheckReport:
     note: str = ""
 
     def to_json(self) -> dict:
-        worst = self.worst_margin
-        if worst == math.inf:
-            worst = "inf"
-        elif worst == -math.inf:
-            worst = "-inf"
         return {"check_id": self.check_id, "trials": self.trials,
-                "violations": self.violations, "worst_margin": worst,
+                "violations": self.violations,
+                "worst_margin": encode_float(self.worst_margin),
                 "witnesses": list(self.witnesses), "passed": self.passed,
                 "note": self.note}
 

@@ -4,9 +4,9 @@ All commands read a single JSON config document (no environment variables)
 and write a JSON or CSV report to --output or stdout.  Exit codes are part
 of the contract: 0 on success / all checks passed, 1 when a solver failed to
 converge or raised, or a check found violations, 2 on invalid input.
-Extended values serialize as the strings "-inf"/"inf" because JSON numbers
-cannot carry infinities; all finite numbers are written with shortest
-round-trip repr so a re-parsed report is bit-identical.
+Reports are encoded by ``schema``: infinities become the strings
+"-inf"/"inf" in JSON and CSV alike, and all finite numbers are written with
+shortest round-trip repr so a re-parsed report is bit-identical.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import replace
+from itertools import product
 
 from .checks import CheckInfeasible, UnknownCheckError, all_check_ids, run_check
 from .core import NodeSystem
 from .fields import usc_regularize
-from .kernels import kernel_from_json, kernel_to_json
-from .schema import (SCHEMA_VERSION, ConfigError, RunConfig, encode_value,
-                     load_config, options_to_json, problem_to_json,
-                     solve_report_to_json)
+from .schema import (SCHEMA_VERSION, ConfigError, RunConfig, encode_float,
+                     encode_value, kernel_from_json, kernel_to_json, load_config,
+                     options_to_json, problem_to_json, solve_report_to_json)
 from .solvers import (brute_maximin, brute_minimax, solve_equioscillation,
                       solve_maximin, solve_minimax)
 from .sumtrans import Problem, interval_maxima
@@ -78,14 +77,6 @@ def _require_config(args) -> RunConfig:
     return cfg
 
 
-def _fmt_cell(v) -> str:
-    if v == -math.inf:
-        return "-inf"
-    if v == math.inf:
-        return "inf"
-    return repr(float(v))
-
-
 def _emit(args, cfg: RunConfig | None, doc: dict, rows=None, header=None,
           default_fmt: str = "json") -> None:
     fmt = args.fmt or (cfg.fmt if cfg is not None else None) or default_fmt
@@ -97,7 +88,8 @@ def _emit(args, cfg: RunConfig | None, doc: dict, rows=None, header=None,
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt_cell(c) if isinstance(c, float) else c for c in row])
+            w.writerow([encode_float(float(c)) if isinstance(c, float) else c
+                        for c in row])
         text = buf.getvalue()
     else:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -150,13 +142,10 @@ def _run_oracle(args) -> int:
            "maximin": {"x": list(mx_x.nodes), "value": encode_value(mx_v.as_float())}}
     rows = header = None
     if p.n == 1:
-        # the full maxima landscape is cheap for a single node
-        steps = round(1.0 / h)
-        rows = []
-        for i in range(steps + 1):
-            x = min(i * h, 1.0)
-            m = interval_maxima(p, NodeSystem((x,))).floats()
-            rows.append([x, *m, max(m), min(m)])
+        # the maxima landscape of a single node, computed only if CSV is written
+        xs = (min(i * h, 1.0) for i in range(round(1.0 / h) + 1))
+        ms = ((x, interval_maxima(p, NodeSystem((x,))).floats()) for x in xs)
+        rows = ([x, *m, max(m), min(m)] for x, m in ms)
         header = ["x1", "m0", "m1", "mbar", "mlow"]
     _emit(args, cfg, doc, rows=rows, header=header)
     return 0
@@ -227,14 +216,9 @@ def _run_sweep(args) -> int:
         raise ConfigError("sweep requires a non-empty sweep section in the config")
     p = cfg.problem
     nodes = cfg.nodes or NodeSystem(tuple((j + 1) / (p.n + 1) for j in range(p.n)))
-    axes = cfg.sweep
-    grids = [axis["values"] for axis in axes]
-    paths = [axis["path"] for axis in axes]
-    points = [(v,) for v in grids[0]]
-    if len(axes) == 2:
-        points = [(a, b) for a in grids[0] for b in grids[1]]
+    paths = [axis["path"] for axis in cfg.sweep]
     rows = []
-    for pt in points:
+    for pt in product(*(axis["values"] for axis in cfg.sweep)):
         q, ns = p, nodes
         for path, v in zip(paths, pt):
             q, ns = _apply_path(q, ns, path, float(v))

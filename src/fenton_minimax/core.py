@@ -2,9 +2,7 @@
 
 The scalar type models R ∪ {-inf}: +inf is never representable, and the
 order is total.  Everything in this module is an immutable value object,
-safe to hash and to share.  ``ConfigError`` and ``reject_unknown`` sit here
-too, so that every module that reads a JSON descriptor (formulas, kernels,
-schema) rejects unknown keys the same way.
+safe to hash and to share.
 """
 
 from __future__ import annotations
@@ -12,30 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Any, Sequence
+from typing import Sequence
 
 __all__ = [
-    "ConfigError",
-    "reject_unknown",
     "ExtendedReal",
     "NEG_INF",
     "Interval",
     "NodeSystem",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed configuration or report document."""
-
-
-def reject_unknown(d: Any, known: tuple[str, ...], what: str) -> None:
-    """A ConfigError unless d is a descriptor object whose keys all lie in
-    known; the message names the unknown keys."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} descriptor must be an object, got {d!r}")
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 @total_ordering

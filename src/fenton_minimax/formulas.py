@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import reject_unknown
-
 __all__ = [
     "Formula",
     "Constant",
     "Affine",
     "Quadratic",
     "LogWeight",
-    "formula_from_json",
-    "formula_to_json",
 ]
 
 
@@ -167,39 +163,3 @@ class LogWeight(Formula):
         if wmax <= 0:
             raise ValueError("log weight is nonpositive on the whole piece")
         return math.log(wmax), arg
-
-
-def formula_to_json(f: Formula) -> dict:
-    if isinstance(f, Constant):
-        return {"type": "constant", "c": f.c}
-    if isinstance(f, Affine):
-        return {"type": "affine", "alpha": f.alpha, "beta": f.beta}
-    if isinstance(f, Quadratic):
-        return {"type": "quadratic", "a": f.a, "b": f.b, "c": f.c}
-    if isinstance(f, LogWeight):
-        return {"type": "log_weight", "w": formula_to_json(f.w)}
-    raise TypeError(f"unknown formula {f!r}")
-
-
-# the keys of a formula descriptor besides "type", per type
-_FORMULA_KEYS = {"constant": ("c",), "affine": ("alpha", "beta"),
-                 "quadratic": ("a", "b", "c"), "log_weight": ("w",)}
-
-
-def formula_from_json(d: dict) -> Formula:
-    if not isinstance(d, dict) or "type" not in d:
-        raise ValueError(f"formula descriptor must be an object with a type, got {d!r}")
-    kind = d["type"]
-    if kind not in _FORMULA_KEYS:
-        raise ValueError(f"unknown formula type {kind!r}")
-    reject_unknown(d, ("type", *_FORMULA_KEYS[kind]), f"{kind} formula")
-    try:
-        if kind == "constant":
-            return Constant(float(d["c"]))
-        if kind == "affine":
-            return Affine(float(d["alpha"]), float(d["beta"]))
-        if kind == "quadratic":
-            return Quadratic(float(d["a"]), float(d["b"]), float(d["c"]))
-        return LogWeight(formula_from_json(d["w"]))
-    except KeyError as exc:
-        raise ValueError(f"formula descriptor missing field {exc}") from exc

@@ -43,8 +43,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import reject_unknown
-from .formulas import Formula, formula_from_json, formula_to_json
+from .formulas import Formula
 
 __all__ = [
     "KernelFlags",
@@ -61,8 +60,6 @@ __all__ = [
     "strictify",
     "singularize",
     "ValidationReport",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 
@@ -521,75 +518,3 @@ def kernel_validate(k: Kernel, grid_size: int = 10_000) -> ValidationReport:
     for name in ("singular", "monotone", "strictly_monotone", "strictly_concave", "cusp"):
         rep.confirmed[name] = not any(v.flag == name for v in rep.violations)
     return rep
-
-
-def kernel_to_json(k: Kernel) -> dict:
-    d: dict = {"family": k.family, "params": {}}
-    if k.family == "power":
-        d["params"]["s"] = k.params[0]
-    if k.family == "custom":
-        d["params"]["neg"] = formula_to_json(k.neg_formula)
-        d["params"]["pos"] = formula_to_json(k.pos_formula)
-        d["params"]["flags"] = {
-            "singular": k.flags.singular,
-            "monotone": k.flags.monotone,
-            "strictly_monotone": k.flags.strictly_monotone,
-            "strictly_concave": k.flags.strictly_concave,
-            "cusp": k.flags.cusp,
-        }
-    if k.scale != 1.0:
-        d["scale"] = k.scale
-    if k.strictify_eta:
-        d["strictify_eta"] = k.strictify_eta
-    if k.singularize_etas:
-        d["singularize_eta"] = (k.singularize_etas[0] if len(k.singularize_etas) == 1
-                                else list(k.singularize_etas))
-    return d
-
-
-_KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
-# the keys of a kernel's "params" object, per family
-_PARAM_KEYS = {"zero": (), "log": (), "sqrt": (), "power": ("s",),
-               "custom": ("neg", "pos", "flags")}
-
-
-def kernel_from_json(d: dict) -> Kernel:
-    if not isinstance(d, dict) or "family" not in d:
-        raise ValueError(f"kernel descriptor must be an object with a family, got {d!r}")
-    reject_unknown(d, _KERNEL_KEYS, "kernel")
-    family = d["family"]
-    params = d.get("params") or {}
-    if family in _PARAM_KEYS:
-        reject_unknown(params, _PARAM_KEYS[family], f"{family} kernel params")
-    if family == "zero":
-        k = zero_kernel()
-    elif family == "log":
-        k = log_kernel()
-    elif family == "sqrt":
-        k = sqrt_kernel()
-    elif family == "power":
-        if "s" not in params:
-            raise ValueError("power kernels need params.s")
-        k = power_kernel(float(params["s"]))
-    elif family == "custom":
-        try:
-            fd = params["flags"]
-            reject_unknown(fd, tuple(KernelFlags.__dataclass_fields__), "kernel flag")
-            flags = KernelFlags(bool(fd["singular"]), bool(fd["monotone"]),
-                                bool(fd["strictly_monotone"]), bool(fd["strictly_concave"]),
-                                bool(fd["cusp"]))
-            k = custom_kernel(formula_from_json(params["neg"]),
-                              formula_from_json(params["pos"]), flags)
-        except KeyError as exc:
-            raise ValueError(f"custom kernel descriptor missing {exc}") from exc
-    else:
-        raise ValueError(f"unknown kernel family {family!r}")
-    if d.get("scale") is not None:
-        k = k.scaled(float(d["scale"]))
-    if d.get("strictify_eta") is not None:
-        k = strictify(k, float(d["strictify_eta"]))
-    se = d.get("singularize_eta")
-    if se is not None:
-        for eta in se if isinstance(se, list) else [se]:
-            k = singularize(k, float(eta))
-    return k

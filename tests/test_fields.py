@@ -10,8 +10,8 @@ from fenton_minimax.core import Interval
 from fenton_minimax.fields import (Field, FieldPiece, RealSubset,
                                    limsup_conditions, monotone_usc_approximation,
                                    n_field_check, usc_regularize)
-from fenton_minimax.formulas import (Affine, Constant, LogWeight, Quadratic,
-                                     formula_from_json, formula_to_json)
+from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
+from fenton_minimax.schema import formula_from_json, formula_to_json
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

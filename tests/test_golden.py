@@ -4,8 +4,12 @@ reproduce them byte for byte.
 Each ``tests/data/golden/<name>.config.json`` is a battery problem with
 ``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
 solve command wrote for it before the scalar sup engine was restructured
-around a per-problem plan.  Each ``verify-<check>.report.json`` is the report
-of ``verify --check <id> --trials 8 --seed 3``: the three checks of the
+around a per-problem plan.  ``custom-n2-bump`` is the bump field with a
+custom kernel, ``2 * |t|`` (affine sides -t and t, ``"scale": 2.0``) with a
+``"singularize_eta": 0.05`` layer, so its report pins how a custom kernel's
+formulas, flags, scale and layer are echoed.  Each
+``verify-<check>.report.json`` is the report of ``verify --check <id>
+--trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
 interval selectors and problem stacks, and ``dini-max`` and
 ``usc-invariances``, which exercise the fields' structural operations and
@@ -14,7 +18,13 @@ Lipschitz envelopes, before ``Field`` became piecewise-only, and
 and maximin value to 9 digits, before the two searches shared one driver.  Each
 ``oracle-<name>.report.json`` is the report of ``oracle --config
 <name>.config.json --h H`` (H = 1/128 for n <= 2, 1/32 for n = 3), written
-before the brute oracles learned to prune rows by a bound.  Reports carry
+before the brute oracles learned to prune rows by a bound.  Two CSV reports
+pin the CSV encoding, ``-inf`` cells included: ``log-n2-bump.report.csv``
+from ``solve --format csv`` (the solver traces) and
+``oracle-log-n1-ramp.report.csv`` from ``oracle --h 1/128 --format csv``
+(the n = 1 maxima landscape, 129 rows, 66 of them holding ``-inf``); both,
+and the custom-kernel report, were written before the JSON codecs and the
+report float encoder moved into ``schema``.  Reports carry
 no timings, so any byte that moves means a solver, an oracle, a check or the
 sup engine changed a float, a status, an iteration or a trial count.  To
 re-record after an intended change of results, run for each name
@@ -27,6 +37,9 @@ re-record after an intended change of results, run for each name
         --output tests/data/golden/oracle-<name>.report.json
     PYTHONPATH=src python -m fenton_minimax.cli verify --check <id> \\
         --trials 8 --seed 3 --output tests/data/golden/verify-<check>.report.json
+
+and, for the CSV reports, the argument lists in ``CSV_REPORTS`` with
+``--output``.
 """
 
 import json
@@ -39,12 +52,20 @@ from fenton_minimax.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 NAMES = ("log-n2-bump", "log-n3-flat", "sqrt-n3-bump", "power05-n2-bump",
          "zero-n2-bands", "log-n1-ramp")
+# (golden CSV report, the CLI arguments that write it)
+CSV_REPORTS = (
+    ("log-n2-bump.report.csv",
+     ["solve", "--config", str(GOLDEN / "log-n2-bump.config.json"), "--format", "csv"]),
+    ("oracle-log-n1-ramp.report.csv",
+     ["oracle", "--config", str(GOLDEN / "log-n1-ramp.config.json"), "--h", "0.0078125",
+      "--format", "csv"]),
+)
 CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances",
           "thm1.3/minimax-equals-maximin")
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump",))
 def test_solve_report_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["solve", "--config", str(GOLDEN / f"{name}.config.json"),
@@ -71,3 +92,10 @@ def test_verify_report_is_byte_identical(check_id, tmp_path):
     assert rc == 0
     golden = GOLDEN / f"verify-{check_id.split('/')[1]}.report.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", CSV_REPORTS, ids=[g for g, _ in CSV_REPORTS])
+def test_csv_report_is_byte_identical(golden, argv, tmp_path):
+    out = tmp_path / "report.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
 from fenton_minimax.kernels import (FAMILIES, Kernel, KernelFlags, TranslateSum,
-                                    custom_kernel, kernel_from_json,
-                                    kernel_to_json, kernel_validate, log_kernel,
+                                    custom_kernel, kernel_validate, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
                                     strictify, zero_kernel)
+from fenton_minimax.schema import kernel_from_json, kernel_to_json
 
 STOCK = [zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
          power_kernel(1.5)]

@@ -8,12 +8,13 @@ import pytest
 from fenton_minimax.battery import battery_problem
 from fenton_minimax.cli import main, read_report
 from fenton_minimax.core import NodeSystem
+from fenton_minimax.core import NEG_INF
 from fenton_minimax.schema import (ConfigError, config_from_json,
-                                   decode_value, encode_value, load_config,
-                                   options_from_json, options_to_json,
-                                   problem_from_json, problem_to_json,
-                                   solve_report_to_json)
-from fenton_minimax.solvers import SolveOptions, solve_equioscillation
+                                   decode_value, encode_float, encode_value,
+                                   load_config, options_from_json,
+                                   options_to_json, problem_from_json,
+                                   problem_to_json, solve_report_to_json)
+from fenton_minimax.solvers import SolveOptions, SolveReport, solve_equioscillation
 
 FLAT = {"pieces": [{"interval": {"a": 0.0, "b": 1.0},
                     "formula": {"type": "constant", "c": 0.0}}]}
@@ -49,6 +50,20 @@ class TestValueCodec:
         json.dumps({"v": encode_value(-math.inf)}, allow_nan=False)
 
 
+class TestFloatEncoder:
+    def test_infinities_are_strings(self):
+        assert encode_float(math.inf) == "inf"
+        assert encode_float(-math.inf) == "-inf"
+
+    def test_finite_values_pass_unchanged(self):
+        for v in (0.0, -1.5, 1e-300, 5):
+            assert encode_float(v) is v
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError):
+            encode_float(math.nan)
+
+
 class TestProblemCodec:
     @pytest.mark.parametrize("name", ["log-n2-flat", "log-n2-bump",
                                       "zero-n1-ramp", "log-n2-bands",
@@ -71,6 +86,23 @@ class TestProblemCodec:
         with pytest.raises(ConfigError):
             problem_from_json({"n": 0, "field": FLAT,
                                "kernel": {"family": "log"}})
+
+    # each of these used to escape the readers as a plain ValueError
+    @pytest.mark.parametrize("problem, message", [
+        ({**LOG_N2, "kernel": {"family": "bessel"}}, "unknown kernel family 'bessel'"),
+        ({**LOG_N2, "kernel": {"family": "power"}}, "power kernels need params.s"),
+        ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 1.0},
+                                          "formula": {"type": "cubic"}}]}},
+         "unknown formula type 'cubic'"),
+        ({**LOG_N2, "kernel": {"family": "log", "scale": -1}},
+         "kernel weights must be positive"),
+        ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 2.0},
+                                          "formula": {"type": "constant", "c": 0.0}}]}},
+         "sticks out of"),
+    ], ids=["family", "power-no-s", "formula-type", "scale", "piece-outside"])
+    def test_malformed_descriptor_is_config_error(self, problem, message):
+        with pytest.raises(ConfigError, match=message):
+            problem_from_json(problem)
 
 
 class TestOptionsCodec:
@@ -108,6 +140,15 @@ class TestConfig:
                       "values": {"start": 0.0, "stop": 1.0, "count": 5}}})
         assert cfg.sweep[0]["values"] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_sweep_input_is_not_rewritten(self):
+        axes = [{"path": "nodes.1", "values": {"start": 0.0, "stop": 1.0, "count": 3}},
+                {"path": "problem.kernel.scale", "values": [1, 2]}]
+        doc = {"schema": 1, "problem": LOG_N2, "sweep": axes}
+        before = json.dumps(doc)
+        cfg = config_from_json(doc)
+        assert json.dumps(doc) == before
+        assert [a["values"] for a in cfg.sweep] == [[0.0, 0.5, 1.0], [1.0, 2.0]]
+
     def test_output_with_format(self, tmp_path):
         cfg = config_from_json({
             "schema": 1, "problem": LOG_N2,
@@ -128,6 +169,13 @@ class TestSolveReportJson:
         d = solve_report_to_json(rep)
         json.dumps(d, allow_nan=False)
         assert d["status"] == rep.status
+
+    def test_infeasible_report_encodes_inf_residual(self):
+        rep = SolveReport(x=None, value=NEG_INF, residual=math.inf,
+                          status="infeasible", iterations=0)
+        d = solve_report_to_json(rep)
+        assert d["residual"] == "inf" and d["value"] == "-inf" and d["x"] is None
+        json.dumps(d, allow_nan=False)
 
 
 class TestCliSolve:
@@ -303,10 +351,34 @@ class TestCliSolve:
         ({**LOG_N2, "weights": ["a", 1.0]}, {}, "weights items must be numbers"),
         (LOG_N2, {"options": {"continuation_etas": ["x", 0.0]}},
          "continuation_etas items must be numbers"),
+        (LOG_N2, {"output": True}, "output must be a path"),
+        (LOG_N2, {"output": 7}, "output must be a path"),
+        (LOG_N2, {"output": ["a"]}, "output must be a path"),
+        (LOG_N2, {"output": {"path": "out.json", "fromat": "csv"}},
+         "unknown output keys: fromat"),
+        (LOG_N2, {"sweep": {"path": "nodes.1",
+                            "values": {"start": 0.0, "stop": 1.0, "count": 2.7}}},
+         "count must be an integer"),
+        (LOG_N2, {"sweep": {"path": "nodes.1",
+                            "values": {"start": 0.0, "stop": 1.0, "count": True}}},
+         "count must be an integer"),
+        (LOG_N2, {"sweep": {"path": "nodes.1", "values": [0.5], "step": 0.1}},
+         "unknown sweep axis keys: step"),
+        (LOG_N2, {"sweep": {"path": "nodes.1", "values": {
+            "start": 0.0, "stop": 1.0, "count": 3, "num": 3}}},
+         "unknown sweep range keys: num"),
+        (LOG_N2, {"sweep": {"path": "nodes.1",
+                            "values": {"start": "x", "stop": 1.0, "count": 3}}},
+         "start must be a number"),
+        (LOG_N2, {"sweep": {"path": 1, "values": [0.5]}},
+         "sweep path must be a string"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
             "max_iters-fraction", "seed-fraction", "multistarts-bool",
-            "weights-item", "continuation_etas-item"])
+            "weights-item", "continuation_etas-item", "output-bool", "output-int",
+            "output-list", "output-fromat", "sweep-count-fraction",
+            "sweep-count-bool", "sweep-axis-key", "sweep-range-key",
+            "sweep-start-string", "sweep-path-int"])
     def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, problem, extra, key):
         cfg = write_cfg(tmp_path, "c.json", problem, **extra)
         assert main(["solve", "--config", cfg]) == 2
@@ -334,6 +406,17 @@ class TestCliOracle:
         first = rows[1]
         assert first[0] == "0.0"
         assert first[1] == "-inf"  # m_0 over the point interval [0, 0]
+
+    def test_json_report_skips_the_landscape(self, tmp_path, capsys, monkeypatch):
+        # the n = 1 landscape goes only into CSV, so JSON never computes it
+        def landscape_call(*_):
+            raise AssertionError("landscape computed for a JSON report")
+
+        monkeypatch.setattr("fenton_minimax.cli.interval_maxima", landscape_call)
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"n": 1, "field": FLAT, "kernel": {"family": "log"}})
+        assert main(["oracle", "--config", cfg, "--h", "0.125"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "oracle"
 
     def test_json_values(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", LOG_N2)
