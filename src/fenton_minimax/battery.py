@@ -2,11 +2,8 @@
 
 The battery spans the kernel families (logarithmic, power, square-root and
 the degenerate zero kernel), several field shapes (flat, concave bump, a
-half-open ramp, two disjoint bands) and node counts 1-3.  Checks pick
-sub-batteries by what they need: oracle comparisons stay at n <= 2 to keep
-the grid enumeration cheap, continuity checks skip the zero kernel (its
-overall maximum does not respond to node perturbations), and the usc checks
-want fields with genuine discontinuities.
+half-open ramp, two disjoint bands) and node counts 1-3.  Which problems
+each check runs on is listed with the check, in the registry of ``checks``.
 """
 
 from __future__ import annotations
@@ -25,10 +22,6 @@ __all__ = [
     "two_band_field",
     "gate_field",
     "battery_problem",
-    "majorization_battery",
-    "continuity_battery",
-    "usc_battery",
-    "kernel_limit_battery",
 ]
 
 
@@ -93,29 +86,3 @@ def battery_problem(name: str) -> Problem:
         raise KeyError(f"unknown battery problem {name!r}; "
                        f"known: {', '.join(sorted(BATTERY))}") from None
 
-
-def majorization_battery() -> dict[str, Problem]:
-    """Problems used for the no-strict-majorization check."""
-    names = ("log-n1-flat", "log-n2-flat", "log-n2-bump",
-             "sqrt-n2-flat", "power05-n2-bump")
-    return {k: BATTERY[k] for k in names}
-
-
-def continuity_battery() -> dict[str, Problem]:
-    """Non-degenerate kernels only: the zero kernel gives a constant overall
-    maximum, so node perturbations cannot move it."""
-    return {k: v for k, v in BATTERY.items()
-            if v.kernel is not None and v.kernel.family != "zero"}
-
-
-def usc_battery() -> dict[str, Problem]:
-    """Problems whose field has a discontinuity or a gap."""
-    names = ("log-n1-ramp", "log-n1-gate", "log-n2-bands",
-             "zero-n1-bands", "zero-n2-bands", "zero-n1-gate", "zero-n1-ramp")
-    return {k: BATTERY[k] for k in names}
-
-
-def kernel_limit_battery() -> dict[str, Problem]:
-    """Monotone singular kernels, for strictify/singularize limit checks."""
-    names = ("log-n1-flat", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat")
-    return {k: BATTERY[k] for k in names}

@@ -12,8 +12,11 @@ inequalities get a small floating-point allowance (1e-11) because the
 samples are evaluated in double precision without compensated summation.
 
 Checks are addressed by stable string identifiers like
-``"thm1.3/no-strict-majorization"`` or ``"lem2.4/a"``; the registry at the
-bottom binds each identifier to its sampling plan and default battery.
+``"thm1.3/no-strict-majorization"`` or ``"lem2.4/a"``.  One table at the
+bottom registers them all: each row names a check's description, default
+trials, the battery problems (or kernels) it runs over in order, and the call
+it makes on each with seeds ``seed``, ``seed + 1``, ...; the reports merge
+under the row's identifier.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .battery import (BATTERY, continuity_battery, kernel_limit_battery,
-                      majorization_battery, usc_battery)
+from .battery import BATTERY
 from .core import Interval, NodeSystem
 from .fields import Field, limsup_conditions, monotone_usc_approximation, usc_regularize
 from .formulas import Affine, Constant, Quadratic
@@ -891,130 +893,94 @@ def replay_witness(witness: dict) -> dict:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    check_id: str
     description: str
     default_trials: int
     runner: Callable[[int, int], CheckReport]
 
 
-def _perturbation_runner(case: str):
-    def run(trials: int, seed: int) -> CheckReport:
-        reports = [check_perturbation_inequality(k, trials, seed + i, cases=case)
-                   for i, k in enumerate((log_kernel(), sqrt_kernel()))]
-        return _merge(f"lem2.4/{case}", reports)
-    return run
-
-
-def _majorization_runner(trials: int, seed: int) -> CheckReport:
-    reports = [check_no_strict_majorization(p, trials, seed + i, label=name)
-               for i, (name, p) in enumerate(sorted(majorization_battery().items()))]
-    return _merge("thm1.3/no-strict-majorization", reports)
-
-
-def _minimax_runner(trials: int, seed: int) -> CheckReport:
-    o = SolveOptions(multistarts=6, seed=seed)
-    reports = []
-    for i, (name, p) in enumerate(sorted(BATTERY.items())):
-        reports.append(check_minimax_equals_maximin(
-            p, tol=1e-3, h=(1.0 / 400 if p.n <= 2 else None),
-            options=replace(o, seed=seed + i), label=name))
-    return _merge("thm1.3/minimax-equals-maximin", reports)
-
-
-def _eq_value_runner(trials: int, seed: int) -> CheckReport:
-    names = ("log-n1-gate", "log-n2-flat", "log-n2-bump", "sqrt-n2-flat")
-    reports = [check_equioscillation_value(BATTERY[name], starts=trials,
-                                           options=SolveOptions(seed=seed + i),
-                                           label=name)
-               for i, name in enumerate(names)]
-    return _merge("thm1.3/equioscillation-value", reports)
-
-
-def _uniqueness_runner(trials: int, seed: int) -> CheckReport:
-    names = ("log-n2-bump", "log-n3-bump")
-    reports = [check_equioscillation_value(BATTERY[name], starts=trials,
-                                           tol=1e-5, unique_nodes_tol=1e-4,
-                                           options=SolveOptions(seed=seed + i),
-                                           label=name, check_id="thm1.1/uniqueness")
-               for i, name in enumerate(names)]
-    return _merge("thm1.1/uniqueness", reports)
-
-
-def _usc_runner(trials: int, seed: int) -> CheckReport:
-    reports = [check_usc_invariances(p, trials, seed + i, label=name)
-               for i, (name, p) in enumerate(sorted(usc_battery().items()))]
-    return _merge("lem6.1/usc-invariances", reports)
-
-
-def _dini_runner(trials: int, seed: int) -> CheckReport:
-    return check_dini_max(trials, seed)
-
-
-def _kernel_limit_runner(direction: str, check_id: str):
-    def run(trials: int, seed: int) -> CheckReport:
-        probs = dict(kernel_limit_battery())
-        if direction == "singularize":
-            probs["zero-n2-bands"] = BATTERY["zero-n2-bands"]
-        reports = [check_kernel_limits(p, trials=trials, seed=seed + i,
-                                       direction=direction, label=name,
-                                       check_id=check_id)
-                   for i, (name, p) in enumerate(sorted(probs.items()))]
-        return _merge(check_id, reports)
-    return run
-
-
-def _continuity_runner(trials: int, seed: int) -> CheckReport:
-    reports = [check_continuity_suite(p, trials=trials, seed=seed + i, label=name)
-               for i, (name, p) in enumerate(sorted(continuity_battery().items()))]
-    return _merge("lem3.3/continuity", reports)
-
-
 REGISTRY: dict[str, CheckSpec] = {}
 
 
-def _register(check_id: str, description: str, default_trials: int, runner) -> None:
-    REGISTRY[check_id] = CheckSpec(check_id, description, default_trials, runner)
+def _register(check_id: str, description: str, default_trials: int,
+              items: tuple, call: Callable[[object, int, int], CheckReport]) -> None:
+    """Register a check whose runner makes ``call(item, trials, seed + i)`` on
+    the i-th item and merges the reports under ``check_id``."""
+    def runner(trials: int, seed: int) -> CheckReport:
+        return _merge(check_id, [call(item, trials, seed + i)
+                                 for i, item in enumerate(items)])
+    REGISTRY[check_id] = CheckSpec(description, default_trials, runner)
 
 
-for _case, _desc in (("a", "outer range, balance ratio at least 1"),
-                     ("b", "outer range, balance ratio at most 1"),
-                     ("c", "balanced move, no monotonicity needed"),
-                     ("d", "strict inequality for strictly concave kernels"),
-                     ("e", "reversed inequality between the moved nodes")):
-    _register(f"lem2.4/{_case}",
-              f"interval perturbation inequality, case ({_case}): {_desc}",
-              100_000, _perturbation_runner(_case))
+def _on_battery(check: Callable[..., CheckReport], **kw):
+    """The call of a row whose items are battery names."""
+    return lambda name, trials, seed: check(BATTERY[name], trials=trials, seed=seed,
+                                            label=name, **kw)
 
-_register("thm1.3/no-strict-majorization",
-          "no node system strictly majorizes another on the regular set Y",
-          10_000, _majorization_runner)
-_register("thm1.3/minimax-equals-maximin",
-          "simplex minimax equals maximin across the battery, with oracle "
-          "brackets for n <= 2", 1, _minimax_runner)
-_register("thm1.3/equioscillation-value",
-          "all equioscillation points found share the minimax value",
-          50, _eq_value_runner)
-_register("thm1.1/uniqueness",
-          "strictly concave singular monotone kernel with a concave field: "
-          "one equioscillation node system across multistarts",
-          50, _uniqueness_runner)
-_register("lem6.1/usc-invariances",
-          "invariance of maxima and open-interval suprema under usc "
-          "regularization of the field", 1000, _usc_runner)
-_register("lem5.1/dini-max",
-          "maxima of the Lipschitz envelopes decrease to the max of the field",
-          100, _dini_runner)
-_register("thm1.3/strictify-limit",
-          "interval maxima decrease to the original as the strictification "
-          "parameter drops", 100,
-          _kernel_limit_runner("strictify", "thm1.3/strictify-limit"))
-_register("lem4.1/singularize-limit",
-          "interval maxima increase back to the original as the singularizing "
-          "parameter drops", 100,
-          _kernel_limit_runner("singularize", "lem4.1/singularize-limit"))
-_register("lem3.3/continuity",
-          "deviations of the maxima decay along the perturbation schedule",
-          40, _continuity_runner)
+
+# (check id, description, default trials, items in run order, call on each)
+_CHECKS = (
+    *((f"lem2.4/{case}", f"interval perturbation inequality, case ({case}): {desc}",
+       100_000, (log_kernel(), sqrt_kernel()),
+       partial(check_perturbation_inequality, cases=case))
+      for case, desc in (("a", "outer range, balance ratio at least 1"),
+                         ("b", "outer range, balance ratio at most 1"),
+                         ("c", "balanced move, no monotonicity needed"),
+                         ("d", "strict inequality for strictly concave kernels"),
+                         ("e", "reversed inequality between the moved nodes"))),
+    ("thm1.3/no-strict-majorization",
+     "no node system strictly majorizes another on the regular set Y", 10_000,
+     ("log-n1-flat", "log-n2-bump", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat"),
+     _on_battery(check_no_strict_majorization)),
+    ("thm1.3/minimax-equals-maximin",
+     "simplex minimax equals maximin across the battery, with oracle "
+     "brackets for n <= 2", 1, tuple(sorted(BATTERY)),
+     lambda name, trials, seed: check_minimax_equals_maximin(
+         BATTERY[name], tol=1e-3, h=1.0 / 400,
+         options=SolveOptions(multistarts=6, seed=seed), label=name)),
+    ("thm1.3/equioscillation-value",
+     "all equioscillation points found share the minimax value", 50,
+     ("log-n1-gate", "log-n2-flat", "log-n2-bump", "sqrt-n2-flat"),
+     lambda name, trials, seed: check_equioscillation_value(
+         BATTERY[name], starts=trials, options=SolveOptions(seed=seed), label=name)),
+    ("thm1.1/uniqueness",
+     "strictly concave singular monotone kernel with a concave field: "
+     "one equioscillation node system across multistarts", 50,
+     ("log-n2-bump", "log-n3-bump"),
+     lambda name, trials, seed: check_equioscillation_value(
+         BATTERY[name], starts=trials, tol=1e-5, unique_nodes_tol=1e-4,
+         options=SolveOptions(seed=seed), label=name, check_id="thm1.1/uniqueness")),
+    ("lem6.1/usc-invariances",
+     "invariance of maxima and open-interval suprema under usc "
+     "regularization of the field", 1000,
+     # the fields with a jump or a gap
+     ("log-n1-gate", "log-n1-ramp", "log-n2-bands", "zero-n1-bands", "zero-n1-gate",
+      "zero-n1-ramp", "zero-n2-bands"),
+     _on_battery(check_usc_invariances)),
+    ("lem5.1/dini-max",
+     "maxima of the Lipschitz envelopes decrease to the max of the field", 100,
+     (None,), lambda _, trials, seed: check_dini_max(trials, seed)),
+    ("thm1.3/strictify-limit",
+     "interval maxima decrease to the original as the strictification "
+     "parameter drops", 100,
+     ("log-n1-flat", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat"),
+     _on_battery(check_kernel_limits, direction="strictify",
+                 check_id="thm1.3/strictify-limit")),
+    ("lem4.1/singularize-limit",
+     "interval maxima increase back to the original as the singularizing "
+     "parameter drops", 100,
+     ("log-n1-flat", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat", "zero-n2-bands"),
+     _on_battery(check_kernel_limits, direction="singularize",
+                 check_id="lem4.1/singularize-limit")),
+    ("lem3.3/continuity",
+     "deviations of the maxima decay along the perturbation schedule", 40,
+     # the zero kernel leaves the overall maximum constant under node moves
+     ("log-n1-flat", "log-n1-gate", "log-n1-ramp", "log-n2-bands", "log-n2-bump",
+      "log-n2-flat", "log-n3-bump", "log-n3-flat", "power05-n1-flat",
+      "power05-n2-bump", "sqrt-n2-flat", "sqrt-n3-bump"),
+     _on_battery(check_continuity_suite)),
+)
+for _row in _CHECKS:
+    _register(*_row)
 
 
 def all_check_ids() -> tuple[str, ...]:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from itertools import product
 
-from .checks import CheckInfeasible, UnknownCheckError, all_check_ids, run_check
+from .checks import CheckInfeasible, all_check_ids, run_check
 from .core import NodeSystem
 from .fields import usc_regularize
 from .schema import (SCHEMA_VERSION, ConfigError, RunConfig, encode_float,
@@ -174,16 +174,22 @@ def _run_verify(args) -> int:
     return 0 if doc["passed"] else 1
 
 
+def _path_index(path: str, part: str, what: str, n: int) -> int:
+    """The index ``part`` of a sweep path, which must be an integer in 1..n."""
+    try:
+        i = int(part)
+    except ValueError:
+        raise ConfigError(f"bad {what} index in sweep path {path!r}") from None
+    if not 1 <= i <= n:
+        raise ConfigError(f"sweep path {path!r}: index out of range 1..{n}")
+    return i
+
+
 def _apply_path(p: Problem, nodes: NodeSystem, path: str, value: float):
     """Return (problem, nodes) with one swept parameter replaced."""
     parts = path.split(".")
     if parts[0] == "nodes" and len(parts) == 2:
-        try:
-            i = int(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad node index in sweep path {path!r}") from None
-        if not 1 <= i <= p.n:
-            raise ConfigError(f"sweep path {path!r}: index out of range 1..{p.n}")
+        i = _path_index(path, parts[1], "node", p.n)
         xs = list(nodes.nodes)
         xs[i - 1] = value
         try:
@@ -198,12 +204,7 @@ def _apply_path(p: Problem, nodes: NodeSystem, path: str, value: float):
         kernel = kernel_from_json({**kernel_to_json(p.kernel), attr: value})
         return replace(p, kernel=kernel), nodes
     if parts[:2] == ["problem", "weights"] and len(parts) == 3 and p.weights is not None:
-        try:
-            i = int(parts[2])
-        except ValueError:
-            raise ConfigError(f"bad weight index in sweep path {path!r}") from None
-        if not 1 <= i <= p.n:
-            raise ConfigError(f"sweep path {path!r}: index out of range 1..{p.n}")
+        i = _path_index(path, parts[2], "weight", p.n)
         ws = list(p.weights)
         ws[i - 1] = value
         return replace(p, weights=tuple(ws)), nodes
@@ -242,10 +243,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(args)
         return _run_sweep(args)
-    except (ConfigError, UnknownCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # ConfigError, UnknownCheckError and json.JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckInfeasible as exc:

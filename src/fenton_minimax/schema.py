@@ -159,14 +159,13 @@ def formula_from_json(d: Any) -> Formula:
     cls = _FORMULAS[kind]
     keys = tuple(fl.name for fl in fields(cls))
     reject_unknown(d, ("type", *keys), f"{kind} formula")
-    try:
-        args = [d[key] for key in keys]
-    except KeyError as exc:
-        raise ConfigError(f"formula descriptor missing field {exc}") from exc
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"formula descriptor missing field {key!r}")
     with _config_errors():
         if cls is LogWeight:
-            return LogWeight(formula_from_json(args[0]))
-        return cls(*map(float, args))
+            return LogWeight(formula_from_json(d["w"]))
+        return cls(*(_float_at(d, key) for key in keys))
 
 
 _KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
@@ -207,7 +206,7 @@ def kernel_from_json(d: Any) -> Kernel:
         if family == "power":
             if "s" not in params:
                 raise ConfigError("power kernels need params.s")
-            k = power_kernel(float(params["s"]))
+            k = power_kernel(_float_at(params, "s"))
         elif family == "custom":
             try:
                 fd = params["flags"]
@@ -220,13 +219,14 @@ def kernel_from_json(d: Any) -> Kernel:
         else:
             k = _STOCK_KERNELS[family]()
         if d.get("scale") is not None:
-            k = k.scaled(float(d["scale"]))
+            k = k.scaled(_float_at(d, "scale"))
         if d.get("strictify_eta") is not None:
-            k = strictify(k, float(d["strictify_eta"]))
+            k = strictify(k, _float_at(d, "strictify_eta"))
         se = d.get("singularize_eta")
         if se is not None:
-            for eta in se if isinstance(se, list) else [se]:
-                k = singularize(k, float(eta))
+            for eta in (_floats_at(d, "singularize_eta") if isinstance(se, list)
+                        else [_float_at(d, "singularize_eta")]):
+                k = singularize(k, eta)
     return k
 
 

@@ -50,6 +50,17 @@ class TestRegistry:
         # callers that only know ValueError still catch it
         assert issubclass(UnknownCheckError, ValueError)
 
+    @pytest.mark.parametrize("check_id, per_trial", [
+        ("thm1.3/no-strict-majorization", 10),
+        ("thm1.3/strictify-limit", 28),
+        ("lem4.1/singularize-limit", 35),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_trials_per_requested_trial(self, check_id, per_trial, seed):
+        # the check-sampling benchmark expects exactly per_trial * trials;
+        # a problem added to or dropped from a check's row changes the count
+        assert run_check(check_id, 1, seed).trials == per_trial
+
 
 class TestSmokeAllChecks:
     """Every registered check passes at reduced trial counts."""

@@ -15,7 +15,10 @@ interval selectors and problem stacks, and ``dini-max`` and
 ``usc-invariances``, which exercise the fields' structural operations and
 Lipschitz envelopes, before ``Field`` became piecewise-only, and
 ``minimax-equals-maximin``, whose note holds every battery problem's minimax
-and maximin value to 9 digits, before the two searches shared one driver.  Each
+and maximin value to 9 digits, before the two searches shared one driver.
+``verify-all.report.json`` is the report of ``verify --all --trials 8 --seed
+3``, so it pins every registered check, in registry order; it was written
+before the per-check runner functions became one registry table.  Each
 ``oracle-<name>.report.json`` is the report of ``oracle --config
 <name>.config.json --h H`` (H = 1/128 for n <= 2, 1/32 for n = 3), written
 before the brute oracles learned to prune rows by a bound.  Two CSV reports
@@ -37,6 +40,8 @@ re-record after an intended change of results, run for each name
         --output tests/data/golden/oracle-<name>.report.json
     PYTHONPATH=src python -m fenton_minimax.cli verify --check <id> \\
         --trials 8 --seed 3 --output tests/data/golden/verify-<check>.report.json
+    PYTHONPATH=src python -m fenton_minimax.cli verify --all \\
+        --trials 8 --seed 3 --output tests/data/golden/verify-all.report.json
 
 and, for the CSV reports, the argument lists in ``CSV_REPORTS`` with
 ``--output``.
@@ -92,6 +97,13 @@ def test_verify_report_is_byte_identical(check_id, tmp_path):
     assert rc == 0
     golden = GOLDEN / f"verify-{check_id.split('/')[1]}.report.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_verify_all_report_is_byte_identical(tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--all", "--trials", "8", "--seed", "3", "--output", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "verify-all.report.json").read_bytes()
 
 
 @pytest.mark.parametrize("golden, argv", CSV_REPORTS, ids=[g for g, _ in CSV_REPORTS])

@@ -372,13 +372,29 @@ class TestCliSolve:
          "start must be a number"),
         (LOG_N2, {"sweep": {"path": 1, "values": [0.5]}},
          "sweep path must be a string"),
+        ({**LOG_N2, "kernel": {"family": "log", "scale": [1]}}, {},
+         "scale must be a number"),
+        ({**LOG_N2, "kernel": {"family": "power", "params": {"s": None}}}, {},
+         "s must be a number"),
+        ({**LOG_N2, "kernel": {"family": "custom", "params": {
+            "neg": {"type": "constant", "c": None},
+            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0},
+            "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
+                      "strictly_concave": False, "cusp": False}}}}, {},
+         "c must be a number"),
+        ({**LOG_N2, "kernel": {"family": "log", "singularize_eta": [None]}}, {},
+         "singularize_eta items must be numbers"),
+        ({**LOG_N2, "kernel": {"family": "log", "strictify_eta": "x"}}, {},
+         "strictify_eta must be a number"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
             "max_iters-fraction", "seed-fraction", "multistarts-bool",
             "weights-item", "continuation_etas-item", "output-bool", "output-int",
             "output-list", "output-fromat", "sweep-count-fraction",
             "sweep-count-bool", "sweep-axis-key", "sweep-range-key",
-            "sweep-start-string", "sweep-path-int"])
+            "sweep-start-string", "sweep-path-int", "kernel-scale-list",
+            "power-s-null", "custom-formula-null", "singularize_eta-item-null",
+            "strictify_eta-string"])
     def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, problem, extra, key):
         cfg = write_cfg(tmp_path, "c.json", problem, **extra)
         assert main(["solve", "--config", cfg]) == 2
@@ -544,6 +560,19 @@ class TestCliSweep:
                         sweep={"path": "problem.kernel.colour",
                                "values": [1.0]})
         assert main(["sweep", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("path, message", [
+        ("nodes.x", "bad node index in sweep path 'nodes.x'"),
+        ("nodes.3", "sweep path 'nodes.3': index out of range 1..2"),
+        ("problem.weights.x", "bad weight index in sweep path 'problem.weights.x'"),
+        ("problem.weights.0", "sweep path 'problem.weights.0': index out of range 1..2"),
+    ], ids=["node-not-integer", "node-out-of-range", "weight-not-integer",
+            "weight-out-of-range"])
+    def test_bad_path_index_exits_2(self, tmp_path, capsys, path, message):
+        cfg = write_cfg(tmp_path, "c.json", LOG_N2, nodes=[0.3, 0.7],
+                        sweep={"path": path, "values": [0.5]})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCliUsage:
