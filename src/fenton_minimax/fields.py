@@ -112,13 +112,18 @@ class Field:
     def _finite_set(self) -> "RealSubset":
         return RealSubset.from_parts([p.interval for p in self.pieces])
 
+    @cached_property
+    def piece_ends(self) -> tuple[float, ...]:
+        """The pieces' endpoints, sorted and distinct."""
+        return tuple(sorted({e for p in self.pieces for e in (p.interval.a, p.interval.b)}))
+
+    @cached_property
+    def _breakpoints(self) -> tuple[float, ...]:
+        return tuple(sorted({0.0, 1.0, *self.piece_ends}))
+
     def breakpoints(self) -> tuple[float, ...]:
         """Piece endpoints plus the domain ends, sorted and unique."""
-        pts = {0.0, 1.0}
-        for p in self.pieces:
-            pts.add(p.interval.a)
-            pts.add(p.interval.b)
-        return tuple(sorted(pts))
+        return self._breakpoints
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,12 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.family not in _KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.scale <= 0:
-            raise ValueError("kernel scale must be positive")
-        if self.strictify_eta < 0 or any(e <= 0 for e in self.singularize_etas):
-            raise ValueError("transform parameters must be positive")
+        # chained comparisons, which NaN fails, so NaN and inf are refused too
+        if not 0 < self.scale < math.inf:
+            raise ValueError("kernel scale must be positive and finite")
+        if not (0 <= self.strictify_eta < math.inf
+                and all(0 < e < math.inf for e in self.singularize_etas)):
+            raise ValueError("transform parameters must be positive and finite")
         if self.family == "custom" and (self.neg_formula is None or self.pos_formula is None):
             raise ValueError("custom kernels need one formula per side")
 
@@ -271,8 +273,8 @@ class Kernel:
         return self._sum_many(ts, ("derivs",))[0]
 
     def scaled(self, factor: float) -> "Kernel":
-        if factor <= 0:
-            raise ValueError("kernel weights must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError("kernel weights must be positive and finite")
         return replace(self, scale=self.scale * factor)
 
 
@@ -361,8 +363,8 @@ def sqrt_kernel() -> Kernel:
 
 def power_kernel(s: float) -> Kernel:
     """K(t) = -|t| ** (-s) for s > 0."""
-    if s <= 0:
-        raise ValueError("power kernels need s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError("power kernels need a finite s > 0")
     return Kernel(
         "power",
         KernelFlags(singular=True, monotone=True, strictly_monotone=True,
@@ -387,8 +389,8 @@ def custom_kernel(neg: Formula, pos: Formula, flags: KernelFlags) -> Kernel:
 
 def strictify(k: Kernel, eta: float) -> Kernel:
     """K + eta * sqrt(|t|): strictly concave, strictly monotone, >= K."""
-    if eta <= 0:
-        raise ValueError("strictify needs eta > 0")
+    if not 0 < eta < math.inf:
+        raise ValueError("strictify needs a finite eta > 0")
     if not k.flags.monotone:
         raise ValueError("strictify requires a monotone kernel")
     flags = KernelFlags(singular=k.flags.singular, monotone=True,
@@ -398,8 +400,8 @@ def strictify(k: Kernel, eta: float) -> Kernel:
 
 def singularize(k: Kernel, eta: float) -> Kernel:
     """K + min(log(|t| / eta), 0): singular at 0, equal to K for |t| >= eta."""
-    if eta <= 0:
-        raise ValueError("singularize needs eta > 0")
+    if not 0 < eta < math.inf:
+        raise ValueError("singularize needs a finite eta > 0")
     flags = KernelFlags(singular=True, monotone=k.flags.monotone,
                         strictly_monotone=k.flags.strictly_monotone,
                         strictly_concave=k.flags.strictly_concave, cusp=True)

@@ -3,18 +3,22 @@
 A config file is a single JSON document with a required top-level
 ``"schema": 1`` marker.  Each reader (formula, kernel, field, problem,
 options, config) rejects unknown keys and raises ``ConfigError`` for any
-malformed descriptor.  JSON has no infinity literals, so ``encode_float``,
-the one encoder of report floats, writes the strings ``"-inf"``/``"inf"``;
-finite numbers round-trip as plain JSON numbers (bit-exact for doubles).
+malformed descriptor.  Every descriptor value is read through one accessor
+per JSON kind (number: finite, never a bool or a string; integer; flag;
+list; list of numbers; object), whose error names the key, a missing one
+included; a dataclass field takes the accessor its type names.  JSON has
+no infinity literals, so ``encode_float``, the one encoder of report
+floats, writes the strings ``"-inf"``/``"inf"``; finite numbers round-trip
+as plain JSON numbers (bit-exact for doubles).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Any
+from typing import Any, Callable
 
 from .core import Interval, NodeSystem
 from .fields import Field, FieldPiece
@@ -30,7 +34,6 @@ __all__ = [
     "RunConfig",
     "encode_float",
     "encode_value",
-    "decode_value",
     "formula_to_json",
     "formula_from_json",
     "kernel_to_json",
@@ -63,15 +66,16 @@ def reject_unknown(d: Any, known: tuple[str, ...], what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
-@contextmanager
-def _config_errors():
-    """A model constructor's ValueError, re-raised as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+class _config_errors:
+    """A model constructor's ValueError, re-raised as a ConfigError (a class,
+    not a generator context manager: every descriptor read enters one)."""
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, typ, exc, tb) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, ConfigError):
+            raise ConfigError(str(exc)) from exc
 
 
 def encode_float(v: float) -> Any:
@@ -91,53 +95,80 @@ def encode_value(v: float) -> Any:
     return encode_float(v)
 
 
-def decode_value(v: Any) -> float:
-    if v == "-inf":
-        return -math.inf
-    if isinstance(v, (int, float)) and math.isfinite(v):
-        return float(v)
-    raise ConfigError(f"expected a finite number or \"-inf\", got {v!r}")
+_FLOAT_MAX = sys.float_info.max
+_REQUIRED = object()  # the default of a key that a descriptor must hold
 
 
-def _list_at(d: dict, key: str) -> list:
-    """d[key], which must be a list; a ConfigError names the key otherwise."""
+def _value_at(d: dict, key: str, what: str, is_kind: Callable[[Any], bool] | None = None,
+              kind: str = "", default: Any = _REQUIRED) -> Any:
+    """d[key], or the default of an optional key the what descriptor d lacks; a
+    ConfigError names the key when a required one is missing or is_kind refuses it."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key} in {what}")
+        return default
     v = d[key]
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {v!r}")
+    if is_kind is not None and not is_kind(v):
+        raise ConfigError(f"{key} must be {kind}, got {v!r}")
     return v
 
 
-def _float_at(d: dict, key: str) -> float:
-    """d[key] as a float; a ConfigError names the key when it is not a number."""
-    try:
-        return float(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number: {exc}") from exc
+def _is_number(v: Any) -> bool:
+    """A finite int or float, never a bool: no NaN, Infinity or numeric string."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= _FLOAT_MAX
 
 
-def _floats_at(d: dict, key: str) -> tuple[float, ...]:
-    """d[key] as a tuple of floats; a ConfigError names the key when it is
-    not a list or an item is not a number."""
-    items = _list_at(d, key)
-    try:
-        return tuple(float(v) for v in items)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} items must be numbers: {exc}") from exc
+def _is_integer(v: Any) -> bool:
+    """An int or an integral float, never a bool."""
+    return not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer())
 
 
-def _int_at(d: dict, key: str) -> int:
-    """d[key], an integer or an integral float, as an int; a ConfigError
-    names the key for anything else, booleans included."""
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
-            isinstance(v, float) and not v.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    return int(v)
+def _number_at(d: dict, key: str, what: str) -> float:
+    return float(_value_at(d, key, what, _is_number, "a number"))
+
+
+def _int_at(d: dict, key: str, what: str) -> int:
+    return int(_value_at(d, key, what, _is_integer, "an integer"))
+
+
+def _flag_at(d: dict, key: str, what: str, default: Any = _REQUIRED) -> bool:
+    return _value_at(d, key, what, lambda v: isinstance(v, bool), "true or false", default)
+
+
+def _list_at(d: dict, key: str, what: str, default: Any = _REQUIRED) -> list:
+    return _value_at(d, key, what, lambda v: isinstance(v, (list, tuple)), "a list", default)
+
+
+def _object_at(d: dict, key: str, what: str, default: Any = _REQUIRED) -> dict:
+    return _value_at(d, key, what, lambda v: isinstance(v, dict), "an object", default)
+
+
+def _numbers_at(d: dict, key: str, what: str) -> tuple[float, ...]:
+    items = _list_at(d, key, what)
+    if not all(map(_is_number, items)):
+        raise ConfigError(f"{key} items must be numbers, got {items!r}")
+    return tuple(map(float, items))
+
+
+def _formula_at(d: dict, key: str, what: str) -> Formula:
+    return formula_from_json(_value_at(d, key, what))
 
 
 # formula descriptors: {"type": <name>, <the class's fields>...}
 _FORMULAS = {"constant": Constant, "affine": Affine, "quadratic": Quadratic,
              "log_weight": LogWeight}
+# per dataclass read from JSON: each field's name and the accessor its type names
+_TYPE_READERS = {"float": _number_at, "int": _int_at, "bool": _flag_at,
+                 "tuple[float, ...]": _numbers_at, "Formula": _formula_at}
+_READERS = {cls: {fl.name: _TYPE_READERS[fl.type] for fl in fields(cls)}
+            for cls in (*_FORMULAS.values(), KernelFlags, SolveOptions)}
+
+
+def _fields_from_json(cls: type, d: dict, what: str, required: bool = True) -> dict:
+    """Each field of dataclass cls, or each that d holds, read by its accessor."""
+    return {key: read(d, key, what) for key, read in _READERS[cls].items()
+            if required or key in d}
 
 
 def formula_to_json(f: Formula) -> dict:
@@ -151,28 +182,21 @@ def formula_to_json(f: Formula) -> dict:
 
 
 def formula_from_json(d: Any) -> Formula:
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"formula descriptor must be an object with a type, got {d!r}")
-    kind = d["type"]
+    if not isinstance(d, dict):
+        raise ConfigError(f"formula descriptor must be an object, got {d!r}")
+    kind = _value_at(d, "type", "formula")
     if not isinstance(kind, str) or kind not in _FORMULAS:
         raise ConfigError(f"unknown formula type {kind!r}")
     cls = _FORMULAS[kind]
-    keys = tuple(fl.name for fl in fields(cls))
-    reject_unknown(d, ("type", *keys), f"{kind} formula")
-    for key in keys:
-        if key not in d:
-            raise ConfigError(f"formula descriptor missing field {key!r}")
+    reject_unknown(d, ("type", *_READERS[cls]), f"{kind} formula")
     with _config_errors():
-        if cls is LogWeight:
-            return LogWeight(formula_from_json(d["w"]))
-        return cls(*(_float_at(d, key) for key in keys))
+        return cls(**_fields_from_json(cls, d, f"{kind} formula"))
 
 
 _KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
 # the keys of a kernel's "params" object, per family
 _PARAM_KEYS = {"zero": (), "log": (), "sqrt": (), "power": ("s",),
                "custom": ("neg", "pos", "flags")}
-_FLAG_KEYS = tuple(fl.name for fl in fields(KernelFlags))
 _STOCK_KERNELS = {"zero": zero_kernel, "log": log_kernel, "sqrt": sqrt_kernel}
 
 
@@ -194,38 +218,32 @@ def kernel_to_json(k: Kernel) -> dict:
 
 
 def kernel_from_json(d: Any) -> Kernel:
-    if not isinstance(d, dict) or "family" not in d:
-        raise ConfigError(f"kernel descriptor must be an object with a family, got {d!r}")
     reject_unknown(d, _KERNEL_KEYS, "kernel")
-    family = d["family"]
+    family = _value_at(d, "family", "kernel")
     if not isinstance(family, str) or family not in _PARAM_KEYS:
         raise ConfigError(f"unknown kernel family {family!r}")
-    params = d.get("params") or {}
-    reject_unknown(params, _PARAM_KEYS[family], f"{family} kernel params")
+    params = _object_at(d, "params", "kernel", {})
+    what = f"{family} kernel params"
+    reject_unknown(params, _PARAM_KEYS[family], what)
     with _config_errors():
         if family == "power":
-            if "s" not in params:
-                raise ConfigError("power kernels need params.s")
-            k = power_kernel(_float_at(params, "s"))
+            k = power_kernel(_number_at(params, "s", what))
         elif family == "custom":
-            try:
-                fd = params["flags"]
-                reject_unknown(fd, _FLAG_KEYS, "kernel flag")
-                flags = KernelFlags(**{key: bool(fd[key]) for key in _FLAG_KEYS})
-                k = custom_kernel(formula_from_json(params["neg"]),
-                                  formula_from_json(params["pos"]), flags)
-            except KeyError as exc:
-                raise ConfigError(f"custom kernel descriptor missing {exc}") from exc
+            fd = _object_at(params, "flags", what)
+            reject_unknown(fd, tuple(_READERS[KernelFlags]), "kernel flag")
+            flags = KernelFlags(**_fields_from_json(KernelFlags, fd, "kernel flags"))
+            k = custom_kernel(_formula_at(params, "neg", what),
+                              _formula_at(params, "pos", what), flags)
         else:
             k = _STOCK_KERNELS[family]()
-        if d.get("scale") is not None:
-            k = k.scaled(_float_at(d, "scale"))
-        if d.get("strictify_eta") is not None:
-            k = strictify(k, _float_at(d, "strictify_eta"))
-        se = d.get("singularize_eta")
-        if se is not None:
-            for eta in (_floats_at(d, "singularize_eta") if isinstance(se, list)
-                        else [_float_at(d, "singularize_eta")]):
+        if "scale" in d:
+            k = k.scaled(_number_at(d, "scale", "kernel"))
+        if "strictify_eta" in d:
+            k = strictify(k, _number_at(d, "strictify_eta", "kernel"))
+        if "singularize_eta" in d:
+            for eta in (_numbers_at(d, "singularize_eta", "kernel")
+                        if isinstance(d["singularize_eta"], list)
+                        else [_number_at(d, "singularize_eta", "kernel")]):
                 k = singularize(k, eta)
     return k
 
@@ -240,12 +258,10 @@ def _interval_to_json(iv: Interval) -> dict:
 
 
 def _interval_from_json(d: Any) -> Interval:
-    if not isinstance(d, dict) or "a" not in d or "b" not in d:
-        raise ConfigError(f"interval descriptor needs a and b, got {d!r}")
     reject_unknown(d, ("a", "b", "closed_left", "closed_right"), "interval")
-    return Interval(float(d["a"]), float(d["b"]),
-                    closed_left=bool(d.get("closed_left", True)),
-                    closed_right=bool(d.get("closed_right", True)))
+    return Interval(_number_at(d, "a", "interval"), _number_at(d, "b", "interval"),
+                    closed_left=_flag_at(d, "closed_left", "interval", True),
+                    closed_right=_flag_at(d, "closed_right", "interval", True))
 
 
 def field_to_json(f: Field) -> dict:
@@ -255,17 +271,13 @@ def field_to_json(f: Field) -> dict:
 
 
 def field_from_json(d: Any) -> Field:
-    if not isinstance(d, dict) or "pieces" not in d:
-        raise ConfigError(f"field descriptor needs a pieces list, got {d!r}")
+    reject_unknown(d, ("pieces",), "field")
     pieces = []
     with _config_errors():
-        for pd in _list_at(d, "pieces"):
-            try:
-                reject_unknown(pd, ("interval", "formula"), "field piece")
-                pieces.append(FieldPiece(_interval_from_json(pd["interval"]),
-                                         formula_from_json(pd["formula"])))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"bad field piece {pd!r}: {exc}") from exc
+        for pd in _list_at(d, "pieces", "field"):
+            reject_unknown(pd, ("interval", "formula"), "field piece")
+            interval = _interval_from_json(_value_at(pd, "interval", "field piece"))
+            pieces.append(FieldPiece(interval, _formula_at(pd, "formula", "field piece")))
         return Field(pieces=tuple(pieces))
 
 
@@ -281,28 +293,20 @@ def problem_to_json(p: Problem) -> dict:
 
 
 def problem_from_json(d: Any) -> Problem:
-    if not isinstance(d, dict):
-        raise ConfigError(f"problem descriptor must be an object, got {d!r}")
     reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
-    try:
-        n = _int_at(d, "n")
-        field = field_from_json(d["field"])
-    except KeyError as exc:
-        raise ConfigError(f"problem descriptor missing {exc}") from exc
+    n = _int_at(d, "n", "problem")
+    field = field_from_json(_value_at(d, "field", "problem"))
     kwargs: dict = {}
     if "kernels" in d:
-        kwargs["kernels"] = tuple(kernel_from_json(k) for k in _list_at(d, "kernels"))
+        kwargs["kernels"] = tuple(map(kernel_from_json, _list_at(d, "kernels", "problem")))
     elif "kernel" in d:
         kwargs["kernel"] = kernel_from_json(d["kernel"])
         if "weights" in d:
-            kwargs["weights"] = _floats_at(d, "weights")
+            kwargs["weights"] = _numbers_at(d, "weights", "problem")
     else:
         raise ConfigError("problem descriptor needs a kernel or a kernels list")
     with _config_errors():
         return Problem(n=n, field=field, **kwargs)
-
-
-_OPTION_KEYS = tuple(fl.name for fl in fields(SolveOptions))
 
 
 def options_to_json(o: SolveOptions) -> dict:
@@ -312,19 +316,9 @@ def options_to_json(o: SolveOptions) -> dict:
 def options_from_json(d: Any) -> SolveOptions:
     if d is None:
         return SolveOptions()
-    if not isinstance(d, dict):
-        raise ConfigError(f"options must be an object, got {d!r}")
-    reject_unknown(d, _OPTION_KEYS, "option")
-    kwargs: dict = dict(d)
-    if "continuation_etas" in kwargs:
-        kwargs["continuation_etas"] = _floats_at(kwargs, "continuation_etas")
-    for key in ("max_iters", "multistarts", "seed"):
-        if key in kwargs:
-            kwargs[key] = _int_at(kwargs, key)
-    try:
-        return SolveOptions(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver options: {exc}") from exc
+    reject_unknown(d, tuple(_READERS[SolveOptions]), "option")
+    with _config_errors():
+        return SolveOptions(**_fields_from_json(SolveOptions, d, "options", required=False))
 
 
 def solve_report_to_json(r: SolveReport) -> dict:
@@ -353,20 +347,16 @@ class RunConfig:
 def config_from_json(d: Any) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
-    if d.get("schema") != SCHEMA_VERSION:
+    if _int_at(d, "schema", "config") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare \"schema\": {SCHEMA_VERSION}")
     reject_unknown(d, ("schema", "problem", "options", "nodes", "checks", "sweep",
                        "output"), "config")
-    if "problem" not in d:
-        raise ConfigError("config needs a problem section")
-    problem = problem_from_json(d["problem"])
+    problem = problem_from_json(_value_at(d, "problem", "config"))
     options = options_from_json(d.get("options"))
     nodes = None
     if "nodes" in d:
-        try:
-            nodes = NodeSystem(tuple(float(v) for v in d["nodes"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad nodes: {exc}") from exc
+        with _config_errors():
+            nodes = NodeSystem(_numbers_at(d, "nodes", "config"))
         if len(nodes.nodes) != problem.n:
             raise ConfigError(f"nodes length {len(nodes.nodes)} != n={problem.n}")
     sweep = d.get("sweep", ())
@@ -385,34 +375,30 @@ def config_from_json(d: Any) -> RunConfig:
                           f"format, got {d['output']!r}")
     if fmt is not None and fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    checks = tuple(_list_at(d, "checks")) if "checks" in d else ()
+    checks = tuple(_list_at(d, "checks", "config", ()))
     return RunConfig(problem=problem, options=options, nodes=nodes, checks=checks,
                      sweep=tuple(sweep), output=output, fmt=fmt)
 
 
 def _sweep_axis(axis: Any) -> dict:
     """A new sweep axis {"path", "values"}, with a range expanded to its list."""
-    if not isinstance(axis, dict) or "path" not in axis:
-        raise ConfigError(f"sweep axis needs a path, got {axis!r}")
     reject_unknown(axis, ("path", "values"), "sweep axis")
-    if not isinstance(axis["path"], str):
-        raise ConfigError(f"sweep path must be a string, got {axis['path']!r}")
+    path = _value_at(axis, "path", "sweep axis")
+    if not isinstance(path, str):
+        raise ConfigError(f"sweep path must be a string, got {path!r}")
     vals = axis.get("values")
     if isinstance(vals, dict):
         reject_unknown(vals, ("start", "stop", "count"), "sweep range")
-        try:
-            count = _int_at(vals, "count")
-            if count < 1:
-                raise ConfigError("sweep count must be positive")
-            start, stop = _float_at(vals, "start"), _float_at(vals, "stop")
-        except KeyError as exc:
-            raise ConfigError(f"sweep range needs start/stop/count, missing {exc}") from exc
+        count = _int_at(vals, "count", "sweep range")
+        if count < 1:
+            raise ConfigError("sweep count must be positive")
+        start, stop = (_number_at(vals, key, "sweep range") for key in ("start", "stop"))
         values = [start + i * ((stop - start) / max(count - 1, 1)) for i in range(count)]
     elif isinstance(vals, list) and vals:
-        values = list(_floats_at(axis, "values"))
+        values = list(_numbers_at(axis, "values", "sweep axis"))
     else:
         raise ConfigError("sweep axis needs a non-empty values list or a range")
-    return {"path": axis["path"], "values": values}
+    return {"path": path, "values": values}
 
 
 def load_config(path: str) -> RunConfig:

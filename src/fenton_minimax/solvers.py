@@ -109,12 +109,13 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol_residual <= 0 or self.tol_step <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerances must be positive")
+        # chained comparisons, which NaN fails, so NaN and inf are refused too
+        if not all(0 < v < math.inf for v in (self.tol_residual, self.tol_step, self.fd_step)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1 or self.multistarts < 1:
             raise ValueError("iteration budgets must be positive")
         etas = tuple(float(e) for e in self.continuation_etas)
-        if not etas or etas[-1] != 0.0 or any(a <= b for a, b in zip(etas, etas[1:])):
+        if not (etas and etas[-1] == 0.0 and all(math.inf > a > b for a, b in zip(etas, etas[1:]))):
             raise ValueError("continuation etas must strictly decrease and end at 0")
         object.__setattr__(self, "continuation_etas", etas)
 
@@ -252,8 +253,7 @@ def _oracle_grid(p: Problem, h: float) -> np.ndarray:
     if not (0 < h <= 0.5):
         raise ValueError("grid step h must lie in (0, 0.5]")
     m = max(2, round(1.0 / h))
-    ends = np.array(sorted({e for piece in p.field.pieces
-                            for e in (piece.interval.a, piece.interval.b)}))
+    ends = np.array(p.field.piece_ends)
     probes = np.clip(np.concatenate([ends - 1e-9, ends + 1e-9]), 0.0, 1.0)
     return np.unique(np.concatenate([np.linspace(0.0, 1.0, m + 1), ends, probes]))
 
@@ -485,7 +485,7 @@ def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
 
 
 def _interior_breakpoints(p: Problem) -> list[float]:
-    return [t for t in p.field.breakpoints() if 0.0 < t < 1.0]
+    return [t for t in p.field.piece_ends if 0.0 < t < 1.0]
 
 
 _PHANTOM_JUMP = 1e-3

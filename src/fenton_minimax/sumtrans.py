@@ -498,7 +498,7 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
 
     # points: each interval's start, the piece ends strictly inside, its end
     qa, qb = s[rows, jq], s[rows, jq + 1]
-    ends = np.array(sorted({e for fp in field.pieces for e in (fp.interval.a, fp.interval.b)}))
+    ends = np.array(field.piece_ends)
     first = np.searchsorted(ends, qa, "right")
     inner = np.maximum(np.searchsorted(ends, qb, "left") - first, 0)
     npts = 1 + inner + (qb > qa)

@@ -139,6 +139,25 @@ class TestSingularize:
         assert k.eval(0.75) == 0.0
 
 
+# each compares its parameter by a chained comparison, which NaN fails
+@pytest.mark.parametrize("make", [
+    lambda: power_kernel(math.nan), lambda: power_kernel(math.inf),
+    lambda: power_kernel(0.0),
+    lambda: log_kernel().scaled(math.nan), lambda: log_kernel().scaled(math.inf),
+    lambda: log_kernel().scaled(1e300).scaled(1e300),
+    lambda: strictify(log_kernel(), math.nan), lambda: strictify(log_kernel(), math.inf),
+    lambda: singularize(log_kernel(), math.nan), lambda: singularize(log_kernel(), math.inf),
+    lambda: replace(log_kernel(), scale=math.nan),
+    lambda: replace(log_kernel(), strictify_eta=math.nan),
+    lambda: replace(log_kernel(), singularize_etas=(0.1, math.nan)),
+], ids=["power-nan", "power-inf", "power-zero", "scaled-nan", "scaled-inf",
+        "scaled-overflow", "strictify-nan", "strictify-inf", "singularize-nan",
+        "singularize-inf", "scale-nan", "strictify_eta-nan", "singularize_etas-nan"])
+def test_constructors_refuse_nan_inf_and_nonpositive(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestValidate:
     @pytest.mark.parametrize("k", STOCK + [strictify(zero_kernel(), 0.5),
                                            singularize(zero_kernel(), 0.25),

@@ -10,7 +10,7 @@ from fenton_minimax.cli import main, read_report
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.core import NEG_INF
 from fenton_minimax.schema import (ConfigError, config_from_json,
-                                   decode_value, encode_float, encode_value,
+                                   encode_float, encode_value,
                                    load_config, options_from_json,
                                    options_to_json, problem_from_json,
                                    problem_to_json, solve_report_to_json)
@@ -23,6 +23,22 @@ RAMP = {"pieces": [{"interval": {"a": 0.0, "b": 0.5, "closed_right": False},
 
 LOG_N2 = {"n": 2, "field": FLAT, "kernel": {"family": "log"}}
 RAMP_ZERO = {"n": 1, "field": RAMP, "kernel": {"family": "zero"}}
+LOG_N1 = {"n": 1, "field": FLAT, "kernel": {"family": "log"}}
+
+
+def custom_n2(flags=(), neg_c=0.0):
+    """A two-node problem with a custom kernel, some flags replaced."""
+    return {**LOG_N2, "kernel": {"family": "custom", "params": {
+        "neg": {"type": "quadratic", "a": -1.0, "b": -1.0, "c": neg_c},
+        "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0},
+        "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
+                  "strictly_concave": False, "cusp": False, **dict(flags)}}}}
+
+
+def flat_with(**interval):
+    """LOG_N2 on a one-piece constant field with the given interval keys."""
+    return {**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 1.0, **interval},
+                                            "formula": {"type": "constant", "c": 0.0}}]}}
 
 
 def write_cfg(tmp_path, name, problem, **extra):
@@ -34,8 +50,10 @@ def write_cfg(tmp_path, name, problem, **extra):
 
 class TestValueCodec:
     def test_round_trip(self):
-        for v in (0.0, -1.5, -math.inf):
-            assert decode_value(encode_value(v)) == v
+        # finite values are plain JSON numbers, bit-exact through a document
+        for v in (0.0, -1.5, 0.1, 1 / 3, -1e-300, 5e-324):
+            assert encode_value(v) is v
+            assert json.loads(json.dumps(encode_value(v))) == v
 
     def test_plus_inf_has_no_place_here(self):
         # values live in R + {-inf}; a +inf is always a bug upstream
@@ -44,7 +62,6 @@ class TestValueCodec:
 
     def test_neg_inf_is_a_string(self):
         assert encode_value(-math.inf) == "-inf"
-        assert decode_value("-inf") == -math.inf
 
     def test_document_stays_json_clean(self):
         json.dumps({"v": encode_value(-math.inf)}, allow_nan=False)
@@ -90,7 +107,7 @@ class TestProblemCodec:
     # each of these used to escape the readers as a plain ValueError
     @pytest.mark.parametrize("problem, message", [
         ({**LOG_N2, "kernel": {"family": "bessel"}}, "unknown kernel family 'bessel'"),
-        ({**LOG_N2, "kernel": {"family": "power"}}, "power kernels need params.s"),
+        ({**LOG_N2, "kernel": {"family": "power"}}, "missing s in power kernel params"),
         ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 1.0},
                                           "formula": {"type": "cubic"}}]}},
          "unknown formula type 'cubic'"),
@@ -386,6 +403,35 @@ class TestCliSolve:
          "singularize_eta items must be numbers"),
         ({**LOG_N2, "kernel": {"family": "log", "strictify_eta": "x"}}, {},
          "strictify_eta must be a number"),
+        ({**LOG_N2, "kernel": {"family": "log", "scale": "nan"}}, {},
+         "scale must be a number"),
+        ({**LOG_N2, "kernel": {"family": "log", "scale": True}}, {},
+         "scale must be a number"),
+        ({**LOG_N2, "kernel": {"family": "log", "strictify_eta": math.nan}}, {},
+         "strictify_eta must be a number"),
+        ({**LOG_N2, "kernel": {"family": "log", "singularize_eta": "inf"}}, {},
+         "singularize_eta must be a number"),
+        ({**LOG_N2, "kernel": {"family": "power", "params": {"s": "nan"}}}, {},
+         "s must be a number"),
+        (custom_n2(neg_c="inf"), {}, "c must be a number"),
+        (custom_n2(neg_c="nan"), {}, "c must be a number"),
+        (flat_with(closed_right="no"), {}, "closed_right must be true or false"),
+        (flat_with(a=False, b=True), {}, "a must be a number"),
+        (custom_n2(flags={"singular": "no"}), {}, "singular must be true or false"),
+        ({**LOG_N2, "kernel": {"family": "log", "params": []}}, {},
+         "params must be an object"),
+        (LOG_N1, {"nodes": "0"}, "nodes must be a list"),
+        (LOG_N1, {"nodes": [True]}, "nodes items must be numbers"),
+        ({**LOG_N2, "weights": [1.0, math.inf]}, {}, "weights items must be numbers"),
+        (LOG_N2, {"options": {"tol_residual": math.nan}}, "tol_residual must be a number"),
+        (LOG_N2, {"options": {"fd_step": math.inf}}, "fd_step must be a number"),
+        (LOG_N2, {"options": {"continuation_etas": [0.1, math.nan, 0.0]}},
+         "continuation_etas items must be numbers"),
+        (LOG_N2, {"sweep": {"path": "nodes.1", "values": [math.inf]}},
+         "values items must be numbers"),
+        (LOG_N2, {"sweep": {"path": "nodes.1",
+                            "values": {"start": -math.inf, "stop": 1.0, "count": 3}}},
+         "start must be a number"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
             "max_iters-fraction", "seed-fraction", "multistarts-bool",
@@ -394,11 +440,46 @@ class TestCliSolve:
             "sweep-count-bool", "sweep-axis-key", "sweep-range-key",
             "sweep-start-string", "sweep-path-int", "kernel-scale-list",
             "power-s-null", "custom-formula-null", "singularize_eta-item-null",
-            "strictify_eta-string"])
-    def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, problem, extra, key):
+            "strictify_eta-string", "scale-nan-string", "scale-bool",
+            "strictify_eta-NaN", "singularize_eta-inf-string", "power-s-nan-string",
+            "formula-c-inf-string", "formula-c-nan-string", "closed_right-string",
+            "interval-ends-bool", "custom-flag-string", "log-params-list",
+            "nodes-string", "nodes-item-bool", "weights-item-Infinity",
+            "tol_residual-NaN", "fd_step-Infinity", "continuation_etas-item-NaN",
+            "sweep-values-Infinity", "sweep-start-Infinity"])
+    def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, monkeypatch, problem,
+                                          extra, key):
+        def no_solve(p, o):
+            raise AssertionError("a malformed config reached the solver")
+
+        monkeypatch.setattr("fenton_minimax.cli.solve_equioscillation", no_solve)
         cfg = write_cfg(tmp_path, "c.json", problem, **extra)
         assert main(["solve", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, extra, message", [
+        ({"field": FLAT, "kernel": {"family": "log"}}, {}, "missing n in problem"),
+        ({**LOG_N2, "kernel": {"params": {}}}, {}, "missing family in kernel"),
+        ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0},
+                                          "formula": {"type": "constant", "c": 0.0}}]}},
+         {}, "missing b in interval"),
+        ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 1.0},
+                                          "formula": {"type": "quadratic", "a": -1.0,
+                                                      "b": 0.0}}]}}, {},
+         "missing c in quadratic formula"),
+        ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 1.0}}]}}, {},
+         "missing formula in field piece"),
+        ({**LOG_N2, "kernel": {"family": "custom", "params": {
+            "neg": {"type": "constant", "c": 0.0}, "pos": {"type": "constant", "c": 0.0}}}},
+         {}, "missing flags in custom kernel params"),
+        (LOG_N2, {"sweep": {"path": "nodes.1", "values": {"start": 0.0, "stop": 1.0}}},
+         "missing count in sweep range"),
+    ], ids=["n", "family", "interval-b", "formula-c", "piece-formula", "custom-flags",
+            "sweep-count"])
+    def test_missing_key_exits_2(self, tmp_path, capsys, problem, extra, message):
+        cfg = write_cfg(tmp_path, "c.json", problem, **extra)
+        assert main(["solve", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
     def test_integral_float_n_is_accepted(self):
         assert problem_from_json({**LOG_N2, "n": 2.0}).n == 2

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -15,6 +17,8 @@ from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
                                     strictify, zero_kernel)
+from fenton_minimax.schema import (options_from_json, options_to_json,
+                                   problem_from_json, problem_to_json)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
                                     _oracle_grid, _oracle_rows, _repair,
                                     brute_maximin, brute_minimax,
@@ -50,6 +54,47 @@ def random_problems(draw, kernels=KERNELS):
         assume(False)
 
 
+@st.composite
+def transformed_problems(draw):
+    """A random problem whose kernel is scaled, then strictified (monotone
+    kernels only) or singularized once or twice, with drawn weights or one
+    kernel per node."""
+    p = draw(random_problems())
+    k = p.kernel.scaled(draw(st.floats(0.125, 8.0)))
+    strict = k.flags.monotone and draw(st.booleans())
+    if strict:
+        k = strictify(k, draw(st.floats(1e-3, 1.0)))
+    for _ in range(draw(st.integers(0 if strict else 1, 2))):
+        k = singularize(k, draw(st.floats(1e-3, 1.0)))
+    if draw(st.booleans()):
+        return replace(p, kernel=None, weights=None, kernels=(k,) * p.n)
+    return replace(p, kernel=k, weights=tuple(draw(st.floats(0.125, 8.0)) for _ in range(p.n)))
+
+
+solve_options = st.builds(
+    SolveOptions, tol_residual=st.floats(1e-14, 1.0), tol_step=st.floats(1e-14, 1.0),
+    max_iters=st.integers(1, 10_000), multistarts=st.integers(1, 64),
+    continuation_etas=st.lists(st.floats(1e-6, 1.0), max_size=5, unique=True).map(
+        lambda etas: (*sorted(etas, reverse=True), 0.0)),
+    fd_step=st.floats(1e-12, 1e-2), seed=st.integers(-2**63, 2**63))
+
+
+class TestJsonRoundTrip:
+    """The strict readers accept every document the writers emit."""
+
+    @given(transformed_problems())
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_problem(self, p):
+        d = problem_to_json(p)
+        assert problem_to_json(problem_from_json(json.loads(json.dumps(d)))) == d
+
+    @given(solve_options)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_options(self, o):
+        d = options_to_json(o)
+        assert options_to_json(options_from_json(json.loads(json.dumps(d)))) == d
+
+
 class TestSolveOptions:
     def test_defaults_valid(self):
         SolveOptions()
@@ -63,6 +108,12 @@ class TestSolveOptions:
         {"continuation_etas": (0.2, 0.1)},        # does not end at 0
         {"continuation_etas": (0.1, 0.2, 0.0)},   # not decreasing
         {"continuation_etas": ()},
+        {"tol_residual": math.nan},
+        {"tol_step": math.inf},
+        {"fd_step": math.inf},
+        {"fd_step": math.nan},
+        {"continuation_etas": (0.2, math.nan, 0.0)},
+        {"continuation_etas": (math.inf, 0.1, 0.0)},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
