@@ -93,7 +93,7 @@ class Interval:
         object.__setattr__(self, "b", b)
 
     def contains(self, t: float) -> bool:
-        if t < self.a or t > self.b:
+        if not self.a <= t <= self.b:  # NaN too
             return False
         if t == self.a and not self.closed_left:
             return False

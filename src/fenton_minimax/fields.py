@@ -14,6 +14,7 @@ pointwise to J* as k grows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -51,7 +52,8 @@ class FieldPiece:
 
 @dataclass(frozen=True)
 class Field:
-    """Piecewise field on [0, 1]: -inf off its pieces."""
+    """Piecewise field on [0, 1]: -inf off its pieces.  Every lookup of the
+    piece holding t reads one table, ``piece_table``, built once per field."""
 
     pieces: tuple[FieldPiece, ...] = ()
     upper_bound: float = dc_field(init=False, compare=False, default=0.0)
@@ -73,13 +75,40 @@ class Field:
         ub = max(p.formula.sup_on(p.interval.a, p.interval.b)[0] for p in ordered)
         object.__setattr__(self, "upper_bound", ub)
 
+    @cached_property
+    def piece_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ends, slots): ``ends`` are the breakpoints (piece ends, 0 and 1)
+        and ``slots[lo + hi]``, with lo and hi the left and right bisection
+        points of t in ``ends``, indexes the piece holding t in ``pieces``,
+        -1 for none (J = -inf).  Slot 2k + 1 is ends[k], slot 2k + 2 the open
+        gap after it, which a piece covers wholly or not at all; the first and
+        last slots lie outside [0, 1]."""
+        ends = sorted({0.0, 1.0, *self.piece_ends})
+        ivs = [p.interval for p in self.pieces]
+
+        def holder(holds) -> int:
+            return next((k for k, iv in enumerate(ivs) if holds(iv)), -1)
+
+        slots = [-1]
+        for u, v in zip(ends, ends[1:]):
+            slots += [holder(lambda iv: iv.contains(u)),
+                      holder(lambda iv: iv.a <= u and v <= iv.b)]
+        slots += [holder(lambda iv: iv.contains(1.0)), -1]
+        return np.array(ends), np.array(slots)
+
+    @cached_property
+    def _scalar_table(self) -> tuple[tuple[float, ...], tuple[FieldPiece | None, ...]]:
+        """``piece_table`` for bisection: its ends, and its slots as pieces."""
+        ends, slots = self.piece_table
+        return (tuple(ends.tolist()),
+                tuple(None if k < 0 else self.pieces[k] for k in slots.tolist()))
+
     def piece_at(self, t: float) -> FieldPiece | None:
-        for p in self.pieces:
-            if p.interval.contains(t):
-                return p
-            if p.interval.a > t:
-                break
-        return None
+        """The piece holding t; None where J = -inf, outside [0, 1] and at NaN."""
+        if not 0.0 <= t <= 1.0:
+            return None
+        ends, pieces = self._scalar_table
+        return pieces[bisect_left(ends, t) + bisect_right(ends, t)]
 
     def eval_float(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
@@ -90,13 +119,8 @@ class Field:
     def piece_index(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized ``piece_at``: the index into ``pieces`` of the piece
         holding each t, or -1 where none does."""
-        out = np.full(ts.shape, -1)
-        for k, p in enumerate(self.pieces):
-            iv = p.interval
-            lo = (ts >= iv.a) if iv.closed_left else (ts > iv.a)
-            hi = (ts <= iv.b) if iv.closed_right else (ts < iv.b)
-            out[lo & hi] = k
-        return out
+        ends, slots = self.piece_table
+        return slots[ends.searchsorted(ts, "left") + ends.searchsorted(ts, "right")]
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -117,13 +141,9 @@ class Field:
         """The pieces' endpoints, sorted and distinct."""
         return tuple(sorted({e for p in self.pieces for e in (p.interval.a, p.interval.b)}))
 
-    @cached_property
-    def _breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted({0.0, 1.0, *self.piece_ends}))
-
     def breakpoints(self) -> tuple[float, ...]:
-        """Piece endpoints plus the domain ends, sorted and unique."""
-        return self._breakpoints
+        """Piece endpoints plus the domain ends, sorted and unique (the table's)."""
+        return self._scalar_table[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +245,10 @@ class RealSubset:
 
 def _side_pieces(J: Field) -> list[tuple[float, FieldPiece | None, FieldPiece | None]]:
     """(t, left, right) per breakpoint t of J: the pieces covering (t - d, t)
-    and (t, t + d) for small d, None where J is -inf there.  A piece that
-    covers the midpoint of the open cell between two neighbouring
-    breakpoints covers the whole cell."""
-    bps = J.breakpoints()
-    cells = [J.piece_at(0.5 * (u + v)) for u, v in zip(bps, bps[1:])]
-    return list(zip(bps, [None, *cells], [*cells, None]))
+    and (t, t + d) for small d, None where J is -inf there: the gap slots
+    either side of t's slot in the piece table."""
+    ends, pieces = J._scalar_table
+    return [(t, pieces[2 * k], pieces[2 * k + 2]) for k, t in enumerate(ends)]
 
 
 def usc_regularize(J: Field) -> Field:

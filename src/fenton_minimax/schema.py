@@ -298,6 +298,8 @@ def problem_from_json(d: Any) -> Problem:
     field = field_from_json(_value_at(d, "field", "problem"))
     kwargs: dict = {}
     if "kernels" in d:
+        if mixed := sorted({"kernel", "weights"} & d.keys()):
+            raise ConfigError(f"a problem with a kernels list takes no {', '.join(mixed)}")
         kwargs["kernels"] = tuple(map(kernel_from_json, _list_at(d, "kernels", "problem")))
     elif "kernel" in d:
         kwargs["kernel"] = kernel_from_json(d["kernel"])

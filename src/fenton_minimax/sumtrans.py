@@ -17,8 +17,9 @@ There are two engines with these rules.  The scalar engine takes one node
 system: use it when each call depends on the last, as in the solvers, and as
 the reference in tests.  What it needs of a problem is built once, in a plan
 cached on the ``Problem``: the translates' weights and their term walk
-(``kernels.TranslateSum``), the sorted piece ends and a piece lookup that
-returns a formula's ``value`` and ``deriv``.  Per node system it builds one
+(``kernels.TranslateSum``).  The field's breakpoints cut the cells, and
+bisection in its piece table (``Field.piece_table``, built once per field)
+finds each point's and cell's formula.  Per node system it builds one
 memoized F evaluator (``_pure_fun``) that every interval of the system
 shares, since a cell end of one interval is a point candidate of the next.
 ``interval_maxima``, ``sup_on_interval`` and the solvers' pattern search
@@ -213,33 +214,20 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
 
 
 class _Plan:
-    """What the engines need of one problem, built once: the translates'
-    term walk, the sorted piece ends and the pieces for ``piece_at`` (scalar
-    engine); the weights and each distinct kernel with its node columns
-    (``_pure_many``); and the field's -inf set as arrays with the per-node
-    kernel facts (``regularity_many``)."""
+    """What the engines need of one problem's translates, built once: their
+    term walk (scalar engine); the weights and each distinct kernel with its
+    node columns (``_pure_many``); and the per-node kernel facts that
+    ``regularity_many`` adds to the field's -inf slots.  Everything about the
+    field is read from its piece table."""
 
     def __init__(self, p: Problem):
         translates = p.translates()
         self.translate_sum = TranslateSum(translates)
-        # with 0 and 1, which no query interval holds strictly inside
-        self.ends = p.field.breakpoints()
-        self.pieces = tuple((piece.interval, (piece.formula.value, piece.formula.deriv))
-                            for piece in p.field.pieces)
         self.weights = tuple(w for w, _ in translates)
         groups: dict[Kernel, list[int]] = {}
         for j, (_, k) in enumerate(translates):
             groups.setdefault(k, []).append(j)
         self.kernel_cols = tuple((k, np.array(cols)) for k, cols in groups.items())
-        # the field's -inf set H as a lookup over its sorted part ends e
-        # (with 0 and 1): index 2k + 1 says whether e[k] is in H, index 2k
-        # whether the open gap just before e[k] is (none is before 0 or after 1)
-        holes = finiteness_domain(p.field).complement_in_unit()
-        e = sorted({0.0, 1.0, *(t for part in holes.parts() for t in (part.a, part.b))})
-        gaps = [holes.contains(0.5 * (u + v)) for u, v in zip(e, e[1:])] + [False]
-        self.hole_ends = np.array(e)
-        self.hole_table = np.array([False] + [f for t, gap in zip(e, gaps)
-                                              for f in (holes.contains(t), gap)])
         kernels = [k for _, k in translates]
         singular = [j for j, k in enumerate(kernels) if k.flags.singular]
         # the columns of the singular-kernel nodes, None for none
@@ -252,17 +240,6 @@ class _Plan:
                 (np.array([k.eval(-1.0) == -math.inf for k in kernels]), 1.0, 0.0),
                 (np.array([k.eval(1.0) == -math.inf for k in kernels]), 0.0, 1.0))
             if kills.any())
-
-    def piece_at(self, t: float) -> tuple[Callable[[float], float],
-                                          Callable[[float], float]] | None:
-        """(value, deriv) of the formula of the piece holding t, as
-        ``Field.piece_at``; None where no piece does (J = -inf)."""
-        for interval, formula in self.pieces:
-            if interval.contains(t):
-                return formula
-            if interval.a > t:
-                break
-        return None
 
 
 def _pure_fun(p: Problem, x: NodeSystem):
@@ -295,31 +272,31 @@ def _sup_cells(p: Problem, x: NodeSystem, f, a: float, b: float,
     """The exact engine on the interval from a to b with the given end
     flags, for a piecewise field; f is ``_pure_fun(p, x)``.  The value is a
     float, -inf when F is -inf on the whole interval."""
-    plan = p._plan
-    ends, nodes = plan.ends, x.nodes
+    # the breakpoints include 0 and 1, which no query interval holds
+    # strictly inside
+    ends, nodes, piece_at = p.field.breakpoints(), x.nodes, p.field.piece_at
     cuts = ends[bisect_right(ends, a):bisect_left(ends, b)]
     inner = nodes[bisect_right(nodes, a):bisect_left(nodes, b)]
     if inner:
         cuts = sorted({*cuts, *inner})
     pts = [a, *cuts, b] if b > a else [a]
-    piece_at = plan.piece_at
 
     # candidates: (value, location, attained, err)
     cands: list[_RawSup] = []
     for t in pts:
         if (t == a and not closed_left) or (t == b and not closed_right):
             continue
-        formula = piece_at(t)
-        base = -math.inf if formula is None else formula[0](t)
+        piece = piece_at(t)
+        base = -math.inf if piece is None else piece.formula.value(t)
         v = -math.inf if base == -math.inf else base + f(t)[0]
         cands.append((v, t, True, 0.0))
 
     for u, v in zip(pts, pts[1:]):
-        formula = piece_at(0.5 * (u + v))
-        if formula is None:
+        piece = piece_at(0.5 * (u + v))
+        if piece is None:
             continue
 
-        def g(t, _value=formula[0], _deriv=formula[1]):
+        def g(t, _value=piece.formula.value, _deriv=piece.formula.deriv):
             val, slope = f(t)
             return _value(t) + val, _deriv(t) + slope
 
@@ -498,7 +475,7 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
 
     # points: each interval's start, the piece ends strictly inside, its end
     qa, qb = s[rows, jq], s[rows, jq + 1]
-    ends = np.array(field.piece_ends)
+    ends = field.piece_table[0]  # 0 and 1 lie strictly inside no interval
     first = np.searchsorted(ends, qa, "right")
     inner = np.maximum(np.searchsorted(ends, qb, "left") - first, 0)
     npts = 1 + inner + (qb > qa)
@@ -609,20 +586,21 @@ def regularity_many(p: Problem, X) -> np.ndarray:
     that are not sorted node systems in [0, 1] raise ``ValueError``.
     """
     plan = p._plan
+    ends, slots = p.field.piece_table
     s = _sentinel_rows(X, p.n)
     X = s[:, 1:-1]
-    # per s value: its place among the hole part ends, then whether it is in
-    # the singularity set of its row
-    kl, kr = plan.hole_ends.searchsorted(s, "left"), plan.hole_ends.searchsorted(s, "right")
-    singular = plan.hole_table[kl + kr]
+    # per s value: its place among the field's breakpoints, then whether it
+    # is in the singularity set of its row (no piece holds it, or a rule)
+    kl, kr = ends.searchsorted(s, "left"), ends.searchsorted(s, "right")
+    singular = slots[kl + kr] < 0
     if plan.singular_cols is not None:
         singular |= (s[:, :, None] == X[:, None, plan.singular_cols]).any(axis=2)
     for kills, end, at in plan.end_rules:
         singular |= (s == at) & ((X == end) & kills).any(axis=1)[:, None]
-    # (a, b) lies inside one hole when no part end is strictly between a and
-    # b and the gap holding them is in H
+    # (a, b) lies inside one hole when no breakpoint is strictly between a
+    # and b and no piece covers the gap holding them
     a, b, kr_a = s[:, :-1], s[:, 1:], kr[:, :-1]
-    inside = (kl[:, 1:] == kr_a) & plan.hole_table[2 * kr_a]
+    inside = (kl[:, 1:] == kr_a) & (slots[2 * kr_a] < 0)
     return singular[:, :-1] & singular[:, 1:] & (inside | (a == b))
 
 

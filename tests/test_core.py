@@ -43,6 +43,7 @@ class TestInterval:
         assert half.contains(0.0)
         assert half.contains(0.49999)
         assert not half.contains(0.5)
+        assert not half.contains(math.nan)
 
     def test_intersect_flags(self):
         a = Interval(0.0, 0.5, closed_right=False)

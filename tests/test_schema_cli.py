@@ -432,6 +432,10 @@ class TestCliSolve:
         (LOG_N2, {"sweep": {"path": "nodes.1",
                             "values": {"start": -math.inf, "stop": 1.0, "count": 3}}},
          "start must be a number"),
+        ({"n": 1, "field": FLAT, "kernels": [{"family": "log"}], "weights": [2.0]}, {},
+         "a problem with a kernels list takes no weights"),
+        ({**LOG_N1, "kernel": {"family": "sqrt"}, "kernels": [{"family": "log"}],
+          "weights": [2.0]}, {}, "a problem with a kernels list takes no kernel, weights"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
             "max_iters-fraction", "seed-fraction", "multistarts-bool",
@@ -446,7 +450,8 @@ class TestCliSolve:
             "interval-ends-bool", "custom-flag-string", "log-params-list",
             "nodes-string", "nodes-item-bool", "weights-item-Infinity",
             "tol_residual-NaN", "fd_step-Infinity", "continuation_etas-item-NaN",
-            "sweep-values-Infinity", "sweep-start-Infinity"])
+            "sweep-values-Infinity", "sweep-start-Infinity", "kernels-and-weights",
+            "kernels-and-kernel-and-weights"])
     def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, monkeypatch, problem,
                                           extra, key):
         def no_solve(p, o):

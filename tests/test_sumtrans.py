@@ -11,8 +11,8 @@ from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
-from fenton_minimax.fields import Field
-from fenton_minimax.formulas import Formula, Quadratic
+from fenton_minimax.fields import Field, FieldPiece
+from fenton_minimax.formulas import Affine, Constant, Formula, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
                                     strictify, zero_kernel)
@@ -549,14 +549,49 @@ EDGE_SINK = custom_kernel(_LogToEdge(1.0), _LogToEdge(-1.0),
                                       strictly_concave=True, cusp=False))
 
 
+def _field(*parts) -> Field:
+    return Field(tuple(FieldPiece(Interval(*iv), f) for iv, f in parts))
+
+
+# fields whose breakpoints and -inf set differ in shape: [0, 1/2) u [1/2, 1]
+# (a breakpoint that ends no hole), [0, 1/2) u (1/2, 1] (a point hole) and
+# [0, 0.3] u {1/2} u [0.7, 1] (a point piece inside a hole)
+EDGE_FIELDS = (
+    _field(((0.0, 0.5, True, False), Constant(0.0)), ((0.5, 1.0), Affine(1.0, -0.5))),
+    _field(((0.0, 0.5, True, False), Constant(0.0)), ((0.5, 1.0, False, True), Constant(0.2))),
+    _field(((0.0, 0.3), Constant(0.0)), ((0.5, 0.5), Constant(1.0)), ((0.7, 1.0), Constant(-0.5))),
+)
+
+
+def _piece_by_scan(J: Field, t: float):
+    return next((p for p in J.pieces if p.interval.contains(t)), None)
+
+
+def test_piece_lookups_match_a_linear_scan():
+    """``piece_at`` and ``piece_index`` agree with a scan of the pieces at
+    every breakpoint and its neighbouring floats, every gap midpoint, points
+    outside [0, 1] and NaN."""
+    fields = [*(p.field for p in BATTERY.values()),
+              *(_random_usc_field(Random(seed)) for seed in range(12)), *EDGE_FIELDS]
+    for J in fields:
+        bps = J.breakpoints()
+        ts = [*(t for b in bps for t in (math.nextafter(b, -1.0), b, math.nextafter(b, 2.0))),
+              *(0.5 * (u + v) for u, v in zip(bps, bps[1:])),
+              -0.5, 1.5, -math.inf, math.inf, math.nan]
+        want = [_piece_by_scan(J, t) for t in ts]
+        assert [J.piece_at(t) for t in ts] == want, J
+        assert J.piece_index(np.array(ts)).tolist() == [
+            -1 if p is None else J.pieces.index(p) for p in want], J
+
+
 def _regularity_problems():
-    """Random usc fields x the six kernels and the edge sink, per-node
-    kernels that mix singular and non-singular nodes, and the battery."""
+    """Random usc fields and the edge fields x the six kernels and the edge
+    sink, per-node kernels that mix singular and non-singular nodes, and the
+    battery."""
     mixes = ((log_kernel(), sqrt_kernel()), (EDGE_SINK, power_kernel(0.5)),
              (sqrt_kernel(), log_kernel(), zero_kernel()),
              (EDGE_SINK, log_kernel(), sqrt_kernel()))
-    for seed in range(12):
-        field = _random_usc_field(Random(seed))
+    for field in (*(_random_usc_field(Random(seed)) for seed in range(12)), *EDGE_FIELDS):
         for n in (1, 2, 3):
             for kw in ([dict(kernel=k) for k in (*KERNELS, EDGE_SINK)]
                        + [dict(kernels=m) for m in mixes if len(m) == n]):
