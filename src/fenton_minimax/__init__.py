@@ -15,12 +15,12 @@ from .kernels import (Kernel, KernelFlags, ValidationReport, custom_kernel,
                       kernel_validate, log_kernel, power_kernel, singularize,
                       sqrt_kernel, strictify, zero_kernel)
 from .fields import (Field, FieldCount, FieldPiece, LimsupConditions,
-                     RealSubset, finiteness_domain, limsup_conditions,
-                     monotone_usc_approximation, n_field_check, usc_regularize)
+                     limsup_conditions, monotone_usc_approximation,
+                     n_field_check, usc_regularize)
 from .sumtrans import (MaximaBatch, MaximaVector, Problem, RegularityReport,
                        SupResult, interval_maxima, interval_maxima_batch,
-                       pure_sum_eval, regularity, regularity_many,
-                       singularity_set, sum_eval, sup_on_interval)
+                       pure_sum_eval, regularity, regularity_many, sum_eval,
+                       sup_on_interval)
 from .solvers import (SolveOptions, SolveReport, TraceRecord, brute_maximin,
                       brute_minimax, sample_regular, solve_equioscillation,
                       solve_maximin, solve_minimax)
@@ -38,12 +38,11 @@ __all__ = [
     "Kernel", "KernelFlags", "ValidationReport", "zero_kernel", "log_kernel",
     "sqrt_kernel", "power_kernel", "custom_kernel", "kernel_validate",
     "strictify", "singularize",
-    "Field", "FieldPiece", "FieldCount", "RealSubset", "usc_regularize",
-    "n_field_check", "finiteness_domain", "LimsupConditions",
-    "limsup_conditions", "monotone_usc_approximation",
+    "Field", "FieldPiece", "FieldCount", "usc_regularize", "n_field_check",
+    "LimsupConditions", "limsup_conditions", "monotone_usc_approximation",
     "Problem", "MaximaVector", "MaximaBatch", "SupResult", "pure_sum_eval",
     "sum_eval", "sup_on_interval", "interval_maxima", "interval_maxima_batch",
-    "singularity_set", "RegularityReport", "regularity", "regularity_many",
+    "RegularityReport", "regularity", "regularity_many",
     "SolveOptions", "SolveReport", "TraceRecord", "brute_minimax",
     "brute_maximin", "solve_equioscillation", "solve_minimax", "solve_maximin",
     "sample_regular",

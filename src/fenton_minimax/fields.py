@@ -3,6 +3,10 @@
 A field is piecewise: a list of (interval, formula) pieces with pairwise
 disjoint point sets; everywhere not covered by a piece the field is -inf.
 This keeps suprema, one-sided limits, regularization and counting exact.
+One table per field, ``Field.piece_table``, says which piece holds each
+breakpoint and each open gap between neighbouring breakpoints, and so where
+J is finite: ``Field.finite_parts`` lists those slots, which
+``n_field_check`` counts and the solvers clamp their starts into.
 
 ``usc_regularize`` returns the least upper semicontinuous majorant J*, which
 differs from J at most at piece boundary points.  ``monotone_usc_approximation``
@@ -27,11 +31,9 @@ from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
 __all__ = [
     "FieldPiece",
     "Field",
-    "RealSubset",
     "usc_regularize",
     "FieldCount",
     "n_field_check",
-    "finiteness_domain",
     "LimsupConditions",
     "limsup_conditions",
     "monotone_usc_approximation",
@@ -133,8 +135,12 @@ class Field:
         return out
 
     @cached_property
-    def _finite_set(self) -> "RealSubset":
-        return RealSubset.from_parts([p.interval for p in self.pieces])
+    def finite_parts(self) -> tuple[tuple[float, float], ...]:
+        """Where J is finite: the closures (a, b) of the table slots a piece
+        holds, in order; a == b for a breakpoint, a < b for a gap."""
+        ends, pieces = self._scalar_table
+        return tuple((ends[(s - 1) // 2], ends[s // 2])
+                     for s in range(1, len(pieces) - 1) if pieces[s] is not None)
 
     @cached_property
     def piece_ends(self) -> tuple[float, ...]:
@@ -144,99 +150,6 @@ class Field:
     def breakpoints(self) -> tuple[float, ...]:
         """Piece endpoints plus the domain ends, sorted and unique (the table's)."""
         return self._scalar_table[0]
-
-
-# ---------------------------------------------------------------------------
-# subsets of [0, 1] described exactly
-
-
-@dataclass(frozen=True)
-class RealSubset:
-    """A finite union of intervals and isolated points, kept in normal form."""
-
-    intervals: tuple[Interval, ...] = ()
-    points: tuple[float, ...] = ()
-
-    @classmethod
-    def from_parts(cls, parts) -> "RealSubset":
-        segs = sorted(
-            ((p.a, p.b, p.closed_left, p.closed_right) for p in parts),
-            key=lambda s: (s[0], not s[2], s[1]),
-        )
-        merged: list[list] = []
-        for a, b, cl, cr in segs:
-            if merged:
-                ma, mb, mcl, mcr = merged[-1]
-                touching = a < mb or (a == mb and (mcr or cl))
-                if a == ma:
-                    mcl = mcl or cl
-                    merged[-1][2] = mcl
-                if touching:
-                    if b > mb:
-                        merged[-1][1], merged[-1][3] = b, cr
-                    elif b == mb:
-                        merged[-1][3] = mcr or cr
-                    continue
-            merged.append([a, b, cl, cr])
-        ivs, pts = [], []
-        for a, b, cl, cr in merged:
-            if a == b:
-                pts.append(a)
-            else:
-                ivs.append(Interval(a, b, cl, cr))
-        return cls(tuple(ivs), tuple(pts))
-
-    def parts(self) -> tuple[Interval, ...]:
-        return self._parts
-
-    @cached_property
-    def _parts(self) -> tuple[Interval, ...]:
-        degen = tuple(Interval(p, p) for p in self.points)
-        return tuple(sorted(self.intervals + degen, key=lambda i: (i.a, i.b)))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals and not self.points
-
-    @property
-    def has_interior(self) -> bool:
-        return bool(self.intervals)
-
-    def contains(self, t: float) -> bool:
-        return any(p.contains(t) for p in self.parts())
-
-    def covers(self, a: float, b: float) -> bool:
-        """True when the closed interval [a, b] is a subset.  In normal form
-        no two parts touch, so [a, b] is a subset exactly when one part holds
-        both ends; a point merged into the end of an interval counts,
-        although it is no longer among ``points``."""
-        if a == b and a in self.points:
-            return True
-        return any(iv.contains(a) and iv.contains(b) for iv in self.intervals)
-
-    def with_points(self, pts) -> "RealSubset":
-        extra = tuple(Interval(p, p) for p in pts)
-        return RealSubset.from_parts(self.parts() + extra)
-
-    def complement_in_unit(self) -> "RealSubset":
-        """The complement within [0, 1]."""
-        return self._complement
-
-    @cached_property
-    def _complement(self) -> "RealSubset":
-        out = []
-        cursor, cursor_in = 0.0, True
-        for p in self.parts():
-            s = p.intersect(Interval(0.0, 1.0))
-            if s is None:
-                continue
-            gap = cursor < s.a or (cursor == s.a and cursor_in and not s.closed_left)
-            if gap:
-                out.append(Interval(cursor, s.a, cursor_in, not s.closed_left))
-            cursor, cursor_in = s.b, not s.closed_right
-        if cursor < 1.0 or (cursor == 1.0 and cursor_in):
-            out.append(Interval(cursor, 1.0, cursor_in, True))
-        return RealSubset.from_parts(out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +221,18 @@ class FieldCount(NamedTuple):
 
 
 def n_field_check(J: Field, n: int) -> FieldCount:
-    """Count the finiteness domain with endpoint weight 1/2.
+    """Count the points where J is finite (``Field.finite_parts``), 0 and 1
+    with weight 1/2.
 
     Any nondegenerate interval of finite values makes the count infinite.
     The field qualifies for n nodes iff the count exceeds n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    dom = finiteness_domain(J)
-    if dom.has_interior:
+    if any(a < b for a, b in J.finite_parts):
         return FieldCount(True, math.inf)
-    count = sum(0.5 if p in (0.0, 1.0) else 1.0 for p in dom.points)
+    count = sum(0.5 if a in (0.0, 1.0) else 1.0 for a, _ in J.finite_parts)
     return FieldCount(count > n, count)
-
-
-def finiteness_domain(J: Field) -> RealSubset:
-    """The set where J is finite, as intervals plus isolated points.
-
-    Built once per field; the set and its complement are immutable."""
-    return J._finite_set
 
 
 @dataclass(frozen=True)

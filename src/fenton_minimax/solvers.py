@@ -81,7 +81,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import ExtendedReal, NEG_INF, NodeSystem
-from .fields import finiteness_domain
+from .fields import Field
 from .kernels import Kernel, strictify
 from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima, regularity
 
@@ -167,11 +167,12 @@ def _objective(m, sign: float) -> float:
     return max(m) if sign < 0 else min(m)
 
 
-def _nearest_finite(p: Problem, t: float) -> float:
-    """The point of the field's finiteness domain closest to t."""
+def _nearest_finite(J: Field, t: float) -> float:
+    """The point of the closures of ``J.finite_parts`` closest to t, the
+    lowest on a tie."""
     best, dist = t, math.inf
-    for part in finiteness_domain(p.field).parts():
-        c = min(max(t, part.a), part.b)
+    for a, b in J.finite_parts:
+        c = min(max(t, a), b)
         d = abs(c - t)
         if d < dist:
             best, dist = c, d
@@ -183,7 +184,7 @@ def _repair(p: Problem, arr) -> np.ndarray:
 
     Clips to [0,1], restores ordering, separates coincident nodes when the
     kernel is singular, and nudges nodes so every inter-node interval meets
-    the field's finiteness domain away from the singular points.
+    the set where the field is finite away from the singular points.
     """
     x = np.minimum(np.maximum(np.asarray(arr, dtype=float), 0.0), 1.0)
     x = np.maximum.accumulate(x)
@@ -205,7 +206,7 @@ def _repair(p: Problem, arr) -> np.ndarray:
         j = reg.singular_intervals[0]
         s = (0.0, *x, 1.0)
         mid = 0.5 * (s[j] + s[j + 1])
-        u = _nearest_finite(p, mid)
+        u = _nearest_finite(p.field, mid)
         if u < s[j] and j >= 1:
             x[j - 1] = max(u - 1e-6, 0.0)
         elif u > s[j + 1] and j <= n - 1:

@@ -36,8 +36,10 @@ without a selector.  A batch of one costs many times a scalar call, which is
 why both engines remain.  ``err`` means the same in both: the supremum lies
 in [value, value + err].
 
-Which maxima are -inf is decided without either engine, from the exact
-singularity set: ``regularity_many`` for many node systems at once, with
+Which maxima are -inf is decided without either engine, exactly, from the
+field's piece table (where no piece holds t, J = -inf) and three node rules
+(a singular-kernel node, and 0 or 1 when a node at the other end sees
+K = -inf): ``regularity_many`` for many node systems at once, with
 ``regularity`` its one-row case.
 """
 
@@ -52,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import ExtendedReal, Interval, NEG_INF, NodeSystem
-from .fields import Field, RealSubset, finiteness_domain, n_field_check
+from .fields import Field, n_field_check
 from .kernels import Kernel, TranslateSum
 from .maximize import concave_max, concave_max_many
 
@@ -66,7 +68,6 @@ __all__ = [
     "sup_on_interval",
     "interval_maxima",
     "interval_maxima_batch",
-    "singularity_set",
     "RegularityReport",
     "regularity",
     "regularity_many",
@@ -546,21 +547,6 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
 # exact singularity bookkeeping
 
 
-def singularity_set(p: Problem, x: NodeSystem) -> RealSubset:
-    """Where F(x, .) = -inf: the field's -inf set, singular-kernel nodes, and
-    the domain ends when a translate there evaluates a -inf kernel endpoint."""
-    _check_nodes(p, x)
-    base = finiteness_domain(p.field).complement_in_unit()
-    pts = [xj for j, xj in enumerate(x.nodes) if p.node_is_singular(j)]
-    for j, xj in enumerate(x.nodes):
-        k = p.kernel_at(j)
-        if xj == 1.0 and k.eval(-1.0) == -math.inf:
-            pts.append(0.0)
-        if xj == 0.0 and k.eval(1.0) == -math.inf:
-            pts.append(1.0)
-    return base.with_points(pts)
-
-
 class RegularityReport(NamedTuple):
     """Y membership of one node system: in Y exactly when no interval
     maximum is -inf, and the intervals whose maximum is."""
@@ -574,11 +560,11 @@ def regularity_many(p: Problem, X) -> np.ndarray:
     (B, n) of node systems.
 
     Entry (i, j) of the (B, n + 1) bool result is True when the interval
-    [s_j, s_{j+1}] of row i (sentinels 0 and 1) lies inside
-    ``singularity_set(p, X[i])``, that is when m_j = -inf.  That set is the
-    field's fixed -inf set plus three per-row point rules: singular-kernel
-    nodes, 0 when a node at 1 has K(-1) = -inf, and 1 when a node at 0 has
-    K(1) = -inf.  No node, and neither 0 nor 1, lies strictly inside an
+    [s_j, s_{j+1}] of row i (sentinels 0 and 1) lies inside the singularity
+    set of row i, where F(X[i], .) = -inf, that is when m_j = -inf.  That set
+    is the field's fixed -inf set (the piece table's empty slots) plus three
+    per-row point rules: singular-kernel nodes, 0 when a node at 1 has
+    K(-1) = -inf, and 1 when a node at 0 has K(1) = -inf.  No node, and neither 0 nor 1, lies strictly inside an
     interval of a sorted system, so for a < b the interval is covered
     exactly when (a, b) lies inside one hole interval of the field and each
     end is in the -inf set or one of those points (a singular node may

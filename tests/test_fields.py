@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from fenton_minimax.battery import (bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
 from fenton_minimax.core import Interval
-from fenton_minimax.fields import (Field, FieldPiece, RealSubset,
-                                   limsup_conditions, monotone_usc_approximation,
-                                   n_field_check, usc_regularize)
+from fenton_minimax.fields import (Field, FieldPiece, limsup_conditions,
+                                   monotone_usc_approximation, n_field_check,
+                                   usc_regularize)
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
 from fenton_minimax.schema import formula_from_json, formula_to_json
 
@@ -111,42 +111,6 @@ class TestField:
     def test_breakpoints(self):
         assert ramp_field().breakpoints() == (0.0, 0.5, 1.0)
         assert two_band_field().breakpoints() == (0.0, 0.1, 0.4, 0.6, 0.9, 1.0)
-
-
-class TestRealSubset:
-    def test_merge_and_points(self):
-        s = RealSubset.from_parts([Interval(0.0, 0.3), Interval(0.2, 0.5),
-                                   Interval(0.7, 0.7)])
-        assert s.intervals == (Interval(0.0, 0.5),)
-        assert s.points == (0.7,)
-
-    def test_open_abutment_merges_when_one_side_closed(self):
-        s = RealSubset.from_parts([Interval(0.0, 0.5, closed_right=False),
-                                   Interval(0.5, 1.0)])
-        assert s.intervals == (Interval(0.0, 1.0),)
-        t = RealSubset.from_parts([
-            Interval(0.0, 0.5, closed_right=False),
-            Interval(0.5, 1.0, closed_left=False)])
-        assert len(t.intervals) == 2  # the shared point is genuinely missing
-
-    def test_complement(self):
-        s = RealSubset.from_parts([Interval(0.1, 0.4), Interval(0.6, 0.9)])
-        comp = s.complement_in_unit()
-        assert [(i.a, i.b) for i in comp.intervals] == [(0.0, 0.1), (0.4, 0.6),
-                                                        (0.9, 1.0)]
-
-    def test_complement_respects_openness(self):
-        s = RealSubset.from_parts([Interval(0.0, 0.5, closed_right=False)])
-        comp = s.complement_in_unit()
-        assert comp.intervals == (Interval(0.5, 1.0),)
-
-    @given(st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=5),
-           unit_floats)
-    def test_complement_partitions_unit(self, raw, t):
-        parts = [Interval(min(a, b), max(a, b)) for a, b in raw]
-        s = RealSubset.from_parts(parts)
-        comp = s.complement_in_unit()
-        assert s.contains(t) != comp.contains(t)
 
 
 class TestUscRegularize:
@@ -274,14 +238,3 @@ class TestMonotoneApproximation:
         env = monotone_usc_approximation(bump_field(), 8.0)
         with pytest.raises(ValueError, match="outside"):
             env(1.5)
-
-
-def test_covers_counts_points_merged_into_intervals():
-    # {0.4} merged into (0.4, 0.6) leaves no isolated point, but is covered
-    s = RealSubset.from_parts([Interval(0.4, 0.6, False, False), Interval(0.4, 0.4),
-                               Interval(0.8, 0.8)])
-    assert s.points == (0.8,) and s.intervals == (Interval(0.4, 0.6, True, False),)
-    assert s.covers(0.4, 0.4) and s.covers(0.4, 0.5) and s.covers(0.8, 0.8)
-    assert not s.covers(0.5, 0.6) and not s.covers(0.6, 0.6) and not s.covers(0.5, 0.8)
-    gap = RealSubset.from_parts([Interval(0.0, 0.3, True, False), Interval(0.3, 0.5, False, True)])
-    assert not gap.covers(0.2, 0.4) and not gap.covers(0.3, 0.3) and gap.covers(0.35, 0.5)

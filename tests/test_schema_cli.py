@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,10 @@ RAMP = {"pieces": [{"interval": {"a": 0.0, "b": 0.5, "closed_right": False},
 LOG_N2 = {"n": 2, "field": FLAT, "kernel": {"family": "log"}}
 RAMP_ZERO = {"n": 1, "field": RAMP, "kernel": {"family": "zero"}}
 LOG_N1 = {"n": 1, "field": FLAT, "kernel": {"family": "log"}}
+# finite at 1/2 alone, too few points for one node; CI runs the same file
+# through the installed entry point
+POINT_N1 = json.loads((Path(__file__).parent / "data" / "bad-field-count.config.json")
+                      .read_text())["problem"]
 
 
 def custom_n2(flags=(), neg_c=0.0):
@@ -436,6 +441,7 @@ class TestCliSolve:
          "a problem with a kernels list takes no weights"),
         ({**LOG_N1, "kernel": {"family": "sqrt"}, "kernels": [{"family": "log"}],
           "weights": [2.0]}, {}, "a problem with a kernels list takes no kernel, weights"),
+        (POINT_N1, {}, "field is finite at too few points for n=1 (weighted count 1.0)"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
             "max_iters-fraction", "seed-fraction", "multistarts-bool",
@@ -451,7 +457,7 @@ class TestCliSolve:
             "nodes-string", "nodes-item-bool", "weights-item-Infinity",
             "tol_residual-NaN", "fd_step-Infinity", "continuation_etas-item-NaN",
             "sweep-values-Infinity", "sweep-start-Infinity", "kernels-and-weights",
-            "kernels-and-kernel-and-weights"])
+            "kernels-and-kernel-and-weights", "field-count"])
     def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, monkeypatch, problem,
                                           extra, key):
         def no_solve(p, o):

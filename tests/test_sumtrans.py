@@ -11,17 +11,17 @@ from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
                                     ramp_field, two_band_field)
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
-from fenton_minimax.fields import Field, FieldPiece
+from fenton_minimax.fields import Field, FieldPiece, n_field_check
 from fenton_minimax.formulas import Affine, Constant, Formula, Quadratic
 from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
                                     power_kernel, singularize, sqrt_kernel,
                                     strictify, zero_kernel)
 from fenton_minimax.maximize import concave_max
-from fenton_minimax.solvers import SolveOptions, solve_maximin
+from fenton_minimax.solvers import SolveOptions, _nearest_finite, solve_maximin
 from fenton_minimax.sumtrans import (Problem, _pure_many, interval_maxima,
                                      interval_maxima_batch, pure_sum_eval,
-                                     regularity, regularity_many,
-                                     singularity_set, sum_eval, sup_on_interval)
+                                     regularity, regularity_many, sum_eval,
+                                     sup_on_interval)
 
 # closed-form optimum of the two-node flat problem with the log kernel:
 # nodes at 1/2 -/+ 1/(2*sqrt(2)), every interval max equal to log(1/8)
@@ -221,26 +221,6 @@ class TestIntervalMaxima:
             best = float(f.max())
             assert best <= m + 1e-12
             assert best == pytest.approx(m, abs=1e-6)
-
-
-class TestSingularitySet:
-    def test_log_nodes_are_points(self):
-        p = Problem(n=2, field=flat_field(), kernel=log_kernel())
-        s = singularity_set(p, NodeSystem((0.25, 0.75)))
-        assert s.intervals == ()
-        assert s.points == (0.25, 0.75)
-
-    def test_zero_kernel_no_points(self):
-        p = Problem(n=2, field=flat_field(), kernel=zero_kernel())
-        s = singularity_set(p, NodeSystem((0.25, 0.75)))
-        assert s.is_empty
-
-    def test_field_holes_included(self):
-        p = Problem(n=1, field=two_band_field(), kernel=log_kernel())
-        s = singularity_set(p, NodeSystem((0.2,)))
-        spans = [(i.a, i.b) for i in s.intervals]
-        assert (0.4, 0.6) in [(round(a, 12), round(b, 12)) for a, b in spans]
-        assert 0.2 in s.points
 
 
 class TestRegularity:
@@ -563,6 +543,25 @@ EDGE_FIELDS = (
 )
 
 
+# fields finite at points only: {1/2}, {0, 1} and {0, 0.3, 1}
+POINT_FIELDS = tuple(_field(*(((t, t), Constant(0.0)) for t in pts))
+                     for pts in ((0.5,), (0.0, 1.0), (0.0, 0.3, 1.0)))
+
+
+def _lookup_fields():
+    yield from (p.field for p in BATTERY.values())
+    yield from (_random_usc_field(Random(seed)) for seed in range(12))
+    yield from EDGE_FIELDS + POINT_FIELDS
+
+
+def _probe_points(J: Field, *extra: float) -> list[float]:
+    """Every breakpoint of J and its neighbouring floats, every gap midpoint,
+    and ``extra``."""
+    bps = J.breakpoints()
+    return [*(t for b in bps for t in (math.nextafter(b, -1.0), b, math.nextafter(b, 2.0))),
+            *(0.5 * (u + v) for u, v in zip(bps, bps[1:])), *extra]
+
+
 def _piece_by_scan(J: Field, t: float):
     return next((p for p in J.pieces if p.interval.contains(t)), None)
 
@@ -571,17 +570,36 @@ def test_piece_lookups_match_a_linear_scan():
     """``piece_at`` and ``piece_index`` agree with a scan of the pieces at
     every breakpoint and its neighbouring floats, every gap midpoint, points
     outside [0, 1] and NaN."""
-    fields = [*(p.field for p in BATTERY.values()),
-              *(_random_usc_field(Random(seed)) for seed in range(12)), *EDGE_FIELDS]
-    for J in fields:
-        bps = J.breakpoints()
-        ts = [*(t for b in bps for t in (math.nextafter(b, -1.0), b, math.nextafter(b, 2.0))),
-              *(0.5 * (u + v) for u, v in zip(bps, bps[1:])),
-              -0.5, 1.5, -math.inf, math.inf, math.nan]
+    for J in _lookup_fields():
+        ts = _probe_points(J, -0.5, 1.5, -math.inf, math.inf, math.nan)
         want = [_piece_by_scan(J, t) for t in ts]
         assert [J.piece_at(t) for t in ts] == want, J
         assert J.piece_index(np.array(ts)).tolist() == [
             -1 if p is None else J.pieces.index(p) for p in want], J
+
+
+def test_finite_parts_count_and_nearest_point_match_a_scan_of_the_pieces():
+    """``Field.finite_parts``, ``n_field_check`` and the solvers'
+    ``_nearest_finite`` against references that read the pieces: the parts
+    are the breakpoints and the gaps between neighbours that some piece
+    holds, the count is infinite when a piece is an interval and otherwise
+    counts the point pieces (1/2 at 0 and 1), and the nearest point is the
+    lowest point of the pieces' closures nearest t."""
+    for J in _lookup_fields():
+        ivs = [p.interval for p in J.pieces]
+        bps = sorted({0.0, 1.0, *(e for iv in ivs for e in (iv.a, iv.b))})
+        want = sorted([(u, u) for u in bps if _piece_by_scan(J, u)]
+                      + [(u, v) for u, v in zip(bps, bps[1:]) if _piece_by_scan(J, 0.5 * (u + v))])
+        assert J.finite_parts == tuple(want), J
+
+        count = (math.inf if any(iv.a < iv.b for iv in ivs)
+                 else sum(0.5 if iv.a in (0.0, 1.0) else 1.0 for iv in ivs))
+        for n in (1, 2, 3, 4):
+            assert n_field_check(J, n) == (count > n, count), (J, n)
+
+        for t in _probe_points(J, -0.1, 1.1):
+            near = min((abs(c - t), c) for c in (min(max(t, iv.a), iv.b) for iv in ivs))[1]
+            assert _nearest_finite(J, t) == near, (J, t)
 
 
 def _regularity_problems():
@@ -602,9 +620,25 @@ def _regularity_problems():
     yield from BATTERY.values()
 
 
+def _covered_by_scan(p: Problem, x: NodeSystem, a: float, b: float) -> bool:
+    """Whether F(x, .) = -inf on all of [a, b], read from the pieces: no
+    piece meets the open (a, b), and each end is a point no piece holds, a
+    singular-kernel node, or 0 or 1 where a node at the other end sees
+    K = -inf."""
+    def singular(t: float) -> bool:
+        return _piece_by_scan(p.field, t) is None or any(
+            xj == t and p.node_is_singular(j)
+            or t in (0.0, 1.0) and xj == 1.0 - t and p.kernel_at(j).eval(t - xj) == -math.inf
+            for j, xj in enumerate(x.nodes))
+
+    meets = a < b and any(q.interval.intersect(Interval(a, b, False, False)) is not None
+                          for q in p.field.pieces)
+    return not meets and singular(a) and singular(b)
+
+
 def test_regularity_many_matches_the_exact_singularity_set():
-    """Entry (i, j) is ``singularity_set(p, X[i]).covers(s_j, s_{j+1})`` on
-    the edge-heavy ``_node_rows``, with rows of nodes all at 0, all at 1 and
+    """Entry (i, j) is ``_covered_by_scan(p, X[i], s_j, s_{j+1})`` on the
+    edge-heavy ``_node_rows``, with rows of nodes all at 0, all at 1 and
     split between them, and ``regularity`` is its one-row case."""
     checked = covered = 0
     for i, p in enumerate(_regularity_problems()):
@@ -614,8 +648,8 @@ def test_regularity_many_matches_the_exact_singularity_set():
         assert got.shape == (len(X), p.n + 1) and got.dtype == bool
         for row, singular in zip(X, got):
             x = NodeSystem(tuple(row.tolist()))
-            sing, s = singularity_set(p, x), x.with_sentinels()
-            want = [sing.covers(s[j], s[j + 1]) for j in range(p.n + 1)]
+            s = x.with_sentinels()
+            want = [_covered_by_scan(p, x, s[j], s[j + 1]) for j in range(p.n + 1)]
             assert singular.tolist() == want, (p, x.nodes)
             assert regularity(p, x).singular_intervals == tuple(np.flatnonzero(want))
             checked += 1
