@@ -988,9 +988,9 @@ def all_check_ids() -> tuple[str, ...]:
 
 
 def run_check(check_id: str, trials: int | None = None, seed: int = 0) -> CheckReport:
-    try:
-        spec = REGISTRY[check_id]
-    except KeyError:
-        raise UnknownCheckError(
-            f"unknown check id {check_id!r}; known: {', '.join(REGISTRY)}") from None
+    if check_id not in REGISTRY:
+        raise UnknownCheckError(f"unknown check id {check_id!r}; known: {', '.join(REGISTRY)}")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    spec = REGISTRY[check_id]
     return spec.runner(trials if trials is not None else spec.default_trials, seed)

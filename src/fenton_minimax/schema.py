@@ -378,6 +378,8 @@ def config_from_json(d: Any) -> RunConfig:
     if fmt is not None and fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
     checks = tuple(_list_at(d, "checks", "config", ()))
+    if not all(isinstance(c, str) for c in checks):
+        raise ConfigError(f"checks items must be strings, got {list(checks)!r}")
     return RunConfig(problem=problem, options=options, nodes=nodes, checks=checks,
                      sweep=tuple(sweep), output=output, fmt=fmt)
 

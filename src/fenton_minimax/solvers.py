@@ -25,14 +25,19 @@ The equioscillation solver drives the difference map
 
     Phi(x) = (m_1 - m_0, ..., m_n - m_{n-1})
 
-to zero: scalar bisection with breakpoint snapping for n = 1, and for
+to zero on a usc field: scalar bisection on a scan for n = 1, and for
 n >= 2 a Levenberg-Marquardt iteration with feasibility repair and optional
 strictification continuation.  Its Jacobian comes from the witnesses of the
 interval maxima it already has (Danskin's theorem: dm_i/dx_k is
 -w_k K_k'(t_i - x_k) when m_i is attained at a point t_i off the nodes), so
 a step costs no extra sup-engine calls.  Where some maximum sits on a node,
 is not attained, or meets an infinite slope, as with kernels peaked at 0,
-the whole step falls back to finite differences with ``fd_step``.
+the whole step falls back to finite differences with ``fd_step``.  Then
+every node within 1e-6 of a field breakpoint moves onto it, jointly, if
+that lowers |Phi|.  Any other field J is solved through its usc
+regularization J*: by Lemma 6.1 max_j m_j is the same for J and J* at every
+x, and J* has an equioscillation point, so J has one at J*'s point exactly
+when J's own residual there vanishes.
 
 Minimax and maximin are pattern searches on the max and min of the interval
 maxima, warm-started from the equioscillation result; a caller that runs all
@@ -81,7 +86,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import ExtendedReal, NEG_INF, NodeSystem
-from .fields import Field
+from .fields import Field, limsup_conditions, usc_regularize
 from .kernels import Kernel, strictify
 from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima, regularity
 
@@ -485,15 +490,27 @@ def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
 # equioscillation
 
 
-def _interior_breakpoints(p: Problem) -> list[float]:
-    return [t for t in p.field.piece_ends if 0.0 < t < 1.0]
+def _residual(phi) -> float:
+    """max |Phi| of a value of the difference map; inf for None (undefined)."""
+    return math.inf if phi is None else float(np.max(np.abs(phi)))
 
 
-_PHANTOM_JUMP = 1e-3
+def _snap(p: Problem, x: np.ndarray, res: float, phi) -> tuple[np.ndarray, float]:
+    """Move every node within 1e-6 of an interior field breakpoint onto the
+    nearest one, all at once (so the system stays ordered), and keep the
+    move only if the residual there, one call of ``phi``, is below res."""
+    ends = np.array([t for t in p.field.piece_ends if 0.0 < t < 1.0] or [math.inf])
+    near = ends[np.abs(x[:, None] - ends).argmin(axis=1)]
+    close = np.abs(near - x) <= 1e-6
+    if not close.any():
+        return x, res
+    xc = np.where(close, near, x)
+    rc = _residual(phi(xc))
+    return (xc, rc) if rc < res else (x, res)
 
 
 def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
-    bps = _interior_breakpoints(p)
+    bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
     scan = sorted(set(np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist()) | set(bps))
     evals = 0
     top: dict[float, float] = {}  # overall maximum wherever phi1 is defined
@@ -519,7 +536,6 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
 
     brackets = [(a, fa, b, fb) for (a, fa), (b, fb) in zip(defined, defined[1:])
                 if fa == 0.0 or (fa > 0) != (fb > 0)]
-    jumps = []
     for a, fa, b, fb in brackets:
         if abs(best_f) == 0.0:
             break
@@ -536,36 +552,13 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
                 a, fa = mid, fm
             else:
                 b, fb = mid, fm
-        if b - a <= o.tol_step and min(abs(fa), abs(fb)) > o.tol_residual:
-            # the sign change is a jump across zero, not a root
-            jumps.append(0.5 * (a + b))
 
-    # snap to exact breakpoints near the incumbent
-    for c in bps:
-        if abs(c - best_x) <= 1e-6:
-            fc = phi1(c)
-            if fc is not None and abs(fc) < abs(best_f):
-                best_x, best_f = c, fc
-
-    residual = abs(best_f)
-    note = ""
+    xs, residual = _snap(p, np.array([best_x]), abs(best_f), lambda xc: phi1(float(xc[0])))
+    best_x = float(xs[0])
     converged = residual <= o.tol_residual
-    if converged and residual > 0.0:
-        for c in bps:
-            if c != best_x and abs(c - best_x) <= 1e-6:
-                fc = phi1(c)
-                if fc is None or abs(fc) > max(1e4 * o.tol_residual, _PHANTOM_JUMP):
-                    converged = False
-                    note = (f"none-found: the residual vanishes only in the limit "
-                            f"toward the field discontinuity at t={c}")
-                    break
-    if not converged and not note:
-        if not brackets:
-            note = ("none-found: the difference map never changes sign on the "
-                    f"scan; min |Phi| = {residual:.3g} at x = {best_x:.9g}")
-        elif jumps:
-            note = ("none-found: the difference map only jumps across zero "
-                    f"near x = {jumps[0]:.9g} without attaining it")
+    note = "" if converged or brackets else (
+        "none-found: the difference map never changes sign on the scan; "
+        f"min |Phi| = {residual:.3g} at x = {best_x:.9g}")
 
     x = _ns([best_x])
     value = ExtendedReal.of(top[best_x])
@@ -676,39 +669,40 @@ def _starts(p: Problem, o: SolveOptions) -> list[np.ndarray]:
     return starts
 
 
-def _snap_to_breakpoints(p: Problem, x: np.ndarray, res: float, o: SolveOptions):
-    bps = _interior_breakpoints(p)
-    if not bps:
-        return x, res
-    for j in range(len(x)):
-        for c in bps:
-            if c == x[j] or abs(c - x[j]) > 1e-6:
-                continue
-            xc = x.copy()
-            xc[j] = c
-            if np.any(np.diff(xc) < 0):
-                continue
-            phc = _phi(p, xc)
-            if phc is not None:
-                rc = float(np.max(np.abs(phc)))
-                if rc < res:
-                    x, res = xc, rc
-    return x, res
-
-
 def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> SolveReport:
     """Find node systems where all interval maxima coincide.
 
-    Multistart; each start runs the continuation schedule (only useful for
-    monotone kernels that are not already strictly concave) and then the
-    damped Newton iteration on the unmodified problem.  All distinct
-    converged points are reported in ``solutions``, and the point of every
-    converged start in ``converged_starts``; the representative is the one
-    with the smallest residual, ties broken lexicographically.
+    On a usc field all distinct converged points are reported in
+    ``solutions``, and the point of every converged start in
+    ``converged_starts``; the representative is the one with the smallest
+    residual, ties broken lexicographically.  Any other field J is solved
+    through J* = ``usc_regularize(J)`` with the same options.  The report
+    keeps J*'s points and takes its value and residual from J; it is
+    ``converged`` only when J's residual is within ``tol_residual``, and
+    ``solutions`` and ``converged_starts`` keep only the points where it is.
     """
-    if p.n == 1:
-        return _solve_eq_1d(p, o)
+    usc = limsup_conditions(p.field).usc
+    rep = (_solve_eq_1d if p.n == 1 else _solve_eq_nd)(
+        p if usc else replace(p, field=usc_regularize(p.field)), o)
+    if usc or rep.x is None:
+        return rep
 
+    # every point of ``solutions`` is one of ``converged_starts``
+    starts = tuple(x for x in rep.converged_starts
+                   if _residual(_phi(p, x.nodes)) <= o.tol_residual)
+    res, note = _residual(_phi(p, rep.x.nodes)), ""
+    if res > o.tol_residual:
+        found = "equioscillates with M" if rep.status == "converged" else "stalls with value"
+        note = (f"none-found: J is not usc; its usc regularization {found} = "
+                f"{rep.value.as_float():.12g} at x = {rep.x.nodes}, where J's residual "
+                f"is {res:.3g}")
+    return replace(rep, value=interval_maxima(p, rep.x).max_value, residual=res,
+                   status="converged" if res <= o.tol_residual else "stalled", note=note,
+                   solutions=tuple(x for x in rep.solutions if x in starts),
+                   converged_starts=starts)
+
+
+def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
     flags = [k.flags for _, k in p.translates()]
     shared_strict = all(f.strictly_concave for f in flags)
     shared_monotone = all(f.monotone for f in flags)
@@ -717,7 +711,6 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     stages = [p.map_kernels(partial(strictify, eta=eta)) if eta > 0 else p for eta in etas]
 
     results = []
-    converged = []
     total_iters = 0
     for x0 in _starts(p, o):
         x = x0
@@ -725,10 +718,9 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
         for pe in stages:
             x, res, iters, trace = _newton(pe, x, o)
             total_iters += iters
-        x, res = _snap_to_breakpoints(p, x, res, o)
+        x, res = _snap(p, x, res, partial(_phi, p))
         results.append((res, tuple(x), trace))
-        if res <= o.tol_residual:
-            converged.append(_ns(x))
+    converged = tuple(_ns(xt) for res, xt, _ in results if res <= o.tol_residual)
 
     results.sort(key=lambda r: (r[0], r[1]))
     best_res, best_x, best_trace = results[0]
@@ -747,7 +739,7 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     value = interval_maxima(p, x).max_value
     status = "converged" if best_res <= o.tol_residual else "stalled"
     return SolveReport(x, value, best_res, status, total_iters, tuple(best_trace),
-                       tuple(_ns(s) for s in sols), converged_starts=tuple(converged))
+                       tuple(_ns(s) for s in sols), converged_starts=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ class TestRegistry:
         with pytest.raises(UnknownCheckError, match="unknown check id"):
             run_check("thm9.9/legendary")
 
+    @pytest.mark.parametrize("check_id", ["lem2.4/a", "lem5.1/dini-max",
+                                          "thm1.3/no-strict-majorization"])
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one(self, check_id, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_check(check_id, trials=trials)
+
     def test_unknown_is_a_value_error(self):
         # callers that only know ValueError still catch it
         assert issubclass(UnknownCheckError, ValueError)

@@ -7,7 +7,11 @@ solve command wrote for it before the scalar sup engine was restructured
 around a per-problem plan.  ``custom-n2-bump`` is the bump field with a
 custom kernel, ``2 * |t|`` (affine sides -t and t, ``"scale": 2.0``) with a
 ``"singularize_eta": 0.05`` layer, so its report pins how a custom kernel's
-formulas, flags, scale and layer are echoed.  Each
+formulas, flags, scale and layer are echoed.  ``zero-n2-ramp`` is
+``log-n1-ramp`` with two nodes and the zero kernel: its field is not usc and
+has no equioscillation point, so that report pins a stalled solve (exit 1)
+through the usc regularization; it was written when that route replaced the
+limit heuristics of the n = 1 solver.  Each
 ``verify-<check>.report.json`` is the report of ``verify --check <id>
 --trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
@@ -77,6 +81,15 @@ def test_solve_report_is_byte_identical(name, tmp_path):
                "--output", str(out)])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+def test_stalled_solve_report_is_byte_identical(tmp_path):
+    # the zero kernel on the ramp: no equioscillation point, so exit 1
+    out = tmp_path / "report.json"
+    rc = main(["solve", "--config", str(GOLDEN / "zero-n2-ramp.config.json"),
+               "--output", str(out)])
+    assert rc == 1
+    assert out.read_bytes() == (GOLDEN / "zero-n2-ramp.report.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -363,6 +363,7 @@ class TestCliSolve:
         (LOG_N2, {"options": {"continuation_etas": 5}},
          "continuation_etas must be a list"),
         (LOG_N2, {"checks": 5}, "checks must be a list"),
+        (LOG_N2, {"checks": [{}]}, "checks items must be strings"),
         ({**LOG_N2, "n": 2.5}, {}, "n must be an integer"),
         ({**LOG_N2, "n": "2"}, {}, "n must be an integer"),
         ({**LOG_N2, "n": True}, {}, "n must be an integer"),
@@ -442,7 +443,7 @@ class TestCliSolve:
         ({**LOG_N1, "kernel": {"family": "sqrt"}, "kernels": [{"family": "log"}],
           "weights": [2.0]}, {}, "a problem with a kernels list takes no kernel, weights"),
         (POINT_N1, {}, "field is finite at too few points for n=1 (weighted count 1.0)"),
-    ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks",
+    ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks", "checks-item",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
             "max_iters-fraction", "seed-fraction", "multistarts-bool",
             "weights-item", "continuation_etas-item", "output-bool", "output-int",
@@ -575,6 +576,18 @@ class TestCliVerify:
 
     def test_needs_some_selection(self, capsys):
         assert main(["verify"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "lem2.4/c", "--trials", "0"],
+        ["--check", "lem5.1/dini-max", "--trials", "-2"],
+        ["--check", "thm1.3/no-strict-majorization", "--trials", "-2"],
+        ["--all", "--trials", "0"],
+    ], ids=["zero", "dini-max-negative", "no-strict-majorization-negative", "all-zero"])
+    def test_trials_below_one_is_usage_error(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_csv_form(self, capsys):
         rc = main(["verify", "--check", "lem2.4/c", "--trials", "20",

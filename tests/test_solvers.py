@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fenton_minimax import solvers
-from fenton_minimax.battery import BATTERY, battery_problem, bump_field, flat_field
+from fenton_minimax.battery import (BATTERY, battery_problem, bump_field, flat_field,
+                                    gate_field, ramp_field)
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, usc_regularize
@@ -156,6 +158,61 @@ class TestEquioscillation1d:
         its = [r.iteration for r in rep.trace]
         assert its == sorted(its)
         assert rep.trace[-1].residual == rep.residual
+
+
+# J = t on [0, 1/2), -1 on [1/2, 1]: finite everywhere, not usc at 1/2
+STEP_FIELD = Field((FieldPiece(Interval(0.0, 0.5, closed_right=False), Affine(1.0, 0.0)),
+                    FieldPiece(Interval(0.5, 1.0), Constant(-1.0))))
+
+
+class TestHalfOpenFields:
+    """Fields that are not usc are solved through their usc regularization
+    J*, and J is tested at J*'s point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_kernel_ramp_stalls_at_the_break(self, n):
+        # J* equioscillates only with every node at 1/2, where the last
+        # interval maximum of J is J(1/2) = -inf: J has no such point
+        rep = solve_equioscillation(Problem(n=n, field=ramp_field(), kernel=zero_kernel()),
+                                    FAST)
+        assert rep.status == "stalled"
+        assert rep.x.nodes == (0.5,) * n
+        assert rep.value.as_float() == 0.5
+        assert rep.note.startswith("none-found")
+        assert rep.residual > FAST.tol_residual
+        assert rep.solutions == rep.converged_starts == ()
+
+    def test_zero_kernel_step_field_stalls_at_the_break(self):
+        rep = solve_equioscillation(Problem(n=1, field=STEP_FIELD, kernel=zero_kernel()),
+                                    FAST)
+        assert rep.status == "stalled"
+        assert rep.x.nodes == (0.5,)
+        assert rep.value.as_float() == 0.5
+        assert rep.residual == 1.5  # m = (1/2, -1) at x = 1/2
+
+    @pytest.mark.parametrize("field", [ramp_field, gate_field])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_log_kernel_converges(self, field, n):
+        p = Problem(n=n, field=field(), kernel=log_kernel())
+        rep = solve_equioscillation(p, FAST)
+        assert rep.status == "converged"
+        assert rep.residual <= FAST.tol_residual
+        assert rep.x in rep.converged_starts
+        m = interval_maxima(p, rep.x).floats()
+        assert max(m) - min(m) <= FAST.tol_residual
+        if field is gate_field:
+            assert abs(rep.value.as_float() - (1 - 3 * n) * math.log(2.0)) <= 1e-12
+
+    def test_snap_moves_nodes_jointly(self):
+        # where Newton on J* of the zero-kernel ramp stops at n = 2; moving
+        # x_2 alone onto 1/2 doubles the residual, x_1 alone unorders the nodes
+        p = Problem(n=2, field=usc_regularize(ramp_field()), kernel=zero_kernel())
+        x = np.array([0.5 - 8.7e-15, 0.5 - 4.4e-15])
+        res = solvers._residual(solvers._phi(p, x))
+        assert res > 0.0
+        xs, rs = solvers._snap(p, x, res, partial(solvers._phi, p))
+        assert xs.tolist() == [0.5, 0.5]
+        assert rs == 0.0
 
 
 class TestEquioscillationNd:
