@@ -11,9 +11,8 @@ with brute-force oracles (`solvers`), randomized verification checks
 
 from .core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
-from .kernels import (Kernel, KernelFlags, ValidationReport, custom_kernel,
-                      kernel_validate, log_kernel, power_kernel, singularize,
-                      sqrt_kernel, strictify, zero_kernel)
+from .kernels import (Kernel, custom_kernel, log_kernel, power_kernel,
+                      singularize, sqrt_kernel, strictify, zero_kernel)
 from .fields import (Field, FieldCount, FieldPiece, LimsupConditions,
                      limsup_conditions, monotone_usc_approximation,
                      n_field_check, usc_regularize)
@@ -35,9 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtendedReal", "NEG_INF", "Interval", "NodeSystem",
     "Formula", "Constant", "Affine", "Quadratic", "LogWeight",
-    "Kernel", "KernelFlags", "ValidationReport", "zero_kernel", "log_kernel",
-    "sqrt_kernel", "power_kernel", "custom_kernel", "kernel_validate",
-    "strictify", "singularize",
+    "Kernel", "zero_kernel", "log_kernel", "sqrt_kernel", "power_kernel",
+    "custom_kernel", "strictify", "singularize",
     "Field", "FieldPiece", "FieldCount", "usc_regularize", "n_field_check",
     "LimsupConditions", "limsup_conditions", "monotone_usc_approximation",
     "Problem", "MaximaVector", "MaximaBatch", "SupResult", "pure_sum_eval",

@@ -196,7 +196,7 @@ def _perturbation_margins(k: Kernel, case: str, alpha: np.ndarray, a: np.ndarray
             lhs, rhs = rhs, lhs
         margins = rhs - lhs
     margins = np.where(np.isnan(margins), 0.0, margins)  # -inf on both sides
-    strict = (case == "d") or (case == "e" and k.flags.strictly_monotone)
+    strict = (case == "d") or (case == "e" and k.strictly_monotone)
     return margins, (margins <= 0) if strict else (margins < -_EQ_SLACK)
 
 
@@ -214,7 +214,7 @@ def check_perturbation_inequality(k: Kernel, trials: int = 100_000, seed: int = 
     for c in cases:
         if c not in "abcde":
             raise ValueError(f"unknown case {c!r}")
-        if c in "abe" and not k.flags.monotone:
+        if c in "abe" and not k.monotone:
             raise ValueError(f"case ({c}) requires a monotone kernel")
     rng = np.random.default_rng(seed)
     rec = _Recorder(f"lem2.4/{cases}")
@@ -648,7 +648,7 @@ def check_kernel_limits(p: Problem, etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0
     rec = _Recorder(check_id)
     rng = random.Random(seed)
     pj = problem_to_json(p)
-    monotone_all = all(k.flags.monotone for _, k in p.translates())
+    monotone_all = all(k.monotone for _, k in p.translates())
     directions = [d for d in (("strictify", "singularize") if direction == "both"
                               else (direction,))
                   if d != "strictify" or monotone_all]

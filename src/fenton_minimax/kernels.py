@@ -1,18 +1,22 @@
 """Kernel functions on [-1, 1].
 
 A kernel is real-valued and concave on (-1, 0) and on (0, 1), extended
-continuously to the closed interval; the value at 0 may be -inf ("singular").
-Kernels declare structural flags which downstream code relies on:
+continuously to the closed interval; the value at 0 may be -inf.  The
+paper's hypotheses on a kernel are facts about its terms, and ``Kernel``
+reads each one off them, once, as a cached property:
 
 ``singular``          K(0) = -inf
-``monotone``          non-increasing on [-1, 0), non-decreasing on (0, 1]
-``strictly_monotone`` strict version of the above
+``monotone``          non-increasing on [-1, 0), non-decreasing on (0, 1],
+                      K(0) at most either one-sided limit at 0
+``strictly_monotone`` ``monotone``, and strictly so on each side
 ``strictly_concave``  strictly concave on each side
-``cusp``              one-sided divided differences at 0 blow up
 
-Declared flags are cheap to trust and expensive to prove, so
-``kernel_validate`` is a numeric falsifier: it hunts for counterexamples on a
-grid and reports any it finds, but a clean report is evidence, not proof.
+Every family but ``custom`` and both transform layers are monotone.  The
+strict facts hold for a sum of terms when one term has them, and the log,
+sqrt and power families and the strictify layer do (the ``strict`` bit of
+their table entries).  A custom kernel's are decided from its two formulas'
+slopes at -1, 0 and 1, which is exact because every formula class is
+analytic.
 
 Two transforms are provided.  ``strictify`` adds ``eta * sqrt(|t|)``, which
 makes a monotone kernel strictly concave and strictly monotone while keeping
@@ -37,16 +41,15 @@ way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .formulas import Formula
+from .formulas import Formula, LogWeight
 
 __all__ = [
-    "KernelFlags",
     "Family",
     "FAMILIES",
     "Kernel",
@@ -56,20 +59,9 @@ __all__ = [
     "sqrt_kernel",
     "power_kernel",
     "custom_kernel",
-    "kernel_validate",
     "strictify",
     "singularize",
-    "ValidationReport",
 ]
-
-
-@dataclass(frozen=True)
-class KernelFlags:
-    singular: bool
-    monotone: bool
-    strictly_monotone: bool
-    strictly_concave: bool
-    cusp: bool
 
 
 class Family(NamedTuple):
@@ -82,12 +74,15 @@ class Family(NamedTuple):
     the two one-sided derivatives.  ``values`` and ``derivs`` are the array
     forms, with the same operations in the same order; they may divide by 0
     or take log(0) before masking, so callers run them under ``np.errstate``.
+    ``strict`` says the term is strictly monotone and strictly concave on
+    each side of 0.
     """
 
     value: Callable[[Any, float], float]
     values: Callable[[Any, np.ndarray], np.ndarray]
     deriv: Callable[[Any, float], float]
     derivs: Callable[[Any, np.ndarray], np.ndarray]
+    strict: bool = False
 
 
 def _power_pow(s: float, t: float) -> float:
@@ -117,9 +112,17 @@ def _custom_deriv(f: tuple[Formula, Formula], t: float) -> float:
     return left if left == right else math.nan
 
 
+# each side is evaluated on its own closed side only, where a log weight is
+# positive; the other side's points are moved to 0
+def _custom_values(f: tuple[Formula, Formula], ts: np.ndarray) -> np.ndarray:
+    return np.where(ts < 0.0, f[0].values(np.minimum(ts, 0.0)),
+                    f[1].values(np.maximum(ts, 0.0)))
+
+
 def _custom_derivs(f: tuple[Formula, Formula], ts: np.ndarray) -> np.ndarray:
     at0 = _custom_deriv(f, 0.0)
-    return np.where(ts < 0.0, f[0].derivs(ts), np.where(ts > 0.0, f[1].derivs(ts), at0))
+    return np.where(ts < 0.0, f[0].derivs(np.minimum(ts, 0.0)),
+                    np.where(ts > 0.0, f[1].derivs(np.maximum(ts, 0.0)), at0))
 
 
 def _singularize_value(eta: float, t: float) -> float:
@@ -141,21 +144,24 @@ FAMILIES: dict[str, Family] = {
         value=lambda _, t: math.log(abs(t)) if t != 0.0 else -math.inf,
         values=lambda _, ts: np.log(np.abs(ts)),
         deriv=lambda _, t: 1.0 / t if t != 0.0 else math.nan,
-        derivs=lambda _, ts: _nan_at_zero(ts, 1.0 / ts)),
+        derivs=lambda _, ts: _nan_at_zero(ts, 1.0 / ts),
+        strict=True),
     "sqrt": Family(
         value=lambda _, t: math.sqrt(abs(t)),
         values=lambda _, ts: np.sqrt(np.abs(ts)),
         deriv=lambda _, t: (math.copysign(0.5 / math.sqrt(abs(t)), t)
                             if t != 0.0 else math.nan),
-        derivs=lambda _, ts: _nan_at_zero(ts, np.copysign(0.5 / np.sqrt(np.abs(ts)), ts))),
+        derivs=lambda _, ts: _nan_at_zero(ts, np.copysign(0.5 / np.sqrt(np.abs(ts)), ts)),
+        strict=True),
     "power": Family(
         value=lambda s, t: -_power_pow(s, t) if t != 0.0 else -math.inf,
         values=_power_values,
         deriv=lambda s, t: s * _power_pow(s, t) / t if t != 0.0 else math.nan,
-        derivs=lambda s, ts: _nan_at_zero(ts, s * np.abs(ts) ** (-s) / ts)),
+        derivs=lambda s, ts: _nan_at_zero(ts, s * np.abs(ts) ** (-s) / ts),
+        strict=True),
     "custom": Family(
         value=lambda f, t: f[0].value(t) if t < 0.0 else f[1].value(t),
-        values=lambda f, ts: np.where(ts < 0, f[0].values(ts), f[1].values(ts)),
+        values=_custom_values,
         deriv=_custom_deriv,
         derivs=_custom_derivs),
     "strictify": Family(
@@ -164,7 +170,8 @@ FAMILIES: dict[str, Family] = {
         deriv=lambda eta, t: (math.copysign(0.5 * eta / math.sqrt(abs(t)), t)
                               if t != 0.0 else math.nan),
         derivs=lambda eta, ts: _nan_at_zero(
-            ts, np.copysign(0.5 * eta / np.sqrt(np.abs(ts)), ts))),
+            ts, np.copysign(0.5 * eta / np.sqrt(np.abs(ts)), ts)),
+        strict=True),
     "singularize": Family(
         value=_singularize_value,
         values=lambda eta, ts: np.minimum(np.log(np.abs(ts) / eta), 0.0),
@@ -178,15 +185,17 @@ _KERNEL_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
 
 @dataclass(frozen=True)
 class Kernel:
-    """A kernel with declared flags and optional transform layers.
+    """A kernel family with optional transform layers.
 
     ``scale`` multiplies the whole function (used to fold a positive weight
     into the kernel); ``strictify_eta`` and ``singularize_etas`` record the
-    transform layers so evaluation stays exact and serializable.
+    transform layers so evaluation stays exact and serializable.  A custom
+    kernel's two formulas must agree at 0, and a log-weight side needs a
+    positive weight on its closed side, [-1, 0] or [0, 1], as a log-weight
+    field piece does on its closure.
     """
 
     family: str
-    flags: KernelFlags
     params: tuple[float, ...] = ()
     scale: float = 1.0
     strictify_eta: float = 0.0
@@ -203,8 +212,17 @@ class Kernel:
         if not (0 <= self.strictify_eta < math.inf
                 and all(0 < e < math.inf for e in self.singularize_etas)):
             raise ValueError("transform parameters must be positive and finite")
-        if self.family == "custom" and (self.neg_formula is None or self.pos_formula is None):
+        if self.family != "custom":
+            return
+        neg, pos = self.neg_formula, self.pos_formula
+        if neg is None or pos is None:
             raise ValueError("custom kernels need one formula per side")
+        for name, f, (a, b) in (("negative", neg, (-1.0, 0.0)), ("positive", pos, (0.0, 1.0))):
+            if isinstance(f, LogWeight) and not f.w.inf_on(a, b)[0] > 0:
+                raise ValueError(f"the {name} side of a custom kernel is a log weight "
+                                 f"that is not positive on [{a:g}, {b:g}]")
+        if abs(neg.value(0.0) - pos.value(0.0)) > 1e-9:
+            raise ValueError("custom kernel sides disagree at 0")
 
     @cached_property
     def _terms(self) -> tuple[tuple[Family, Any], ...]:
@@ -223,6 +241,56 @@ class Kernel:
     def __getstate__(self) -> dict:
         # the cached terms hold the table's lambdas, which do not pickle
         return {k: v for k, v in vars(self).items() if k != "_terms"}
+
+    @cached_property
+    def singular(self) -> bool:
+        """K(0) = -inf."""
+        return self.eval(0.0) == -math.inf
+
+    @cached_property
+    def monotone(self) -> bool:
+        """Non-increasing on [-1, 0) and non-decreasing on (0, 1], with K(0)
+        at most either one-sided limit at 0.
+
+        The zero, log, sqrt and power families and both transform layers are
+        all of that shape, and so is any positive multiple of a sum of them.
+        A custom kernel's sides are concave, so their slopes fall from left
+        to right: the negative side is non-increasing when its slope at -1 is
+        <= 0, the positive side non-decreasing when its slope at 1 is >= 0.
+        K(0) is the positive side's value there and must not exceed the
+        negative side's.  Every formula is finite on its closed side (a log
+        weight is refused otherwise), so these are plain float comparisons.
+        """
+        if self.family != "custom":
+            return True
+        neg, pos = self.neg_formula, self.pos_formula
+        return (neg.deriv(-1.0) <= 0.0 <= pos.deriv(1.0)
+                and pos.value(0.0) <= neg.value(0.0))
+
+    def _strictly(self, custom_rule: Callable[[Formula, Formula], bool]) -> bool:
+        """Whether some term is strict, or the custom sides pass custom_rule.
+
+        A sum of concave (monotone) terms is strictly so when one term is.
+        A custom side is analytic, so its slope is constant on no interval
+        unless it is constant everywhere: a side is strictly concave when its
+        slopes at its two ends differ, and a monotone side strictly monotone
+        when its slope at 0, the side's steepest, is not 0.
+        """
+        if any(fam.strict for fam, _ in self._terms):
+            return True
+        return self.family == "custom" and custom_rule(self.neg_formula, self.pos_formula)
+
+    @cached_property
+    def strictly_monotone(self) -> bool:
+        """``monotone``, and strictly so on each side of 0."""
+        return self.monotone and self._strictly(
+            lambda neg, pos: neg.deriv(0.0) < 0.0 < pos.deriv(0.0))
+
+    @cached_property
+    def strictly_concave(self) -> bool:
+        """Strictly concave on [-1, 0) and on (0, 1]."""
+        return self._strictly(lambda neg, pos: (neg.deriv(-1.0) > neg.deriv(0.0)
+                                                and pos.deriv(0.0) > pos.deriv(1.0)))
 
     def eval(self, t: float) -> float:
         """Raw float value at t in [-1, 1]; -inf allowed, never NaN or +inf."""
@@ -337,186 +405,45 @@ class TranslateSum:
 
 
 def zero_kernel() -> Kernel:
-    return Kernel(
-        "zero",
-        KernelFlags(singular=False, monotone=True, strictly_monotone=False,
-                    strictly_concave=False, cusp=False),
-    )
+    return Kernel("zero")
 
 
 def log_kernel() -> Kernel:
-    return Kernel(
-        "log",
-        KernelFlags(singular=True, monotone=True, strictly_monotone=True,
-                    strictly_concave=True, cusp=True),
-    )
+    return Kernel("log")
 
 
 def sqrt_kernel() -> Kernel:
     """K(t) = sqrt(|t|): bounded, monotone, strictly concave per side."""
-    return Kernel(
-        "sqrt",
-        KernelFlags(singular=False, monotone=True, strictly_monotone=True,
-                    strictly_concave=True, cusp=True),
-    )
+    return Kernel("sqrt")
 
 
 def power_kernel(s: float) -> Kernel:
     """K(t) = -|t| ** (-s) for s > 0."""
     if not 0 < s < math.inf:
         raise ValueError("power kernels need a finite s > 0")
-    return Kernel(
-        "power",
-        KernelFlags(singular=True, monotone=True, strictly_monotone=True,
-                    strictly_concave=True, cusp=True),
-        params=(float(s),),
-    )
+    return Kernel("power", params=(float(s),))
 
 
-def custom_kernel(neg: Formula, pos: Formula, flags: KernelFlags) -> Kernel:
+def custom_kernel(neg: Formula, pos: Formula) -> Kernel:
     """A kernel from one concave formula per side of 0.
 
     The two sides must agree at 0 (extended continuity); concavity per side
-    comes from the formula classes themselves.  Declared flags are the
-    caller's claim and can be fed to ``kernel_validate``.
+    comes from the formula classes themselves.
     """
-    k = Kernel("custom", flags, neg_formula=neg, pos_formula=pos)
-    v0_neg, v0_pos = neg.value(0.0), pos.value(0.0)
-    if abs(v0_neg - v0_pos) > 1e-9:
-        raise ValueError("custom kernel sides disagree at 0")
-    return k
+    return Kernel("custom", neg_formula=neg, pos_formula=pos)
 
 
 def strictify(k: Kernel, eta: float) -> Kernel:
     """K + eta * sqrt(|t|): strictly concave, strictly monotone, >= K."""
     if not 0 < eta < math.inf:
         raise ValueError("strictify needs a finite eta > 0")
-    if not k.flags.monotone:
+    if not k.monotone:
         raise ValueError("strictify requires a monotone kernel")
-    flags = KernelFlags(singular=k.flags.singular, monotone=True,
-                        strictly_monotone=True, strictly_concave=True, cusp=True)
-    return replace(k, strictify_eta=k.strictify_eta + eta, flags=flags)
+    return replace(k, strictify_eta=k.strictify_eta + eta)
 
 
 def singularize(k: Kernel, eta: float) -> Kernel:
     """K + min(log(|t| / eta), 0): singular at 0, equal to K for |t| >= eta."""
     if not 0 < eta < math.inf:
         raise ValueError("singularize needs a finite eta > 0")
-    flags = KernelFlags(singular=True, monotone=k.flags.monotone,
-                        strictly_monotone=k.flags.strictly_monotone,
-                        strictly_concave=k.flags.strictly_concave, cusp=True)
-    return replace(k, singularize_etas=k.singularize_etas + (float(eta),), flags=flags)
-
-
-@dataclass
-class Violation:
-    flag: str
-    witness: tuple[float, ...]
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    kernel: Kernel
-    grid_size: int
-    confirmed: dict[str, bool] = field(default_factory=dict)
-    violations: list[Violation] = field(default_factory=list)
-    sup_estimate: float = -math.inf
-    cusp_rate: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-_CUSP_THRESHOLD = 1e3
-
-
-def kernel_validate(k: Kernel, grid_size: int = 10_000) -> ValidationReport:
-    """Hunt for numeric counterexamples to the kernel contract and flags.
-
-    Checks midpoint concavity per side, the two-sided limit at 0, upper
-    boundedness, and each declared flag.  Finding nothing does not prove the
-    flags, it only fails to refute them.
-    """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
-    rep = ValidationReport(kernel=k, grid_size=grid_size)
-    fl = k.flags
-
-    def bad(flag, witness, detail):
-        rep.violations.append(Violation(flag, witness, detail))
-
-    sides = []
-    for sign in (-1.0, 1.0):
-        ts = sign * np.linspace(1e-9, 1.0, grid_size)
-        ts.sort()
-        vs = k.eval_many(ts)
-        sides.append((sign, ts, vs))
-        finite = vs[np.isfinite(vs)]
-        if finite.size:
-            rep.sup_estimate = max(rep.sup_estimate, float(finite.max()))
-        if not np.all(vs < math.inf):
-            bad("upper-bounded", (float(ts[np.argmax(vs)]),), "+inf value on grid")
-
-        # midpoint concavity: K((u+v)/2) >= (K(u)+K(v))/2 - 1e-12
-        u, v = ts[:-2], ts[2:]
-        mid = 0.5 * (u + v)
-        vm = k.eval_many(mid)
-        lhs, rhs = vm, 0.5 * (vs[:-2] + vs[2:])
-        mask = np.isfinite(lhs) & np.isfinite(rhs)
-        viol = mask & (lhs < rhs - 1e-12)
-        if viol.any():
-            i = int(np.argmax(viol))
-            bad("concavity", (float(u[i]), float(v[i])),
-                f"midpoint dips {float(rhs[i] - lhs[i]):.3e} below the chord")
-
-        diffs = np.diff(vs)
-        finite_d = np.isfinite(vs[:-1]) & np.isfinite(vs[1:])
-        inc_ok = np.all(diffs[finite_d] >= -1e-12) if sign > 0 else np.all(diffs[finite_d] <= 1e-12)
-        if fl.monotone and not inc_ok:
-            j = int(np.argmax((diffs < -1e-12) if sign > 0 else (diffs > 1e-12)))
-            bad("monotone", (float(ts[j]), float(ts[j + 1])), "wrong-way difference")
-        if fl.strictly_monotone:
-            strict = np.all(diffs[finite_d] > 0) if sign > 0 else np.all(diffs[finite_d] < 0)
-            if not strict:
-                bad("strictly_monotone", (float(ts[0]),), "a flat or wrong-way step")
-        if fl.strictly_concave:
-            flat = mask & (lhs <= rhs)
-            if flat.any():
-                i = int(np.argmax(flat))
-                bad("strictly_concave", (float(u[i]), float(v[i])), "no strict midpoint gain")
-
-    # limits at 0 from both sides agree (possibly both -inf)
-    eps = 1e-9
-    l0, r0 = k.eval(-eps), k.eval(eps)
-    both_sink = l0 < -1e8 and r0 < -1e8
-    if not both_sink and abs(l0 - r0) > 1e-6:
-        bad("zero-limit", (0.0,), f"left {l0} vs right {r0} near 0")
-
-    v0 = k.eval(0.0)
-    if fl.singular and v0 != -math.inf:
-        bad("singular", (0.0,), f"declared singular but K(0) = {v0}")
-    if not fl.singular and v0 == -math.inf:
-        bad("singular", (0.0,), "declared non-singular but K(0) = -inf")
-
-    # cusp: divided differences (K(2h) - K(h)) / h on a shrinking schedule
-    rates = []
-    for side in (-1.0, 1.0):
-        h = 0.01
-        rate = 0.0
-        for _ in range(12):
-            va, vb = k.eval(side * h), k.eval(side * 2 * h)
-            if math.isfinite(va) and math.isfinite(vb):
-                rate = abs(vb - va) / h
-            h *= 0.25
-        rates.append(rate)
-    rep.cusp_rate = min(rates)
-    if fl.cusp and rep.cusp_rate < _CUSP_THRESHOLD:
-        bad("cusp", (0.0,), f"divided differences stay near {rep.cusp_rate:.3e}")
-    if not fl.cusp and rep.cusp_rate > _CUSP_THRESHOLD:
-        bad("cusp", (0.0,), "undeclared blow-up of divided differences near 0")
-
-    for name in ("singular", "monotone", "strictly_monotone", "strictly_concave", "cusp"):
-        rep.confirmed[name] = not any(v.flag == name for v in rep.violations)
-    return rep
+    return replace(k, singularize_etas=k.singularize_etas + (float(eta),))

@@ -23,8 +23,8 @@ from typing import Any, Callable
 from .core import Interval, NodeSystem
 from .fields import Field, FieldPiece
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
-from .kernels import (Kernel, KernelFlags, custom_kernel, log_kernel, power_kernel,
-                      singularize, sqrt_kernel, strictify, zero_kernel)
+from .kernels import (Kernel, custom_kernel, log_kernel, power_kernel, singularize,
+                      sqrt_kernel, strictify, zero_kernel)
 from .solvers import SolveOptions, SolveReport
 from .sumtrans import Problem
 
@@ -159,10 +159,10 @@ def _formula_at(d: dict, key: str, what: str) -> Formula:
 _FORMULAS = {"constant": Constant, "affine": Affine, "quadratic": Quadratic,
              "log_weight": LogWeight}
 # per dataclass read from JSON: each field's name and the accessor its type names
-_TYPE_READERS = {"float": _number_at, "int": _int_at, "bool": _flag_at,
+_TYPE_READERS = {"float": _number_at, "int": _int_at,
                  "tuple[float, ...]": _numbers_at, "Formula": _formula_at}
 _READERS = {cls: {fl.name: _TYPE_READERS[fl.type] for fl in fields(cls)}
-            for cls in (*_FORMULAS.values(), KernelFlags, SolveOptions)}
+            for cls in (*_FORMULAS.values(), SolveOptions)}
 
 
 def _fields_from_json(cls: type, d: dict, what: str, required: bool = True) -> dict:
@@ -196,7 +196,7 @@ def formula_from_json(d: Any) -> Formula:
 _KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
 # the keys of a kernel's "params" object, per family
 _PARAM_KEYS = {"zero": (), "log": (), "sqrt": (), "power": ("s",),
-               "custom": ("neg", "pos", "flags")}
+               "custom": ("neg", "pos")}
 _STOCK_KERNELS = {"zero": zero_kernel, "log": log_kernel, "sqrt": sqrt_kernel}
 
 
@@ -206,7 +206,7 @@ def kernel_to_json(k: Kernel) -> dict:
         d["params"]["s"] = k.params[0]
     if k.family == "custom":
         d["params"] = {"neg": formula_to_json(k.neg_formula),
-                       "pos": formula_to_json(k.pos_formula), "flags": asdict(k.flags)}
+                       "pos": formula_to_json(k.pos_formula)}
     if k.scale != 1.0:
         d["scale"] = k.scale
     if k.strictify_eta:
@@ -229,11 +229,8 @@ def kernel_from_json(d: Any) -> Kernel:
         if family == "power":
             k = power_kernel(_number_at(params, "s", what))
         elif family == "custom":
-            fd = _object_at(params, "flags", what)
-            reject_unknown(fd, tuple(_READERS[KernelFlags]), "kernel flag")
-            flags = KernelFlags(**_fields_from_json(KernelFlags, fd, "kernel flags"))
             k = custom_kernel(_formula_at(params, "neg", what),
-                              _formula_at(params, "pos", what), flags)
+                              _formula_at(params, "pos", what))
         else:
             k = _STOCK_KERNELS[family]()
         if "scale" in d:

@@ -53,11 +53,11 @@ a fraction of the cost.
 
 Most candidates need no evaluation at all when every kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
-both one-sided limits.  This is decided from the kernel's terms, not its
-declared flags: every built-in family and transform layer qualifies, and a
-custom kernel does when its sides are finite at -1 and 1, its negative
-side's slope at -1 is <= 0, its positive side's slope at 1 is >= 0 and its
-value at 0 is at most the negative side's there.  Then moving x_j right raises F(x, .) on [0, x_j]
+both one-sided limits, which ``Kernel.monotone`` reads off the kernel's
+terms: every built-in family and transform layer qualifies, and a custom
+kernel does when its negative side's slope at -1 is <= 0, its positive
+side's slope at 1 is >= 0 and its value at 0 is at most the negative
+side's there.  Then moving x_j right raises F(x, .) on [0, x_j]
 and lowers it on [x_j + delta, 1], so m_0 ... m_j rise and m_{j+1} ... m_n
 fall, and moving it left does the reverse.  A candidate that raises
 (minimax) or lowers (maximin) an interval maximum equal to the incumbent's
@@ -87,7 +87,7 @@ import numpy as np
 
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import Field, limsup_conditions, usc_regularize
-from .kernels import Kernel, strictify
+from .kernels import strictify
 from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima, regularity
 
 __all__ = [
@@ -495,6 +495,13 @@ def _residual(phi) -> float:
     return math.inf if phi is None else float(np.max(np.abs(phi)))
 
 
+def _ending_at(trace, x, res: float, value: float) -> tuple[TraceRecord, ...]:
+    """trace, with one more record when its last one is not the reported
+    point x with residual res and value ``value``."""
+    end = TraceRecord(trace[-1].iteration if trace else 0, res, value, tuple(x))
+    return tuple(trace) if trace and trace[-1][1:] == end[1:] else (*trace, end)
+
+
 def _snap(p: Problem, x: np.ndarray, res: float, phi) -> tuple[np.ndarray, float]:
     """Move every node within 1e-6 of an interior field breakpoint onto the
     nearest one, all at once (so the system stays ordered), and keep the
@@ -616,7 +623,7 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
         if m is None:
             return x, math.inf, 0, []
     phi = np.diff(m.floats())
-    res = float(np.max(np.abs(phi)))
+    res = _residual(phi)
     lam = 1e-10
     trace = [TraceRecord(0, res, max(m.floats()), tuple(x))]
     iters = 0
@@ -638,7 +645,7 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
             if mc is None:
                 continue
             phc = np.diff(mc.floats())
-            rc = float(np.max(np.abs(phc)))
+            rc = _residual(phc)
             if rc < res:
                 step = float(np.max(np.abs(xc - x)))
                 x, m, phi, res = xc, mc, phc, rc
@@ -680,6 +687,7 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     keeps J*'s points and takes its value and residual from J; it is
     ``converged`` only when J's residual is within ``tol_residual``, and
     ``solutions`` and ``converged_starts`` keep only the points where it is.
+    Either way the trace ends at the reported point, value and residual.
     """
     usc = limsup_conditions(p.field).usc
     rep = (_solve_eq_1d if p.n == 1 else _solve_eq_nd)(
@@ -696,17 +704,17 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
         note = (f"none-found: J is not usc; its usc regularization {found} = "
                 f"{rep.value.as_float():.12g} at x = {rep.x.nodes}, where J's residual "
                 f"is {res:.3g}")
-    return replace(rep, value=interval_maxima(p, rep.x).max_value, residual=res,
+    value = interval_maxima(p, rep.x).max_value
+    return replace(rep, value=value, residual=res,
+                   trace=_ending_at(rep.trace, rep.x.nodes, res, value.as_float()),
                    status="converged" if res <= o.tol_residual else "stalled", note=note,
                    solutions=tuple(x for x in rep.solutions if x in starts),
                    converged_starts=starts)
 
 
 def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
-    flags = [k.flags for _, k in p.translates()]
-    shared_strict = all(f.strictly_concave for f in flags)
-    shared_monotone = all(f.monotone for f in flags)
-    etas = o.continuation_etas if (shared_monotone and not shared_strict) else (0.0,)
+    shared_strict = all(k.strictly_concave for _, k in p.translates())
+    etas = o.continuation_etas if (_monotone_problem(p) and not shared_strict) else (0.0,)
     # the continuation stages: every kernel strictified by eta, then p itself
     stages = [p.map_kernels(partial(strictify, eta=eta)) if eta > 0 else p for eta in etas]
 
@@ -738,7 +746,8 @@ def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
     x = _ns(best_x)
     value = interval_maxima(p, x).max_value
     status = "converged" if best_res <= o.tol_residual else "stalled"
-    return SolveReport(x, value, best_res, status, total_iters, tuple(best_trace),
+    return SolveReport(x, value, best_res, status, total_iters,
+                       _ending_at(best_trace, best_x, best_res, value.as_float()),
                        tuple(_ns(s) for s in sols), converged_starts=converged)
 
 
@@ -746,35 +755,9 @@ def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
 # pattern searches for minimax and maximin
 
 
-def _monotone_kernel(k: Kernel) -> bool:
-    """Whether k is non-increasing on [-1, 0) and non-decreasing on (0, 1],
-    with K(0) at most either one-sided limit at 0, decided from its terms
-    rather than its declared flags.
-
-    The zero, log, sqrt and power families and both transform layers are all
-    of that shape, and so is any positive multiple of a sum of them.  A
-    custom kernel's sides are concave, so their slopes fall from left to
-    right: the negative side is non-increasing when its slope at -1 is
-    <= 0, the positive side non-decreasing when its slope at 1 is >= 0.  K(0)
-    is the positive side's value there and must not exceed the negative
-    side's limit.  A side that is not finite at its far end (a log weight
-    that is not positive there, whose slope would have the wrong sign) does
-    not qualify.
-    """
-    if k.family != "custom":
-        return True
-    neg, pos = k.neg_formula, k.pos_formula
-    try:
-        return (math.isfinite(neg.value(-1.0)) and math.isfinite(pos.value(1.0))
-                and neg.deriv(-1.0) <= 0.0 <= pos.deriv(1.0)
-                and pos.value(0.0) <= neg.value(0.0))
-    except (ArithmeticError, ValueError):
-        return False
-
-
 def _monotone_problem(p: Problem) -> bool:
-    """Whether every translate's kernel passes ``_monotone_kernel``."""
-    return all(_monotone_kernel(k) for _, k in p.translates())
+    """Whether every translate's kernel is ``monotone``."""
+    return all(k.monotone for _, k in p.translates())
 
 
 def _futile_moves(m, fx: float, sign: float) -> frozenset[tuple[int, bool]]:

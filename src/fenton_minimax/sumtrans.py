@@ -139,7 +139,7 @@ class Problem:
         return self.kernels[j] if self.kernels is not None else self.kernel
 
     def node_is_singular(self, j: int) -> bool:
-        return self.kernel_at(j).flags.singular
+        return self.kernel_at(j).singular
 
     def any_singular(self) -> bool:
         return any(self.node_is_singular(j) for j in range(self.n))
@@ -230,7 +230,7 @@ class _Plan:
             groups.setdefault(k, []).append(j)
         self.kernel_cols = tuple((k, np.array(cols)) for k, cols in groups.items())
         kernels = [k for _, k in translates]
-        singular = [j for j, k in enumerate(kernels) if k.flags.singular]
+        singular = [j for j, k in enumerate(kernels) if k.singular]
         # the columns of the singular-kernel nodes, None for none
         self.singular_cols = (slice(None) if len(singular) == p.n
                               else np.array(singular) if singular else None)

@@ -18,9 +18,7 @@ from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckErr
                                    check_usc_invariances, replay_witness,
                                    run_check)
 from fenton_minimax.core import NodeSystem
-from fenton_minimax.formulas import Constant
-from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
-                                    sqrt_kernel, zero_kernel)
+from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
 from fenton_minimax.solvers import SolveOptions, solve_equioscillation
 from fenton_minimax.sumtrans import Problem, regularity
 
@@ -268,12 +266,12 @@ class TestCheckReportJson:
 
 
 def _every_system_equioscillates() -> Problem:
-    # a constant kernel declared non-monotone (so no continuation) on a flat
-    # field: every start is an equioscillation point, so the solutions differ
-    flags = KernelFlags(singular=False, monotone=False, strictly_monotone=False,
-                        strictly_concave=False, cusp=False)
-    return Problem(n=2, field=flat_field(),
-                   kernel=custom_kernel(Constant(0.0), Constant(0.0), flags))
+    # the zero kernel on a flat field: every start is an equioscillation
+    # point, so without the continuation (NO_CONTINUATION) the solutions differ
+    return Problem(n=2, field=flat_field(), kernel=zero_kernel())
+
+
+NO_CONTINUATION = SolveOptions(continuation_etas=(0.0,))
 
 
 # per emitting check: the witness kinds it records, with a call that records
@@ -290,7 +288,7 @@ REPLAY_CASES = {
                                      options=SolveOptions(multistarts=2, seed=1))]),
     "equioscillation": ({"eq-value", "eq-unique"}, lambda: [
         check_equioscillation_value(_every_system_equioscillates(), starts=4,
-                                    unique_nodes_tol=1e-4)]),
+                                    unique_nodes_tol=1e-4, options=NO_CONTINUATION)]),
     "usc": ({"usc-mbar", "usc-mj", "usc-open-sup", "usc-maximin"}, lambda: [
         check_usc_invariances(battery_problem("log-n2-bands"), trials=4, seed=0)]),
     "dini": ({"dini"}, lambda: [check_dini_max(trials=3, seed=0)]),

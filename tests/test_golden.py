@@ -7,11 +7,14 @@ solve command wrote for it before the scalar sup engine was restructured
 around a per-problem plan.  ``custom-n2-bump`` is the bump field with a
 custom kernel, ``2 * |t|`` (affine sides -t and t, ``"scale": 2.0``) with a
 ``"singularize_eta": 0.05`` layer, so its report pins how a custom kernel's
-formulas, flags, scale and layer are echoed.  ``zero-n2-ramp`` is
+formulas, scale and layer are echoed (re-recorded when custom kernels stopped
+declaring flags, which was the only change to its bytes).  ``zero-n2-ramp`` is
 ``log-n1-ramp`` with two nodes and the zero kernel: its field is not usc and
 has no equioscillation point, so that report pins a stalled solve (exit 1)
 through the usc regularization; it was written when that route replaced the
-limit heuristics of the n = 1 solver.  Each
+limit heuristics of the n = 1 solver, and its CSV report
+``zero-n2-ramp.report.csv`` pins the equioscillation trace of that solve,
+which ends at the reported point (1/2, 1/2) with J's residual inf.  Each
 ``verify-<check>.report.json`` is the report of ``verify --check <id>
 --trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
@@ -25,13 +28,13 @@ and maximin value to 9 digits, before the two searches shared one driver.
 before the per-check runner functions became one registry table.  Each
 ``oracle-<name>.report.json`` is the report of ``oracle --config
 <name>.config.json --h H`` (H = 1/128 for n <= 2, 1/32 for n = 3), written
-before the brute oracles learned to prune rows by a bound.  Two CSV reports
-pin the CSV encoding, ``-inf`` cells included: ``log-n2-bump.report.csv``
+before the brute oracles learned to prune rows by a bound.  Two more CSV
+reports pin the CSV encoding, ``-inf`` cells included: ``log-n2-bump.report.csv``
 from ``solve --format csv`` (the solver traces) and
 ``oracle-log-n1-ramp.report.csv`` from ``oracle --h 1/128 --format csv``
-(the n = 1 maxima landscape, 129 rows, 66 of them holding ``-inf``); both,
-and the custom-kernel report, were written before the JSON codecs and the
-report float encoder moved into ``schema``.  Reports carry
+(the n = 1 maxima landscape, 129 rows, 66 of them holding ``-inf``); both
+were written before the JSON codecs and the report float encoder moved into
+``schema``.  Reports carry
 no timings, so any byte that moves means a solver, an oracle, a check or the
 sup engine changed a float, a status, an iteration or a trial count.  To
 re-record after an intended change of results, run for each name
@@ -61,13 +64,15 @@ from fenton_minimax.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 NAMES = ("log-n2-bump", "log-n3-flat", "sqrt-n3-bump", "power05-n2-bump",
          "zero-n2-bands", "log-n1-ramp")
-# (golden CSV report, the CLI arguments that write it)
+# (golden CSV report, the CLI arguments that write it, their exit code)
 CSV_REPORTS = (
     ("log-n2-bump.report.csv",
-     ["solve", "--config", str(GOLDEN / "log-n2-bump.config.json"), "--format", "csv"]),
+     ["solve", "--config", str(GOLDEN / "log-n2-bump.config.json"), "--format", "csv"], 0),
     ("oracle-log-n1-ramp.report.csv",
      ["oracle", "--config", str(GOLDEN / "log-n1-ramp.config.json"), "--h", "0.0078125",
-      "--format", "csv"]),
+      "--format", "csv"], 0),
+    ("zero-n2-ramp.report.csv",
+     ["solve", "--config", str(GOLDEN / "zero-n2-ramp.config.json"), "--format", "csv"], 1),
 )
 CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances",
@@ -119,8 +124,9 @@ def test_verify_all_report_is_byte_identical(tmp_path):
     assert out.read_bytes() == (GOLDEN / "verify-all.report.json").read_bytes()
 
 
-@pytest.mark.parametrize("golden, argv", CSV_REPORTS, ids=[g for g, _ in CSV_REPORTS])
-def test_csv_report_is_byte_identical(golden, argv, tmp_path):
+@pytest.mark.parametrize("golden, argv, code", CSV_REPORTS,
+                         ids=[g for g, _, _ in CSV_REPORTS])
+def test_csv_report_is_byte_identical(golden, argv, code, tmp_path):
     out = tmp_path / "report.csv"
-    assert main([*argv, "--output", str(out)]) == 0
+    assert main([*argv, "--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -1,26 +1,52 @@
+import json
 import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
-from fenton_minimax.kernels import (FAMILIES, Kernel, KernelFlags, TranslateSum,
-                                    custom_kernel, kernel_validate, log_kernel,
-                                    power_kernel, singularize, sqrt_kernel,
-                                    strictify, zero_kernel)
+from fenton_minimax.kernels import (FAMILIES, TranslateSum, custom_kernel,
+                                    log_kernel, power_kernel, singularize,
+                                    sqrt_kernel, strictify, zero_kernel)
 from fenton_minimax.schema import kernel_from_json, kernel_to_json
 
 STOCK = [zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
          power_kernel(1.5)]
+FACTS = ("singular", "monotone", "strictly_monotone", "strictly_concave")
 
-NO_FLAGS = KernelFlags(singular=False, monotone=False, strictly_monotone=False,
-                       strictly_concave=False, cusp=False)
-PLAIN_MONOTONE = KernelFlags(singular=False, monotone=True,
-                             strictly_monotone=False, strictly_concave=False,
-                             cusp=False)
+
+def _facts(k) -> dict[str, bool]:
+    """The kernel's derived facts by name."""
+    return {name: getattr(k, name) for name in FACTS}
+
+
+# every stock kernel under six transform stacks
+STACKS = {"plain": lambda k: k,
+          "scaled": lambda k: k.scaled(2.5),
+          "strictified": lambda k: strictify(k, 0.2),
+          "singularized": lambda k: singularize(k, 0.3),
+          "strictified-singularized": lambda k: singularize(strictify(k, 0.2), 0.3),
+          "singularized-twice-scaled":
+              lambda k: singularize(singularize(k, 0.3), 0.05).scaled(0.5)}
+STOCK_NAMES = ("zero", "log", "sqrt", "power0.5", "power1.5")
+STOCK_STACKS = {f"{name}-{stack}": op(k) for name, k in zip(STOCK_NAMES, STOCK)
+                for stack, op in STACKS.items()}
+# the flags each stack declared when kernels carried them (singular,
+# monotone, strictly monotone, strictly concave; 1 for true): the stock
+# constructors declared them, strictify set the last three and singularize
+# the first, and a scaled kernel kept its own
+OLD_FLAGS = {
+    "zero": ("0100", "0100", "0111", "1100", "1111", "1100"),
+    "log": ("1111",) * 6,
+    "sqrt": ("0111", "0111", "0111", "1111", "1111", "1111"),
+    "power0.5": ("1111",) * 6,
+    "power1.5": ("1111",) * 6,
+}
 
 
 def _ulps_apart(a: float, b: float) -> float:
@@ -44,16 +70,17 @@ class TestFamilies:
         assert power_kernel(0.5).eval(0.0) == -math.inf
 
     def test_flags(self):
-        assert log_kernel().flags == KernelFlags(
-            singular=True, monotone=True, strictly_monotone=True,
-            strictly_concave=True, cusp=True)
-        z = zero_kernel().flags
-        assert not z.singular and z.monotone
-        assert not z.strictly_monotone and not z.strictly_concave and not z.cusp
-        s = sqrt_kernel().flags
-        assert not s.singular and s.cusp and s.strictly_monotone
-        p = power_kernel(0.5).flags
-        assert p.singular and p.strictly_concave and p.cusp
+        # each stock kernel and transform stack has the facts it once
+        # declared, and so has the kernel of the custom-n2-bump golden config
+        def facts(code):
+            return dict(zip(FACTS, (c == "1" for c in code)))
+
+        for name, codes in OLD_FLAGS.items():
+            for stack, code in zip(STACKS, codes):
+                assert _facts(STOCK_STACKS[f"{name}-{stack}"]) == facts(code), (name, stack)
+        config = Path(__file__).parent / "data" / "golden" / "custom-n2-bump.config.json"
+        k = kernel_from_json(json.loads(config.read_text())["problem"]["kernel"])
+        assert _facts(k) == facts("1110")
 
     def test_power_exponent_range(self):
         with pytest.raises(ValueError):
@@ -93,14 +120,12 @@ class TestStrictify:
 
     def test_upgrades_flags(self):
         k = strictify(zero_kernel(), 0.5)
-        assert k.flags.strictly_monotone
-        assert k.flags.strictly_concave
-        assert k.flags.cusp
-        assert not k.flags.singular
+        assert k.strictly_monotone
+        assert k.strictly_concave
+        assert not k.singular
 
     def test_requires_monotone(self):
-        hump = custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0),
-                             NO_FLAGS)
+        hump = custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0))
         with pytest.raises(ValueError):
             strictify(hump, 0.1)
 
@@ -125,8 +150,7 @@ class TestSingularize:
 
     def test_sets_singular_flag(self):
         k = singularize(zero_kernel(), 0.25)
-        assert k.flags.singular
-        assert k.flags.cusp
+        assert k.singular and not zero_kernel().singular
 
     def test_minorizes_original(self):
         k0, k1 = log_kernel(), singularize(log_kernel(), 0.1)
@@ -158,35 +182,102 @@ def test_constructors_refuse_nan_inf_and_nonpositive(make):
         make()
 
 
+def _grid_facts(k, m: int = 1000) -> dict[str, bool]:
+    """A numeric falsifier: each fact as a grid of m points per side of 0
+    sees it, False when the grid holds a counterexample beyond a slack of
+    1e-12 relative to the values compared, True otherwise.  A True is
+    evidence, not proof; the kernels tested here keep their counterexamples
+    far above the slack."""
+    ts = np.linspace(1e-3, 1.0, m)
+    k0 = k.eval(0.0)
+
+    def slack(*vs):
+        return 1e-12 * np.maximum(1.0, np.max(np.abs(vs), axis=0))
+
+    # each side in increasing t, with the point 1e-12 from 0
+    neg = k.eval_many(np.concatenate([-ts[::-1], [-1e-12]]))
+    pos = k.eval_many(np.concatenate([[1e-12], ts]))
+    falls, fs = np.diff(neg), slack(neg[:-1], neg[1:])
+    rises, rs = np.diff(pos), slack(pos[:-1], pos[1:])
+    monotone = bool(np.all(falls <= fs) and np.all(rises >= -rs)
+                    and k0 <= min(neg[-1], pos[0]))
+    gains = []
+    for sign in (-1.0, 1.0):
+        u, v = sign * ts[:-2], sign * ts[2:]
+        vu, vv, vm = k.eval_many(u), k.eval_many(v), k.eval_many(0.5 * (u + v))
+        gains.append(vm - 0.5 * (vu + vv) - slack(vu, vv, vm))
+    return {"singular": k0 == -math.inf,
+            "monotone": monotone,
+            "strictly_monotone": monotone and bool(np.all(falls < -fs) and np.all(rises > rs)),
+            "strictly_concave": bool(np.all(np.concatenate(gains) > 0.0))}
+
+
+def _random_side(rng: Random):
+    """A concave formula worth 0 at 0 with its extreme slopes 0 or well away
+    from it: affine, quadratic, or the log of a weight positive on [-1, 1]."""
+    steps = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Affine(rng.choice(steps), 0.0)
+    if kind == 1:
+        return Quadratic(rng.choice((-2.0, -1.0, -0.5, 0.0)), rng.choice(steps), 0.0)
+    if kind == 2:
+        return LogWeight(Affine(rng.choice((-0.5, 0.0, 0.5)), 1.0))
+    return LogWeight(Quadratic(rng.choice((-0.5, 0.0)), rng.choice((-0.25, 0.0, 0.25)), 1.0))
+
+
+def _random_custom_kernels(seed: int, count: int):
+    """Seeded custom kernels, each plain, scaled, singularized or (when
+    monotone) strictified."""
+    rng = Random(seed)
+    for _ in range(count):
+        k = custom_kernel(_random_side(rng), _random_side(rng))
+        stack = rng.randrange(4)
+        if stack == 1:
+            k = k.scaled(rng.choice((0.5, 3.0)))
+        elif stack == 2:
+            k = singularize(k, rng.choice((0.05, 0.3)))
+        elif stack == 3 and k.monotone:
+            k = strictify(k, rng.choice((0.05, 0.2)))
+        yield k
+
+
 class TestValidate:
+    """The derived facts against the numeric falsifier ``_grid_facts``."""
+
     @pytest.mark.parametrize("k", STOCK + [strictify(zero_kernel(), 0.5),
                                            singularize(zero_kernel(), 0.25),
                                            strictify(log_kernel(), 0.1),
                                            singularize(sqrt_kernel(), 0.1)])
     def test_stock_kernels_pass(self, k):
-        rep = kernel_validate(k)
-        assert rep.passed, [v.flag for v in rep.violations]
+        assert _grid_facts(k) == _facts(k)
 
     def test_catches_wrong_monotone_flag(self):
-        # rises toward 0 from the left, falls on the right: the opposite
-        # of the declared shape
-        bad = custom_kernel(Affine(1.0, 0.0), Affine(-1.0, 0.0), PLAIN_MONOTONE)
-        rep = kernel_validate(bad)
-        assert not rep.passed
-        assert any(v.flag == "monotone" for v in rep.violations)
+        # rises toward 0 from the left, falls on the right: the opposite of
+        # the monotone shape, which the falsifier must see
+        bad = custom_kernel(Affine(1.0, 0.0), Affine(-1.0, 0.0))
+        assert not bad.monotone and not _grid_facts(bad)["monotone"]
+        assert _grid_facts(bad) == _facts(bad)
 
-    def test_catches_missing_cusp(self):
-        # an affine kernel has bounded divided differences at 0
-        flags = KernelFlags(singular=False, monotone=True,
-                            strictly_monotone=True, strictly_concave=False,
-                            cusp=True)
-        flat = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 0.0), flags)
-        rep = kernel_validate(flat)
-        assert any(v.flag == "cusp" for v in rep.violations)
+    @pytest.mark.parametrize("name", sorted(STOCK_STACKS))
+    def test_every_stock_stack(self, name):
+        k = STOCK_STACKS[name]
+        assert _grid_facts(k) == _facts(k)
 
-    def test_grid_size_floor(self):
-        with pytest.raises(ValueError):
-            kernel_validate(log_kernel(), grid_size=4)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_custom_kernels(self, seed):
+        seen = {name: set() for name in FACTS}
+        for k in _random_custom_kernels(seed, 60):
+            facts = _facts(k)
+            assert _grid_facts(k) == facts, k
+            for name, v in facts.items():
+                seen[name].add(v)
+        # the draw reaches both values of every fact
+        assert all(vs == {False, True} for vs in seen.values()), seen
+
+    def test_catches_value_at_zero_above_the_left_limit(self):
+        k = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 5e-10))
+        assert not k.monotone and not _grid_facts(k)["monotone"]
 
 
 class TestJson:
@@ -197,7 +288,7 @@ class TestJson:
         back = kernel_from_json(kernel_to_json(k))
         ts = np.linspace(-1, 1, 33)
         assert np.array_equal(back.eval_many(ts), k.eval_many(ts))
-        assert back.flags == k.flags
+        assert _facts(back) == _facts(k)
 
     def test_pickles_after_evaluation(self):
         k = strictify(log_kernel(), 0.1)
@@ -235,9 +326,8 @@ def test_monotone_orientation(s, t):
 # ---------------------------------------------------------------------------
 # the family table: scalar value, vector values and derivative must agree
 
-HUMP = custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0), NO_FLAGS)
-LOG_SIDES = custom_kernel(LogWeight(Affine(-0.5, 1.0)), LogWeight(Affine(0.5, 1.0)),
-                          NO_FLAGS)
+HUMP = custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0))
+LOG_SIDES = custom_kernel(LogWeight(Affine(-0.5, 1.0)), LogWeight(Affine(0.5, 1.0)))
 BASES = {"zero": zero_kernel(), "log": log_kernel(), "sqrt": sqrt_kernel(),
          "power0.5": power_kernel(0.5), "power1.5": power_kernel(1.5),
          "custom-hump": HUMP, "custom-logweight": LOG_SIDES}
@@ -250,6 +340,13 @@ LAYERS = {"plain": lambda k: k,
 TABLE_CASES = [pytest.param(LAYERS[lay](k), id=f"{name}-{lay}")
                for name, k in BASES.items() for lay in LAYERS]
 TS = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, 1e-9, -1e-9, SING_ETA]])
+
+
+@pytest.mark.parametrize("k", TABLE_CASES)
+def test_table_cases_pass_the_falsifier(k):
+    # layers put on with replace(), so the non-monotone custom kernels get a
+    # strictify layer too; it leaves their sides rising and falling
+    assert _grid_facts(k) == _facts(k)
 
 
 def test_table_covers_every_family():
@@ -322,6 +419,16 @@ def test_formula_deriv_and_values(f):
         t = float(t)
         fd = (f.value(t + h) - f.value(t - h)) / (2 * h)
         assert f.deriv(t) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_custom_sides_are_evaluated_on_their_own_side_only():
+    # log(1 - t) on [-1, 0] and log(1 + t) on [0, 1]: each weight is 0 at the
+    # far end of the other side, where the array methods must not take its log
+    k = custom_kernel(LogWeight(Affine(-1.0, 1.0)), LogWeight(Affine(1.0, 1.0)))
+    ts = np.linspace(-1.0, 1.0, 41)
+    for t, v, d in zip(ts, *k.eval_and_derivs(ts)):
+        assert v == pytest.approx(k.eval(float(t)), rel=1e-15, abs=0.0)
+        assert d == k.deriv(float(t)) or math.isnan(d) and t == 0.0
 
 
 @pytest.mark.parametrize("k", TABLE_CASES)

@@ -29,15 +29,22 @@ LOG_N1 = {"n": 1, "field": FLAT, "kernel": {"family": "log"}}
 # through the installed entry point
 POINT_N1 = json.loads((Path(__file__).parent / "data" / "bad-field-count.config.json")
                       .read_text())["problem"]
+# a custom kernel whose log-weight sides, w = 1 - |t|, reach 0 at -1 and 1;
+# CI runs the same file through the installed entry point
+BAD_LOGWEIGHT_CONFIG = Path(__file__).parent / "data" / "bad-kernel-logweight.config.json"
 
 
-def custom_n2(flags=(), neg_c=0.0):
-    """A two-node problem with a custom kernel, some flags replaced."""
+def custom_n2(neg_c=0.0, **params):
+    """A two-node problem with a custom kernel, params added or replaced."""
     return {**LOG_N2, "kernel": {"family": "custom", "params": {
         "neg": {"type": "quadratic", "a": -1.0, "b": -1.0, "c": neg_c},
-        "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0},
-        "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
-                  "strictly_concave": False, "cusp": False, **dict(flags)}}}}
+        "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0}, **params}}}
+
+
+def log_weight_sides(slope):
+    """A custom kernel's params with sides log(1 - slope |t|)."""
+    return {side: {"type": "log_weight", "w": {"type": "affine", "alpha": a, "beta": 1.0}}
+            for side, a in (("neg", slope), ("pos", -slope))}
 
 
 def flat_with(**interval):
@@ -329,16 +336,9 @@ class TestCliSolve:
          "unknown log kernel params keys: s"),
         ({**LOG_N2, "kernel": {"family": "custom", "params": {
             "neg": {"type": "quadratic", "a": -1.0, "b": -1.0, "c": 0.0},
-            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0, "vertex": 0.5},
-            "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
-                      "strictly_concave": False, "cusp": False}}}},
+            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0, "vertex": 0.5}}}},
          "unknown quadratic formula keys: vertex"),
-        ({**LOG_N2, "kernel": {"family": "custom", "params": {
-            "neg": {"type": "quadratic", "a": -1.0, "b": -1.0, "c": 0.0},
-            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0},
-            "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
-                      "strictly_concave": False, "cusp": False, "even": True}}}},
-         "unknown kernel flag keys: even"),
+        (custom_n2(flags={"singular": False}), "unknown custom kernel params keys: flags"),
         ({**LOG_N2, "field": {"pieces": [{
             "interval": {"a": 0.0, "b": 1.0},
             "formula": {"type": "constant", "c": 0.0, "vertex": 0.5}}]}},
@@ -350,7 +350,7 @@ class TestCliSolve:
          "unknown affine formula keys: gamma"),
     ], ids=["weight", "sup_mode", "strictfy_eta", "closed_rigth", "piece-closed_right",
             "power-params-scale", "log-params-s", "custom-formula-vertex",
-            "custom-flag-even", "constant-vertex", "log_weight-nested-gamma"])
+            "custom-flags", "constant-vertex", "log_weight-nested-gamma"])
     def test_unknown_descriptor_key_exits_2(self, tmp_path, capsys, problem, key):
         cfg = write_cfg(tmp_path, "c.json", problem)
         assert main(["solve", "--config", cfg]) == 2
@@ -401,9 +401,7 @@ class TestCliSolve:
          "s must be a number"),
         ({**LOG_N2, "kernel": {"family": "custom", "params": {
             "neg": {"type": "constant", "c": None},
-            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0},
-            "flags": {"singular": False, "monotone": False, "strictly_monotone": False,
-                      "strictly_concave": False, "cusp": False}}}}, {},
+            "pos": {"type": "quadratic", "a": -1.0, "b": 1.0, "c": 0.0}}}}, {},
          "c must be a number"),
         ({**LOG_N2, "kernel": {"family": "log", "singularize_eta": [None]}}, {},
          "singularize_eta items must be numbers"),
@@ -423,7 +421,8 @@ class TestCliSolve:
         (custom_n2(neg_c="nan"), {}, "c must be a number"),
         (flat_with(closed_right="no"), {}, "closed_right must be true or false"),
         (flat_with(a=False, b=True), {}, "a must be a number"),
-        (custom_n2(flags={"singular": "no"}), {}, "singular must be true or false"),
+        (custom_n2(**log_weight_sides(2.0)), {},
+         "the negative side of a custom kernel is a log weight that is not positive"),
         ({**LOG_N2, "kernel": {"family": "log", "params": []}}, {},
          "params must be an object"),
         (LOG_N1, {"nodes": "0"}, "nodes must be a list"),
@@ -454,7 +453,7 @@ class TestCliSolve:
             "strictify_eta-string", "scale-nan-string", "scale-bool",
             "strictify_eta-NaN", "singularize_eta-inf-string", "power-s-nan-string",
             "formula-c-inf-string", "formula-c-nan-string", "closed_right-string",
-            "interval-ends-bool", "custom-flag-string", "log-params-list",
+            "interval-ends-bool", "custom-log-weight-negative", "log-params-list",
             "nodes-string", "nodes-item-bool", "weights-item-Infinity",
             "tol_residual-NaN", "fd_step-Infinity", "continuation_etas-item-NaN",
             "sweep-values-Infinity", "sweep-start-Infinity", "kernels-and-weights",
@@ -482,16 +481,34 @@ class TestCliSolve:
         ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 1.0}}]}}, {},
          "missing formula in field piece"),
         ({**LOG_N2, "kernel": {"family": "custom", "params": {
-            "neg": {"type": "constant", "c": 0.0}, "pos": {"type": "constant", "c": 0.0}}}},
-         {}, "missing flags in custom kernel params"),
+            "neg": {"type": "constant", "c": 0.0}}}},
+         {}, "missing pos in custom kernel params"),
         (LOG_N2, {"sweep": {"path": "nodes.1", "values": {"start": 0.0, "stop": 1.0}}},
          "missing count in sweep range"),
-    ], ids=["n", "family", "interval-b", "formula-c", "piece-formula", "custom-flags",
+    ], ids=["n", "family", "interval-b", "formula-c", "piece-formula", "custom-pos",
             "sweep-count"])
     def test_missing_key_exits_2(self, tmp_path, capsys, problem, extra, message):
         cfg = write_cfg(tmp_path, "c.json", problem, **extra)
         assert main(["solve", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slope", [1.0, 2.0], ids=["w-zero-at-ends", "w-negative"])
+    def test_custom_log_weight_side_must_be_positive_exits_2(self, tmp_path, capsys, slope):
+        # w = 1 - slope |t| on both sides: 0 at -1 and at 1 for slope 1,
+        # negative for |t| > 1/2 for slope 2
+        cfg = write_cfg(tmp_path, "c.json", custom_n2(**log_weight_sides(slope)))
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "the negative side of a custom kernel is a log weight that is not " \
+               "positive on [-1, 0]" in err
+
+    def test_custom_log_weight_config_file_exits_2(self, capsys):
+        assert main(["solve", "--config", str(BAD_LOGWEIGHT_CONFIG)]) == 2
+        assert "is a log weight that is not positive" in capsys.readouterr().err
+
+    def test_custom_log_weight_side_positive_on_its_side_loads(self):
+        k = problem_from_json(custom_n2(**log_weight_sides(0.5))).kernel
+        assert k.eval(-1.0) == k.eval(1.0) == math.log(0.5)
 
     def test_integral_float_n_is_accepted(self):
         assert problem_from_json({**LOG_N2, "n": 2.0}).n == 2

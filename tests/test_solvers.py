@@ -16,9 +16,8 @@ from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, usc_regularize
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
-from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
-                                    power_kernel, singularize, sqrt_kernel,
-                                    strictify, zero_kernel)
+from fenton_minimax.kernels import (custom_kernel, log_kernel, power_kernel,
+                                    singularize, sqrt_kernel, strictify, zero_kernel)
 from fenton_minimax.schema import (options_from_json, options_to_json,
                                    problem_from_json, problem_to_json)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
@@ -37,10 +36,7 @@ FAST = SolveOptions(multistarts=4)
 KERNELS = (
     zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
     power_kernel(1.5),
-    custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0),
-                  KernelFlags(singular=False, monotone=False,
-                              strictly_monotone=False, strictly_concave=False,
-                              cusp=False)),
+    custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0)),
 )
 
 
@@ -63,7 +59,7 @@ def transformed_problems(draw):
     kernel per node."""
     p = draw(random_problems())
     k = p.kernel.scaled(draw(st.floats(0.125, 8.0)))
-    strict = k.flags.monotone and draw(st.booleans())
+    strict = k.monotone and draw(st.booleans())
     if strict:
         k = strictify(k, draw(st.floats(1e-3, 1.0)))
     for _ in range(draw(st.integers(0 if strict else 1, 2))):
@@ -202,6 +198,24 @@ class TestHalfOpenFields:
         assert max(m) - min(m) <= FAST.tol_residual
         if field is gate_field:
             assert abs(rep.value.as_float() - (1 - 3 * n) * math.log(2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trace_ends_at_the_reported_point(self, n):
+        # the last record is J's residual and value at J*'s point, not the
+        # Newton point of J* that the snap moved onto the break
+        rep = solve_equioscillation(Problem(n=n, field=ramp_field(), kernel=zero_kernel()),
+                                    FAST)
+        last = rep.trace[-1]
+        assert (last.x, last.residual, last.value) == (rep.x.nodes, rep.residual,
+                                                       rep.value.as_float())
+
+    def test_trace_ends_at_the_snapped_point(self):
+        p = Problem(n=2, field=usc_regularize(ramp_field()), kernel=zero_kernel())
+        rep = solve_equioscillation(p, FAST)
+        assert rep.x.nodes == (0.5, 0.5) and rep.residual == 0.0
+        *newton, last = rep.trace
+        assert newton[-1].x != (0.5, 0.5) and newton[-1].residual > 0.0
+        assert last == (newton[-1].iteration, 0.0, 0.5, (0.5, 0.5))
 
     def test_snap_moves_nodes_jointly(self):
         # where Newton on J* of the zero-kernel ramp stops at n = 2; moving
@@ -618,11 +632,8 @@ def test_shared_eq_and_early_reject_match_reference_at_n4():
 # ---------------------------------------------------------------------------
 # monotone-kernel poll pruning
 
-MONOTONE_FLAGS = KernelFlags(singular=False, monotone=True, strictly_monotone=False,
-                             strictly_concave=False, cusp=False)
-# declared monotone, but the negative side rises on [-1, -0.25)
-RISING_AT_MINUS_ONE = custom_kernel(Quadratic(-1.0, -0.5, 0.0), Affine(1.0, 0.0),
-                                    MONOTONE_FLAGS)
+# monotone but for its negative side, which rises on [-1, -0.25)
+RISING_AT_MINUS_ONE = custom_kernel(Quadratic(-1.0, -0.5, 0.0), Affine(1.0, 0.0))
 
 
 def _with_layers(k):
@@ -635,38 +646,39 @@ class TestMonotoneQualification:
                              ids=lambda k: f"{k.family}{k.params}-{k.strictify_eta}"
                                            f"-{k.singularize_etas}-{k.scale}")
     def test_builtin_families_qualify(self, k):
-        assert solvers._monotone_kernel(k)
+        assert k.monotone
 
     def test_custom_quadratic_of_random_problems_does_not(self):
         assert KERNELS[5].family == "custom"
-        assert not solvers._monotone_kernel(KERNELS[5])
+        assert not KERNELS[5].monotone
 
-    def test_declared_flag_is_not_trusted(self):
-        assert RISING_AT_MINUS_ONE.flags.monotone
+    def test_rising_side_is_not_monotone(self):
         assert RISING_AT_MINUS_ONE.neg_formula.deriv(-1.0) > 0
-        assert not solvers._monotone_kernel(RISING_AT_MINUS_ONE)
-        # layers cannot repair the custom side
-        assert not solvers._monotone_kernel(strictify(RISING_AT_MINUS_ONE, 0.1))
+        assert not RISING_AT_MINUS_ONE.monotone
+        # layers cannot repair the custom side, and strictify refuses it
+        assert not replace(RISING_AT_MINUS_ONE, strictify_eta=0.1).monotone
+        with pytest.raises(ValueError, match="monotone"):
+            strictify(RISING_AT_MINUS_ONE, 0.1)
 
     def test_log_weight_side_must_be_positive_at_its_far_end(self):
-        # log(2t + 1) rises on (-1/2, 0), yet w'/w = 2 / -1 < 0 at t = -1
-        k = custom_kernel(LogWeight(Affine(2.0, 1.0)), Affine(1.0, 0.0), MONOTONE_FLAGS)
-        assert not solvers._monotone_kernel(k)
-        ok = custom_kernel(LogWeight(Affine(-1.0, 1.0)), Affine(1.0, 0.0), MONOTONE_FLAGS)
-        assert solvers._monotone_kernel(ok)
+        # log(2t + 1) rises on (-1/2, 0) and is undefined at t = -1
+        with pytest.raises(ValueError, match=r"not positive on \[-1, 0\]"):
+            custom_kernel(LogWeight(Affine(2.0, 1.0)), Affine(1.0, 0.0))
+        ok = custom_kernel(LogWeight(Affine(-1.0, 1.0)), Affine(1.0, 0.0))
+        assert ok.monotone
 
     def test_monotone_custom_kernel_qualifies(self):
-        k = custom_kernel(Quadratic(-1.0, -3.0, 0.0), Affine(1.0, 0.0), MONOTONE_FLAGS)
-        assert solvers._monotone_kernel(k)
-        assert solvers._monotone_kernel(singularize(k, 0.05))
+        k = custom_kernel(Quadratic(-1.0, -3.0, 0.0), Affine(1.0, 0.0))
+        assert k.monotone
+        assert singularize(k, 0.05).monotone
 
     def test_value_at_zero_above_the_left_limit(self):
         # within the 1e-9 the constructor forgives, yet K(0) > K(0-)
-        k = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 5e-10), MONOTONE_FLAGS)
+        k = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 5e-10))
         assert 0.0 < k.eval(0.0) - k.neg_formula.value(0.0) <= 1e-9
-        assert not solvers._monotone_kernel(k)
-        equal = custom_kernel(Affine(-1.0, 5e-10), Affine(1.0, 0.0), MONOTONE_FLAGS)
-        assert solvers._monotone_kernel(equal)
+        assert not k.monotone
+        equal = custom_kernel(Affine(-1.0, 5e-10), Affine(1.0, 0.0))
+        assert equal.monotone
 
     def test_one_kernel_of_a_kernel_list_decides(self):
         good = Problem(n=2, field=flat_field(), kernels=(log_kernel(), sqrt_kernel()))
@@ -676,14 +688,14 @@ class TestMonotoneQualification:
         assert not solvers._monotone_problem(
             Problem(n=2, field=flat_field(), kernel=RISING_AT_MINUS_ONE))
 
-    def test_declared_but_not_monotone_solves_as_reference(self, monkeypatch):
+    def test_not_monotone_solves_as_reference(self, monkeypatch):
         p = Problem(n=3, field=bump_field(), kernel=RISING_AT_MINUS_ONE)
         o = SolveOptions(multistarts=2)
         eq = solve_equioscillation(p, o)
         ref = ref_solve_minimax(p, o)
         assert_same_solve(solve_minimax(p, o, eq=eq), ref)
         assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
-        # trusting the declared flag here would prune polls that succeed
+        # pruning here would skip polls that succeed
         monkeypatch.setattr(solvers, "_monotone_problem", lambda p: True)
         assert solve_minimax(p, o, eq=eq).value != ref.value
 
@@ -797,10 +809,7 @@ def _count_fd_calls(monkeypatch):
 def test_fd_jacobian_when_the_kernel_peaks_at_its_node(monkeypatch):
     # K(t) = -|t| peaks at 0 and F is linear between nodes on a flat field,
     # so interval maxima sit on nodes
-    tent = custom_kernel(Affine(1.0, 0.0), Affine(-1.0, 0.0),
-                         KernelFlags(singular=False, monotone=False,
-                                     strictly_monotone=False, strictly_concave=False,
-                                     cusp=False))
+    tent = custom_kernel(Affine(1.0, 0.0), Affine(-1.0, 0.0))
     calls = _count_fd_calls(monkeypatch)
     for field in (flat_field(), bump_field()):
         rep = solve_equioscillation(Problem(n=2, field=field, kernel=tent), FAST)

@@ -13,9 +13,8 @@ from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, n_field_check
 from fenton_minimax.formulas import Affine, Constant, Formula, Quadratic
-from fenton_minimax.kernels import (KernelFlags, custom_kernel, log_kernel,
-                                    power_kernel, singularize, sqrt_kernel,
-                                    strictify, zero_kernel)
+from fenton_minimax.kernels import (custom_kernel, log_kernel, power_kernel,
+                                    singularize, sqrt_kernel, strictify, zero_kernel)
 from fenton_minimax.maximize import concave_max
 from fenton_minimax.solvers import SolveOptions, _nearest_finite, solve_maximin
 from fenton_minimax.sumtrans import (Problem, _pure_many, interval_maxima,
@@ -285,10 +284,7 @@ _LAST_BITS = 1e-14
 KERNELS = (
     zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
     power_kernel(1.5),
-    custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0),
-                  KernelFlags(singular=False, monotone=False,
-                              strictly_monotone=False, strictly_concave=False,
-                              cusp=False)),
+    custom_kernel(Quadratic(-1.0, -1.0, 0.0), Quadratic(-1.0, 1.0, 0.0)),
 )
 
 
@@ -424,7 +420,7 @@ def test_selector_and_stack_match_plain_batch_on_battery(name):
     js[:2] = (0, p.n)
     stack = (p, _transformed(p, "singularize", 0.2), _transformed(p, "singularize", 0.02),
              *(Problem(n=p.n, field=p.field, kernel=k) for k in KERNELS))
-    if p.kernel.flags.monotone:
+    if p.kernel.monotone:
         stack += (_transformed(p, "strictify", 0.1),)
     assert_selector_and_stack_are_bitwise(stack, X, js)
     values = interval_maxima_batch(stack, X, js).values
@@ -484,6 +480,20 @@ def test_regularity_bands_coincident_nodes_at_hole_end():
     assert not rep.in_Y and rep.singular_intervals == (1,)
 
 
+def test_regularity_reads_the_singular_fact_off_the_kernel():
+    # |t| is finite at 0, so the coincident nodes at 0.4 leave m_1 = J(0.4) = 0,
+    # and regularity, which reads Kernel.singular, must agree with both engines
+    tent = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 0.0))
+    p = Problem(n=2, field=two_band_field(), kernel=tent)
+    x = NodeSystem((0.4, 0.4))
+    assert not tent.singular and not p.any_singular()
+    rep = regularity(p, x)
+    assert rep.in_Y and rep.singular_intervals == ()
+    assert interval_maxima(p, x).values[1].as_float() == 0.0
+    assert interval_maxima_batch(p, np.array([x.nodes])).values[0, 1] == 0.0
+    assert not regularity_many(p, np.array([x.nodes])).any()
+
+
 def test_in_Y_iff_every_interval_maximum_is_finite():
     """Seeded: random usc fields x six kernels x n <= 3, with nodes snapped
     to 0, 1 and piece ends and coincident nodes (``_node_rows``)."""
@@ -524,9 +534,7 @@ class _LogToEdge(Formula):
 
 # -inf at -1 and at 1, finite at 0: a node at 1 makes the point 0 singular,
 # a node at 0 the point 1
-EDGE_SINK = custom_kernel(_LogToEdge(1.0), _LogToEdge(-1.0),
-                          KernelFlags(singular=False, monotone=False, strictly_monotone=False,
-                                      strictly_concave=True, cusp=False))
+EDGE_SINK = custom_kernel(_LogToEdge(1.0), _LogToEdge(-1.0))
 
 
 def _field(*parts) -> Field:
