@@ -7,6 +7,11 @@ sits on a kernel node.  Tangent lines give the upper bounds behind ``err``.
 
 ``concave_max`` maximizes one function; ``concave_max_many`` is its array
 twin, which maximizes many independent cells in lockstep with the same steps.
+
+``concave_max`` also takes a threshold ``stop``, for a caller that only needs
+to know whether the value it reports exceeds ``stop``.  That value is the
+largest of the values of g it computes, so the first of them above ``stop``
+settles the question exactly, and the call returns there.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ class MaxResult(NamedTuple):
     interior: bool
 
 
-def concave_max(g: Callable[[float], tuple[float, float]], a: float, b: float) -> MaxResult:
+def concave_max(g: Callable[[float], tuple[float, float]], a: float, b: float,
+                stop: float = math.inf) -> MaxResult:
     """Maximize a concave g over [a, b]; g(t) returns (value, derivative).
 
     The one-sided derivatives at the ends are tested first: g'(a+) <= 0 puts
@@ -46,13 +52,23 @@ def concave_max(g: Callable[[float], tuple[float, float]], a: float, b: float) -
     best value found up to that bound, plus a few ulps of the value, so the
     maximum lies in [value, value + err].  Ties go to the exact ends and then
     to the smaller abscissa, which keeps results deterministic.
+
+    The value found is the largest of the values of g computed.  So once one
+    of them exceeds ``stop``, the value found does too: g is not called
+    again, and that value and its abscissa come back with err = inf, as a
+    lower bound on the maximum.  While no value exceeds ``stop``, the
+    steps and the result are those of the call without it.
     """
     if b < a:
         raise ValueError("empty interval")
     fa, da = g(a)
+    if fa > stop:
+        return MaxResult(fa, a, math.inf, False)
     if not a < b or da <= 0.0:
         return MaxResult(fa, a, 0.0, False)
     fb, db = g(b)
+    if fb > stop:
+        return MaxResult(fb, b, math.inf, False)
     end_v, end_t = (fb, b) if fb > fa else (fa, a)
     if db >= 0.0:
         return MaxResult(end_v, end_t, 0.0, False)
@@ -78,6 +94,8 @@ def concave_max(g: Callable[[float], tuple[float, float]], a: float, b: float) -
             gap = 0.0
             break
         ft, dt = g(t)
+        if ft > stop:
+            return MaxResult(ft, t, math.inf, True)
         known += 1
         t0, d0, t1, d1 = t1, d1, t, dt
         if ft > best_v or (ft == best_v and t < best_t):

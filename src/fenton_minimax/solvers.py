@@ -46,10 +46,19 @@ search also starts from points of its own (the evenly spaced system for
 minimax, three random regular systems for maximin), so comparing their
 values is not circular.  Both run one driver, ``_search``, which differs
 between them only in the sign of the objective: it searches from every
-start, keeps the best value and reports it.  A search candidate is compared
-with the incumbent one interval maximum at a time and dropped at the first
-that fails to beat it; this gives the same result as computing all n + 1, at
-a fraction of the cost.
+start, keeps the best value and reports it with the trace of its start.  A
+search candidate is compared with the incumbent value fx one interval
+maximum at a time and dropped at the first that fails to beat it.  Nor is
+an interval maximum computed further than that comparison needs.  The sup
+engine's m_j is the largest F value it computes on the interval, so the
+first value >= fx proves m_j >= fx, and minimax rejects the candidate
+there; the first value > fx proves m_j > fx, and maximin lets the interval
+pass there.  Once every interval has passed, maximin completes only those
+whose lower bound could still be the new minimum.  All this gives the same
+result as computing all n + 1 maxima in full, at a fraction of the cost:
+one pass of the solve-battery benchmark (seed 1) makes 60,410 F
+evaluations, where computing each interval maximum it compares in full
+makes 79,118.
 
 Most candidates need no evaluation at all when every kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -67,8 +76,9 @@ this hold.  The engine's rounding could in principle let through a gain
 smaller than that maximum's ``err``; the tests check at sampled systems
 that full evaluation rejects every candidate the rule skips, and that the
 searches match full-evaluation ones bit for bit.  On one pass of the
-solve-battery benchmark, 9,922 of 17,462 candidates (57%) are skipped this
-way, and the sup engine's cell maximizations fall from 31,602 to 19,669.
+solve-battery benchmark (seed 1), 9,872 of 17,476 candidates (56%) are
+skipped this way, and the sup engine's cell maximizations fall from 24,670
+to 16,327.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -88,7 +98,7 @@ import numpy as np
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import Field, limsup_conditions, usc_regularize
 from .kernels import strictify
-from .sumtrans import MaximaVector, Problem, _maxima_fn, interval_maxima, regularity
+from .sumtrans import Problem, _maxima_fn, _RawSup, interval_maxima, regularity
 
 __all__ = [
     "SolveOptions",
@@ -126,6 +136,10 @@ class SolveOptions:
 
 
 class TraceRecord(NamedTuple):
+    """One point of a solver's path.  Equioscillation records its Newton
+    iteration, |Phi| and the largest interval maximum at x; minimax and
+    maximin record the sweep, the pattern step and their objective at x."""
+
     iteration: int
     residual: float
     value: float
@@ -155,15 +169,21 @@ def _ns(arr) -> NodeSystem:
     return NodeSystem(arr.tolist() if isinstance(arr, np.ndarray) else arr)
 
 
-def _maxima(p: Problem, arr) -> MaximaVector | None:
-    """The interval maxima, or None when some maximum is -inf."""
-    m = interval_maxima(p, _ns(arr))
-    return m if all(v.is_finite for v in m.values) else None
+def _maxima(p: Problem, arr) -> list[_RawSup] | None:
+    """The interval maxima as ``_maxima_fn`` gives them, (m_j, witness,
+    attained, err) in floats, or None when some maximum is -inf."""
+    m = _maxima_fn(p, _ns(arr).nodes)
+    rows = [m(j) for j in range(p.n + 1)]
+    return rows if all(r[0] != -math.inf for r in rows) else None
+
+
+def _values(m: list[_RawSup]) -> list[float]:
+    return [r[0] for r in m]
 
 
 def _phi(p: Problem, arr) -> np.ndarray | None:
     m = _maxima(p, arr)
-    return None if m is None else np.diff(m.floats())
+    return None if m is None else np.diff(_values(m))
 
 
 def _objective(m, sign: float) -> float:
@@ -528,7 +548,7 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
         m = _maxima(p, [v])
         if m is None:
             return None
-        m0, m1 = m.floats()
+        m0, m1 = _values(m)
         top[v] = max(m0, m1)
         return m1 - m0
 
@@ -598,7 +618,7 @@ def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray, o: SolveOptions):
     return jac
 
 
-def _danskin_jacobian(p: Problem, x: np.ndarray, m: MaximaVector) -> np.ndarray | None:
+def _danskin_jacobian(p: Problem, x: np.ndarray, m: list[_RawSup]) -> np.ndarray | None:
     """Jacobian of Phi from the witnesses of the finite interval maxima m at x.
 
     By Danskin's theorem, when m_i is attained at t_i and t_i is not a node
@@ -607,10 +627,10 @@ def _danskin_jacobian(p: Problem, x: np.ndarray, m: MaximaVector) -> np.ndarray 
     attained or its witness is on a node, or some K' there is not finite.
     """
     nodes = x.tolist()
-    if any(not att or t in nodes for t, att in zip(m.witnesses, m.attained)):
+    if any(not att or t in nodes for _, t, att, _ in m):
         return None
     grad = np.array([[-w * k.deriv(t - xk) for (w, k), xk in zip(p.translates(), nodes)]
-                     for t in m.witnesses])
+                     for _, t, _, _ in m])
     return np.diff(grad, axis=0) if np.all(np.isfinite(grad)) else None
 
 
@@ -622,10 +642,10 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
         m = _maxima(p, x)
         if m is None:
             return x, math.inf, 0, []
-    phi = np.diff(m.floats())
+    phi = np.diff(_values(m))
     res = _residual(phi)
     lam = 1e-10
-    trace = [TraceRecord(0, res, max(m.floats()), tuple(x))]
+    trace = [TraceRecord(0, res, max(_values(m)), tuple(x))]
     iters = 0
     while iters < o.max_iters and res > o.tol_residual:
         iters += 1
@@ -644,14 +664,14 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
             mc = _maxima(p, xc)
             if mc is None:
                 continue
-            phc = np.diff(mc.floats())
+            phc = np.diff(_values(mc))
             rc = _residual(phc)
             if rc < res:
                 step = float(np.max(np.abs(xc - x)))
                 x, m, phi, res = xc, mc, phc, rc
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                trace.append(TraceRecord(iters, res, max(mc.floats()), tuple(x)))
+                trace.append(TraceRecord(iters, res, max(_values(mc)), tuple(x)))
                 if step < o.tol_step:
                     iters = o.max_iters
                 break
@@ -778,19 +798,33 @@ def _futile_moves(m, fx: float, sign: float) -> frozenset[tuple[int, bool]]:
                      if (hi > j if (sign > 0) == right else lo <= j))
 
 
-def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
-             m0) -> tuple[np.ndarray, float, float, int]:
-    """Coordinate pattern search on the interval maxima from x0, whose
-    interval maxima are m0: sign=-1 minimizes their maximum, sign=+1
-    maximizes their minimum.
+def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float,
+             m0) -> tuple[tuple[float, ...], float, float, int, list[TraceRecord]]:
+    """Coordinate pattern search on the interval maxima from the sorted
+    nodes x0, whose interval maxima are m0: sign=-1 minimizes their maximum,
+    sign=+1 maximizes their minimum.  Returns the final nodes, value, step
+    and sweep count, and the trace: the start and every accepted poll as
+    ``TraceRecord(sweep, step, value, x)``.
 
     A candidate beats the incumbent value fx exactly when every m_j does
     (m_j < fx, or m_j > fx), so it is evaluated one interval at a time and
-    dropped at the first m_j that does not; only an accepted candidate gets
-    all n + 1.  Each (node, direction) move first tries the interval that
-    rejected its last candidate, initially the interval the move shrinks.  A
-    point seen before in this search is rejected unevaluated: fx only
-    improves, so it cannot beat fx now.
+    dropped at the first m_j that does not.  Each (node, direction) move
+    first tries the interval that rejected its last candidate, initially the
+    interval the move shrinks.  A point seen before in this search is
+    rejected unevaluated: fx only improves, so it cannot beat fx now.
+
+    No interval maximum is computed further than its comparison with fx
+    needs (``stop`` of ``_sup_cells``): the engine's m_j is the largest F
+    value it computes, so the first value above a threshold settles that
+    m_j is above it.  Minimax stops at the first value >= fx and rejects;
+    an interval that runs to the end has its exact m_j < fx.  Maximin stops
+    at the first value > fx and lets the interval pass with that lower
+    bound; one that runs to the end has m_j <= fx and rejects.  Once every
+    interval has passed, maximin completes them in ascending order of bound
+    while the bound is at most the smallest completed maximum (the shared F
+    evaluator replays their probes); every other m_j is above that minimum.
+    So each decision, the new fx, the maxima equal to it and the interval
+    that rejects a move are exactly those of full evaluation.
 
     When every kernel is monotone with K(0) at most its one-sided limits
     (``_monotone_problem``), a poll is also rejected unevaluated when it
@@ -798,62 +832,72 @@ def _pattern(p: Problem, x0: np.ndarray, o: SolveOptions, sign: float,
     fx: moving a node right raises every maximum left of it and lowers every
     one right of it, moving it left does the reverse, and a maximum that
     does not improve on fx cannot let the poll beat fx (``_futile_moves``).
-    Those maxima are read from the incumbent's full maxima, which the start
-    and every accepted poll have.  Full evaluation rejects every such poll
-    in exact arithmetic; rounding could only let through a gain smaller
-    than that maximum's ``err``, and the tests find none.  On the
-    benchmark's solve-battery this skips 57% of the polls.
+    Those maxima are read from the incumbent's maxima equal to fx, which
+    the start and every accepted poll have exactly.  Full evaluation
+    rejects every such poll in exact arithmetic; rounding could only let
+    through a gain smaller than that maximum's ``err``, and the tests find
+    none.  On the benchmark's solve-battery this skips 56% of the polls.
 
     Results equal a search that evaluates every candidate in full.  The
-    intervals of one candidate share one F evaluator, and their maxima come
-    back as plain floats.
+    polls are tuples of floats, and the intervals of one candidate share one
+    F evaluator.
     """
     n = len(x0)
-    x = x0.copy()
+    x = x0
     fx = _objective(m0, sign)
     prune = _monotone_problem(p)
     futile = _futile_moves(m0, fx, sign) if prune else frozenset()
-    seen = {x.tobytes()}
+    seen = {x}
     lead: dict[tuple[int, bool], int] = {}
     step = 0.125
     iters = 0
+    trace = [TraceRecord(0, step, fx, x)]
     budget = o.max_iters * 6
     while step >= o.tol_step and iters < budget:
         iters += 1
         improved = False
         for j in range(n):
             for delta in (step, -step):
-                c = x.copy()
-                c[j] += delta
-                if not 0.0 <= c[j] <= 1.0:
+                cj = x[j] + delta
+                if not 0.0 <= cj <= 1.0:
                     continue
-                if j > 0 and c[j] < c[j - 1]:
+                if j > 0 and cj < x[j - 1]:
                     continue
-                if j < n - 1 and c[j] > c[j + 1]:
+                if j < n - 1 and cj > x[j + 1]:
                     continue
-                key = c.tobytes()
-                if key in seen:
+                c = (*x[:j], cj, *x[j + 1:])
+                if c in seen:
                     continue
-                seen.add(key)
+                seen.add(c)
                 move = (j, delta > 0)
                 if move in futile:
                     continue
                 first = lead.get(move, j + 1 if delta > 0 else j)
-                maximum = _maxima_fn(p, _ns(c))
+                maximum = _maxima_fn(p, c)
+                # a value above stop settles the comparison of m_j with fx
+                stop = fx if sign > 0 else math.nextafter(fx, -math.inf)
                 m = [0.0] * (n + 1)
                 for i in (first, *range(first), *range(first + 1, n + 1)):
-                    m[i] = maximum(i)[0]
+                    m[i] = maximum(i, stop)[0]
                     if not sign * m[i] > sign * fx:
                         lead[move] = i
                         break
                 else:
+                    if sign > 0:  # every m[i] is a lower bound above fx
+                        low = math.inf
+                        for bound, i in sorted(zip(m, range(n + 1))):
+                            if bound > low:
+                                break
+                            m[i] = maximum(i)[0]
+                            low = min(low, m[i])
                     x, fx = c, _objective(m, sign)
                     if prune:
                         futile = _futile_moves(m, fx, sign)
                     improved = True
+                    trace.append(TraceRecord(iters, step, fx, x))
         if not improved:
             step *= 0.5
-    return x, fx, step, iters
+    return x, fx, step, iters, trace
 
 
 def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
@@ -861,25 +905,27 @@ def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
     """The pattern search of ``_pattern`` (sign as there) from every start
     whose objective is finite.  The best value wins, ties going to the
     lexicographically first node system; its final step is the residual,
-    and the iterations add up over eq and every search."""
+    its trace ends at the reported point, and the iterations add up over eq
+    and every search."""
     best = None
     iters = eq.iterations
     for x0 in starts:
-        m0 = interval_maxima(p, _ns(x0)).floats()
+        start = _ns(x0)
+        m0 = interval_maxima(p, start).floats()
         if not math.isfinite(_objective(m0, sign)):
             continue
-        x, fx, step, it = _pattern(p, x0, o, sign, m0)
+        x, fx, step, it, trace = _pattern(p, start.nodes, o, sign, m0)
         iters += it
-        if best is None or (-sign * fx, tuple(x)) < (-sign * best[0], best[1]):
-            best = (fx, tuple(x), step)
+        if best is None or (-sign * fx, x) < (-sign * best[0], best[1]):
+            best = (fx, x, step, trace)
     if best is None:
         return SolveReport(None, NEG_INF, math.inf, "infeasible", iters,
                            note="no feasible start: every start leaves some "
                                 "interval at -inf")
-    value, xt, step = best
+    value, xt, step, trace = best
     status = "converged" if step < o.tol_step else "stalled"
     return SolveReport(_ns(xt), ExtendedReal.of(value), step, status, iters,
-                       eq.trace, eq.solutions)
+                       _ending_at(trace, xt, step, value), eq.solutions)
 
 
 def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),

@@ -24,6 +24,9 @@ memoized F evaluator (``_pure_fun``) that every interval of the system
 shares, since a cell end of one interval is a point candidate of the next.
 ``interval_maxima``, ``sup_on_interval`` and the solvers' pattern search
 enter it through ``_maxima_fn``/``_sup_cells`` with float interval ends.
+Its value is the largest F value it computes, so a caller that only asks
+whether m_j exceeds a threshold ``stop`` gets its answer at the first value
+above ``stop``, returned as a lower bound; the pattern search asks that.
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
 systems are known up front, as in the sampling checks.  Two options shrink
@@ -243,12 +246,13 @@ class _Plan:
             if kills.any())
 
 
-def _pure_fun(p: Problem, x: NodeSystem):
-    """t -> (f(x, t), derivative in t); the derivative is NaN where a kernel
-    with a cusp or a pole at 0 sits on a node.  Memoized and built once per
-    node system: a candidate point of the sup engine is also the end of one
-    or two cells, and an interval's end is the next interval's start."""
-    walk = p._plan.translate_sum.at(x.nodes)
+def _pure_fun(p: Problem, nodes: tuple[float, ...]):
+    """t -> (f(x, t), derivative in t) for the node system x with the sorted
+    ``nodes``; the derivative is NaN where a kernel with a cusp or a pole at
+    0 sits on a node.  Memoized and built once per node system: a candidate
+    point of the sup engine is also the end of one or two cells, and an
+    interval's end is the next interval's start."""
+    walk = p._plan.translate_sum.at(nodes)
     memo: dict[float, tuple[float, float]] = {}
 
     def f(t: float) -> tuple[float, float]:
@@ -268,14 +272,22 @@ def _pure_fun(p: Problem, x: NodeSystem):
 _RawSup = tuple[float, float | None, bool, float]
 
 
-def _sup_cells(p: Problem, x: NodeSystem, f, a: float, b: float,
-               closed_left: bool = True, closed_right: bool = True) -> _RawSup:
+def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
+               closed_left: bool = True, closed_right: bool = True,
+               stop: float = math.inf) -> _RawSup:
     """The exact engine on the interval from a to b with the given end
-    flags, for a piecewise field; f is ``_pure_fun(p, x)``.  The value is a
-    float, -inf when F is -inf on the whole interval."""
-    # the breakpoints include 0 and 1, which no query interval holds
-    # strictly inside
-    ends, nodes, piece_at = p.field.breakpoints(), x.nodes, p.field.piece_at
+    flags, for a piecewise field; f is ``_pure_fun(p, nodes)``.  The value is
+    a float, -inf when F is -inf on the whole interval.
+
+    The value is the largest F value computed, at a point or in a cell.  So
+    the first one above ``stop`` shows that the value is above it too: the
+    call returns it at once, with its location and err = inf, as a lower
+    bound.  While no value exceeds ``stop``, the result is that of the call
+    without it, bit for bit."""
+    # the piece holding t is pieces[bisect_left + bisect_right]; the
+    # breakpoints include 0 and 1, which no query interval holds strictly
+    # inside
+    ends, pieces = p.field._scalar_table
     cuts = ends[bisect_right(ends, a):bisect_left(ends, b)]
     inner = nodes[bisect_right(nodes, a):bisect_left(nodes, b)]
     if inner:
@@ -287,13 +299,16 @@ def _sup_cells(p: Problem, x: NodeSystem, f, a: float, b: float,
     for t in pts:
         if (t == a and not closed_left) or (t == b and not closed_right):
             continue
-        piece = piece_at(t)
+        piece = pieces[bisect_left(ends, t) + bisect_right(ends, t)]
         base = -math.inf if piece is None else piece.formula.value(t)
         v = -math.inf if base == -math.inf else base + f(t)[0]
+        if v > stop:
+            return v, t, True, math.inf
         cands.append((v, t, True, 0.0))
 
     for u, v in zip(pts, pts[1:]):
-        piece = piece_at(0.5 * (u + v))
+        mid = 0.5 * (u + v)
+        piece = pieces[bisect_left(ends, mid) + bisect_right(ends, mid)]
         if piece is None:
             continue
 
@@ -303,7 +318,9 @@ def _sup_cells(p: Problem, x: NodeSystem, f, a: float, b: float,
 
         # an interior maximum is attained; one at a cell end is the one-sided
         # limit there, and the other end's limit is no larger
-        cell_v, cell_t, cell_err, interior = concave_max(g, u, v)
+        cell_v, cell_t, cell_err, interior = concave_max(g, u, v, stop)
+        if cell_v > stop:
+            return cell_v, cell_t, interior, cell_err
         cands.append((cell_v, cell_t, interior, cell_err))
 
     # the largest value wins, then attained, then smaller err, then smaller t
@@ -338,21 +355,25 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
     _check_nodes(p, x)
     if q.a < 0.0 or q.b > 1.0:
         raise ValueError("query interval must sit inside [0, 1]")
-    return _result(_sup_cells(p, x, _pure_fun(p, x), q.a, q.b, q.closed_left, q.closed_right))
+    nodes = x.nodes
+    return _result(_sup_cells(p, nodes, _pure_fun(p, nodes), q.a, q.b,
+                              q.closed_left, q.closed_right))
 
 
-def _maxima_fn(p: Problem, x: NodeSystem) -> Callable[[int], _RawSup]:
-    """j -> (m_j, witness, attained, err) of x as floats, the m_j of
-    ``interval_maxima``; every interval shares one F evaluator."""
-    _check_nodes(p, x)
-    f = _pure_fun(p, x)
-    s = x.with_sentinels()
-    return lambda j: _sup_cells(p, x, f, s[j], s[j + 1])
+def _maxima_fn(p: Problem, nodes: tuple[float, ...]) -> Callable[..., _RawSup]:
+    """(j, stop=inf) -> (m_j, witness, attained, err) as floats, the m_j of
+    ``interval_maxima`` for the node system with the sorted tuple ``nodes``
+    (unchecked), or with a value above ``stop`` a lower bound on it, as
+    ``_sup_cells`` gives it.  Every interval shares one F evaluator."""
+    f = _pure_fun(p, nodes)
+    s = (0.0, *nodes, 1.0)
+    return lambda j, stop=math.inf: _sup_cells(p, nodes, f, s[j], s[j + 1], stop=stop)
 
 
 def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
     """m_j = sup of F over [x_j, x_{j+1}] for j = 0..n (sentinels 0 and 1)."""
-    m = _maxima_fn(p, x)
+    _check_nodes(p, x)
+    m = _maxima_fn(p, x.nodes)
     results = [_result(m(j)) for j in range(p.n + 1)]
     return MaximaVector(
         values=tuple(r.value for r in results),

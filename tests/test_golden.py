@@ -14,7 +14,8 @@ has no equioscillation point, so that report pins a stalled solve (exit 1)
 through the usc regularization; it was written when that route replaced the
 limit heuristics of the n = 1 solver, and its CSV report
 ``zero-n2-ramp.report.csv`` pins the equioscillation trace of that solve,
-which ends at the reported point (1/2, 1/2) with J's residual inf.  Each
+which ends at the reported point (1/2, 1/2) with J's residual inf, and the
+traces of its minimax and maximin searches.  Each
 ``verify-<check>.report.json`` is the report of ``verify --check <id>
 --trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
@@ -34,9 +35,13 @@ from ``solve --format csv`` (the solver traces) and
 ``oracle-log-n1-ramp.report.csv`` from ``oracle --h 1/128 --format csv``
 (the n = 1 maxima landscape, 129 rows, 66 of them holding ``-inf``); both
 were written before the JSON codecs and the report float encoder moved into
-``schema``.  Reports carry
-no timings, so any byte that moves means a solver, an oracle, a check or the
-sup engine changed a float, a status, an iteration or a trial count.  To
+``schema``.  The two solve CSV reports were re-recorded when each pattern
+search got its own trace (its start, its accepted polls and its reported
+point, with the step as the residual) in place of a copy of the
+equioscillation trace; their equioscillation rows kept their bytes.
+Reports carry no timings, so any byte that moves means a solver, an oracle,
+a check or the sup engine changed a float, a status, an iteration or a
+trial count.  To
 re-record after an intended change of results, run for each name
 
     PYTHONPATH=src python -m fenton_minimax.cli solve \\

@@ -513,7 +513,7 @@ def test_pure_fun_matches_summing_loop_bitwise(p):
     for xj in x.nodes:  # on a node, 1e-9 off it, and at a layer threshold
         ts.update(t for t in (xj, xj - 1e-9, xj + 1e-9, xj - SING_ETA, xj + SING_ETA)
                   if 0.0 <= t <= 1.0)
-    f = _pure_fun(p, x)
+    f = _pure_fun(p, x.nodes)
     for t in sorted(ts):
         got, want = f(t), _ref_pure_fun(p, x, t)
         assert [bits(v) for v in got] == [bits(v) for v in want], t

@@ -25,7 +25,7 @@ from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
                                     brute_maximin, brute_minimax,
                                     sample_regular, solve_equioscillation,
                                     solve_maximin, solve_minimax)
-from fenton_minimax.sumtrans import Problem, interval_maxima
+from fenton_minimax.sumtrans import Problem, _maxima_fn, interval_maxima
 
 X2_STAR = (0.5 - 0.5 / math.sqrt(2.0), 0.5 + 0.5 / math.sqrt(2.0))
 
@@ -307,6 +307,27 @@ class TestMinimaxMaximin:
             pm = solve_minimax(battery_problem(name), FAST)
             px = solve_maximin(battery_problem(name), FAST)
             assert px.value.as_float() <= pm.value.as_float() + 1e-6
+
+    @pytest.mark.parametrize("name", ["zero-n1-ramp", "log-n2-bump", "sqrt-n3-bump"])
+    def test_each_search_traces_its_own_path(self, name):
+        # the start and every accepted poll, each value the objective at its
+        # point, improving; the last record is the reported point
+        p = battery_problem(name)
+        eq = solve_equioscillation(p, FAST)
+        for solve, objective in ((solve_minimax, max), (solve_maximin, min)):
+            rep = solve(p, FAST, eq=eq)
+            sign = 1.0 if objective is min else -1.0
+            assert rep.trace and rep.trace != eq.trace
+            assert rep.trace[0].residual == 0.125
+            for rec, nxt in zip(rep.trace, rep.trace[1:]):
+                assert sign * nxt.value >= sign * rec.value
+                assert nxt.residual <= rec.residual
+            for rec in rep.trace:
+                m = objective(interval_maxima(p, NodeSystem(rec.x)).floats())
+                assert np.float64(rec.value).tobytes() == np.float64(m).tobytes()
+            last = rep.trace[-1]
+            assert (last.x, last.value, last.residual) == (
+                rep.x.nodes, rep.value.as_float(), rep.residual)
 
 
 class TestBruteOracles:
@@ -627,6 +648,57 @@ def test_shared_eq_and_early_reject_match_reference_at_n4():
     eq = solve_equioscillation(p, o)
     assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
     assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+
+
+@pytest.mark.parametrize("p", [
+    # the most polls the threshold stops: random_problems() stops at n = 3
+    pytest.param(Problem(n=5, field=flat_field(), kernel=log_kernel()), id="log-n5-flat"),
+    # K(0) is finite, so a cell end can settle an interval before any probe
+    pytest.param(BATTERY["sqrt-n3-bump"], id="sqrt-n3-bump"),
+])
+def test_shared_eq_and_early_reject_match_reference_on_benchmark_options(p):
+    o = SolveOptions(multistarts=8, seed=0)
+    eq = solve_equioscillation(p, o)
+    assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
+    assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+
+
+def _thresholds(m: float, rng: Random) -> list[float]:
+    """Thresholds around an interval maximum m: m itself, its neighbouring
+    floats, random gaps either side, and both infinities."""
+    if m == -math.inf:
+        return [-math.inf, -1.0, 0.0, math.inf]
+    gaps = [rng.uniform(0.0, 1.0) * 10.0 ** -rng.randint(0, 12) for _ in range(4)]
+    return [m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf),
+            *(m - g * max(abs(m), 1.0) for g in gaps), m + gaps[0],
+            -math.inf, math.inf]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(random_problems(), st.integers(0, 2**32 - 1))
+def test_stopped_interval_maxima_bound_or_equal_the_full_ones(p, seed):
+    # the threshold contract the pattern searches rely on: a call stops
+    # exactly when m_j > stop, with a lower bound above stop; otherwise it
+    # is the call without a threshold, bit for bit
+    rng = Random(seed)
+    for _ in range(3):
+        grid = rng.random() < 0.5  # nodes on piece ends and on each other
+        nodes = tuple(sorted(rng.randint(0, 8) / 8 if grid else rng.random()
+                             for _ in range(p.n)))
+        s = (0.0, *nodes, 1.0)
+        full = _maxima_fn(p, nodes)
+        for j in range(p.n + 1):
+            m = full(j)
+            for stop in _thresholds(m[0], rng):
+                got = _maxima_fn(p, nodes)(j, stop)
+                assert (got[0] > stop) == (m[0] > stop), (nodes, j, stop)
+                if got[0] > stop:
+                    assert got[0] <= m[0] and got[3] == math.inf
+                    assert s[j] <= got[1] <= s[j + 1]
+                else:
+                    assert [np.float64(v).tobytes() for v in (got[0], got[3])] == \
+                        [np.float64(v).tobytes() for v in (m[0], m[3])]
+                    assert got[1:3] == m[1:3]
 
 
 # ---------------------------------------------------------------------------
