@@ -398,15 +398,13 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
     lies within unique_nodes_tol of the representative ``eq.x``, one trial
     per start.
     """
-    base = options or SolveOptions()
-    o = replace(base, multistarts=starts)
+    o = replace(options or SolveOptions(), multistarts=starts)
     eq = solve_equioscillation(p, o)
     if eq.status != "converged" or not eq.solutions:
         raise CheckInfeasible(f"{label or 'problem'}: equioscillation solver "
                               f"ended {eq.status} ({eq.note})")
     rec = _Recorder(check_id)
-    mo = replace(base, multistarts=min(starts, 8))
-    mm = solve_minimax(p, mo, eq=eq if mo == o else None)
+    mm = solve_minimax(p, o, eq=eq)
     pj = problem_to_json(p)
     ref = eq.value.as_float()
     mval = mm.value.as_float()
@@ -479,8 +477,8 @@ def check_usc_invariances(p: Problem, trials: int = 1000, seed: int = 0,
                           label: str = "") -> CheckReport:
     """What survives replacing the field by its usc regularization.
 
-    (i) the overall maximum is invariant at every node system; (ii) with all
-    kernels singular each individual interval maximum is invariant; (iii) the
+    (i) the overall maximum is invariant at every node system; (ii) with a
+    singular kernel each individual interval maximum is invariant; (iii) the
     maximin value is invariant within solver tolerance; (iv) suprema of the
     field itself over open subintervals are invariant.  All exact parts use
     tolerance 1e-12.
@@ -488,7 +486,6 @@ def check_usc_invariances(p: Problem, trials: int = 1000, seed: int = 0,
     rec = _Recorder("lem6.1/usc-invariances")
     rng = random.Random(seed)
     preg = _regularized(p)
-    all_singular = all(p.node_is_singular(j) for j in range(p.n))
     pj = problem_to_json(p)
     fj = field_to_json(p.field)
     for _ in range(trials):
@@ -496,7 +493,7 @@ def check_usc_invariances(p: Problem, trials: int = 1000, seed: int = 0,
         mbar_slack, *mj_slacks = _usc_maxima_slacks(p, preg, ns)
         rec.add(mbar_slack, {"kind": "usc-mbar", "problem": pj, "config": label,
                              "x": list(ns.nodes)})
-        if all_singular:
+        if p.kernel.singular:
             for j, slack in enumerate(mj_slacks):
                 rec.add(slack, {"kind": "usc-mj", "problem": pj, "config": label,
                                 "x": list(ns.nodes), "j": j})
@@ -618,7 +615,7 @@ def _kernel_limit_slacks(p: Problem, X: np.ndarray, js: np.ndarray, direction: s
     """Slacks of m_{js[i]} at node system X[i], one row each: consecutive
     etas first, then each eta against the untransformed problem."""
     op = strictify if direction == "strictify" else singularize
-    stack = [p, *(p.map_kernels(partial(op, eta=e)) for e in etas)]
+    stack = [p, *(replace(p, kernel=op(p.kernel, e)) for e in etas)]
     m = interval_maxima_batch(stack, X, js).values
     base, vals = m[0][:, None], m[1:].T
     if direction == "strictify":
@@ -648,10 +645,9 @@ def check_kernel_limits(p: Problem, etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0
     rec = _Recorder(check_id)
     rng = random.Random(seed)
     pj = problem_to_json(p)
-    monotone_all = all(k.monotone for _, k in p.translates())
     directions = [d for d in (("strictify", "singularize") if direction == "both"
                               else (direction,))
-                  if d != "strictify" or monotone_all]
+                  if d != "strictify" or p.kernel.monotone]
     rows, js = [], []
     for _ in range(trials):
         rows.append(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n)))
@@ -714,9 +710,9 @@ def _sequence_slack(p: Problem, x: NodeSystem, direction: tuple[int, ...],
 def _decay_devs(p: Problem, deltas: tuple[float, ...], trials: int,
                 rng: random.Random, label: str = "") -> list[list[float]]:
     """Worst deviation of the overall maximum per delta over trials random
-    moves by delta and, with all kernels singular, a second series for the
+    moves by delta and, with a singular kernel, a second series for the
     squashed interval maxima."""
-    all_singular = all(p.node_is_singular(j) for j in range(p.n))
+    singular = p.kernel.singular
     devs: list[float] = []
     devs_j: list[float] = []
     for delta in deltas:
@@ -734,7 +730,7 @@ def _decay_devs(p: Problem, deltas: tuple[float, ...], trials: int,
             ys = [xi + delta * s for xi, s in zip(xs, signs)]
             m0, m1 = _mvec(p, NodeSystem(tuple(xs))), _mvec(p, NodeSystem(tuple(ys)))
             worst = max(worst, abs(max(m0) - max(m1)))
-            if all_singular:
+            if singular:
                 for j in range(p.n + 1):
                     worst_j = max(worst_j, abs(_squash(m0[j]) - _squash(m1[j])))
             done += 1
@@ -743,7 +739,7 @@ def _decay_devs(p: Problem, deltas: tuple[float, ...], trials: int,
                                   f"separated node systems at delta={delta}")
         devs.append(worst)
         devs_j.append(worst_j)
-    return [devs, devs_j] if all_singular else [devs]
+    return [devs, devs_j] if singular else [devs]
 
 
 def _decay_step(devs: list[float], i: int) -> tuple[float, bool]:
@@ -757,7 +753,7 @@ def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 
     """Deviation of the maxima under node perturbations decays with delta.
 
     (i) the recorded max deviation of the overall maximum is strictly
-    decreasing across the delta schedule; (ii) with all kernels singular the
+    decreasing across the delta schedule; (ii) with a singular kernel the
     same holds per interval maximum on a squashed extended scale; (iii) for
     usc fields the excess of m_j along convergent node sequences decays
     (upper semicontinuity); (iv) under the two-sided limsup condition, at

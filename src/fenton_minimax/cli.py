@@ -196,14 +196,14 @@ def _apply_path(p: Problem, nodes: NodeSystem, path: str, value: float):
             return p, NodeSystem(tuple(xs))
         except ValueError as exc:
             raise ConfigError(f"sweep value {value} leaves nodes unordered") from exc
-    if parts[:2] == ["problem", "kernel"] and len(parts) == 3 and p.kernel is not None:
+    if parts[:2] == ["problem", "kernel"] and len(parts) == 3:
         attr = parts[2]
         if attr not in ("strictify_eta", "singularize_eta", "scale"):
             raise ConfigError(f"unknown kernel parameter in sweep path {path!r}")
         # the swept value replaces the kernel's own, as in a config
         kernel = kernel_from_json({**kernel_to_json(p.kernel), attr: value})
         return replace(p, kernel=kernel), nodes
-    if parts[:2] == ["problem", "weights"] and len(parts) == 3 and p.weights is not None:
+    if parts[:2] == ["problem", "weights"] and len(parts) == 3:
         i = _path_index(path, parts[2], "weight", p.n)
         ws = list(p.weights)
         ws[i - 1] = value

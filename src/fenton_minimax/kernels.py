@@ -30,9 +30,9 @@ entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
 ``Kernel.derivs``, ``Kernel.eval_and_derivs`` and ``TranslateSum`` all read
 that table; the three array methods share one loop over a kernel's terms.
 ``TranslateSum`` is the term walk behind every F-evaluation of the scalar
-sup engine: built once per problem from its (weight, kernel) pairs, it gives
-per node system the evaluator t -> (sum_j w_j K_j(t - x_j), its
-t-derivative).  When every kernel is a plain family it makes two table calls
+sup engine: built once per problem from its kernel and weights, it gives
+per node system the evaluator t -> (sum_j w_j K(t - x_j), its
+t-derivative).  When the kernel is a plain family it makes two table calls
 per translate and nothing else; a scaled or layered kernel walks its terms.
 The floats are those of summing ``w_j * eval`` and ``w_j * deriv`` either
 way.
@@ -187,8 +187,7 @@ _KERNEL_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
 class Kernel:
     """A kernel family with optional transform layers.
 
-    ``scale`` multiplies the whole function (used to fold a positive weight
-    into the kernel); ``strictify_eta`` and ``singularize_etas`` record the
+    ``scale`` multiplies the whole function; ``strictify_eta`` and ``singularize_etas`` record the
     transform layers so evaluation stays exact and serializable.  A custom
     kernel's two formulas must agree at 0, and a log-weight side needs a
     positive weight on its closed side, [-1, 0] or [0, 1], as a log-weight
@@ -347,39 +346,38 @@ class Kernel:
 
 
 class TranslateSum:
-    """f(t) = sum_j w_j K_j(t - x_j) and f'(t) for fixed (w_j, K_j).
+    """f(t) = sum_j w_j K(t - x_j) and f'(t) for a fixed kernel K and
+    weights w_j.
 
     Built once per problem; ``at(nodes)`` gives the evaluator
     t -> (f(t), f'(t)) of one node system, which raises ValueError when some
-    t - x_j leaves [-1, 1].  Translates are summed in order, each kernel's
+    t - x_j leaves [-1, 1].  Translates are summed in order, the kernel's
     terms from 0.0 and then scaled, as ``Kernel.eval`` and ``Kernel.deriv``
     do, so the floats are those of adding up ``w_j * eval(t - x_j)`` and
-    ``w_j * deriv(t - x_j)``.  When every kernel is one unscaled family the
+    ``w_j * deriv(t - x_j)``.  When the kernel is one unscaled family the
     evaluator calls its two table entries directly: adding a term to 0.0
     and scaling it by 1.0 change no sum that starts at 0.0.
     """
 
-    def __init__(self, translates: tuple[tuple[float, Kernel], ...]):
-        self._plain = all(len(k._terms) == 1 and k.scale == 1.0 for _, k in translates)
-        parts = []
-        for w, k in translates:
-            if self._plain:
-                ((fam, param),) = k._terms
-                parts.append((w, fam.value, fam.deriv, param))
-            else:
-                parts.append((w, k.scale, k._terms))
-        self._parts = tuple(parts)
+    def __init__(self, kernel: Kernel, weights: tuple[float, ...]):
+        self._weights = tuple(weights)
+        self._scale, self._terms = kernel.scale, kernel._terms
+        self._plain = len(self._terms) == 1 and self._scale == 1.0
 
     def at(self, nodes) -> Callable[[float], tuple[float, float]]:
-        parts = [(*part, xj) for part, xj in zip(self._parts, nodes)]
+        parts = tuple(zip(self._weights, nodes))
         # t - x_j is monotone in x_j, so the extreme nodes decide the domain
         lo, hi = min(nodes), max(nodes)
+        scale, terms = self._scale, self._terms
         if self._plain:
+            ((fam, param),) = terms
+            value, deriv = fam.value, fam.deriv
+
             def plain(t: float) -> tuple[float, float]:
                 if not (-1.0 <= t - hi and t - lo <= 1.0):
                     raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
                 total = slope = 0.0
-                for w, value, deriv, param, xj in parts:
+                for w, xj in parts:
                     s = t - xj
                     total += w * value(param, s)
                     slope += w * deriv(param, s)
@@ -391,7 +389,7 @@ class TranslateSum:
             if not (-1.0 <= t - hi and t - lo <= 1.0):
                 raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
             total = slope = 0.0
-            for w, scale, terms, xj in parts:
+            for w, xj in parts:
                 s = t - xj
                 v = d = 0.0
                 for fam, param in terms:

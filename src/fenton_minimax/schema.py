@@ -279,33 +279,20 @@ def field_from_json(d: Any) -> Field:
 
 
 def problem_to_json(p: Problem) -> dict:
-    d: dict = {"n": p.n, "field": field_to_json(p.field)}
-    if p.kernels is not None:
-        d["kernels"] = [kernel_to_json(k) for k in p.kernels]
-    else:
-        d["kernel"] = kernel_to_json(p.kernel)
-        if p.weights != (1.0,) * p.n:
-            d["weights"] = list(p.weights)
+    d: dict = {"n": p.n, "field": field_to_json(p.field), "kernel": kernel_to_json(p.kernel)}
+    if p.weights != (1.0,) * p.n:
+        d["weights"] = list(p.weights)
     return d
 
 
 def problem_from_json(d: Any) -> Problem:
-    reject_unknown(d, ("n", "field", "kernel", "kernels", "weights"), "problem")
+    reject_unknown(d, ("n", "field", "kernel", "weights"), "problem")
     n = _int_at(d, "n", "problem")
     field = field_from_json(_value_at(d, "field", "problem"))
-    kwargs: dict = {}
-    if "kernels" in d:
-        if mixed := sorted({"kernel", "weights"} & d.keys()):
-            raise ConfigError(f"a problem with a kernels list takes no {', '.join(mixed)}")
-        kwargs["kernels"] = tuple(map(kernel_from_json, _list_at(d, "kernels", "problem")))
-    elif "kernel" in d:
-        kwargs["kernel"] = kernel_from_json(d["kernel"])
-        if "weights" in d:
-            kwargs["weights"] = _numbers_at(d, "weights", "problem")
-    else:
-        raise ConfigError("problem descriptor needs a kernel or a kernels list")
+    kernel = kernel_from_json(_value_at(d, "kernel", "problem"))
+    weights = _numbers_at(d, "weights", "problem") if "weights" in d else None
     with _config_errors():
-        return Problem(n=n, field=field, **kwargs)
+        return Problem(n=n, field=field, kernel=kernel, weights=weights)
 
 
 def options_to_json(o: SolveOptions) -> dict:

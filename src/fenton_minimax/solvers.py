@@ -29,9 +29,9 @@ to zero on a usc field: scalar bisection on a scan for n = 1, and for
 n >= 2 a Levenberg-Marquardt iteration with feasibility repair and optional
 strictification continuation.  Its Jacobian comes from the witnesses of the
 interval maxima it already has (Danskin's theorem: dm_i/dx_k is
--w_k K_k'(t_i - x_k) when m_i is attained at a point t_i off the nodes), so
+-w_k K'(t_i - x_k) when m_i is attained at a point t_i off the nodes), so
 a step costs no extra sup-engine calls.  Where some maximum sits on a node,
-is not attained, or meets an infinite slope, as with kernels peaked at 0,
+is not attained, or meets an infinite slope, as with a kernel peaked at 0,
 the whole step falls back to finite differences with ``fd_step``.  Then
 every node within 1e-6 of a field breakpoint moves onto it, jointly, if
 that lowers |Phi|.  Any other field J is solved through its usc
@@ -60,7 +60,7 @@ one pass of the solve-battery benchmark (seed 1) makes 60,410 F
 evaluations, where computing each interval maximum it compares in full
 makes 79,118.
 
-Most candidates need no evaluation at all when every kernel is monotone
+Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
 both one-sided limits, which ``Kernel.monotone`` reads off the kernel's
 terms: every built-in family and transform layer qualifies, and a custom
@@ -214,7 +214,7 @@ def _repair(p: Problem, arr) -> np.ndarray:
     x = np.minimum(np.maximum(np.asarray(arr, dtype=float), 0.0), 1.0)
     x = np.maximum.accumulate(x)
     n = len(x)
-    if p.any_singular():
+    if p.kernel.singular:
         sep = 1e-7
         lo = sep
         for i in range(n):
@@ -285,14 +285,11 @@ def _oracle_grid(p: Problem, h: float) -> np.ndarray:
 
 
 def _oracle_rows(p: Problem, xgrid: np.ndarray, tg: np.ndarray) -> list[np.ndarray]:
-    """w_j K_j(t - x) per node j, one row per x and one column per t; nodes
-    with the same weight and kernel share one array."""
-    made: dict = {}
-    for wk in p.translates():
-        if wk not in made:
-            w, k = wk
-            made[wk] = w * k.eval_many(tg[None, :] - xgrid[:, None])
-    return [made[wk] for wk in p.translates()]
+    """w_j K(t - x) per node j, one row per x and one column per t; nodes
+    with the same weight share one array."""
+    K = p.kernel.eval_many(tg[None, :] - xgrid[:, None])
+    made = {w: w * K for w in set(p.weights)}
+    return [made[w] for w in p.weights]
 
 
 def _check_budget(m: int, n: int) -> None:
@@ -623,13 +620,13 @@ def _danskin_jacobian(p: Problem, x: np.ndarray, m: list[_RawSup]) -> np.ndarray
 
     By Danskin's theorem, when m_i is attained at t_i and t_i is not a node
     (the sentinels 0 and 1 are fixed, so a maximum there counts), then
-    dm_i/dx_k = -w_k K_k'(t_i - x_k).  None when some maximum is not
+    dm_i/dx_k = -w_k K'(t_i - x_k).  None when some maximum is not
     attained or its witness is on a node, or some K' there is not finite.
     """
     nodes = x.tolist()
     if any(not att or t in nodes for _, t, att, _ in m):
         return None
-    grad = np.array([[-w * k.deriv(t - xk) for (w, k), xk in zip(p.translates(), nodes)]
+    grad = np.array([[-w * p.kernel.deriv(t - xk) for w, xk in zip(p.weights, nodes)]
                      for _, t, _, _ in m])
     return np.diff(grad, axis=0) if np.all(np.isfinite(grad)) else None
 
@@ -733,10 +730,10 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
 
 
 def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
-    shared_strict = all(k.strictly_concave for _, k in p.translates())
-    etas = o.continuation_etas if (_monotone_problem(p) and not shared_strict) else (0.0,)
-    # the continuation stages: every kernel strictified by eta, then p itself
-    stages = [p.map_kernels(partial(strictify, eta=eta)) if eta > 0 else p for eta in etas]
+    k = p.kernel
+    etas = o.continuation_etas if (k.monotone and not k.strictly_concave) else (0.0,)
+    # the continuation stages: the kernel strictified by eta, then p itself
+    stages = [replace(p, kernel=strictify(k, eta)) if eta > 0 else p for eta in etas]
 
     results = []
     total_iters = 0
@@ -775,14 +772,9 @@ def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
 # pattern searches for minimax and maximin
 
 
-def _monotone_problem(p: Problem) -> bool:
-    """Whether every translate's kernel is ``monotone``."""
-    return all(k.monotone for _, k in p.translates())
-
-
 def _futile_moves(m, fx: float, sign: float) -> frozenset[tuple[int, bool]]:
     """The polls (node j, rightward) that cannot beat fx from a system whose
-    interval maxima are m, for a problem passing ``_monotone_problem``.
+    interval maxima are m, for a problem whose kernel is ``monotone``.
 
     Shifting x_j right raises F(x, .) on [0, x_j] and lowers it on
     [x_j + delta, 1], so it raises m_0 ... m_j (interval j also grows) and
@@ -826,8 +818,8 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float,
     So each decision, the new fx, the maxima equal to it and the interval
     that rejects a move are exactly those of full evaluation.
 
-    When every kernel is monotone with K(0) at most its one-sided limits
-    (``_monotone_problem``), a poll is also rejected unevaluated when it
+    When the kernel is monotone with K(0) at most its one-sided limits
+    (``Kernel.monotone``), a poll is also rejected unevaluated when it
     would raise (minimax) or lower (maximin) an interval maximum equal to
     fx: moving a node right raises every maximum left of it and lowers every
     one right of it, moving it left does the reverse, and a maximum that
@@ -845,7 +837,7 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float,
     n = len(x0)
     x = x0
     fx = _objective(m0, sign)
-    prune = _monotone_problem(p)
+    prune = p.kernel.monotone
     futile = _futile_moves(m0, fx, sign) if prune else frozenset()
     seen = {x}
     lead: dict[tuple[int, bool], int] = {}

@@ -1,8 +1,9 @@
 """Weighted sum-of-translates functions and their interval maxima.
 
-For a node system x and kernels K_j the function under study is
+For a node system x, one kernel K and positive weights w_j the function
+under study is
 
-    F(x, t) = J(t) + sum_j w_j * K_j(t - x_j),          t in [0, 1].
+    F(x, t) = J(t) + sum_j w_j * K(t - x_j),            t in [0, 1].
 
 The sup engine decomposes a query interval into cells cut at node positions
 and field piece boundaries.  Inside a cell every translate is concave (its
@@ -15,8 +16,8 @@ lets half-open pieces produce exact unattained suprema.
 
 There are two engines with these rules.  The scalar engine takes one node
 system: use it when each call depends on the last, as in the solvers, and as
-the reference in tests.  What it needs of a problem is built once, in a plan
-cached on the ``Problem``: the translates' weights and their term walk
+the reference in tests.  What it needs of a problem is built once and cached
+on the ``Problem``: the term walk of its weighted translates
 (``kernels.TranslateSum``).  The field's breakpoints cut the cells, and
 bisection in its piece table (``Field.piece_table``, built once per field)
 finds each point's and cell's formula.  Per node system it builds one
@@ -41,7 +42,7 @@ in [value, value + err].
 
 Which maxima are -inf is decided without either engine, exactly, from the
 field's piece table (where no piece holds t, J = -inf) and three node rules
-(a singular-kernel node, and 0 or 1 when a node at the other end sees
+(a node of a singular kernel, and 0 or 1 when a node at the other end sees
 K = -inf): ``regularity_many`` for many node systems at once, with
 ``regularity`` its one-row case.
 """
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -79,37 +80,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Problem:
-    """A field plus n weighted kernel translates.
-
-    Either a shared kernel with a positive weight per node, or one kernel per
-    node (generalized form).  The field must be piecewise and finite at
-    enough points for n nodes.
+    """The paper's problem: a field J plus n translates of one kernel K,
+    node j weighted by w_j > 0 (every weight 1 by default).  The field must
+    be piecewise and finite at enough points for n nodes.  A kernel
+    transform is ``dataclasses.replace(p, kernel=...)``.
     """
 
     n: int
     field: Field
-    kernel: Kernel | None = None
+    kernel: Kernel
     weights: tuple[float, ...] | None = None
-    kernels: tuple[Kernel, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one node")
-        if self.kernels is not None:
-            if self.kernel is not None or self.weights is not None:
-                raise ValueError("give either a shared kernel or a kernel list, not both")
-            if len(self.kernels) != self.n:
-                raise ValueError(f"expected {self.n} kernels, got {len(self.kernels)}")
-        else:
-            if self.kernel is None:
-                raise ValueError("a kernel is required")
-            w = self.weights if self.weights is not None else (1.0,) * self.n
-            w = tuple(float(v) for v in w)
-            if len(w) != self.n:
-                raise ValueError(f"expected {self.n} weights, got {len(w)}")
-            if any(v <= 0 or not math.isfinite(v) for v in w):
-                raise ValueError("weights must be positive and finite")
-            object.__setattr__(self, "weights", w)
+        if self.kernel is None:
+            raise ValueError("a kernel is required")
+        w = self.weights if self.weights is not None else (1.0,) * self.n
+        w = tuple(float(v) for v in w)
+        if len(w) != self.n:
+            raise ValueError(f"expected {self.n} weights, got {len(w)}")
+        if any(v <= 0 or not math.isfinite(v) for v in w):
+            raise ValueError("weights must be positive and finite")
+        object.__setattr__(self, "weights", w)
         chk = n_field_check(self.field, self.n)
         if not chk.valid:
             raise ValueError(
@@ -117,35 +110,14 @@ class Problem:
                 f"(weighted count {chk.weighted_count})")
 
     def __getstate__(self) -> dict:
-        # the cached plan holds the kernel table's lambdas, which do not pickle
-        return {k: v for k, v in vars(self).items() if k != "_plan"}
+        # the cached term walk holds the kernel table's lambdas, which do not pickle
+        return {k: v for k, v in vars(self).items() if k != "_translate_sum"}
 
     @cached_property
-    def _plan(self) -> "_Plan":
-        """What the scalar engine needs of this problem, built on first use.
-        A problem made with ``dataclasses.replace`` builds its own."""
-        return _Plan(self)
-
-    def map_kernels(self, op: Callable[[Kernel], Kernel]) -> "Problem":
-        """This problem with op applied to every kernel, weights kept."""
-        if self.kernels is not None:
-            return replace(self, kernels=tuple(op(k) for k in self.kernels))
-        return replace(self, kernel=op(self.kernel))
-
-    def translates(self) -> tuple[tuple[float, Kernel], ...]:
-        """(weight, kernel) per node; generalized kernels carry weight 1."""
-        if self.kernels is not None:
-            return tuple((1.0, k) for k in self.kernels)
-        return tuple((w, self.kernel) for w in self.weights)
-
-    def kernel_at(self, j: int) -> Kernel:
-        return self.kernels[j] if self.kernels is not None else self.kernel
-
-    def node_is_singular(self, j: int) -> bool:
-        return self.kernel_at(j).singular
-
-    def any_singular(self) -> bool:
-        return any(self.node_is_singular(j) for j in range(self.n))
+    def _translate_sum(self) -> TranslateSum:
+        """The term walk of the scalar engine, built on first use.  A problem
+        made with ``dataclasses.replace`` builds its own."""
+        return TranslateSum(self.kernel, self.weights)
 
 
 class SupResult(NamedTuple):
@@ -201,8 +173,8 @@ def pure_sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"argument {t} outside [0, 1]")
     total = 0.0
-    for (w, k), xj in zip(p.translates(), x.nodes):
-        total += w * k.eval(t - xj)
+    for w, xj in zip(p.weights, x.nodes):
+        total += w * p.kernel.eval(t - xj)
         if total == -math.inf:
             break
     return ExtendedReal.of(total)
@@ -217,42 +189,13 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
     return ExtendedReal.of(base + pure_sum_eval(p, x, t).as_float())
 
 
-class _Plan:
-    """What the engines need of one problem's translates, built once: their
-    term walk (scalar engine); the weights and each distinct kernel with its
-    node columns (``_pure_many``); and the per-node kernel facts that
-    ``regularity_many`` adds to the field's -inf slots.  Everything about the
-    field is read from its piece table."""
-
-    def __init__(self, p: Problem):
-        translates = p.translates()
-        self.translate_sum = TranslateSum(translates)
-        self.weights = tuple(w for w, _ in translates)
-        groups: dict[Kernel, list[int]] = {}
-        for j, (_, k) in enumerate(translates):
-            groups.setdefault(k, []).append(j)
-        self.kernel_cols = tuple((k, np.array(cols)) for k, cols in groups.items())
-        kernels = [k for _, k in translates]
-        singular = [j for j, k in enumerate(kernels) if k.singular]
-        # the columns of the singular-kernel nodes, None for none
-        self.singular_cols = (slice(None) if len(singular) == p.n
-                              else np.array(singular) if singular else None)
-        # (kills, end, at): a node at `end` whose kernel is -inf at `at - end`
-        # puts `at` in the singularity set; only rules that some kernel meets
-        self.end_rules = tuple(
-            (kills, end, at) for kills, end, at in (
-                (np.array([k.eval(-1.0) == -math.inf for k in kernels]), 1.0, 0.0),
-                (np.array([k.eval(1.0) == -math.inf for k in kernels]), 0.0, 1.0))
-            if kills.any())
-
-
 def _pure_fun(p: Problem, nodes: tuple[float, ...]):
     """t -> (f(x, t), derivative in t) for the node system x with the sorted
-    ``nodes``; the derivative is NaN where a kernel with a cusp or a pole at
-    0 sits on a node.  Memoized and built once per node system: a candidate
+    ``nodes``; the derivative is NaN on a node when the kernel has a cusp or
+    a pole at 0.  Memoized and built once per node system: a candidate
     point of the sup engine is also the end of one or two cells, and an
     interval's end is the next interval's start."""
-    walk = p._plan.translate_sum.at(nodes)
+    walk = p._translate_sum.at(nodes)
     memo: dict[float, tuple[float, float]] = {}
 
     def f(t: float) -> tuple[float, float]:
@@ -405,25 +348,18 @@ def _pure_many(stack: tuple[Problem, ...], X: np.ndarray, rows: np.ndarray,
                ts: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(X[rows], ts) and its t-derivative, entries bounds[k]:bounds[k + 1]
     with the translates of problem stack[k].  The differences t - x_j are
-    built once; each distinct kernel of a problem makes one array call on
-    its columns of them, and the weighted columns are then summed node by
-    node in the order of ``_pure_fun``."""
+    built once; each problem's kernel makes one array call on its rows of
+    them, and the weighted columns are then summed node by node in the
+    order of ``_pure_fun``."""
     total, slope = np.zeros(ts.shape), np.zeros(ts.shape)
     diffs = ts[:, None] - X[rows]
     with np.errstate(invalid="ignore", over="ignore"):
         for q, lo, hi in zip(stack, bounds, bounds[1:]):
             if lo == hi:
                 continue
-            plan = q._plan
-            D = diffs[lo:hi]
-            if len(plan.kernel_cols) == 1:
-                V, S = plan.kernel_cols[0][0].eval_and_derivs(D)
-            else:
-                V, S = np.empty(D.shape), np.empty(D.shape)
-                for k, cols in plan.kernel_cols:
-                    V[:, cols], S[:, cols] = k.eval_and_derivs(D[:, cols])
+            V, S = q.kernel.eval_and_derivs(diffs[lo:hi])
             tot, slp = total[lo:hi], slope[lo:hi]
-            for j, w in enumerate(plan.weights):
+            for j, w in enumerate(q.weights):
                 tot += w * V[:, j]
                 slp += w * S[:, j]
     return total, slope
@@ -458,8 +394,8 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
     it (no node lies strictly inside an interval of a sorted system); they
     depend on the field and X only, so the stack shares them, and they are
     evaluated exactly as candidates.  The cells between them go, once per
-    problem, to ``concave_max_many``; the kernels of a problem enter only
-    through ``_pure_many``.  The winner per interval follows
+    problem, to ``concave_max_many``; a problem's kernel enters only through
+    ``_pure_many``.  The winner per interval follows
     ``sup_on_interval``: the largest value, then attained, then smaller err,
     then smaller t.  Rows, intervals and problems do not interact, so every
     entry is bit for bit the entry of the one-problem, all-intervals call on
@@ -584,15 +520,15 @@ def regularity_many(p: Problem, X) -> np.ndarray:
     [s_j, s_{j+1}] of row i (sentinels 0 and 1) lies inside the singularity
     set of row i, where F(X[i], .) = -inf, that is when m_j = -inf.  That set
     is the field's fixed -inf set (the piece table's empty slots) plus three
-    per-row point rules: singular-kernel nodes, 0 when a node at 1 has
-    K(-1) = -inf, and 1 when a node at 0 has K(1) = -inf.  No node, and neither 0 nor 1, lies strictly inside an
-    interval of a sorted system, so for a < b the interval is covered
-    exactly when (a, b) lies inside one hole interval of the field and each
-    end is in the -inf set or one of those points (a singular node may
-    close an open end of a hole); for a = b the point itself must be.  Rows
-    that are not sorted node systems in [0, 1] raise ``ValueError``.
+    per-row point rules: every node when K is singular, 0 when a node at 1
+    has K(-1) = -inf, and 1 when a node at 0 has K(1) = -inf.  No node, and
+    neither 0 nor 1, lies strictly inside an interval of a sorted system, so
+    for a < b the interval is covered exactly when (a, b) lies inside one
+    hole interval of the field and each end is in the -inf set or one of
+    those points (a singular node may close an open end of a hole); for
+    a = b the point itself must be.  Rows that are not sorted node systems
+    in [0, 1] raise ``ValueError``.
     """
-    plan = p._plan
     ends, slots = p.field.piece_table
     s = _sentinel_rows(X, p.n)
     X = s[:, 1:-1]
@@ -600,10 +536,12 @@ def regularity_many(p: Problem, X) -> np.ndarray:
     # is in the singularity set of its row (no piece holds it, or a rule)
     kl, kr = ends.searchsorted(s, "left"), ends.searchsorted(s, "right")
     singular = slots[kl + kr] < 0
-    if plan.singular_cols is not None:
-        singular |= (s[:, :, None] == X[:, None, plan.singular_cols]).any(axis=2)
-    for kills, end, at in plan.end_rules:
-        singular |= (s == at) & ((X == end) & kills).any(axis=1)[:, None]
+    if p.kernel.singular:
+        singular |= (s[:, :, None] == X[:, None, :]).any(axis=2)
+    # a node at `end` puts `at` in the set when K(at - end) = -inf
+    for end, at in ((1.0, 0.0), (0.0, 1.0)):
+        if p.kernel.eval(at - end) == -math.inf:
+            singular |= (s == at) & (X == end).any(axis=1)[:, None]
     # (a, b) lies inside one hole when no breakpoint is strictly between a
     # and b and no piece covers the gap holding them
     a, b, kr_a = s[:, :-1], s[:, 1:], kr[:, :-1]

@@ -98,7 +98,7 @@ def test_criterion_03_two_node_log_closed_form():
 
 def test_criterion_04_minimax_equals_maximin_battery():
     t0 = time.perf_counter()
-    families = {battery_problem(n).kernel_at(0).family for n in BATTERY}
+    families = {battery_problem(n).kernel.family for n in BATTERY}
     ns = {battery_problem(n).n for n in BATTERY}
     shapes = {str(field_to_json(battery_problem(n).field)) for n in BATTERY}
     ok = len(BATTERY) >= 10

@@ -394,7 +394,7 @@ def test_eval_deriv_is_eval_and_deriv_bitwise(k):
     def bits(v):
         return np.float64(v).tobytes()
 
-    walk = TranslateSum(((1.0, k),)).at((0.0,))
+    walk = TranslateSum(k, (1.0,)).at((0.0,))
     for t in TS:
         t = float(t)
         v, d = walk(t)
@@ -478,42 +478,47 @@ def _ref_eval_deriv(k, t):
 
 def _ref_pure_fun(p, x, t):
     total = slope = 0.0
-    for (w, k), xj in zip(p.translates(), x.nodes):
-        v, d = _ref_eval_deriv(k, t - xj)
+    for w, xj in zip(p.weights, x.nodes):
+        v, d = _ref_eval_deriv(p.kernel, t - xj)
         total += w * v
         slope += w * d
     return total, slope
 
 
 def _pure_fun_cases():
+    """Each table kernel at n = 2 with weights (1, 2.5) ("shared-..."), and
+    at n = 3 with a weight per node, three table kernels a case, one
+    problem each ("per-node-i")."""
     from fenton_minimax.battery import flat_field
     from fenton_minimax.sumtrans import Problem
 
-    cases = [pytest.param(Problem(n=2, field=flat_field(), kernel=k, weights=(1.0, 2.5)),
+    cases = [pytest.param((Problem(n=2, field=flat_field(), kernel=k, weights=(1.0, 2.5)),),
                           id=f"shared-{c.id}")
              for c in TABLE_CASES for k in c.values]
     kernels = [k for c in TABLE_CASES for k in c.values]
     for i in range(0, len(kernels), 3):
         ks = tuple(kernels[(i + j) % len(kernels)] for j in range(3))
-        cases.append(pytest.param(Problem(n=3, field=flat_field(), kernels=ks),
-                                  id=f"per-node-{i // 3}"))
+        cases.append(pytest.param(
+            tuple(Problem(n=3, field=flat_field(), kernel=k, weights=(0.5, 1.0, 2.5))
+                  for k in ks), id=f"per-node-{i // 3}"))
     return cases
 
 
-@pytest.mark.parametrize("p", _pure_fun_cases())
-def test_pure_fun_matches_summing_loop_bitwise(p):
+@pytest.mark.parametrize("problems", _pure_fun_cases())
+def test_pure_fun_matches_summing_loop_bitwise(problems):
     from fenton_minimax.core import NodeSystem
     from fenton_minimax.sumtrans import _pure_fun
 
     def bits(v):
         return np.float64(v).tobytes()
 
-    x = NodeSystem((0.0, 0.6) if p.n == 2 else (0.25, 0.25, 1.0))
-    ts = {0.0, 1.0, *np.linspace(0.0, 1.0, 101).tolist()}
-    for xj in x.nodes:  # on a node, 1e-9 off it, and at a layer threshold
-        ts.update(t for t in (xj, xj - 1e-9, xj + 1e-9, xj - SING_ETA, xj + SING_ETA)
-                  if 0.0 <= t <= 1.0)
-    f = _pure_fun(p, x.nodes)
-    for t in sorted(ts):
-        got, want = f(t), _ref_pure_fun(p, x, t)
-        assert [bits(v) for v in got] == [bits(v) for v in want], t
+    for p in problems:
+        x = NodeSystem((0.0, 0.6) if p.n == 2 else (0.25, 0.25, 1.0))
+        ts = {0.0, 1.0, *np.linspace(0.0, 1.0, 101).tolist()}
+        for xj in x.nodes:  # on a node, 1e-9 off it, and at a layer threshold
+            ts.update(t for t in (xj, xj - 1e-9, xj + 1e-9, xj - SING_ETA, xj + SING_ETA)
+                      if 0.0 <= t <= 1.0)
+        f = _pure_fun(p, x.nodes)
+        for t in sorted(ts):
+            got, want = f(t), _ref_pure_fun(p, x, t)
+            assert [bits(v) for v in got] == [bits(v) for v in want], (p.kernel, t)

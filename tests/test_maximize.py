@@ -57,7 +57,7 @@ def cells(p, x):
     for piece in p.field.pieces:
         cuts.update((piece.interval.a, piece.interval.b))
     pts = sorted(cuts)
-    parts = [(w, k, xj) for (w, k), xj in zip(p.translates(), x.nodes)]
+    parts = [(w, p.kernel, xj) for w, xj in zip(p.weights, x.nodes)]
     out = []
     for u, v in zip(pts, pts[1:]):
         piece = p.field.piece_at(0.5 * (u + v))

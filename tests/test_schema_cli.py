@@ -32,6 +32,9 @@ POINT_N1 = json.loads((Path(__file__).parent / "data" / "bad-field-count.config.
 # a custom kernel whose log-weight sides, w = 1 - |t|, reach 0 at -1 and 1;
 # CI runs the same file through the installed entry point
 BAD_LOGWEIGHT_CONFIG = Path(__file__).parent / "data" / "bad-kernel-logweight.config.json"
+# the log problem at n = 2 with a "kernels" list, a key the problem reader
+# does not know; CI runs the same file through the installed entry point
+BAD_KERNELS_CONFIG = Path(__file__).parent / "data" / "bad-problem-kernels.config.json"
 
 
 def custom_n2(neg_c=0.0, **params):
@@ -359,7 +362,7 @@ class TestCliSolve:
     @pytest.mark.parametrize("problem, extra, key", [
         ({**LOG_N2, "field": {"pieces": 5}}, {}, "pieces must be a list"),
         ({**LOG_N2, "weights": 5}, {}, "weights must be a list"),
-        ({"n": 2, "field": FLAT, "kernels": 5}, {}, "kernels must be a list"),
+        ({"n": 2, "field": FLAT, "kernels": 5}, {}, "unknown problem keys: kernels"),
         (LOG_N2, {"options": {"continuation_etas": 5}},
          "continuation_etas must be a list"),
         (LOG_N2, {"checks": 5}, "checks must be a list"),
@@ -438,9 +441,9 @@ class TestCliSolve:
                             "values": {"start": -math.inf, "stop": 1.0, "count": 3}}},
          "start must be a number"),
         ({"n": 1, "field": FLAT, "kernels": [{"family": "log"}], "weights": [2.0]}, {},
-         "a problem with a kernels list takes no weights"),
+         "unknown problem keys: kernels"),
         ({**LOG_N1, "kernel": {"family": "sqrt"}, "kernels": [{"family": "log"}],
-          "weights": [2.0]}, {}, "a problem with a kernels list takes no kernel, weights"),
+          "weights": [2.0]}, {}, "unknown problem keys: kernels"),
         (POINT_N1, {}, "field is finite at too few points for n=1 (weighted count 1.0)"),
     ], ids=["pieces", "weights", "kernels", "continuation_etas", "checks", "checks-item",
             "n-fraction", "n-string", "n-bool", "multistarts-fraction",
@@ -470,6 +473,7 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("problem, extra, message", [
         ({"field": FLAT, "kernel": {"family": "log"}}, {}, "missing n in problem"),
+        ({"n": 2, "field": FLAT}, {}, "missing kernel in problem"),
         ({**LOG_N2, "kernel": {"params": {}}}, {}, "missing family in kernel"),
         ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0},
                                           "formula": {"type": "constant", "c": 0.0}}]}},
@@ -485,8 +489,8 @@ class TestCliSolve:
          {}, "missing pos in custom kernel params"),
         (LOG_N2, {"sweep": {"path": "nodes.1", "values": {"start": 0.0, "stop": 1.0}}},
          "missing count in sweep range"),
-    ], ids=["n", "family", "interval-b", "formula-c", "piece-formula", "custom-pos",
-            "sweep-count"])
+    ], ids=["n", "kernel", "family", "interval-b", "formula-c", "piece-formula",
+            "custom-pos", "sweep-count"])
     def test_missing_key_exits_2(self, tmp_path, capsys, problem, extra, message):
         cfg = write_cfg(tmp_path, "c.json", problem, **extra)
         assert main(["solve", "--config", cfg]) == 2
@@ -505,6 +509,11 @@ class TestCliSolve:
     def test_custom_log_weight_config_file_exits_2(self, capsys):
         assert main(["solve", "--config", str(BAD_LOGWEIGHT_CONFIG)]) == 2
         assert "is a log weight that is not positive" in capsys.readouterr().err
+
+    def test_kernels_list_config_file_exits_2(self, capsys):
+        # a problem has one kernel; a kernel per node is not a problem key
+        assert main(["solve", "--config", str(BAD_KERNELS_CONFIG)]) == 2
+        assert "unknown problem keys: kernels" in capsys.readouterr().err
 
     def test_custom_log_weight_side_positive_on_its_side_loads(self):
         k = problem_from_json(custom_n2(**log_weight_sides(0.5))).kernel

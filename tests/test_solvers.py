@@ -16,7 +16,7 @@ from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, usc_regularize
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
-from fenton_minimax.kernels import (custom_kernel, log_kernel, power_kernel,
+from fenton_minimax.kernels import (Kernel, custom_kernel, log_kernel, power_kernel,
                                     singularize, sqrt_kernel, strictify, zero_kernel)
 from fenton_minimax.schema import (options_from_json, options_to_json,
                                    problem_from_json, problem_to_json)
@@ -55,8 +55,7 @@ def random_problems(draw, kernels=KERNELS):
 @st.composite
 def transformed_problems(draw):
     """A random problem whose kernel is scaled, then strictified (monotone
-    kernels only) or singularized once or twice, with drawn weights or one
-    kernel per node."""
+    kernels only) or singularized once or twice, with drawn weights."""
     p = draw(random_problems())
     k = p.kernel.scaled(draw(st.floats(0.125, 8.0)))
     strict = k.monotone and draw(st.booleans())
@@ -64,8 +63,6 @@ def transformed_problems(draw):
         k = strictify(k, draw(st.floats(1e-3, 1.0)))
     for _ in range(draw(st.integers(0 if strict else 1, 2))):
         k = singularize(k, draw(st.floats(1e-3, 1.0)))
-    if draw(st.booleans()):
-        return replace(p, kernel=None, weights=None, kernels=(k,) * p.n)
     return replace(p, kernel=k, weights=tuple(draw(st.floats(0.125, 8.0)) for _ in range(p.n)))
 
 
@@ -752,14 +749,6 @@ class TestMonotoneQualification:
         equal = custom_kernel(Affine(-1.0, 5e-10), Affine(1.0, 0.0))
         assert equal.monotone
 
-    def test_one_kernel_of_a_kernel_list_decides(self):
-        good = Problem(n=2, field=flat_field(), kernels=(log_kernel(), sqrt_kernel()))
-        bad = Problem(n=2, field=flat_field(), kernels=(log_kernel(), RISING_AT_MINUS_ONE))
-        assert solvers._monotone_problem(good)
-        assert not solvers._monotone_problem(bad)
-        assert not solvers._monotone_problem(
-            Problem(n=2, field=flat_field(), kernel=RISING_AT_MINUS_ONE))
-
     def test_not_monotone_solves_as_reference(self, monkeypatch):
         p = Problem(n=3, field=bump_field(), kernel=RISING_AT_MINUS_ONE)
         o = SolveOptions(multistarts=2)
@@ -768,7 +757,7 @@ class TestMonotoneQualification:
         assert_same_solve(solve_minimax(p, o, eq=eq), ref)
         assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
         # pruning here would skip polls that succeed
-        monkeypatch.setattr(solvers, "_monotone_problem", lambda p: True)
+        monkeypatch.setattr(Kernel, "monotone", property(lambda self: True))
         assert solve_minimax(p, o, eq=eq).value != ref.value
 
 
@@ -777,7 +766,7 @@ def assert_skipped_polls_fail(p, seed):
     ``_futile_moves`` rejects unevaluated, at steps 2^-3 ... 2^-30 either
     way, fails to beat fx under full evaluation.  Returns the number of such
     polls checked."""
-    assert solvers._monotone_problem(p)
+    assert p.kernel.monotone
     rng = Random(seed)
     checked = 0
     for _ in range(3):

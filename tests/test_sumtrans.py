@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from random import Random
 
 import numpy as np
@@ -32,12 +32,11 @@ node_lists = st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1,
 
 
 class TestProblemValidation:
-    def test_shared_or_per_node_not_both(self):
-        with pytest.raises(ValueError):
-            Problem(n=1, field=flat_field(), kernel=log_kernel(),
-                    kernels=(log_kernel(),))
-        with pytest.raises(ValueError):
-            Problem(n=1, field=flat_field())
+    def test_kernel_required(self):
+        # the paper's (n, J, K, weights): one kernel for every node
+        assert [f.name for f in fields(Problem)] == ["n", "field", "kernel", "weights"]
+        with pytest.raises(ValueError, match="a kernel is required"):
+            Problem(n=1, field=flat_field(), kernel=None)
 
     def test_weight_count_and_sign(self):
         with pytest.raises(ValueError):
@@ -48,10 +47,6 @@ class TestProblemValidation:
                     weights=(1.0, -1.0))
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
         assert p.weights == (1.0, 1.0)
-
-    def test_kernel_list_length(self):
-        with pytest.raises(ValueError):
-            Problem(n=2, field=flat_field(), kernels=(log_kernel(),))
 
     def test_field_must_feed_enough_points(self):
         # bands give an interval of finite values: fine for any n
@@ -65,14 +60,14 @@ class TestProblemValidation:
             Problem(n=2, field=dots, kernel=log_kernel())
 
     def test_translates_and_flags(self):
+        # a kernel transform keeps the weights; every flag is the kernel's
         p = Problem(n=2, field=flat_field(), kernel=log_kernel(),
                     weights=(2.0, 3.0))
-        assert p.translates() == ((2.0, log_kernel()), (3.0, log_kernel()))
-        assert p.node_is_singular(0) and p.any_singular()
-        q = Problem(n=2, field=flat_field(),
-                    kernels=(zero_kernel(), log_kernel()))
-        assert [w for w, _ in q.translates()] == [1.0, 1.0]
-        assert not q.node_is_singular(0) and q.node_is_singular(1)
+        q = replace(p, kernel=strictify(zero_kernel(), 0.1))
+        assert (q.n, q.field, q.weights) == (2, p.field, (2.0, 3.0))
+        assert p.kernel.singular and not q.kernel.singular
+        with pytest.raises(ValueError, match="a kernel is required"):
+            replace(p, kernel=None)
 
 
 class TestSumEval:
@@ -112,19 +107,25 @@ class TestSumEval:
 
     @given(node_lists, st.floats(min_value=0.0, max_value=1.0))
     def test_weighted_equals_scaled_kernels(self, nodes, t):
+        # weights against the kernel's scale: equal weights against a problem
+        # whose kernel is scaled by them, and each weight against a one-node
+        # problem whose kernel is scaled by it
         n = len(nodes)
         x = NodeSystem(nodes)
         w = tuple(1.0 + 0.5 * j for j in range(n))
         p_w = Problem(n=n, field=flat_field(), kernel=log_kernel(), weights=w)
-        p_k = Problem(n=n, field=flat_field(),
-                      kernels=tuple(log_kernel().scaled(wj) for wj in w))
         a = pure_sum_eval(p_w, x, t)
-        b = pure_sum_eval(p_k, x, t)
+        b = sum(pure_sum_eval(Problem(n=1, field=flat_field(), kernel=log_kernel().scaled(wj)),
+                              NodeSystem((xj,)), t).as_float()
+                for wj, xj in zip(w, nodes))
+        p_eq = Problem(n=n, field=flat_field(), kernel=log_kernel(), weights=(2.5,) * n)
+        p_sc = Problem(n=n, field=flat_field(), kernel=log_kernel().scaled(2.5))
+        c, d = pure_sum_eval(p_eq, x, t), pure_sum_eval(p_sc, x, t)
         if a.is_finite:
-            assert b.as_float() == pytest.approx(a.as_float(), rel=1e-12,
-                                                 abs=1e-12)
+            assert b == pytest.approx(a.as_float(), rel=1e-12, abs=1e-12)
+            assert d.as_float() == pytest.approx(c.as_float(), rel=1e-12, abs=1e-12)
         else:
-            assert not b.is_finite
+            assert b == -math.inf and not c.is_finite and not d.is_finite
 
 
 class TestSupOnInterval:
@@ -215,8 +216,8 @@ class TestIntervalMaxima:
         for j, m in enumerate(interval_maxima(p, x).floats()):
             ts = np.linspace(s[j], s[j + 1], 8193)
             f = p.field.eval_many(ts)
-            for (w, k), xj in zip(p.translates(), x.nodes):
-                f = f + w * k.eval_many(ts - xj)
+            for w, xj in zip(p.weights, x.nodes):
+                f = f + w * p.kernel.eval_many(ts - xj)
             best = float(f.max())
             assert best <= m + 1e-12
             assert best == pytest.approx(m, abs=1e-6)
@@ -289,9 +290,9 @@ KERNELS = (
 
 
 def _transformed(p, direction, eta):
-    """p with every kernel strictified or singularized by eta."""
+    """p with its kernel strictified or singularized by eta."""
     op = strictify if direction == "strictify" else singularize
-    return p.map_kernels(lambda k: op(k, eta))
+    return replace(p, kernel=op(p.kernel, eta))
 
 
 def _special_points(p):
@@ -349,24 +350,21 @@ def test_batch_matches_scalar_on_battery(name):
 
 @st.composite
 def batch_cases(draw):
-    """A random usc field, one of six kernels (plain, strictified or
-    singularized, with random weights) or a kernel per node, and a few
-    node systems."""
+    """A random usc field, one of six kernels (plain, strictified,
+    singularized or scaled, with random weights), and a few node systems."""
     field = _random_usc_field(Random(draw(st.integers(0, 2**32 - 1))))
     n = draw(st.integers(1, 3))
-    variant = draw(st.sampled_from(("plain", "strictified", "singularized", "per-node")))
+    variant = draw(st.sampled_from(("plain", "strictified", "singularized", "scaled")))
     weights = tuple(draw(st.floats(0.25, 4.0)) for _ in range(n))
     try:
-        if variant == "per-node":
-            ks = tuple(draw(st.sampled_from(KERNELS)).scaled(w) for w in weights)
-            p = Problem(n=n, field=field, kernels=ks)
-        else:
-            k = draw(st.sampled_from(KERNELS))
-            if variant == "strictified":
-                k = replace(k, strictify_eta=0.2)  # custom is not monotone
-            elif variant == "singularized":
-                k = singularize(k, 0.3)
-            p = Problem(n=n, field=field, kernel=k, weights=weights)
+        k = draw(st.sampled_from(KERNELS))
+        if variant == "strictified":
+            k = replace(k, strictify_eta=0.2)  # custom is not monotone
+        elif variant == "singularized":
+            k = singularize(k, 0.3)
+        elif variant == "scaled":
+            k = k.scaled(draw(st.floats(0.25, 4.0)))
+        p = Problem(n=n, field=field, kernel=k, weights=weights)
     except ValueError:  # field finite at too few points for n nodes
         assume(False)
     special = _special_points(p)
@@ -486,7 +484,7 @@ def test_regularity_reads_the_singular_fact_off_the_kernel():
     tent = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 0.0))
     p = Problem(n=2, field=two_band_field(), kernel=tent)
     x = NodeSystem((0.4, 0.4))
-    assert not tent.singular and not p.any_singular()
+    assert not tent.singular
     rep = regularity(p, x)
     assert rep.in_Y and rep.singular_intervals == ()
     assert interval_maxima(p, x).values[1].as_float() == 0.0
@@ -612,17 +610,12 @@ def test_finite_parts_count_and_nearest_point_match_a_scan_of_the_pieces():
 
 def _regularity_problems():
     """Random usc fields and the edge fields x the six kernels and the edge
-    sink, per-node kernels that mix singular and non-singular nodes, and the
-    battery."""
-    mixes = ((log_kernel(), sqrt_kernel()), (EDGE_SINK, power_kernel(0.5)),
-             (sqrt_kernel(), log_kernel(), zero_kernel()),
-             (EDGE_SINK, log_kernel(), sqrt_kernel()))
+    sink, and the battery."""
     for field in (*(_random_usc_field(Random(seed)) for seed in range(12)), *EDGE_FIELDS):
         for n in (1, 2, 3):
-            for kw in ([dict(kernel=k) for k in (*KERNELS, EDGE_SINK)]
-                       + [dict(kernels=m) for m in mixes if len(m) == n]):
+            for k in (*KERNELS, EDGE_SINK):
                 try:
-                    yield Problem(n=n, field=field, **kw)
+                    yield Problem(n=n, field=field, kernel=k)
                 except ValueError:  # field finite at too few points for n nodes
                     continue
     yield from BATTERY.values()
@@ -631,13 +624,13 @@ def _regularity_problems():
 def _covered_by_scan(p: Problem, x: NodeSystem, a: float, b: float) -> bool:
     """Whether F(x, .) = -inf on all of [a, b], read from the pieces: no
     piece meets the open (a, b), and each end is a point no piece holds, a
-    singular-kernel node, or 0 or 1 where a node at the other end sees
+    node of a singular kernel, or 0 or 1 where a node at the other end sees
     K = -inf."""
     def singular(t: float) -> bool:
         return _piece_by_scan(p.field, t) is None or any(
-            xj == t and p.node_is_singular(j)
-            or t in (0.0, 1.0) and xj == 1.0 - t and p.kernel_at(j).eval(t - xj) == -math.inf
-            for j, xj in enumerate(x.nodes))
+            xj == t and p.kernel.singular
+            or t in (0.0, 1.0) and xj == 1.0 - t and p.kernel.eval(t - xj) == -math.inf
+            for xj in x.nodes)
 
     meets = a < b and any(q.interval.intersect(Interval(a, b, False, False)) is not None
                           for q in p.field.pieces)
@@ -703,29 +696,33 @@ def _ref_pure_many(stack, X, rows, ts, bounds):
     with np.errstate(invalid="ignore", over="ignore"):
         for q, lo, hi in zip(stack, bounds, bounds[1:]):
             t, r, tot, slp = ts[lo:hi], rows[lo:hi], total[lo:hi], slope[lo:hi]
-            for j, (w, k) in enumerate(q.translates()):
+            for j, w in enumerate(q.weights):
                 d = t - X[r, j]
-                tot += w * k.eval_many(d)
-                slp += w * k.derivs(d)
+                tot += w * q.kernel.eval_many(d)
+                slp += w * q.kernel.derivs(d)
     return total, slope
 
 
 def _pure_many_stacks():
-    """Shared kernels with weights, per-node kernels with a repeated one, and
+    """A kernel with weights, a battery problem, stacks of one-kernel
+    problems on one field ("generalized": the log kernel with weights and a
+    scaled sqrt; "generalized-cusp": the power 1.5 and custom cusps), and
     the strictify and singularize stacks of the kernel-limit checks."""
     etas = (0.2, 0.1, 0.05, 0.02)
     shared = Problem(n=3, field=bump_field(), kernel=sqrt_kernel(), weights=(0.5, 1.25, 3.0))
-    mixed = Problem(n=3, field=bump_field(),
-                    kernels=(log_kernel(), sqrt_kernel().scaled(2.0), log_kernel()))
-    cusp = Problem(n=2, field=two_band_field(), kernels=(power_kernel(1.5), KERNELS[5]))
+    log_w = Problem(n=3, field=bump_field(), kernel=log_kernel(), weights=(1.0, 2.0, 1.0))
+    sqrt_2 = Problem(n=3, field=bump_field(), kernel=sqrt_kernel().scaled(2.0))
+    power_cusp = Problem(n=2, field=two_band_field(), kernel=power_kernel(1.5))
+    custom_cusp = Problem(n=2, field=two_band_field(), kernel=KERNELS[5])
     yield "shared", (shared,)
     yield "battery", (BATTERY["log-n3-bump"],)
-    yield "generalized", (mixed,)
-    yield "generalized-cusp", (cusp,)
-    for p in (shared, mixed, BATTERY["log-n2-bands"], BATTERY["power05-n2-bump"]):
+    yield "generalized", (log_w, sqrt_2)
+    yield "generalized-cusp", (power_cusp, custom_cusp)
+    for p in (shared, sqrt_2, BATTERY["log-n2-bands"], BATTERY["power05-n2-bump"]):
         for direction in ("strictify", "singularize"):
             yield direction, (p, *(_transformed(p, direction, e) for e in etas))
-    yield "singularize", (cusp, *(_transformed(cusp, "singularize", e) for e in etas))
+    for p in (power_cusp, custom_cusp):
+        yield "singularize", (p, *(_transformed(p, "singularize", e) for e in etas))
 
 
 @pytest.mark.parametrize("case", list(enumerate(_pure_many_stacks())),
@@ -765,9 +762,9 @@ def _ref_sup_on_interval(p, x, q):
     ``Field.piece_at``, and ties are broken by sorting."""
     def f(t):
         total = slope = 0.0
-        for (w, k), xj in zip(p.translates(), x.nodes):
-            total += w * k.eval(t - xj)
-            slope += w * k.deriv(t - xj)
+        for w, xj in zip(p.weights, x.nodes):
+            total += w * p.kernel.eval(t - xj)
+            slope += w * p.kernel.deriv(t - xj)
         return total, slope
 
     ends = {e for piece in p.field.pieces for e in (piece.interval.a, piece.interval.b)}
@@ -805,7 +802,8 @@ def _engine_problems():
         for n in (1, 2, 3):
             for k in KERNELS + layered:
                 yield field, n, dict(kernel=k, weights=tuple(0.5 + 0.25 * j for j in range(n)))
-            yield field, n, dict(kernels=tuple(layered[j % 3] for j in range(n)))
+            for k in layered:
+                yield field, n, dict(kernel=k)
 
 
 def _key(value, witness, attained, err):
