@@ -39,7 +39,7 @@ from .schema import (encode_float, field_from_json, field_to_json, kernel_from_j
                      problem_from_json, problem_to_json)
 from .solvers import (SolveOptions, brute_maximin, brute_minimax,
                       solve_equioscillation, solve_maximin, solve_minimax)
-from .sumtrans import Problem, interval_maxima, interval_maxima_batch, regularity_many
+from .sumtrans import Problem, interval_maxima, interval_maxima_batch
 
 __all__ = [
     "CheckReport",
@@ -262,23 +262,26 @@ def check_perturbation_inequality(k: Kernel, trials: int = 100_000, seed: int = 
 
 
 def _sample_Y(p: Problem, rng: random.Random, count: int,
-              min_rate: float = 1e-3) -> np.ndarray:
-    """count node systems in Y, shape (count, n), drawn by rejection.
+              min_rate: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+    """count node systems in Y, shape (count, n), drawn by rejection, and
+    their interval maxima, shape (count, n + 1).
 
     Each round draws as many rows as are still missing, one sorted
-    ``rng.uniform`` tuple per row, and tests them with one
-    ``regularity_many`` call.  No round draws past the row that completes
-    the sample, so the rows and the state ``rng`` is left in are those of
-    drawing and testing one row at a time.  Once 1000 rows are drawn, an
-    acceptance below ``min_rate`` raises ``CheckInfeasible`` at the row
-    where it first happens.
+    ``rng.uniform`` tuple per row, and computes their maxima with one
+    ``interval_maxima_batch`` call; a row is in Y when none is -inf.  No
+    round draws past the row that completes the sample, so the rows and the
+    state ``rng`` is left in are those of drawing and testing one row at a
+    time, and each row's maxima are its own batch entries bit for bit.
+    Once 1000 rows are drawn, an acceptance below ``min_rate`` raises
+    ``CheckInfeasible`` at the row where it first happens.
     """
-    X = np.empty((0, p.n))
+    X, M = np.empty((0, p.n)), np.empty((0, p.n + 1))
     attempts = 0
     while len(X) < count:
         rows = np.array([sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
                          for _ in range(count - len(X))])
-        ok = ~regularity_many(p, rows).any(axis=1)
+        m = interval_maxima_batch(p, rows).values
+        ok = ~(m == -np.inf).any(axis=1)
         # the acceptance after each row, from the running counts
         tried = attempts + np.arange(1, len(rows) + 1)
         accepted = len(X) + np.cumsum(ok)
@@ -288,8 +291,8 @@ def _sample_Y(p: Problem, rng: random.Random, count: int,
             raise CheckInfeasible(f"Y-sampling acceptance {int(accepted[i])}/{int(tried[i])} "
                                   f"is below {min_rate:.1%}")
         attempts += len(rows)
-        X = np.vstack([X, rows[ok]])
-    return X
+        X, M = np.vstack([X, rows[ok]]), np.vstack([M, m[ok]])
+    return X, M
 
 
 def _majorization_slacks(mx: np.ndarray, my: np.ndarray, margin: float) -> np.ndarray:
@@ -307,9 +310,8 @@ def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0
     """
     rec = _Recorder("thm1.3/no-strict-majorization")
     rng = random.Random(seed)
-    X = _sample_Y(p, rng, trials + 1)
+    X, m = _sample_Y(p, rng, trials + 1)
     pj = problem_to_json(p)
-    m = interval_maxima_batch(p, X).values
     # pairs (i, i + 1) and (i + 1, i), in that order
     flip = np.tile([0, 1], trials)
     u = np.repeat(np.arange(trials), 2) + flip
@@ -773,7 +775,7 @@ def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 
 
     lims = limsup_conditions(p.field)
     if lims.usc or lims.two_sided:
-        for row in _sample_Y(p, rng, min(10, trials)):
+        for row in _sample_Y(p, rng, min(10, trials))[0]:
             x = NodeSystem(tuple(row.tolist()))
             direction = tuple(rng.choice((-1, 1)) for _ in range(p.n))
             s = x.with_sentinels()

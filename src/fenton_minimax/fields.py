@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import Interval
-from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
+from .formulas import Constant, Formula, LogWeight
 
 __all__ = [
     "FieldPiece",
@@ -276,46 +276,6 @@ def limsup_conditions(J: Field) -> LimsupConditions:
 # Lipschitz upper envelopes
 
 
-def _sup_affine_shift(f: Formula, a: float, b: float, slope: float) -> float:
-    """Exact max of f(s) + slope*s over [a, b]."""
-    if isinstance(f, Constant):
-        return f.c + slope * (b if slope > 0 else a)
-    if isinstance(f, Affine):
-        total = f.alpha + slope
-        s = b if total > 0 else a
-        return f.value(s) + slope * s
-    if isinstance(f, Quadratic):
-        if f.a == 0:
-            total = f.b + slope
-            s = b if total > 0 else a
-        else:
-            s = min(max(-(f.b + slope) / (2.0 * f.a), a), b)
-        return f.value(s) + slope * s
-    if isinstance(f, LogWeight):
-        cands = [a, b]
-        w = f.w
-        if isinstance(w, Affine) and slope != 0.0 and w.alpha != 0.0:
-            cands.append(-(w.alpha + slope * w.beta) / (slope * w.alpha))
-        elif isinstance(w, Quadratic):
-            qa = slope * w.a
-            qb = 2.0 * w.a + slope * w.b
-            qc = w.b + slope * w.c
-            if qa == 0.0:
-                if qb != 0.0:
-                    cands.append(-qc / qb)
-            else:
-                disc = qb * qb - 4.0 * qa * qc
-                if disc >= 0:
-                    r = math.sqrt(disc)
-                    cands.extend([(-qb - r) / (2 * qa), (-qb + r) / (2 * qa)])
-        best = -math.inf
-        for s in cands:
-            if a <= s <= b and w.value(s) > 0:
-                best = max(best, f.value(s) + slope * s)
-        return best
-    raise TypeError(f"unknown formula {f!r}")
-
-
 def monotone_usc_approximation(J: Field, k: float) -> Callable[[float], float]:
     """The k-Lipschitz envelope t -> sup_s (J*(s) - k|t - s|).
 
@@ -333,12 +293,12 @@ def monotone_usc_approximation(J: Field, k: float) -> Callable[[float], float]:
         best = -math.inf
         for a, b, f in spans:
             if t <= a:
-                v = _sup_affine_shift(f, a, b, -k) + k * t
+                v = f.sup_on(a, b, -k)[0] + k * t
             elif t >= b:
-                v = _sup_affine_shift(f, a, b, k) - k * t
+                v = f.sup_on(a, b, k)[0] - k * t
             else:
-                v = max(_sup_affine_shift(f, a, t, k) - k * t,
-                        _sup_affine_shift(f, t, b, -k) + k * t)
+                v = max(f.sup_on(a, t, k)[0] - k * t,
+                        f.sup_on(t, b, -k)[0] + k * t)
             if v > best:
                 best = v
         return best

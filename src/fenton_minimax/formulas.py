@@ -4,7 +4,8 @@ These are the building blocks for piecewise fields and custom kernel sides.
 Every formula is real-valued, smooth and concave on any interval where it
 is used, and knows its derivative (``deriv``, and ``derivs`` over an array),
 which is what lets the sup engines bound each cell maximum by tangent lines.  Each class also knows its own exact
-supremum over a closed interval.
+supremum over a closed interval, with an affine term added or not
+(``sup_on``), which the fields' Lipschitz envelopes use.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class Formula:
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sup_on(self, a: float, b: float) -> tuple[float, float]:
-        """Exact (max value, argmax) over the closed interval [a, b]."""
+    def sup_on(self, a: float, b: float, slope: float = 0.0) -> tuple[float, float]:
+        """Exact (max value, argmax) of f(s) + slope * s over the closed
+        interval [a, b]."""
         raise NotImplementedError
 
     def inf_on(self, a: float, b: float) -> tuple[float, float]:
@@ -64,8 +66,9 @@ class Constant(Formula):
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         return np.zeros_like(ts, dtype=float)
 
-    def sup_on(self, a: float, b: float) -> tuple[float, float]:
-        return self.c, a
+    def sup_on(self, a: float, b: float, slope: float = 0.0) -> tuple[float, float]:
+        s = b if slope > 0 else a
+        return self.c + slope * s, s
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,9 @@ class Affine(Formula):
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         return np.full_like(ts, self.alpha, dtype=float)
 
-    def sup_on(self, a: float, b: float) -> tuple[float, float]:
-        arg = b if self.alpha > 0 else a
-        return self.value(arg), arg
+    def sup_on(self, a: float, b: float, slope: float = 0.0) -> tuple[float, float]:
+        s = b if self.alpha + slope > 0 else a
+        return self.value(s) + slope * s, s
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,12 @@ class Quadratic(Formula):
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         return 2.0 * self.a * ts + self.b
 
-    def sup_on(self, a: float, b: float) -> tuple[float, float]:
+    def sup_on(self, a: float, b: float, slope: float = 0.0) -> tuple[float, float]:
         if self.a == 0:
-            arg = b if self.b > 0 else a
-            return self.value(arg), arg
-        vertex = -self.b / (2.0 * self.a)
-        arg = min(max(vertex, a), b)
-        return self.value(arg), arg
+            s = b if self.b + slope > 0 else a
+        else:
+            s = min(max(-(self.b + slope) / (2.0 * self.a), a), b)
+        return self.value(s) + slope * s, s
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,26 @@ class LogWeight(Formula):
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         return self.w.derivs(ts) / self.w.values(ts)
 
-    def sup_on(self, a: float, b: float) -> tuple[float, float]:
-        wmax, arg = self.w.sup_on(a, b)
-        if wmax <= 0:
-            raise ValueError("log weight is nonpositive on the whole piece")
-        return math.log(wmax), arg
+    def sup_on(self, a: float, b: float, slope: float = 0.0) -> tuple[float, float]:
+        if slope == 0.0:
+            wmax, arg = self.w.sup_on(a, b)
+            if wmax <= 0:
+                raise ValueError("log weight is nonpositive on the whole piece")
+            return math.log(wmax), arg
+        # the critical points solve w'(s) + slope * w(s) = 0
+        w, cands = self.w, [a, b]
+        if isinstance(w, Affine) and w.alpha != 0.0:
+            cands.append(-(w.alpha + slope * w.beta) / (slope * w.alpha))
+        elif isinstance(w, Quadratic):
+            qa, qb, qc = slope * w.a, 2.0 * w.a + slope * w.b, w.b + slope * w.c
+            if qa == 0.0:
+                if qb != 0.0:
+                    cands.append(-qc / qb)
+            elif (disc := qb * qb - 4.0 * qa * qc) >= 0:
+                r = math.sqrt(disc)
+                cands.extend([(-qb - r) / (2 * qa), (-qb + r) / (2 * qa)])
+        best = (-math.inf, a)
+        for s in cands:
+            if a <= s <= b and w.value(s) > 0 and (v := self.value(s) + slope * s) > best[0]:
+                best = (v, s)
+        return best

@@ -98,7 +98,7 @@ import numpy as np
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import Field, limsup_conditions, usc_regularize
 from .kernels import strictify
-from .sumtrans import Problem, _maxima_fn, _RawSup, interval_maxima, regularity
+from .sumtrans import Problem, _maxima_fn, _RawSup, interval_maxima
 
 __all__ = [
     "SolveOptions",
@@ -169,12 +169,23 @@ def _ns(arr) -> NodeSystem:
     return NodeSystem(arr.tolist() if isinstance(arr, np.ndarray) else arr)
 
 
-def _maxima(p: Problem, arr) -> list[_RawSup] | None:
+def _leading_maxima(p: Problem, arr) -> list[_RawSup]:
     """The interval maxima as ``_maxima_fn`` gives them, (m_j, witness,
-    attained, err) in floats, or None when some maximum is -inf."""
+    attained, err) in floats, from m_0 up to the first that is -inf."""
     m = _maxima_fn(p, _ns(arr).nodes)
-    rows = [m(j) for j in range(p.n + 1)]
-    return rows if all(r[0] != -math.inf for r in rows) else None
+    rows = []
+    for j in range(p.n + 1):
+        rows.append(m(j))
+        if rows[-1][0] == -math.inf:
+            break
+    return rows
+
+
+def _maxima(p: Problem, arr) -> list[_RawSup] | None:
+    """All the interval maxima of ``_leading_maxima``, or None when some
+    maximum is -inf, that is when arr is not in Y."""
+    rows = _leading_maxima(p, arr)
+    return rows if rows[-1][0] != -math.inf else None
 
 
 def _values(m: list[_RawSup]) -> list[float]:
@@ -204,12 +215,14 @@ def _nearest_finite(J: Field, t: float) -> float:
     return best
 
 
-def _repair(p: Problem, arr) -> np.ndarray:
+def _repair(p: Problem, arr) -> tuple[np.ndarray, list[_RawSup] | None]:
     """Project a raw coordinate tuple toward the regular set Y.
 
     Clips to [0,1], restores ordering, separates coincident nodes when the
-    kernel is singular, and nudges nodes so every inter-node interval meets
-    the set where the field is finite away from the singular points.
+    kernel is singular, and then, up to six times, nudges the nodes around
+    the first interval whose maximum is -inf so that it meets the set where
+    the field is finite away from the singular points.  Returns the point
+    with its ``_maxima``, which are None when it is still outside Y.
     """
     x = np.minimum(np.maximum(np.asarray(arr, dtype=float), 0.0), 1.0)
     x = np.maximum.accumulate(x)
@@ -225,10 +238,10 @@ def _repair(p: Problem, arr) -> np.ndarray:
         x = np.minimum(np.maximum(x, 0.0), 1.0)
 
     for _ in range(6):
-        reg = regularity(p, _ns(np.maximum.accumulate(x)))
-        if reg.in_Y:
-            break
-        j = reg.singular_intervals[0]
+        rows = _leading_maxima(p, x)
+        if rows[-1][0] != -math.inf:
+            return x, rows
+        j = len(rows) - 1
         s = (0.0, *x, 1.0)
         mid = 0.5 * (s[j] + s[j + 1])
         u = _nearest_finite(p.field, mid)
@@ -243,17 +256,18 @@ def _repair(p: Problem, arr) -> np.ndarray:
             if j <= n - 1:
                 x[j] = min(max(x[j], u + 1e-4), 1.0)
         x = np.maximum.accumulate(np.minimum(np.maximum(x, 0.0), 1.0))
-    return x
+    return x, _maxima(p, x)
 
 
 def sample_regular(p: Problem, rng: random.Random, attempts: int = 10) -> NodeSystem:
-    """A random node system in Y: rejection first, nudging repair afterwards."""
+    """A random node system, drawn by rejection from Y.  After ``attempts``
+    draws outside Y it returns one more draw repaired by ``_repair``, which
+    can still lie outside Y."""
     for _ in range(attempts):
         cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
-        ns = _ns(cand)
-        if regularity(p, ns).in_Y:
-            return ns
-    return _ns(_repair(p, sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))))
+        if _maxima(p, cand) is not None:
+            return _ns(cand)
+    return _ns(_repair(p, sorted(rng.uniform(0.0, 1.0) for _ in range(p.n)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +649,7 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     x = x0.copy()
     m = _maxima(p, x)
     if m is None:
-        x = _repair(p, x)
-        m = _maxima(p, x)
+        x, m = _repair(p, x)
         if m is None:
             return x, math.inf, 0, []
     phi = np.diff(_values(m))
@@ -657,8 +670,7 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
             continue
         accepted = False
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            xc = _repair(p, x + alpha * d)
-            mc = _maxima(p, xc)
+            xc, mc = _repair(p, x + alpha * d)
             if mc is None:
                 continue
             phc = np.diff(_values(mc))
@@ -681,7 +693,7 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
 
 def _even_start(p: Problem) -> np.ndarray:
     """The evenly spaced system x_j = j / (n + 1), repaired toward Y."""
-    return _repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))
+    return _repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))[0]
 
 
 def _starts(p: Problem, o: SolveOptions) -> list[np.ndarray]:
@@ -689,7 +701,7 @@ def _starts(p: Problem, o: SolveOptions) -> list[np.ndarray]:
     rng = random.Random(o.seed)
     for _ in range(o.multistarts - 1):
         cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
-        starts.append(_repair(p, cand))
+        starts.append(_repair(p, cand)[0])
     return starts
 
 
@@ -951,4 +963,4 @@ def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
     rng = random.Random(o.seed + 1)
     starts = [] if eq.x is None else [np.array(eq.x.nodes)]
     starts += [np.array(sample_regular(p, rng).nodes) for _ in range(3)]
-    return _search(p, o, eq, +1.0, [_repair(p, x0) for x0 in starts])
+    return _search(p, o, eq, +1.0, [_repair(p, x0)[0] for x0 in starts])

@@ -40,11 +40,12 @@ without a selector.  A batch of one costs many times a scalar call, which is
 why both engines remain.  ``err`` means the same in both: the supremum lies
 in [value, value + err].
 
-Which maxima are -inf is decided without either engine, exactly, from the
-field's piece table (where no piece holds t, J = -inf) and three node rules
-(a node of a singular kernel, and 0 or 1 when a node at the other end sees
-K = -inf): ``regularity_many`` for many node systems at once, with
-``regularity`` its one-row case.
+The regular set Y, where no m_j is -inf, has one definition: the engines'
+values.  F is finite inside every cell that lies in a piece of J, and every
+point between cells is evaluated exactly, so an engine's m_j is -inf
+exactly when F is -inf on all of [x_j, x_{j+1}].  ``regularity`` reads Y off the scalar engine and
+``regularity_many`` off the batch engine; a caller that goes on to use the
+maxima tests membership on the maxima it already has.
 """
 
 from __future__ import annotations
@@ -501,12 +502,13 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
 
 
 # ---------------------------------------------------------------------------
-# exact singularity bookkeeping
+# the regular set Y
 
 
 class RegularityReport(NamedTuple):
     """Y membership of one node system: in Y exactly when no interval
-    maximum is -inf, and the intervals whose maximum is."""
+    maximum is -inf, and the intervals whose maximum is, as the scalar
+    engine computes them."""
 
     in_Y: bool
     singular_intervals: tuple[int, ...]
@@ -514,50 +516,17 @@ class RegularityReport(NamedTuple):
 
 def regularity_many(p: Problem, X) -> np.ndarray:
     """Which interval maxima are -inf, for every row of X, an array of shape
-    (B, n) of node systems.
-
-    Entry (i, j) of the (B, n + 1) bool result is True when the interval
-    [s_j, s_{j+1}] of row i (sentinels 0 and 1) lies inside the singularity
-    set of row i, where F(X[i], .) = -inf, that is when m_j = -inf.  That set
-    is the field's fixed -inf set (the piece table's empty slots) plus three
-    per-row point rules: every node when K is singular, 0 when a node at 1
-    has K(-1) = -inf, and 1 when a node at 0 has K(1) = -inf.  No node, and
-    neither 0 nor 1, lies strictly inside an interval of a sorted system, so
-    for a < b the interval is covered exactly when (a, b) lies inside one
-    hole interval of the field and each end is in the -inf set or one of
-    those points (a singular node may close an open end of a hole); for
-    a = b the point itself must be.  Rows that are not sorted node systems
-    in [0, 1] raise ``ValueError``.
+    (B, n) of node systems: the (B, n + 1) bool array
+    ``interval_maxima_batch(p, X).values == -inf``, True where F(X[i], .)
+    is -inf on all of interval j of row i.  Rows that are not sorted node
+    systems in [0, 1] raise ``ValueError``.
     """
-    ends, slots = p.field.piece_table
-    s = _sentinel_rows(X, p.n)
-    X = s[:, 1:-1]
-    # per s value: its place among the field's breakpoints, then whether it
-    # is in the singularity set of its row (no piece holds it, or a rule)
-    kl, kr = ends.searchsorted(s, "left"), ends.searchsorted(s, "right")
-    singular = slots[kl + kr] < 0
-    if p.kernel.singular:
-        singular |= (s[:, :, None] == X[:, None, :]).any(axis=2)
-    # a node at `end` puts `at` in the set when K(at - end) = -inf
-    for end, at in ((1.0, 0.0), (0.0, 1.0)):
-        if p.kernel.eval(at - end) == -math.inf:
-            singular |= (s == at) & (X == end).any(axis=1)[:, None]
-    # (a, b) lies inside one hole when no breakpoint is strictly between a
-    # and b and no piece covers the gap holding them
-    a, b, kr_a = s[:, :-1], s[:, 1:], kr[:, :-1]
-    inside = (kl[:, 1:] == kr_a) & (slots[2 * kr_a] < 0)
-    return singular[:, :-1] & singular[:, 1:] & (inside | (a == b))
+    return interval_maxima_batch(p, X).values == -math.inf
 
 
 def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
-    """Which interval maxima are finite, decided from the set structure.
-
-    m_j = -inf exactly when the whole interval [x_j, x_{j+1}] sits inside the
-    singularity set; no numeric maximization is involved.  This is the
-    one-row case of ``regularity_many``.
-    """
+    """Which interval maxima of x are -inf, read off the scalar engine."""
     _check_nodes(p, x)
-    row = regularity_many(p, [x.nodes])[0].tolist()
-    singular = tuple(j for j, covered in enumerate(row) if covered)
+    m = _maxima_fn(p, x.nodes)
+    singular = tuple(j for j in range(p.n + 1) if m(j)[0] == -math.inf)
     return RegularityReport(not singular, singular)
-

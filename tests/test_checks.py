@@ -20,7 +20,7 @@ from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckErr
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
 from fenton_minimax.solvers import SolveOptions, solve_equioscillation
-from fenton_minimax.sumtrans import Problem, regularity
+from fenton_minimax.sumtrans import Problem, interval_maxima_batch, regularity
 
 EXPECTED_IDS = {
     "lem2.4/a", "lem2.4/b", "lem2.4/c", "lem2.4/d", "lem2.4/e",
@@ -202,6 +202,11 @@ def _sample_Y_one_at_a_time(p, rng, count, min_rate=1e-3):
     return out
 
 
+def _sample_Y_rows(p, rng, count, min_rate=1e-3):
+    """The rows of ``checks._sample_Y``, without their maxima."""
+    return checks._sample_Y(p, rng, count, min_rate)[0]
+
+
 def _sampling_outcome(sample, p, seed, count, min_rate):
     """("raised", message) or ("rows", rows, the next rng.random())."""
     rng = random.Random(seed)
@@ -220,9 +225,20 @@ class TestSampleY:
         for seed in range(4):
             for count in (0, 1, 9, 61):
                 want = _sampling_outcome(_sample_Y_one_at_a_time, p, seed, count, 1e-3)
-                got = _sampling_outcome(checks._sample_Y, p, seed, count, 1e-3)
+                got = _sampling_outcome(_sample_Y_rows, p, seed, count, 1e-3)
                 assert got == want, (seed, count)
-                assert checks._sample_Y(p, random.Random(seed), count).shape == (count, p.n)
+                X, M = checks._sample_Y(p, random.Random(seed), count)
+                assert X.shape == (count, p.n) and M.shape == (count, p.n + 1)
+
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_maxima_are_the_batch_maxima_of_the_rows(self, name):
+        # rows come from rounds of different sizes; each keeps its own maxima
+        p = BATTERY[name]
+        for seed in range(3):
+            X, M = checks._sample_Y(p, random.Random(seed), 40)
+            want = interval_maxima_batch(p, X).values
+            assert M.tobytes() == want.tobytes(), seed
+            assert np.all(M > -np.inf)
 
     @pytest.mark.parametrize("name, count, min_rate, kinds", [
         # raises at row 1000, in the first round and in the second
@@ -235,13 +251,13 @@ class TestSampleY:
         p = BATTERY[name]
         want = [_sampling_outcome(_sample_Y_one_at_a_time, p, seed, count, min_rate)
                 for seed in range(3)]
-        got = [_sampling_outcome(checks._sample_Y, p, seed, count, min_rate)
+        got = [_sampling_outcome(_sample_Y_rows, p, seed, count, min_rate)
                for seed in range(3)]
         assert got == want
         assert [w[0] for w in want] == kinds
 
     def test_message_names_the_rate(self):
-        kind, message = _sampling_outcome(checks._sample_Y, BATTERY["log-n1-gate"], 0, 2000, 0.6)
+        kind, message = _sampling_outcome(_sample_Y_rows, BATTERY["log-n1-gate"], 0, 2000, 0.6)
         assert kind == "raised"
         assert message.endswith("is below 60.0%")
 

@@ -70,6 +70,24 @@ class TestFormulas:
         if a <= t <= b:
             assert f.value(t) <= v + 1e-9
 
+    @pytest.mark.parametrize("f", [Constant(1.5), Affine(-2.0, 0.3), Affine(0.7, 0.1),
+                                   Quadratic(0.0, -0.4, 0.2), Quadratic(-1.0, 0.5, 0.125),
+                                   LogWeight(Affine(1.0, 0.5)), LogWeight(Affine(-0.9, 1.0)),
+                                   LogWeight(Quadratic(-1.0, 0.5, 0.75)),
+                                   LogWeight(Quadratic(0.0, 0.3, 0.4))])
+    @pytest.mark.parametrize("slope", [-8.0, -1.0, 0.0, 0.5, 4.0])
+    def test_sup_with_a_slope_dominates_a_grid(self, f, slope):
+        # the exact max of f(s) + slope * s is attained at its argmax and is
+        # at least every grid value, up to rounding
+        for a, b in ((0.0, 1.0), (0.2, 0.3), (0.55, 0.95), (0.4, 0.4)):
+            v, arg = f.sup_on(a, b, slope)
+            assert a <= arg <= b
+            assert v == pytest.approx(f.value(arg) + slope * arg, abs=1e-14)
+            grid = np.linspace(a, b, 1001)
+            assert v >= max(f.value(s) + slope * s for s in grid) - 1e-12, (a, b)
+            if slope == 0.0:
+                assert (v, arg) == f.sup_on(a, b)
+
     @pytest.mark.parametrize("f", [Constant(1.5), Affine(-2.0, 0.3),
                                    Quadratic(-1.0, 0.5, 0.125),
                                    LogWeight(Affine(1.0, 0.5))])

@@ -15,7 +15,11 @@ through the usc regularization; it was written when that route replaced the
 limit heuristics of the n = 1 solver, and its CSV report
 ``zero-n2-ramp.report.csv`` pins the equioscillation trace of that solve,
 which ends at the reported point (1/2, 1/2) with J's residual inf, and the
-traces of its minimax and maximin searches.  Each
+traces of its minimax and maximin searches.  ``log-n2-bands`` pins the
+repair of starts toward Y under a singular kernel: one random start puts
+interval 1 inside the field's hole (0.4, 0.6) and is nudged out of it, and
+maximin's sampler rejects one draw there; it was written before Y
+membership came to be read off the interval maxima.  Each
 ``verify-<check>.report.json`` is the report of ``verify --check <id>
 --trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
@@ -84,7 +88,7 @@ CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "thm1.3/minimax-equals-maximin")
 
 
-@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump",))
+@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump", "log-n2-bands"))
 def test_solve_report_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["solve", "--config", str(GOLDEN / f"{name}.config.json"),

@@ -579,7 +579,7 @@ def ref_solve_minimax(p, o):
     starts = []
     if eq.x is not None:
         starts.append(np.array(eq.x.nodes))
-    starts.append(_repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)])))
+    starts.append(_repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))[0])
     best = None
     iters = eq.iterations
     for x0 in starts:
@@ -604,7 +604,7 @@ def ref_solve_maximin(p, o):
     best = None
     iters = eq.iterations
     for x0 in starts:
-        x0 = _repair(p, x0)
+        x0 = _repair(p, x0)[0]
         if not math.isfinite(ref_mlow(p, x0)):
             continue
         x, fx, step, it = ref_pattern(lambda a: ref_mlow(p, a), x0, o, +1.0)
@@ -824,6 +824,37 @@ class TestSampleRegular:
         a = sample_regular(p, random.Random(3))
         b = sample_regular(p, random.Random(3))
         assert a.nodes == b.nodes
+
+
+def test_repair_returns_the_maxima_of_its_point():
+    """Seeded: random usc fields with -inf holes x singular and non-singular
+    kernels x n <= 3, from raw tuples that cluster, leave [0, 1] and come
+    unsorted.  The maxima ``_repair`` returns are ``_maxima`` at its point
+    bit for bit, and None exactly when some ``interval_maxima`` value there
+    is -inf."""
+    kernels = (log_kernel(), power_kernel(0.5), sqrt_kernel(), zero_kernel())
+    seen = {(k.singular, outside): 0 for k in kernels for outside in (False, True)}
+    for seed in range(30):
+        field = _random_usc_field(Random(seed))
+        rng = Random(seed)
+        for k in kernels:
+            for n in (1, 2, 3):
+                try:
+                    p = Problem(n=n, field=field, kernel=k)
+                except ValueError:  # field finite at too few points for n nodes
+                    continue
+                for _ in range(8):
+                    t = rng.uniform(-0.1, 1.1)
+                    raw = [t + rng.choice((0.0, rng.uniform(-0.05, 0.05))) for _ in range(n)]
+                    x, m = _repair(p, raw)
+                    values = interval_maxima(p, NodeSystem(tuple(x.tolist()))).values
+                    outside = not all(v.is_finite for v in values)
+                    assert (m is None) == outside, (seed, k.family, raw)
+                    if m is not None:
+                        assert repr(m) == repr(solvers._maxima(p, x)), (seed, k.family, raw)
+                    seen[k.singular, outside] += 1
+    # singular kernels leave some repaired points outside Y; others never do
+    assert seen[True, True] and seen[True, False] and seen[False, False]
 
 
 # ---------------------------------------------------------------------------

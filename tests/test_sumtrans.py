@@ -480,7 +480,7 @@ def test_regularity_bands_coincident_nodes_at_hole_end():
 
 def test_regularity_reads_the_singular_fact_off_the_kernel():
     # |t| is finite at 0, so the coincident nodes at 0.4 leave m_1 = J(0.4) = 0,
-    # and regularity, which reads Kernel.singular, must agree with both engines
+    # and regularity and regularity_many must read that off both engines
     tent = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 0.0))
     p = Problem(n=2, field=two_band_field(), kernel=tent)
     x = NodeSystem((0.4, 0.4))
@@ -520,14 +520,26 @@ def test_in_Y_iff_every_interval_maximum_is_finite():
 
 @dataclass(frozen=True)
 class _LogToEdge(Formula):
-    """log(1 + sign * t): 0 at t = 0 and -inf at t = -sign.  Only ``value``
-    is given: regularity reads a kernel at -1 and 1 and nowhere else."""
+    """log(1 + sign * t): 0 at t = 0, and -inf with slope sign * inf at
+    t = -sign."""
 
     sign: float
 
     def value(self, t):
         u = 1.0 + self.sign * t
         return math.log(u) if u > 0.0 else -math.inf
+
+    def values(self, ts):
+        with np.errstate(divide="ignore"):
+            return np.log(1.0 + self.sign * np.asarray(ts, dtype=float))
+
+    def deriv(self, t):
+        u = 1.0 + self.sign * t
+        return self.sign / u if u > 0.0 else self.sign * math.inf
+
+    def derivs(self, ts):
+        with np.errstate(divide="ignore"):
+            return self.sign / (1.0 + self.sign * np.asarray(ts, dtype=float))
 
 
 # -inf at -1 and at 1, finite at 0: a node at 1 makes the point 0 singular,
@@ -640,7 +652,10 @@ def _covered_by_scan(p: Problem, x: NodeSystem, a: float, b: float) -> bool:
 def test_regularity_many_matches_the_exact_singularity_set():
     """Entry (i, j) is ``_covered_by_scan(p, X[i], s_j, s_{j+1})`` on the
     edge-heavy ``_node_rows``, with rows of nodes all at 0, all at 1 and
-    split between them, and ``regularity`` is its one-row case."""
+    split between them, and ``regularity`` agrees row by row.  The scan
+    reads only the pieces, ``Kernel.singular`` and the kernel at -1 and 1,
+    so this is the independent check that the -inf set of both engines is
+    the exact singularity set."""
     checked = covered = 0
     for i, p in enumerate(_regularity_problems()):
         X = _node_rows(p, 7 * i, 24)
@@ -682,8 +697,10 @@ class TestRegularityManyInterface:
             regularity_many(BATTERY["log-n2-flat"], bad)
 
     def test_empty_batch(self):
-        got = regularity_many(BATTERY["log-n2-bands"], np.empty((0, 2)))
-        assert got.shape == (0, 3) and got.dtype == bool
+        for name in ("log-n1-gate", "log-n2-bands", "log-n3-flat"):
+            p = BATTERY[name]
+            got = regularity_many(p, np.empty((0, p.n)))
+            assert got.shape == (0, p.n + 1) and got.dtype == bool, name
 
 
 # ---------------------------------------------------------------------------
