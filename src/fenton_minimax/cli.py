@@ -198,7 +198,7 @@ def _apply_path(p: Problem, nodes: NodeSystem, path: str, value: float):
             raise ConfigError(f"sweep value {value} leaves nodes unordered") from exc
     if parts[:2] == ["problem", "kernel"] and len(parts) == 3:
         attr = parts[2]
-        if attr not in ("strictify_eta", "singularize_eta", "scale"):
+        if attr not in ("strictify_eta", "singularize_eta"):
             raise ConfigError(f"unknown kernel parameter in sweep path {path!r}")
         # the swept value replaces the kernel's own, as in a config
         kernel = kernel_from_json({**kernel_to_json(p.kernel), attr: value})

@@ -33,9 +33,10 @@ that table; the three array methods share one loop over a kernel's terms.
 sup engine: built once per problem from its kernel and weights, it gives
 per node system the evaluator t -> (sum_j w_j K(t - x_j), its
 t-derivative).  When the kernel is a plain family it makes two table calls
-per translate and nothing else; a scaled or layered kernel walks its terms.
-The floats are those of summing ``w_j * eval`` and ``w_j * deriv`` either
-way.
+per translate and nothing else; a layered kernel walks its terms.  The
+floats are those of summing ``w_j * eval`` and ``w_j * deriv`` either way.
+A kernel has no scale of its own: c * K with weights w_j is K with weights
+c * w_j.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _singularize_value(eta: float, t: float) -> float:
 
 
 # The one definition of every kernel family and transform layer.  A kernel
-# evaluates as scale * (family term + strictify term + singularize terms).
+# evaluates as family term + strictify term + singularize terms.
 FAMILIES: dict[str, Family] = {
     "zero": Family(
         value=lambda _, t: 0.0,
@@ -187,8 +188,8 @@ _KERNEL_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
 class Kernel:
     """A kernel family with optional transform layers.
 
-    ``scale`` multiplies the whole function; ``strictify_eta`` and ``singularize_etas`` record the
-    transform layers so evaluation stays exact and serializable.  A custom
+    ``strictify_eta`` and ``singularize_etas`` record the transform layers
+    so evaluation stays exact and serializable.  A custom
     kernel's two formulas must agree at 0, and a log-weight side needs a
     positive weight on its closed side, [-1, 0] or [0, 1], as a log-weight
     field piece does on its closure.
@@ -196,7 +197,6 @@ class Kernel:
 
     family: str
     params: tuple[float, ...] = ()
-    scale: float = 1.0
     strictify_eta: float = 0.0
     singularize_etas: tuple[float, ...] = ()
     neg_formula: Formula | None = None
@@ -206,8 +206,6 @@ class Kernel:
         if self.family not in _KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         # chained comparisons, which NaN fails, so NaN and inf are refused too
-        if not 0 < self.scale < math.inf:
-            raise ValueError("kernel scale must be positive and finite")
         if not (0 <= self.strictify_eta < math.inf
                 and all(0 < e < math.inf for e in self.singularize_etas)):
             raise ValueError("transform parameters must be positive and finite")
@@ -252,7 +250,7 @@ class Kernel:
         at most either one-sided limit at 0.
 
         The zero, log, sqrt and power families and both transform layers are
-        all of that shape, and so is any positive multiple of a sum of them.
+        all of that shape, and so is any sum of them.
         A custom kernel's sides are concave, so their slopes fall from left
         to right: the negative side is non-increasing when its slope at -1 is
         <= 0, the positive side non-decreasing when its slope at 1 is >= 0.
@@ -298,11 +296,11 @@ class Kernel:
         v = 0.0
         for fam, param in self._terms:
             v += fam.value(param, t)
-        return self.scale * v
+        return v
 
     def _sum_many(self, ts: np.ndarray, columns: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-        """scale * the sum over the terms, for each named array column of the
-        table, from one pass over the terms and one range check."""
+        """The sum over the terms, for each named array column of the table,
+        from one pass over the terms and one range check."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1.0 or ts.max() > 1.0):
             raise ValueError("kernel argument outside [-1, 1]")
@@ -311,7 +309,7 @@ class Kernel:
             sums = [getattr(fam, c)(param, ts) for c in columns]
             for fam, param in layers:
                 sums = [v + getattr(fam, c)(param, ts) for v, c in zip(sums, columns)]
-        return tuple(self.scale * v for v in sums)
+        return tuple(sums)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; same domain rules as ``eval``."""
@@ -333,16 +331,11 @@ class Kernel:
         d = 0.0
         for fam, param in self._terms:
             d += fam.deriv(param, t)
-        return self.scale * d
+        return d
 
     def derivs(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized ``deriv``; same domain rules."""
         return self._sum_many(ts, ("derivs",))[0]
-
-    def scaled(self, factor: float) -> "Kernel":
-        if not 0 < factor < math.inf:
-            raise ValueError("kernel weights must be positive and finite")
-        return replace(self, scale=self.scale * factor)
 
 
 class TranslateSum:
@@ -351,25 +344,24 @@ class TranslateSum:
 
     Built once per problem; ``at(nodes)`` gives the evaluator
     t -> (f(t), f'(t)) of one node system, which raises ValueError when some
-    t - x_j leaves [-1, 1].  Translates are summed in order, the kernel's
-    terms from 0.0 and then scaled, as ``Kernel.eval`` and ``Kernel.deriv``
-    do, so the floats are those of adding up ``w_j * eval(t - x_j)`` and
-    ``w_j * deriv(t - x_j)``.  When the kernel is one unscaled family the
-    evaluator calls its two table entries directly: adding a term to 0.0
-    and scaling it by 1.0 change no sum that starts at 0.0.
+    t - x_j leaves [-1, 1].  Translates are summed in order from 0.0, each
+    kernel's terms from 0.0 as ``Kernel.eval`` and ``Kernel.deriv`` do, so
+    the floats are those of adding up ``w_j * eval(t - x_j)`` and
+    ``w_j * deriv(t - x_j)``; once f(t) is -inf it stays -inf.  When the
+    kernel has one term the evaluator calls its two table entries directly:
+    adding a term to 0.0 changes no sum that starts at 0.0.
     """
 
     def __init__(self, kernel: Kernel, weights: tuple[float, ...]):
         self._weights = tuple(weights)
-        self._scale, self._terms = kernel.scale, kernel._terms
-        self._plain = len(self._terms) == 1 and self._scale == 1.0
+        self._terms = kernel._terms
 
     def at(self, nodes) -> Callable[[float], tuple[float, float]]:
         parts = tuple(zip(self._weights, nodes))
         # t - x_j is monotone in x_j, so the extreme nodes decide the domain
         lo, hi = min(nodes), max(nodes)
-        scale, terms = self._scale, self._terms
-        if self._plain:
+        terms = self._terms
+        if len(terms) == 1:
             ((fam, param),) = terms
             value, deriv = fam.value, fam.deriv
 
@@ -395,8 +387,8 @@ class TranslateSum:
                 for fam, param in terms:
                     v += fam.value(param, s)
                     d += fam.deriv(param, s)
-                total += w * (scale * v)
-                slope += w * (scale * d)
+                total += w * v
+                slope += w * d
             return total, slope
 
         return walk

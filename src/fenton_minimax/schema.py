@@ -193,7 +193,7 @@ def formula_from_json(d: Any) -> Formula:
         return cls(**_fields_from_json(cls, d, f"{kind} formula"))
 
 
-_KERNEL_KEYS = ("family", "params", "scale", "strictify_eta", "singularize_eta")
+_KERNEL_KEYS = ("family", "params", "strictify_eta", "singularize_eta")
 # the keys of a kernel's "params" object, per family
 _PARAM_KEYS = {"zero": (), "log": (), "sqrt": (), "power": ("s",),
                "custom": ("neg", "pos")}
@@ -207,8 +207,6 @@ def kernel_to_json(k: Kernel) -> dict:
     if k.family == "custom":
         d["params"] = {"neg": formula_to_json(k.neg_formula),
                        "pos": formula_to_json(k.pos_formula)}
-    if k.scale != 1.0:
-        d["scale"] = k.scale
     if k.strictify_eta:
         d["strictify_eta"] = k.strictify_eta
     if k.singularize_etas:
@@ -233,8 +231,6 @@ def kernel_from_json(d: Any) -> Kernel:
                               _formula_at(params, "pos", what))
         else:
             k = _STOCK_KERNELS[family]()
-        if "scale" in d:
-            k = k.scaled(_number_at(d, "scale", "kernel"))
         if "strictify_eta" in d:
             k = strictify(k, _number_at(d, "strictify_eta", "kernel"))
         if "singularize_eta" in d:

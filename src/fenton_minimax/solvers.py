@@ -691,13 +691,14 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     return x, res, iters, trace
 
 
-def _even_start(p: Problem) -> np.ndarray:
-    """The evenly spaced system x_j = j / (n + 1), repaired toward Y."""
-    return _repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))[0]
+def _even_start(p: Problem) -> tuple[np.ndarray, list[_RawSup] | None]:
+    """The evenly spaced system x_j = j / (n + 1), repaired toward Y, with
+    its ``_maxima`` as ``_repair`` returns them."""
+    return _repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))
 
 
 def _starts(p: Problem, o: SolveOptions) -> list[np.ndarray]:
-    starts = [_even_start(p)]
+    starts = [_even_start(p)[0]]
     rng = random.Random(o.seed)
     for _ in range(o.multistarts - 1):
         cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
@@ -905,17 +906,19 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float,
 
 
 def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
-            starts: list[np.ndarray]) -> SolveReport:
+            starts: list[tuple[np.ndarray, list[_RawSup] | None]]) -> SolveReport:
     """The pattern search of ``_pattern`` (sign as there) from every start
-    whose objective is finite.  The best value wins, ties going to the
-    lexicographically first node system; its final step is the residual,
-    its trace ends at the reported point, and the iterations add up over eq
-    and every search."""
+    whose objective is finite.  A start is a point with its ``_maxima``, as
+    ``_repair`` returns them; where those are None the maxima are computed
+    here, since some m_j = -inf leaves the largest one finite.  The best
+    value wins, ties going to the lexicographically first node system; its
+    final step is the residual, its trace ends at the reported point, and
+    the iterations add up over eq and every search."""
     best = None
     iters = eq.iterations
-    for x0 in starts:
+    for x0, rows in starts:
         start = _ns(x0)
-        m0 = interval_maxima(p, start).floats()
+        m0 = interval_maxima(p, start).floats() if rows is None else _values(rows)
         if not math.isfinite(_objective(m0, sign)):
             continue
         x, fx, step, it, trace = _pattern(p, start.nodes, o, sign, m0)
@@ -943,7 +946,7 @@ def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
-    starts = [] if eq.x is None else [np.array(eq.x.nodes)]
+    starts = [] if eq.x is None else [(np.array(eq.x.nodes), None)]
     r = _search(p, o, eq, -1.0, [*starts, _even_start(p)])
     if eq.status == "converged" and abs(eq.value.as_float() - r.value.as_float()) <= max(
             10 * o.tol_residual, 1e-9) + 1e-12:
@@ -963,4 +966,4 @@ def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
     rng = random.Random(o.seed + 1)
     starts = [] if eq.x is None else [np.array(eq.x.nodes)]
     starts += [np.array(sample_regular(p, rng).nodes) for _ in range(3)]
-    return _search(p, o, eq, +1.0, [_repair(p, x0)[0] for x0 in starts])
+    return _search(p, o, eq, +1.0, [_repair(p, x0) for x0 in starts])

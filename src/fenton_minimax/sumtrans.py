@@ -169,16 +169,13 @@ def _check_nodes(p: Problem, x: NodeSystem) -> None:
 
 
 def pure_sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
-    """f(x, t) = sum of weighted kernel translates, without the field."""
+    """f(x, t) = sum of weighted kernel translates, without the field: the
+    value of the problem's term walk (``kernels.TranslateSum``), the one
+    that every F-evaluation of the scalar sup engine makes."""
     _check_nodes(p, x)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"argument {t} outside [0, 1]")
-    total = 0.0
-    for w, xj in zip(p.weights, x.nodes):
-        total += w * p.kernel.eval(t - xj)
-        if total == -math.inf:
-            break
-    return ExtendedReal.of(total)
+    return ExtendedReal.of(p._translate_sum.at(x.nodes)(t)[0])
 
 
 def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:

@@ -5,10 +5,12 @@ Each ``tests/data/golden/<name>.config.json`` is a battery problem with
 ``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
 solve command wrote for it before the scalar sup engine was restructured
 around a per-problem plan.  ``custom-n2-bump`` is the bump field with a
-custom kernel, ``2 * |t|`` (affine sides -t and t, ``"scale": 2.0``) with a
-``"singularize_eta": 0.05`` layer, so its report pins how a custom kernel's
-formulas, scale and layer are echoed (re-recorded when custom kernels stopped
-declaring flags, which was the only change to its bytes).  ``zero-n2-ramp`` is
+custom kernel, ``|t|`` (affine sides -t and t) with a ``"singularize_eta":
+0.05`` layer, and weights 2 at both nodes, so its report pins how a custom
+kernel's formulas and layer and a problem's weights other than 1 are echoed
+and solved (re-recorded when custom kernels stopped declaring flags, and
+when the kernel's ``"scale": 2.0`` became these weights; both times only
+its ``"problem"`` changed).  ``zero-n2-ramp`` is
 ``log-n1-ramp`` with two nodes and the zero kernel: its field is not usc and
 has no equioscillation point, so that report pins a stalled solve (exit 1)
 through the usc regularization; it was written when that route replaced the

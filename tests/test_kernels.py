@@ -25,27 +25,25 @@ def _facts(k) -> dict[str, bool]:
     return {name: getattr(k, name) for name in FACTS}
 
 
-# every stock kernel under six transform stacks
+# every stock kernel under five transform stacks
 STACKS = {"plain": lambda k: k,
-          "scaled": lambda k: k.scaled(2.5),
           "strictified": lambda k: strictify(k, 0.2),
           "singularized": lambda k: singularize(k, 0.3),
           "strictified-singularized": lambda k: singularize(strictify(k, 0.2), 0.3),
-          "singularized-twice-scaled":
-              lambda k: singularize(singularize(k, 0.3), 0.05).scaled(0.5)}
+          "singularized-twice": lambda k: singularize(singularize(k, 0.3), 0.05)}
 STOCK_NAMES = ("zero", "log", "sqrt", "power0.5", "power1.5")
 STOCK_STACKS = {f"{name}-{stack}": op(k) for name, k in zip(STOCK_NAMES, STOCK)
                 for stack, op in STACKS.items()}
 # the flags each stack declared when kernels carried them (singular,
 # monotone, strictly monotone, strictly concave; 1 for true): the stock
 # constructors declared them, strictify set the last three and singularize
-# the first, and a scaled kernel kept its own
+# the first
 OLD_FLAGS = {
-    "zero": ("0100", "0100", "0111", "1100", "1111", "1100"),
-    "log": ("1111",) * 6,
-    "sqrt": ("0111", "0111", "0111", "1111", "1111", "1111"),
-    "power0.5": ("1111",) * 6,
-    "power1.5": ("1111",) * 6,
+    "zero": ("0100", "0111", "1100", "1111", "1100"),
+    "log": ("1111",) * 5,
+    "sqrt": ("0111", "0111", "1111", "1111", "1111"),
+    "power0.5": ("1111",) * 5,
+    "power1.5": ("1111",) * 5,
 }
 
 
@@ -104,12 +102,6 @@ class TestFamilies:
                 s = k.eval(float(t))
                 assert (s == v) or _ulps_apart(s, float(v)) <= 2
 
-    def test_scaled(self):
-        k = log_kernel().scaled(2.5)
-        assert k.eval(0.5) == 2.5 * math.log(0.5)
-        with pytest.raises(ValueError):
-            log_kernel().scaled(-1.0)
-
 
 class TestStrictify:
     def test_adds_sqrt_term(self):
@@ -167,16 +159,12 @@ class TestSingularize:
 @pytest.mark.parametrize("make", [
     lambda: power_kernel(math.nan), lambda: power_kernel(math.inf),
     lambda: power_kernel(0.0),
-    lambda: log_kernel().scaled(math.nan), lambda: log_kernel().scaled(math.inf),
-    lambda: log_kernel().scaled(1e300).scaled(1e300),
     lambda: strictify(log_kernel(), math.nan), lambda: strictify(log_kernel(), math.inf),
     lambda: singularize(log_kernel(), math.nan), lambda: singularize(log_kernel(), math.inf),
-    lambda: replace(log_kernel(), scale=math.nan),
     lambda: replace(log_kernel(), strictify_eta=math.nan),
     lambda: replace(log_kernel(), singularize_etas=(0.1, math.nan)),
-], ids=["power-nan", "power-inf", "power-zero", "scaled-nan", "scaled-inf",
-        "scaled-overflow", "strictify-nan", "strictify-inf", "singularize-nan",
-        "singularize-inf", "scale-nan", "strictify_eta-nan", "singularize_etas-nan"])
+], ids=["power-nan", "power-inf", "power-zero", "strictify-nan", "strictify-inf",
+        "singularize-nan", "singularize-inf", "strictify_eta-nan", "singularize_etas-nan"])
 def test_constructors_refuse_nan_inf_and_nonpositive(make):
     with pytest.raises(ValueError):
         make()
@@ -227,17 +215,15 @@ def _random_side(rng: Random):
 
 
 def _random_custom_kernels(seed: int, count: int):
-    """Seeded custom kernels, each plain, scaled, singularized or (when
-    monotone) strictified."""
+    """Seeded custom kernels, each plain, singularized or (when monotone)
+    strictified."""
     rng = Random(seed)
     for _ in range(count):
         k = custom_kernel(_random_side(rng), _random_side(rng))
-        stack = rng.randrange(4)
+        stack = rng.randrange(3)
         if stack == 1:
-            k = k.scaled(rng.choice((0.5, 3.0)))
-        elif stack == 2:
             k = singularize(k, rng.choice((0.05, 0.3)))
-        elif stack == 3 and k.monotone:
+        elif stack == 2 and k.monotone:
             k = strictify(k, rng.choice((0.05, 0.2)))
         yield k
 
@@ -283,7 +269,7 @@ class TestValidate:
 class TestJson:
     @pytest.mark.parametrize("k", STOCK + [strictify(log_kernel(), 0.3),
                                            singularize(power_kernel(0.5), 0.2),
-                                           log_kernel().scaled(2.0)])
+                                           singularize(singularize(log_kernel(), 0.3), 0.05)])
     def test_roundtrip(self, k):
         back = kernel_from_json(kernel_to_json(k))
         ts = np.linspace(-1, 1, 33)
@@ -334,7 +320,6 @@ BASES = {"zero": zero_kernel(), "log": log_kernel(), "sqrt": sqrt_kernel(),
 SING_ETA = 0.3
 # the layers are applied with replace() so non-monotone bases get them too
 LAYERS = {"plain": lambda k: k,
-          "scaled": lambda k: k.scaled(2.5),
           "strictified": lambda k: replace(k, strictify_eta=0.2),
           "singularized": lambda k: replace(k, singularize_etas=(SING_ETA,))}
 TABLE_CASES = [pytest.param(LAYERS[lay](k), id=f"{name}-{lay}")
@@ -473,7 +458,7 @@ def _ref_eval_deriv(k, t):
     for fam, param in k._terms:
         v += fam.value(param, t)
         d += fam.deriv(param, t)
-    return k.scale * v, k.scale * d
+    return v, d
 
 
 def _ref_pure_fun(p, x, t):

@@ -35,6 +35,10 @@ BAD_LOGWEIGHT_CONFIG = Path(__file__).parent / "data" / "bad-kernel-logweight.co
 # the log problem at n = 2 with a "kernels" list, a key the problem reader
 # does not know; CI runs the same file through the installed entry point
 BAD_KERNELS_CONFIG = Path(__file__).parent / "data" / "bad-problem-kernels.config.json"
+# a log kernel with a "scale" key, which kernels do not have, and one with a
+# "nan" strictify eta; CI runs both files through the installed entry point
+BAD_SCALE_CONFIG = Path(__file__).parent / "data" / "bad-kernel-scale.config.json"
+BAD_NUMBER_CONFIG = Path(__file__).parent / "data" / "bad-kernel-number.config.json"
 
 
 def custom_n2(neg_c=0.0, **params):
@@ -127,7 +131,7 @@ class TestProblemCodec:
                                           "formula": {"type": "cubic"}}]}},
          "unknown formula type 'cubic'"),
         ({**LOG_N2, "kernel": {"family": "log", "scale": -1}},
-         "kernel weights must be positive"),
+         "unknown kernel keys: scale"),
         ({**LOG_N2, "field": {"pieces": [{"interval": {"a": 0.0, "b": 2.0},
                                           "formula": {"type": "constant", "c": 0.0}}]}},
          "sticks out of"),
@@ -174,7 +178,7 @@ class TestConfig:
 
     def test_sweep_input_is_not_rewritten(self):
         axes = [{"path": "nodes.1", "values": {"start": 0.0, "stop": 1.0, "count": 3}},
-                {"path": "problem.kernel.scale", "values": [1, 2]}]
+                {"path": "problem.weights.1", "values": [1, 2]}]
         doc = {"schema": 1, "problem": LOG_N2, "sweep": axes}
         before = json.dumps(doc)
         cfg = config_from_json(doc)
@@ -399,7 +403,7 @@ class TestCliSolve:
         (LOG_N2, {"sweep": {"path": 1, "values": [0.5]}},
          "sweep path must be a string"),
         ({**LOG_N2, "kernel": {"family": "log", "scale": [1]}}, {},
-         "scale must be a number"),
+         "unknown kernel keys: scale"),
         ({**LOG_N2, "kernel": {"family": "power", "params": {"s": None}}}, {},
          "s must be a number"),
         ({**LOG_N2, "kernel": {"family": "custom", "params": {
@@ -411,9 +415,9 @@ class TestCliSolve:
         ({**LOG_N2, "kernel": {"family": "log", "strictify_eta": "x"}}, {},
          "strictify_eta must be a number"),
         ({**LOG_N2, "kernel": {"family": "log", "scale": "nan"}}, {},
-         "scale must be a number"),
+         "unknown kernel keys: scale"),
         ({**LOG_N2, "kernel": {"family": "log", "scale": True}}, {},
-         "scale must be a number"),
+         "unknown kernel keys: scale"),
         ({**LOG_N2, "kernel": {"family": "log", "strictify_eta": math.nan}}, {},
          "strictify_eta must be a number"),
         ({**LOG_N2, "kernel": {"family": "log", "singularize_eta": "inf"}}, {},
@@ -514,6 +518,14 @@ class TestCliSolve:
         # a problem has one kernel; a kernel per node is not a problem key
         assert main(["solve", "--config", str(BAD_KERNELS_CONFIG)]) == 2
         assert "unknown problem keys: kernels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, message", [
+        (BAD_SCALE_CONFIG, "unknown kernel keys: scale"),
+        (BAD_NUMBER_CONFIG, "strictify_eta must be a number, got 'nan'"),
+    ], ids=["scale", "number"])
+    def test_bad_kernel_config_file_exits_2(self, capsys, path, message):
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_custom_log_weight_side_positive_on_its_side_loads(self):
         k = problem_from_json(custom_n2(**log_weight_sides(0.5))).kernel
@@ -691,6 +703,14 @@ class TestCliSweep:
                         sweep={"path": "problem.kernel.colour",
                                "values": [1.0]})
         assert main(["sweep", "--config", cfg]) == 2
+
+    def test_kernel_scale_path_exits_2(self, tmp_path, capsys):
+        # a kernel has no scale; the weights are the problem's multipliers
+        cfg = write_cfg(tmp_path, "c.json", LOG_N2, nodes=[0.3, 0.7],
+                        sweep={"path": "problem.kernel.scale", "values": [2.0]})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown kernel parameter in sweep path 'problem.kernel.scale'\n")
 
     @pytest.mark.parametrize("path, message", [
         ("nodes.x", "bad node index in sweep path 'nodes.x'"),

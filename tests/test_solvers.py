@@ -54,10 +54,10 @@ def random_problems(draw, kernels=KERNELS):
 
 @st.composite
 def transformed_problems(draw):
-    """A random problem whose kernel is scaled, then strictified (monotone
-    kernels only) or singularized once or twice, with drawn weights."""
+    """A random problem whose kernel is strictified (monotone kernels only)
+    or singularized once or twice, with drawn weights."""
     p = draw(random_problems())
-    k = p.kernel.scaled(draw(st.floats(0.125, 8.0)))
+    k = p.kernel
     strict = k.monotone and draw(st.booleans())
     if strict:
         k = strictify(k, draw(st.floats(1e-3, 1.0)))
@@ -707,13 +707,13 @@ RISING_AT_MINUS_ONE = custom_kernel(Quadratic(-1.0, -0.5, 0.0), Affine(1.0, 0.0)
 
 def _with_layers(k):
     return (k, strictify(k, 0.1), singularize(k, 0.05),
-            singularize(strictify(k, 0.1), 0.05), k.scaled(2.0))
+            singularize(strictify(k, 0.1), 0.05))
 
 
 class TestMonotoneQualification:
     @pytest.mark.parametrize("k", [v for k in KERNELS[:5] for v in _with_layers(k)],
                              ids=lambda k: f"{k.family}{k.params}-{k.strictify_eta}"
-                                           f"-{k.singularize_etas}-{k.scale}")
+                                           f"-{k.singularize_etas}")
     def test_builtin_families_qualify(self, k):
         assert k.monotone
 

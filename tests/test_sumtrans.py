@@ -105,27 +105,21 @@ class TestSumEval:
         with pytest.raises(ValueError):
             sum_eval(p, NodeSystem((0.3, 0.7)), 0.5)  # n mismatch
 
-    @given(node_lists, st.floats(min_value=0.0, max_value=1.0))
-    def test_weighted_equals_scaled_kernels(self, nodes, t):
-        # weights against the kernel's scale: equal weights against a problem
-        # whose kernel is scaled by them, and each weight against a one-node
-        # problem whose kernel is scaled by it
+    @pytest.mark.parametrize("kernel", [log_kernel(), singularize(sqrt_kernel(), 0.3)],
+                             ids=["log", "sqrt-singularized"])
+    @given(nodes=node_lists, t=st.floats(min_value=0.0, max_value=1.0))
+    def test_weighted_equals_hand_sum(self, kernel, nodes, t):
+        # the term walk against summing w_j * K(t - x_j) from 0.0 in node
+        # order, bit for bit, -inf included
         n = len(nodes)
-        x = NodeSystem(nodes)
         w = tuple(1.0 + 0.5 * j for j in range(n))
-        p_w = Problem(n=n, field=flat_field(), kernel=log_kernel(), weights=w)
-        a = pure_sum_eval(p_w, x, t)
-        b = sum(pure_sum_eval(Problem(n=1, field=flat_field(), kernel=log_kernel().scaled(wj)),
-                              NodeSystem((xj,)), t).as_float()
-                for wj, xj in zip(w, nodes))
-        p_eq = Problem(n=n, field=flat_field(), kernel=log_kernel(), weights=(2.5,) * n)
-        p_sc = Problem(n=n, field=flat_field(), kernel=log_kernel().scaled(2.5))
-        c, d = pure_sum_eval(p_eq, x, t), pure_sum_eval(p_sc, x, t)
-        if a.is_finite:
-            assert b == pytest.approx(a.as_float(), rel=1e-12, abs=1e-12)
-            assert d.as_float() == pytest.approx(c.as_float(), rel=1e-12, abs=1e-12)
-        else:
-            assert b == -math.inf and not c.is_finite and not d.is_finite
+        p = Problem(n=n, field=flat_field(), kernel=kernel, weights=w)
+        want = 0.0
+        for wj, xj in zip(w, nodes):
+            want += wj * kernel.eval(t - xj)
+        got = pure_sum_eval(p, NodeSystem(nodes), t)
+        assert _bits(got.as_float()) == _bits(want)
+        assert got.is_finite == (want != -math.inf)
 
 
 class TestSupOnInterval:
@@ -350,8 +344,9 @@ def test_batch_matches_scalar_on_battery(name):
 
 @st.composite
 def batch_cases(draw):
-    """A random usc field, one of six kernels (plain, strictified,
-    singularized or scaled, with random weights), and a few node systems."""
+    """A random usc field, one of six kernels (plain, strictified or
+    singularized), random weights (scaled by a common factor in the
+    "scaled" variant), and a few node systems."""
     field = _random_usc_field(Random(draw(st.integers(0, 2**32 - 1))))
     n = draw(st.integers(1, 3))
     variant = draw(st.sampled_from(("plain", "strictified", "singularized", "scaled")))
@@ -363,7 +358,8 @@ def batch_cases(draw):
         elif variant == "singularized":
             k = singularize(k, 0.3)
         elif variant == "scaled":
-            k = k.scaled(draw(st.floats(0.25, 4.0)))
+            c = draw(st.floats(0.25, 4.0))
+            weights = tuple(c * w for w in weights)
         p = Problem(n=n, field=field, kernel=k, weights=weights)
     except ValueError:  # field finite at too few points for n nodes
         assume(False)
@@ -722,13 +718,13 @@ def _ref_pure_many(stack, X, rows, ts, bounds):
 
 def _pure_many_stacks():
     """A kernel with weights, a battery problem, stacks of one-kernel
-    problems on one field ("generalized": the log kernel with weights and a
-    scaled sqrt; "generalized-cusp": the power 1.5 and custom cusps), and
+    problems on one field ("generalized": the log kernel with weights and
+    the sqrt kernel with weights 2; "generalized-cusp": the power 1.5 and custom cusps), and
     the strictify and singularize stacks of the kernel-limit checks."""
     etas = (0.2, 0.1, 0.05, 0.02)
     shared = Problem(n=3, field=bump_field(), kernel=sqrt_kernel(), weights=(0.5, 1.25, 3.0))
     log_w = Problem(n=3, field=bump_field(), kernel=log_kernel(), weights=(1.0, 2.0, 1.0))
-    sqrt_2 = Problem(n=3, field=bump_field(), kernel=sqrt_kernel().scaled(2.0))
+    sqrt_2 = Problem(n=3, field=bump_field(), kernel=sqrt_kernel(), weights=(2.0,) * 3)
     power_cusp = Problem(n=2, field=two_band_field(), kernel=power_kernel(1.5))
     custom_cusp = Problem(n=2, field=two_band_field(), kernel=KERNELS[5])
     yield "shared", (shared,)
@@ -812,8 +808,7 @@ def _ref_sup_on_interval(p, x, q):
 
 
 def _engine_problems():
-    layered = (strictify(log_kernel(), 0.05), singularize(sqrt_kernel(), 0.1),
-               power_kernel(0.5).scaled(1.7))
+    layered = (strictify(log_kernel(), 0.05), singularize(sqrt_kernel(), 0.1))
     for seed in range(6):
         field = _random_usc_field(Random(seed))
         for n in (1, 2, 3):
@@ -821,6 +816,7 @@ def _engine_problems():
                 yield field, n, dict(kernel=k, weights=tuple(0.5 + 0.25 * j for j in range(n)))
             for k in layered:
                 yield field, n, dict(kernel=k)
+            yield field, n, dict(kernel=power_kernel(0.5), weights=(1.7,) * n)
 
 
 def _key(value, witness, attained, err):
