@@ -189,10 +189,10 @@ class Kernel:
     """A kernel family with optional transform layers.
 
     ``strictify_eta`` and ``singularize_etas`` record the transform layers
-    so evaluation stays exact and serializable.  A custom
-    kernel's two formulas must agree at 0, and a log-weight side needs a
-    positive weight on its closed side, [-1, 0] or [0, 1], as a log-weight
-    field piece does on its closure.
+    so evaluation stays exact and serializable.  A multiple of a kernel is
+    written as a problem's weights.  A custom kernel's two formulas must
+    agree at 0, and a log-weight side needs a positive weight on its closed
+    side, [-1, 0] or [0, 1], as a log-weight field piece does on its closure.
     """
 
     family: str
