@@ -549,7 +549,8 @@ def _snap(p: Problem, x: np.ndarray, res: float, phi) -> tuple[np.ndarray, float
 
 def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
     bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
-    scan = sorted(set(np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist()) | set(bps))
+    # 0 and 1 too: a sign change within 1/256 of an end is missed otherwise
+    scan = sorted({0.0, 1.0, *np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist(), *bps})
     evals = 0
     top: dict[float, float] = {}  # overall maximum wherever phi1 is defined
 

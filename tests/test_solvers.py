@@ -145,6 +145,15 @@ class TestEquioscillation1d:
         assert rep.residual == 0.0
         assert rep.value.as_float() == 0.5
 
+    @pytest.mark.parametrize("seed", [0, 5, 9, 10, 19, 23, 27, 28])
+    def test_root_near_an_end_is_found(self, seed):
+        # the zero kernel on these fields has its root within 1/256 of 0 or
+        # 1, outside the interior scan points; the scan also tries 0 and 1
+        p = Problem(n=1, field=_random_usc_field(Random(seed)), kernel=zero_kernel())
+        rep = solve_equioscillation(p, SolveOptions(multistarts=8))
+        assert rep.status == "converged", rep.note
+        assert rep.residual <= 1e-8
+
     def test_trace_is_recorded(self):
         rep = solve_equioscillation(battery_problem("log-n1-flat"))
         assert rep.trace
