@@ -1,8 +1,9 @@
 """Golden CLI reports: ``fenton-minimax solve``, ``oracle`` and ``verify`` must
 reproduce them byte for byte.
 
-Each ``tests/data/golden/<name>.config.json`` is a battery problem with
-``multistarts: 4`` and seed 0, and ``<name>.report.json`` is the report the
+Each ``tests/data/golden/<name>.config.json`` but ``log-n5-flat`` (below) is
+a battery problem with ``multistarts: 4`` and seed 0, and
+``<name>.report.json`` is the report the
 solve command wrote for it before the scalar sup engine was restructured
 around a per-problem plan.  ``custom-n2-bump`` is the bump field with a
 custom kernel, ``|t|`` (affine sides -t and t) with a ``"singularize_eta":
@@ -21,7 +22,11 @@ traces of its minimax and maximin searches.  ``log-n2-bands`` pins the
 repair of starts toward Y under a singular kernel: one random start puts
 interval 1 inside the field's hole (0.4, 0.6) and is nudged out of it, and
 maximin's sampler rejects one draw there; it was written before Y
-membership came to be read off the interval maxima.  Each
+membership came to be read off the interval maxima.  ``log-n5-flat`` is
+the log kernel on the flat field at n = 5 with ``multistarts: 8``, the
+heaviest solve of the solve-battery benchmark and the one with the most
+pattern-search polls; it was written before the pattern searches first
+probed each interval at the incumbent's witness.  Each
 ``verify-<check>.report.json`` is the report of ``verify --check <id>
 --trials 8 --seed 3``: the three checks of the
 check-sampling benchmark were written before the batch engine learned
@@ -90,7 +95,7 @@ CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "thm1.3/minimax-equals-maximin")
 
 
-@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump", "log-n2-bands"))
+@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump", "log-n2-bands", "log-n5-flat"))
 def test_solve_report_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["solve", "--config", str(GOLDEN / f"{name}.config.json"),
