@@ -22,12 +22,14 @@ on the ``Problem``: the term walk of its weighted translates
 bisection in its piece table (``Field.piece_table``, built once per field)
 finds each point's and cell's formula.  Per node system it builds one
 memoized F evaluator (``_pure_fun``) that every interval of the system
-shares, since a cell end of one interval is a point candidate of the next.
+shares, since a cell end of one interval is a point candidate of the next;
+for a singular kernel its memo starts with the value -inf at every node.
 ``interval_maxima``, ``sup_on_interval`` and the solvers' pattern search
 enter it through ``_maxima_fn``/``_sup_cells`` with float interval ends.
 Its value is the largest F value it computes, so a caller that only asks
 whether m_j exceeds a threshold ``stop`` gets its answer at the first value
-above ``stop``, returned as a lower bound; the pattern search asks that.
+above ``stop``, returned as a lower bound; the pattern search asks that,
+after one probe of its own through the same evaluator (``_value_at``).
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
 systems are known up front, as in the sampling checks.  Two options shrink
@@ -192,9 +194,14 @@ def _pure_fun(p: Problem, nodes: tuple[float, ...]):
     ``nodes``; the derivative is NaN on a node when the kernel has a cusp or
     a pole at 0.  Memoized and built once per node system: a candidate
     point of the sup engine is also the end of one or two cells, and an
-    interval's end is the next interval's start."""
+    interval's end is the next interval's start.  When the kernel is
+    singular (K(0) = -inf) the memo starts with (-inf, NaN) at every node,
+    which is what the term walk returns there: the node's own term is -inf
+    with a NaN slope, and no term is +inf.  The engines evaluate every
+    interval end, so this saves one walk per node."""
     walk = p._translate_sum.at(nodes)
-    memo: dict[float, tuple[float, float]] = {}
+    memo: dict[float, tuple[float, float]] = (
+        dict.fromkeys(nodes, (-math.inf, math.nan)) if p.kernel.singular else {})
 
     def f(t: float) -> tuple[float, float]:
         r = memo.get(t)
@@ -211,6 +218,15 @@ def _pure_fun(p: Problem, nodes: tuple[float, ...]):
 
 # (value, witness, attained, err), the value a float with -inf allowed
 _RawSup = tuple[float, float | None, bool, float]
+
+
+def _value_at(p: Problem, f, t: float) -> float:
+    """F(x, t) = J(t) + f(x, t) as a float, -inf where J is; f is
+    ``_pure_fun(p, nodes)``.  The engine's value at a point candidate."""
+    ends, pieces = p.field._scalar_table
+    piece = pieces[bisect_left(ends, t) + bisect_right(ends, t)]
+    base = -math.inf if piece is None else piece.formula.value(t)
+    return -math.inf if base == -math.inf else base + f(t)[0]
 
 
 def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
@@ -240,9 +256,7 @@ def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
     for t in pts:
         if (t == a and not closed_left) or (t == b and not closed_right):
             continue
-        piece = pieces[bisect_left(ends, t) + bisect_right(ends, t)]
-        base = -math.inf if piece is None else piece.formula.value(t)
-        v = -math.inf if base == -math.inf else base + f(t)[0]
+        v = _value_at(p, f, t)
         if v > stop:
             return v, t, True, math.inf
         cands.append((v, t, True, 0.0))
@@ -301,12 +315,13 @@ def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
                               q.closed_left, q.closed_right))
 
 
-def _maxima_fn(p: Problem, nodes: tuple[float, ...]) -> Callable[..., _RawSup]:
+def _maxima_fn(p: Problem, nodes: tuple[float, ...], f=None) -> Callable[..., _RawSup]:
     """(j, stop=inf) -> (m_j, witness, attained, err) as floats, the m_j of
     ``interval_maxima`` for the node system with the sorted tuple ``nodes``
     (unchecked), or with a value above ``stop`` a lower bound on it, as
-    ``_sup_cells`` gives it.  Every interval shares one F evaluator."""
-    f = _pure_fun(p, nodes)
+    ``_sup_cells`` gives it.  Every interval shares one F evaluator: f, the
+    caller's ``_pure_fun(p, nodes)`` when given."""
+    f = f or _pure_fun(p, nodes)
     s = (0.0, *nodes, 1.0)
     return lambda j, stop=math.inf: _sup_cells(p, nodes, f, s[j], s[j + 1], stop=stop)
 

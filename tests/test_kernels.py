@@ -507,3 +507,29 @@ def test_pure_fun_matches_summing_loop_bitwise(problems):
         for t in sorted(ts):
             got, want = f(t), _ref_pure_fun(p, x, t)
             assert [bits(v) for v in got] == [bits(v) for v in want], (p.kernel, t)
+
+
+# node systems with coincident nodes and nodes at 0 and 1
+SEED_NODES = ((0.0, 0.0, 0.4, 0.4, 1.0), (0.0, 1.0), (0.25, 0.25, 0.25), (1.0, 1.0),
+              (0.3, 0.7))
+
+
+@pytest.mark.parametrize("k", [*(pytest.param(k, id=name) for name, k in STOCK_STACKS.items()),
+                               *(c for c in TABLE_CASES if c.id.startswith("custom"))])
+def test_singular_kernels_walk_to_minus_inf_and_nan_at_every_node(k):
+    # the fact that lets _pure_fun seed its memo at the nodes of a singular
+    # kernel: the term walk returns (-inf, NaN) there; other kernels get a
+    # finite value from the walk and no seed
+    from fenton_minimax.battery import flat_field
+    from fenton_minimax.sumtrans import Problem, _pure_fun
+
+    for nodes in SEED_NODES:
+        p = Problem(n=len(nodes), field=flat_field(), kernel=k,
+                    weights=tuple(0.5 + j for j in range(len(nodes))))
+        walk, f = TranslateSum(k, p.weights).at(nodes), _pure_fun(p, nodes)
+        for xj in nodes:
+            if k.singular:
+                for v, d in (walk(xj), f(xj)):
+                    assert v == -math.inf and math.isnan(d), (nodes, xj)
+            else:
+                assert f(xj)[0] == walk(xj)[0] > -math.inf, (nodes, xj)

@@ -25,7 +25,7 @@ from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
                                     brute_maximin, brute_minimax,
                                     sample_regular, solve_equioscillation,
                                     solve_maximin, solve_minimax)
-from fenton_minimax.sumtrans import Problem, _maxima_fn, interval_maxima
+from fenton_minimax.sumtrans import Problem, _maxima_fn, _pure_fun, _value_at, interval_maxima
 
 X2_STAR = (0.5 - 0.5 / math.sqrt(2.0), 0.5 + 0.5 / math.sqrt(2.0))
 
@@ -809,6 +809,52 @@ def test_skipped_polls_fail_on_random_problems(p, seed):
     assert_skipped_polls_fail(p, seed)
 
 
+def assert_witness_settles_agree(p, seed):
+    """At a few regular systems and for both searches, every interval of a
+    poll at steps 2^-3 ... 2^-30 either way that a probe at the system's
+    witness settles (``_witness_settles``, with the threshold of
+    ``_pattern``) is settled the same way by full evaluation: its m_i is
+    above the threshold too.  Returns the number of settles checked."""
+    rng = Random(seed)
+    checked = 0
+    for _ in range(3):
+        x = sample_regular(p, rng).nodes
+        rows = [_maxima_fn(p, x)(i) for i in range(p.n + 1)]
+        s = (0.0, *x, 1.0)
+        for sign in (-1.0, 1.0):
+            fx = solvers._objective([r[0] for r in rows], sign)
+            if not math.isfinite(fx):
+                continue
+            stop = fx if sign > 0 else math.nextafter(fx, -math.inf)
+            for j in range(p.n):
+                for e in range(3, 31):
+                    for delta in (2.0 ** -e, -2.0 ** -e):
+                        if not s[j] <= x[j] + delta <= s[j + 2]:
+                            continue
+                        c = (*x[:j], x[j] + delta, *x[j + 1:])
+                        sc = (0.0, *c, 1.0)
+                        F = partial(_value_at, p, _pure_fun(p, c))
+                        for i, r in enumerate(rows):
+                            got = solvers._witness_settles(F, r[1], sc[i], sc[i + 1], stop)
+                            if got is None:
+                                continue
+                            assert got[0] > stop and got[1] == r[1]
+                            assert _maxima_fn(p, c)(i)[0] > stop, (x, c, i, sign)
+                            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(n for n, p in BATTERY.items() if p.n >= 2))
+def test_witness_settles_agree_on_battery(name):
+    assert assert_witness_settles_agree(BATTERY[name], seed=0) > 0
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(random_problems(), st.integers(0, 2**16))
+def test_witness_settles_agree_on_random_problems(p, seed):
+    assert_witness_settles_agree(p, seed)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(random_problems())
 def test_equioscillation_never_raises_on_random_fields(p):
@@ -833,6 +879,17 @@ class TestSampleRegular:
         a = sample_regular(p, random.Random(3))
         b = sample_regular(p, random.Random(3))
         assert a.nodes == b.nodes
+
+    @pytest.mark.parametrize("attempts", [10, 0])
+    def test_rows_are_the_maxima_of_the_sample(self, attempts):
+        # what maximin hands its random starts; attempts=0 takes the
+        # repaired fallback draw, whose rows can be None
+        for name in ("log-n2-flat", "log-n2-bands", "log-n1-gate", "zero-n2-bands"):
+            p = battery_problem(name)
+            for seed in range(5):
+                x, rows = solvers._sample_regular(p, Random(seed), attempts)
+                assert tuple(x) == sample_regular(p, Random(seed), attempts).nodes
+                assert repr(rows) == repr(solvers._maxima(p, x)), (name, seed)
 
 
 def test_repair_returns_the_maxima_of_its_point():
@@ -864,6 +921,37 @@ def test_repair_returns_the_maxima_of_its_point():
                     seen[k.singular, outside] += 1
     # singular kernels leave some repaired points outside Y; others never do
     assert seen[True, True] and seen[True, False] and seen[False, False]
+
+
+def test_repair_reuses_given_rows_only_at_an_unmoved_point():
+    """Seeded: regular sorted tuples in [0, 1], some with nodes within the
+    1e-7 a singular kernel's nodes are kept apart, or next to 0 or 1.
+    ``_repair`` given their ``_maxima`` returns what it returns without
+    them, bit for bit, whether the projection moves the tuple or not."""
+    moved = kept = 0
+    for seed in range(30):
+        field = _random_usc_field(Random(seed))
+        rng = Random(seed)
+        for k in (log_kernel(), sqrt_kernel()):
+            for n in (1, 2, 3):
+                try:
+                    p = Problem(n=n, field=field, kernel=k)
+                except ValueError:  # field finite at too few points for n nodes
+                    continue
+                for _ in range(8):
+                    t = rng.choice((rng.random(), 1e-9, 1.0 - 1e-9))
+                    raw = sorted(min(max(t + rng.choice((0.0, 1e-9, rng.uniform(-0.05, 0.05))),
+                                         0.0), 1.0) for _ in range(n))
+                    rows = solvers._maxima(p, raw)
+                    if rows is None:
+                        continue
+                    got, want = _repair(p, raw, rows), _repair(p, raw)
+                    assert repr((got[0].tolist(), got[1])) == repr((want[0].tolist(), want[1]))
+                    if got[0].tolist() == raw:
+                        kept += 1
+                    else:
+                        moved += 1
+    assert moved and kept
 
 
 # ---------------------------------------------------------------------------
