@@ -16,13 +16,11 @@ from .kernels import (Kernel, custom_kernel, log_kernel, power_kernel,
 from .fields import (Field, FieldCount, FieldPiece, LimsupConditions,
                      limsup_conditions, monotone_usc_approximation,
                      n_field_check, usc_regularize)
-from .sumtrans import (MaximaBatch, MaximaVector, Problem, RegularityReport,
-                       SupResult, interval_maxima, interval_maxima_batch,
-                       pure_sum_eval, regularity, regularity_many, sum_eval,
-                       sup_on_interval)
+from .sumtrans import (MaximaBatch, MaximaVector, Problem, interval_maxima,
+                       interval_maxima_batch, sum_eval)
 from .solvers import (SolveOptions, SolveReport, TraceRecord, brute_maximin,
-                      brute_minimax, sample_regular, solve_equioscillation,
-                      solve_maximin, solve_minimax)
+                      brute_minimax, solve_equioscillation, solve_maximin,
+                      solve_minimax)
 from .battery import BATTERY, battery_problem
 from .checks import (CheckInfeasible, CheckReport, UnknownCheckError,
                      all_check_ids, replay_witness, run_check)
@@ -38,12 +36,10 @@ __all__ = [
     "custom_kernel", "strictify", "singularize",
     "Field", "FieldPiece", "FieldCount", "usc_regularize", "n_field_check",
     "LimsupConditions", "limsup_conditions", "monotone_usc_approximation",
-    "Problem", "MaximaVector", "MaximaBatch", "SupResult", "pure_sum_eval",
-    "sum_eval", "sup_on_interval", "interval_maxima", "interval_maxima_batch",
-    "RegularityReport", "regularity", "regularity_many",
+    "Problem", "MaximaVector", "MaximaBatch", "sum_eval", "interval_maxima",
+    "interval_maxima_batch",
     "SolveOptions", "SolveReport", "TraceRecord", "brute_minimax",
     "brute_maximin", "solve_equioscillation", "solve_minimax", "solve_maximin",
-    "sample_regular",
     "BATTERY", "battery_problem",
     "CheckReport", "CheckInfeasible", "UnknownCheckError", "run_check",
     "all_check_ids", "replay_witness",

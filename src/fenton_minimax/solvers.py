@@ -112,7 +112,6 @@ __all__ = [
     "solve_equioscillation",
     "solve_minimax",
     "solve_maximin",
-    "sample_regular",
 ]
 
 
@@ -269,20 +268,15 @@ def _repair(p: Problem, arr, rows: list[_RawSup] | None = None
 
 def _sample_regular(p: Problem, rng: random.Random, attempts: int = 10
                     ) -> tuple[list[float] | np.ndarray, list[_RawSup] | None]:
-    """``sample_regular``'s point with its ``_maxima``, None outside Y."""
+    """A random node system drawn by rejection from Y, with its ``_maxima``.
+    After ``attempts`` draws outside Y it returns one more draw repaired by
+    ``_repair``, which can still lie outside Y (maxima None)."""
     for _ in range(attempts):
         cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
         rows = _maxima(p, cand)
         if rows is not None:
             return cand, rows
     return _repair(p, sorted(rng.uniform(0.0, 1.0) for _ in range(p.n)))
-
-
-def sample_regular(p: Problem, rng: random.Random, attempts: int = 10) -> NodeSystem:
-    """A random node system, drawn by rejection from Y.  After ``attempts``
-    draws outside Y it returns one more draw repaired by ``_repair``, which
-    can still lie outside Y."""
-    return _ns(_sample_regular(p, rng, attempts)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ finds each point's and cell's formula.  Per node system it builds one
 memoized F evaluator (``_pure_fun``) that every interval of the system
 shares, since a cell end of one interval is a point candidate of the next;
 for a singular kernel its memo starts with the value -inf at every node.
-``interval_maxima``, ``sup_on_interval`` and the solvers' pattern search
-enter it through ``_maxima_fn``/``_sup_cells`` with float interval ends.
-Its value is the largest F value it computes, so a caller that only asks
-whether m_j exceeds a threshold ``stop`` gets its answer at the first value
-above ``stop``, returned as a lower bound; the pattern search asks that,
-after one probe of its own through the same evaluator (``_value_at``).
+``interval_maxima`` and the solvers' pattern search enter it through
+``_maxima_fn``/``_sup_cells`` with float interval ends, and ``sum_eval``
+reads its value at one point.  Its value on an interval is the largest F
+value it computes, so a caller that only asks whether m_j exceeds a
+threshold ``stop`` gets its answer at the first value above ``stop``,
+returned as a lower bound; the pattern search asks that, after one probe of
+its own through the same evaluator (``_value_at``).
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
 systems are known up front, as in the sampling checks.  Two options shrink
@@ -45,9 +46,8 @@ in [value, value + err].
 The regular set Y, where no m_j is -inf, has one definition: the engines'
 values.  F is finite inside every cell that lies in a piece of J, and every
 point between cells is evaluated exactly, so an engine's m_j is -inf
-exactly when F is -inf on all of [x_j, x_{j+1}].  ``regularity`` reads Y off the scalar engine and
-``regularity_many`` off the batch engine; a caller that goes on to use the
-maxima tests membership on the maxima it already has.
+exactly when F is -inf on all of [x_j, x_{j+1}].  A caller tests membership
+on the maxima it goes on to use.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ExtendedReal, Interval, NEG_INF, NodeSystem
+from .core import ExtendedReal, NodeSystem
 from .fields import Field, n_field_check
 from .kernels import Kernel, TranslateSum
 from .maximize import concave_max, concave_max_many
@@ -69,15 +69,9 @@ __all__ = [
     "Problem",
     "MaximaVector",
     "MaximaBatch",
-    "SupResult",
-    "pure_sum_eval",
     "sum_eval",
-    "sup_on_interval",
     "interval_maxima",
     "interval_maxima_batch",
-    "RegularityReport",
-    "regularity",
-    "regularity_many",
 ]
 
 
@@ -123,13 +117,6 @@ class Problem:
         return TranslateSum(self.kernel, self.weights)
 
 
-class SupResult(NamedTuple):
-    value: ExtendedReal
-    witness: float | None
-    attained: bool
-    err: float
-
-
 class MaximaVector(NamedTuple):
     """Interval maxima m_0..m_n plus witnesses and attainment flags."""
 
@@ -168,25 +155,6 @@ class MaximaBatch(NamedTuple):
 def _check_nodes(p: Problem, x: NodeSystem) -> None:
     if x.n != p.n:
         raise ValueError(f"problem has n={p.n} but node system has n={x.n}")
-
-
-def pure_sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
-    """f(x, t) = sum of weighted kernel translates, without the field: the
-    value of the problem's term walk (``kernels.TranslateSum``), the one
-    that every F-evaluation of the scalar sup engine makes."""
-    _check_nodes(p, x)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"argument {t} outside [0, 1]")
-    return ExtendedReal.of(p._translate_sum.at(x.nodes)(t)[0])
-
-
-def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
-    """F(x, t) = J(t) + f(x, t)."""
-    _check_nodes(p, x)
-    base = p.field.eval_float(t)
-    if base == -math.inf:
-        return NEG_INF
-    return ExtendedReal.of(base + pure_sum_eval(p, x, t).as_float())
 
 
 def _pure_fun(p: Problem, nodes: tuple[float, ...]):
@@ -229,12 +197,20 @@ def _value_at(p: Problem, f, t: float) -> float:
     return -math.inf if base == -math.inf else base + f(t)[0]
 
 
+def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
+    """F(x, t) = J(t) + sum_j w_j K(t - x_j), the sup engine's value at the
+    point t of [0, 1]."""
+    _check_nodes(p, x)
+    if not 0.0 <= t <= 1.0:  # the bisection would read the piece at 0 or 1
+        raise ValueError(f"argument {t} outside [0, 1]")
+    return ExtendedReal(_value_at(p, _pure_fun(p, x.nodes), t))
+
+
 def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
-               closed_left: bool = True, closed_right: bool = True,
                stop: float = math.inf) -> _RawSup:
-    """The exact engine on the interval from a to b with the given end
-    flags, for a piecewise field; f is ``_pure_fun(p, nodes)``.  The value is
-    a float, -inf when F is -inf on the whole interval.
+    """The exact engine on the closed interval [a, b], for a piecewise
+    field; f is ``_pure_fun(p, nodes)``.  The value is a float, -inf when F
+    is -inf on the whole interval.
 
     The value is the largest F value computed, at a point or in a cell.  So
     the first one above ``stop`` shows that the value is above it too: the
@@ -254,8 +230,6 @@ def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
     # candidates: (value, location, attained, err)
     cands: list[_RawSup] = []
     for t in pts:
-        if (t == a and not closed_left) or (t == b and not closed_right):
-            continue
         v = _value_at(p, f, t)
         if v > stop:
             return v, t, True, math.inf
@@ -293,28 +267,6 @@ def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
     return best_v, where, attained, err
 
 
-def _result(r: _RawSup) -> SupResult:
-    return SupResult(NEG_INF if r[0] == -math.inf else ExtendedReal(r[0]), *r[1:])
-
-
-def sup_on_interval(p: Problem, x: NodeSystem, q: Interval) -> SupResult:
-    """Supremum of F(x, .) over the sub-interval q of [0, 1].
-
-    The value honours q's end inclusion flags: over a half-open cell the
-    supremum may be a one-sided limit, reported with attained=False and the
-    limit location as witness.  The supremum lies in [value, value + err]:
-    err is 0 when every cell maximum was certified at an exactly evaluated
-    point, and otherwise the largest tangent-gap bound of a cell above the
-    winning value.
-    """
-    _check_nodes(p, x)
-    if q.a < 0.0 or q.b > 1.0:
-        raise ValueError("query interval must sit inside [0, 1]")
-    nodes = x.nodes
-    return _result(_sup_cells(p, nodes, _pure_fun(p, nodes), q.a, q.b,
-                              q.closed_left, q.closed_right))
-
-
 def _maxima_fn(p: Problem, nodes: tuple[float, ...], f=None) -> Callable[..., _RawSup]:
     """(j, stop=inf) -> (m_j, witness, attained, err) as floats, the m_j of
     ``interval_maxima`` for the node system with the sorted tuple ``nodes``
@@ -330,13 +282,8 @@ def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:
     """m_j = sup of F over [x_j, x_{j+1}] for j = 0..n (sentinels 0 and 1)."""
     _check_nodes(p, x)
     m = _maxima_fn(p, x.nodes)
-    results = [_result(m(j)) for j in range(p.n + 1)]
-    return MaximaVector(
-        values=tuple(r.value for r in results),
-        witnesses=tuple(r.witness for r in results),
-        attained=tuple(r.attained for r in results),
-        err=tuple(r.err for r in results),
-    )
+    values, witnesses, attained, err = zip(*(m(j) for j in range(p.n + 1)))
+    return MaximaVector(tuple(map(ExtendedReal, values)), witnesses, attained, err)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +355,8 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
     depend on the field and X only, so the stack shares them, and they are
     evaluated exactly as candidates.  The cells between them go, once per
     problem, to ``concave_max_many``; a problem's kernel enters only through
-    ``_pure_many``.  The winner per interval follows
-    ``sup_on_interval``: the largest value, then attained, then smaller err,
+    ``_pure_many``.  The winner per interval follows the scalar engine
+    (``_sup_cells``): the largest value, then attained, then smaller err,
     then smaller t.  Rows, intervals and problems do not interact, so every
     entry is bit for bit the entry of the one-problem, all-intervals call on
     its row alone.  A stack whose problems differ in field or n, rows that
@@ -511,34 +458,3 @@ def interval_maxima_batch(p: Problem | Sequence[Problem], X, js=None) -> MaximaB
         np.where(found, cand_t[win], np.nan).reshape(out),
         (found & cand_att[win]).reshape(out),
         np.where(found, err, 0.0).reshape(out))
-
-
-# ---------------------------------------------------------------------------
-# the regular set Y
-
-
-class RegularityReport(NamedTuple):
-    """Y membership of one node system: in Y exactly when no interval
-    maximum is -inf, and the intervals whose maximum is, as the scalar
-    engine computes them."""
-
-    in_Y: bool
-    singular_intervals: tuple[int, ...]
-
-
-def regularity_many(p: Problem, X) -> np.ndarray:
-    """Which interval maxima are -inf, for every row of X, an array of shape
-    (B, n) of node systems: the (B, n + 1) bool array
-    ``interval_maxima_batch(p, X).values == -inf``, True where F(X[i], .)
-    is -inf on all of interval j of row i.  Rows that are not sorted node
-    systems in [0, 1] raise ``ValueError``.
-    """
-    return interval_maxima_batch(p, X).values == -math.inf
-
-
-def regularity(p: Problem, x: NodeSystem) -> RegularityReport:
-    """Which interval maxima of x are -inf, read off the scalar engine."""
-    _check_nodes(p, x)
-    m = _maxima_fn(p, x.nodes)
-    singular = tuple(j for j in range(p.n + 1) if m(j)[0] == -math.inf)
-    return RegularityReport(not singular, singular)

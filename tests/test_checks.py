@@ -20,7 +20,7 @@ from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckErr
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
 from fenton_minimax.solvers import SolveOptions, solve_equioscillation
-from fenton_minimax.sumtrans import Problem, interval_maxima_batch, regularity
+from fenton_minimax.sumtrans import Problem, interval_maxima, interval_maxima_batch
 
 EXPECTED_IDS = {
     "lem2.4/a", "lem2.4/b", "lem2.4/c", "lem2.4/d", "lem2.4/e",
@@ -188,13 +188,13 @@ class TestIndividualChecks:
 
 
 def _sample_Y_one_at_a_time(p, rng, count, min_rate=1e-3):
-    """The Y sampler drawn and tested row by row with the scalar
-    ``regularity``: the reference for ``checks._sample_Y``."""
+    """The Y sampler drawn and tested row by row on the scalar engine's
+    maxima: the reference for ``checks._sample_Y``."""
     out, attempts = [], 0
     while len(out) < count:
         attempts += 1
         ns = NodeSystem(tuple(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))))
-        if regularity(p, ns).in_Y:
+        if all(v.is_finite for v in interval_maxima(p, ns).values):
             out.append(list(ns.nodes))
         if attempts >= 1000 and len(out) < attempts * min_rate:
             raise CheckInfeasible(f"Y-sampling acceptance {len(out)}/{attempts} "

@@ -50,6 +50,11 @@ were written before the JSON codecs and the report float encoder moved into
 search got its own trace (its start, its accepted polls and its reported
 point, with the step as the residual) in place of a copy of the
 equioscillation trace; their equioscillation rows kept their bytes.
+``sweep-log-n2-bands.report.csv`` is the report of ``sweep --config
+sweep-log-n2-bands.config.json`` (CSV by default): the interval maxima of
+the ``log-n2-bands`` problem as node 1 runs from 0 to 0.6 in 13 steps, node
+2 at 2/3, so its first rows hold m_0 = ``-inf``; it was written before the
+scalar engine's public single-interval entry point and result type went.
 Reports carry no timings, so any byte that moves means a solver, an oracle,
 a check or the sup engine changed a float, a status, an iteration or a
 trial count.  To
@@ -89,6 +94,8 @@ CSV_REPORTS = (
       "--format", "csv"], 0),
     ("zero-n2-ramp.report.csv",
      ["solve", "--config", str(GOLDEN / "zero-n2-ramp.config.json"), "--format", "csv"], 1),
+    ("sweep-log-n2-bands.report.csv",
+     ["sweep", "--config", str(GOLDEN / "sweep-log-n2-bands.config.json")], 0),
 )
 CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances",

@@ -8,7 +8,7 @@ from fenton_minimax.battery import BATTERY
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.kernels import log_kernel, power_kernel, sqrt_kernel
 from fenton_minimax.maximize import concave_max, concave_max_many
-from fenton_minimax.sumtrans import sum_eval, sup_on_interval
+from fenton_minimax.sumtrans import interval_maxima, sum_eval
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -201,15 +201,15 @@ def test_err_bounds_dense_samples(case):
 @given(battery_systems())
 def test_interval_sup_witness_and_bound(case):
     p, x = case
+    m = interval_maxima(p, x)
     for j in range(p.n + 1):
         q = x.interval(j)
-        r = sup_on_interval(p, x, q)
-        if r.attained:
-            assert sum_eval(p, x, r.witness) == r.value
+        if m.attained[j]:
+            assert sum_eval(p, x, m.witnesses[j]) == m.values[j]
         for t in np.linspace(q.a, q.b, 201):
             f = sum_eval(p, x, float(t))
             if f.is_finite:
-                assert f.as_float() <= r.value.as_float() + r.err
+                assert f.as_float() <= m.values[j].as_float() + m.err[j]
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from fenton_minimax.kernels import (custom_kernel, log_kernel, power_kernel,
 from fenton_minimax.maximize import concave_max
 from fenton_minimax.solvers import SolveOptions, _nearest_finite, solve_maximin
 from fenton_minimax.sumtrans import (Problem, _pure_many, interval_maxima,
-                                     interval_maxima_batch, pure_sum_eval,
-                                     regularity, regularity_many, sum_eval,
-                                     sup_on_interval)
+                                     interval_maxima_batch, sum_eval)
 
 # closed-form optimum of the two-node flat problem with the log kernel:
 # nodes at 1/2 -/+ 1/(2*sqrt(2)), every interval max equal to log(1/8)
@@ -76,7 +74,8 @@ class TestSumEval:
         x = NodeSystem((0.25, 0.75))
         v = sum_eval(p, x, 0.5)
         assert v.as_float() == pytest.approx(2.0 * math.log(0.25), abs=1e-15)
-        assert pure_sum_eval(p, x, 0.5).as_float() == v.as_float()
+        # J = 0 on the flat field, so F is the translate sum
+        assert v.as_float() == sum(p.kernel.eval(0.5 - xj) for xj in x.nodes)
 
     def test_singular_at_node(self):
         p = Problem(n=1, field=flat_field(), kernel=log_kernel())
@@ -93,15 +92,16 @@ class TestSumEval:
         p5 = Problem(n=2, field=flat_field(), kernel=log_kernel(),
                      weights=(2.0, 3.0))
         base = math.log(0.25)
-        assert pure_sum_eval(p5, x, 0.5).as_float() == pytest.approx(
+        assert sum_eval(p5, x, 0.5).as_float() == pytest.approx(
             5.0 * base, rel=1e-15)
-        assert pure_sum_eval(p1, x, 0.5).as_float() == pytest.approx(
+        assert sum_eval(p1, x, 0.5).as_float() == pytest.approx(
             2.0 * base, rel=1e-15)
 
     def test_domain_guard(self):
         p = Problem(n=1, field=flat_field(), kernel=log_kernel())
-        with pytest.raises(ValueError):
-            sum_eval(p, NodeSystem((0.5,)), 1.5)
+        for t in (1.5, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                sum_eval(p, NodeSystem((0.5,)), t)
         with pytest.raises(ValueError):
             sum_eval(p, NodeSystem((0.3, 0.7)), 0.5)  # n mismatch
 
@@ -109,73 +109,74 @@ class TestSumEval:
                              ids=["log", "sqrt-singularized"])
     @given(nodes=node_lists, t=st.floats(min_value=0.0, max_value=1.0))
     def test_weighted_equals_hand_sum(self, kernel, nodes, t):
-        # the term walk against summing w_j * K(t - x_j) from 0.0 in node
-        # order, bit for bit, -inf included
+        # F on the flat field (J = 0) against summing w_j * K(t - x_j) from
+        # 0.0 in node order, bit for bit, -inf included
         n = len(nodes)
         w = tuple(1.0 + 0.5 * j for j in range(n))
         p = Problem(n=n, field=flat_field(), kernel=kernel, weights=w)
         want = 0.0
         for wj, xj in zip(w, nodes):
             want += wj * kernel.eval(t - xj)
-        got = pure_sum_eval(p, NodeSystem(nodes), t)
+        got = sum_eval(p, NodeSystem(nodes), t)
         assert _bits(got.as_float()) == _bits(want)
         assert got.is_finite == (want != -math.inf)
 
 
+def _entry(p, x, j):
+    """Entry j of ``interval_maxima(p, x)``: (m_j, witness, attained, err)."""
+    m = interval_maxima(p, x)
+    return m.values[j], m.witnesses[j], m.attained[j], m.err[j]
+
+
 class TestSupOnInterval:
+    """The supremum of F on one interval [x_j, x_{j+1}]: entry j of the
+    maxima vector."""
+
     def test_flat_log_single_node(self):
         p = Problem(n=1, field=flat_field(), kernel=log_kernel())
         x = NodeSystem((0.5,))
-        r0 = sup_on_interval(p, x, x.interval(0))
-        assert r0.value.as_float() == math.log(0.5)
-        assert r0.witness == 0.0 and r0.attained and r0.err == 0.0
-        r1 = sup_on_interval(p, x, x.interval(1))
-        assert r1.value.as_float() == math.log(0.5) and r1.witness == 1.0
+        value, witness, attained, err = _entry(p, x, 0)
+        assert value.as_float() == math.log(0.5)
+        assert witness == 0.0 and attained and err == 0.0
+        value, witness, _, _ = _entry(p, x, 1)
+        assert value.as_float() == math.log(0.5) and witness == 1.0
 
     def test_one_sided_limit_reported_unattained(self):
         p = Problem(n=1, field=ramp_field(), kernel=zero_kernel())
-        x = NodeSystem((0.5,))
-        r = sup_on_interval(p, x, x.interval(0))
-        assert r.value.as_float() == 0.5
-        assert r.witness == 0.5
-        assert not r.attained
-        assert r.err == 0.0
+        value, witness, attained, err = _entry(p, NodeSystem((0.5,)), 0)
+        assert value.as_float() == 0.5
+        assert witness == 0.5
+        assert not attained
+        assert err == 0.0
 
     def test_whole_interval_can_be_neg_inf(self):
         p = Problem(n=1, field=gate_field(), kernel=zero_kernel())
-        x = NodeSystem((0.5,))
-        r = sup_on_interval(p, x, x.interval(1))
-        assert not r.value.is_finite
-        assert r.witness is None and not r.attained
+        value, witness, attained, _ = _entry(p, NodeSystem((0.5,)), 1)
+        assert not value.is_finite
+        assert witness is None and not attained
 
     def test_attained_point_beats_equal_limit(self):
         p = Problem(n=1, field=gate_field(), kernel=zero_kernel())
-        x = NodeSystem((0.5,))
-        r = sup_on_interval(p, x, x.interval(0))
-        assert r.value.as_float() == 0.0 and r.attained
+        value, _, attained, _ = _entry(p, NodeSystem((0.5,)), 0)
+        assert value.as_float() == 0.0 and attained
 
     def test_interior_concave_max(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
-        x = NodeSystem(X2_STAR)
-        r = sup_on_interval(p, x, x.interval(1))
+        value, witness, _, _ = _entry(p, NodeSystem(X2_STAR), 1)
         # argument precision of a bracketing search is ~sqrt of the value tol
-        assert r.witness == pytest.approx(0.5, abs=1e-6)
-        assert r.value.as_float() == pytest.approx(V2_STAR, abs=1e-12)
-
-    def test_query_interval_guard(self):
-        p = Problem(n=1, field=flat_field(), kernel=log_kernel())
-        with pytest.raises(ValueError):
-            sup_on_interval(p, NodeSystem((0.5,)), Interval(-0.2, 0.5))
+        assert witness == pytest.approx(0.5, abs=1e-6)
+        assert value.as_float() == pytest.approx(V2_STAR, abs=1e-12)
 
     @settings(deadline=None)
     @given(node_lists, st.floats(min_value=0.0, max_value=1.0))
     def test_sup_dominates_samples(self, nodes, t):
+        # the supremum over [0, 1] is the largest m_j
         p = Problem(n=len(nodes), field=bump_field(), kernel=log_kernel())
         x = NodeSystem(nodes)
-        r = sup_on_interval(p, x, Interval(0.0, 1.0))
+        sup = interval_maxima(p, x).max_value
         v = sum_eval(p, x, t)
         if v.is_finite:
-            assert v.as_float() <= r.value.as_float() + 1e-9
+            assert v.as_float() <= sup.as_float() + 1e-9
 
 
 class TestIntervalMaxima:
@@ -217,33 +218,33 @@ class TestIntervalMaxima:
             assert best == pytest.approx(m, abs=1e-6)
 
 
+def _singular_intervals(p, x):
+    """The j with m_j = -inf, read off ``interval_maxima``: x is in the
+    regular set Y exactly when there is none."""
+    return tuple(j for j, v in enumerate(interval_maxima(p, x).values) if not v.is_finite)
+
+
 class TestRegularity:
     def test_interior_log_flat_is_in_W(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
-        rep = regularity(p, NodeSystem((0.3, 0.7)))
-        assert rep.in_Y and rep.singular_intervals == ()
+        assert _singular_intervals(p, NodeSystem((0.3, 0.7))) == ()
 
     def test_hole_drops_Y(self):
         p = Problem(n=1, field=gate_field(), kernel=zero_kernel())
-        rep = regularity(p, NodeSystem((0.75,)))
-        assert not rep.in_Y
-        assert rep.singular_intervals == (1,)
+        assert _singular_intervals(p, NodeSystem((0.75,))) == (1,)
 
     def test_boundary_node_drops_W_only(self):
         p = Problem(n=2, field=flat_field(), kernel=zero_kernel())
-        rep = regularity(p, NodeSystem((0.0, 0.5)))
-        assert rep.in_Y
+        assert not _singular_intervals(p, NodeSystem((0.0, 0.5)))
 
     def test_degenerate_interval_at_singular_node(self):
         p = Problem(n=2, field=flat_field(), kernel=log_kernel())
-        rep = regularity(p, NodeSystem((0.0, 0.5)))
         # [x_0, x_1] = {0} and the log translate is -inf there
-        assert 0 in rep.singular_intervals and not rep.in_Y
+        assert 0 in _singular_intervals(p, NodeSystem((0.0, 0.5)))
 
     def test_bands_with_interior_nodes(self):
         p = Problem(n=1, field=two_band_field(), kernel=zero_kernel())
-        rep = regularity(p, NodeSystem((0.5,)))
-        assert rep.in_Y
+        assert not _singular_intervals(p, NodeSystem((0.5,)))
 
 
 class TestDifferenceMap:
@@ -470,22 +471,20 @@ def test_regularity_bands_coincident_nodes_at_hole_end():
     p = BATTERY["log-n2-bands"]
     x = NodeSystem((0.4, 0.4))
     assert interval_maxima(p, x).values[1].as_float() == -math.inf
-    rep = regularity(p, x)
-    assert not rep.in_Y and rep.singular_intervals == (1,)
+    assert _singular_intervals(p, x) == (1,)
 
 
 def test_regularity_reads_the_singular_fact_off_the_kernel():
     # |t| is finite at 0, so the coincident nodes at 0.4 leave m_1 = J(0.4) = 0,
-    # and regularity and regularity_many must read that off both engines
+    # and both engines must read that off the kernel
     tent = custom_kernel(Affine(-1.0, 0.0), Affine(1.0, 0.0))
     p = Problem(n=2, field=two_band_field(), kernel=tent)
     x = NodeSystem((0.4, 0.4))
     assert not tent.singular
-    rep = regularity(p, x)
-    assert rep.in_Y and rep.singular_intervals == ()
+    assert _singular_intervals(p, x) == ()
     assert interval_maxima(p, x).values[1].as_float() == 0.0
     assert interval_maxima_batch(p, np.array([x.nodes])).values[0, 1] == 0.0
-    assert not regularity_many(p, np.array([x.nodes])).any()
+    assert not (interval_maxima_batch(p, np.array([x.nodes])).values == -math.inf).any()
 
 
 def test_in_Y_iff_every_interval_maximum_is_finite():
@@ -501,14 +500,14 @@ def test_in_Y_iff_every_interval_maximum_is_finite():
                 except ValueError:  # field finite at too few points for n nodes
                     continue
                 X = _node_rows(p, 100 * seed + 10 * i + n, 16)
-                singular = regularity_many(p, X)
+                singular = interval_maxima_batch(p, X).values == -math.inf
                 for row, covered in zip(X, singular):
                     x = NodeSystem(tuple(row.tolist()))
                     values = interval_maxima(p, x).values
                     finite = all(v.is_finite for v in values)
-                    assert regularity(p, x).in_Y == finite, (seed, k.family, x.nodes)
-                    # the array function says which m_j are -inf
-                    assert covered.tolist() == [not v.is_finite for v in values], x.nodes
+                    # the batch engine says which m_j of the scalar engine are -inf
+                    assert covered.tolist() == [not v.is_finite for v in values], (
+                        seed, k.family, x.nodes)
                     checked += 1
                     regular += finite
     assert checked > 5_000 and 0 < regular < checked
@@ -648,7 +647,7 @@ def _covered_by_scan(p: Problem, x: NodeSystem, a: float, b: float) -> bool:
 def test_regularity_many_matches_the_exact_singularity_set():
     """Entry (i, j) is ``_covered_by_scan(p, X[i], s_j, s_{j+1})`` on the
     edge-heavy ``_node_rows``, with rows of nodes all at 0, all at 1 and
-    split between them, and ``regularity`` agrees row by row.  The scan
+    split between them, and the scalar engine agrees row by row.  The scan
     reads only the pieces, ``Kernel.singular`` and the kernel at -1 and 1,
     so this is the independent check that the -inf set of both engines is
     the exact singularity set."""
@@ -656,14 +655,14 @@ def test_regularity_many_matches_the_exact_singularity_set():
     for i, p in enumerate(_regularity_problems()):
         X = _node_rows(p, 7 * i, 24)
         X[:3] = [[0.0] * p.n, [1.0] * p.n, [0.0] * (p.n - 1) + [1.0]]
-        got = regularity_many(p, X)
+        got = interval_maxima_batch(p, X).values == -math.inf
         assert got.shape == (len(X), p.n + 1) and got.dtype == bool
         for row, singular in zip(X, got):
             x = NodeSystem(tuple(row.tolist()))
             s = x.with_sentinels()
             want = [_covered_by_scan(p, x, s[j], s[j + 1]) for j in range(p.n + 1)]
             assert singular.tolist() == want, (p, x.nodes)
-            assert regularity(p, x).singular_intervals == tuple(np.flatnonzero(want))
+            assert _singular_intervals(p, x) == tuple(np.flatnonzero(want))
             checked += 1
             covered += any(want)
     assert checked > 3_000 and 0 < covered < checked
@@ -675,14 +674,16 @@ def test_regularity_many_end_rules():
     # intervals {0} and {1} are singular although the kernel is not
     p = Problem(n=2, field=flat_field(), kernel=EDGE_SINK)
     X = [[0.0, 1.0], [0.0, 0.5], [0.5, 1.0], [0.3, 0.6]]
-    assert regularity_many(p, X).tolist() == [[True, False, True]] + [[False] * 3] * 3
+    assert (interval_maxima_batch(p, X).values == -math.inf).tolist() == (
+        [[True, False, True]] + [[False] * 3] * 3)
     # singular kernels make their nodes singular instead
     for k in (log_kernel(), power_kernel(0.5)):
         q = Problem(n=2, field=flat_field(), kernel=k)
-        assert regularity_many(q, X).tolist() == [[True, False, True], [True, False, False],
-                                                  [False, False, True], [False] * 3]
+        assert (interval_maxima_batch(q, X).values == -math.inf).tolist() == [
+            [True, False, True], [True, False, False], [False, False, True], [False] * 3]
     for k in (sqrt_kernel(), zero_kernel()):
-        assert not regularity_many(Problem(n=2, field=flat_field(), kernel=k), X).any()
+        q = Problem(n=2, field=flat_field(), kernel=k)
+        assert not (interval_maxima_batch(q, X).values == -math.inf).any()
 
 
 class TestRegularityManyInterface:
@@ -690,12 +691,12 @@ class TestRegularityManyInterface:
                                      [[-0.1, 0.3]], [[0.3, 1.5]], [[0.3, float("nan")]]])
     def test_rejects_bad_shapes_and_rows(self, bad):
         with pytest.raises(ValueError):
-            regularity_many(BATTERY["log-n2-flat"], bad)
+            interval_maxima_batch(BATTERY["log-n2-flat"], bad)
 
     def test_empty_batch(self):
         for name in ("log-n1-gate", "log-n2-bands", "log-n3-flat"):
             p = BATTERY[name]
-            got = regularity_many(p, np.empty((0, p.n)))
+            got = interval_maxima_batch(p, np.empty((0, p.n))).values == -math.inf
             assert got.shape == (0, p.n + 1) and got.dtype == bool, name
 
 
@@ -825,7 +826,6 @@ def _key(value, witness, attained, err):
 
 
 def test_scalar_engine_matches_per_call_reference_bitwise():
-    rng = Random(7)
     checked = 0
     for field, n, kw in _engine_problems():
         try:
@@ -838,11 +838,6 @@ def test_scalar_engine_matches_per_call_reference_bitwise():
             for j, got in enumerate(zip(m.floats(), m.witnesses, m.attained, m.err)):
                 want = _ref_sup_on_interval(p, x, x.interval(j))
                 assert _key(*got) == _key(*want), (x.nodes, j)
-            a, b = sorted(rng.uniform(0.0, 1.0) for _ in range(2))
-            q = Interval(a, b, rng.random() < 0.5, rng.random() < 0.5)
-            r = sup_on_interval(p, x, q)
-            got = (r.value.as_float(), r.witness, r.attained, r.err)
-            assert _key(*got) == _key(*_ref_sup_on_interval(p, x, q)), (x.nodes, q)
             checked += 1
     assert checked > 300
 
