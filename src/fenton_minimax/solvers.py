@@ -37,14 +37,15 @@ every node within 1e-6 of a field breakpoint moves onto it, jointly, if
 that lowers |Phi|.  Any other field J is solved through its usc
 regularization J*: by Lemma 6.1 max_j m_j is the same for J and J* at every
 x, and J* has an equioscillation point, so J has one at J*'s point exactly
-when J's own residual there vanishes.
+when J's own residual there vanishes.  Every start of every solver is
+placed on the part of [0, 1] where J is finite by one map, ``_place``.
 
 Minimax and maximin are pattern searches on the max and min of the interval
 maxima, warm-started from the equioscillation result; a caller that runs all
 three solvers passes that result in as ``eq=`` so it is computed once.  Each
 search also starts from points of its own (the evenly spaced system for
-minimax, three random regular systems for maximin), so comparing their
-values is not circular.  Both run one driver, ``_search``, which differs
+minimax, three random systems for maximin), so comparing their values is
+not circular.  Both run one driver, ``_search``, which differs
 between them only in the sign of the objective: it searches from every
 start, keeps the best value and reports it with the trace of its start.  A
 search candidate is compared with the incumbent value fx one interval
@@ -59,9 +60,9 @@ interval: a value above the threshold settles the comparison the same way.
 Once every interval has passed, maximin completes only those whose lower
 bound could still be the new minimum.  All this gives the same result as
 computing all n + 1 maxima in full, at a fraction of the cost: one pass of
-the solve-battery benchmark (seed 1) makes 42,222 kernel walks (F
+the solve-battery benchmark (seed 1) makes 40,994 kernel walks (F
 evaluations the memo does not answer), where computing each interval
-maximum it compares in full makes 66,095.
+maximum it compares in full makes 64,874.
 
 Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -79,9 +80,9 @@ this hold.  The engine's rounding could in principle let through a gain
 smaller than that maximum's ``err``; the tests check at sampled systems
 that full evaluation rejects every candidate the rule skips, and that the
 searches match full-evaluation ones bit for bit.  On one pass of the
-solve-battery benchmark (seed 1), 9,820 of 17,424 candidates (56%) are
-skipped this way, and the sup engine's cell maximizations fall from 18,578
-to 11,530.
+solve-battery benchmark (seed 1), 9,753 of 17,407 candidates (56%) are
+skipped this way, and the sup engine's cell maximizations fall from 18,500
+to 11,162.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -217,17 +218,41 @@ def _nearest_finite(J: Field, t: float) -> float:
     return best
 
 
-def _repair(p: Problem, arr, rows: list[_RawSup] | None = None
-            ) -> tuple[np.ndarray, list[_RawSup] | None]:
+def _place(J: Field, u: float) -> float:
+    """u in [0, 1] placed on J's finite part: the inverse of the length-CDF
+    of ``J.finite_parts``, touching parts merged, so a J finite on all of
+    [0, 1] maps u to u.  With no part of length, u picks an isolated point."""
+    parts: list[tuple[float, float]] = []
+    for a, b in J.finite_parts:
+        if parts and a == parts[-1][1]:
+            parts[-1] = (parts[-1][0], b)
+        else:
+            parts.append((a, b))
+    wide = [(a, b) for a, b in parts if a < b]
+    if not wide:
+        return parts[min(int(u * len(parts)), len(parts) - 1)][0]
+    s = u * sum(b - a for a, b in wide)
+    for a, b in wide:
+        if s <= b - a:
+            break
+        s -= b - a
+    return min(a + s, b)
+
+
+def _draw(p: Problem, rng: random.Random) -> np.ndarray:
+    """A random start: n sorted uniforms placed on J's finite part."""
+    us = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
+    return np.array([_place(p.field, u) for u in us])
+
+
+def _repair(p: Problem, arr) -> tuple[np.ndarray, list[_RawSup] | None]:
     """Project a raw coordinate tuple toward the regular set Y.
 
     Clips to [0,1], restores ordering, separates coincident nodes when the
     kernel is singular, and then, up to six times, nudges the nodes around
     the first interval whose maximum is -inf so that it meets the set where
     the field is finite away from the singular points.  Returns the point
-    with its ``_maxima``, which are None when it is still outside Y.  rows,
-    when given, are the ``_maxima`` of arr, and are returned as they are
-    when the projection leaves arr where it is.
+    with its ``_maxima``, which are None when it is still outside Y.
     """
     x = np.minimum(np.maximum(np.asarray(arr, dtype=float), 0.0), 1.0)
     x = np.maximum.accumulate(x)
@@ -241,8 +266,6 @@ def _repair(p: Problem, arr, rows: list[_RawSup] | None = None
         for i in range(n - 2, -1, -1):
             x[i] = min(x[i], x[i + 1] - sep)
         x = np.minimum(np.maximum(x, 0.0), 1.0)
-    if rows is not None and x.tobytes() == np.asarray(arr, dtype=float).tobytes():
-        return x, rows
 
     for _ in range(6):
         rows = _leading_maxima(p, x)
@@ -264,19 +287,6 @@ def _repair(p: Problem, arr, rows: list[_RawSup] | None = None
                 x[j] = min(max(x[j], u + 1e-4), 1.0)
         x = np.maximum.accumulate(np.minimum(np.maximum(x, 0.0), 1.0))
     return x, _maxima(p, x)
-
-
-def _sample_regular(p: Problem, rng: random.Random, attempts: int = 10
-                    ) -> tuple[list[float] | np.ndarray, list[_RawSup] | None]:
-    """A random node system drawn by rejection from Y, with its ``_maxima``.
-    After ``attempts`` draws outside Y it returns one more draw repaired by
-    ``_repair``, which can still lie outside Y (maxima None)."""
-    for _ in range(attempts):
-        cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
-        rows = _maxima(p, cand)
-        if rows is not None:
-            return cand, rows
-    return _repair(p, sorted(rng.uniform(0.0, 1.0) for _ in range(p.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -701,19 +711,9 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     return x, res, iters, trace
 
 
-def _even_start(p: Problem) -> tuple[np.ndarray, list[_RawSup] | None]:
-    """The evenly spaced system x_j = j / (n + 1), repaired toward Y, with
-    its ``_maxima`` as ``_repair`` returns them."""
-    return _repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))
-
-
-def _starts(p: Problem, o: SolveOptions) -> list[np.ndarray]:
-    starts = [_even_start(p)[0]]
-    rng = random.Random(o.seed)
-    for _ in range(o.multistarts - 1):
-        cand = sorted(rng.uniform(0.0, 1.0) for _ in range(p.n))
-        starts.append(_repair(p, cand)[0])
-    return starts
+def _even_start(p: Problem) -> np.ndarray:
+    """The evenly spaced system (j + 1) / (n + 1) placed on J's finite part."""
+    return np.array([_place(p.field, (j + 1.0) / (p.n + 1.0)) for j in range(p.n)])
 
 
 def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> SolveReport:
@@ -760,9 +760,8 @@ def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
 
     results = []
     total_iters = 0
-    for x0 in _starts(p, o):
-        x = x0
-        res, trace = math.inf, []
+    rng = random.Random(o.seed)
+    for x in [_even_start(p), *(_draw(p, rng) for _ in range(o.multistarts - 1))]:
         for pe in stages:
             x, res, iters, trace = _newton(pe, x, o)
             total_iters += iters
@@ -873,9 +872,10 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, ro
     interval that full evaluation settles the other way.  The tests check
     at sampled polls that full evaluation settles every probed interval the
     same way.  On the 36 minimax and maximin searches of the 18 benchmark
-    problems (c = 0, multistarts 8, seed 0), 5,368 of 7,182 probes settle
-    their interval and none disagrees with full evaluation; on 320 random
-    usc problems (multistarts 2), 225,624 of 381,068 settle and none
+    problems (c = 0, multistarts 8, seed 0), 5,352 of 7,140 probes settle
+    their interval and none disagrees with full evaluation; on the random
+    usc fields of seeds 0-39 with the log, power 1/2, sqrt and zero kernels
+    at n = 2 and 3 (multistarts 2), 110,328 of 174,463 settle and none
     disagrees.
 
     When the kernel is monotone with K(0) at most its one-sided limits
@@ -963,12 +963,12 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, ro
 def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
             starts: list[tuple[np.ndarray, list[_RawSup] | None]]) -> SolveReport:
     """The pattern search of ``_pattern`` (sign as there) from every start
-    whose objective is finite.  A start is a point with its ``_maxima``, as
-    ``_repair`` returns them; where those are None the maxima are computed
-    here, since some m_j = -inf leaves the largest one finite.  The best
-    value wins, ties going to the lexicographically first node system; its
-    final step is the residual, its trace ends at the reported point, and
-    the iterations add up over eq and every search."""
+    whose objective is finite.  A start is a point with its ``_maxima``, or
+    None where they are not known: then they are computed here, since some
+    m_j = -inf leaves the largest one finite.  The best value wins, ties
+    going to the lexicographically first node system; its final step is the
+    residual, its trace ends at the reported point, and the iterations add
+    up over eq and every search."""
     best = None
     iters = eq.iterations
     for x0, rows in starts:
@@ -1004,7 +1004,7 @@ def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
     if eq is None:
         eq = solve_equioscillation(p, o)
     starts = [] if eq.x is None else [(np.array(eq.x.nodes), None)]
-    r = _search(p, o, eq, -1.0, [*starts, _even_start(p)])
+    r = _search(p, o, eq, -1.0, [*starts, (_even_start(p), None)])
     if eq.status == "converged" and abs(eq.value.as_float() - r.value.as_float()) <= max(
             10 * o.tol_residual, 1e-9) + 1e-12:
         r = replace(r, note="matches the equioscillation value")
@@ -1015,12 +1015,12 @@ def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
                   eq: SolveReport | None = None) -> SolveReport:
     """Maximize the smallest interval maximum over the regular set Y.
 
-    Pattern searches from the equioscillation point and from three random
-    regular systems; ``eq`` as in ``solve_minimax``.
+    Pattern searches from the equioscillation point, repaired toward Y (for
+    a J that is not usc, J*'s point can lie outside it), and from three
+    random systems placed on J's finite part; ``eq`` as in ``solve_minimax``.
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
     rng = random.Random(o.seed + 1)
-    starts = [] if eq.x is None else [(eq.x.nodes, None)]
-    starts += [_sample_regular(p, rng) for _ in range(3)]
-    return _search(p, o, eq, +1.0, [_repair(p, x0, rows) for x0, rows in starts])
+    starts = [] if eq.x is None else [_repair(p, eq.x.nodes)]
+    return _search(p, o, eq, +1.0, [*starts, *((_draw(p, rng), None) for _ in range(3))])

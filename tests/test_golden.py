@@ -1,11 +1,11 @@
 """Golden CLI reports: ``fenton-minimax solve``, ``oracle`` and ``verify`` must
 reproduce them byte for byte.
 
-Each ``tests/data/golden/<name>.config.json`` but ``log-n5-flat`` (below) is
-a battery problem with ``multistarts: 4`` and seed 0, and
-``<name>.report.json`` is the report the
-solve command wrote for it before the scalar sup engine was restructured
-around a per-problem plan.  ``custom-n2-bump`` is the bump field with a
+Each ``tests/data/golden/<name>.config.json`` but ``log-n5-flat`` and
+``log-n16-gate`` (below) is a battery problem with ``multistarts: 4`` and
+seed 0, and ``<name>.report.json`` is the report the solve command wrote
+for it before the scalar sup engine was restructured around a per-problem
+plan.  ``custom-n2-bump`` is the bump field with a
 custom kernel, ``|t|`` (affine sides -t and t) with a ``"singularize_eta":
 0.05`` layer, and weights 2 at both nodes, so its report pins how a custom
 kernel's formulas and layer and a problem's weights other than 1 are echoed
@@ -19,10 +19,16 @@ limit heuristics of the n = 1 solver, and its CSV report
 ``zero-n2-ramp.report.csv`` pins the equioscillation trace of that solve,
 which ends at the reported point (1/2, 1/2) with J's residual inf, and the
 traces of its minimax and maximin searches.  ``log-n2-bands`` pins the
-repair of starts toward Y under a singular kernel: one random start puts
-interval 1 inside the field's hole (0.4, 0.6) and is nudged out of it, and
-maximin's sampler rejects one draw there; it was written before Y
-membership came to be read off the interval maxima.  ``log-n5-flat`` is
+starts of a singular kernel on a field with a hole: every start is placed
+on the field's finite part [0.1, 0.4] and [0.6, 0.9].  ``log-n16-gate`` is
+the log kernel on the gate field at n = 16, where starts drawn on all of
+[0, 1] leave some interval in the gate's -inf half and the solve found no
+feasible start; it was written when starts came to be placed on J's finite
+part.  That change re-recorded the ``zero-n2-bands``, ``log-n2-bands``,
+``log-n1-ramp`` and ``zero-n2-ramp`` solve reports (JSON and CSV) and
+``verify-minimax-equals-maximin`` and ``verify-all``: the six problems
+whose J is not finite on all of [0, 1] got new starts, and only points,
+iterations, residuals and values in the last digits moved.  ``log-n5-flat`` is
 the log kernel on the flat field at n = 5 with ``multistarts: 8``, the
 heaviest solve of the solve-battery benchmark and the one with the most
 pattern-search polls; it was written before the pattern searches first
@@ -102,7 +108,8 @@ CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "thm1.3/minimax-equals-maximin")
 
 
-@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump", "log-n2-bands", "log-n5-flat"))
+@pytest.mark.parametrize("name", NAMES + ("custom-n2-bump", "log-n2-bands", "log-n5-flat",
+                                          "log-n16-gate"))
 def test_solve_report_is_byte_identical(name, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["solve", "--config", str(GOLDEN / f"{name}.config.json"),

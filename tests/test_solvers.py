@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fenton_minimax import solvers
 from fenton_minimax.battery import (BATTERY, battery_problem, bump_field, flat_field,
-                                    gate_field, ramp_field)
+                                    gate_field, ramp_field, two_band_field)
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, usc_regularize
@@ -21,8 +21,8 @@ from fenton_minimax.kernels import (Kernel, custom_kernel, log_kernel, power_ker
 from fenton_minimax.schema import (options_from_json, options_to_json,
                                    problem_from_json, problem_to_json)
 from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
-                                    _oracle_grid, _oracle_rows, _repair,
-                                    _sample_regular, brute_maximin, brute_minimax,
+                                    _draw, _oracle_grid, _oracle_rows, _place, _repair,
+                                    brute_maximin, brute_minimax,
                                     solve_equioscillation, solve_maximin, solve_minimax)
 from fenton_minimax.sumtrans import Problem, _maxima_fn, _pure_fun, _value_at, interval_maxima
 
@@ -587,7 +587,7 @@ def ref_solve_minimax(p, o):
     starts = []
     if eq.x is not None:
         starts.append(np.array(eq.x.nodes))
-    starts.append(_repair(p, np.array([(j + 1.0) / (p.n + 1.0) for j in range(p.n)]))[0])
+    starts.append(np.array([_place(p.field, (j + 1.0) / (p.n + 1.0)) for j in range(p.n)]))
     best = None
     iters = eq.iterations
     for x0 in starts:
@@ -606,13 +606,12 @@ def ref_solve_maximin(p, o):
     rng = Random(o.seed + 1)
     starts = []
     if eq.x is not None:
-        starts.append(np.array(eq.x.nodes))
+        starts.append(_repair(p, eq.x.nodes)[0])
     for _ in range(3):
-        starts.append(np.array(_sample_regular(p, rng)[0]))
+        starts.append(_draw(p, rng))
     best = None
     iters = eq.iterations
     for x0 in starts:
-        x0 = _repair(p, x0)[0]
         if not math.isfinite(ref_mlow(p, x0)):
             continue
         x, fx, step, it = ref_pattern(lambda a: ref_mlow(p, a), x0, o, +1.0)
@@ -778,7 +777,7 @@ def assert_skipped_polls_fail(p, seed):
     rng = Random(seed)
     checked = 0
     for _ in range(3):
-        x = np.array(_sample_regular(p, rng)[0])
+        x = _draw(p, rng)
         m = interval_maxima(p, NodeSystem(x.tolist())).floats()
         for sign in (-1.0, 1.0):
             fx = solvers._objective(m, sign)
@@ -817,7 +816,7 @@ def assert_witness_settles_agree(p, seed):
     rng = Random(seed)
     checked = 0
     for _ in range(3):
-        x = NodeSystem(_sample_regular(p, rng)[0]).nodes
+        x = NodeSystem(_draw(p, rng).tolist()).nodes
         rows = [_maxima_fn(p, x)(i) for i in range(p.n + 1)]
         s = (0.0, *x, 1.0)
         for sign in (-1.0, 1.0):
@@ -854,39 +853,115 @@ def test_witness_settles_agree_on_random_problems(p, seed):
     assert_witness_settles_agree(p, seed)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(random_problems())
+@st.composite
+def short_or_split_problems(draw):
+    """A problem on a random usc field finite on one part shorter than 0.15,
+    or on two or three parts with -inf gaps between them (short ones half
+    the time)."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    k = rng.randint(1, 3)
+    ends = sorted(rng.random() for _ in range(2 * k))
+    squeeze = 0.15 if k == 1 or rng.random() < 0.5 else 1.0
+    pieces = []
+    for a, b in zip(ends[::2], ends[1::2]):
+        f = rng.choice((Constant(rng.uniform(-1.0, 1.0)),
+                        Affine(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)),
+                        Quadratic(rng.uniform(-2.0, 0.0), rng.uniform(-2.0, 2.0),
+                                  rng.uniform(-1.0, 1.0))))
+        iv = Interval(a, a + (b - a) * squeeze, True, rng.random() < 0.5)
+        pieces.append(FieldPiece(iv, f))
+    kernel = draw(st.sampled_from(KERNELS))
+    try:
+        return Problem(n=draw(st.integers(1, 5)), field=usc_regularize(Field(tuple(pieces))),
+                       kernel=kernel)
+    except ValueError:  # a degenerate piece, or too few finite points for n
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=210, deadline=None)
+@given(st.one_of(random_problems(), short_or_split_problems()))
 def test_equioscillation_never_raises_on_random_fields(p):
     rep = solve_equioscillation(p, SolveOptions(multistarts=2))
     assert rep.status in ("converged", "stalled", "infeasible")
 
 
-class TestSampleRegular:
-    def test_yields_regular_points(self):
-        import random
+def _touching_pieces() -> Field:
+    """J finite on all of [0, 1] in two pieces that meet at 0.3."""
+    return Field((FieldPiece(Interval(0.0, 0.3, True, False), Constant(1.0)),
+                  FieldPiece(Interval(0.3, 1.0), Affine(-1.0, 0.5))))
 
+
+def _us(seed: int) -> list[float]:
+    """Many u in [0, 1]: both ends, their neighbouring floats, a grid, and
+    random draws."""
+    rng = Random(seed)
+    return [0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), *np.linspace(0.0, 1.0, 257).tolist(),
+            *(rng.random() for _ in range(500))]
+
+
+class TestPlace:
+    @pytest.mark.parametrize("field", [flat_field(), bump_field(), _touching_pieces()],
+                             ids=["flat", "bump", "touching"])
+    def test_identity_where_J_is_finite_on_all_of_0_1(self, field):
+        for u in _us(1):
+            assert np.float64(_place(field, u)).tobytes() == np.float64(u).tobytes(), u
+
+    @pytest.mark.parametrize("field", [gate_field(), two_band_field(), ramp_field(),
+                                       _random_usc_field(Random(27)), _touching_pieces()],
+                             ids=["gate", "bands", "ramp", "seed27", "touching"])
+    def test_nondecreasing(self, field):
+        placed = [_place(field, u) for u in sorted(_us(2))]
+        assert all(a <= b for a, b in zip(placed, placed[1:]))
+
+    @pytest.mark.parametrize("field", [gate_field(), two_band_field(),
+                                       _random_usc_field(Random(27)),
+                                       *(_random_usc_field(Random(s)) for s in range(12))],
+                             ids=["gate", "bands", "seed27", *(f"usc{s}" for s in range(12))])
+    def test_image_lies_in_the_closure_of_the_finite_parts(self, field):
+        for u in _us(3):
+            t = _place(field, u)
+            assert any(a <= t <= b for a, b in field.finite_parts), (u, t)
+
+    def test_isolated_points(self):
+        pts = (0.1, 0.35, 0.5, 0.9)
+        field = Field(tuple(FieldPiece(Interval(t, t), Constant(0.0)) for t in pts))
+        assert field.finite_parts == tuple((t, t) for t in pts)
+        assert {_place(field, u) for u in _us(4)} == set(pts)
+        assert [_place(field, u) for u in (0.0, 0.3, 0.6, 1.0)] == [0.1, 0.35, 0.5, 0.9]
+
+    def test_gate_and_bands_by_length(self):
+        assert _place(gate_field(), 0.5) == 0.25
+        # [0.1, 0.4] and [0.6, 0.9] have length 0.3 each
+        assert _place(two_band_field(), 0.25) == pytest.approx(0.25)
+        assert _place(two_band_field(), 0.75) == pytest.approx(0.75)
+        assert _place(two_band_field(), 1.0) == 0.9
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("kernel", [log_kernel(), sqrt_kernel(), power_kernel(0.5)],
+                         ids=["log", "sqrt", "power05"])
+def test_field_finite_on_a_short_part_solves(kernel, n):
+    # finite only on [0, 0.109]: starts drawn on [0, 1] miss it
+    field = _random_usc_field(Random(27))
+    assert max(b for _, b in field.finite_parts) < 0.11
+    p = Problem(n=n, field=field, kernel=kernel)
+    eq = solve_equioscillation(p, FAST)
+    reps = (eq, solve_minimax(p, FAST, eq=eq), solve_maximin(p, FAST, eq=eq))
+    assert [r.status for r in reps] == ["converged"] * 3
+    values = [r.value.as_float() for r in reps]
+    assert max(values) - min(values) <= 1e-8, values
+
+
+class TestDraw:
+    def test_yields_regular_points(self):
         for name in ("log-n2-flat", "log-n2-bands", "log-n1-gate"):
             p = battery_problem(name)
-            x = NodeSystem(_sample_regular(p, random.Random(7))[0])
+            x = NodeSystem(_draw(p, Random(7)).tolist())
             assert all(v.is_finite for v in interval_maxima(p, x).values)
 
     def test_deterministic_under_seed(self):
-        import random
         p = battery_problem("log-n2-bands")
-        a = _sample_regular(p, random.Random(3))[0]
-        b = _sample_regular(p, random.Random(3))[0]
-        assert tuple(a) == tuple(b)
-
-    @pytest.mark.parametrize("attempts", [10, 0])
-    def test_rows_are_the_maxima_of_the_sample(self, attempts):
-        # what maximin hands its random starts; attempts=0 takes the
-        # repaired fallback draw, whose rows can be None
-        for name in ("log-n2-flat", "log-n2-bands", "log-n1-gate", "zero-n2-bands"):
-            p = battery_problem(name)
-            for seed in range(5):
-                x, rows = solvers._sample_regular(p, Random(seed), attempts)
-                assert tuple(x) == tuple(_sample_regular(p, Random(seed), attempts)[0])
-                assert repr(rows) == repr(solvers._maxima(p, x)), (name, seed)
+        assert _draw(p, Random(3)).tolist() == _draw(p, Random(3)).tolist()
 
 
 def test_repair_returns_the_maxima_of_its_point():
@@ -920,37 +995,6 @@ def test_repair_returns_the_maxima_of_its_point():
     assert seen[True, True] and seen[True, False] and seen[False, False]
 
 
-def test_repair_reuses_given_rows_only_at_an_unmoved_point():
-    """Seeded: regular sorted tuples in [0, 1], some with nodes within the
-    1e-7 a singular kernel's nodes are kept apart, or next to 0 or 1.
-    ``_repair`` given their ``_maxima`` returns what it returns without
-    them, bit for bit, whether the projection moves the tuple or not."""
-    moved = kept = 0
-    for seed in range(30):
-        field = _random_usc_field(Random(seed))
-        rng = Random(seed)
-        for k in (log_kernel(), sqrt_kernel()):
-            for n in (1, 2, 3):
-                try:
-                    p = Problem(n=n, field=field, kernel=k)
-                except ValueError:  # field finite at too few points for n nodes
-                    continue
-                for _ in range(8):
-                    t = rng.choice((rng.random(), 1e-9, 1.0 - 1e-9))
-                    raw = sorted(min(max(t + rng.choice((0.0, 1e-9, rng.uniform(-0.05, 0.05))),
-                                         0.0), 1.0) for _ in range(n))
-                    rows = solvers._maxima(p, raw)
-                    if rows is None:
-                        continue
-                    got, want = _repair(p, raw, rows), _repair(p, raw)
-                    assert repr((got[0].tolist(), got[1])) == repr((want[0].tolist(), want[1]))
-                    if got[0].tolist() == raw:
-                        kept += 1
-                    else:
-                        moved += 1
-    assert moved and kept
-
-
 # ---------------------------------------------------------------------------
 # the Newton solve's Jacobian: Danskin's theorem, finite differences as fallback
 
@@ -969,7 +1013,7 @@ def test_danskin_jacobian_matches_central_differences(name):
     p = BATTERY[name]
     rng = Random(sorted(BATTERY).index(name))
     for _ in range(5):
-        x = np.array(_sample_regular(p, rng)[0])
+        x = _draw(p, rng)
         jac = solvers._danskin_jacobian(p, x, solvers._maxima(p, x))
         if p.kernel.family == "zero":
             # F is flat on the bands, so some maximum ties back to its left
