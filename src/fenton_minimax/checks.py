@@ -37,7 +37,7 @@ from .kernels import Kernel, log_kernel, singularize, sqrt_kernel, strictify
 from .schema import (encode_float, field_from_json, field_to_json, kernel_from_json,
                      kernel_to_json, options_from_json, options_to_json,
                      problem_from_json, problem_to_json)
-from .solvers import (SolveOptions, brute_maximin, brute_minimax,
+from .solvers import (SolveOptions, _equioscillation, brute_maximin, brute_minimax,
                       solve_equioscillation, solve_maximin, solve_minimax)
 from .sumtrans import Problem, interval_maxima, interval_maxima_batch
 
@@ -398,10 +398,10 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
     (the uniqueness scenario: strictly concave singular monotone kernel,
     concave finite field, equal weights): the point of every converged start
     lies within unique_nodes_tol of the representative ``eq.x``, one trial
-    per start.
+    per start.  Every start runs, not only those up to the first converged.
     """
     o = replace(options or SolveOptions(), multistarts=starts)
-    eq = solve_equioscillation(p, o)
+    eq = _equioscillation(p, o, every=True)
     if eq.status != "converged" or not eq.solutions:
         raise CheckInfeasible(f"{label or 'problem'}: equioscillation solver "
                               f"ended {eq.status} ({eq.note})")

@@ -27,18 +27,19 @@ The equioscillation solver drives the difference map
 
 to zero on a usc field: scalar bisection on a scan for n = 1, and for
 n >= 2 a Levenberg-Marquardt iteration with feasibility repair and optional
-strictification continuation.  Its Jacobian comes from the witnesses of the
-interval maxima it already has (Danskin's theorem: dm_i/dx_k is
--w_k K'(t_i - x_k) when m_i is attained at a point t_i off the nodes), so
-a step costs no extra sup-engine calls.  Where some maximum sits on a node,
-is not attained, or meets an infinite slope, as with a kernel peaked at 0,
-the whole step falls back to finite differences with ``fd_step``.  Then
-every node within 1e-6 of a field breakpoint moves onto it, jointly, if
-that lowers |Phi|.  Any other field J is solved through its usc
-regularization J*: by Lemma 6.1 max_j m_j is the same for J and J* at every
-x, and J* has an equioscillation point, so J has one at J*'s point exactly
-when J's own residual there vanishes.  Every start of every solver is
-placed on the part of [0, 1] where J is finite by one map, ``_place``.
+strictification continuation, from one start after another until one
+converges, then one more step to polish the point.  Its Jacobian comes from
+the witnesses of the interval maxima it already has (Danskin's theorem:
+dm_i/dx_k is -w_k K'(t_i - x_k) when m_i is attained at a point t_i off the
+nodes), so a step costs no extra sup-engine calls.  Where some maximum sits
+on a node, is not attained, or meets an infinite slope, as with a kernel
+peaked at 0, the whole step falls back to finite differences with
+``fd_step``.  Then every node within 1e-6 of a field breakpoint moves onto
+it, jointly, if that lowers |Phi|.  Any other field J is solved through its
+usc regularization J*: by Lemma 6.1 max_j m_j is the same for J and J* at
+every x, and J* has an equioscillation point, so J has one at J*'s point
+exactly when J's own residual there vanishes.  Every start of every solver
+is placed on the part of [0, 1] where J is finite by one map, ``_place``.
 
 Minimax and maximin are pattern searches on the max and min of the interval
 maxima, warm-started from the equioscillation result; a caller that runs all
@@ -60,9 +61,9 @@ interval: a value above the threshold settles the comparison the same way.
 Once every interval has passed, maximin completes only those whose lower
 bound could still be the new minimum.  All this gives the same result as
 computing all n + 1 maxima in full, at a fraction of the cost: one pass of
-the solve-battery benchmark (seed 1) makes 40,994 kernel walks (F
+the solve-battery benchmark (seed 1) makes 32,489 kernel walks (F
 evaluations the memo does not answer), where computing each interval
-maximum it compares in full makes 64,874.
+maximum it compares in full makes 56,548.
 
 Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -80,9 +81,9 @@ this hold.  The engine's rounding could in principle let through a gain
 smaller than that maximum's ``err``; the tests check at sampled systems
 that full evaluation rejects every candidate the rule skips, and that the
 searches match full-evaluation ones bit for bit.  On one pass of the
-solve-battery benchmark (seed 1), 9,753 of 17,407 candidates (56%) are
-skipped this way, and the sup engine's cell maximizations fall from 18,500
-to 11,162.
+solve-battery benchmark (seed 1), 10,283 of 17,407 candidates (59%) are
+skipped this way, and the sup engine's cell maximizations fall from 16,666
+to 8,942.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -159,8 +160,8 @@ class SolveReport:
     trace: tuple[TraceRecord, ...] = ()
     solutions: tuple[NodeSystem, ...] = ()
     note: str = ""
-    # equioscillation only: the point of every converged start, in start
-    # order, before ``solutions`` merges those within 1e-5 of each other
+    # equioscillation only: the point of each converged start that ran, in
+    # start order, before ``solutions`` merges those within 1e-5 of each other
     converged_starts: tuple[NodeSystem, ...] = ()
 
 
@@ -676,8 +677,10 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     res = _residual(phi)
     lam = 1e-10
     trace = [TraceRecord(0, res, max(_values(m)), tuple(x))]
-    iters = 0
-    while iters < o.max_iters and res > o.tol_residual:
+    iters, done = 0, False
+    while iters < o.max_iters and not done:
+        # once |Phi| <= tol_residual, one more step, kept only if it lowers |Phi|
+        done = res <= o.tol_residual
         iters += 1
         jac = _danskin_jacobian(p, x, m)
         if jac is None:
@@ -688,7 +691,6 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
         except np.linalg.LinAlgError:
             lam *= 10
             continue
-        accepted = False
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             xc, mc = _repair(p, x + alpha * d)
             if mc is None:
@@ -699,12 +701,10 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
                 step = float(np.max(np.abs(xc - x)))
                 x, m, phi, res = xc, mc, phc, rc
                 lam = max(lam / 3.0, 1e-12)
-                accepted = True
                 trace.append(TraceRecord(iters, res, max(_values(mc)), tuple(x)))
-                if step < o.tol_step:
-                    iters = o.max_iters
+                done = done or step < o.tol_step
                 break
-        if not accepted:
+        else:  # no step size lowered |Phi|
             lam *= 10
             if lam > 1e8:
                 break
@@ -717,20 +717,27 @@ def _even_start(p: Problem) -> np.ndarray:
 
 
 def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> SolveReport:
-    """Find node systems where all interval maxima coincide.
+    """Find a node system where all interval maxima coincide.
 
-    On a usc field all distinct converged points are reported in
-    ``solutions``, and the point of every converged start in
-    ``converged_starts``; the representative is the one with the smallest
-    residual, ties broken lexicographically.  Any other field J is solved
-    through J* = ``usc_regularize(J)`` with the same options.  The report
-    keeps J*'s points and takes its value and residual from J; it is
+    For n >= 2 the starts, the even one and then random ones, run in order
+    until one converges, at most ``multistarts``: under the paper's hypotheses
+    the equioscillation point is unique.  On a usc field ``solutions`` holds
+    the distinct converged points of the starts that ran and
+    ``converged_starts`` the point of each converged start; the representative
+    has the smallest residual, ties broken lexicographically.  Any other field
+    J is solved through J* = ``usc_regularize(J)`` with the same options.  The
+    report keeps J*'s points and takes its value and residual from J; it is
     ``converged`` only when J's residual is within ``tol_residual``, and
     ``solutions`` and ``converged_starts`` keep only the points where it is.
     Either way the trace ends at the reported point, value and residual.
     """
+    return _equioscillation(p, o)
+
+
+def _equioscillation(p: Problem, o: SolveOptions, every: bool = False) -> SolveReport:
+    """``solve_equioscillation``; with ``every``, all ``multistarts`` starts run."""
     usc = limsup_conditions(p.field).usc
-    rep = (_solve_eq_1d if p.n == 1 else _solve_eq_nd)(
+    rep = (_solve_eq_1d if p.n == 1 else partial(_solve_eq_nd, every=every))(
         p if usc else replace(p, field=usc_regularize(p.field)), o)
     if usc or rep.x is None:
         return rep
@@ -752,7 +759,7 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
                    converged_starts=starts)
 
 
-def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
+def _solve_eq_nd(p: Problem, o: SolveOptions, every: bool) -> SolveReport:
     k = p.kernel
     etas = o.continuation_etas if (k.monotone and not k.strictly_concave) else (0.0,)
     # the continuation stages: the kernel strictified by eta, then p itself
@@ -767,6 +774,8 @@ def _solve_eq_nd(p: Problem, o: SolveOptions) -> SolveReport:
             total_iters += iters
         x, res = _snap(p, x, res, partial(_phi, p))
         results.append((res, tuple(x), trace))
+        if res <= o.tol_residual and not every:
+            break
     converged = tuple(_ns(xt) for res, xt, _ in results if res <= o.tol_residual)
 
     results.sort(key=lambda r: (r[0], r[1]))
@@ -878,10 +887,10 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, ro
     interval that full evaluation settles the other way.  The tests check
     at sampled polls that full evaluation settles every probed interval the
     same way.  On the 36 minimax and maximin searches of the 18 benchmark
-    problems (c = 0, multistarts 8, seed 0), 5,352 of 6,806 probes settle
+    problems (c = 0, multistarts 8, seed 0), 5,259 of 6,458 probes settle
     their interval and none disagrees with full evaluation; on the random
     usc fields of seeds 0-39 with the log, power 1/2, sqrt and zero kernels
-    at n = 2 and 3 (multistarts 2), 110,328 of 174,463 settle and none
+    at n = 2 and 3 (multistarts 2), 108,913 of 167,538 settle and none
     disagrees.
 
     When the kernel is monotone with K(0) at most its one-sided limits
@@ -894,7 +903,7 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, ro
     the start and every accepted poll have exactly.  Full evaluation
     rejects every such poll in exact arithmetic; rounding could only let
     through a gain smaller than that maximum's ``err``, and the tests find
-    none.  On the benchmark's solve-battery this skips 56% of the polls.
+    none.  On the benchmark's solve-battery this skips 59% of the polls.
 
     Results equal a search that evaluates every candidate in full, but for
     the two rounding exceptions above, which the tests never meet.  The

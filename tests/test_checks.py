@@ -19,7 +19,7 @@ from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckErr
                                    run_check)
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.kernels import log_kernel, sqrt_kernel, zero_kernel
-from fenton_minimax.solvers import SolveOptions, solve_equioscillation
+from fenton_minimax.solvers import SolveOptions, _equioscillation
 from fenton_minimax.sumtrans import Problem, interval_maxima, interval_maxima_batch
 
 EXPECTED_IDS = {
@@ -172,8 +172,9 @@ class TestIndividualChecks:
                                           check_id="thm1.1/uniqueness")
         assert rep.passed
         assert margins and all(m > 0 for m in margins)
-        eq = solve_equioscillation(p, SolveOptions(multistarts=8))
-        assert len(margins) == len(eq.converged_starts)
+        # the check runs every start, not only those up to the first that converges
+        eq = _equioscillation(p, SolveOptions(multistarts=8), every=True)
+        assert len(margins) == len(eq.converged_starts) == 8
         assert rep.trials == 2 * len(eq.solutions) + len(margins)
 
     def test_kernel_limits_requires_decreasing_etas(self):

@@ -41,6 +41,9 @@ interval selectors and problem stacks, and ``dini-max`` and
 Lipschitz envelopes, before ``Field`` became piecewise-only, and
 ``minimax-equals-maximin``, whose note holds every battery problem's minimax
 and maximin value to 9 digits, before the two searches shared one driver.
+``uniqueness`` and ``equioscillation-value``, the two checks that run every
+equioscillation start (20 and 8 trials), were written before the solve
+came to stop at the first converged start.
 ``verify-all.report.json`` is the report of ``verify --all --trials 8 --seed
 3``, so it pins every registered check, in registry order; it was written
 before the per-check runner functions became one registry table.  Each
@@ -56,6 +59,10 @@ were written before the JSON codecs and the report float encoder moved into
 search got its own trace (its start, its accepted polls and its reported
 point, with the step as the residual) in place of a copy of the
 equioscillation trace; their equioscillation rows kept their bytes.
+When the equioscillation solve came to stop at its first converged start
+and to polish that point with one more Newton step, every solve report at
+n >= 2 was re-recorded (``log-n1-ramp`` kept its bytes): its iterations,
+solutions and points moved, and its values by at most 9e-13.
 ``sweep-log-n2-bands.report.csv`` is the report of ``sweep --config
 sweep-log-n2-bands.config.json`` (CSV by default): the interval maxima of
 the ``log-n2-bands`` problem as node 1 runs from 0 to 0.6 in 13 steps, node
@@ -105,7 +112,8 @@ CSV_REPORTS = (
 )
 CHECKS = ("thm1.3/no-strict-majorization", "thm1.3/strictify-limit",
           "lem4.1/singularize-limit", "lem5.1/dini-max", "lem6.1/usc-invariances",
-          "thm1.3/minimax-equals-maximin")
+          "thm1.3/minimax-equals-maximin", "thm1.1/uniqueness",
+          "thm1.3/equioscillation-value")
 
 
 @pytest.mark.parametrize("name", NAMES + ("custom-n2-bump", "log-n2-bands", "log-n5-flat",

@@ -260,9 +260,10 @@ class TestEquioscillationNd:
         assert rep.solutions  # cluster representatives for uniqueness probes
 
     def test_converged_starts_are_the_unmerged_solutions(self):
-        rep = solve_equioscillation(battery_problem("log-n2-bump"),
-                                    SolveOptions(multistarts=8))
-        assert len(rep.converged_starts) >= len(rep.solutions) >= 1
+        # every start runs, so there are converged starts to merge
+        rep = solvers._equioscillation(battery_problem("log-n2-bump"),
+                                       SolveOptions(multistarts=8), every=True)
+        assert len(rep.converged_starts) > len(rep.solutions) >= 1
         assert rep.x in rep.converged_starts
         for s in rep.converged_starts:
             assert any(max(abs(a - b) for a, b in zip(s.nodes, u.nodes)) <= 1e-5
@@ -286,6 +287,52 @@ class TestEquioscillationNd:
         assert a.x.nodes == b.x.nodes
         assert a.value.as_float() == b.value.as_float()
         assert a.iterations == b.iterations
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kernel", [log_kernel(), power_kernel(0.5), sqrt_kernel(),
+                                        zero_kernel()], ids=["log", "power05", "sqrt", "zero"])
+    def test_first_converged_start_agrees_with_every_start(self, kernel, n):
+        # the first-converged solve runs a prefix of the starts of the
+        # every-start one: its one converged start is the first of those,
+        # and with none converged it is the every-start solve itself
+        for seed in range(12):
+            p = Problem(n=n, field=_random_usc_field(Random(seed)), kernel=kernel)
+            first = solve_equioscillation(p, FAST)
+            every = solvers._equioscillation(p, FAST, every=True)
+            assert first.status == every.status, seed
+            if first.status != "converged":
+                assert first == every, seed
+                continue
+            assert first.converged_starts == every.converged_starts[:1]
+            assert first.solutions == first.converged_starts
+            gap = abs(first.value.as_float() - every.value.as_float())
+            assert gap <= n * (first.residual + every.residual) + 1e-13, seed
+
+    def test_a_stalled_start_is_followed_by_the_next(self):
+        # the even start and the first random start stall on this field,
+        # and the second random start converges
+        p = Problem(n=5, field=_random_usc_field(Random(12)), kernel=sqrt_kernel())
+        assert solve_equioscillation(p, SolveOptions(multistarts=1)).status == "stalled"
+        rep = solve_equioscillation(p, SolveOptions(multistarts=8))
+        assert rep.status == "converged"
+        assert len(rep.converged_starts) == 1
+
+    @pytest.mark.parametrize("name", sorted(n for n, p in BATTERY.items() if p.n >= 2))
+    def test_converged_point_is_polished(self, name):
+        # one Newton step past tol_residual leaves |Phi| at rounding level
+        rep = solve_equioscillation(BATTERY[name], FAST)
+        assert rep.status == "converged"
+        assert rep.residual <= 1e-14
+
+    def test_newton_counts_the_steps_it_takes(self):
+        # from the even start, the zero kernel on this field stalls on a
+        # step below tol_step after two steps, with |Phi| far above tol
+        p = Problem(n=3, field=_random_usc_field(Random(15)), kernel=zero_kernel())
+        o = SolveOptions()
+        x, res, iters, trace = solvers._newton(p, solvers._even_start(p), o)
+        assert res > o.tol_residual
+        assert iters == trace[-1].iteration < o.max_iters
+        assert np.max(np.abs(np.subtract(trace[-1].x, trace[-2].x))) < o.tol_step
 
 
 class TestMinimaxMaximin:
