@@ -159,8 +159,7 @@ def _formula_at(d: dict, key: str, what: str) -> Formula:
 _FORMULAS = {"constant": Constant, "affine": Affine, "quadratic": Quadratic,
              "log_weight": LogWeight}
 # per dataclass read from JSON: each field's name and the accessor its type names
-_TYPE_READERS = {"float": _number_at, "int": _int_at,
-                 "tuple[float, ...]": _numbers_at, "Formula": _formula_at}
+_TYPE_READERS = {"float": _number_at, "int": _int_at, "Formula": _formula_at}
 _READERS = {cls: {fl.name: _TYPE_READERS[fl.type] for fl in fields(cls)}
             for cls in (*_FORMULAS.values(), SolveOptions)}
 
@@ -292,7 +291,7 @@ def problem_from_json(d: Any) -> Problem:
 
 
 def options_to_json(o: SolveOptions) -> dict:
-    return {**asdict(o), "continuation_etas": list(o.continuation_etas)}
+    return asdict(o)
 
 
 def options_from_json(d: Any) -> SolveOptions:

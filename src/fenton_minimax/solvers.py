@@ -34,7 +34,7 @@ dm_i/dx_k is -w_k K'(t_i - x_k) when m_i is attained at a point t_i off the
 nodes), so a step costs no extra sup-engine calls.  Where some maximum sits
 on a node, is not attained, or meets an infinite slope, as with a kernel
 peaked at 0, the whole step falls back to finite differences with
-``fd_step``.  Then every node within 1e-6 of a field breakpoint moves onto
+``_FD_STEP``.  Then every node within 1e-6 of a field breakpoint moves onto
 it, jointly, if that lowers |Phi|.  Any other field J is solved through its
 usc regularization J*: by Lemma 6.1 max_j m_j is the same for J and J* at
 every x, and J* has an equioscillation point, so J has one at J*'s point
@@ -117,26 +117,26 @@ __all__ = [
 ]
 
 
+# A solve converges when |Phi| (equioscillation) is within _TOL_RESIDUAL,
+# or its step (bisection, Newton, pattern search) falls below _TOL_STEP.
+_TOL_RESIDUAL = 1e-8
+_TOL_STEP = 1e-10
+# Newton steps per start and stage; a pattern search makes six times as many sweeps.
+_MAX_ITERS = 200
+# The finite-difference Jacobian's step, relative to a node's room.
+_FD_STEP = 1e-6
+# The strictify continuation: Newton on the kernel strictified by each eta.
+_CONTINUATION_ETAS = (0.2, 0.1, 0.05, 0.02, 0.01, 0.0)
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    tol_residual: float = 1e-8
-    tol_step: float = 1e-10
-    max_iters: int = 200
     multistarts: int = 16
-    continuation_etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02, 0.01, 0.0)
-    fd_step: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # chained comparisons, which NaN fails, so NaN and inf are refused too
-        if not all(0 < v < math.inf for v in (self.tol_residual, self.tol_step, self.fd_step)):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_iters < 1 or self.multistarts < 1:
-            raise ValueError("iteration budgets must be positive")
-        etas = tuple(float(e) for e in self.continuation_etas)
-        if not (etas and etas[-1] == 0.0 and all(math.inf > a > b for a, b in zip(etas, etas[1:]))):
-            raise ValueError("continuation etas must strictly decrease and end at 0")
-        object.__setattr__(self, "continuation_etas", etas)
+        if self.multistarts < 1:
+            raise ValueError("multistarts must be at least 1")
 
 
 class TraceRecord(NamedTuple):
@@ -567,7 +567,7 @@ def _snap(p: Problem, x: np.ndarray, res: float, phi) -> tuple[np.ndarray, float
     return (xc, rc) if rc < res else (x, res)
 
 
-def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
+def _solve_eq_1d(p: Problem) -> SolveReport:
     bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
     # 0 and 1 too: a sign change within 1/256 of an end is missed otherwise
     scan = sorted({0.0, 1.0, *np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist(), *bps})
@@ -598,7 +598,7 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
     for a, fa, b, fb in brackets:
         if abs(best_f) == 0.0:
             break
-        while b - a > o.tol_step:
+        while b - a > _TOL_STEP:
             mid = 0.5 * (a + b)
             fm = phi1(mid)
             if fm is None:
@@ -614,7 +614,7 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
 
     xs, residual = _snap(p, np.array([best_x]), abs(best_f), lambda xc: phi1(float(xc[0])))
     best_x = float(xs[0])
-    converged = residual <= o.tol_residual
+    converged = residual <= _TOL_RESIDUAL
     note = "" if converged or brackets else (
         "none-found: the difference map never changes sign on the scan; "
         f"min |Phi| = {residual:.3g} at x = {best_x:.9g}")
@@ -628,7 +628,7 @@ def _solve_eq_1d(p: Problem, o: SolveOptions) -> SolveReport:
                        converged_starts=sols)
 
 
-def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray, o: SolveOptions):
+def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray):
     """Finite-difference Jacobian of Phi; every step keeps x_j between its
     neighbours (or the sentinels), so the stepped system stays ordered.  A
     node pinned on both sides gets a zero column."""
@@ -637,7 +637,7 @@ def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray, o: SolveOptions):
     s = (0.0, *x, 1.0)
     for j in range(n):
         room_fwd, room_back = s[j + 2] - x[j], x[j] - s[j]
-        h = min(o.fd_step * max(s[j + 2] - s[j], 1e-3), max(room_fwd, room_back))
+        h = min(_FD_STEP * max(s[j + 2] - s[j], 1e-3), max(room_fwd, room_back))
         xp = x.copy()
         xp[j] = min(x[j] + h, s[j + 2]) if room_fwd >= h else max(x[j] - h, s[j])
         step = xp[j] - x[j]
@@ -666,7 +666,7 @@ def _danskin_jacobian(p: Problem, x: np.ndarray, m: list[_RawSup]) -> np.ndarray
     return np.diff(grad, axis=0) if np.all(np.isfinite(grad)) else None
 
 
-def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
+def _newton(p: Problem, x0: np.ndarray):
     x = x0.copy()
     m = _maxima(p, x)
     if m is None:
@@ -678,13 +678,13 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
     lam = 1e-10
     trace = [TraceRecord(0, res, max(_values(m)), tuple(x))]
     iters, done = 0, False
-    while iters < o.max_iters and not done:
-        # once |Phi| <= tol_residual, one more step, kept only if it lowers |Phi|
-        done = res <= o.tol_residual
+    while iters < _MAX_ITERS and not done:
+        # once |Phi| <= _TOL_RESIDUAL, one more step, kept only if it lowers |Phi|
+        done = res <= _TOL_RESIDUAL
         iters += 1
         jac = _danskin_jacobian(p, x, m)
         if jac is None:
-            jac = _fd_jacobian(p, x, phi, o)
+            jac = _fd_jacobian(p, x, phi)
         a = jac.T @ jac + lam * np.eye(len(x))
         try:
             d = np.linalg.solve(a, -jac.T @ phi)
@@ -702,7 +702,7 @@ def _newton(p: Problem, x0: np.ndarray, o: SolveOptions):
                 x, m, phi, res = xc, mc, phc, rc
                 lam = max(lam / 3.0, 1e-12)
                 trace.append(TraceRecord(iters, res, max(_values(mc)), tuple(x)))
-                done = done or step < o.tol_step
+                done = done or step < _TOL_STEP
                 break
         else:  # no step size lowered |Phi|
             lam *= 10
@@ -727,7 +727,7 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
     has the smallest residual, ties broken lexicographically.  Any other field
     J is solved through J* = ``usc_regularize(J)`` with the same options.  The
     report keeps J*'s points and takes its value and residual from J; it is
-    ``converged`` only when J's residual is within ``tol_residual``, and
+    ``converged`` only when J's residual is within ``_TOL_RESIDUAL``, and
     ``solutions`` and ``converged_starts`` keep only the points where it is.
     Either way the trace ends at the reported point, value and residual.
     """
@@ -737,16 +737,16 @@ def solve_equioscillation(p: Problem, o: SolveOptions = SolveOptions()) -> Solve
 def _equioscillation(p: Problem, o: SolveOptions, every: bool = False) -> SolveReport:
     """``solve_equioscillation``; with ``every``, all ``multistarts`` starts run."""
     usc = limsup_conditions(p.field).usc
-    rep = (_solve_eq_1d if p.n == 1 else partial(_solve_eq_nd, every=every))(
-        p if usc else replace(p, field=usc_regularize(p.field)), o)
+    q = p if usc else replace(p, field=usc_regularize(p.field))
+    rep = _solve_eq_1d(q) if p.n == 1 else _solve_eq_nd(q, o, every)
     if usc or rep.x is None:
         return rep
 
     # every point of ``solutions`` is one of ``converged_starts``
     starts = tuple(x for x in rep.converged_starts
-                   if _residual(_phi(p, x.nodes)) <= o.tol_residual)
+                   if _residual(_phi(p, x.nodes)) <= _TOL_RESIDUAL)
     res, note = _residual(_phi(p, rep.x.nodes)), ""
-    if res > o.tol_residual:
+    if res > _TOL_RESIDUAL:
         found = "equioscillates with M" if rep.status == "converged" else "stalls with value"
         note = (f"none-found: J is not usc; its usc regularization {found} = "
                 f"{rep.value.as_float():.12g} at x = {rep.x.nodes}, where J's residual "
@@ -754,14 +754,14 @@ def _equioscillation(p: Problem, o: SolveOptions, every: bool = False) -> SolveR
     value = interval_maxima(p, rep.x).max_value
     return replace(rep, value=value, residual=res,
                    trace=_ending_at(rep.trace, rep.x.nodes, res, value.as_float()),
-                   status="converged" if res <= o.tol_residual else "stalled", note=note,
+                   status="converged" if res <= _TOL_RESIDUAL else "stalled", note=note,
                    solutions=tuple(x for x in rep.solutions if x in starts),
                    converged_starts=starts)
 
 
 def _solve_eq_nd(p: Problem, o: SolveOptions, every: bool) -> SolveReport:
     k = p.kernel
-    etas = o.continuation_etas if (k.monotone and not k.strictly_concave) else (0.0,)
+    etas = _CONTINUATION_ETAS if (k.monotone and not k.strictly_concave) else (0.0,)
     # the continuation stages: the kernel strictified by eta, then p itself
     stages = [replace(p, kernel=strictify(k, eta)) if eta > 0 else p for eta in etas]
 
@@ -770,13 +770,13 @@ def _solve_eq_nd(p: Problem, o: SolveOptions, every: bool) -> SolveReport:
     rng = random.Random(o.seed)
     for x in [_even_start(p), *(_draw(p, rng) for _ in range(o.multistarts - 1))]:
         for pe in stages:
-            x, res, iters, trace = _newton(pe, x, o)
+            x, res, iters, trace = _newton(pe, x)
             total_iters += iters
         x, res = _snap(p, x, res, partial(_phi, p))
         results.append((res, tuple(x), trace))
-        if res <= o.tol_residual and not every:
+        if res <= _TOL_RESIDUAL and not every:
             break
-    converged = tuple(_ns(xt) for res, xt, _ in results if res <= o.tol_residual)
+    converged = tuple(_ns(xt) for res, xt, _ in results if res <= _TOL_RESIDUAL)
 
     results.sort(key=lambda r: (r[0], r[1]))
     best_res, best_x, best_trace = results[0]
@@ -786,14 +786,14 @@ def _solve_eq_nd(p: Problem, o: SolveOptions, every: bool) -> SolveReport:
 
     sols: list[tuple[float, ...]] = []
     for res, xt, _ in results:
-        if res <= o.tol_residual:
+        if res <= _TOL_RESIDUAL:
             if all(max(abs(a - b) for a, b in zip(xt, s)) > 1e-5 for s in sols):
                 sols.append(xt)
     sols.sort()
 
     x = _ns(best_x)
     value = interval_maxima(p, x).max_value
-    status = "converged" if best_res <= o.tol_residual else "stalled"
+    status = "converged" if best_res <= _TOL_RESIDUAL else "stalled"
     return SolveReport(x, value, best_res, status, total_iters,
                        _ending_at(best_trace, best_x, best_res, value.as_float()),
                        tuple(_ns(s) for s in sols), converged_starts=converged)
@@ -839,7 +839,7 @@ def _settled(r) -> tuple[float, float | None]:
     return r[0], (r[1] if r[2] else None)
 
 
-def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, rows0: list[_RawSup]
+def _pattern(p: Problem, x0: tuple[float, ...], sign: float, rows0: list[_RawSup]
              ) -> tuple[tuple[float, ...], float, float, int, list[TraceRecord]]:
     """Coordinate pattern search on the interval maxima from the sorted
     nodes x0, whose interval maxima are rows0 (as ``_maxima_fn`` gives
@@ -922,8 +922,7 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, ro
     step = 0.125
     iters = 0
     trace = [TraceRecord(0, step, fx, x)]
-    budget = o.max_iters * 6
-    while step >= o.tol_step and iters < budget:
+    while step >= _TOL_STEP and iters < _MAX_ITERS * 6:
         iters += 1
         improved = False
         for j in range(n):
@@ -975,7 +974,7 @@ def _pattern(p: Problem, x0: tuple[float, ...], o: SolveOptions, sign: float, ro
     return x, fx, step, iters, trace
 
 
-def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
+def _search(p: Problem, eq: SolveReport, sign: float,
             starts: list[tuple[np.ndarray, list[_RawSup] | None]]) -> SolveReport:
     """The pattern search of ``_pattern`` (sign as there) from every start
     whose objective is finite.  A start is a point with its ``_maxima``, or
@@ -993,7 +992,7 @@ def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
             rows = [m(j) for j in range(p.n + 1)]
         if not math.isfinite(_objective(_values(rows), sign)):
             continue
-        x, fx, step, it, trace = _pattern(p, start.nodes, o, sign, rows)
+        x, fx, step, it, trace = _pattern(p, start.nodes, sign, rows)
         iters += it
         if best is None or (-sign * fx, x) < (-sign * best[0], best[1]):
             best = (fx, x, step, trace)
@@ -1002,7 +1001,7 @@ def _search(p: Problem, o: SolveOptions, eq: SolveReport, sign: float,
                            note="no feasible start: every start leaves some "
                                 "interval at -inf")
     value, xt, step, trace = best
-    status = "converged" if step < o.tol_step else "stalled"
+    status = "converged" if step < _TOL_STEP else "stalled"
     return SolveReport(_ns(xt), ExtendedReal.of(value), step, status, iters,
                        _ending_at(trace, xt, step, value), eq.solutions)
 
@@ -1019,9 +1018,9 @@ def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
     if eq is None:
         eq = solve_equioscillation(p, o)
     starts = [] if eq.x is None else [(np.array(eq.x.nodes), None)]
-    r = _search(p, o, eq, -1.0, [*starts, (_even_start(p), None)])
-    if eq.status == "converged" and abs(eq.value.as_float() - r.value.as_float()) <= max(
-            10 * o.tol_residual, 1e-9) + 1e-12:
+    r = _search(p, eq, -1.0, [*starts, (_even_start(p), None)])
+    if eq.status == "converged" and abs(eq.value.as_float() - r.value.as_float()) <= (
+            10 * _TOL_RESIDUAL + 1e-12):
         r = replace(r, note="matches the equioscillation value")
     return r
 
@@ -1038,4 +1037,4 @@ def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
         eq = solve_equioscillation(p, o)
     rng = random.Random(o.seed + 1)
     starts = [] if eq.x is None else [_repair(p, eq.x.nodes)]
-    return _search(p, o, eq, +1.0, [*starts, *((_draw(p, rng), None) for _ in range(3))])
+    return _search(p, eq, +1.0, [*starts, *((_draw(p, rng), None) for _ in range(3))])

@@ -206,11 +206,10 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
     return ExtendedReal(_value_at(p, _pure_fun(p, x.nodes), t))
 
 
-def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
-               stop: float = math.inf) -> _RawSup:
+def _sup_cells(p: Problem, f, a: float, b: float, stop: float = math.inf) -> _RawSup:
     """The exact engine on the closed interval [a, b], for a piecewise
-    field; f is ``_pure_fun(p, nodes)``.  The value is a float, -inf when F
-    is -inf on the whole interval.
+    field; f is ``_pure_fun(p, nodes)``, and no node lies strictly inside
+    [a, b].  The value is a float, -inf when F is -inf on the whole interval.
 
     The value is the largest F value computed, at a point or in a cell.  So
     the first one above ``stop`` shows that the value is above it too: the
@@ -222,9 +221,6 @@ def _sup_cells(p: Problem, nodes: tuple[float, ...], f, a: float, b: float,
     # inside
     ends, pieces = p.field._scalar_table
     cuts = ends[bisect_right(ends, a):bisect_left(ends, b)]
-    inner = nodes[bisect_right(nodes, a):bisect_left(nodes, b)]
-    if inner:
-        cuts = sorted({*cuts, *inner})
     pts = [a, *cuts, b] if b > a else [a]
 
     # candidates: (value, location, attained, err)
@@ -275,7 +271,7 @@ def _maxima_fn(p: Problem, nodes: tuple[float, ...], f=None) -> Callable[..., _R
     caller's ``_pure_fun(p, nodes)`` when given."""
     f = f or _pure_fun(p, nodes)
     s = (0.0, *nodes, 1.0)
-    return lambda j, stop=math.inf: _sup_cells(p, nodes, f, s[j], s[j + 1], stop=stop)
+    return lambda j, stop=math.inf: _sup_cells(p, f, s[j], s[j + 1], stop=stop)
 
 
 def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:

@@ -22,6 +22,7 @@ import math
 
 import pytest
 
+from fenton_minimax import solvers
 from fenton_minimax.battery import flat_field, gate_field, two_band_field
 from fenton_minimax.kernels import log_kernel
 from fenton_minimax.solvers import (SolveOptions, solve_equioscillation,
@@ -67,7 +68,7 @@ def test_equioscillation_nodes_at_n64():
     eq = solve_equioscillation(_log_flat(n), ONE_START)
     assert eq.status == "converged"
     assert max(abs(a - b) for a, b in zip(eq.x.nodes, _nodes(n))) <= 1e-10
-    assert abs(eq.value.as_float() - _value(n)) <= ONE_START.tol_residual
+    assert abs(eq.value.as_float() - _value(n)) <= solvers._TOL_RESIDUAL
 
 
 def _assert_solves_to(field, n: int, value: float, nodes: list[float],

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fenton_minimax import checks
+from fenton_minimax import checks, solvers
 from fenton_minimax.battery import BATTERY, battery_problem, flat_field
 from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckError,
                                    all_check_ids, check_continuity_suite,
@@ -284,11 +284,9 @@ class TestCheckReportJson:
 
 def _every_system_equioscillates() -> Problem:
     # the zero kernel on a flat field: every start is an equioscillation
-    # point, so without the continuation (NO_CONTINUATION) the solutions differ
+    # point, so without the continuation (``_CONTINUATION_ETAS`` set to
+    # (0.0,)) the solutions differ
     return Problem(n=2, field=flat_field(), kernel=zero_kernel())
-
-
-NO_CONTINUATION = SolveOptions(continuation_etas=(0.0,))
 
 
 # per emitting check: the witness kinds it records, with a call that records
@@ -305,7 +303,7 @@ REPLAY_CASES = {
                                      options=SolveOptions(multistarts=2, seed=1))]),
     "equioscillation": ({"eq-value", "eq-unique"}, lambda: [
         check_equioscillation_value(_every_system_equioscillates(), starts=4,
-                                    unique_nodes_tol=1e-4, options=NO_CONTINUATION)]),
+                                    unique_nodes_tol=1e-4)]),
     "usc": ({"usc-mbar", "usc-mj", "usc-open-sup", "usc-maximin"}, lambda: [
         check_usc_invariances(battery_problem("log-n2-bands"), trials=4, seed=0)]),
     "dini": ({"dini"}, lambda: [check_dini_max(trials=3, seed=0)]),
@@ -355,6 +353,8 @@ class TestSolverWitnessReplay:
     @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
     def test_every_witness_replays_to_its_margin(self, name, monkeypatch):
         monkeypatch.setattr(checks, "_WITNESS_CAP", 100_000)
+        if name == "equioscillation":
+            monkeypatch.setattr(solvers, "_CONTINUATION_ETAS", (0.0,))
         kinds, emit = REPLAY_CASES[name]
         ws = [json.loads(json.dumps(w)) for rep in emit() for w in rep.witnesses]
         assert {w["kind"] for w in ws} == kinds

@@ -156,6 +156,30 @@ class TestUscRegularize:
         assert Js.eval_float(0.5) == 1.0
         assert Js.eval_float(0.51) == 0.0
 
+    def test_one_point_hole_closes_into_one_piece(self):
+        # both one-sided limits at 1/2 are 1: the two pieces close there and merge
+        J = Field(pieces=(
+            FieldPiece(Interval(0.0, 0.5, closed_right=False), Constant(1.0)),
+            FieldPiece(Interval(0.5, 1.0, closed_left=False), Constant(1.0))))
+        assert usc_regularize(J) == Field(pieces=(FieldPiece(Interval(0.0, 1.0),
+                                                             Constant(1.0)),))
+
+    def test_spike_keeps_its_point_piece(self):
+        # J(1/2) = 1 is above both one-sided limits, 0: it stays an isolated point
+        J = Field(pieces=(
+            FieldPiece(Interval(0.0, 0.5, closed_right=False), Constant(0.0)),
+            FieldPiece(Interval(0.5, 0.5), Constant(1.0)),
+            FieldPiece(Interval(0.5, 1.0, closed_left=False), Constant(0.0))))
+        Js = usc_regularize(J)
+        assert Js == J
+        assert usc_regularize(Js) == Js
+
+    def test_field_finite_at_four_points_unchanged(self):
+        # -inf but at four isolated points: usc already
+        J = Field(pieces=tuple(FieldPiece(Interval(t, t), Constant(v)) for t, v in
+                               ((0.1, 0.0), (0.35, -0.3), (0.5, 0.2), (0.9, 0.1))))
+        assert usc_regularize(J) == J
+
     def test_idempotent_on_battery(self):
         for J in (flat_field(), bump_field(), ramp_field(), two_band_field(),
                   gate_field()):

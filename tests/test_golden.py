@@ -63,6 +63,10 @@ When the equioscillation solve came to stop at its first converged start
 and to polish that point with one more Newton step, every solve report at
 n >= 2 was re-recorded (``log-n1-ramp`` kept its bytes): its iterations,
 solutions and points moved, and its values by at most 9e-13.
+When the solver's tolerances, iteration budget, finite-difference step and
+continuation schedule stopped being options, the ``"options"`` block of
+every solve JSON report was re-recorded to hold only ``multistarts`` and
+``seed``; no other byte moved.
 ``sweep-log-n2-bands.report.csv`` is the report of ``sweep --config
 sweep-log-n2-bands.config.json`` (CSV by default): the interval maxima of
 the ``log-n2-bands`` problem as node 1 runs from 0 to 0.6 in 13 steps, node

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fenton_minimax.battery import battery_problem
+from fenton_minimax.checks import CheckInfeasible
 from fenton_minimax.cli import main, read_report
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.core import NEG_INF
@@ -39,6 +40,9 @@ BAD_KERNELS_CONFIG = Path(__file__).parent / "data" / "bad-problem-kernels.confi
 # "nan" strictify eta; CI runs both files through the installed entry point
 BAD_SCALE_CONFIG = Path(__file__).parent / "data" / "bad-kernel-scale.config.json"
 BAD_NUMBER_CONFIG = Path(__file__).parent / "data" / "bad-kernel-number.config.json"
+# the log problem at n = 2 setting "tol_residual", a solver constant and not
+# an option; CI runs the same file through the installed entry point
+BAD_TOLERANCE_CONFIG = Path(__file__).parent / "data" / "bad-options-tolerance.config.json"
 
 
 def custom_n2(neg_c=0.0, **params):
@@ -143,7 +147,7 @@ class TestProblemCodec:
 
 class TestOptionsCodec:
     def test_round_trip(self):
-        o = SolveOptions(tol_residual=1e-7, multistarts=3, seed=11)
+        o = SolveOptions(multistarts=3, seed=11)
         assert options_from_json(options_to_json(o)) == o
 
     def test_defaults_when_missing(self):
@@ -152,6 +156,13 @@ class TestOptionsCodec:
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigError):
             options_from_json({"tol_residul": 1e-7})
+
+    # the tolerances and schedules are solver constants, not options
+    @pytest.mark.parametrize("key", ["tol_residual", "tol_step", "max_iters", "fd_step",
+                                     "continuation_etas"])
+    def test_removed_option_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^unknown option keys: {key}$"):
+            options_from_json({"multistarts": 2, key: 1})
 
 
 class TestConfig:
@@ -272,6 +283,15 @@ class TestCliSolve:
         assert {r[0] for r in rows[1:]} <= {"equioscillation", "minimax",
                                             "maximin"}
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path, capsys):
+        flag = write_cfg(tmp_path, "flag.json", LOG_N2, options={"multistarts": 2})
+        cfg = write_cfg(tmp_path, "cfg.json", LOG_N2, options={"multistarts": 2, "seed": 5})
+        assert main(["solve", "--config", flag, "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert main(["solve", "--config", cfg]) == 0
+        assert capsys.readouterr().out == out
+        assert json.loads(out)["options"] == {"multistarts": 2, "seed": 5}
+
     def test_fd_steps_keep_nodes_ordered(self, tmp_path, capsys):
         # a finite-difference step once crossed the left neighbour of a
         # pinned node, and the CLI exited 2 on "nodes must be nondecreasing"
@@ -368,19 +388,19 @@ class TestCliSolve:
         ({**LOG_N2, "weights": 5}, {}, "weights must be a list"),
         ({"n": 2, "field": FLAT, "kernels": 5}, {}, "unknown problem keys: kernels"),
         (LOG_N2, {"options": {"continuation_etas": 5}},
-         "continuation_etas must be a list"),
+         "unknown option keys: continuation_etas"),
         (LOG_N2, {"checks": 5}, "checks must be a list"),
         (LOG_N2, {"checks": [{}]}, "checks items must be strings"),
         ({**LOG_N2, "n": 2.5}, {}, "n must be an integer"),
         ({**LOG_N2, "n": "2"}, {}, "n must be an integer"),
         ({**LOG_N2, "n": True}, {}, "n must be an integer"),
         (LOG_N2, {"options": {"multistarts": 1.5}}, "multistarts must be an integer"),
-        (LOG_N2, {"options": {"max_iters": 2.5}}, "max_iters must be an integer"),
+        (LOG_N2, {"options": {"max_iters": 2.5}}, "unknown option keys: max_iters"),
         (LOG_N2, {"options": {"seed": 0.5}}, "seed must be an integer"),
         (LOG_N2, {"options": {"multistarts": True}}, "multistarts must be an integer"),
         ({**LOG_N2, "weights": ["a", 1.0]}, {}, "weights items must be numbers"),
         (LOG_N2, {"options": {"continuation_etas": ["x", 0.0]}},
-         "continuation_etas items must be numbers"),
+         "unknown option keys: continuation_etas"),
         (LOG_N2, {"output": True}, "output must be a path"),
         (LOG_N2, {"output": 7}, "output must be a path"),
         (LOG_N2, {"output": ["a"]}, "output must be a path"),
@@ -435,10 +455,12 @@ class TestCliSolve:
         (LOG_N1, {"nodes": "0"}, "nodes must be a list"),
         (LOG_N1, {"nodes": [True]}, "nodes items must be numbers"),
         ({**LOG_N2, "weights": [1.0, math.inf]}, {}, "weights items must be numbers"),
-        (LOG_N2, {"options": {"tol_residual": math.nan}}, "tol_residual must be a number"),
-        (LOG_N2, {"options": {"fd_step": math.inf}}, "fd_step must be a number"),
+        (LOG_N2, {"options": {"tol_residual": math.nan}}, "unknown option keys: tol_residual"),
+        (LOG_N2, {"options": {"fd_step": math.inf}}, "unknown option keys: fd_step"),
         (LOG_N2, {"options": {"continuation_etas": [0.1, math.nan, 0.0]}},
-         "continuation_etas items must be numbers"),
+         "unknown option keys: continuation_etas"),
+        # a NaN item in a list of numbers
+        ({**LOG_N2, "weights": [1.0, math.nan]}, {}, "weights items must be numbers"),
         (LOG_N2, {"sweep": {"path": "nodes.1", "values": [math.inf]}},
          "values items must be numbers"),
         (LOG_N2, {"sweep": {"path": "nodes.1",
@@ -463,6 +485,7 @@ class TestCliSolve:
             "interval-ends-bool", "custom-log-weight-negative", "log-params-list",
             "nodes-string", "nodes-item-bool", "weights-item-Infinity",
             "tol_residual-NaN", "fd_step-Infinity", "continuation_etas-item-NaN",
+            "weights-item-NaN",
             "sweep-values-Infinity", "sweep-start-Infinity", "kernels-and-weights",
             "kernels-and-kernel-and-weights", "field-count"])
     def test_bad_descriptor_value_exits_2(self, tmp_path, capsys, monkeypatch, problem,
@@ -527,6 +550,10 @@ class TestCliSolve:
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_tolerance_option_config_file_exits_2(self, capsys):
+        assert main(["solve", "--config", str(BAD_TOLERANCE_CONFIG)]) == 2
+        assert capsys.readouterr().err == "error: unknown option keys: tol_residual\n"
+
     def test_custom_log_weight_side_positive_on_its_side_loads(self):
         k = problem_from_json(custom_n2(**log_weight_sides(0.5))).kernel
         assert k.eval(-1.0) == k.eval(1.0) == math.log(0.5)
@@ -535,8 +562,8 @@ class TestCliSolve:
         assert problem_from_json({**LOG_N2, "n": 2.0}).n == 2
 
     def test_integral_float_options_are_accepted(self):
-        o = options_from_json({"max_iters": 50.0, "multistarts": 3.0, "seed": 7.0})
-        assert (o.max_iters, o.multistarts, o.seed) == (50, 3, 7)
+        o = options_from_json({"multistarts": 3.0, "seed": 7.0})
+        assert (o.multistarts, o.seed) == (3, 7)
 
 
 class TestCliOracle:
@@ -614,6 +641,16 @@ class TestCliVerify:
 
     def test_needs_some_selection(self, capsys):
         assert main(["verify"]) == 2
+
+    def test_infeasible_check_exits_1(self, capsys, monkeypatch):
+        def infeasible(check_id, trials, seed):
+            raise CheckInfeasible(f"{check_id} drew no feasible system")
+
+        monkeypatch.setattr("fenton_minimax.cli.run_check", infeasible)
+        assert main(["verify", "--check", "lem2.4/c", "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "check infeasible: lem2.4/c drew no feasible system\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["--check", "lem2.4/c", "--trials", "0"],
