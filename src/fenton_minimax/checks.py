@@ -16,7 +16,9 @@ Checks are addressed by stable string identifiers like
 bottom registers them all: each row names a check's description, default
 trials, the battery problems (or kernels) it runs over in order, and the call
 it makes on each with seeds ``seed``, ``seed + 1``, ...; the reports merge
-under the row's identifier.
+under the row's identifier.  A call sets only what differs between rows:
+each check's tolerances, margins and schedules are module constants, and
+its witnesses carry the ones their replay reads.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ __all__ = [
 
 _EQ_SLACK = 1e-11        # allowance for non-strict inequalities in doubles
 _WITNESS_CAP = 8
+# each check's settings; its witnesses carry them, so a replay reads them there
+_STRICT_MARGIN = 1e-9    # no-strict-majorization: the margin strictness must clear
+_MINIMAX_TOL = 1e-3      # minimax-equals-maximin: agreement of the two values
+_ORACLE_H = 1.0 / 400    # minimax-equals-maximin: oracle grid step, n <= 2
+_MINIMAX_STARTS = 6      # minimax-equals-maximin: solver multistarts
+_EQ_TOL = 1e-5           # equioscillation value: agreement with the references
+_UNIQUE_TOL = 1e-4       # uniqueness: node spread around the representative
+_KERNEL_ETAS = (0.2, 0.1, 0.05, 0.02)     # kernel limits: the eta schedule
+_CONTINUITY_DELTAS = (1e-2, 1e-3, 1e-4)   # continuity: the decay schedule
 
 
 class CheckInfeasible(RuntimeError):
@@ -302,11 +313,11 @@ def _majorization_slacks(mx: np.ndarray, my: np.ndarray, margin: float) -> np.nd
 
 
 def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0,
-                                 margin: float = 1e-9, label: str = "") -> CheckReport:
+                                 label: str = "") -> CheckReport:
     """No x in Y can have every interval maximum strictly above another y's.
 
     Consecutive Y-samples form the pairs; both orientations of each pair are
-    asserted.  The margin converts strictness into a testable predicate.
+    asserted.  The margin 1e-9 converts strictness into a testable predicate.
     """
     rec = _Recorder("thm1.3/no-strict-majorization")
     rng = random.Random(seed)
@@ -316,11 +327,11 @@ def check_no_strict_majorization(p: Problem, trials: int = 10_000, seed: int = 0
     flip = np.tile([0, 1], trials)
     u = np.repeat(np.arange(trials), 2) + flip
     v = u + 1 - 2 * flip
-    slacks = _majorization_slacks(m[u], m[v], margin)
+    slacks = _majorization_slacks(m[u], m[v], _STRICT_MARGIN)
     rec.add_array(slacks, slacks < 0, lambda i: {
         "kind": "majorization", "problem": pj, "config": label,
         "x": X[u[i]].tolist(), "y": X[v[i]].tolist(),
-        "strict_margin": margin})
+        "strict_margin": _STRICT_MARGIN})
     return rec.report(note=label)
 
 
@@ -355,28 +366,27 @@ def _oracle_bracket(p: Problem, h: float, which: str, solver: float) -> tuple[fl
     return _within(_ORACLE_BRACKET * h, solver, oracle), oracle
 
 
-def check_minimax_equals_maximin(p: Problem, tol: float = 1e-3,
-                                 h: float | None = None,
-                                 options: SolveOptions | None = None,
+def check_minimax_equals_maximin(p: Problem, seed: int = 0,
                                  label: str = "") -> CheckReport:
-    """The simplex minimax and maximin values agree within tol.
+    """The simplex minimax and maximin values agree within 1e-3.
 
-    When a grid step h is given and n <= 2, both values must additionally lie
-    inside brackets of half-width 8h around the brute-force grid values.
+    The solves take 6 multistarts and the given seed.  For n <= 2 both
+    values must also lie inside brackets of half-width 8h around the brute
+    oracles' values on the grid of step h = 1/400.
     """
-    o = options or SolveOptions()
+    o = SolveOptions(multistarts=_MINIMAX_STARTS, seed=seed)
     rec = _Recorder("thm1.3/minimax-equals-maximin")
     big, low = _minimax_maximin(p, o, label)
     pj = problem_to_json(p)
-    rec.add(_within(tol, big, low),
+    rec.add(_within(_MINIMAX_TOL, big, low),
             {"kind": "minimax-maximin", "problem": pj, "config": label,
-             "tol": tol, "minimax": big, "maximin": low,
+             "tol": _MINIMAX_TOL, "minimax": big, "maximin": low,
              "options": options_to_json(o)})
-    if h is not None and p.n <= 2:
+    if p.n <= 2:
         for which, solver in (("minimax", big), ("maximin", low)):
-            slack, oracle = _oracle_bracket(p, h, which, solver)
+            slack, oracle = _oracle_bracket(p, _ORACLE_H, which, solver)
             rec.add(slack, {"kind": "oracle-bracket", "problem": pj, "config": label,
-                            "h": h, "which": which, "solver": solver,
+                            "h": _ORACLE_H, "which": which, "solver": solver,
                             "oracle": oracle})
     return rec.report(note=f"{label}: minimax {big:.9g}, maximin {low:.9g}")
 
@@ -386,26 +396,23 @@ def _spread_slack(tol: float, x: Iterable[float], y: Iterable[float]) -> float:
     return tol - max(abs(a - b) for a, b in zip(x, y))
 
 
-def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
-                                unique_nodes_tol: float | None = None,
-                                options: SolveOptions | None = None,
-                                label: str = "",
-                                check_id: str = "thm1.3/equioscillation-value",
-                                ) -> CheckReport:
-    """Every equioscillation point found has the same value, the minimax one.
+def check_equioscillation_value(p: Problem, starts: int = 50, seed: int = 0,
+                                unique: bool = False, label: str = "") -> CheckReport:
+    """Every equioscillation point found has the same value, the minimax one,
+    within 1e-5 (check ``thm1.3/equioscillation-value``).
 
-    With unique_nodes_tol set, the node systems themselves must also agree
-    (the uniqueness scenario: strictly concave singular monotone kernel,
-    concave finite field, equal weights): the point of every converged start
-    lies within unique_nodes_tol of the representative ``eq.x``, one trial
-    per start.  Every start runs, not only those up to the first converged.
+    With ``unique`` (check ``thm1.1/uniqueness``: strictly concave singular
+    monotone kernel, concave finite field, equal weights) the node systems
+    themselves must also agree: the point of every converged start lies
+    within 1e-4 of the representative ``eq.x``, one trial per start.  Every
+    start runs, not only those up to the first converged.
     """
-    o = replace(options or SolveOptions(), multistarts=starts)
+    o = SolveOptions(multistarts=starts, seed=seed)
     eq = _equioscillation(p, o, every=True)
     if eq.status != "converged" or not eq.solutions:
         raise CheckInfeasible(f"{label or 'problem'}: equioscillation solver "
                               f"ended {eq.status} ({eq.note})")
-    rec = _Recorder(check_id)
+    rec = _Recorder("thm1.1/uniqueness" if unique else "thm1.3/equioscillation-value")
     mm = solve_minimax(p, o, eq=eq)
     pj = problem_to_json(p)
     ref = eq.value.as_float()
@@ -413,16 +420,16 @@ def check_equioscillation_value(p: Problem, starts: int = 50, tol: float = 1e-5,
     for s in eq.solutions:
         v = _mbar_f(p, s)
         for r in (ref, mval):
-            rec.add(_within(tol, v, r),
+            rec.add(_within(_EQ_TOL, v, r),
                     {"kind": "eq-value", "problem": pj, "config": label,
-                     "x": list(s.nodes), "tol": tol, "reference": r})
-    if unique_nodes_tol is not None:
+                     "x": list(s.nodes), "tol": _EQ_TOL, "reference": r})
+    if unique:
         rep_x = list(eq.x.nodes)
         for s in eq.converged_starts:
-            rec.add(_spread_slack(unique_nodes_tol, s.nodes, rep_x),
+            rec.add(_spread_slack(_UNIQUE_TOL, s.nodes, rep_x),
                     {"kind": "eq-unique", "problem": pj, "config": label,
                      "x": list(s.nodes), "reference_x": rep_x,
-                     "tol": unique_nodes_tol})
+                     "tol": _UNIQUE_TOL})
     return rec.report(note=f"{label}: {len(eq.solutions)} solution(s), "
                            f"value {ref:.9g}")
 
@@ -629,47 +636,37 @@ def _kernel_limit_slacks(p: Problem, X: np.ndarray, js: np.ndarray, direction: s
     return np.hstack([steps, gaps]) + 1e-12
 
 
-def check_kernel_limits(p: Problem, etas: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02),
-                        trials: int = 100, seed: int = 0, direction: str = "both",
-                        label: str = "",
-                        check_id: str = "kernel-limits") -> CheckReport:
-    """Monotone convergence of interval maxima under the kernel transforms.
+def check_kernel_limits(p: Problem, direction: str, trials: int = 100, seed: int = 0,
+                        label: str = "") -> CheckReport:
+    """Monotone convergence of interval maxima under one kernel transform,
+    along the schedule eta = 0.2, 0.1, 0.05, 0.02.
 
     Strictified kernels majorize the original, so their interval maxima
-    decrease to the original ones as eta drops; singularized kernels
-    minorize it, so theirs increase.  Direction violations at tolerance
-    1e-12 are counted.
+    decrease to the original ones as eta drops (check
+    ``thm1.3/strictify-limit``, monotone kernels only); singularized kernels
+    minorize it, so theirs increase (``lem4.1/singularize-limit``).
+    Direction violations at tolerance 1e-12 are counted.
     """
-    if any(e <= 0 for e in etas) or any(nxt >= prev for prev, nxt in zip(etas, etas[1:])):
-        raise ValueError("etas must be positive and strictly decreasing")
-    if direction not in ("strictify", "singularize", "both"):
+    if direction not in ("strictify", "singularize"):
         raise ValueError(f"unknown direction {direction!r}")
-    rec = _Recorder(check_id)
+    rec = _Recorder("thm1.3/strictify-limit" if direction == "strictify"
+                    else "lem4.1/singularize-limit")
     rng = random.Random(seed)
     pj = problem_to_json(p)
-    directions = [d for d in (("strictify", "singularize") if direction == "both"
-                              else (direction,))
-                  if d != "strictify" or p.kernel.monotone]
     rows, js = [], []
     for _ in range(trials):
         rows.append(sorted(rng.uniform(0.0, 1.0) for _ in range(p.n)))
         js.append(rng.randrange(p.n + 1))
     X, js = np.array(rows).reshape(trials, p.n), np.array(js, dtype=int)
-    if directions:
-        # per trial: every slack of the first direction, then of the next
-        slacks = np.hstack([_kernel_limit_slacks(p, X, js, d, etas) for d in directions])
-        width = slacks.shape[1] // len(directions)
-
-        def witness_of(i: int) -> dict:
-            row, col = divmod(i, slacks.shape[1])
-            return {"kind": "kernel-limit", "problem": pj, "config": label,
-                    "x": list(rows[row]), "j": int(js[row]),
-                    "direction": directions[col // width], "etas": list(etas),
-                    "slack": col % width}
-
+    if direction == "singularize" or p.kernel.monotone:
+        slacks = _kernel_limit_slacks(p, X, js, direction, _KERNEL_ETAS)
+        width = slacks.shape[1]
         flat = slacks.ravel()
-        rec.add_array(flat, flat < 0, witness_of)
-    return rec.report(note=f"{label}: etas {etas}")
+        rec.add_array(flat, flat < 0, lambda i: {
+            "kind": "kernel-limit", "problem": pj, "config": label,
+            "x": list(rows[i // width]), "j": int(js[i // width]),
+            "direction": direction, "etas": list(_KERNEL_ETAS), "slack": i % width})
+    return rec.report(note=f"{label}: etas {_KERNEL_ETAS}")
 
 
 # ---------------------------------------------------------------------------
@@ -749,24 +746,24 @@ def _decay_step(devs: list[float], i: int) -> tuple[float, bool]:
     return devs[i] - devs[i + 1], not devs[i + 1] < devs[i]
 
 
-def check_continuity_suite(p: Problem, deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-                           trials: int = 40, seed: int = 0,
+def check_continuity_suite(p: Problem, trials: int = 40, seed: int = 0,
                            label: str = "") -> CheckReport:
     """Deviation of the maxima under node perturbations decays with delta.
 
     (i) the recorded max deviation of the overall maximum is strictly
-    decreasing across the delta schedule; (ii) with a singular kernel the
-    same holds per interval maximum on a squashed extended scale; (iii) for
-    usc fields the excess of m_j along convergent node sequences decays
-    (upper semicontinuity); (iv) under the two-sided limsup condition, at
-    strictly interior systems, so does the deficit (lower semicontinuity).
+    decreasing across the delta schedule 1e-2, 1e-3, 1e-4; (ii) with a
+    singular kernel the same holds per interval maximum on a squashed
+    extended scale; (iii) for usc fields the excess of m_j along convergent
+    node sequences decays (upper semicontinuity); (iv) under the two-sided
+    limsup condition, at strictly interior systems, so does the deficit
+    (lower semicontinuity).
     """
     rec = _Recorder("lem3.3/continuity")
     rng = random.Random(seed)
     pj = problem_to_json(p)
     decay_wit = {"kind": "continuity-decay", "problem": pj, "config": label,
-                 "deltas": list(deltas), "trials": trials, "seed": seed}
-    series = _decay_devs(p, deltas, trials, rng, label)
+                 "deltas": list(_CONTINUITY_DELTAS), "trials": trials, "seed": seed}
+    series = _decay_devs(p, _CONTINUITY_DELTAS, trials, rng, label)
     for k, devs in enumerate(series):
         extra = {"per_interval": True} if k else {}
         for i in range(len(devs) - 1):
@@ -931,22 +928,20 @@ _CHECKS = (
      _on_battery(check_no_strict_majorization)),
     ("thm1.3/minimax-equals-maximin",
      "simplex minimax equals maximin across the battery, with oracle "
-     "brackets for n <= 2", 1, tuple(sorted(BATTERY)),
-     lambda name, trials, seed: check_minimax_equals_maximin(
-         BATTERY[name], tol=1e-3, h=1.0 / 400,
-         options=SolveOptions(multistarts=6, seed=seed), label=name)),
+     "brackets for n <= 2; one solve pair per problem, so trials is ignored", 1,
+     tuple(sorted(BATTERY)),
+     lambda name, trials, seed: check_minimax_equals_maximin(BATTERY[name], seed, name)),
     ("thm1.3/equioscillation-value",
      "all equioscillation points found share the minimax value", 50,
      ("log-n1-gate", "log-n2-flat", "log-n2-bump", "sqrt-n2-flat"),
      lambda name, trials, seed: check_equioscillation_value(
-         BATTERY[name], starts=trials, options=SolveOptions(seed=seed), label=name)),
+         BATTERY[name], starts=trials, seed=seed, label=name)),
     ("thm1.1/uniqueness",
      "strictly concave singular monotone kernel with a concave field: "
      "one equioscillation node system across multistarts", 50,
      ("log-n2-bump", "log-n3-bump"),
      lambda name, trials, seed: check_equioscillation_value(
-         BATTERY[name], starts=trials, tol=1e-5, unique_nodes_tol=1e-4,
-         options=SolveOptions(seed=seed), label=name, check_id="thm1.1/uniqueness")),
+         BATTERY[name], starts=trials, seed=seed, unique=True, label=name)),
     ("lem6.1/usc-invariances",
      "invariance of maxima and open-interval suprema under usc "
      "regularization of the field", 1000,
@@ -961,14 +956,12 @@ _CHECKS = (
      "interval maxima decrease to the original as the strictification "
      "parameter drops", 100,
      ("log-n1-flat", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat"),
-     _on_battery(check_kernel_limits, direction="strictify",
-                 check_id="thm1.3/strictify-limit")),
+     _on_battery(check_kernel_limits, direction="strictify")),
     ("lem4.1/singularize-limit",
      "interval maxima increase back to the original as the singularizing "
      "parameter drops", 100,
      ("log-n1-flat", "log-n2-flat", "power05-n2-bump", "sqrt-n2-flat", "zero-n2-bands"),
-     _on_battery(check_kernel_limits, direction="singularize",
-                 check_id="lem4.1/singularize-limit")),
+     _on_battery(check_kernel_limits, direction="singularize")),
     ("lem3.3/continuity",
      "deviations of the maxima decay along the perturbation schedule", 40,
      # the zero kernel leaves the overall maximum constant under node moves

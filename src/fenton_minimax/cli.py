@@ -1,7 +1,8 @@
 """Command-line entry point: solve, oracle, verify, sweep.
 
-All commands read a single JSON config document (no environment variables)
-and write a JSON or CSV report to --output or stdout.  Exit codes are part
+solve, oracle and sweep read a single JSON config document (no environment
+variables); verify takes its checks from --check or --all.  Every command
+writes a JSON or CSV report to --output or stdout.  Exit codes are part
 of the contract: 0 on success / all checks passed, 1 when a solver failed to
 converge or raised, or a check found violations, 2 on invalid input.
 Reports are encoded by ``schema``: infinities become the strings
@@ -29,7 +30,7 @@ from .solvers import (brute_maximin, brute_minimax, solve_equioscillation,
                       solve_maximin, solve_minimax)
 from .sumtrans import Problem, interval_maxima
 
-__all__ = ["main", "read_report", "SolverFault"]
+__all__ = ["main", "SolverFault"]
 
 
 class SolverFault(RuntimeError):
@@ -42,7 +43,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Interval maxima of sums of translates: solvers, "
                     "brute-force oracles, verification checks, parameter sweeps.")
     p.add_argument("command", choices=("solve", "oracle", "verify", "sweep"))
-    p.add_argument("--config", help="path to a JSON config document")
+    p.add_argument("--config", help="path to a JSON config document (not for verify)")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--h", type=float, default=None,
                    help="grid step for the oracle (default 1/256)")
@@ -59,12 +60,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def read_report(path: str) -> dict:
-    """Re-parse a written JSON report (used for round-trip guarantees)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _require_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError(f"{args.command} requires --config")
@@ -77,11 +72,8 @@ def _require_config(args) -> RunConfig:
     return cfg
 
 
-def _emit(args, cfg: RunConfig | None, doc: dict, rows=None, header=None,
-          default_fmt: str = "json") -> None:
-    fmt = args.fmt or (cfg.fmt if cfg is not None else None) or default_fmt
-    path = args.output or (cfg.output if cfg is not None else None)
-    if fmt == "csv":
+def _emit(args, doc: dict, rows=None, header=None, default_fmt: str = "json") -> None:
+    if (args.fmt or default_fmt) == "csv":
         if rows is None:
             raise ConfigError(f"{doc.get('command')} has no CSV form")
         buf = io.StringIO()
@@ -93,8 +85,8 @@ def _emit(args, cfg: RunConfig | None, doc: dict, rows=None, header=None,
         text = buf.getvalue()
     else:
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -125,7 +117,7 @@ def _run_solve(args) -> int:
     n_nodes = p.n
     header = ["phase", "iteration", "residual", "value",
               *[f"x{i + 1}" for i in range(n_nodes)]]
-    _emit(args, cfg, doc, rows=_trace_rows(reports), header=header)
+    _emit(args, doc, rows=_trace_rows(reports), header=header)
     return 0 if all(r.status == "converged" for r in reports.values()) else 1
 
 
@@ -147,21 +139,17 @@ def _run_oracle(args) -> int:
         ms = ((x, interval_maxima(p, NodeSystem((x,))).floats()) for x in xs)
         rows = ([x, *m, max(m), min(m)] for x, m in ms)
         header = ["x1", "m0", "m1", "mbar", "mlow"]
-    _emit(args, cfg, doc, rows=rows, header=header)
+    _emit(args, doc, rows=rows, header=header)
     return 0
 
 
 def _run_verify(args) -> int:
-    ids = list(args.check)
-    if args.all_checks:
-        ids = list(all_check_ids())
-    cfg = None
     if args.config:
-        cfg = load_config(args.config)
-        if not ids:
-            ids = list(cfg.checks)
+        raise ConfigError("verify takes no --config; name its checks with --check ID "
+                          "or --all")
+    ids = list(all_check_ids()) if args.all_checks else list(args.check)
     if not ids:
-        raise ConfigError("verify needs --check ID, --all, or a config with checks")
+        raise ConfigError("verify needs --check ID or --all")
     seed = args.seed if args.seed is not None else 0
     reports = [run_check(cid, trials=args.trials, seed=seed) for cid in ids]
     doc = {"schema": SCHEMA_VERSION, "command": "verify", "seed": seed,
@@ -169,7 +157,7 @@ def _run_verify(args) -> int:
            "passed": all(r.passed for r in reports)}
     rows = [[r.check_id, r.trials, r.violations,
              float(r.worst_margin), r.passed] for r in reports]
-    _emit(args, cfg, doc, rows=rows,
+    _emit(args, doc, rows=rows,
           header=["check_id", "trials", "violations", "worst_margin", "passed"])
     return 0 if doc["passed"] else 1
 
@@ -229,7 +217,7 @@ def _run_sweep(args) -> int:
     doc = {"schema": SCHEMA_VERSION, "command": "sweep",
            "paths": list(paths), "header": header,
            "rows": [[encode_value(c) for c in row] for row in rows]}
-    _emit(args, cfg, doc, rows=rows, header=header, default_fmt="csv")
+    _emit(args, doc, rows=rows, header=header, default_fmt="csv")
     return 0
 
 

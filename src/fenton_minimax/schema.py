@@ -136,8 +136,8 @@ def _flag_at(d: dict, key: str, what: str, default: Any = _REQUIRED) -> bool:
     return _value_at(d, key, what, lambda v: isinstance(v, bool), "true or false", default)
 
 
-def _list_at(d: dict, key: str, what: str, default: Any = _REQUIRED) -> list:
-    return _value_at(d, key, what, lambda v: isinstance(v, (list, tuple)), "a list", default)
+def _list_at(d: dict, key: str, what: str) -> list:
+    return _value_at(d, key, what, lambda v: isinstance(v, (list, tuple)), "a list")
 
 
 def _object_at(d: dict, key: str, what: str, default: Any = _REQUIRED) -> dict:
@@ -319,10 +319,7 @@ class RunConfig:
     problem: Problem
     options: SolveOptions
     nodes: NodeSystem | None = None
-    checks: tuple[str, ...] = ()
     sweep: tuple[dict, ...] = ()
-    output: str | None = None
-    fmt: str | None = None  # None lets each command pick its natural format
 
 
 def config_from_json(d: Any) -> RunConfig:
@@ -330,8 +327,8 @@ def config_from_json(d: Any) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     if _int_at(d, "schema", "config") != SCHEMA_VERSION:
         raise ConfigError(f"config must declare \"schema\": {SCHEMA_VERSION}")
-    reject_unknown(d, ("schema", "problem", "options", "nodes", "checks", "sweep",
-                       "output"), "config")
+    # the report path and format and the checks to run are CLI flags only
+    reject_unknown(d, ("schema", "problem", "options", "nodes", "sweep"), "config")
     problem = problem_from_json(_value_at(d, "problem", "config"))
     options = options_from_json(d.get("options"))
     nodes = None
@@ -347,20 +344,7 @@ def config_from_json(d: Any) -> RunConfig:
         if not isinstance(sweep, list) or not 1 <= len(sweep) <= 2:
             raise ConfigError("sweep must give one or two parameter axes")
         sweep = [_sweep_axis(axis) for axis in sweep]
-    output, fmt = d.get("output"), None
-    if isinstance(output, dict):
-        reject_unknown(output, ("path", "format"), "output")
-        output, fmt = output.get("path"), output.get("format")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output must be a path or an object with a path and a "
-                          f"format, got {d['output']!r}")
-    if fmt is not None and fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    checks = tuple(_list_at(d, "checks", "config", ()))
-    if not all(isinstance(c, str) for c in checks):
-        raise ConfigError(f"checks items must be strings, got {list(checks)!r}")
-    return RunConfig(problem=problem, options=options, nodes=nodes, checks=checks,
-                     sweep=tuple(sweep), output=output, fmt=fmt)
+    return RunConfig(problem=problem, options=options, nodes=nodes, sweep=tuple(sweep))
 
 
 def _sweep_axis(axis: Any) -> dict:

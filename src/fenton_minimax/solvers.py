@@ -499,7 +499,7 @@ def _lowest_segment_max_bound(last, n):
     return chunk_bounds
 
 
-def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
+def brute_minimax(p: Problem, h: float) -> tuple[NodeSystem, ExtendedReal]:
     """Grid minimizer of the overall maximum; independent of the sup engine.
 
     Nodes and t range over one grid: step h, plus the field's piece ends and
@@ -516,7 +516,7 @@ def brute_minimax(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, Extend
     return x, ExtendedReal.of(-best)
 
 
-def brute_maximin(p: Problem, h: float = 1.0 / 1024) -> tuple[NodeSystem, ExtendedReal]:
+def brute_maximin(p: Problem, h: float) -> tuple[NodeSystem, ExtendedReal]:
     """Grid maximizer of the smallest interval maximum; independent of the
     sup engine.
 

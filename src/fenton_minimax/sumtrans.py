@@ -41,7 +41,9 @@ transforms) share the points and cells and go through one lockstep call,
 their kernels applied per problem.  The plain call is the one-problem case
 without a selector.  A batch of one costs many times a scalar call, which is
 why both engines remain.  ``err`` means the same in both: the supremum lies
-in [value, value + err].
+in [value, value + err] up to the rounding of the (n + 1)-term sum F, which
+no bound allows for yet (at n = 256, value + err fell up to 7.4 ulp below a
+40-digit supremum; ROADMAP item 3).
 
 The regular set Y, where no m_j is -inf, has one definition: the engines'
 values.  F is finite inside every cell that lies in a piece of J, and every

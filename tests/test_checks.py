@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fenton_minimax import checks, solvers
+from fenton_minimax import checks
 from fenton_minimax.battery import BATTERY, battery_problem, flat_field
 from fenton_minimax.checks import (CheckInfeasible, CheckReport, UnknownCheckError,
                                    all_check_ids, check_continuity_suite,
@@ -147,10 +147,10 @@ class TestIndividualChecks:
         assert rep.worst_margin >= 0.0
 
     def test_minimax_equals_maximin_with_oracle(self):
-        rep = check_minimax_equals_maximin(battery_problem("log-n1-flat"),
-                                           h=1.0 / 200)
+        # n <= 2: the two values agree, and each lies in its oracle bracket
+        rep = check_minimax_equals_maximin(battery_problem("log-n1-flat"))
         assert rep.passed
-        assert rep.trials >= 1
+        assert rep.trials == 3
 
     def test_equioscillation_value_multi_start(self):
         rep = check_equioscillation_value(battery_problem("log-n2-flat"),
@@ -168,19 +168,18 @@ class TestIndividualChecks:
 
         monkeypatch.setattr(checks._Recorder, "add", spy)
         p = battery_problem("log-n2-bump")
-        rep = check_equioscillation_value(p, starts=8, unique_nodes_tol=1e-4,
-                                          check_id="thm1.1/uniqueness")
-        assert rep.passed
+        rep = check_equioscillation_value(p, starts=8, unique=True)
+        assert rep.passed and rep.check_id == "thm1.1/uniqueness"
         assert margins and all(m > 0 for m in margins)
         # the check runs every start, not only those up to the first that converges
         eq = _equioscillation(p, SolveOptions(multistarts=8), every=True)
         assert len(margins) == len(eq.converged_starts) == 8
         assert rep.trials == 2 * len(eq.solutions) + len(margins)
 
-    def test_kernel_limits_requires_decreasing_etas(self):
-        with pytest.raises(ValueError):
-            check_kernel_limits(battery_problem("log-n1-flat"),
-                                etas=(0.1, 0.2))
+    def test_kernel_limits_rejects_both_directions(self):
+        # one direction per call, and it names the check
+        with pytest.raises(ValueError, match="unknown direction 'both'"):
+            check_kernel_limits(battery_problem("log-n1-flat"), "both")
 
     def test_continuity_suite_smoke(self):
         rep = check_continuity_suite(battery_problem("log-n1-flat"), trials=3,
@@ -283,9 +282,10 @@ class TestCheckReportJson:
 
 
 def _every_system_equioscillates() -> Problem:
-    # the zero kernel on a flat field: every start is an equioscillation
-    # point, so without the continuation (``_CONTINUATION_ETAS`` set to
-    # (0.0,)) the solutions differ
+    # the zero kernel on a flat field: every node system is an
+    # equioscillation point, yet the strictify continuation leads every
+    # start to about (0.1, 0.9); with ``unique`` each converged start still
+    # records an ``eq-unique`` margin, so both witness kinds are emitted
     return Problem(n=2, field=flat_field(), kernel=zero_kernel())
 
 
@@ -299,16 +299,16 @@ REPLAY_CASES = {
     "majorization": ({"majorization"}, lambda: [
         check_no_strict_majorization(battery_problem("log-n2-bump"), trials=4, seed=1)]),
     "minimax": ({"minimax-maximin", "oracle-bracket"}, lambda: [
-        check_minimax_equals_maximin(battery_problem("log-n1-flat"), h=1.0 / 100,
-                                     options=SolveOptions(multistarts=2, seed=1))]),
+        check_minimax_equals_maximin(battery_problem("log-n1-flat"), seed=1)]),
     "equioscillation": ({"eq-value", "eq-unique"}, lambda: [
         check_equioscillation_value(_every_system_equioscillates(), starts=4,
-                                    unique_nodes_tol=1e-4)]),
+                                    unique=True)]),
     "usc": ({"usc-mbar", "usc-mj", "usc-open-sup", "usc-maximin"}, lambda: [
         check_usc_invariances(battery_problem("log-n2-bands"), trials=4, seed=0)]),
     "dini": ({"dini"}, lambda: [check_dini_max(trials=3, seed=0)]),
     "kernel-limits": ({"kernel-limit"}, lambda: [
-        check_kernel_limits(battery_problem("log-n2-flat"), trials=2, seed=1)]),
+        check_kernel_limits(battery_problem("log-n2-flat"), d, trials=2, seed=1)
+        for d in ("strictify", "singularize")]),
     "continuity": ({"continuity-decay", "continuity-seq"}, lambda: [
         check_continuity_suite(battery_problem("log-n1-flat"), trials=3, seed=0)]),
 }
@@ -353,8 +353,6 @@ class TestSolverWitnessReplay:
     @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
     def test_every_witness_replays_to_its_margin(self, name, monkeypatch):
         monkeypatch.setattr(checks, "_WITNESS_CAP", 100_000)
-        if name == "equioscillation":
-            monkeypatch.setattr(solvers, "_CONTINUATION_ETAS", (0.0,))
         kinds, emit = REPLAY_CASES[name]
         ws = [json.loads(json.dumps(w)) for rep in emit() for w in rep.witnesses]
         assert {w["kind"] for w in ws} == kinds
@@ -372,9 +370,21 @@ class TestSolverWitnessReplay:
         assert emitted == set(checks._REPLAY)
 
     def test_minimax_maximin(self):
-        rep = check_minimax_equals_maximin(battery_problem("log-n2-bump"),
-                                           options=SolveOptions(multistarts=2, seed=5))
+        rep = check_minimax_equals_maximin(battery_problem("log-n2-bump"), seed=5)
         self._replay_matches(rep, "minimax-maximin")
+
+    def test_witnesses_carry_the_check_settings(self):
+        # the tolerances, options and schedules are constants of ``checks``;
+        # a witness still carries each one its replay reads
+        rep = check_minimax_equals_maximin(battery_problem("log-n1-flat"), seed=5)
+        (w,) = self._all_replay_exactly(rep, "minimax-maximin")
+        assert (w["tol"], w["options"]) == (1e-3, {"multistarts": 6, "seed": 5})
+        assert {w["h"] for w in self._all_replay_exactly(rep, "oracle-bracket")} == \
+            {1.0 / 400}
+        rep = check_kernel_limits(battery_problem("log-n2-flat"), "singularize",
+                                  trials=2, seed=1)
+        ws = self._all_replay_exactly(rep, "kernel-limit")
+        assert all(w["etas"] == [0.2, 0.1, 0.05, 0.02] for w in ws)
 
     def test_usc_maximin(self):
         rep = check_usc_invariances(battery_problem("zero-n1-ramp"), trials=1, seed=3)

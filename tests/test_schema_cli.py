@@ -8,7 +8,7 @@ import pytest
 
 from fenton_minimax.battery import battery_problem
 from fenton_minimax.checks import CheckInfeasible
-from fenton_minimax.cli import main, read_report
+from fenton_minimax.cli import main
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.core import NEG_INF
 from fenton_minimax.schema import (ConfigError, config_from_json,
@@ -26,22 +26,20 @@ RAMP = {"pieces": [{"interval": {"a": 0.0, "b": 0.5, "closed_right": False},
 LOG_N2 = {"n": 2, "field": FLAT, "kernel": {"family": "log"}}
 RAMP_ZERO = {"n": 1, "field": RAMP, "kernel": {"family": "zero"}}
 LOG_N1 = {"n": 1, "field": FLAT, "kernel": {"family": "log"}}
-# finite at 1/2 alone, too few points for one node; CI runs the same file
-# through the installed entry point
+# finite at 1/2 alone, too few points for one node
 POINT_N1 = json.loads((Path(__file__).parent / "data" / "bad-field-count.config.json")
                       .read_text())["problem"]
-# a custom kernel whose log-weight sides, w = 1 - |t|, reach 0 at -1 and 1;
-# CI runs the same file through the installed entry point
+# a custom kernel whose log-weight sides, w = 1 - |t|, reach 0 at -1 and 1
 BAD_LOGWEIGHT_CONFIG = Path(__file__).parent / "data" / "bad-kernel-logweight.config.json"
 # the log problem at n = 2 with a "kernels" list, a key the problem reader
-# does not know; CI runs the same file through the installed entry point
+# does not know
 BAD_KERNELS_CONFIG = Path(__file__).parent / "data" / "bad-problem-kernels.config.json"
 # a log kernel with a "scale" key, which kernels do not have, and one with a
-# "nan" strictify eta; CI runs both files through the installed entry point
+# "nan" strictify eta; CI runs the first through the installed entry point
 BAD_SCALE_CONFIG = Path(__file__).parent / "data" / "bad-kernel-scale.config.json"
 BAD_NUMBER_CONFIG = Path(__file__).parent / "data" / "bad-kernel-number.config.json"
 # the log problem at n = 2 setting "tol_residual", a solver constant and not
-# an option; CI runs the same file through the installed entry point
+# an option
 BAD_TOLERANCE_CONFIG = Path(__file__).parent / "data" / "bad-options-tolerance.config.json"
 
 
@@ -196,14 +194,15 @@ class TestConfig:
         assert json.dumps(doc) == before
         assert [a["values"] for a in cfg.sweep] == [[0.0, 0.5, 1.0], [1.0, 2.0]]
 
-    def test_output_with_format(self, tmp_path):
-        cfg = config_from_json({
-            "schema": 1, "problem": LOG_N2,
-            "output": {"path": "out.json", "format": "csv"}})
-        assert cfg.output == "out.json" and cfg.fmt == "csv"
-        with pytest.raises(ConfigError):
-            config_from_json({"schema": 1, "problem": LOG_N2,
-                              "output": {"path": "x", "format": "yaml"}})
+    # the report path and format and the checks to run are the CLI flags
+    # --output, --format and --check/--all, not config keys
+    @pytest.mark.parametrize("key, value", [
+        ("output", {"path": "out.json", "format": "csv"}),
+        ("checks", ["lem2.4/a"]),
+    ], ids=["output", "checks"])
+    def test_removed_config_key_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
+            config_from_json({"schema": 1, "problem": LOG_N2, key: value})
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -266,12 +265,12 @@ class TestCliSolve:
         rc = main(["solve", "--config", cfg, "--output", str(out_path)])
         assert rc == 0
         assert capsys.readouterr().out == ""
-        doc = read_report(str(out_path))
+        doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert doc["command"] == "solve"
         # writing and re-reading must not lose precision
         again = tmp_path / "again.json"
         rc = main(["solve", "--config", cfg, "--output", str(again)])
-        assert read_report(str(again)) == doc
+        assert json.loads(again.read_text(encoding="utf-8")) == doc
 
     def test_csv_trace(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", RAMP_ZERO)
@@ -389,8 +388,8 @@ class TestCliSolve:
         ({"n": 2, "field": FLAT, "kernels": 5}, {}, "unknown problem keys: kernels"),
         (LOG_N2, {"options": {"continuation_etas": 5}},
          "unknown option keys: continuation_etas"),
-        (LOG_N2, {"checks": 5}, "checks must be a list"),
-        (LOG_N2, {"checks": [{}]}, "checks items must be strings"),
+        (LOG_N2, {"checks": 5}, "unknown config keys: checks"),
+        (LOG_N2, {"checks": [{}]}, "unknown config keys: checks"),
         ({**LOG_N2, "n": 2.5}, {}, "n must be an integer"),
         ({**LOG_N2, "n": "2"}, {}, "n must be an integer"),
         ({**LOG_N2, "n": True}, {}, "n must be an integer"),
@@ -401,11 +400,11 @@ class TestCliSolve:
         ({**LOG_N2, "weights": ["a", 1.0]}, {}, "weights items must be numbers"),
         (LOG_N2, {"options": {"continuation_etas": ["x", 0.0]}},
          "unknown option keys: continuation_etas"),
-        (LOG_N2, {"output": True}, "output must be a path"),
-        (LOG_N2, {"output": 7}, "output must be a path"),
-        (LOG_N2, {"output": ["a"]}, "output must be a path"),
+        (LOG_N2, {"output": True}, "unknown config keys: output"),
+        (LOG_N2, {"output": 7}, "unknown config keys: output"),
+        (LOG_N2, {"output": ["a"]}, "unknown config keys: output"),
         (LOG_N2, {"output": {"path": "out.json", "fromat": "csv"}},
-         "unknown output keys: fromat"),
+         "unknown config keys: output"),
         (LOG_N2, {"sweep": {"path": "nodes.1",
                             "values": {"start": 0.0, "stop": 1.0, "count": 2.7}}},
          "count must be an integer"),
@@ -630,14 +629,13 @@ class TestCliVerify:
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--check", "nope/never"]) == 2
 
-    def test_checks_from_config(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "c.json", LOG_N2,
-                        checks=["lem2.4/a", "lem2.4/b"])
-        rc = main(["verify", "--config", cfg, "--trials", "40"])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert [c["check_id"] for c in doc["checks"]] == ["lem2.4/a",
-                                                          "lem2.4/b"]
+    def test_config_exits_2(self, tmp_path, capsys):
+        # verify reads no config: its checks come from --check or --all
+        cfg = write_cfg(tmp_path, "c.json", LOG_N2)
+        assert main(["verify", "--config", cfg, "--check", "lem2.4/a"]) == 2
+        captured = capsys.readouterr()
+        assert "verify takes no --config" in captured.err
+        assert captured.out == ""
 
     def test_needs_some_selection(self, capsys):
         assert main(["verify"]) == 2
