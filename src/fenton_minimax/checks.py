@@ -39,8 +39,8 @@ from .kernels import Kernel, log_kernel, singularize, sqrt_kernel, strictify
 from .schema import (encode_float, field_from_json, field_to_json, kernel_from_json,
                      kernel_to_json, options_from_json, options_to_json,
                      problem_from_json, problem_to_json)
-from .solvers import (SolveOptions, _equioscillation, brute_maximin, brute_minimax,
-                      solve_equioscillation, solve_maximin, solve_minimax)
+from .solvers import (SolveOptions, _equioscillation, _maximin_search, _minimax_search,
+                      brute_maximin, brute_minimax, solve_equioscillation)
 from .sumtrans import Problem, interval_maxima, interval_maxima_batch
 
 __all__ = [
@@ -345,10 +345,12 @@ _ORACLE_BRACKET = 8.0  # bracket half-width in units of the oracle grid step
 def _minimax_maximin(p: Problem, o: SolveOptions, label: str = "") -> tuple[float, float]:
     """The simplex minimax and maximin values under options o."""
     # one equioscillation run warm-starts both; each search also has starts
-    # of its own, so the comparison does not rest on that run alone
+    # of its own, so the comparison does not rest on that run alone.  The
+    # searches run even where Theorem 1.3's bracket closes at eq's point, as
+    # that would take the theorem under test for granted.
     eq = solve_equioscillation(p, o)
-    mm = solve_minimax(p, o, eq=eq)
-    mx = solve_maximin(p, o, eq=eq)
+    mm = _minimax_search(p, o, eq)
+    mx = _maximin_search(p, o, eq)
     if mm.x is None or mx.x is None:
         raise CheckInfeasible(f"{label or 'problem'}: sub-solver infeasible "
                               f"({mm.status}/{mx.status})")
@@ -413,7 +415,7 @@ def check_equioscillation_value(p: Problem, starts: int = 50, seed: int = 0,
         raise CheckInfeasible(f"{label or 'problem'}: equioscillation solver "
                               f"ended {eq.status} ({eq.note})")
     rec = _Recorder("thm1.1/uniqueness" if unique else "thm1.3/equioscillation-value")
-    mm = solve_minimax(p, o, eq=eq)
+    mm = _minimax_search(p, o, eq)  # not certified from eq: see _minimax_maximin
     pj = problem_to_json(p)
     ref = eq.value.as_float()
     mval = mm.value.as_float()
@@ -474,8 +476,9 @@ def _open_sup_slack(f: Field, reg: Field, a: float, b: float) -> float:
 def _usc_maximin_slack(p: Problem, preg: Problem, o: SolveOptions, tol: float,
                        label: str = "") -> float:
     """Slack of |maximin(p) - maximin(preg)| <= tol under options o."""
-    r0 = solve_maximin(p, o)
-    r1 = solve_maximin(preg, o)
+    # the searches, not the certificate: see _minimax_maximin
+    r0 = _maximin_search(p, o, solve_equioscillation(p, o))
+    r1 = _maximin_search(preg, o, solve_equioscillation(preg, o))
     if r0.x is None or r1.x is None:
         raise CheckInfeasible(f"{label or 'problem'}: maximin infeasible under "
                               "the original or regularized field")

@@ -1,8 +1,9 @@
 """Command-line entry point: solve, oracle, verify, sweep.
 
 solve, oracle and sweep read a single JSON config document (no environment
-variables); verify takes its checks from --check or --all.  Every command
-writes a JSON or CSV report to --output or stdout.  Exit codes are part
+variables); verify takes its checks from --check or --all.  Each command
+takes only the flags it reads.  Every command writes a JSON or CSV report to
+--output or stdout.  Exit codes are part
 of the contract: 0 on success / all checks passed, 1 when a solver failed to
 converge or raised, or a check found violations, 2 on invalid input.
 Reports are encoded by ``schema``: infinities become the strings
@@ -38,25 +39,38 @@ class SolverFault(RuntimeError):
 
 
 def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, holding only the flags that command reads;
+    ``main`` refuses any other.  No parser takes abbreviations, so ``--h``
+    under solve is refused rather than read as ``--help``."""
     p = argparse.ArgumentParser(
-        prog="fenton-minimax",
+        prog="fenton-minimax", allow_abbrev=False,
         description="Interval maxima of sums of translates: solvers, "
                     "brute-force oracles, verification checks, parameter sweeps.")
-    p.add_argument("command", choices=("solve", "oracle", "verify", "sweep"))
-    p.add_argument("--config", help="path to a JSON config document (not for verify)")
-    p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    p.add_argument("--h", type=float, default=None,
-                   help="grid step for the oracle (default 1/256)")
-    p.add_argument("--check", action="append", default=[], metavar="ID",
+    sub = p.add_subparsers(dest="command", required=True, metavar="command")
+    cmds = {name: sub.add_parser(name, help=text, allow_abbrev=False) for name, text in (
+        ("solve", "equioscillation, minimax and maximin of one problem"),
+        ("oracle", "the brute-force grid oracles of one problem"),
+        ("verify", "run registered checks"),
+        ("sweep", "interval maxima along the config's sweep axes"))}
+    for name in ("solve", "oracle", "sweep"):
+        cmds[name].add_argument("--config", help="path to a JSON config document")
+        cmds[name].add_argument("--usc-regularize", action="store_true", dest="usc",
+                                help="replace the field by its usc regularization")
+    for name in ("solve", "verify"):
+        cmds[name].add_argument("--seed", type=int, default=None,
+                                help="override the RNG seed")
+    cmds["oracle"].add_argument("--h", type=float, default=None,
+                                help="grid step (default 1/256)")
+    v = cmds["verify"]
+    v.add_argument("--check", action="append", default=[], metavar="ID",
                    help="check id to run (repeatable)")
-    p.add_argument("--all", action="store_true", dest="all_checks",
+    v.add_argument("--all", action="store_true", dest="all_checks",
                    help="run every registered check")
-    p.add_argument("--trials", type=int, default=None,
+    v.add_argument("--trials", type=int, default=None,
                    help="override the per-check trial count")
-    p.add_argument("--usc-regularize", action="store_true", dest="usc",
-                   help="replace the field by its usc regularization")
-    p.add_argument("--output", help="report file path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), dest="fmt", default=None)
+    for c in cmds.values():
+        c.add_argument("--output", help="report file path (default: stdout)")
+        c.add_argument("--format", choices=("json", "csv"), dest="fmt", default=None)
     return p
 
 
@@ -64,8 +78,6 @@ def _require_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError(f"{args.command} requires --config")
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, options=replace(cfg.options, seed=args.seed))
     if args.usc:
         cfg = replace(cfg, problem=replace(cfg.problem,
                                            field=usc_regularize(cfg.problem.field)))
@@ -104,6 +116,8 @@ def _trace_rows(reports: dict[str, object]):
 def _run_solve(args) -> int:
     cfg = _require_config(args)
     p, o = cfg.problem, cfg.options
+    if args.seed is not None:
+        o = replace(o, seed=args.seed)
     try:
         eq = solve_equioscillation(p, o)
         reports = {"equioscillation": eq,
@@ -144,9 +158,6 @@ def _run_oracle(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.config:
-        raise ConfigError("verify takes no --config; name its checks with --check ID "
-                          "or --all")
     ids = list(all_check_ids()) if args.all_checks else list(args.check)
     if not ids:
         raise ConfigError("verify needs --check ID or --all")
@@ -222,8 +233,10 @@ def _run_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, unread = _parser().parse_known_args(argv)
     try:
+        if unread:
+            raise ConfigError(f"{args.command} takes no {' '.join(unread)}")
         if args.command == "solve":
             return _run_solve(args)
         if args.command == "oracle":

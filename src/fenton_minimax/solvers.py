@@ -41,12 +41,19 @@ every x, and J* has an equioscillation point, so J has one at J*'s point
 exactly when J's own residual there vanishes.  Every start of every solver
 is placed on the part of [0, 1] where J is finite by one map, ``_place``.
 
-Minimax and maximin are pattern searches on the max and min of the interval
-maxima, warm-started from the equioscillation result; a caller that runs all
-three solvers passes that result in as ``eq=`` so it is computed once.  Each
-search also starts from points of its own (the evenly spaced system for
-minimax, three random systems for maximin), so comparing their values is
-not circular.  Both run one driver, ``_search``, which differs
+Minimax and maximin start from the equioscillation result; a caller that
+runs all three solvers passes it in as ``eq=`` so it is computed once.  By
+Theorem 1.3, at its point w, lo = min_j m_j(w) <= M <= hi = max_j (m_j +
+err_j)(w), M being the common minimax and maximin value.  When lo and hi
+are finite and hi - lo <= ``_TOL_CERTIFY``, both return w with no search
+(``_certified``); on the solve-battery benchmark that is 17 of its 18
+problems, all but zero-n1-ramp, where equioscillation stalls.  Otherwise
+each runs its pattern search (``_minimax_search``, ``_maximin_search``) on
+the max and min of the interval maxima, warm-started from w.  The checks of
+Theorem 1.3 call the searches themselves, whatever the bracket: each search
+also starts from points of its own (the evenly spaced system for minimax,
+three random systems for maximin), so comparing their values is not
+circular.  Both run one driver, ``_search``, which differs
 between them only in the sign of the objective: it searches from every
 start, keeps the best value and reports it with the trace of its start.  A
 search candidate is compared with the incumbent value fx one interval
@@ -60,10 +67,13 @@ incumbent's witness for that interval, when it lies inside the candidate's
 interval: a value above the threshold settles the comparison the same way.
 Once every interval has passed, maximin completes only those whose lower
 bound could still be the new minimum.  All this gives the same result as
-computing all n + 1 maxima in full, at a fraction of the cost: one pass of
-the solve-battery benchmark (seed 1) makes 32,489 kernel walks (F
-evaluations the memo does not answer), where computing each interval
-maximum it compares in full makes 56,548.
+computing all n + 1 maxima in full, at a fraction of the cost.  Run through
+``_minimax_search`` and ``_maximin_search`` on each problem's
+equioscillation result, the 36 searches of one pass of the solve-battery
+benchmark (seed 1, multistarts 8) make 28,863 kernel walks (F evaluations
+the memo does not answer), where computing each interval maximum they
+compare in full makes 52,922.  The pass itself, which searches only on
+zero-n1-ramp, makes 4,288 (32,489 when every problem searched).
 
 Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -80,10 +90,9 @@ reject it, and the search rejects it unevaluated.  Exact arithmetic makes
 this hold.  The engine's rounding could in principle let through a gain
 smaller than that maximum's ``err``; the tests check at sampled systems
 that full evaluation rejects every candidate the rule skips, and that the
-searches match full-evaluation ones bit for bit.  On one pass of the
-solve-battery benchmark (seed 1), 10,283 of 17,407 candidates (59%) are
-skipped this way, and the sup engine's cell maximizations fall from 16,666
-to 8,942.
+searches match full-evaluation ones bit for bit.  On the 36 searches above,
+10,283 of 17,407 candidates (59%) are skipped this way, and the sup
+engine's cell maximizations fall from 14,453 to 6,729.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -127,6 +136,9 @@ _MAX_ITERS = 200
 _FD_STEP = 1e-6
 # The strictify continuation: Newton on the kernel strictified by each eta.
 _CONTINUATION_ETAS = (0.2, 0.1, 0.05, 0.02, 0.01, 0.0)
+# Minimax and maximin make no search when Theorem 1.3's bracket at the
+# equioscillation point is at most this wide (``_certified``).
+_TOL_CERTIFY = 10 * _TOL_RESIDUAL
 
 
 @dataclass(frozen=True)
@@ -886,8 +898,9 @@ def _pattern(p: Problem, x0: tuple[float, ...], sign: float, rows0: list[_RawSup
     value that it never computed, and a probe could then settle an
     interval that full evaluation settles the other way.  The tests check
     at sampled polls that full evaluation settles every probed interval the
-    same way.  On the 36 minimax and maximin searches of the 18 benchmark
-    problems (c = 0, multistarts 8, seed 0), 5,259 of 6,458 probes settle
+    same way.  On the 36 searches (``_minimax_search`` and
+    ``_maximin_search``) of the 18 benchmark problems (c = 0, multistarts 8,
+    seed 0), 5,259 of 6,458 probes settle
     their interval and none disagrees with full evaluation; on the random
     usc fields of seeds 0-39 with the log, power 1/2, sqrt and zero kernels
     at n = 2 and 3 (multistarts 2), 108,913 of 167,538 settle and none
@@ -903,7 +916,8 @@ def _pattern(p: Problem, x0: tuple[float, ...], sign: float, rows0: list[_RawSup
     the start and every accepted poll have exactly.  Full evaluation
     rejects every such poll in exact arithmetic; rounding could only let
     through a gain smaller than that maximum's ``err``, and the tests find
-    none.  On the benchmark's solve-battery this skips 59% of the polls.
+    none.  On the 36 searches of a solve-battery pass this skips 59% of
+    the polls.
 
     Results equal a search that evaluates every candidate in full, but for
     the two rounding exceptions above, which the tests never meet.  The
@@ -1006,35 +1020,82 @@ def _search(p: Problem, eq: SolveReport, sign: float,
                        _ending_at(trace, xt, step, value), eq.solutions)
 
 
+def _certified(p: Problem, eq: SolveReport, sign: float) -> SolveReport | None:
+    """The report at eq's point when Theorem 1.3's bracket closes there, or
+    None when it is open: eq has no point, or the point leaves some interval
+    at -inf, or hi - lo exceeds ``_TOL_CERTIFY``.  lo = min_j m_j and hi =
+    max_j (m_j + err_j) at that point; the value is the largest interval
+    maximum for sign < 0 (minimax), the smallest for sign > 0 (maximin)."""
+    if eq.x is None:
+        return None
+    m = interval_maxima(p, eq.x)
+    values = m.floats()
+    lo, hi = min(values), max(v + e for v, e in zip(values, m.err))
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi - lo <= _TOL_CERTIFY):
+        return None
+    value = _objective(values, sign)
+    return SolveReport(eq.x, ExtendedReal.of(value), hi - lo, "converged", eq.iterations,
+                       _ending_at((), eq.x.nodes, hi - lo, value), eq.solutions,
+                       note=f"certified by Theorem 1.3: M in [{lo!r}, {hi!r}]")
+
+
 def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
                   eq: SolveReport | None = None) -> SolveReport:
     """Minimize the overall maximum over node systems.
 
-    Runs a direct pattern search on the continuous objective from the
-    equioscillation point and from the evenly spaced base start, returning
-    whichever achieves the smaller value.  ``eq`` is
-    ``solve_equioscillation(p, o)`` when the caller already has it.
+    ``eq`` is ``solve_equioscillation(p, o)`` when the caller already has
+    it.  Theorem 1.3 holds for a kernel concave on (-1, 0) and on (0, 1),
+    any upper-bounded field J finite at more than n points (0 and 1 counting
+    half) and positive weights, all of which a valid ``Problem`` has; J need
+    not be usc.  It says that the minimax, the infimum over all node systems
+    of max_j m_j, equals the maximin, the supremum over the regular set Y of
+    min_j m_j: call the common value M.  So at any system w in Y, min_j
+    m_j(w) <= M <= max_j m_j(w).  The engine's m_j is an F value on the
+    interval and the supremum lies in [m_j, m_j + err_j] (up to the
+    rounding of the (n + 1)-term sum, which ``sumtrans`` describes), so lo =
+    min_j m_j <= M <= hi = max_j (m_j + err_j) at w = eq's point.  When
+    both are finite and hi - lo <= ``_TOL_CERTIFY`` this returns that point
+    with its value max_j m_j, ``converged``, residual hi - lo and a note
+    "certified by Theorem 1.3: M in [lo, hi]", and makes no search.
+    Otherwise it runs ``_minimax_search``.
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
-    starts = [] if eq.x is None else [(np.array(eq.x.nodes), None)]
-    r = _search(p, eq, -1.0, [*starts, (_even_start(p), None)])
-    if eq.status == "converged" and abs(eq.value.as_float() - r.value.as_float()) <= (
-            10 * _TOL_RESIDUAL + 1e-12):
-        r = replace(r, note="matches the equioscillation value")
-    return r
+    return _certified(p, eq, -1.0) or _minimax_search(p, o, eq)
 
 
 def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
                   eq: SolveReport | None = None) -> SolveReport:
     """Maximize the smallest interval maximum over the regular set Y.
 
-    Pattern searches from the equioscillation point, repaired toward Y (for
-    a J that is not usc, J*'s point can lie outside it), and from three
-    random systems placed on J's finite part; ``eq`` as in ``solve_minimax``.
+    ``eq`` as in ``solve_minimax``.  By Theorem 1.3, under the hypotheses
+    stated there, lo = min_j m_j <= M <= hi = max_j (m_j + err_j) at eq's
+    point.  When that bracket closes, this returns eq's point with its value
+    min_j m_j, ``converged``, residual hi - lo and the note "certified by
+    Theorem 1.3: M in [lo, hi]", and makes no search.  Otherwise it runs
+    ``_maximin_search``.
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
+    return _certified(p, eq, +1.0) or _maximin_search(p, o, eq)
+
+
+def _minimax_search(p: Problem, o: SolveOptions, eq: SolveReport) -> SolveReport:
+    """The minimax pattern search, whatever the bracket: from eq's point and
+    from the evenly spaced system, returning whichever achieves the smaller
+    value.  It reads nothing of ``o``; it takes the arguments of
+    ``_maximin_search``.  The checks call it so that they test Theorem 1.3
+    and not the bracket."""
+    starts = [] if eq.x is None else [(np.array(eq.x.nodes), None)]
+    return _search(p, eq, -1.0, [*starts, (_even_start(p), None)])
+
+
+def _maximin_search(p: Problem, o: SolveOptions, eq: SolveReport) -> SolveReport:
+    """The maximin pattern search, whatever the bracket: from eq's point,
+    repaired toward Y (for a J that is not usc, J*'s point can lie outside
+    it), and from three random systems placed on J's finite part, drawn
+    from ``o.seed + 1``.  The checks call it as they call
+    ``_minimax_search``."""
     rng = random.Random(o.seed + 1)
     starts = [] if eq.x is None else [_repair(p, eq.x.nodes)]
     return _search(p, eq, +1.0, [*starts, *((_draw(p, rng), None) for _ in range(3))])

@@ -67,6 +67,16 @@ When the solver's tolerances, iteration budget, finite-difference step and
 continuation schedule stopped being options, the ``"options"`` block of
 every solve JSON report was re-recorded to hold only ``multistarts`` and
 ``seed``; no other byte moved.
+When minimax and maximin came to return the equioscillation point whenever
+Theorem 1.3's bracket closes there, every solve report but ``zero-n2-ramp``
+(whose equioscillation stalls, so both still search, and which kept its
+bytes, JSON and CSV) was re-recorded: the minimax and maximin ``residual``
+(the bracket's width), ``iterations`` (the equioscillation ones) and
+``note`` (``certified by Theorem 1.3: M in [lo, hi]``, in place of
+minimax's ``matches the equioscillation value`` and maximin's empty note)
+moved, and in ``log-n2-bump.report.csv`` each search trace became one row
+at the equioscillation point.  No ``x``, value, status or equioscillation
+byte moved.
 ``sweep-log-n2-bands.report.csv`` is the report of ``sweep --config
 sweep-log-n2-bands.config.json`` (CSV by default): the interval maxima of
 the ``log-n2-bands`` problem as node 1 runs from 0 to 0.6 in 13 steps, node

@@ -617,6 +617,35 @@ class TestCliOracle:
         assert "(0, 0.5]" in capsys.readouterr().err
 
 
+class TestCliUnreadFlags:
+    """Each command takes only the flags it reads; any other exits 2 and is
+    named, before any work is done."""
+
+    GOLDEN_CONFIG = str(Path(__file__).parent / "data" / "golden" / "log-n2-bump.config.json")
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["oracle", "--config", GOLDEN_CONFIG, "--check", "nope/never"], "--check nope/never"),
+        (["oracle", "--config", GOLDEN_CONFIG, "--h", "0.0078125", "--trials", "0"],
+         "--trials 0"),
+        (["oracle", "--config", GOLDEN_CONFIG, "--seed", "3"], "--seed 3"),
+        (["solve", "--config", GOLDEN_CONFIG, "--h", "0.1"], "--h 0.1"),
+        (["solve", "--config", GOLDEN_CONFIG, "--all"], "--all"),
+        (["verify", "--all", "--config", "x"], "--config x"),
+        (["verify", "--check", "lem2.4/c", "--usc-regularize"], "--usc-regularize"),
+        (["sweep", "--config", GOLDEN_CONFIG, "--seed", "3"], "--seed 3"),
+        # no abbreviations: --out is not --output
+        (["solve", "--config", GOLDEN_CONFIG, "--out", "x"], "--out x"),
+    ], ids=["oracle-check", "oracle-trials", "oracle-seed", "solve-h", "solve-all",
+            "verify-config", "verify-usc", "sweep-seed", "solve-abbrev"])
+    def test_unread_flag_exits_2(self, capsys, monkeypatch, argv, unread):
+        for name in ("solve_equioscillation", "brute_minimax", "run_check", "load_config"):
+            monkeypatch.setattr(f"fenton_minimax.cli.{name}", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[0]} takes no {unread}\n"
+        assert captured.out == ""
+
+
 class TestCliVerify:
     def test_single_check_passes(self, capsys):
         rc = main(["verify", "--check", "lem2.4/c", "--trials", "50"])

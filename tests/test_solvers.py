@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from functools import partial
 from itertools import combinations_with_replacement
@@ -12,7 +13,9 @@ from hypothesis import assume, given, settings, strategies as st
 from fenton_minimax import solvers
 from fenton_minimax.battery import (BATTERY, battery_problem, bump_field, flat_field,
                                     gate_field, ramp_field, two_band_field)
-from fenton_minimax.checks import _random_usc_field
+from fenton_minimax.checks import (_random_usc_field, _regularized, _usc_maximin_slack,
+                                   check_equioscillation_value,
+                                   check_minimax_equals_maximin)
 from fenton_minimax.core import ExtendedReal, Interval, NEG_INF, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, usc_regularize
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
@@ -20,8 +23,9 @@ from fenton_minimax.kernels import (Kernel, custom_kernel, log_kernel, power_ker
                                     singularize, sqrt_kernel, strictify, zero_kernel)
 from fenton_minimax.schema import (options_from_json, options_to_json,
                                    problem_from_json, problem_to_json)
-from fenton_minimax.solvers import (SolveOptions, SolveReport, _check_budget,
-                                    _draw, _oracle_grid, _oracle_rows, _place, _repair,
+from fenton_minimax.solvers import (SolveOptions, SolveReport, TraceRecord, _check_budget,
+                                    _draw, _maximin_search, _minimax_search,
+                                    _oracle_grid, _oracle_rows, _place, _repair,
                                     brute_maximin, brute_minimax,
                                     solve_equioscillation, solve_maximin, solve_minimax)
 from fenton_minimax.sumtrans import Problem, _maxima_fn, _pure_fun, _value_at, interval_maxima
@@ -363,8 +367,8 @@ class TestMinimaxMaximin:
         # point, improving; the last record is the reported point
         p = battery_problem(name)
         eq = solve_equioscillation(p, FAST)
-        for solve, objective in ((solve_minimax, max), (solve_maximin, min)):
-            rep = solve(p, FAST, eq=eq)
+        for search, objective in ((_minimax_search, max), (_maximin_search, min)):
+            rep = search(p, FAST, eq)
             sign = 1.0 if objective is min else -1.0
             assert rep.trace and rep.trace != eq.trace
             assert rep.trace[0].residual == 0.125
@@ -377,6 +381,115 @@ class TestMinimaxMaximin:
             last = rep.trace[-1]
             assert (last.x, last.value, last.residual) == (
                 rep.x.nodes, rep.value.as_float(), rep.residual)
+
+
+CERTIFIED = re.compile(r"certified by Theorem 1\.3: M in \[(\S+), (\S+)\]")
+
+
+def _certificate(rep):
+    """(lo, hi) of a certified report's note, or None."""
+    m = CERTIFIED.fullmatch(rep.note)
+    return None if m is None else (float(m[1]), float(m[2]))
+
+
+class _PatternCalls(list):
+    """The sign of each pattern search run; with ``forbid`` set, a search raises."""
+
+    forbid = False
+
+
+@pytest.fixture
+def pattern_calls(monkeypatch):
+    calls = _PatternCalls()
+    pattern = solvers._pattern
+
+    def counted(p, x0, sign, rows0):
+        if calls.forbid:
+            raise AssertionError("a pattern search ran")
+        calls.append(sign)
+        return pattern(p, x0, sign, rows0)
+
+    monkeypatch.setattr(solvers, "_pattern", counted)
+    return calls
+
+
+class TestCertificate:
+    """Theorem 1.3's bracket at the equioscillation point: minimax and
+    maximin return that point with no search when it closes."""
+
+    @pytest.mark.parametrize("name", sorted(n for n in BATTERY if n != "zero-n1-ramp"))
+    def test_battery_is_certified_without_search(self, name, pattern_calls):
+        pattern_calls.forbid = True
+        p = BATTERY[name]
+        eq = solve_equioscillation(p, FAST)
+        m = interval_maxima(p, eq.x)
+        for solve, objective in ((solve_minimax, max), (solve_maximin, min)):
+            rep = solve(p, FAST, eq=eq)
+            lo, hi = _certificate(rep)
+            value = rep.value.as_float()
+            assert rep.status == "converged" and rep.x == eq.x
+            assert np.float64(value).tobytes() == np.float64(objective(m.floats())).tobytes()
+            assert lo == min(m.floats()) <= value <= hi
+            assert rep.residual == hi - lo <= solvers._TOL_CERTIFY
+            assert (rep.iterations, rep.solutions) == (eq.iterations, eq.solutions)
+            assert rep.trace == (TraceRecord(0, rep.residual, value, eq.x.nodes),)
+
+    def test_own_equioscillation_run_certifies(self, pattern_calls):
+        pattern_calls.forbid = True
+        p = battery_problem("log-n2-bump")
+        eq = solve_equioscillation(p, FAST)
+        assert solve_minimax(p, FAST) == solve_minimax(p, FAST, eq=eq)
+        assert solve_maximin(p, FAST) == solve_maximin(p, FAST, eq=eq)
+        assert _certificate(solve_maximin(p, FAST)) is not None
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(BATTERY["zero-n1-ramp"], id="zero-n1-ramp"),
+        pytest.param(Problem(n=2, field=ramp_field(), kernel=zero_kernel()), id="zero-n2-ramp"),
+        # equioscillation stalls at max J
+        pytest.param(Problem(n=3, field=_random_usc_field(Random(26)), kernel=zero_kernel()),
+                     id="zero-n3-usc26"),
+    ])
+    def test_open_bracket_searches(self, p, pattern_calls):
+        eq = solve_equioscillation(p, FAST)
+        assert eq.status == "stalled"
+        for solve, search, sign in ((solve_minimax, _minimax_search, -1.0),
+                                    (solve_maximin, _maximin_search, +1.0)):
+            pattern_calls.clear()
+            rep = solve(p, FAST, eq=eq)
+            assert pattern_calls and set(pattern_calls) == {sign}
+            assert rep == search(p, FAST, eq) and rep.note == ""
+
+    def test_checks_search_where_the_bracket_closes(self, pattern_calls):
+        # the checks test Theorem 1.3 itself, so they never take its bracket
+        p = battery_problem("log-n2-bump")
+        assert _certificate(solve_minimax(p, FAST)) is not None
+        assert not pattern_calls
+        for run in (lambda: check_minimax_equals_maximin(p),
+                    lambda: check_equioscillation_value(p, starts=2),
+                    lambda: _usc_maximin_slack(p, _regularized(p), FAST, 1e-3)):
+            pattern_calls.clear()
+            run()
+            assert pattern_calls
+
+
+def test_certified_values_lie_between_the_oracle_systems():
+    # Theorem 1.3 at the brute oracles' systems, with their exact interval
+    # maxima (not the oracles' grid values): min_j m_j at the maximin system
+    # and max_j (m_j + err_j) at the minimax one enclose M
+    seen = 0
+    for name, p in sorted(BATTERY.items()):
+        assert p.n <= 3
+        h = 1.0 / 128 if p.n <= 2 else 1.0 / 48
+        low = interval_maxima(p, brute_maximin(p, h)[0])
+        high = interval_maxima(p, brute_minimax(p, h)[0])
+        lower = min(low.floats())
+        upper = max(v + e for v, e in zip(high.floats(), high.err))
+        eq = solve_equioscillation(p, FAST)
+        for rep in (solve_minimax(p, FAST, eq=eq), solve_maximin(p, FAST, eq=eq)):
+            if _certificate(rep) is not None:
+                seen += 1
+                assert lower - 1e-9 <= rep.value.as_float() <= upper + 1e-9, name
+    assert seen == 2 * (len(BATTERY) - 1)
 
 
 class TestBruteOracles:
@@ -625,7 +738,8 @@ def ref_pattern(obj, x0, sign):
 
 
 def ref_solve_minimax(p, o):
-    """Reference minimax: its own equioscillation run, full-evaluation search."""
+    """Reference for ``_minimax_search``: its own equioscillation run, full-evaluation
+    search."""
     eq = solve_equioscillation(p, o)
     starts = []
     if eq.x is not None:
@@ -644,7 +758,8 @@ def ref_solve_minimax(p, o):
 
 
 def ref_solve_maximin(p, o):
-    """Reference maximin: its own equioscillation run, full-evaluation search."""
+    """Reference for ``_maximin_search``: its own equioscillation run, full-evaluation
+    search."""
     eq = solve_equioscillation(p, o)
     rng = Random(o.seed + 1)
     starts = []
@@ -684,8 +799,8 @@ def assert_same_solve(rep, ref):
 def test_shared_eq_and_early_reject_match_reference(p):
     o = SolveOptions(multistarts=2)
     eq = solve_equioscillation(p, o)
-    assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
-    assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+    assert_same_solve(_minimax_search(p, o, eq), ref_solve_minimax(p, o))
+    assert_same_solve(_maximin_search(p, o, eq), ref_solve_maximin(p, o))
 
 
 def test_shared_eq_and_early_reject_match_reference_at_n4():
@@ -693,8 +808,8 @@ def test_shared_eq_and_early_reject_match_reference_at_n4():
     p = Problem(n=4, field=flat_field(), kernel=log_kernel())
     o = SolveOptions(multistarts=2)
     eq = solve_equioscillation(p, o)
-    assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
-    assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+    assert_same_solve(_minimax_search(p, o, eq), ref_solve_minimax(p, o))
+    assert_same_solve(_maximin_search(p, o, eq), ref_solve_maximin(p, o))
 
 
 @pytest.mark.parametrize("p", [
@@ -706,8 +821,8 @@ def test_shared_eq_and_early_reject_match_reference_at_n4():
 def test_shared_eq_and_early_reject_match_reference_on_benchmark_options(p):
     o = SolveOptions(multistarts=8, seed=0)
     eq = solve_equioscillation(p, o)
-    assert_same_solve(solve_minimax(p, o, eq=eq), ref_solve_minimax(p, o))
-    assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+    assert_same_solve(_minimax_search(p, o, eq), ref_solve_minimax(p, o))
+    assert_same_solve(_maximin_search(p, o, eq), ref_solve_maximin(p, o))
 
 
 def _thresholds(m: float, rng: Random) -> list[float]:
@@ -804,11 +919,11 @@ class TestMonotoneQualification:
         o = SolveOptions(multistarts=2)
         eq = solve_equioscillation(p, o)
         ref = ref_solve_minimax(p, o)
-        assert_same_solve(solve_minimax(p, o, eq=eq), ref)
-        assert_same_solve(solve_maximin(p, o, eq=eq), ref_solve_maximin(p, o))
+        assert_same_solve(_minimax_search(p, o, eq), ref)
+        assert_same_solve(_maximin_search(p, o, eq), ref_solve_maximin(p, o))
         # pruning here would skip polls that succeed
         monkeypatch.setattr(Kernel, "monotone", property(lambda self: True))
-        assert solve_minimax(p, o, eq=eq).value != ref.value
+        assert _minimax_search(p, o, eq).value != ref.value
 
 
 def assert_skipped_polls_fail(p, seed):
