@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from itertools import product
 
 from .checks import CheckInfeasible, all_check_ids, run_check
@@ -38,10 +39,12 @@ class SolverFault(RuntimeError):
     """A solver raised on a valid problem; a bug, not a config error."""
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     """One subparser per command, holding only the flags that command reads;
     ``main`` refuses any other.  No parser takes abbreviations, so ``--h``
-    under solve is refused rather than read as ``--help``."""
+    under solve is refused rather than read as ``--help``.  Built on the
+    first call and reused: parsing leaves the parser as it was."""
     p = argparse.ArgumentParser(
         prog="fenton-minimax", allow_abbrev=False,
         description="Interval maxima of sums of translates: solvers, "
@@ -233,6 +236,9 @@ def _run_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command on argv (default ``sys.argv[1:]``) and return its exit
+    code.  The parser is built once per process, on the first call, and
+    every later call reuses it."""
     args, unread = _parser().parse_known_args(argv)
     try:
         if unread:

@@ -25,10 +25,11 @@ The equioscillation solver drives the difference map
 
     Phi(x) = (m_1 - m_0, ..., m_n - m_{n-1})
 
-to zero on a usc field: scalar bisection on a scan for n = 1, and for
-n >= 2 a Levenberg-Marquardt iteration with feasibility repair and optional
-strictification continuation, from one start after another until one
-converges, then one more step to polish the point.  Its Jacobian comes from
+to zero on a usc field: for n = 1 a scan in one batch-engine call, then
+scalar bisection, and for n >= 2 a Levenberg-Marquardt iteration with
+feasibility repair and optional strictification continuation, from one
+start after another until one converges, then one more step to polish the
+point.  Its Jacobian comes from
 the witnesses of the interval maxima it already has (Danskin's theorem:
 dm_i/dx_k is -w_k K'(t_i - x_k) when m_i is attained at a point t_i off the
 nodes), so a step costs no extra sup-engine calls.  Where some maximum sits
@@ -73,7 +74,8 @@ equioscillation result, the 36 searches of one pass of the solve-battery
 benchmark (seed 1, multistarts 8) make 28,863 kernel walks (F evaluations
 the memo does not answer), where computing each interval maximum they
 compare in full makes 52,922.  The pass itself, which searches only on
-zero-n1-ramp, makes 4,288 (32,489 when every problem searched).
+zero-n1-ramp, makes 2,054; its n = 1 scans run on the batch engine, which
+makes no kernel walk.
 
 Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -112,7 +114,8 @@ import numpy as np
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import Field, limsup_conditions, usc_regularize
 from .kernels import strictify
-from .sumtrans import Problem, _maxima_fn, _pure_fun, _RawSup, _value_at, interval_maxima
+from .sumtrans import (Problem, _maxima_fn, _pure_fun, _RawSup, _value_at, interval_maxima,
+                       interval_maxima_batch)
 
 __all__ = [
     "SolveOptions",
@@ -580,15 +583,25 @@ def _snap(p: Problem, x: np.ndarray, res: float, phi) -> tuple[np.ndarray, float
 
 
 def _solve_eq_1d(p: Problem) -> SolveReport:
+    """The equioscillation point of n = 1: a root of Phi(x) = m_1(x) - m_0(x).
+
+    Phi is scanned at 0, 1, 129 evenly spaced points and the interior field
+    breakpoints in one ``interval_maxima_batch`` call, which gives the sign
+    brackets and the best scan point.  That point is then rescored by the
+    scalar engine, whose Phi and overall maximum are the ones reported: the
+    batch engine's numpy power can differ from the scalar ``abs(t) ** -s``
+    in the last bits, which would move a power-kernel report's value and
+    residual.  Bisection in each bracket and the final ``_snap`` run on the
+    scalar engine.  ``iterations`` counts Phi evaluations, scan rows
+    included; the rescore repeats a scan row and is not counted.
+    """
     bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
     # 0 and 1 too: a sign change within 1/256 of an end is missed otherwise
     scan = sorted({0.0, 1.0, *np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist(), *bps})
-    evals = 0
-    top: dict[float, float] = {}  # overall maximum wherever phi1 is defined
+    evals = len(scan)
+    top: dict[float, float] = {}  # overall maximum wherever scalar() found Phi
 
-    def phi1(v: float) -> float | None:
-        nonlocal evals
-        evals += 1
+    def scalar(v: float) -> float | None:
         m = _maxima(p, [v])
         if m is None:
             return None
@@ -596,13 +609,20 @@ def _solve_eq_1d(p: Problem) -> SolveReport:
         top[v] = max(m0, m1)
         return m1 - m0
 
-    pts = [(v, phi1(v)) for v in scan]
-    defined = [(v, f) for v, f in pts if f is not None]
+    def phi1(v: float) -> float | None:
+        nonlocal evals
+        evals += 1
+        return scalar(v)
+
+    rows = interval_maxima_batch(p, np.array(scan)[:, None]).values.tolist()
+    defined = [(v, m1 - m0) for v, (m0, m1) in zip(scan, rows)
+               if m0 != -math.inf and m1 != -math.inf]
     if not defined:
         return SolveReport(None, NEG_INF, math.inf, "infeasible", evals,
                            note="no scan point had finite interval maxima")
 
-    best_x, best_f = min(defined, key=lambda c: (abs(c[1]), c[0]))
+    best_x = min(defined, key=lambda c: (abs(c[1]), c[0]))[0]
+    best_f = scalar(best_x)
     trace = [TraceRecord(0, abs(best_f), top[best_x], (best_x,))]
 
     brackets = [(a, fa, b, fb) for (a, fa), (b, fb) in zip(defined, defined[1:])

@@ -33,7 +33,8 @@ returned as a lower bound; the pattern search asks that, after one probe of
 its own through the same evaluator (``_value_at``).
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
-systems are known up front, as in the sampling checks.  Two options shrink
+systems are known up front, as in the sampling checks and the n = 1
+equioscillation scan.  Two options shrink
 and share that work.  An interval selector ``js`` asks for one interval per
 row, and only that interval's points and cells are built.  A stack of
 problems that share one field and one n (a problem and its kernel

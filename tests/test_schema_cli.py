@@ -8,7 +8,7 @@ import pytest
 
 from fenton_minimax.battery import battery_problem
 from fenton_minimax.checks import CheckInfeasible
-from fenton_minimax.cli import main
+from fenton_minimax.cli import _parser, main
 from fenton_minimax.core import NodeSystem
 from fenton_minimax.core import NEG_INF
 from fenton_minimax.schema import (ConfigError, config_from_json,
@@ -644,6 +644,41 @@ class TestCliUnreadFlags:
         captured = capsys.readouterr()
         assert captured.err == f"error: {argv[0]} takes no {unread}\n"
         assert captured.out == ""
+
+
+class TestCliParserReuse:
+    """``main`` builds its parser once per process; no call leaves state in
+    it that a later call reads."""
+
+    RAMP_CONFIG = str(Path(__file__).parent / "data" / "golden" / "log-n1-ramp.config.json")
+    RAMP_REPORT = Path(__file__).parent / "data" / "golden" / "log-n1-ramp.report.json"
+
+    def test_one_parser_per_process(self):
+        assert _parser() is _parser()
+
+    def test_checks_of_one_call_do_not_carry_over(self, capsys):
+        assert main(["verify", "--check", "lem2.4/c", "--trials", "5"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--check", "lem2.4/a", "--trials", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["check_id"] for c in doc["checks"]] == ["lem2.4/a"]
+
+    def test_usc_flag_does_not_carry_over(self, tmp_path):
+        out = tmp_path / "report.json"
+        main(["solve", "--config", self.RAMP_CONFIG, "--usc-regularize", "--output", str(out)])
+        assert out.read_bytes() != self.RAMP_REPORT.read_bytes()
+        assert main(["solve", "--config", self.RAMP_CONFIG, "--output", str(out)]) == 0
+        assert out.read_bytes() == self.RAMP_REPORT.read_bytes()
+
+    def test_refused_flags_after_a_good_call(self, tmp_path, capsys):
+        out = str(tmp_path / "report.json")
+        assert main(["solve", "--config", self.RAMP_CONFIG, "--output", out]) == 0
+        assert main(["solve", "--config", self.RAMP_CONFIG, "--h", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: solve takes no --h 0.1\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", self.RAMP_CONFIG, "--format", "xml"])
+        assert exc.value.code == 2
+        assert main(["solve", "--config", self.RAMP_CONFIG, "--output", out]) == 0
 
 
 class TestCliVerify:

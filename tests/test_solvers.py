@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import math
 import re
+import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import combinations_with_replacement
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -161,6 +164,124 @@ class TestEquioscillation1d:
         its = [r.iteration for r in rep.trace]
         assert its == sorted(its)
         assert rep.trace[-1].residual == rep.residual
+
+
+def ref_solve_eq_1d(p):
+    """Reference for ``solvers._solve_eq_1d``: the same scan, bisection and
+    snap with every Phi evaluation, scan points included, on the scalar
+    engine."""
+    bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
+    scan = sorted({0.0, 1.0, *np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist(), *bps})
+    evals = 0
+    top = {}
+
+    def phi1(v):
+        nonlocal evals
+        evals += 1
+        m = solvers._maxima(p, [v])
+        if m is None:
+            return None
+        m0, m1 = solvers._values(m)
+        top[v] = max(m0, m1)
+        return m1 - m0
+
+    pts = [(v, phi1(v)) for v in scan]
+    defined = [(v, f) for v, f in pts if f is not None]
+    if not defined:
+        return SolveReport(None, NEG_INF, math.inf, "infeasible", evals,
+                           note="no scan point had finite interval maxima")
+    best_x, best_f = min(defined, key=lambda c: (abs(c[1]), c[0]))
+    trace = [TraceRecord(0, abs(best_f), top[best_x], (best_x,))]
+    brackets = [(a, fa, b, fb) for (a, fa), (b, fb) in zip(defined, defined[1:])
+                if fa == 0.0 or (fa > 0) != (fb > 0)]
+    for a, fa, b, fb in brackets:
+        if abs(best_f) == 0.0:
+            break
+        while b - a > solvers._TOL_STEP:
+            mid = 0.5 * (a + b)
+            fm = phi1(mid)
+            if fm is None:
+                break
+            if abs(fm) < abs(best_f) or (abs(fm) == abs(best_f) and mid < best_x):
+                best_x, best_f = mid, fm
+            if fm == 0.0:
+                break
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b, fb = mid, fm
+    xs, residual = solvers._snap(p, np.array([best_x]), abs(best_f),
+                                 lambda xc: phi1(float(xc[0])))
+    best_x = float(xs[0])
+    converged = residual <= solvers._TOL_RESIDUAL
+    note = "" if converged or brackets else (
+        "none-found: the difference map never changes sign on the scan; "
+        f"min |Phi| = {residual:.3g} at x = {best_x:.9g}")
+    x = NodeSystem((best_x,))
+    value = ExtendedReal.of(top[best_x])
+    trace.append(TraceRecord(1, residual, value.as_float(), (best_x,)))
+    sols = (x,) if converged else ()
+    return SolveReport(x, value, residual, "converged" if converged else "stalled", evals,
+                       tuple(trace), sols, note, converged_starts=sols)
+
+
+@cache
+def _bench_problem_json():
+    """``problem_json`` of the benchmark workloads, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.problem_json
+
+
+# the n = 1 problems of the solve-battery benchmark
+BENCH_N1 = ("log-n1-flat", "log-n1-ramp", "log-n1-gate", "power05-n1-flat",
+            "zero-n1-bands", "zero-n1-gate", "zero-n1-ramp")
+
+
+N1_KERNELS = (log_kernel(), sqrt_kernel(), power_kernel(0.5), zero_kernel(),
+              strictify(zero_kernel(), 0.1))
+
+
+def _random_n1_problems(seed):
+    """n = 1 on the random usc field of ``seed``, each of N1_KERNELS with
+    weight 1 and weight 2."""
+    field = _random_usc_field(Random(seed))
+    try:
+        return [Problem(n=1, field=field, kernel=k, weights=(w,))
+                for k in N1_KERNELS for w in (1.0, 2.0)]
+    except ValueError:  # J finite at too few points
+        return []
+
+
+class TestScanEquivalence:
+    """The batch scan of ``_solve_eq_1d`` gives the reports of the scalar
+    scan, byte for byte, through all three solvers.  Seeds 38, 39, 44, 56
+    and 57 have power-kernel problems whose reports moved in the last bits
+    when the best scan point was not rescored by the scalar engine."""
+
+    @staticmethod
+    def assert_same_reports(problems, monkeypatch):
+        def reports(p):
+            # as ``fenton-minimax solve`` runs them: one equioscillation run
+            o = SolveOptions(multistarts=8, seed=0)
+            eq = solve_equioscillation(p, o)
+            return [repr(r) for r in (eq, solve_minimax(p, o, eq=eq),
+                                      solve_maximin(p, o, eq=eq))]
+
+        got = [reports(p) for p in problems]
+        monkeypatch.setattr(solvers, "_solve_eq_1d", ref_solve_eq_1d)
+        assert [reports(p) for p in problems] == got
+
+    @pytest.mark.parametrize("name", BENCH_N1)
+    def test_bench_problems(self, name, monkeypatch):
+        self.assert_same_reports([problem_from_json(_bench_problem_json()(name, c))
+                                  for c in (0.0, -0.75, 0.3, 0.9)], monkeypatch)
+
+    @pytest.mark.parametrize("seed", [*range(12), 38, 39, 44, 56, 57])
+    def test_random_usc_fields(self, seed, monkeypatch):
+        self.assert_same_reports(_random_n1_problems(seed), monkeypatch)
 
 
 # J = t on [0, 1/2), -1 on [1/2, 1]: finite everywhere, not usc at 1/2
