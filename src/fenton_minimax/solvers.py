@@ -58,24 +58,14 @@ circular.  Both run one driver, ``_search``, which differs
 between them only in the sign of the objective: it searches from every
 start, keeps the best value and reports it with the trace of its start.  A
 search candidate is compared with the incumbent value fx one interval
-maximum at a time and dropped at the first that fails to beat it.  Nor is
-an interval maximum computed further than that comparison needs.  The sup
-engine's m_j is the largest F value it computes on the interval, so the
-first value >= fx proves m_j >= fx, and minimax rejects the candidate
-there; the first value > fx proves m_j > fx, and maximin lets the interval
-pass there.  Before the engine runs, F is evaluated once at the
-incumbent's witness for that interval, when it lies inside the candidate's
-interval: a value above the threshold settles the comparison the same way.
-Once every interval has passed, maximin completes only those whose lower
-bound could still be the new minimum.  All this gives the same result as
-computing all n + 1 maxima in full, at a fraction of the cost.  Run through
-``_minimax_search`` and ``_maximin_search`` on each problem's
-equioscillation result, the 36 searches of one pass of the solve-battery
-benchmark (seed 1, multistarts 8) make 28,863 kernel walks (F evaluations
-the memo does not answer), where computing each interval maximum they
-compare in full makes 52,922.  The pass itself, which searches only on
-zero-n1-ramp, makes 2,054; its n = 1 scans run on the batch engine, which
-makes no kernel walk.
+maximum at a time, each computed in full, and dropped at the first that
+fails to beat it, which gives the same result as computing all n + 1
+maxima.  Run through ``_minimax_search`` and ``_maximin_search`` on each
+problem's equioscillation result, the 36 searches of one pass of the
+solve-battery benchmark (seed 1, multistarts 8) make 52,922 kernel walks
+(F evaluations the memo does not answer) and 15,207 cell maximizations.
+The pass itself, which searches only on zero-n1-ramp, makes 1,995 kernel
+walks; its n = 1 scans run on the batch engine, which makes none.
 
 Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -93,8 +83,9 @@ this hold.  The engine's rounding could in principle let through a gain
 smaller than that maximum's ``err``; the tests check at sampled systems
 that full evaluation rejects every candidate the rule skips, and that the
 searches match full-evaluation ones bit for bit.  On the 36 searches above,
-10,283 of 17,407 candidates (59%) are skipped this way, and the sup
-engine's cell maximizations fall from 14,453 to 6,729.
+10,283 of 17,407 candidates (59%) are skipped this way, which cuts their
+kernel walks from 90,896 to 52,922 and their cell maximizations from 27,412
+to 15,207.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.
@@ -107,15 +98,14 @@ import random
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations_with_replacement
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import ExtendedReal, NEG_INF, NodeSystem
 from .fields import Field, limsup_conditions, usc_regularize
 from .kernels import strictify
-from .sumtrans import (Problem, _maxima_fn, _pure_fun, _RawSup, _value_at, interval_maxima,
-                       interval_maxima_batch)
+from .sumtrans import Problem, _maxima_fn, _RawSup, interval_maxima, interval_maxima_batch
 
 __all__ = [
     "SolveOptions",
@@ -157,7 +147,10 @@ class SolveOptions:
 class TraceRecord(NamedTuple):
     """One point of a solver's path.  Equioscillation records its Newton
     iteration, |Phi| and the largest interval maximum at x; minimax and
-    maximin record the sweep, the pattern step and their objective at x."""
+    maximin record the sweep, the pattern step and their objective at x.  A
+    report certified by Theorem 1.3 (``_certified``) holds one record:
+    iteration 0, residual hi - lo, and its value at the equioscillation
+    point."""
 
     iteration: int
     residual: float
@@ -853,102 +846,32 @@ def _futile_moves(m, fx: float, sign: float) -> frozenset[tuple[int, bool]]:
                      if (hi > j if (sign > 0) == right else lo <= j))
 
 
-def _witness_settles(F, t: float | None, a: float, b: float,
-                     stop: float) -> tuple[float, float, bool] | None:
-    """(F(t), t, True) when t, the incumbent's witness of an interval
-    maximum, lies strictly inside the candidate's interval (a, b) and
-    F(t) > stop: a value attained on the interval above stop, which settles
-    the comparison as the engine's own first such value would, else None."""
-    if t is not None and a < t < b:
-        v = F(t)
-        if v > stop:
-            return v, t, True
-    return None
-
-
-def _settled(r) -> tuple[float, float | None]:
-    """(value, location) of a maximum or settle r, the location None unless attained."""
-    return r[0], (r[1] if r[2] else None)
-
-
-def _pattern(p: Problem, x0: tuple[float, ...], sign: float, rows0: list[_RawSup]
+def _pattern(p: Problem, x0: tuple[float, ...], sign: float, m0: Sequence[float]
              ) -> tuple[tuple[float, ...], float, float, int, list[TraceRecord]]:
     """Coordinate pattern search on the interval maxima from the sorted
-    nodes x0, whose interval maxima are rows0 (as ``_maxima_fn`` gives
-    them): sign=-1 minimizes their maximum, sign=+1 maximizes their minimum.
-    Returns the final nodes, value, step and sweep count, and the trace: the
-    start and every accepted poll as ``TraceRecord(sweep, step, value, x)``.
+    nodes x0, whose interval maxima are m0: sign=-1 minimizes their
+    maximum, sign=+1 maximizes their minimum.  Returns the final nodes,
+    value, step and sweep count, and the trace: the start and every
+    accepted poll as ``TraceRecord(sweep, step, value, x)``.
 
     A candidate beats the incumbent value fx exactly when every m_j does
-    (m_j < fx, or m_j > fx), so it is evaluated one interval at a time and
-    dropped at the first m_j that does not.  Each (node, direction) move
-    first tries the interval that rejected its last candidate, initially the
-    interval the move shrinks.  A point seen before in this search is
-    rejected unevaluated: fx only improves, so it cannot beat fx now.
+    (m_j < fx, or m_j > fx), so its interval maxima are computed one at a
+    time, each in full, and the candidate is dropped at the first m_j that
+    does not.  Each (node, direction) move first tries the interval that
+    rejected its last candidate, initially the interval the move shrinks.
+    A point seen before in this search is rejected unevaluated: fx only
+    improves, so it cannot beat fx now.
 
-    No interval maximum is computed further than its comparison with fx
-    needs (``stop`` of ``_sup_cells``): the engine's m_j is the largest F
-    value it computes, so the first value above a threshold settles that
-    m_j is above it.  Minimax stops at the first value >= fx and rejects;
-    an interval that runs to the end has its exact m_j < fx.  Maximin stops
-    at the first value > fx and lets the interval pass with that lower
-    bound; one that runs to the end has m_j <= fx and rejects.  Once every
-    interval has passed, maximin completes them in ascending order of bound
-    while the bound is at most the smallest completed maximum (the shared F
-    evaluator replays their probes); every other m_j is above that minimum.
-    So each decision, the new fx, the maxima equal to it and the interval
-    that rejects a move are exactly those of full evaluation.
-
-    Before the engine runs on an interval, F is evaluated once at the
-    incumbent's witness for it (the point where the engine found that
-    maximum, or stopped on it, or where a probe settled it, kept only when
-    attained there, ``_settled``) when that point lies strictly inside the
-    candidate's interval (``_witness_settles``).
-    A value above the threshold settles the interval as the engine's own
-    first such value would: maximin lets it pass with that lower bound,
-    minimax rejects.  Otherwise the engine runs unchanged, through the same
-    memoized F evaluator, which keeps the probe's walk.  A poll moves one
-    node by a small step, so the old witness mostly stays near the top of
-    its interval.  An accepted poll carries forward, per interval, the
-    point that settled it.  A probe's value is F at a point of the
-    interval, so in exact arithmetic it is at most the supremum, and above
-    the threshold the supremum is too.  The one exception is rounding: the
-    engine's m_j is the largest value it computes, within its ``err`` of
-    the supremum, so it could in principle stay a few ulps below a probe's
-    value that it never computed, and a probe could then settle an
-    interval that full evaluation settles the other way.  The tests check
-    at sampled polls that full evaluation settles every probed interval the
-    same way.  On the 36 searches (``_minimax_search`` and
-    ``_maximin_search``) of the 18 benchmark problems (c = 0, multistarts 8,
-    seed 0), 5,259 of 6,458 probes settle
-    their interval and none disagrees with full evaluation; on the random
-    usc fields of seeds 0-39 with the log, power 1/2, sqrt and zero kernels
-    at n = 2 and 3 (multistarts 2), 108,913 of 167,538 settle and none
-    disagrees.
-
-    When the kernel is monotone with K(0) at most its one-sided limits
-    (``Kernel.monotone``), a poll is also rejected unevaluated when it
-    would raise (minimax) or lower (maximin) an interval maximum equal to
-    fx: moving a node right raises every maximum left of it and lowers every
-    one right of it, moving it left does the reverse, and a maximum that
-    does not improve on fx cannot let the poll beat fx (``_futile_moves``).
-    Those maxima are read from the incumbent's maxima equal to fx, which
-    the start and every accepted poll have exactly.  Full evaluation
-    rejects every such poll in exact arithmetic; rounding could only let
-    through a gain smaller than that maximum's ``err``, and the tests find
-    none.  On the 36 searches of a solve-battery pass this skips 59% of
-    the polls.
-
-    Results equal a search that evaluates every candidate in full, but for
-    the two rounding exceptions above, which the tests never meet.  The
-    polls are tuples of floats, and the intervals of one candidate share one
-    F evaluator.
+    When the kernel is ``monotone``, a poll that ``_futile_moves`` names
+    for the incumbent's maxima is rejected unevaluated too.  Full evaluation
+    rejects it in exact arithmetic (the module docstring says why, and what
+    rounding could do), so the results equal those of a search that
+    evaluates every candidate in full.  The polls are tuples of floats, and
+    the intervals of one candidate share one F evaluator.
     """
     n = len(x0)
     x = x0
-    m0 = _values(rows0)
     fx = _objective(m0, sign)
-    wit = [_settled(r)[1] for r in rows0]
     prune = p.kernel.monotone
     futile = _futile_moves(m0, fx, sign) if prune else frozenset()
     seen = {x}
@@ -962,11 +885,7 @@ def _pattern(p: Problem, x0: tuple[float, ...], sign: float, rows0: list[_RawSup
         for j in range(n):
             for delta in (step, -step):
                 cj = x[j] + delta
-                if not 0.0 <= cj <= 1.0:
-                    continue
-                if j > 0 and cj < x[j - 1]:
-                    continue
-                if j < n - 1 and cj > x[j + 1]:
+                if not (0.0, *x)[j] <= cj <= (*x, 1.0)[j + 1]:  # stay sorted in [0, 1]
                     continue
                 c = (*x[:j], cj, *x[j + 1:])
                 if c in seen:
@@ -976,29 +895,15 @@ def _pattern(p: Problem, x0: tuple[float, ...], sign: float, rows0: list[_RawSup
                 if move in futile:
                     continue
                 first = lead.get(move, j + 1 if delta > 0 else j)
-                f = _pure_fun(p, c)
-                maximum = _maxima_fn(p, c, f)
-                F = partial(_value_at, p, f)
-                s = (0.0, *c, 1.0)
-                # a value above stop settles the comparison of m_j with fx
-                stop = fx if sign > 0 else math.nextafter(fx, -math.inf)
+                maximum = _maxima_fn(p, c)
                 m = [0.0] * (n + 1)
-                at = m.copy()
                 for i in (first, *range(first), *range(first + 1, n + 1)):
-                    m[i], at[i] = _settled(_witness_settles(F, wit[i], s[i], s[i + 1], stop)
-                                           or maximum(i, stop))
+                    m[i] = maximum(i)[0]
                     if not sign * m[i] > sign * fx:
                         lead[move] = i
                         break
                 else:
-                    if sign > 0:  # every m[i] is a lower bound above fx
-                        low = math.inf
-                        for bound, i in sorted(zip(m, range(n + 1))):
-                            if bound > low:
-                                break
-                            m[i], at[i] = _settled(maximum(i))
-                            low = min(low, m[i])
-                    x, fx, wit = c, _objective(m, sign), at
+                    x, fx = c, _objective(m, sign)
                     if prune:
                         futile = _futile_moves(m, fx, sign)
                     improved = True
@@ -1021,12 +926,10 @@ def _search(p: Problem, eq: SolveReport, sign: float,
     iters = eq.iterations
     for x0, rows in starts:
         start = _ns(x0)
-        if rows is None:
-            m = _maxima_fn(p, start.nodes)
-            rows = [m(j) for j in range(p.n + 1)]
-        if not math.isfinite(_objective(_values(rows), sign)):
+        m = interval_maxima(p, start).floats() if rows is None else _values(rows)
+        if not math.isfinite(_objective(m, sign)):
             continue
-        x, fx, step, it, trace = _pattern(p, start.nodes, sign, rows)
+        x, fx, step, it, trace = _pattern(p, start.nodes, sign, m)
         iters += it
         if best is None or (-sign * fx, x) < (-sign * best[0], best[1]):
             best = (fx, x, step, trace)

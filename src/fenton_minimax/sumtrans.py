@@ -24,13 +24,9 @@ finds each point's and cell's formula.  Per node system it builds one
 memoized F evaluator (``_pure_fun``) that every interval of the system
 shares, since a cell end of one interval is a point candidate of the next;
 for a singular kernel its memo starts with the value -inf at every node.
-``interval_maxima`` and the solvers' pattern search enter it through
-``_maxima_fn``/``_sup_cells`` with float interval ends, and ``sum_eval``
-reads its value at one point.  Its value on an interval is the largest F
-value it computes, so a caller that only asks whether m_j exceeds a
-threshold ``stop`` gets its answer at the first value above ``stop``,
-returned as a lower bound; the pattern search asks that, after one probe of
-its own through the same evaluator (``_value_at``).
+``interval_maxima`` and the solvers enter it through ``_maxima_fn``, one
+interval at a time with float interval ends (``_sup_cells``), and
+``sum_eval`` reads its value at one point (``_value_at``).
 ``interval_maxima_batch`` takes B independent node systems at once and runs
 all their cells in lockstep with ``concave_max_many``: use it when the node
 systems are known up front, as in the sampling checks and the n = 1
@@ -209,16 +205,11 @@ def sum_eval(p: Problem, x: NodeSystem, t: float) -> ExtendedReal:
     return ExtendedReal(_value_at(p, _pure_fun(p, x.nodes), t))
 
 
-def _sup_cells(p: Problem, f, a: float, b: float, stop: float = math.inf) -> _RawSup:
+def _sup_cells(p: Problem, f, a: float, b: float) -> _RawSup:
     """The exact engine on the closed interval [a, b], for a piecewise
     field; f is ``_pure_fun(p, nodes)``, and no node lies strictly inside
-    [a, b].  The value is a float, -inf when F is -inf on the whole interval.
-
-    The value is the largest F value computed, at a point or in a cell.  So
-    the first one above ``stop`` shows that the value is above it too: the
-    call returns it at once, with its location and err = inf, as a lower
-    bound.  While no value exceeds ``stop``, the result is that of the call
-    without it, bit for bit."""
+    [a, b].  The value is a float, -inf when F is -inf on the whole interval,
+    and the largest F value computed, at a point or in a cell."""
     # the piece holding t is pieces[bisect_left + bisect_right]; the
     # breakpoints include 0 and 1, which no query interval holds strictly
     # inside
@@ -227,12 +218,7 @@ def _sup_cells(p: Problem, f, a: float, b: float, stop: float = math.inf) -> _Ra
     pts = [a, *cuts, b] if b > a else [a]
 
     # candidates: (value, location, attained, err)
-    cands: list[_RawSup] = []
-    for t in pts:
-        v = _value_at(p, f, t)
-        if v > stop:
-            return v, t, True, math.inf
-        cands.append((v, t, True, 0.0))
+    cands: list[_RawSup] = [(_value_at(p, f, t), t, True, 0.0) for t in pts]
 
     for u, v in zip(pts, pts[1:]):
         mid = 0.5 * (u + v)
@@ -246,9 +232,7 @@ def _sup_cells(p: Problem, f, a: float, b: float, stop: float = math.inf) -> _Ra
 
         # an interior maximum is attained; one at a cell end is the one-sided
         # limit there, and the other end's limit is no larger
-        cell_v, cell_t, cell_err, interior = concave_max(g, u, v, stop)
-        if cell_v > stop:
-            return cell_v, cell_t, interior, cell_err
+        cell_v, cell_t, cell_err, interior = concave_max(g, u, v)
         cands.append((cell_v, cell_t, interior, cell_err))
 
     # the largest value wins, then attained, then smaller err, then smaller t
@@ -266,15 +250,13 @@ def _sup_cells(p: Problem, f, a: float, b: float, stop: float = math.inf) -> _Ra
     return best_v, where, attained, err
 
 
-def _maxima_fn(p: Problem, nodes: tuple[float, ...], f=None) -> Callable[..., _RawSup]:
-    """(j, stop=inf) -> (m_j, witness, attained, err) as floats, the m_j of
+def _maxima_fn(p: Problem, nodes: tuple[float, ...]) -> Callable[[int], _RawSup]:
+    """j -> (m_j, witness, attained, err) as floats, the m_j of
     ``interval_maxima`` for the node system with the sorted tuple ``nodes``
-    (unchecked), or with a value above ``stop`` a lower bound on it, as
-    ``_sup_cells`` gives it.  Every interval shares one F evaluator: f, the
-    caller's ``_pure_fun(p, nodes)`` when given."""
-    f = f or _pure_fun(p, nodes)
+    (unchecked).  Every interval shares one F evaluator, ``_pure_fun``."""
+    f = _pure_fun(p, nodes)
     s = (0.0, *nodes, 1.0)
-    return lambda j, stop=math.inf: _sup_cells(p, f, s[j], s[j + 1], stop=stop)
+    return lambda j: _sup_cells(p, f, s[j], s[j + 1])
 
 
 def interval_maxima(p: Problem, x: NodeSystem) -> MaximaVector:

@@ -126,60 +126,6 @@ class TestConcaveMax:
             concave_max(lambda t: (0.0, 0.0), 1.0, 0.0)
 
 
-def _counted(g):
-    """g, and the list of the points it was called at."""
-    calls = []
-
-    def h(t):
-        calls.append(t)
-        return g(t)
-    return h, calls
-
-
-class TestConcaveMaxStop:
-    """A value above ``stop`` ends the call: that value comes back as a lower
-    bound (err = inf), and g is not called again."""
-
-    @staticmethod
-    def parabola(c):
-        return lambda t: (1.0 - (t - c) ** 2, -2.0 * (t - c))
-
-    def test_stop_at_left_end(self):
-        # g(0) = 0.91 is above stop; the full call would go on to probe
-        g, calls = _counted(self.parabola(0.3))
-        assert concave_max(g, 0.0, 1.0, 0.5) == (0.91, 0.0, math.inf, False)
-        assert calls == [0.0]
-
-    def test_stop_at_right_end(self):
-        # g(0) < stop < g(1) = 0.96
-        g, calls = _counted(self.parabola(0.8))
-        assert concave_max(g, 0.0, 1.0, 0.5) == (0.96, 1.0, math.inf, False)
-        assert calls == [0.0, 1.0]
-
-    def test_stop_at_an_interior_probe(self):
-        c = 0.3141592653589793
-
-        def quartic(t):  # maximum 0 at c; the secant steps take many probes
-            return -(t - c) ** 4, -4.0 * (t - c) ** 3
-
-        full_g, full_calls = _counted(quartic)
-        full = concave_max(full_g, 0.0, 1.0)
-        g, calls = _counted(quartic)
-        stop = -1e-6  # above both ends, below the maximum
-        res = concave_max(g, 0.0, 1.0, stop)
-        assert res.interior and res.err == math.inf
-        assert 0.0 < res.argmax < 1.0 and res.argmax == calls[-1]
-        assert stop < res.value <= full.value
-        # the same probes as the full call, up to the first value above stop
-        assert calls == full_calls[:len(calls)] and len(calls) < len(full_calls)
-
-    @pytest.mark.parametrize("c", [-0.5, 0.3, 0.8, 1.5])
-    def test_no_value_above_stop_changes_nothing(self, c):
-        full = concave_max(self.parabola(c), 0.0, 1.0)
-        for stop in (full.value, 2.0, math.inf):
-            assert concave_max(self.parabola(c), 0.0, 1.0, stop) == full
-
-
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(battery_systems())
 def test_err_bounds_dense_samples(case):

@@ -31,7 +31,7 @@ from fenton_minimax.solvers import (SolveOptions, SolveReport, TraceRecord, _che
                                     _oracle_grid, _oracle_rows, _place, _repair,
                                     brute_maximin, brute_minimax,
                                     solve_equioscillation, solve_maximin, solve_minimax)
-from fenton_minimax.sumtrans import Problem, _maxima_fn, _pure_fun, _value_at, interval_maxima
+from fenton_minimax.sumtrans import Problem, interval_maxima
 
 X2_STAR = (0.5 - 0.5 / math.sqrt(2.0), 0.5 + 0.5 / math.sqrt(2.0))
 
@@ -934,54 +934,21 @@ def test_shared_eq_and_early_reject_match_reference_at_n4():
 
 
 @pytest.mark.parametrize("p", [
-    # the most polls the threshold stops: random_problems() stops at n = 3
+    # random_problems() stops at n = 3
     pytest.param(Problem(n=5, field=flat_field(), kernel=log_kernel()), id="log-n5-flat"),
-    # K(0) is finite, so a cell end can settle an interval before any probe
+    # a kernel finite at 0
     pytest.param(BATTERY["sqrt-n3-bump"], id="sqrt-n3-bump"),
+    # the open-bracket problems, whose solves reach the searches
+    pytest.param(BATTERY["zero-n1-ramp"], id="zero-n1-ramp"),
+    pytest.param(problem_from_json(json.loads(
+        (Path(__file__).parent / "data" / "golden" / "zero-n2-ramp.config.json").read_text()
+    )["problem"]), id="zero-n2-ramp"),
 ])
 def test_shared_eq_and_early_reject_match_reference_on_benchmark_options(p):
     o = SolveOptions(multistarts=8, seed=0)
     eq = solve_equioscillation(p, o)
     assert_same_solve(_minimax_search(p, o, eq), ref_solve_minimax(p, o))
     assert_same_solve(_maximin_search(p, o, eq), ref_solve_maximin(p, o))
-
-
-def _thresholds(m: float, rng: Random) -> list[float]:
-    """Thresholds around an interval maximum m: m itself, its neighbouring
-    floats, random gaps either side, and both infinities."""
-    if m == -math.inf:
-        return [-math.inf, -1.0, 0.0, math.inf]
-    gaps = [rng.uniform(0.0, 1.0) * 10.0 ** -rng.randint(0, 12) for _ in range(4)]
-    return [m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf),
-            *(m - g * max(abs(m), 1.0) for g in gaps), m + gaps[0],
-            -math.inf, math.inf]
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(random_problems(), st.integers(0, 2**32 - 1))
-def test_stopped_interval_maxima_bound_or_equal_the_full_ones(p, seed):
-    # the threshold contract the pattern searches rely on: a call stops
-    # exactly when m_j > stop, with a lower bound above stop; otherwise it
-    # is the call without a threshold, bit for bit
-    rng = Random(seed)
-    for _ in range(3):
-        grid = rng.random() < 0.5  # nodes on piece ends and on each other
-        nodes = tuple(sorted(rng.randint(0, 8) / 8 if grid else rng.random()
-                             for _ in range(p.n)))
-        s = (0.0, *nodes, 1.0)
-        full = _maxima_fn(p, nodes)
-        for j in range(p.n + 1):
-            m = full(j)
-            for stop in _thresholds(m[0], rng):
-                got = _maxima_fn(p, nodes)(j, stop)
-                assert (got[0] > stop) == (m[0] > stop), (nodes, j, stop)
-                if got[0] > stop:
-                    assert got[0] <= m[0] and got[3] == math.inf
-                    assert s[j] <= got[1] <= s[j + 1]
-                else:
-                    assert [np.float64(v).tobytes() for v in (got[0], got[3])] == \
-                        [np.float64(v).tobytes() for v in (m[0], m[3])]
-                    assert got[1:3] == m[1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -1084,52 +1051,6 @@ def test_skipped_polls_fail_on_battery(name):
 @given(random_problems(KERNELS[:5]), st.integers(0, 2**16))
 def test_skipped_polls_fail_on_random_problems(p, seed):
     assert_skipped_polls_fail(p, seed)
-
-
-def assert_witness_settles_agree(p, seed):
-    """At a few regular systems and for both searches, every interval of a
-    poll at steps 2^-3 ... 2^-30 either way that a probe at the system's
-    witness settles (``_witness_settles``, with the threshold of
-    ``_pattern``) is settled the same way by full evaluation: its m_i is
-    above the threshold too.  Returns the number of settles checked."""
-    rng = Random(seed)
-    checked = 0
-    for _ in range(3):
-        x = NodeSystem(_draw(p, rng).tolist()).nodes
-        rows = [_maxima_fn(p, x)(i) for i in range(p.n + 1)]
-        s = (0.0, *x, 1.0)
-        for sign in (-1.0, 1.0):
-            fx = solvers._objective([r[0] for r in rows], sign)
-            if not math.isfinite(fx):
-                continue
-            stop = fx if sign > 0 else math.nextafter(fx, -math.inf)
-            for j in range(p.n):
-                for e in range(3, 31):
-                    for delta in (2.0 ** -e, -2.0 ** -e):
-                        if not s[j] <= x[j] + delta <= s[j + 2]:
-                            continue
-                        c = (*x[:j], x[j] + delta, *x[j + 1:])
-                        sc = (0.0, *c, 1.0)
-                        F = partial(_value_at, p, _pure_fun(p, c))
-                        for i, r in enumerate(rows):
-                            got = solvers._witness_settles(F, r[1], sc[i], sc[i + 1], stop)
-                            if got is None:
-                                continue
-                            assert got[0] > stop and got[1] == r[1]
-                            assert _maxima_fn(p, c)(i)[0] > stop, (x, c, i, sign)
-                            checked += 1
-    return checked
-
-
-@pytest.mark.parametrize("name", sorted(n for n, p in BATTERY.items() if p.n >= 2))
-def test_witness_settles_agree_on_battery(name):
-    assert assert_witness_settles_agree(BATTERY[name], seed=0) > 0
-
-
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(random_problems(), st.integers(0, 2**16))
-def test_witness_settles_agree_on_random_problems(p, seed):
-    assert_witness_settles_agree(p, seed)
 
 
 @st.composite
