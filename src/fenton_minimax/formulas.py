@@ -27,6 +27,11 @@ __all__ = [
 class Formula:
     """Base class; subclasses are frozen dataclasses."""
 
+    def __post_init__(self) -> None:
+        # every field of Constant, Affine and Quadratic is a coefficient
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise ValueError(f"{type(self).__name__} coefficients must be finite")
+
     def value(self, t: float) -> float:
         raise NotImplementedError
 
@@ -104,6 +109,7 @@ class Quadratic(Formula):
     c: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.a > 0:
             raise ValueError("quadratic formulas must be concave (a <= 0)")
 

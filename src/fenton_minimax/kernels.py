@@ -26,15 +26,17 @@ it above the original and converging back to it as eta drops to 0.
 
 Every family and both transforms are defined once, in ``FAMILIES``: a scalar
 value, a vectorized value, a derivative and a vectorized derivative per
-entry.  ``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``,
-``Kernel.derivs``, ``Kernel.eval_and_derivs`` and ``TranslateSum`` all read
-that table; the three array methods share one loop over a kernel's terms.
-``TranslateSum`` is the term walk behind every F-evaluation of the scalar
-sup engine: built once per problem from its kernel and weights, it gives
-per node system the evaluator t -> (sum_j w_j K(t - x_j), its
-t-derivative).  When the kernel is a plain family it makes two table calls
-per translate and nothing else; a layered kernel walks its terms.  The
-floats are those of summing ``w_j * eval`` and ``w_j * deriv`` either way.
+entry, each taking the family parameter first.  A ``Kernel`` holds that
+parameter in one field, ``param``, which it checks itself.
+``Kernel.eval``, ``Kernel.eval_many``, ``Kernel.deriv``, ``Kernel.derivs``,
+``Kernel.eval_and_derivs`` and ``translate_sum`` all read the table; the
+three array methods share one loop over a kernel's terms.
+``translate_sum`` is the term walk behind every F-evaluation of the scalar
+sup engine: built per node system from a kernel and weights, it is the
+evaluator t -> (sum_j w_j K(t - x_j), its t-derivative).  When the kernel
+is a plain family it makes two table calls per translate and nothing else;
+a layered kernel walks its terms.  The floats are those of summing
+``w_j * eval`` and ``w_j * deriv`` either way.
 A kernel has no scale of its own: c * K with weights w_j is K with weights
 c * w_j.
 """
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Real
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -54,7 +57,7 @@ __all__ = [
     "Family",
     "FAMILIES",
     "Kernel",
-    "TranslateSum",
+    "translate_sum",
     "zero_kernel",
     "log_kernel",
     "sqrt_kernel",
@@ -188,19 +191,20 @@ _KERNEL_FAMILIES = ("zero", "log", "sqrt", "power", "custom")
 class Kernel:
     """A kernel family with optional transform layers.
 
-    ``strictify_eta`` and ``singularize_etas`` record the transform layers
-    so evaluation stays exact and serializable.  A multiple of a kernel is
-    written as a problem's weights.  A custom kernel's two formulas must
-    agree at 0, and a log-weight side needs a positive weight on its closed
-    side, [-1, 0] or [0, 1], as a log-weight field piece does on its closure.
+    ``param`` is the family parameter as its ``FAMILIES`` entry takes it:
+    None for zero, log and sqrt, the exponent s > 0 for power, and the pair
+    ``(neg, pos)`` of side formulas for custom.  ``strictify_eta`` and
+    ``singularize_etas`` record the transform layers so evaluation stays
+    exact and serializable.  A multiple of a kernel is written as a
+    problem's weights.  A custom kernel's two formulas must agree at 0, and
+    a log-weight side needs a positive weight on its closed side, [-1, 0] or
+    [0, 1], as a log-weight field piece does on its closure.
     """
 
     family: str
-    params: tuple[float, ...] = ()
+    param: Any = None
     strictify_eta: float = 0.0
     singularize_etas: tuple[float, ...] = ()
-    neg_formula: Formula | None = None
-    pos_formula: Formula | None = None
 
     def __post_init__(self) -> None:
         if self.family not in _KERNEL_FAMILIES:
@@ -209,27 +213,30 @@ class Kernel:
         if not (0 <= self.strictify_eta < math.inf
                 and all(0 < e < math.inf for e in self.singularize_etas)):
             raise ValueError("transform parameters must be positive and finite")
-        if self.family != "custom":
-            return
-        neg, pos = self.neg_formula, self.pos_formula
-        if neg is None or pos is None:
-            raise ValueError("custom kernels need one formula per side")
-        for name, f, (a, b) in (("negative", neg, (-1.0, 0.0)), ("positive", pos, (0.0, 1.0))):
-            if isinstance(f, LogWeight) and not f.w.inf_on(a, b)[0] > 0:
-                raise ValueError(f"the {name} side of a custom kernel is a log weight "
-                                 f"that is not positive on [{a:g}, {b:g}]")
-        if abs(neg.value(0.0) - pos.value(0.0)) > 1e-9:
-            raise ValueError("custom kernel sides disagree at 0")
+        param = self.param
+        if self.family == "power":
+            if not (isinstance(param, Real) and 0 < param < math.inf):
+                raise ValueError("power kernels need a finite s > 0")
+            object.__setattr__(self, "param", float(param))
+        elif self.family == "custom":
+            if not (isinstance(param, tuple) and len(param) == 2
+                    and all(isinstance(f, Formula) for f in param)):
+                raise ValueError("custom kernels need one formula per side")
+            neg, pos = param
+            for name, f, (a, b) in (("negative", neg, (-1.0, 0.0)),
+                                    ("positive", pos, (0.0, 1.0))):
+                if isinstance(f, LogWeight) and not f.w.inf_on(a, b)[0] > 0:
+                    raise ValueError(f"the {name} side of a custom kernel is a log weight "
+                                     f"that is not positive on [{a:g}, {b:g}]")
+            if abs(neg.value(0.0) - pos.value(0.0)) > 1e-9:
+                raise ValueError("custom kernel sides disagree at 0")
+        elif param is not None:
+            raise ValueError(f"{self.family} kernels take no parameter")
 
     @cached_property
     def _terms(self) -> tuple[tuple[Family, Any], ...]:
         """(table entry, parameter) per summand, family first, then layers."""
-        param = None
-        if self.family == "power":
-            param = self.params[0]
-        elif self.family == "custom":
-            param = (self.neg_formula, self.pos_formula)
-        terms = [(FAMILIES[self.family], param)]
+        terms = [(FAMILIES[self.family], self.param)]
         if self.strictify_eta:
             terms.append((FAMILIES["strictify"], self.strictify_eta))
         terms.extend((FAMILIES["singularize"], eta) for eta in self.singularize_etas)
@@ -260,7 +267,7 @@ class Kernel:
         """
         if self.family != "custom":
             return True
-        neg, pos = self.neg_formula, self.pos_formula
+        neg, pos = self.param
         return (neg.deriv(-1.0) <= 0.0 <= pos.deriv(1.0)
                 and pos.value(0.0) <= neg.value(0.0))
 
@@ -275,7 +282,7 @@ class Kernel:
         """
         if any(fam.strict for fam, _ in self._terms):
             return True
-        return self.family == "custom" and custom_rule(self.neg_formula, self.pos_formula)
+        return self.family == "custom" and custom_rule(*self.param)
 
     @cached_property
     def strictly_monotone(self) -> bool:
@@ -338,60 +345,54 @@ class Kernel:
         return self._sum_many(ts, ("derivs",))[0]
 
 
-class TranslateSum:
-    """f(t) = sum_j w_j K(t - x_j) and f'(t) for a fixed kernel K and
-    weights w_j.
+def translate_sum(kernel: Kernel, weights: tuple[float, ...],
+                  nodes: tuple[float, ...]) -> Callable[[float], tuple[float, float]]:
+    """The evaluator t -> (f(t), f'(t)) of f(t) = sum_j w_j K(t - x_j), for
+    a kernel K, weights w_j and one node system; it raises ValueError when
+    some t - x_j leaves [-1, 1].
 
-    Built once per problem; ``at(nodes)`` gives the evaluator
-    t -> (f(t), f'(t)) of one node system, which raises ValueError when some
-    t - x_j leaves [-1, 1].  Translates are summed in order from 0.0, each
-    kernel's terms from 0.0 as ``Kernel.eval`` and ``Kernel.deriv`` do, so
-    the floats are those of adding up ``w_j * eval(t - x_j)`` and
-    ``w_j * deriv(t - x_j)``; once f(t) is -inf it stays -inf.  When the
-    kernel has one term the evaluator calls its two table entries directly:
-    adding a term to 0.0 changes no sum that starts at 0.0.
+    Translates are summed in order from 0.0, each kernel's terms from 0.0 as
+    ``Kernel.eval`` and ``Kernel.deriv`` do, so the floats are those of
+    adding up ``w_j * eval(t - x_j)`` and ``w_j * deriv(t - x_j)``; once f(t)
+    is -inf it stays -inf.  When the kernel has one term the evaluator calls
+    its two table entries directly: adding a term to 0.0 changes no sum that
+    starts at 0.0.
     """
+    parts = tuple(zip(weights, nodes))
+    # t - x_j is monotone in x_j, so the extreme nodes decide the domain
+    lo, hi = min(nodes), max(nodes)
+    terms = kernel._terms
+    if len(terms) == 1:
+        ((fam, param),) = terms
+        value, deriv = fam.value, fam.deriv
 
-    def __init__(self, kernel: Kernel, weights: tuple[float, ...]):
-        self._weights = tuple(weights)
-        self._terms = kernel._terms
-
-    def at(self, nodes) -> Callable[[float], tuple[float, float]]:
-        parts = tuple(zip(self._weights, nodes))
-        # t - x_j is monotone in x_j, so the extreme nodes decide the domain
-        lo, hi = min(nodes), max(nodes)
-        terms = self._terms
-        if len(terms) == 1:
-            ((fam, param),) = terms
-            value, deriv = fam.value, fam.deriv
-
-            def plain(t: float) -> tuple[float, float]:
-                if not (-1.0 <= t - hi and t - lo <= 1.0):
-                    raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
-                total = slope = 0.0
-                for w, xj in parts:
-                    s = t - xj
-                    total += w * value(param, s)
-                    slope += w * deriv(param, s)
-                return total, slope
-
-            return plain
-
-        def walk(t: float) -> tuple[float, float]:
+        def plain(t: float) -> tuple[float, float]:
             if not (-1.0 <= t - hi and t - lo <= 1.0):
                 raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
             total = slope = 0.0
             for w, xj in parts:
                 s = t - xj
-                v = d = 0.0
-                for fam, param in terms:
-                    v += fam.value(param, s)
-                    d += fam.deriv(param, s)
-                total += w * v
-                slope += w * d
+                total += w * value(param, s)
+                slope += w * deriv(param, s)
             return total, slope
 
-        return walk
+        return plain
+
+    def walk(t: float) -> tuple[float, float]:
+        if not (-1.0 <= t - hi and t - lo <= 1.0):
+            raise ValueError(f"kernel argument outside [-1, 1] at t = {t}")
+        total = slope = 0.0
+        for w, xj in parts:
+            s = t - xj
+            v = d = 0.0
+            for fam, param in terms:
+                v += fam.value(param, s)
+                d += fam.deriv(param, s)
+            total += w * v
+            slope += w * d
+        return total, slope
+
+    return walk
 
 
 def zero_kernel() -> Kernel:
@@ -409,9 +410,7 @@ def sqrt_kernel() -> Kernel:
 
 def power_kernel(s: float) -> Kernel:
     """K(t) = -|t| ** (-s) for s > 0."""
-    if not 0 < s < math.inf:
-        raise ValueError("power kernels need a finite s > 0")
-    return Kernel("power", params=(float(s),))
+    return Kernel("power", s)
 
 
 def custom_kernel(neg: Formula, pos: Formula) -> Kernel:
@@ -420,7 +419,7 @@ def custom_kernel(neg: Formula, pos: Formula) -> Kernel:
     The two sides must agree at 0 (extended continuity); concavity per side
     comes from the formula classes themselves.
     """
-    return Kernel("custom", neg_formula=neg, pos_formula=pos)
+    return Kernel("custom", (neg, pos))
 
 
 def strictify(k: Kernel, eta: float) -> Kernel:
@@ -434,6 +433,4 @@ def strictify(k: Kernel, eta: float) -> Kernel:
 
 def singularize(k: Kernel, eta: float) -> Kernel:
     """K + min(log(|t| / eta), 0): singular at 0, equal to K for |t| >= eta."""
-    if not 0 < eta < math.inf:
-        raise ValueError("singularize needs a finite eta > 0")
     return replace(k, singularize_etas=k.singularize_etas + (float(eta),))

@@ -23,8 +23,7 @@ from typing import Any, Callable
 from .core import Interval, NodeSystem
 from .fields import Field, FieldPiece
 from .formulas import Affine, Constant, Formula, LogWeight, Quadratic
-from .kernels import (Kernel, custom_kernel, log_kernel, power_kernel, singularize,
-                      sqrt_kernel, strictify, zero_kernel)
+from .kernels import Kernel, singularize, strictify
 from .solvers import SolveOptions, SolveReport
 from .sumtrans import Problem
 
@@ -196,16 +195,15 @@ _KERNEL_KEYS = ("family", "params", "strictify_eta", "singularize_eta")
 # the keys of a kernel's "params" object, per family
 _PARAM_KEYS = {"zero": (), "log": (), "sqrt": (), "power": ("s",),
                "custom": ("neg", "pos")}
-_STOCK_KERNELS = {"zero": zero_kernel, "log": log_kernel, "sqrt": sqrt_kernel}
 
 
 def kernel_to_json(k: Kernel) -> dict:
     d: dict = {"family": k.family, "params": {}}
     if k.family == "power":
-        d["params"]["s"] = k.params[0]
+        d["params"]["s"] = k.param
     if k.family == "custom":
-        d["params"] = {"neg": formula_to_json(k.neg_formula),
-                       "pos": formula_to_json(k.pos_formula)}
+        d["params"] = {"neg": formula_to_json(k.param[0]),
+                       "pos": formula_to_json(k.param[1])}
     if k.strictify_eta:
         d["strictify_eta"] = k.strictify_eta
     if k.singularize_etas:
@@ -223,13 +221,12 @@ def kernel_from_json(d: Any) -> Kernel:
     what = f"{family} kernel params"
     reject_unknown(params, _PARAM_KEYS[family], what)
     with _config_errors():
+        param = None
         if family == "power":
-            k = power_kernel(_number_at(params, "s", what))
+            param = _number_at(params, "s", what)
         elif family == "custom":
-            k = custom_kernel(_formula_at(params, "neg", what),
-                              _formula_at(params, "pos", what))
-        else:
-            k = _STOCK_KERNELS[family]()
+            param = (_formula_at(params, "neg", what), _formula_at(params, "pos", what))
+        k = Kernel(family, param)
         if "strictify_eta" in d:
             k = strictify(k, _number_at(d, "strictify_eta", "kernel"))
         if "singularize_eta" in d:

@@ -60,12 +60,8 @@ start, keeps the best value and reports it with the trace of its start.  A
 search candidate is compared with the incumbent value fx one interval
 maximum at a time, each computed in full, and dropped at the first that
 fails to beat it, which gives the same result as computing all n + 1
-maxima.  Run through ``_minimax_search`` and ``_maximin_search`` on each
-problem's equioscillation result, the 36 searches of one pass of the
-solve-battery benchmark (seed 1, multistarts 8) make 52,922 kernel walks
-(F evaluations the memo does not answer) and 15,207 cell maximizations.
-The pass itself, which searches only on zero-n1-ramp, makes 1,995 kernel
-walks; its n = 1 scans run on the batch engine, which makes none.
+maxima.  The README gives the kernel walks and cell maximizations this
+costs on the solve-battery benchmark.
 
 Most candidates need no evaluation at all when the kernel is monotone
 (non-increasing left of 0, non-decreasing right of it) with K(0) at most
@@ -82,10 +78,8 @@ reject it, and the search rejects it unevaluated.  Exact arithmetic makes
 this hold.  The engine's rounding could in principle let through a gain
 smaller than that maximum's ``err``; the tests check at sampled systems
 that full evaluation rejects every candidate the rule skips, and that the
-searches match full-evaluation ones bit for bit.  On the 36 searches above,
-10,283 of 17,407 candidates (59%) are skipped this way, which cuts their
-kernel walks from 90,896 to 52,922 and their cell maximizations from 27,412
-to 15,207.
+searches match full-evaluation ones bit for bit.  The README gives the
+share of candidates skipped this way on the solve-battery benchmark.
 
 Determinism: identical options (including the seed) give identical reports;
 ties between candidates are broken lexicographically.

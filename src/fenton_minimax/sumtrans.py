@@ -16,11 +16,10 @@ lets half-open pieces produce exact unattained suprema.
 
 There are two engines with these rules.  The scalar engine takes one node
 system: use it when each call depends on the last, as in the solvers, and as
-the reference in tests.  What it needs of a problem is built once and cached
-on the ``Problem``: the term walk of its weighted translates
-(``kernels.TranslateSum``).  The field's breakpoints cut the cells, and
+the reference in tests.  The field's breakpoints cut the cells, and
 bisection in its piece table (``Field.piece_table``, built once per field)
-finds each point's and cell's formula.  Per node system it builds one
+finds each point's and cell's formula.  Per node system it builds the term
+walk of the weighted translates (``kernels.translate_sum``) and, on it, one
 memoized F evaluator (``_pure_fun``) that every interval of the system
 shares, since a cell end of one interval is a point candidate of the next;
 for a singular kernel its memo starts with the value -inf at every node.
@@ -54,14 +53,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import ExtendedReal, NodeSystem
 from .fields import Field, n_field_check
-from .kernels import Kernel, TranslateSum
+from .kernels import Kernel, translate_sum
 from .maximize import concave_max, concave_max_many
 
 __all__ = [
@@ -104,16 +102,6 @@ class Problem:
             raise ValueError(
                 f"field is finite at too few points for n={self.n} "
                 f"(weighted count {chk.weighted_count})")
-
-    def __getstate__(self) -> dict:
-        # the cached term walk holds the kernel table's lambdas, which do not pickle
-        return {k: v for k, v in vars(self).items() if k != "_translate_sum"}
-
-    @cached_property
-    def _translate_sum(self) -> TranslateSum:
-        """The term walk of the scalar engine, built on first use.  A problem
-        made with ``dataclasses.replace`` builds its own."""
-        return TranslateSum(self.kernel, self.weights)
 
 
 class MaximaVector(NamedTuple):
@@ -166,7 +154,7 @@ def _pure_fun(p: Problem, nodes: tuple[float, ...]):
     which is what the term walk returns there: the node's own term is -inf
     with a NaN slope, and no term is +inf.  The engines evaluate every
     interval end, so this saves one walk per node."""
-    walk = p._translate_sum.at(nodes)
+    walk = translate_sum(p.kernel, p.weights, nodes)
     memo: dict[float, tuple[float, float]] = (
         dict.fromkeys(nodes, (-math.inf, math.nan)) if p.kernel.singular else {})
 

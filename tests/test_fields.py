@@ -48,6 +48,17 @@ class TestFormulas:
         with pytest.raises(ValueError):
             LogWeight(LogWeight(Affine(1.0, 0.5)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Constant(math.nan), lambda: Affine(math.inf, 0.0),
+        lambda: Affine(0.0, -math.inf), lambda: Quadratic(-math.inf, 0.0, 0.0),
+        lambda: Quadratic(-1.0, math.nan, 0.0), lambda: Quadratic(-1.0, 0.0, math.inf),
+    ], ids=["constant-nan", "affine-inf", "affine-minus-inf", "quadratic-a-minus-inf",
+            "quadratic-b-nan", "quadratic-c-inf"])
+    def test_non_finite_coefficients_refused(self, make):
+        # a NaN constant once built a field whose interval maxima raised
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     @given(st.floats(-3, 3), st.floats(-3, 3), unit_floats, unit_floats,
            unit_floats)
     def test_affine_sup_dominates_samples(self, alpha, beta, a, b, t):
@@ -116,6 +127,12 @@ class TestField:
         # half-open abutment is fine
         Field(pieces=(FieldPiece(Interval(0.0, 0.5, closed_right=False), Constant(0.0)),
                       FieldPiece(Interval(0.5, 1.0), Constant(1.0))))
+
+    def test_log_weight_piece_needs_a_positive_weight_on_its_closure(self):
+        # log t on (0, 0.5]: the weight t is 0 at the open end's closure
+        with pytest.raises(ValueError, match="closure"):
+            FieldPiece(Interval(0.0, 0.5, closed_left=False), LogWeight(Affine(1.0, 0.0)))
+        FieldPiece(Interval(0.05, 0.5, closed_left=False), LogWeight(Affine(1.0, 0.0)))
 
     def test_pieces_must_fit_unit_interval(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fenton_minimax.formulas import Affine, Constant, LogWeight, Quadratic
-from fenton_minimax.kernels import (FAMILIES, TranslateSum, custom_kernel,
-                                    log_kernel, power_kernel, singularize,
-                                    sqrt_kernel, strictify, zero_kernel)
+from fenton_minimax.kernels import (FAMILIES, Kernel, custom_kernel, log_kernel,
+                                    power_kernel, singularize, sqrt_kernel,
+                                    strictify, translate_sum, zero_kernel)
 from fenton_minimax.schema import kernel_from_json, kernel_to_json
 
 STOCK = [zero_kernel(), log_kernel(), sqrt_kernel(), power_kernel(0.5),
@@ -155,7 +155,8 @@ class TestSingularize:
         assert k.eval(0.75) == 0.0
 
 
-# each compares its parameter by a chained comparison, which NaN fails
+# each range check is a chained comparison, which NaN fails; a family
+# parameter of the wrong form is refused too
 @pytest.mark.parametrize("make", [
     lambda: power_kernel(math.nan), lambda: power_kernel(math.inf),
     lambda: power_kernel(0.0),
@@ -163,8 +164,12 @@ class TestSingularize:
     lambda: singularize(log_kernel(), math.nan), lambda: singularize(log_kernel(), math.inf),
     lambda: replace(log_kernel(), strictify_eta=math.nan),
     lambda: replace(log_kernel(), singularize_etas=(0.1, math.nan)),
+    lambda: Kernel("power"), lambda: Kernel("power", -1.0), lambda: Kernel("power", math.nan),
+    lambda: Kernel("log", 3.0), lambda: Kernel("custom", None),
 ], ids=["power-nan", "power-inf", "power-zero", "strictify-nan", "strictify-inf",
-        "singularize-nan", "singularize-inf", "strictify_eta-nan", "singularize_etas-nan"])
+        "singularize-nan", "singularize-inf", "strictify_eta-nan", "singularize_etas-nan",
+        "Kernel-power-missing", "Kernel-power-negative", "Kernel-power-nan",
+        "Kernel-log-param", "Kernel-custom-missing"])
 def test_constructors_refuse_nan_inf_and_nonpositive(make):
     with pytest.raises(ValueError):
         make()
@@ -374,12 +379,12 @@ def test_table_deriv_at_zero_only_when_sides_agree(k):
 
 @pytest.mark.parametrize("k", TABLE_CASES)
 def test_eval_deriv_is_eval_and_deriv_bitwise(k):
-    # the term walk of TranslateSum for this kernel alone, weight 1 at node 0;
+    # the term walk of translate_sum for this kernel alone, weight 1 at node 0;
     # compared as bytes, so the NaN at t = 0 and the sign of a zero count too
     def bits(v):
         return np.float64(v).tobytes()
 
-    walk = TranslateSum(k, (1.0,)).at((0.0,))
+    walk = translate_sum(k, (1.0,), (0.0,))
     for t in TS:
         t = float(t)
         v, d = walk(t)
@@ -526,7 +531,7 @@ def test_singular_kernels_walk_to_minus_inf_and_nan_at_every_node(k):
     for nodes in SEED_NODES:
         p = Problem(n=len(nodes), field=flat_field(), kernel=k,
                     weights=tuple(0.5 + j for j in range(len(nodes))))
-        walk, f = TranslateSum(k, p.weights).at(nodes), _pure_fun(p, nodes)
+        walk, f = translate_sum(k, p.weights, nodes), _pure_fun(p, nodes)
         for xj in nodes:
             if k.singular:
                 for v, d in (walk(xj), f(xj)):

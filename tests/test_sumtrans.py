@@ -12,11 +12,12 @@ from fenton_minimax.battery import (BATTERY, bump_field, flat_field, gate_field,
 from fenton_minimax.checks import _random_usc_field
 from fenton_minimax.core import Interval, NodeSystem
 from fenton_minimax.fields import Field, FieldPiece, n_field_check
-from fenton_minimax.formulas import Affine, Constant, Formula, Quadratic
+from fenton_minimax.formulas import Affine, Constant, Formula, LogWeight, Quadratic
 from fenton_minimax.kernels import (custom_kernel, log_kernel, power_kernel,
                                     singularize, sqrt_kernel, strictify, zero_kernel)
 from fenton_minimax.maximize import concave_max
-from fenton_minimax.solvers import SolveOptions, _nearest_finite, solve_maximin
+from fenton_minimax.solvers import (SolveOptions, _nearest_finite, solve_equioscillation,
+                                    solve_maximin, solve_minimax)
 from fenton_minimax.sumtrans import (Problem, _pure_many, interval_maxima,
                                      interval_maxima_batch, sum_eval)
 
@@ -341,6 +342,38 @@ def test_batch_matches_scalar_on_battery(name):
     p = BATTERY[name]
     X = _node_rows(p, sorted(BATTERY).index(name), 200)
     assert_batch_matches_scalar(p, X, single_rows=range(0, 200, 20))
+
+
+# log-weight fields: J = log(t(1 - t) + 0.01) on [0, 1], and J = log t on
+# (0.05, 0.95]; no battery field carries a LogWeight formula
+LOG_WEIGHT_FIELDS = {
+    "log-hump": Field((FieldPiece(Interval(0.0, 1.0), LogWeight(Quadratic(-1.0, 1.0, 0.01))),)),
+    "log-t": Field((FieldPiece(Interval(0.05, 0.95, closed_left=False),
+                               LogWeight(Affine(1.0, 0.0))),)),
+}
+
+
+# within the tolerance of assert_batch_matches_scalar, not bit for bit: numpy
+# log and power and math.log and ** can differ in the last bits
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("k", (log_kernel(), sqrt_kernel(), power_kernel(0.5)),
+                         ids=("log", "sqrt", "power0.5"))
+@pytest.mark.parametrize("name", sorted(LOG_WEIGHT_FIELDS))
+def test_batch_matches_scalar_on_log_weight_fields(name, k, n):
+    p = Problem(n=n, field=LOG_WEIGHT_FIELDS[name], kernel=k)
+    X = _node_rows(p, n, 100)
+    assert_batch_matches_scalar(p, X, single_rows=range(0, 100, 20))
+
+
+@pytest.mark.parametrize("name", sorted(LOG_WEIGHT_FIELDS))
+def test_log_weight_fields_solve_and_certify(name):
+    p = Problem(n=3, field=LOG_WEIGHT_FIELDS[name], kernel=log_kernel())
+    o = SolveOptions(multistarts=4, seed=0)
+    eq = solve_equioscillation(p, o)
+    assert eq.status == "converged"
+    for r in (solve_minimax(p, o), solve_maximin(p, o)):
+        assert r.status == "converged" and r.note.startswith("certified by Theorem 1.3")
+        assert r.value.as_float() == pytest.approx(eq.value.as_float(), abs=1e-9)
 
 
 @st.composite
