@@ -45,8 +45,12 @@ is placed on the part of [0, 1] where J is finite by one map, ``_place``.
 Minimax and maximin start from the equioscillation result; a caller that
 runs all three solvers passes it in as ``eq=`` so it is computed once.  By
 Theorem 1.3, at its point w, lo = min_j m_j(w) <= M <= hi = max_j (m_j +
-err_j)(w), M being the common minimax and maximin value.  When lo and hi
-are finite and hi - lo <= ``_TOL_CERTIFY``, both return w with no search
+err_j)(w), M being the common minimax and maximin value.  The
+equioscillation report carries (lo, hi) as ``bracket``, read off the
+maxima it already holds at w (those of Newton's accepted point, of the
+snapped point or of the n = 1 scalar rescore and bisection), and its value
+comes from the same maxima.  When lo and hi are finite and hi - lo <=
+``_TOL_CERTIFY``, both return w with no search and no sup-engine call
 (``_certified``); on the solve-battery benchmark that is 17 of its 18
 problems, all but zero-n1-ramp, where equioscillation stalls.  Otherwise
 each runs its pattern search (``_minimax_search``, ``_maximin_search``) on
@@ -91,7 +95,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -165,6 +169,10 @@ class SolveReport:
     # equioscillation only: the point of each converged start that ran, in
     # start order, before ``solutions`` merges those within 1e-5 of each other
     converged_starts: tuple[NodeSystem, ...] = ()
+    # equioscillation only: Theorem 1.3's bracket (min_j m_j, max_j (m_j +
+    # err_j)) at x under the report's own problem (J, not J*), None when x
+    # is; minimax and maximin read it (``_certified``).  Not in the JSON.
+    bracket: tuple[float, float] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +209,12 @@ def _values(m: list[_RawSup]) -> list[float]:
 def _phi(p: Problem, arr) -> np.ndarray | None:
     m = _maxima(p, arr)
     return None if m is None else np.diff(_values(m))
+
+
+def _bracket(m: Sequence[_RawSup]) -> tuple[float, float]:
+    """Theorem 1.3's bracket (min_j m_j, max_j (m_j + err_j)) of the
+    interval maxima m."""
+    return min(r[0] for r in m), max(r[0] + r[3] for r in m)
 
 
 def _objective(m, sign: float) -> float:
@@ -248,15 +262,9 @@ def _draw(p: Problem, rng: random.Random) -> np.ndarray:
     return np.array([_place(p.field, u) for u in us])
 
 
-def _repair(p: Problem, arr) -> tuple[np.ndarray, list[_RawSup] | None]:
-    """Project a raw coordinate tuple toward the regular set Y.
-
-    Clips to [0,1], restores ordering, separates coincident nodes when the
-    kernel is singular, and then, up to six times, nudges the nodes around
-    the first interval whose maximum is -inf so that it meets the set where
-    the field is finite away from the singular points.  Returns the point
-    with its ``_maxima``, which are None when it is still outside Y.
-    """
+def _clip(p: Problem, arr) -> np.ndarray:
+    """A raw coordinate tuple clipped to [0, 1] and sorted, with coincident
+    nodes separated when the kernel is singular."""
     x = np.minimum(np.maximum(np.asarray(arr, dtype=float), 0.0), 1.0)
     x = np.maximum.accumulate(x)
     n = len(x)
@@ -269,7 +277,21 @@ def _repair(p: Problem, arr) -> tuple[np.ndarray, list[_RawSup] | None]:
         for i in range(n - 2, -1, -1):
             x[i] = min(x[i], x[i + 1] - sep)
         x = np.minimum(np.maximum(x, 0.0), 1.0)
+    return x
 
+
+def _repair(p: Problem, arr) -> tuple[np.ndarray, list[_RawSup] | None]:
+    """Project a raw coordinate tuple toward the regular set Y: ``_clip``
+    it, then ``_nudge`` it."""
+    return _nudge(p, _clip(p, arr))
+
+
+def _nudge(p: Problem, x: np.ndarray) -> tuple[np.ndarray, list[_RawSup] | None]:
+    """Up to six times, nudge the nodes of the clipped point x around the
+    first interval whose maximum is -inf so that it meets the set where the
+    field is finite away from the singular points.  Returns the point with
+    its ``_maxima``, which are None when it is still outside Y."""
+    n = len(x)
     for _ in range(6):
         rows = _leading_maxima(p, x)
         if rows[-1][0] != -math.inf:
@@ -555,18 +577,23 @@ def _ending_at(trace, x, res: float, value: float) -> tuple[TraceRecord, ...]:
     return tuple(trace) if trace and trace[-1][1:] == end[1:] else (*trace, end)
 
 
-def _snap(p: Problem, x: np.ndarray, res: float, phi) -> tuple[np.ndarray, float]:
+def _snap(p: Problem, x: np.ndarray, res: float, m: list[_RawSup] | None,
+          maxima: Callable[[np.ndarray], list[_RawSup] | None]
+          ) -> tuple[np.ndarray, float, list[_RawSup] | None]:
     """Move every node within 1e-6 of an interior field breakpoint onto the
     nearest one, all at once (so the system stays ordered), and keep the
-    move only if the residual there, one call of ``phi``, is below res."""
+    move only if the residual there, from one call of ``maxima`` (the
+    ``_maxima`` there), is below res.  Returns the point kept with its
+    residual and maxima; res and m are x's."""
     ends = np.array([t for t in p.field.piece_ends if 0.0 < t < 1.0] or [math.inf])
     near = ends[np.abs(x[:, None] - ends).argmin(axis=1)]
     close = np.abs(near - x) <= 1e-6
     if not close.any():
-        return x, res
+        return x, res, m
     xc = np.where(close, near, x)
-    rc = _residual(phi(xc))
-    return (xc, rc) if rc < res else (x, res)
+    mc = maxima(xc)
+    rc = _residual(None if mc is None else np.diff(_values(mc)))
+    return (xc, rc, mc) if rc < res else (x, res, m)
 
 
 def _solve_eq_1d(p: Problem) -> SolveReport:
@@ -580,26 +607,22 @@ def _solve_eq_1d(p: Problem) -> SolveReport:
     in the last bits, which would move a power-kernel report's value and
     residual.  Bisection in each bracket and the final ``_snap`` run on the
     scalar engine.  ``iterations`` counts Phi evaluations, scan rows
-    included; the rescore repeats a scan row and is not counted.
+    included; the rescore repeats a scan row and is not counted.  The
+    bracket comes from the scalar maxima at the reported point.
     """
     bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
     # 0 and 1 too: a sign change within 1/256 of an end is missed otherwise
     scan = sorted({0.0, 1.0, *np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist(), *bps})
     evals = len(scan)
-    top: dict[float, float] = {}  # overall maximum wherever scalar() found Phi
 
-    def scalar(v: float) -> float | None:
-        m = _maxima(p, [v])
-        if m is None:
-            return None
-        m0, m1 = _values(m)
-        top[v] = max(m0, m1)
-        return m1 - m0
-
-    def phi1(v: float) -> float | None:
+    def maxima1(v: float) -> list[_RawSup] | None:
         nonlocal evals
         evals += 1
-        return scalar(v)
+        return _maxima(p, [v])
+
+    def phi(m: list[_RawSup]) -> float:
+        m0, m1 = _values(m)
+        return m1 - m0
 
     rows = interval_maxima_batch(p, np.array(scan)[:, None]).values.tolist()
     defined = [(v, m1 - m0) for v, (m0, m1) in zip(scan, rows)
@@ -609,8 +632,9 @@ def _solve_eq_1d(p: Problem) -> SolveReport:
                            note="no scan point had finite interval maxima")
 
     best_x = min(defined, key=lambda c: (abs(c[1]), c[0]))[0]
-    best_f = scalar(best_x)
-    trace = [TraceRecord(0, abs(best_f), top[best_x], (best_x,))]
+    best_m = _maxima(p, [best_x])
+    best_f = phi(best_m)
+    trace = [TraceRecord(0, abs(best_f), max(_values(best_m)), (best_x,))]
 
     brackets = [(a, fa, b, fb) for (a, fa), (b, fb) in zip(defined, defined[1:])
                 if fa == 0.0 or (fa > 0) != (fb > 0)]
@@ -619,11 +643,12 @@ def _solve_eq_1d(p: Problem) -> SolveReport:
             break
         while b - a > _TOL_STEP:
             mid = 0.5 * (a + b)
-            fm = phi1(mid)
-            if fm is None:
+            mm = maxima1(mid)
+            if mm is None:
                 break
+            fm = phi(mm)
             if abs(fm) < abs(best_f) or (abs(fm) == abs(best_f) and mid < best_x):
-                best_x, best_f = mid, fm
+                best_x, best_f, best_m = mid, fm, mm
             if fm == 0.0:
                 break
             if (fm > 0) == (fa > 0):
@@ -631,7 +656,8 @@ def _solve_eq_1d(p: Problem) -> SolveReport:
             else:
                 b, fb = mid, fm
 
-    xs, residual = _snap(p, np.array([best_x]), abs(best_f), lambda xc: phi1(float(xc[0])))
+    xs, residual, best_m = _snap(p, np.array([best_x]), abs(best_f), best_m,
+                                 lambda xc: maxima1(float(xc[0])))
     best_x = float(xs[0])
     converged = residual <= _TOL_RESIDUAL
     note = "" if converged or brackets else (
@@ -639,12 +665,12 @@ def _solve_eq_1d(p: Problem) -> SolveReport:
         f"min |Phi| = {residual:.3g} at x = {best_x:.9g}")
 
     x = _ns([best_x])
-    value = ExtendedReal.of(top[best_x])
+    value = ExtendedReal.of(max(_values(best_m)))
     trace.append(TraceRecord(1, residual, value.as_float(), (best_x,)))
     status = "converged" if converged else "stalled"
     sols = (x,) if converged else ()
     return SolveReport(x, value, residual, status, evals, tuple(trace), sols, note,
-                       converged_starts=sols)
+                       converged_starts=sols, bracket=_bracket(best_m))
 
 
 def _fd_jacobian(p: Problem, x: np.ndarray, phi: np.ndarray):
@@ -686,12 +712,16 @@ def _danskin_jacobian(p: Problem, x: np.ndarray, m: list[_RawSup]) -> np.ndarray
 
 
 def _newton(p: Problem, x0: np.ndarray):
+    """Levenberg-Marquardt on Phi from x0, repaired toward Y when it is
+    outside.  Returns the point reached, its residual and ``_maxima``, the
+    step count and the trace.  A candidate that clips back onto the current
+    point is skipped: its residual is the current one, which it must beat."""
     x = x0.copy()
     m = _maxima(p, x)
     if m is None:
         x, m = _repair(p, x)
         if m is None:
-            return x, math.inf, 0, []
+            return x, math.inf, None, 0, []
     phi = np.diff(_values(m))
     res = _residual(phi)
     lam = 1e-10
@@ -711,7 +741,10 @@ def _newton(p: Problem, x0: np.ndarray):
             lam *= 10
             continue
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            xc, mc = _repair(p, x + alpha * d)
+            xc = _clip(p, x + alpha * d)
+            if xc.tobytes() == x.tobytes():
+                continue
+            xc, mc = _nudge(p, xc)
             if mc is None:
                 continue
             phc = np.diff(_values(mc))
@@ -727,7 +760,7 @@ def _newton(p: Problem, x0: np.ndarray):
             lam *= 10
             if lam > 1e8:
                 break
-    return x, res, iters, trace
+    return x, res, m, iters, trace
 
 
 def _even_start(p: Problem) -> np.ndarray:
@@ -761,21 +794,25 @@ def _equioscillation(p: Problem, o: SolveOptions, every: bool = False) -> SolveR
     if usc or rep.x is None:
         return rep
 
+    # J's maxima at the representative, all n + 1 of them, once: its
+    # residual, value and bracket
+    m = list(map(_maxima_fn(p, rep.x.nodes), range(p.n + 1)))
+    values = _values(m)
+    res, note = _residual(None if -math.inf in values else np.diff(values)), ""
     # every point of ``solutions`` is one of ``converged_starts``
     starts = tuple(x for x in rep.converged_starts
-                   if _residual(_phi(p, x.nodes)) <= _TOL_RESIDUAL)
-    res, note = _residual(_phi(p, rep.x.nodes)), ""
+                   if (res if x == rep.x else _residual(_phi(p, x.nodes))) <= _TOL_RESIDUAL)
     if res > _TOL_RESIDUAL:
         found = "equioscillates with M" if rep.status == "converged" else "stalls with value"
         note = (f"none-found: J is not usc; its usc regularization {found} = "
                 f"{rep.value.as_float():.12g} at x = {rep.x.nodes}, where J's residual "
                 f"is {res:.3g}")
-    value = interval_maxima(p, rep.x).max_value
+    value = ExtendedReal.of(max(values))
     return replace(rep, value=value, residual=res,
                    trace=_ending_at(rep.trace, rep.x.nodes, res, value.as_float()),
                    status="converged" if res <= _TOL_RESIDUAL else "stalled", note=note,
                    solutions=tuple(x for x in rep.solutions if x in starts),
-                   converged_starts=starts)
+                   converged_starts=starts, bracket=_bracket(m))
 
 
 def _solve_eq_nd(p: Problem, o: SolveOptions, every: bool) -> SolveReport:
@@ -787,35 +824,36 @@ def _solve_eq_nd(p: Problem, o: SolveOptions, every: bool) -> SolveReport:
     results = []
     total_iters = 0
     rng = random.Random(o.seed)
-    for x in [_even_start(p), *(_draw(p, rng) for _ in range(o.multistarts - 1))]:
-        for pe in stages:
-            x, res, iters, trace = _newton(pe, x)
+    # the random starts are drawn as they are reached
+    for x in chain([_even_start(p)], (_draw(p, rng) for _ in range(o.multistarts - 1))):
+        for pe in stages:  # the last stage is p, so m is p's maxima at x
+            x, res, m, iters, trace = _newton(pe, x)
             total_iters += iters
-        x, res = _snap(p, x, res, partial(_phi, p))
-        results.append((res, tuple(x), trace))
+        x, res, m = _snap(p, x, res, m, partial(_maxima, p))
+        results.append((res, tuple(x), trace, m))
         if res <= _TOL_RESIDUAL and not every:
             break
-    converged = tuple(_ns(xt) for res, xt, _ in results if res <= _TOL_RESIDUAL)
+    converged = tuple(_ns(xt) for res, xt, *_ in results if res <= _TOL_RESIDUAL)
 
     results.sort(key=lambda r: (r[0], r[1]))
-    best_res, best_x, best_trace = results[0]
+    best_res, best_x, best_trace, best_m = results[0]
     if not math.isfinite(best_res):
         return SolveReport(None, NEG_INF, math.inf, "infeasible", total_iters,
                            note="no start produced finite interval maxima")
 
     sols: list[tuple[float, ...]] = []
-    for res, xt, _ in results:
+    for res, xt, *_ in results:
         if res <= _TOL_RESIDUAL:
             if all(max(abs(a - b) for a, b in zip(xt, s)) > 1e-5 for s in sols):
                 sols.append(xt)
     sols.sort()
 
-    x = _ns(best_x)
-    value = interval_maxima(p, x).max_value
+    value = ExtendedReal.of(max(_values(best_m)))
     status = "converged" if best_res <= _TOL_RESIDUAL else "stalled"
-    return SolveReport(x, value, best_res, status, total_iters,
+    return SolveReport(_ns(best_x), value, best_res, status, total_iters,
                        _ending_at(best_trace, best_x, best_res, value.as_float()),
-                       tuple(_ns(s) for s in sols), converged_starts=converged)
+                       tuple(_ns(s) for s in sols), converged_starts=converged,
+                       bracket=_bracket(best_m))
 
 
 # ---------------------------------------------------------------------------
@@ -937,20 +975,19 @@ def _search(p: Problem, eq: SolveReport, sign: float,
                        _ending_at(trace, xt, step, value), eq.solutions)
 
 
-def _certified(p: Problem, eq: SolveReport, sign: float) -> SolveReport | None:
-    """The report at eq's point when Theorem 1.3's bracket closes there, or
-    None when it is open: eq has no point, or the point leaves some interval
-    at -inf, or hi - lo exceeds ``_TOL_CERTIFY``.  lo = min_j m_j and hi =
-    max_j (m_j + err_j) at that point; the value is the largest interval
-    maximum for sign < 0 (minimax), the smallest for sign > 0 (maximin)."""
-    if eq.x is None:
+def _certified(eq: SolveReport, sign: float) -> SolveReport | None:
+    """The report at eq's point when Theorem 1.3's bracket ``eq.bracket``,
+    (lo, hi) = (min_j m_j, max_j (m_j + err_j)) there, closes, or None when
+    it is open: eq has no point, or the point leaves some interval at -inf,
+    or hi - lo exceeds ``_TOL_CERTIFY``.  The value is the largest interval
+    maximum, eq's value, for sign < 0 (minimax) and the smallest, lo, for
+    sign > 0 (maximin).  It makes no sup-engine call."""
+    if eq.bracket is None:
         return None
-    m = interval_maxima(p, eq.x)
-    values = m.floats()
-    lo, hi = min(values), max(v + e for v, e in zip(values, m.err))
+    lo, hi = eq.bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and hi - lo <= _TOL_CERTIFY):
         return None
-    value = _objective(values, sign)
+    value = eq.value.as_float() if sign < 0 else lo
     return SolveReport(eq.x, ExtendedReal.of(value), hi - lo, "converged", eq.iterations,
                        _ending_at((), eq.x.nodes, hi - lo, value), eq.solutions,
                        note=f"certified by Theorem 1.3: M in [{lo!r}, {hi!r}]")
@@ -973,12 +1010,13 @@ def solve_minimax(p: Problem, o: SolveOptions = SolveOptions(),
     min_j m_j <= M <= hi = max_j (m_j + err_j) at w = eq's point.  When
     both are finite and hi - lo <= ``_TOL_CERTIFY`` this returns that point
     with its value max_j m_j, ``converged``, residual hi - lo and a note
-    "certified by Theorem 1.3: M in [lo, hi]", and makes no search.
-    Otherwise it runs ``_minimax_search``.
+    "certified by Theorem 1.3: M in [lo, hi]", and makes no search: lo and
+    hi are read from ``eq.bracket``, the value is ``eq.value``, and no
+    interval maximum is computed.  Otherwise it runs ``_minimax_search``.
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
-    return _certified(p, eq, -1.0) or _minimax_search(p, o, eq)
+    return _certified(eq, -1.0) or _minimax_search(p, o, eq)
 
 
 def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
@@ -987,14 +1025,14 @@ def solve_maximin(p: Problem, o: SolveOptions = SolveOptions(),
 
     ``eq`` as in ``solve_minimax``.  By Theorem 1.3, under the hypotheses
     stated there, lo = min_j m_j <= M <= hi = max_j (m_j + err_j) at eq's
-    point.  When that bracket closes, this returns eq's point with its value
-    min_j m_j, ``converged``, residual hi - lo and the note "certified by
-    Theorem 1.3: M in [lo, hi]", and makes no search.  Otherwise it runs
-    ``_maximin_search``.
+    point, read from ``eq.bracket``.  When it closes, this returns eq's point
+    with its value min_j m_j = lo, ``converged``, residual hi - lo and the
+    note "certified by Theorem 1.3: M in [lo, hi]", and makes no search and
+    no sup-engine call.  Otherwise it runs ``_maximin_search``.
     """
     if eq is None:
         eq = solve_equioscillation(p, o)
-    return _certified(p, eq, +1.0) or _maximin_search(p, o, eq)
+    return _certified(eq, +1.0) or _maximin_search(p, o, eq)
 
 
 def _minimax_search(p: Problem, o: SolveOptions, eq: SolveReport) -> SolveReport:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fenton_minimax import solvers
+from fenton_minimax import solvers, sumtrans
 from fenton_minimax.battery import (BATTERY, battery_problem, bump_field, flat_field,
                                     gate_field, ramp_field, two_band_field)
 from fenton_minimax.checks import (_random_usc_field, _regularized, _usc_maximin_slack,
@@ -169,11 +169,12 @@ class TestEquioscillation1d:
 def ref_solve_eq_1d(p):
     """Reference for ``solvers._solve_eq_1d``: the same scan, bisection and
     snap with every Phi evaluation, scan points included, on the scalar
-    engine."""
+    engine.  The bracket is (min_j m_j, max_j (m_j + err_j)) of the scalar
+    maxima at the reported point."""
     bps = [t for t in p.field.piece_ends if 0.0 < t < 1.0]
     scan = sorted({0.0, 1.0, *np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 129).tolist(), *bps})
     evals = 0
-    top = {}
+    at = {}  # the scalar maxima wherever phi1 found Phi
 
     def phi1(v):
         nonlocal evals
@@ -181,8 +182,8 @@ def ref_solve_eq_1d(p):
         m = solvers._maxima(p, [v])
         if m is None:
             return None
+        at[v] = m
         m0, m1 = solvers._values(m)
-        top[v] = max(m0, m1)
         return m1 - m0
 
     pts = [(v, phi1(v)) for v in scan]
@@ -191,7 +192,7 @@ def ref_solve_eq_1d(p):
         return SolveReport(None, NEG_INF, math.inf, "infeasible", evals,
                            note="no scan point had finite interval maxima")
     best_x, best_f = min(defined, key=lambda c: (abs(c[1]), c[0]))
-    trace = [TraceRecord(0, abs(best_f), top[best_x], (best_x,))]
+    trace = [TraceRecord(0, abs(best_f), max(solvers._values(at[best_x])), (best_x,))]
     brackets = [(a, fa, b, fb) for (a, fa), (b, fb) in zip(defined, defined[1:])
                 if fa == 0.0 or (fa > 0) != (fb > 0)]
     for a, fa, b, fb in brackets:
@@ -210,29 +211,34 @@ def ref_solve_eq_1d(p):
                 a, fa = mid, fm
             else:
                 b, fb = mid, fm
-    xs, residual = solvers._snap(p, np.array([best_x]), abs(best_f),
-                                 lambda xc: phi1(float(xc[0])))
+
+    def maxima1(xc):
+        return None if phi1(float(xc[0])) is None else at[float(xc[0])]
+
+    xs, residual, _ = solvers._snap(p, np.array([best_x]), abs(best_f), at[best_x], maxima1)
     best_x = float(xs[0])
     converged = residual <= solvers._TOL_RESIDUAL
     note = "" if converged or brackets else (
         "none-found: the difference map never changes sign on the scan; "
         f"min |Phi| = {residual:.3g} at x = {best_x:.9g}")
     x = NodeSystem((best_x,))
-    value = ExtendedReal.of(top[best_x])
+    m = at[best_x]
+    value = ExtendedReal.of(max(solvers._values(m)))
     trace.append(TraceRecord(1, residual, value.as_float(), (best_x,)))
     sols = (x,) if converged else ()
     return SolveReport(x, value, residual, "converged" if converged else "stalled", evals,
-                       tuple(trace), sols, note, converged_starts=sols)
+                       tuple(trace), sols, note, converged_starts=sols,
+                       bracket=(min(r[0] for r in m), max(r[0] + r[3] for r in m)))
 
 
 @cache
-def _bench_problem_json():
-    """``problem_json`` of the benchmark workloads, perfbench/workloads.py."""
+def _bench_workloads():
+    """The benchmark workloads module, perfbench/workloads.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.problem_json
+    return module
 
 
 # the n = 1 problems of the solve-battery benchmark
@@ -276,7 +282,7 @@ class TestScanEquivalence:
 
     @pytest.mark.parametrize("name", BENCH_N1)
     def test_bench_problems(self, name, monkeypatch):
-        self.assert_same_reports([problem_from_json(_bench_problem_json()(name, c))
+        self.assert_same_reports([problem_from_json(_bench_workloads().problem_json(name, c))
                                   for c in (0.0, -0.75, 0.3, 0.9)], monkeypatch)
 
     @pytest.mark.parametrize("seed", [*range(12), 38, 39, 44, 56, 57])
@@ -350,11 +356,13 @@ class TestHalfOpenFields:
         # x_2 alone onto 1/2 doubles the residual, x_1 alone unorders the nodes
         p = Problem(n=2, field=usc_regularize(ramp_field()), kernel=zero_kernel())
         x = np.array([0.5 - 8.7e-15, 0.5 - 4.4e-15])
-        res = solvers._residual(solvers._phi(p, x))
+        m = solvers._maxima(p, x)
+        res = solvers._residual(np.diff(solvers._values(m)))
         assert res > 0.0
-        xs, rs = solvers._snap(p, x, res, partial(solvers._phi, p))
+        xs, rs, ms = solvers._snap(p, x, res, m, partial(solvers._maxima, p))
         assert xs.tolist() == [0.5, 0.5]
         assert rs == 0.0
+        assert repr(ms) == repr(solvers._maxima(p, xs))
 
 
 class TestEquioscillationNd:
@@ -451,8 +459,9 @@ class TestEquioscillationNd:
         # from the even start, the zero kernel on this field stalls on a
         # step below _TOL_STEP after two steps, with |Phi| far above tol
         p = Problem(n=3, field=_random_usc_field(Random(15)), kernel=zero_kernel())
-        x, res, iters, trace = solvers._newton(p, solvers._even_start(p))
+        x, res, m, iters, trace = solvers._newton(p, solvers._even_start(p))
         assert res > solvers._TOL_RESIDUAL
+        assert repr(m) == repr(solvers._maxima(p, x))
         assert iters == trace[-1].iteration < solvers._MAX_ITERS
         assert np.max(np.abs(np.subtract(trace[-1].x, trace[-2].x))) < solvers._TOL_STEP
 
@@ -580,6 +589,30 @@ class TestCertificate:
             assert pattern_calls and set(pattern_calls) == {sign}
             assert rep == search(p, FAST, eq) and rep.note == ""
 
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_certified_solves_make_no_engine_call(self, name, pattern_calls, monkeypatch):
+        # the bracket comes with eq, so a certified solve computes no
+        # interval maximum; zero-n1-ramp's bracket is open and it searches
+        p = BATTERY[name]
+        eq = solve_equioscillation(p, FAST)
+        calls = []
+        sup = sumtrans._sup_cells
+
+        def counted(*args):
+            calls.append(args[2:])
+            return sup(*args)
+
+        monkeypatch.setattr(sumtrans, "_sup_cells", counted)
+        for solve in (solve_minimax, solve_maximin):
+            calls.clear()
+            pattern_calls.clear()
+            rep = solve(p, FAST, eq=eq)
+            if name == "zero-n1-ramp":
+                assert _certificate(rep) is None and pattern_calls and calls
+            else:
+                assert _certificate(rep) is not None
+                assert not calls and not pattern_calls
+
     def test_checks_search_where_the_bracket_closes(self, pattern_calls):
         # the checks test Theorem 1.3 itself, so they never take its bracket
         p = battery_problem("log-n2-bump")
@@ -591,6 +624,47 @@ class TestCertificate:
             pattern_calls.clear()
             run()
             assert pattern_calls
+
+
+def _bracket_problems():
+    """(id, problem, options): the battery, the solve-battery benchmark's 18
+    problems at c = 0 and 0.37 as the CLI runs them, random usc fields, and
+    fields that are not usc at n = 2 and 3 (the benchmark's ramp and gate
+    ones are not usc either)."""
+    bench = _bench_workloads()
+    cases = [(name, p, FAST) for name, p in sorted(BATTERY.items())]
+    cases += [(f"bench-{name}-c{c}", problem_from_json(bench.problem_json(name, c)),
+               SolveOptions(multistarts=bench.SOLVE_MULTISTARTS, seed=0))
+              for name in bench.SOLVE_PROBLEMS for c in (0.0, 0.37)]
+    kernels = {"log": log_kernel(), "power0.5": power_kernel(0.5), "sqrt": sqrt_kernel(),
+               "zero": zero_kernel()}
+    for seed in range(20, 28):
+        for kn, k in kernels.items():
+            for n in (2, 3):
+                try:
+                    p = Problem(n=n, field=_random_usc_field(Random(seed)), kernel=k)
+                except ValueError:  # J finite at too few points
+                    continue
+                cases.append((f"usc{seed}-{kn}-n{n}", p, FAST))
+    for fn, field in (("step", STEP_FIELD), ("ramp", ramp_field()), ("gate", gate_field())):
+        for kn in ("log", "zero"):
+            for n in (2, 3):
+                p = Problem(n=n, field=field, kernel=kernels[kn])
+                cases.append((f"{fn}-{kn}-n{n}", p, FAST))
+    return cases
+
+
+@pytest.mark.parametrize("p, o", [pytest.param(p, o, id=i) for i, p, o in _bracket_problems()])
+def test_bracket_is_that_of_fresh_maxima(p, o):
+    # the bracket the equioscillation report carries is the one a fresh
+    # interval_maxima at its point gives, bit for bit, under p itself
+    eq = solve_equioscillation(p, o)
+    if eq.x is None:
+        assert eq.bracket is None
+        return
+    m = interval_maxima(p, eq.x)
+    fresh = (min(m.floats()), max(v + e for v, e in zip(m.floats(), m.err)))
+    assert np.array(eq.bracket).tobytes() == np.array(fresh).tobytes(), (eq.bracket, fresh)
 
 
 def test_certified_values_lie_between_the_oracle_systems():
